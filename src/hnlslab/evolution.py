@@ -86,8 +86,10 @@ class RunConfig:
     sample_stride: int = 10
 
     def __post_init__(self):
-        if self.dt0 <= 0:
-            raise ValueError("dt0 must be positive")
+        if not np.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end}")
+        if not (np.isfinite(self.dt0) and self.dt0 > 0):
+            raise ValueError(f"dt0 must be positive and finite, got {self.dt0}")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
         if self.adapt and self.t_end < 0:
@@ -107,13 +109,11 @@ class StepperState:
         return self.field.t
 
 
-def step_strang(state: StepperState, problem: EvolutionProblem,
-                direction: float = 1.0) -> StepperState:
-    """One Strang step of size state.dt (times `direction` = +-1)."""
-    dt = state.dt * direction
-    g = problem.grid
-    half = problem.linear_phase(0.5 * dt)
-    u = np.fft.ifftn(np.fft.fftn(state.field.values) * half)
+def _nonlinear_stage(u: np.ndarray, problem: EvolutionProblem,
+                     dt: float) -> np.ndarray:
+    """Apply the exact phase map N(dt): u -> u exp(i dt (lam |u|^sigma - V)),
+    in place, and return the amplitude |u|^sigma it used.  The map keeps
+    |u| pointwise, so that amplitude also bounds the new field."""
     if problem.sigma == 2.0:
         amp = u.real ** 2 + u.imag ** 2
     else:
@@ -121,7 +121,17 @@ def step_strang(state: StepperState, problem: EvolutionProblem,
     theta = problem.lam * amp
     if problem.potential is not None:
         theta = theta - problem.potential
-    u = u * np.exp(1j * dt * theta)
+    u *= np.exp(1j * dt * theta)
+    return amp
+
+
+def step_strang(state: StepperState, problem: EvolutionProblem,
+                direction: float = 1.0) -> StepperState:
+    """One Strang step of size state.dt (times `direction` = +-1)."""
+    dt = state.dt * direction
+    half = problem.linear_phase(0.5 * dt)
+    u = np.fft.ifftn(np.fft.fftn(state.field.values) * half)
+    _nonlinear_stage(u, problem, dt)
     u = np.fft.ifftn(np.fft.fftn(u) * half)
     return StepperState(field=state.field.with_values(u, t=state.field.t + dt),
                         dt=state.dt, step_count=state.step_count + 1,
@@ -134,67 +144,109 @@ def run(state: StepperState, problem: EvolutionProblem, config: RunConfig,
     """March a state to config.t_end, sampling observables every
     sample_stride steps (plus first and last).
 
+    The march carries the spectrum u^ = fftn(u) between steps, so one Strang
+    step costs two FFTs: u^ -> ifftn(u^ L(dt/2)) -> N(dt) -> fftn -> L(dt/2).
+    It matches a loop of `step_strang` to roundoff.  The physical field
+    ifftn(u^) is formed only where it is read: at each sample (and so at
+    each observer call and snapshot), at blow-up and at the end of the run.
+
     Blow-up is a recorded outcome, not an error: the run stops with status
     "BlownUp" and the detection time when the sup norm passes the ceiling,
     turns non-finite, or (with adapt=true) the step size underflows while
-    the amplitude is still growing.  Otherwise the final partial step is
-    clipped to land on t_end exactly and the status is "Done".
+    the amplitude is still growing.  The ceiling test reads the amplitude
+    the nonlinear stage computes, i.e. the sup of the half-step field
+    L(dt/2) u; a step whose half-step field fails it is completed, and
+    the run stops at its end time.  The adaptive rule dt = dt0 / (1 +
+    linf^sigma) is applied every sample_stride steps, where a sample has
+    just formed the field, and reads that sample's exact sup.  Otherwise
+    the final partial step is clipped to land on t_end exactly and the
+    status is "Done".
     """
     t0 = state.t
     direction = 1.0 if config.t_end >= t0 else -1.0
     span = abs(config.t_end - t0)
-    linf0 = state.field.linf()
-    ceiling = config.linf_ceiling if config.linf_ceiling is not None else 1e6 * max(linf0, 1e-300)
-    dt_floor = config.dt_floor if config.dt_floor is not None else config.dt0 * 1e-8
+    sigma = problem.sigma
 
-    series = ObservableSeries(lam=problem.lam, sigma=problem.sigma,
+    series = ObservableSeries(lam=problem.lam, sigma=sigma,
                               alpha=problem.grid.alpha)
 
     def emit(st: StepperState):
-        s = sample(st.field, problem.lam, problem.sigma, problem.potential)
+        s = sample(st.field, problem.lam, sigma, problem.potential,
+                   spectrum=spec)
         series.append(s)
         if observer is not None:
             observer(st, s)
 
-    state = StepperState(field=state.field, dt=min(config.dt0, span) if span > 0 else config.dt0,
-                         step_count=0)
+    def physical() -> ComplexField:
+        return state.field.with_values(np.fft.ifftn(spec), t=t)
+
+    field = state.field
+    dt = min(config.dt0, span) if span > 0 else config.dt0
+    state = StepperState(field=field, dt=dt, step_count=0)
+    spec = np.fft.fftn(field.values)
     emit(state)
     if span == 0.0:
         state.status = STATUS_DONE
         return state, series
 
+    linf0 = series.samples[0].linf
+    ceiling = config.linf_ceiling if config.linf_ceiling is not None else 1e6 * max(linf0, 1e-300)
+    dt_floor = config.dt_floor if config.dt_floor is not None else config.dt0 * 1e-8
+    t = field.t
+    steps = 0
+    status = STATUS_RUNNING
+    t_detect = None
     last_linf = linf0
     while True:
-        remaining = abs(config.t_end - state.t)
+        remaining = abs(config.t_end - t)
         if remaining <= 1e-12 * max(abs(config.t_end), 1.0):
-            state.status = STATUS_DONE
+            status = STATUS_DONE
             break
-        if state.step_count % config.sample_stride == 0 and config.adapt:
-            linf = state.field.linf()
-            dt_new = config.dt0 / (1.0 + linf ** problem.sigma)
+        if steps % config.sample_stride == 0 and config.adapt:
+            linf = series.samples[-1].linf
+            dt_new = config.dt0 / (1.0 + linf ** sigma)
             if dt_new < dt_floor:
                 if linf > last_linf:
-                    state.status = STATUS_BLOWNUP
-                    state.t_detect = state.t
+                    status = STATUS_BLOWNUP
+                    t_detect = t
                     break
                 dt_new = dt_floor
             last_linf = linf
-            state.dt = dt_new
-        state.dt = min(state.dt, remaining)
-        state = step_strang(state, problem, direction)
-        linf = state.field.linf()
-        if not np.isfinite(linf) or linf > ceiling:
-            state.status = STATUS_BLOWNUP
-            state.t_detect = state.t
-            if np.isfinite(linf):
-                emit(state)
+            dt = dt_new
+        dt = min(dt, remaining)
+        h = dt * direction
+        half = problem.linear_phase(0.5 * h)
+        w = spec * half
+        np.fft.ifftn(w, out=w)
+        amp = _nonlinear_stage(w, problem, h)
+        if sigma > 0:
+            sup = float(np.max(amp)) ** (1.0 / sigma)
+        else:
+            sup = float(np.max(np.abs(w)))
+        del amp            # keep peak memory down through a following sample
+        np.fft.fftn(w, out=w)
+        w *= half
+        spec = w
+        t = t + h
+        steps += 1
+        field = None
+        if not np.isfinite(sup) or sup > ceiling:
+            status = STATUS_BLOWNUP
+            t_detect = t
+            field = physical()
+            if field.is_finite():
+                emit(StepperState(field, dt, steps, status, t_detect))
             break
-        if state.step_count % config.sample_stride == 0:
-            emit(state)
+        if steps % config.sample_stride == 0:
+            field = physical()
+            emit(StepperState(field, dt, steps))
 
-    if state.status == STATUS_DONE and (state.step_count % config.sample_stride) != 0:
-        emit(state)
-    return state, series
+    if field is None:
+        field = physical()
+    final = StepperState(field, dt, steps, status, t_detect)
+    if status == STATUS_DONE and steps % config.sample_stride != 0:
+        emit(final)
+    return final, series
 
 
 def residual_hnls(f_minus: ComplexField, f_center: ComplexField,

@@ -200,15 +200,22 @@ def random_smooth_field(grid: Grid, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # spectral calculus
 
-def spectral_derivative(field: ComplexField, axis: int, order: int = 1) -> ComplexField:
-    """Differentiate along one axis by multiplying the spectrum by (i xi)^order."""
+def spectral_derivative(field: ComplexField, axis: int, order: int = 1, *,
+                        spectrum: np.ndarray | None = None) -> ComplexField:
+    """Differentiate along one axis by multiplying the spectrum by (i xi)^order.
+
+    `spectrum`, when given, must be fftn(field.values); it saves the forward
+    transform, so the derivative costs one inverse FFT.
+    """
     g = field.grid
     if not 0 <= axis < g.d:
         raise GridError(f"axis {axis} out of range for d={g.d}")
     if order not in (1, 2):
         raise GridError(f"derivative order must be 1 or 2, got {order}")
-    mult = (1j * g.xi_along(axis)) ** order
-    out = np.fft.ifftn(np.fft.fftn(field.values) * mult)
+    if spectrum is None:
+        spectrum = np.fft.fftn(field.values)
+    out = spectrum * (1j * g.xi_along(axis)) ** order
+    np.fft.ifftn(out, out=out)
     return field.with_values(out)
 
 

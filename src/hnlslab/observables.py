@@ -67,12 +67,15 @@ class ObservableSeries:
 
 
 def energy(field: ComplexField, lam: float, sigma: float,
-           potential: np.ndarray | None = None) -> float:
+           potential: np.ndarray | None = None, *,
+           spectrum: np.ndarray | None = None) -> float:
     """Signature-weighted energy; optional static real potential adds
-    1/2 int V |u|^2."""
+    1/2 int V |u|^2.  `spectrum`, when given, must be fftn(field.values)."""
     g = field.grid
     w = g.cell
-    spec2 = np.abs(np.fft.fftn(field.values)) ** 2
+    if spectrum is None:
+        spectrum = np.fft.fftn(field.values)
+    spec2 = np.abs(spectrum) ** 2
     npts = float(np.prod(g.n))
     kin = 0.0
     for j in range(g.d):
@@ -86,10 +89,18 @@ def energy(field: ComplexField, lam: float, sigma: float,
 
 
 def sample(field: ComplexField, lam: float, sigma: float,
-           potential: np.ndarray | None = None) -> ObservableSample:
-    """Compute every scalar diagnostic of `field` in one pass."""
+           potential: np.ndarray | None = None, *,
+           spectrum: np.ndarray | None = None) -> ObservableSample:
+    """Compute every scalar diagnostic of `field` in one pass.
+
+    The d derivatives and the kinetic energy all come from one spectrum:
+    `spectrum` if given (it must be fftn(field.values)), else one forward
+    FFT here.  A sample therefore costs d inverse FFTs plus that one.
+    """
     if not field.is_finite():
         raise FieldDataError("sample: field contains NaN or Inf")
+    if spectrum is None:
+        spectrum = np.fft.fftn(field.values)
     g = field.grid
     w = g.cell
     u = field.values
@@ -102,7 +113,7 @@ def sample(field: ComplexField, lam: float, sigma: float,
     rate_signed = 0.0
     virial = 0.0
     for j in range(g.d):
-        du = spectral_derivative(field, j).values
+        du = spectral_derivative(field, j, spectrum=spectrum).values
         pj = w * float(np.sum(np.imag(np.conj(u) * du)))
         xj = g.coord_along(j)
         comj = w * float(np.sum(xj * a2))
@@ -115,7 +126,7 @@ def sample(field: ComplexField, lam: float, sigma: float,
         virial += sgn * w * float(np.sum(xj ** 2 * a2))
 
     lsig2 = w * float(np.sum(np.abs(u) ** (sigma + 2.0)))
-    e = energy(field, lam, sigma, potential)
+    e = energy(field, lam, sigma, potential, spectrum=spectrum)
     d = g.d
     rhs = 16.0 * e + 4.0 * lam * ((2.0 * d + 4.0) / (sigma + 2.0) - d) * lsig2
     bf = boundary_mass_fraction(field)

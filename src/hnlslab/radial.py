@@ -9,6 +9,9 @@ problem onto the first).  This module hosts the 1-D solver for both, the
 lift of profile pairs back to a 2-D grid, the trace-jump diagnostic at
 the cone |x| = |y|, the ground-state shooting machinery, and the
 concentration scan used to localize blow-up at the cone.
+
+scipy is imported inside the functions that use it, so `import hnlslab`
+does not load it unless a radial computation runs.
 """
 
 from __future__ import annotations
@@ -17,10 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
-from scipy.special import k0 as bessel_k0
 
 from .fields import Grid
 from .evolution import STATUS_BLOWNUP, STATUS_DONE, STATUS_RUNNING
@@ -270,6 +269,7 @@ class _CrankNicolsonHalf:
         self._rs = th * sub
 
     def apply(self, v: np.ndarray) -> np.ndarray:
+        from scipy.linalg import solve_banded
         rhs = self._rd * v
         rhs[:-1] += self._ru[:-1] * v[1:]
         rhs[1:] += self._rs[1:] * v[:-1]
@@ -412,6 +412,7 @@ def lift_to_cone(phi: RadialProfile, psi: RadialProfile, grid: Grid) -> ConeFiel
     """u(x, y) = phi(sqrt(x^2 - y^2)) / psi(sqrt(y^2 - x^2)) on the two
     wedges, cubic interpolation in the radius; hyperbolic radii beyond a
     profile's outer wall evaluate to 0, consistent with Dirichlet decay."""
+    from scipy.interpolate import CubicSpline
     if grid.d != 2:
         raise ValueError("cone lift is defined for d=2 grids")
     if abs(phi.t - psi.t) > 1e-12 * max(1.0, abs(phi.t)):
@@ -495,6 +496,7 @@ def _series_start(q0: float, sigma: float, r0: float):
 
 def _classify_shot(q0: float, sigma: float, r_span: float) -> str:
     """'cross' if Q hits zero, 'diverge' if it turns around and grows."""
+    from scipy.integrate import solve_ivp
     r0 = 1e-3
     qv, pv = _series_start(q0, sigma, r0)
 
@@ -535,6 +537,7 @@ def shoot_ground_state(sigma: float, r_max: float = 25.0,
     shape the tail below the e^{r} sensitivity floor anyway).  The blend
     mismatch is reported as decay_residual.
     """
+    from scipy.special import k0 as bessel_k0
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     lo, hi = float(bracket[0]), float(bracket[1])

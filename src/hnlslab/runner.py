@@ -10,7 +10,7 @@ A config is one UTF-8 JSON object.  Top-level keys:
                   "n": int or [int..], "length": number or [number..]}
                  "hnls" is signature (+1, -1, ..), "nls" is all +1; `n` and
                  `length` broadcast from scalars; every n must be a power of
-                 two.  `d` may be omitted when some list fixes it.
+                 two >= 8.  `d` may be omitted when some list fixes it.
   nonlinearity   {"lam": 1.0, "sigma": 2.0}
   initial        field recipe (simulate / conservation-report):
                  {"shape": "gaussian", "amplitude", "width", "center"?,
@@ -26,8 +26,9 @@ A config is one UTF-8 JSON object.  Top-level keys:
 
 plus exactly one kind-specific block named after the kind (none for
 simulate / conservation-report); see the `_exp_*` docstrings for their
-keys.  Unknown keys anywhere are rejected, and validation reports every
-problem at once rather than stopping at the first.
+keys.  Unknown keys anywhere are rejected, so are NaN and Infinity
+wherever a number is expected, and validation reports every problem at
+once rather than stopping at the first.
 
 Profile-hypothesis lint results and regime certification are attached to
 the parsed config as `warnings`: advisory, never fatal.
@@ -38,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
 
@@ -107,7 +109,9 @@ _MISSING = object()
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite number; `json` also parses NaN and Infinity, rejected here."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _check_unknown(errors, where, block, allowed) -> bool:
@@ -131,7 +135,8 @@ def _num(errors, where, block, key, default=_MISSING, minv=None,
     if v is None and allow_none:
         return None
     if not _is_num(v):
-        errors.append(f"{where}.{key}: expected a number, got {v!r}")
+        errors.append(f"{where}.{key}: expected a finite number, "
+                      f"got {v!r}")
         return None
     v = float(v)
     if minv is not None and (v < minv or (strict and v == minv)):
@@ -191,7 +196,7 @@ def _num_list(errors, where, block, key, default=_MISSING, length=None,
         return default
     v = block[key]
     if not isinstance(v, list) or not all(_is_num(x) for x in v):
-        errors.append(f"{where}.{key}: expected a list of numbers, "
+        errors.append(f"{where}.{key}: expected a list of finite numbers, "
                       f"got {v!r}")
         return None
     if length is not None and len(v) != length:
@@ -205,10 +210,10 @@ def _num_list(errors, where, block, key, default=_MISSING, length=None,
 
 
 def _pow2(errors, where, n) -> bool:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2 \
+    if not isinstance(n, int) or isinstance(n, bool) or n < 8 \
             or n & (n - 1) != 0:
         errors.append(f"{where}: every grid size must be a power of two "
-                      f"(>= 2), got {n!r}")
+                      f"(>= 8), got {n!r}")
         return False
     return True
 
@@ -263,7 +268,8 @@ def _norm_grid(errors, raw) -> dict | None:
         return None
     lens = len_raw if isinstance(len_raw, list) else [len_raw] * d
     if len(lens) != d or not all(_is_num(v) and v > 0 for v in lens):
-        errors.append(f"{where}.length: expected {d} positive numbers")
+        errors.append(f"{where}.length: expected {d} positive finite "
+                      f"numbers")
         return None
 
     if preset == "hnls":

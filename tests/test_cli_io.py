@@ -219,6 +219,45 @@ def test_parse_rejects_wrong_sections_and_kind():
         parse_config(_cfg(stability={"wave": "plane"}))
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _planewave_cfg(**block):
+    pw = {"profile": {"shape": "gaussian", "amplitude": 1.0, "width": 3.0},
+          "c": [1.0]}
+    pw.update(block)
+    return json.dumps({
+        "kind": "planewave",
+        "grid": {"preset": "hnls", "d": 2, "n": 32, "length": 40.0},
+        "planewave": pw, "run": {"t_end": 0.05}})
+
+
+@pytest.mark.parametrize("kind, text, key", [
+    ("simulate", _cfg(run={"t_end": _NAN}), "t_end"),
+    ("simulate", _cfg(run={"t_end": 0.05, "dt0": _INF}), "dt0"),
+    ("simulate", _cfg(grid={"preset": "hnls", "d": 2, "n": 32,
+                            "length": _INF}), "length"),
+    ("simulate", _cfg(initial={"shape": "gaussian", "amplitude": _NAN,
+                               "width": 3.0}), "amplitude"),
+    ("simulate", _cfg(initial={"shape": "gaussian", "width": 3.0,
+                               "boost": [_NAN, 0.0]}), "boost"),
+    ("simulate", _cfg(grid={"preset": "hnls", "d": 2, "n": 4,
+                            "length": 40.0}), "power of two"),
+    ("planewave", _planewave_cfg(n=4), "power of two"),
+])
+def test_bad_numbers_exit_2_before_any_run(kind, text, key, tmp_path,
+                                          capsys):
+    # json accepts NaN and Infinity; the schema must not
+    with pytest.raises(ConfigError, match=key):
+        parse_config(text)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli_main([kind, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_stability_out_of_regime_warning():
     cfg = parse_config(json.dumps({
         "kind": "stability",

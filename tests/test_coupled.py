@@ -406,3 +406,15 @@ def test_two_wave_rejects_bad_pairs():
     with pytest.raises(GridError):
         two_wave_run(s1, _plane_spec(c=(-1.0,)),
                      constant_field(hnls_grid(n=32), 0.0), 0.1, grid)
+
+
+def test_two_wave_remainder_at_t0_is_v0():
+    # u(0) = v0 + l1 + l2 exactly, so the remainder there is v0 itself
+    grid = hnls_grid()
+    s1 = _plane_spec(c=(1.0,))
+    s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), period=40.0, c=(-1.0,),
+                       lam=1.0, sigma=2.0)
+    assert two_wave_run(s1, s2, None, 0.02, grid).remainder[0] == 0.0
+    v0 = _seed(grid)
+    out = two_wave_run(s1, s2, v0, 0.02, grid)
+    assert out.remainder[0] == norms(v0).h1

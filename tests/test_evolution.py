@@ -256,3 +256,113 @@ def test_step_strang_stamps_time():
     assert st.step_count == 1
     st = step_strang(st, problem, direction=-1.0)
     assert np.isclose(st.t, 0.0, atol=1e-15)
+
+
+# ------------------------------------------------------------- fused march
+
+def _strang_loop(f, problem, t_end, dt):
+    """Reference march: one step_strang call per step, last step clipped."""
+    direction = 1.0 if t_end >= f.t else -1.0
+    st = StepperState(field=f, dt=dt)
+    while abs(t_end - st.t) > 1e-12 * max(abs(t_end), 1.0):
+        st.dt = min(dt, abs(t_end - st.t))
+        st = step_strang(st, problem, direction)
+    return st
+
+
+def _alpha(name, d, seed=5):
+    if name == "hnls":
+        return (1.0,) + (-1.0,) * (d - 1)
+    if name == "nls":
+        return (1.0,) * d
+    return tuple(np.random.default_rng(seed).uniform(-1.5, 1.5, d))
+
+
+@pytest.mark.parametrize("alpha, sigma, saddle, t0, t_end", [
+    ("hnls", 2.0, False, 0.0, 0.0537),
+    ("nls", 4.0, False, 0.0, 0.0537),
+    ("random", 1.5, False, 0.0, 0.0537),
+    ("hnls", 2.0, True, 0.0, 0.0537),
+    ("hnls", 0.0, False, 0.0, 0.0537),
+    ("nls", 1.5, True, 0.3, 0.2463),     # backward in time
+    ("random", 4.0, False, 0.3, 0.2463),
+])
+def test_run_matches_step_strang_loop(alpha, sigma, saddle, t0, t_end):
+    g = Grid((32, 32), (20.0, 20.0), _alpha(alpha, 2))
+    f = gaussian_field(g, amplitude=0.9, width=1.5, boost=(0.4, -0.2), t=t0)
+    V = harmonic_saddle_potential(g, k=0.3) if saddle else None
+    problem = EvolutionProblem(g, lam=1.0, sigma=sigma, potential=V)
+    dt = 4e-3                  # 0.0537 / 4e-3 leaves a clipped last step
+    state, series = _run_field(f, problem, t_end=t_end, dt0=dt,
+                               sample_stride=3)
+    ref = _strang_loop(f, problem, t_end, dt)
+    assert state.status == STATUS_DONE
+    assert state.step_count == ref.step_count == 14
+    assert state.t == ref.t
+    err = np.linalg.norm(state.field.values - ref.field.values)
+    assert err <= 1e-12 * np.linalg.norm(ref.field.values)
+    # the last sample describes the returned field
+    last = sample(state.field, 1.0, sigma, V)
+    assert series.samples[-1].t == state.t
+    assert abs(series.samples[-1].energy - last.energy) \
+        <= 1e-12 * max(1.0, abs(last.energy))
+
+
+class _FFTCounter:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        for name in ("fftn", "ifftn"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _fn=original, **kwargs):
+                self.calls += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fft_count_per_step_and_sample(d, monkeypatch):
+    g = hnls_grid(n=16, length=20.0, d=d)
+    f = gaussian_field(g, amplitude=0.8, width=2.0)
+    problem = EvolutionProblem(g, lam=1.0, sigma=2.0)
+    counter = _FFTCounter(monkeypatch)
+    state, series = _run_field(f, problem, t_end=0.025, dt0=1e-3,
+                               sample_stride=10)
+    n_steps, k = state.step_count, len(series)
+    assert (n_steps, k) == (25, 4)        # samples at steps 0, 10, 20, 25
+    assert counter.calls <= 2 * n_steps + (d + 1) * k + 1
+    counter.calls = 0
+    sample(state.field, 1.0, 2.0)
+    assert counter.calls == d + 1
+
+
+def test_adaptive_dt_follows_sampled_sup():
+    # a focusing Gaussian grows, so dt0 / (1 + linf^sigma) shrinks
+    g = Grid((64, 64), (8.0, 8.0), (1.0, 1.0))
+    f = gaussian_field(g, amplitude=3.0, width=1.0)
+    problem = EvolutionProblem(g, lam=1.0, sigma=2.0)
+    stride, dt0 = 5, 1e-3
+    dts = []
+    cfg = RunConfig(t_end=0.05, dt0=dt0, adapt=True, sample_stride=stride)
+    state, series = run(StepperState(field=f, dt=dt0), problem, cfg,
+                        lambda st, s: dts.append(st.dt))
+    assert state.status == STATUS_DONE
+    linf = series.column("linf")
+    expected = dt0 / (1.0 + linf ** 2)
+    # the dt a sample reports was chosen from the previous sample's sup;
+    # the last one may be clipped to land on t_end
+    assert len(dts) > 5
+    assert np.all(np.asarray(dts[1:-1]) == expected[:-2])
+    assert dts[-1] <= expected[-2]
+    steps = np.diff(series.t)[:-1]
+    assert np.allclose(steps, stride * expected[:-2], rtol=1e-9, atol=0.0)
+    assert expected[-1] < 0.5 * dt0
+
+
+def test_run_config_rejects_non_finite_times():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            RunConfig(t_end=bad)
+        with pytest.raises(ValueError):
+            RunConfig(t_end=1.0, dt0=bad)

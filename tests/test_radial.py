@@ -1,5 +1,9 @@
 """Tests for the 1-D radial reduction, cone lift, and ground state."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -423,3 +427,16 @@ def test_radial_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(back.values, prof.values, atol=1e-16)
     header = path.read_text().splitlines()[0]
     assert header == "r,re,im"
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # only the radial solvers need scipy; they import it when they run
+    import hnlslab
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hnlslab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, hnlslab; "
+            "assert hnlslab.solve_radial and hnlslab.shoot_ground_state; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
