@@ -17,14 +17,15 @@ two-wave interaction run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fields import (ComplexField, Grid, GridError, constant_field, norms,
                      spectral_derivative)
 from .evolution import (STATUS_BLOWNUP, STATUS_RUNNING, EvolutionProblem,
-                        StepperState, step_strang)
+                        RunConfig, StepperState, march, step_strang)
 from .families import (PlaneWaveSpec, StandingWaveSpec, _carrier_index,
                        lift_profile, plane_wave_problem,
                        standing_wave_lift, standing_wave_problem)
@@ -206,39 +207,36 @@ def run_decomposed(state: DecomposedState, problem: EvolutionProblem,
     Both split substeps are pointwise unitary, so a collapsing component
     never turns non-finite by itself; blow-up is detected by the sup-norm
     bound ||v||_inf + ||profile||_inf passing `linf_ceiling` (default:
-    1e6 times its initial value), mirroring the full solver's convention.
+    1e6 times its initial value) or turning non-finite, by `march` as in
+    the full solver.  A completed run keeps the status "Running".
     """
     if stepper is None:
         stepper = step_decomposed
+    config = RunConfig(t_end=t_end, dt0=dt, linf_ceiling=linf_ceiling,
+                       sample_stride=sample_stride)
     if t_end < state.t:
         raise ValueError("decomposed runs only go forward")
-    sup0 = state.v.linf() + state.profile.linf()
-    ceiling = linf_ceiling if linf_ceiling is not None \
-        else 1e6 * max(sup0, 1e-300)
     ts, hs, ps, gs = [], [], [], []
 
-    def record(s):
-        ts.append(s.t)
-        hs.append(norms(s.v).h1)
-        p, gp = _profile_proxies(s)
+    def step(h: float) -> float:
+        nonlocal state
+        state = stepper(state, problem, h)
+        if state.status != STATUS_RUNNING:
+            return math.inf        # the stepper found a non-finite component
+        return state.v.linf() + state.profile.linf()
+
+    def record(m) -> float:
+        nb = norms(state.v)
+        p, gp = _profile_proxies(state)
+        ts.append(state.t)
+        hs.append(nb.h1)
         ps.append(p)
         gs.append(gp)
+        return nb.linf + p
 
-    record(state)
-    k = 0
-    while state.status == STATUS_RUNNING and t_end - state.t > 1e-12:
-        step = min(dt, t_end - state.t)
-        state = stepper(state, problem, step)
-        if state.status == STATUS_RUNNING \
-                and state.v.linf() + state.profile.linf() > ceiling:
-            state = DecomposedState(v=state.v, spec=state.spec,
-                                    profile=state.profile,
-                                    profile_problem=state.profile_problem,
-                                    status=STATUS_BLOWNUP)
-        k += 1
-        if k % sample_stride == 0 or state.status != STATUS_RUNNING \
-                or t_end - state.t <= 1e-12:
-            record(state)
+    m = march(state.t, config, problem.sigma, step, record)
+    if m.status == STATUS_BLOWNUP and state.status == STATUS_RUNNING:
+        state = replace(state, status=STATUS_BLOWNUP)
     series = CoupledSeries(t=np.asarray(ts), h=np.asarray(hs),
                            phi_sup=np.asarray(ps),
                            grad_phi_sup=np.asarray(gs))
@@ -407,6 +405,9 @@ def two_wave_run(spec1: PlaneWaveSpec, spec2: PlaneWaveSpec,
         raise ValueError("profiles must travel at distinct speeds")
     if spec1.lam != spec2.lam or spec1.sigma != spec2.sigma:
         raise ValueError("both waves must share (lam, sigma)")
+    config = RunConfig(t_end=T, dt0=dt, sample_stride=sample_stride)
+    if T < 0:
+        raise ValueError("two-wave runs only go forward")
     prob1, f1 = plane_wave_problem(spec1)
     prob2, f2 = plane_wave_problem(spec2)
     l1 = lift_structured(spec1, f1.values, grid, 0.0)
@@ -418,41 +419,31 @@ def two_wave_run(spec1: PlaneWaveSpec, spec2: PlaneWaveSpec,
     scale = norms(ComplexField(grid, l1)).h1 * norms(ComplexField(grid, l2)).h1
 
     problem = EvolutionProblem(grid=grid, lam=spec1.lam, sigma=spec1.sigma)
-    su = StepperState(field=ComplexField(grid, v0.values + l1 + l2), dt=dt)
-    s1 = StepperState(field=f1, dt=dt)
-    s2 = StepperState(field=f2, dt=dt)
-
-    ts, rem = [], []
-
-    def record(r=None):
-        if r is None:
-            r = su.field.values \
-                - lift_structured(spec1, s1.field.values, grid, su.field.t) \
-                - lift_structured(spec2, s2.field.values, grid, su.field.t)
-        ts.append(su.field.t)
-        rem.append(norms(ComplexField(grid, r, t=su.field.t)).h1)
-        return r
-
-    status = STATUS_RUNNING
+    u = ComplexField(grid, v0.values + l1 + l2)
+    sup = u.linf() + f1.linf() + f2.linf()
     # at t=0 the remainder is v0 itself; subtracting the lifts back out
     # would leave roundoff
-    last = record(v0.values)
-    k = 0
-    while T - su.field.t > 1e-12:
-        step = min(dt, T - su.field.t)
-        su = step_strang(StepperState(field=su.field, dt=step), problem)
-        s1 = step_strang(StepperState(field=s1.field, dt=step), prob1)
-        s2 = step_strang(StepperState(field=s2.field, dt=step), prob2)
-        k += 1
-        if not (su.field.is_finite() and s1.field.is_finite()
-                and s2.field.is_finite()):
-            status = STATUS_BLOWNUP
-            last = record()
-            break
-        if k % sample_stride == 0 or T - su.field.t <= 1e-12:
-            last = record()
-    if status == STATUS_RUNNING:
-        status = "Done"
+    last = v0.values
+    ts, rem = [], []
+
+    def step(h: float) -> float:
+        nonlocal u, f1, f2, sup
+        u = step_strang(StepperState(field=u, dt=h), problem).field
+        f1 = step_strang(StepperState(field=f1, dt=h), prob1).field
+        f2 = step_strang(StepperState(field=f2, dt=h), prob2).field
+        sup = u.linf() + f1.linf() + f2.linf()
+        return sup
+
+    def record(m) -> float:
+        nonlocal last
+        if m.steps > 0:
+            last = u.values - lift_structured(spec1, f1.values, grid, u.t) \
+                - lift_structured(spec2, f2.values, grid, u.t)
+        ts.append(u.t)
+        rem.append(norms(ComplexField(grid, last, t=u.t)).h1)
+        return sup
+
+    status = march(0.0, config, spec1.sigma, step, record).status
 
     mesh = grid.meshgrid()
     period = grid.length[0]

@@ -11,12 +11,13 @@ the usual O(dt^2) splitting error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
 
-from .fields import ComplexField, Grid, GridError
+from .fields import ComplexField, Grid, GridError, cubic_stencil
 from .observables import ObservableSample, ObservableSeries, sample
 
 STATUS_RUNNING = "Running"
@@ -92,6 +93,10 @@ class RunConfig:
             raise ValueError(f"dt0 must be positive and finite, got {self.dt0}")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
+        for name in ("linf_ceiling", "dt_floor"):
+            v = getattr(self, name)
+            if v is not None and not v > 0:   # NaN would disable the test
+                raise ValueError(f"{name} must be positive, got {v}")
         if self.adapt and self.t_end < 0:
             raise ValueError("adaptive stepping only runs forward in time")
 
@@ -138,83 +143,109 @@ def step_strang(state: StepperState, problem: EvolutionProblem,
                         status=state.status)
 
 
+@dataclass
+class MarchState:
+    """Progress of one `march`: shown to each `record` call, then returned."""
+    t: float
+    dt: float
+    steps: int = 0
+    status: str = STATUS_RUNNING
+    t_detect: float | None = None
+
+
+def march(t0: float, config: RunConfig, sigma: float,
+          step: Callable[[float], float],
+          record: Callable[[MarchState], float]) -> MarchState:
+    """The time loop of every solver: advance from t0 to config.t_end.
+
+    `step(h)` advances the caller's state by h (negative when marching
+    backward) and returns a bound on its sup norm, non-finite when the
+    state is.  `record(m)` samples the state at m.t and returns its exact
+    sup norm.  Samples are taken first, every sample_stride steps, at
+    blow-up when the bound is finite, and last; `m.status` is already
+    final for the last two.
+
+    Blow-up is a recorded outcome, not an error: the march stops with
+    status "BlownUp" and the detection time when a step's bound passes
+    the ceiling (default 1e6 times the first sample's sup) or is
+    non-finite, or (with adapt=true) when the step size underflows
+    dt_floor while the sup is still growing.  The adaptive rule dt = dt0
+    / (1 + sup^sigma) is applied every sample_stride steps to the sup of
+    the sample just taken.  Otherwise the last step is clipped to land
+    on t_end and the status is "Done".
+    """
+    direction = 1.0 if config.t_end >= t0 else -1.0
+    span = abs(config.t_end - t0)
+    m = MarchState(t=t0, dt=min(config.dt0, span) if span > 0
+                   else config.dt0)
+    sup = record(m)
+    if span == 0.0:
+        m.status = STATUS_DONE
+        return m
+    ceiling = config.linf_ceiling if config.linf_ceiling is not None \
+        else 1e6 * max(sup, 1e-300)
+    dt_floor = config.dt_floor if config.dt_floor is not None \
+        else config.dt0 * 1e-8
+    tol = 1e-12 * max(abs(config.t_end), 1.0)
+    stride = config.sample_stride
+    last_sup = sup
+    while True:
+        remaining = abs(config.t_end - m.t)
+        if remaining <= tol:
+            break
+        if config.adapt and m.steps % stride == 0:
+            dt = config.dt0 / (1.0 + sup ** sigma)
+            if dt < dt_floor:
+                if sup > last_sup:
+                    m.status, m.t_detect = STATUS_BLOWNUP, m.t
+                    return m
+                dt = dt_floor
+            last_sup = sup
+            m.dt = dt
+        m.dt = min(m.dt, remaining)
+        h = m.dt * direction
+        bound = step(h)
+        m.t = m.t + h
+        m.steps += 1
+        if not math.isfinite(bound) or bound > ceiling:
+            m.status, m.t_detect = STATUS_BLOWNUP, m.t
+            if math.isfinite(bound):
+                record(m)
+            return m
+        if m.steps % stride == 0:
+            sup = record(m)
+    m.status = STATUS_DONE
+    if m.steps % stride != 0:
+        record(m)
+    return m
+
+
 def run(state: StepperState, problem: EvolutionProblem, config: RunConfig,
         observer: Callable[[StepperState, ObservableSample], None] | None = None,
         ) -> tuple[StepperState, ObservableSeries]:
-    """March a state to config.t_end, sampling observables every
-    sample_stride steps (plus first and last).
+    """March a state to config.t_end with `march`, sampling observables
+    every sample_stride steps (plus first and last).
 
     The march carries the spectrum u^ = fftn(u) between steps, so one Strang
     step costs two FFTs: u^ -> ifftn(u^ L(dt/2)) -> N(dt) -> fftn -> L(dt/2).
     It matches a loop of `step_strang` to roundoff.  The physical field
     ifftn(u^) is formed only where it is read: at each sample (and so at
     each observer call and snapshot), at blow-up and at the end of the run.
-
-    Blow-up is a recorded outcome, not an error: the run stops with status
-    "BlownUp" and the detection time when the sup norm passes the ceiling,
-    turns non-finite, or (with adapt=true) the step size underflows while
-    the amplitude is still growing.  The ceiling test reads the amplitude
-    the nonlinear stage computes, i.e. the sup of the half-step field
-    L(dt/2) u; a step whose half-step field fails it is completed, and
-    the run stops at its end time.  The adaptive rule dt = dt0 / (1 +
-    linf^sigma) is applied every sample_stride steps, where a sample has
-    just formed the field, and reads that sample's exact sup.  Otherwise
-    the final partial step is clipped to land on t_end exactly and the
-    status is "Done".
+    The step's sup bound is the amplitude the nonlinear stage computes,
+    the sup of the half-step field L(dt/2) u, so a step whose half-step
+    field passes the ceiling is completed and the run stops at its end.
     """
-    t0 = state.t
-    direction = 1.0 if config.t_end >= t0 else -1.0
-    span = abs(config.t_end - t0)
     sigma = problem.sigma
-
     series = ObservableSeries(lam=problem.lam, sigma=sigma,
                               alpha=problem.grid.alpha)
+    field = state.field           # None while only the spectrum is current
+    spec = np.fft.fftn(field.values)
 
-    def emit(st: StepperState):
-        s = sample(st.field, problem.lam, sigma, problem.potential,
-                   spectrum=spec)
-        series.append(s)
-        if observer is not None:
-            observer(st, s)
-
-    def physical() -> ComplexField:
+    def physical(t: float) -> ComplexField:
         return state.field.with_values(np.fft.ifftn(spec), t=t)
 
-    field = state.field
-    dt = min(config.dt0, span) if span > 0 else config.dt0
-    state = StepperState(field=field, dt=dt, step_count=0)
-    spec = np.fft.fftn(field.values)
-    emit(state)
-    if span == 0.0:
-        state.status = STATUS_DONE
-        return state, series
-
-    linf0 = series.samples[0].linf
-    ceiling = config.linf_ceiling if config.linf_ceiling is not None else 1e6 * max(linf0, 1e-300)
-    dt_floor = config.dt_floor if config.dt_floor is not None else config.dt0 * 1e-8
-    t = field.t
-    steps = 0
-    status = STATUS_RUNNING
-    t_detect = None
-    last_linf = linf0
-    while True:
-        remaining = abs(config.t_end - t)
-        if remaining <= 1e-12 * max(abs(config.t_end), 1.0):
-            status = STATUS_DONE
-            break
-        if steps % config.sample_stride == 0 and config.adapt:
-            linf = series.samples[-1].linf
-            dt_new = config.dt0 / (1.0 + linf ** sigma)
-            if dt_new < dt_floor:
-                if linf > last_linf:
-                    status = STATUS_BLOWNUP
-                    t_detect = t
-                    break
-                dt_new = dt_floor
-            last_linf = linf
-            dt = dt_new
-        dt = min(dt, remaining)
-        h = dt * direction
+    def step(h: float) -> float:
+        nonlocal spec, field
         half = problem.linear_phase(0.5 * h)
         w = spec * half
         np.fft.ifftn(w, out=w)
@@ -227,26 +258,25 @@ def run(state: StepperState, problem: EvolutionProblem, config: RunConfig,
         np.fft.fftn(w, out=w)
         w *= half
         spec = w
-        t = t + h
-        steps += 1
         field = None
-        if not np.isfinite(sup) or sup > ceiling:
-            status = STATUS_BLOWNUP
-            t_detect = t
-            field = physical()
-            if field.is_finite():
-                emit(StepperState(field, dt, steps, status, t_detect))
-            break
-        if steps % config.sample_stride == 0:
-            field = physical()
-            emit(StepperState(field, dt, steps))
+        return sup
 
+    def record(m: MarchState) -> float:
+        nonlocal field
+        if field is None:
+            field = physical(m.t)
+        s = sample(field, problem.lam, sigma, problem.potential,
+                   spectrum=spec)
+        series.append(s)
+        if observer is not None:
+            observer(StepperState(field, m.dt, m.steps, m.status,
+                                  m.t_detect), s)
+        return s.linf
+
+    m = march(state.t, config, sigma, step, record)
     if field is None:
-        field = physical()
-    final = StepperState(field, dt, steps, status, t_detect)
-    if status == STATUS_DONE and steps % config.sample_stride != 0:
-        emit(final)
-    return final, series
+        field = physical(m.t)
+    return StepperState(field, m.dt, m.steps, m.status, m.t_detect), series
 
 
 def residual_hnls(f_minus: ComplexField, f_center: ComplexField,
@@ -316,20 +346,8 @@ class FieldTrajectory:
             raise ValueError("empty trajectory")
         if s < t[0] - 1e-12 or s > t[-1] + 1e-12:
             raise ValueError(f"time {s} outside stored range [{t[0]}, {t[-1]}]")
-        idx = int(np.searchsorted(t, s))
-        if idx < len(t) and abs(t[idx] - s) < 1e-13 * max(1.0, abs(s)):
-            return self.fields[idx].copy()
-        if idx > 0 and abs(t[idx - 1] - s) < 1e-13 * max(1.0, abs(s)):
-            return self.fields[idx - 1].copy()
-        if len(t) < 4:
-            raise ValueError("need at least 4 snapshots for interpolation")
-        lo = min(max(idx - 2, 0), len(t) - 4)
-        ts = np.array(t[lo:lo + 4])
-        acc = np.zeros(self.fields[0].grid.n, dtype=np.complex128)
-        for i in range(4):
-            w = 1.0
-            for j in range(4):
-                if j != i:
-                    w *= (s - ts[j]) / (ts[i] - ts[j])
-            acc += w * self.fields[lo + i].values
+        lo, w = cubic_stencil(t, s, 1e-13)
+        if w is None:
+            return self.fields[lo].copy()
+        acc = sum(wk * f.values for wk, f in zip(w, self.fields[lo:lo + 4]))
         return ComplexField(self.fields[0].grid, acc, t=s)

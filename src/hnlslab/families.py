@@ -17,15 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from .fields import (ComplexField, FieldDataError, Grid, GridError,
-                     evaluate_at_axes)
+                     _is_pow2, evaluate_at_axes)
 from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
                         StepperState, harmonic_saddle_potential, run)
 from .transforms import (TransformError, TransformState,
                          integrate_transform_odes, signature_quadratic)
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 2 and (n & (n - 1)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +46,7 @@ class PlaneWaveSpec:
         self.f0 = np.ascontiguousarray(self.f0, dtype=np.complex128)
         if self.f0.ndim != 1 or not _is_pow2(len(self.f0)):
             raise FieldDataError(
-                "profile must be 1-D with a power-of-two sample count")
+                "profile must be 1-D with a power-of-two sample count >= 8")
         if not np.all(np.isfinite(self.f0)):
             raise FieldDataError("profile samples must be finite")
         self.period = float(self.period)

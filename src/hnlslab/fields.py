@@ -264,6 +264,41 @@ def lp_norm(field: ComplexField, p: float) -> float:
     return norms(field, ps=(p,)).lp[p]
 
 
+# ---------------------------------------------------------------------------
+# polynomial interpolation in time (and radius)
+
+def lagrange_weights(nodes: Sequence[float], s: float) -> list:
+    """Weights w_i with sum_i w_i y_i the Lagrange polynomial through
+    (nodes_i, y_i), evaluated at s."""
+    weights = []
+    for i in range(len(nodes)):
+        w = 1.0
+        for j in range(len(nodes)):
+            if j != i:
+                w *= (s - nodes[j]) / (nodes[i] - nodes[j])
+        weights.append(w)
+    return weights
+
+
+def cubic_stencil(times: Sequence[float], s: float,
+                  tol: float = 0.0) -> tuple:
+    """Where to read samples stored at increasing `times` at time s.
+
+    Returns (i, None) when s is within tol * max(1, |s|) of node i, whose
+    sample is then the value itself; otherwise (lo, w): the cubic through
+    the 4 nodes times[lo:lo+4] nearest s has the value sum_k w[k] y[lo+k].
+    Raises ValueError when that needs more nodes than there are.
+    """
+    idx = int(np.searchsorted(times, s))
+    for i in (idx, idx - 1):
+        if 0 <= i < len(times) and abs(times[i] - s) <= tol * max(1.0, abs(s)):
+            return i, None
+    if len(times) < 4:
+        raise ValueError("need at least 4 samples to interpolate")
+    lo = min(max(idx - 2, 0), len(times) - 4)
+    return lo, lagrange_weights(times[lo:lo + 4], s)
+
+
 def apply_linear_propagator(field: ComplexField, dt: float) -> ComplexField:
     """Advance the free flow i u_t + sum_j alpha_j d^2_j u = 0 by dt exactly.
 

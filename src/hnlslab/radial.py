@@ -17,12 +17,12 @@ does not load it unless a radial computation runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fields import Grid
-from .evolution import STATUS_BLOWNUP, STATUS_DONE, STATUS_RUNNING
+from .fields import Grid, cubic_stencil, lagrange_weights
+from .evolution import STATUS_DONE, MarchState, RunConfig, march
 
 BC_DIRICHLET = "dirichlet"
 BC_REGULARITY = "regularity"
@@ -225,22 +225,12 @@ class RadialTrajectory:
     def at(self, t: float) -> np.ndarray:
         """Values at time t (exact at stored nodes, cubic in between)."""
         ts = self._t
-        if len(ts) < 4:
-            raise ValueError("need at least 4 snapshots to interpolate")
-        if not ts[0] <= t <= ts[-1]:
-            raise ValueError(f"t={t} outside sampled range [{ts[0]}, {ts[-1]}]")
-        j = int(np.searchsorted(ts, t))
-        if j < len(ts) and ts[j] == t:
-            return self._vals[j].copy()
-        lo = min(max(j - 2, 0), len(ts) - 4)
-        out = np.zeros_like(self._vals[0])
-        for i in range(lo, lo + 4):
-            li = 1.0
-            for m in range(lo, lo + 4):
-                if m != i:
-                    li *= (t - ts[m]) / (ts[i] - ts[m])
-            out += li * self._vals[i]
-        return out
+        if not ts or not ts[0] <= t <= ts[-1]:
+            raise ValueError(f"t={t} outside the sampled times")
+        lo, w = cubic_stencil(ts, t)
+        if w is None:
+            return self._vals[lo].copy()
+        return sum(wk * v for wk, v in zip(w, self._vals[lo:lo + 4]))
 
 
 @dataclass
@@ -290,17 +280,15 @@ def solve_radial(profile: RadialProfile, dt: float, t_end: float, *,
     test suite holds them to 1e-10.  Blow-up is a recorded outcome, as in
     the full-dimensional solver.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    config = RunConfig(t_end=t_end, dt0=dt, adapt=adapt,
+                       linf_ceiling=linf_ceiling, dt_floor=dt_floor,
+                       sample_stride=sample_stride)
     if t_end < profile.t:
         raise ValueError("radial runs only march forward in time")
-    if sample_stride < 1:
-        raise ValueError("sample_stride must be >= 1")
 
     if profile.sign == -1 and not direct:
-        mirror = RadialProfile(r=profile.r, values=np.conj(profile.values),
-                               lam=-profile.lam, sigma=profile.sigma, sign=1,
-                               t=profile.t, bc_inner=profile.bc_inner)
+        mirror = replace(profile, values=np.conj(profile.values),
+                         lam=-profile.lam, sign=1)
         res = solve_radial(mirror, dt, t_end, adapt=adapt,
                            linf_ceiling=linf_ceiling, dt_floor=dt_floor,
                            sample_stride=sample_stride)
@@ -313,83 +301,39 @@ def solve_radial(profile: RadialProfile, dt: float, t_end: float, *,
                                status=res.status, t_detect=res.t_detect,
                                steps=res.steps)
 
-    r = profile.r
-    act = _active_slice(len(r), profile.bc_inner)
-    trip = _laplacian_triplets(r, profile.bc_inner)
+    act = _active_slice(len(profile.r), profile.bc_inner)
+    trip = _laplacian_triplets(profile.r, profile.bc_inner)
     s, lam, sigma = profile.sign, profile.lam, profile.sigma
-
     vals = profile.values.copy()
-    t = profile.t
-    span = t_end - t
-    linf0 = float(np.max(np.abs(vals)))
-    ceiling = linf_ceiling if linf_ceiling is not None else 1e6 * max(linf0, 1e-300)
-    floor = dt_floor if dt_floor is not None else dt * 1e-8
+    sup = float(np.max(np.abs(vals)))
+    traj = RadialTrajectory(profile.r)
+    cn, built_dt = None, None
 
-    traj = RadialTrajectory(r)
-    traj.append(t, vals)
-    if span == 0.0:
-        return RadialRunResult(profile=profile.with_values(vals, t=t),
-                               trajectory=traj, status=STATUS_DONE,
-                               t_detect=None, steps=0)
-
-    cur_dt = min(dt, span)
-    cn = _CrankNicolsonHalf(trip, s, cur_dt)
-    built_dt = cur_dt
-    status = STATUS_RUNNING
-    t_detect = None
-    steps = 0
-    last_linf = linf0
-
-    while True:
-        remaining = t_end - t
-        if remaining <= 1e-12 * max(abs(t_end), 1.0):
-            status = STATUS_DONE
-            break
-        if adapt and steps % sample_stride == 0:
-            linf = float(np.max(np.abs(vals)))
-            dt_new = dt / (1.0 + linf ** sigma)
-            if dt_new < floor:
-                if linf > last_linf:
-                    status = STATUS_BLOWNUP
-                    t_detect = t
-                    break
-                dt_new = floor
-            last_linf = linf
-            cur_dt = dt_new
-        step_dt = min(cur_dt, remaining)
-        if step_dt != built_dt:
-            cn = _CrankNicolsonHalf(trip, s, step_dt)
-            built_dt = step_dt
-
+    def step(h: float) -> float:
+        nonlocal vals, sup, cn, built_dt
+        if h != built_dt:
+            cn, built_dt = _CrankNicolsonHalf(trip, s, h), h
         a = cn.apply(vals[act])
         if sigma == 2.0:
             amp = a.real ** 2 + a.imag ** 2
         else:
             amp = np.abs(a) ** sigma
-        a = a * np.exp(1j * step_dt * lam * amp)
+        a = a * np.exp(1j * h * lam * amp)
         a = cn.apply(a)
         vals = np.zeros_like(vals)
         vals[act] = a
-        t += step_dt
-        steps += 1
+        sup = float(np.max(np.abs(vals)))
+        return sup
 
-        linf = float(np.max(np.abs(vals)))
-        if not np.isfinite(linf) or linf > ceiling:
-            status = STATUS_BLOWNUP
-            t_detect = t
-            if np.isfinite(linf):
-                traj.append(t, vals)
-            break
-        if steps % sample_stride == 0:
-            traj.append(t, vals)
+    def record(m: MarchState) -> float:
+        traj.append(t_end if m.status == STATUS_DONE else m.t, vals)
+        return sup
 
-    if status == STATUS_DONE:
-        t = t_end
-        if steps % sample_stride != 0:
-            traj.append(t, vals)
+    m = march(profile.t, config, sigma, step, record)
+    t = t_end if m.status == STATUS_DONE else m.t
     return RadialRunResult(profile=profile.with_values(vals, t=t),
-                           trajectory=traj, status=status,
-                           t_detect=t_detect, steps=steps)
+                           trajectory=traj, status=m.status,
+                           t_detect=m.t_detect, steps=m.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +380,8 @@ def lift_to_cone(phi: RadialProfile, psi: RadialProfile, grid: Grid) -> ConeFiel
 
 def _origin_limit(r: np.ndarray, mag: np.ndarray) -> float:
     # Lagrange extrapolation of |F| to r=0 from the innermost 4 nodes
-    rr, mm = r[:4], mag[:4]
-    total = 0.0
-    for i in range(4):
-        li = 1.0
-        for j in range(4):
-            if j != i:
-                li *= (0.0 - rr[j]) / (rr[i] - rr[j])
-        total += mm[i] * li
-    return float(total)
+    return float(sum(m * w for m, w in zip(mag[:4],
+                                             lagrange_weights(r[:4], 0.0))))
 
 
 def cone_trace_jump(phi_traj: RadialTrajectory, psi_traj: RadialTrajectory,

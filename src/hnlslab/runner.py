@@ -46,8 +46,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .fields import (ComplexField, Grid, gaussian_field, harmonic_field,
-                     norms, random_smooth_field)
+from .fields import (ComplexField, Grid, _is_pow2, gaussian_field,
+                     harmonic_field, norms, random_smooth_field)
 from .observables import verify_conservation
 from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
                         StepperState, run)
@@ -210,8 +210,7 @@ def _num_list(errors, where, block, key, default=_MISSING, length=None,
 
 
 def _pow2(errors, where, n) -> bool:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 8 \
-            or n & (n - 1) != 0:
+    if not isinstance(n, int) or isinstance(n, bool) or not _is_pow2(n):
         errors.append(f"{where}: every grid size must be a power of two "
                       f"(>= 8), got {n!r}")
         return False
@@ -685,7 +684,7 @@ def _config_warnings(cfg: ExperimentConfig) -> list:
             else cfg.grid["length"][1]
         lint("profile", b["profile"], b["n"], period)
         try:
-            spec = _stability_spec(cfg)
+            spec = _wave_spec(cfg, b["wave"] == "plane")
         except ValueError:
             return warn       # the run will report the construction error
         in_regime, note = certify_regime(spec, cfg.build_grid())
@@ -793,52 +792,42 @@ def _exp_conservation(cfg, outdir, outputs) -> str:
     return state.status
 
 
-def _exp_planewave(cfg, outdir, outputs) -> str:
-    """Evolve a lifted plane wave and compare against the profile flow.
-
-    Block: {"profile": recipe, "c": [speeds], "n": profile samples,
-    "period": profile box} -- n/period default to the grid's first axis.
-    """
-    grid = cfg.build_grid()
+def _wave_spec(cfg, plane: bool):
+    """The plane (or standing) wave spec of a planewave, standing or
+    stability block."""
     b = cfg.block
-    spec = PlaneWaveSpec(f0=_profile_values(b["profile"], b["n"],
-                                            b["period"]),
-                         period=b["period"], c=tuple(b["c"]), lam=cfg.lam,
-                         sigma=cfg.sigma)
-    u0 = plane_wave_field(spec, 0.0, grid)
-    state, _ = _run_full(cfg, grid, u0, outdir, outputs)
-    mismatch = None
-    if state.status == STATUS_DONE:
-        ref = plane_wave_field(spec, state.t, grid, dt=cfg.run["dt0"])
-        num = norms(state.field.with_values(state.field.values - ref.values))
-        mismatch = num.l2 / max(norms(ref).l2, 1e-300)
-    path = os.path.join(outdir, "planewave.json")
-    write_json(path, {"status": state.status, "t_end": state.t,
-                      "formula_mismatch": mismatch,
-                      "warnings": cfg.warnings})
-    outputs.append(path)
-    return state.status
-
-
-def _exp_standing(cfg, outdir, outputs) -> str:
-    """Standing-wave twin of the planewave experiment.
-
-    Block: {"profile": recipe, "omega": carrier frequency, "n": transverse
-    samples} -- omega must sit on the grid (integer carrier index).
-    """
-    grid = cfg.build_grid()
-    b = cfg.block
-    spec = StandingWaveSpec(f0=_profile_values(b["profile"], b["n"],
-                                               grid.length[1]),
+    if plane:
+        return PlaneWaveSpec(f0=_profile_values(b["profile"], b["n"],
+                                                b["period"]),
+                             period=b["period"], c=tuple(b["c"]),
+                             lam=cfg.lam, sigma=cfg.sigma)
+    return StandingWaveSpec(f0=_profile_values(b["profile"], b["n"],
+                                               cfg.grid["length"][1]),
                             omega=b["omega"], lam=cfg.lam, sigma=cfg.sigma)
-    u0 = standing_wave_field(spec, 0.0, grid)
+
+
+def _exp_structured_wave(cfg, outdir, outputs) -> str:
+    """Evolve a lifted plane or standing wave and compare against the
+    profile flow; writes <kind>.json.
+
+    planewave block: {"profile": recipe, "c": [speeds], "n": profile
+    samples, "period": profile box} -- n/period default to the grid's
+    first axis.  standing block: {"profile": recipe, "omega": carrier
+    frequency, "n": transverse samples} -- omega must sit on the grid
+    (integer carrier index).
+    """
+    grid = cfg.build_grid()
+    plane = cfg.kind == "planewave"
+    spec = _wave_spec(cfg, plane)
+    wave_field = plane_wave_field if plane else standing_wave_field
+    u0 = wave_field(spec, 0.0, grid)
     state, _ = _run_full(cfg, grid, u0, outdir, outputs)
     mismatch = None
     if state.status == STATUS_DONE:
-        ref = standing_wave_field(spec, state.t, grid, dt=cfg.run["dt0"])
+        ref = wave_field(spec, state.t, grid, dt=cfg.run["dt0"])
         num = norms(state.field.with_values(state.field.values - ref.values))
         mismatch = num.l2 / max(norms(ref).l2, 1e-300)
-    path = os.path.join(outdir, "standing.json")
+    path = os.path.join(outdir, f"{cfg.kind}.json")
     write_json(path, {"status": state.status, "t_end": state.t,
                       "formula_mismatch": mismatch,
                       "warnings": cfg.warnings})
@@ -949,18 +938,6 @@ def _exp_transform_check(cfg, outdir, outputs) -> str:
     return "Done"
 
 
-def _stability_spec(cfg):
-    b = cfg.block
-    if b["wave"] == "plane":
-        return PlaneWaveSpec(f0=_profile_values(b["profile"], b["n"],
-                                                b["period"]),
-                             period=b["period"], c=tuple(b["c"]),
-                             lam=cfg.lam, sigma=cfg.sigma)
-    return StandingWaveSpec(f0=_profile_values(b["profile"], b["n"],
-                                               cfg.grid["length"][1]),
-                            omega=b["omega"], lam=cfg.lam, sigma=cfg.sigma)
-
-
 def _exp_stability(cfg, outdir, outputs) -> str:
     """Perturbation-size sweep around a structured wave.
 
@@ -972,7 +949,7 @@ def _exp_stability(cfg, outdir, outputs) -> str:
     """
     grid = cfg.build_grid()
     b = cfg.block
-    spec = _stability_spec(cfg)
+    spec = _wave_spec(cfg, b["wave"] == "plane")
     shape = _field_from_block(b["shape"], grid,
                               np.random.default_rng(cfg.seed))
     reports = stability_run(spec, shape, b["eps"], b["t_end"], grid,
@@ -1026,8 +1003,8 @@ def _exp_two_wave(cfg, outdir, outputs) -> str:
 _EXPERIMENTS = {
     "simulate": _exp_simulate,
     "conservation-report": _exp_conservation,
-    "planewave": _exp_planewave,
-    "standing": _exp_standing,
+    "planewave": _exp_structured_wave,
+    "standing": _exp_structured_wave,
     "semiclassical": _exp_semiclassical,
     "radial": _exp_radial,
     "transform-check": _exp_transform_check,

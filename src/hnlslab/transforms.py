@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import FieldTrajectory
-from .fields import (ComplexField, Grid, GridError, evaluate_at_axes,
-                     evaluate_dilated, evaluate_linear_map, translate)
+from .fields import (ComplexField, Grid, GridError, cubic_stencil,
+                     evaluate_at_axes, evaluate_dilated, evaluate_linear_map,
+                     translate)
 
 B_FLOOR = 1e-8
 _LB_FLOOR = math.log(B_FLOOR)
@@ -53,26 +54,15 @@ class TransformState:
         if s < t[0] - 1e-12 or s > t[-1] + 1e-12:
             raise TransformError(
                 f"time {s} outside coefficient range [{t[0]}, {t[-1]}]")
-        idx = int(np.searchsorted(t, s))
-        for i in (idx, idx - 1):
-            if 0 <= i < len(t) and abs(t[i] - s) < 1e-13 * max(1.0, abs(s)):
-                return (float(self.a[i]), float(self.b[i]),
-                        float(self.f[i]), float(self.g[i]))
-        if len(t) < 4:
-            raise TransformError("need at least 4 samples to interpolate")
-        lo = min(max(idx - 2, 0), len(t) - 4)
-        ts = t[lo:lo + 4]
-        out = []
-        for col in (self.a, self.b, self.f, self.g):
-            acc = 0.0
-            for i in range(4):
-                w = 1.0
-                for j in range(4):
-                    if j != i:
-                        w *= (s - ts[j]) / (ts[i] - ts[j])
-                acc += w * col[lo + i]
-            out.append(float(acc))
-        return tuple(out)
+        try:
+            lo, w = cubic_stencil(t, s, 1e-13)
+        except ValueError as exc:
+            raise TransformError(str(exc)) from None
+        if w is None:
+            return (float(self.a[lo]), float(self.b[lo]),
+                    float(self.f[lo]), float(self.g[lo]))
+        return tuple(float(sum(wk * v for wk, v in zip(w, col[lo:lo + 4])))
+                     for col in (self.a, self.b, self.f, self.g))
 
 
 def _rhs(a: float, q: float, lb: float) -> tuple:
@@ -285,9 +275,9 @@ class SymmetryParams:
 
     kind selects the transformation; only the matching parameters are
     read: `shift`/`t0` (translation), `theta` (gauge), `boost` (Galilean
-    velocity, first component along the plus axis), `scale` and `sigma`
-    (dilation; sigma sets the amplitude exponent 2/sigma), `rapidity`
-    (hyperbolic rotation, d=2 only).
+    velocity per axis; an axis with alpha_j = 0 takes none), `scale` and
+    `sigma` (dilation; sigma sets the amplitude exponent 2/sigma),
+    `rapidity` (hyperbolic rotation, d=2 only).
     """
     kind: str
     shift: tuple | None = None
@@ -325,13 +315,18 @@ def _apply_to_field(field: ComplexField, p: SymmetryParams) -> ComplexField:
             raise TransformError(f"boost needs {g.d} components")
         t = field.t
         moved = translate(field, tuple(v * t for v in p.boost))
+        # i u_t + alpha_j d_j^2 u is invariant under x_j -> x_j - v_j t
+        # with the phase v_j x_j / (2 alpha_j) - v_j^2 t / (4 alpha_j)
         phase = np.zeros(g.n)
-        speed2 = 0.0
         for j, v in enumerate(p.boost):
-            s = 1.0 if j == 0 else -1.0
-            phase = phase + 0.5 * s * v * g.coord_along(j)
-            speed2 += s * v * v
-        phase = phase - 0.25 * speed2 * t
+            if v == 0.0:
+                continue
+            a = g.alpha[j]
+            if a == 0.0:
+                raise TransformError(
+                    f"no Galilean boost along axis {j}: alpha is 0 there")
+            phase = phase + v / (2.0 * a) * g.coord_along(j) \
+                - v * v * t / (4.0 * a)
         return moved.with_values(moved.values * np.exp(1j * phase))
     if p.kind == "dilation":
         lam = p.scale

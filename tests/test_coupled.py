@@ -418,3 +418,53 @@ def test_two_wave_remainder_at_t0_is_v0():
     v0 = _seed(grid)
     out = two_wave_run(s1, s2, v0, 0.02, grid)
     assert out.remainder[0] == norms(v0).h1
+
+
+# ---------------------------------------------------------------------------
+# the march policy shared with the full solver
+
+def test_decomposed_and_two_wave_reject_non_finite_times():
+    # a NaN end time used to return Running (decomposed) or Done at t=0
+    grid = hnls_grid()
+    problem = EvolutionProblem(grid, lam=1.0, sigma=2.0)
+    s1 = _plane_spec(c=(1.0,))
+    s2 = _plane_spec(c=(-1.0,), width=2.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            run_decomposed(make_decomposed(s1, grid), problem, bad)
+        with pytest.raises(ValueError):
+            two_wave_run(s1, s2, None, bad, grid)
+    with pytest.raises(ValueError):
+        run_decomposed(make_decomposed(s1, grid), problem, 0.1, dt=np.nan)
+    with pytest.raises(ValueError):
+        two_wave_run(s1, s2, None, 0.1, grid, dt=0.0)
+
+
+def test_non_finite_perturbation_step_is_recorded_blowup():
+    # a huge v0 on a quintic wave overflows the perturbation integrator's
+    # RK4 sweep at dt = 5e-2; the run reports BlownUp and keeps the
+    # finite samples instead of raising from the H1 norm
+    grid = hnls_grid()
+    spec = _plane_spec(c=(2.0,), sigma=4.0, amplitude=1.5)
+    v0 = gaussian_field(grid, amplitude=5.0, width=2.0)
+    problem = EvolutionProblem(grid, lam=1.0, sigma=4.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state, series = run_decomposed(
+            make_decomposed(spec, grid, v0=v0), problem, 1.0, dt=5e-2,
+            stepper=step_perturbation, linf_ceiling=1e300)
+    assert state.status == STATUS_BLOWNUP
+    assert len(series.t) >= 1
+    for col in (series.t, series.h, series.phi_sup, series.grad_phi_sup):
+        assert np.all(np.isfinite(col))
+
+
+def test_completed_decomposed_run_stays_running():
+    grid = hnls_grid()
+    problem = EvolutionProblem(grid, lam=1.0, sigma=2.0)
+    state, series = run_decomposed(make_decomposed(_plane_spec(), grid),
+                                   problem, 0.05, sample_stride=4)
+    assert state.status == STATUS_RUNNING
+    assert abs(state.t - 0.05) < 1e-12
+    # first sample, every 4th step, and the last
+    assert len(series.t) == 1 + 50 // 4 + 1
+    assert series.t[-1] == state.t

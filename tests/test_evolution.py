@@ -7,7 +7,8 @@ from hnlslab.fields import (
 )
 from hnlslab.evolution import (
     STATUS_BLOWNUP, STATUS_DONE, EvolutionProblem, FieldTrajectory, RunConfig,
-    StepperState, harmonic_saddle_potential, residual_hnls, run, step_strang,
+    StepperState, harmonic_saddle_potential, march, residual_hnls, run,
+    step_strang,
 )
 from hnlslab.observables import sample
 from conftest import hnls_grid
@@ -366,3 +367,75 @@ def test_run_config_rejects_non_finite_times():
             RunConfig(t_end=bad)
         with pytest.raises(ValueError):
             RunConfig(t_end=1.0, dt0=bad)
+
+
+# ------------------------------------------------------------- the one loop
+
+def _scripted_march(bounds, **kw):
+    """march() over a fake state whose k-th step returns bounds[k]."""
+    seen = []
+    steps = iter(bounds)
+
+    def record(m):
+        seen.append((m.steps, m.t, m.status))
+        return 1.0
+
+    m = march(0.0, RunConfig(**kw), 2.0, lambda h: next(steps), record)
+    return m, seen
+
+
+def test_march_samples_first_every_stride_and_last():
+    m, seen = _scripted_march([1.0] * 10, t_end=1.0, dt0=0.1,
+                              sample_stride=3)
+    assert m.status == STATUS_DONE and m.steps == 10
+    assert [s for s, _, _ in seen] == [0, 3, 6, 9, 10]
+    assert seen[-1][2] == STATUS_DONE
+    assert abs(seen[-1][1] - 1.0) < 1e-12
+    # a run whose last step is a stride step is sampled there only once
+    m, seen = _scripted_march([1.0] * 10, t_end=1.0, dt0=0.1,
+                              sample_stride=5)
+    assert [s for s, _, _ in seen] == [0, 5, 10]
+
+
+def test_march_clips_the_last_step():
+    sizes = []
+
+    def step(h):
+        sizes.append(h)
+        return 1.0
+
+    m = march(0.0, RunConfig(t_end=-0.25, dt0=0.1), 2.0, step,
+              lambda m: 1.0)
+    assert m.status == STATUS_DONE
+    assert sizes[:2] == [-0.1, -0.1] and abs(sizes[2] + 0.05) < 1e-15
+    assert abs(m.t + 0.25) < 1e-15
+
+
+def test_march_blowup_policy():
+    # the ceiling defaults to 1e6 x the first sample's sup, and a finite
+    # state is sampled where it is detected
+    m, seen = _scripted_march([10.0, 1e6, 2e6, 1.0], t_end=1.0, dt0=0.1,
+                              sample_stride=10)
+    assert m.status == STATUS_BLOWNUP and m.steps == 3
+    assert abs(m.t_detect - 0.3) < 1e-12
+    assert seen[-1] == (3, m.t_detect, STATUS_BLOWNUP)
+    # a non-finite state stops the march without being sampled
+    for bad in (float("nan"), float("inf")):
+        m, seen = _scripted_march([1.0, bad], t_end=1.0, dt0=0.1,
+                                  sample_stride=1)
+        assert m.status == STATUS_BLOWNUP and m.steps == 2
+        assert [s for s, _, _ in seen] == [0, 1]
+    # an explicit ceiling replaces the default
+    m, _ = _scripted_march([1.0, 3.0], t_end=1.0, dt0=0.1, linf_ceiling=2.0)
+    assert m.status == STATUS_BLOWNUP and m.steps == 2
+
+
+def test_run_config_rejects_unusable_ceiling_and_floor():
+    # a NaN ceiling compares false against every sup and would switch
+    # blow-up detection off; the config schema refuses these values too
+    for bad in (np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            RunConfig(t_end=1.0, linf_ceiling=bad)
+        with pytest.raises(ValueError):
+            RunConfig(t_end=1.0, dt_floor=bad)
+    RunConfig(t_end=1.0, linf_ceiling=np.inf, dt_floor=1e-12)

@@ -65,6 +65,16 @@ def test_plane_wave_spec_validation():
         PlaneWaveSpec(f0=f0, period=40.0, c=(1.0,), lam=1.0, sigma=-1.0)
 
 
+def test_plane_wave_spec_follows_the_grid_size_rule():
+    # a 4-sample profile is refused when the spec is built (Grid needs
+    # >= 8 samples), not later by the profile grid
+    with pytest.raises(FieldDataError):
+        PlaneWaveSpec(f0=np.ones(4, dtype=complex), period=40.0, c=(1.0,),
+                      lam=1.0, sigma=2.0)
+    PlaneWaveSpec(f0=np.ones(8, dtype=complex), period=40.0, c=(1.0,),
+                  lam=1.0, sigma=2.0)
+
+
 def test_lift_rejects_incompatible_boxes():
     grid = hnls_grid()
     f0 = _bump(3.0)

@@ -233,6 +233,19 @@ def test_solver_validation():
         solve_radial(prof, 1e-3, 1.0, sample_stride=0)
 
 
+def test_solver_rejects_non_finite_times():
+    # each of these used to hang or to report Done after 0 steps
+    prof = make_radial_profile(64, 10.0, lambda r: np.exp(-r * r))
+    for dt, t_end in ((1e-3, np.nan), (1e-3, np.inf), (np.nan, 1.0),
+                      (np.inf, 1.0)):
+        with pytest.raises(ValueError):
+            solve_radial(prof, dt, t_end)
+    mirrored = make_radial_profile(64, 10.0, lambda r: np.exp(-r * r),
+                                   sign=-1)
+    with pytest.raises(ValueError):
+        solve_radial(mirrored, 1e-3, np.nan)
+
+
 def test_trajectory_interface():
     r = np.linspace(0.0, 10.0, 64)
     traj = RadialTrajectory(r)

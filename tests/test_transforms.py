@@ -5,7 +5,7 @@ from hnlslab.evolution import (
     EvolutionProblem, FieldTrajectory, RunConfig, StepperState,
     harmonic_saddle_potential, residual_hnls, run,
 )
-from hnlslab.fields import ComplexField, constant_field, gaussian_field
+from hnlslab.fields import ComplexField, Grid, constant_field, gaussian_field
 from hnlslab.transforms import (
     SymmetryParams, TransformError, apply_pct, apply_symmetry, closed_form_b,
     constraint_residuals, integrate_transform_odes, signature_quadratic,
@@ -255,6 +255,36 @@ def test_galilean_boost_preserves_solutions(free_solution):
     boosted = apply_symmetry(traj, SymmetryParams(kind="galilean", boost=(1.0, 0.0)))
     r1 = _triple_residual(boosted, 0.4, 5e-3, problem)
     assert r1 < 5e-3
+
+
+@pytest.mark.parametrize("alpha", [(1.0, -1.0), (1.0, 1.0), (0.5, -2.0)],
+                         ids=["hnls", "nls", "mixed"])
+def test_galilean_boost_honours_alpha(alpha):
+    # the boost phase is v_j x_j / (2 alpha_j) - v_j^2 t / (4 alpha_j); a
+    # phase fixed to the hnls signature leaves a residual near 0.1 on the
+    # other two grids
+    g = Grid((64, 64), (40.0, 40.0), alpha)
+    problem = EvolutionProblem(g, lam=1.0, sigma=2.0)
+    traj = FieldTrajectory()
+    cfg = RunConfig(t_end=0.2, dt0=1e-3, sample_stride=10)
+    run(StepperState(field=gaussian_field(g, amplitude=0.6, width=2.0),
+                     dt=cfg.dt0), problem, cfg,
+        observer=lambda st, s: traj.append(st.field))
+    r0 = _triple_residual(traj, 0.1, 1e-2, problem)
+    boosted = apply_symmetry(traj, SymmetryParams(kind="galilean",
+                                                  boost=(0.3, -0.2)))
+    r1 = _triple_residual(boosted, 0.1, 1e-2, problem)
+    assert r0 < 1e-4
+    assert r1 < 2.0 * r0                # measured 1.0-1.2 x r0
+
+
+def test_galilean_boost_needs_a_dispersive_axis():
+    g = Grid((16, 16), (20.0, 20.0), (1.0, 0.0))
+    f = gaussian_field(g, amplitude=0.5, width=2.0, t=0.3)
+    with pytest.raises(TransformError):
+        apply_symmetry(f, SymmetryParams(kind="galilean", boost=(0.0, 0.5)))
+    out = apply_symmetry(f, SymmetryParams(kind="galilean", boost=(0.5, 0.0)))
+    assert out.is_finite()
 
 
 def test_dilation_preserves_solutions(free_solution):
