@@ -158,11 +158,13 @@ def step_perturbation(state: DecomposedState, problem: EvolutionProblem,
 
     ph = problem.linear_phase(half)
     w = np.fft.ifftn(np.fft.fftn(state.v.values) * ph)
-    k1 = coupling(w, phi0)
-    k2 = coupling(w + half * k1, phi_h)
-    k3 = coupling(w + half * k2, phi_h)
-    k4 = coupling(w + dt * k3, phi_1)
-    w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # an overflow here is a blow-up, recorded below, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = coupling(w, phi0)
+        k2 = coupling(w + half * k1, phi_h)
+        k3 = coupling(w + half * k2, phi_h)
+        k4 = coupling(w + dt * k3, phi_1)
+        w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     w = np.fft.ifftn(np.fft.fftn(w) * ph)
 
     status = STATUS_RUNNING

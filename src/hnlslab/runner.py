@@ -25,10 +25,12 @@ A config is one UTF-8 JSON object.  Top-level keys:
   seed           u64 for randomized shapes, default 0
 
 plus exactly one kind-specific block named after the kind (none for
-simulate / conservation-report); see the `_exp_*` docstrings for their
-keys.  Unknown keys anywhere are rejected, so are NaN and Infinity
-wherever a number is expected, and validation reports every problem at
-once rather than stopping at the first.
+simulate / conservation-report); see the block tables in `_block_check`
+for their keys.  Unknown keys anywhere are rejected, so are NaN and
+Infinity wherever a number is expected, and so are key combinations the
+run would refuse (an adaptive backward run, a radial hole `eps >= r_max`,
+two waves at one speed).  Validation reports every problem at once rather
+than stopping at the first.
 
 Profile-hypothesis lint results and regime certification are attached to
 the parsed config as `warnings`: advisory, never fatal.
@@ -103,9 +105,19 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# schema validation: small explicit checkers, all errors collected
+# schema validation: one table per section, every error collected
+#
+# A check is `check(errors, where, value)`: it returns the normalized value,
+# or appends a message naming `where` (a dotted key path; the empty path is
+# the whole config) to `errors` and returns None.  A table maps each key of
+# a section to `(check, default)`; the default _REQUIRED marks a key the
+# section must have.
 
-_MISSING = object()
+_REQUIRED = object()
+
+
+def _fail(errors, where, problem):
+    errors.append(f"{where or 'config'}: {problem}")
 
 
 def _is_num(v) -> bool:
@@ -114,465 +126,302 @@ def _is_num(v) -> bool:
             and abs(v) <= sys.float_info.max)
 
 
-def _check_unknown(errors, where, block, allowed) -> bool:
-    if not isinstance(block, dict):
-        errors.append(f"{where}: expected an object")
-        return False
-    for key in sorted(block):
-        if key not in allowed:
-            errors.append(f"{where}: unknown key {key!r}")
-    return True
+def _number(minv=None, strict=False):
+    """A finite number, as a float, >= minv (> minv when strict)."""
+    def check(errors, where, v):
+        if not _is_num(v):
+            return _fail(errors, where, f"expected a finite number, got {v!r}")
+        if minv is not None and (v < minv or (strict and v == minv)):
+            return _fail(errors, where, f"must be {'>' if strict else '>='} "
+                                        f"{minv}, got {float(v)}")
+        return float(v)
+    return check
 
 
-def _num(errors, where, block, key, default=_MISSING, minv=None,
-         strict=False, allow_none=False):
-    if key not in block:
-        if default is _MISSING:
-            errors.append(f"{where}: missing required key {key!r}")
-            return None
-        return default
-    v = block[key]
-    if v is None and allow_none:
-        return None
-    if not _is_num(v):
-        errors.append(f"{where}.{key}: expected a finite number, "
-                      f"got {v!r}")
-        return None
-    v = float(v)
-    if minv is not None and (v < minv or (strict and v == minv)):
-        op = ">" if strict else ">="
-        errors.append(f"{where}.{key}: must be {op} {minv}, got {v}")
-        return None
-    return v
+def _integer(minv=None, maxv=None):
+    def check(errors, where, v):
+        if not isinstance(v, int) or isinstance(v, bool):
+            return _fail(errors, where, f"expected an integer, got {v!r}")
+        if minv is not None and v < minv:
+            return _fail(errors, where, f"must be >= {minv}, got {v}")
+        if maxv is not None and v > maxv:
+            return _fail(errors, where, f"must be <= {maxv}, got {v}")
+        return v
+    return check
 
 
-def _int(errors, where, block, key, default=_MISSING, minv=None):
-    if key not in block:
-        if default is _MISSING:
-            errors.append(f"{where}: missing required key {key!r}")
-            return None
-        return default
-    v = block[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        errors.append(f"{where}.{key}: expected an integer, got {v!r}")
-        return None
-    if minv is not None and v < minv:
-        errors.append(f"{where}.{key}: must be >= {minv}, got {v}")
-        return None
-    return v
+def _one_of(*choices):
+    """One of `choices`; true/false never stand in for 1/0."""
+    def check(errors, where, v):
+        if isinstance(v, bool) or v not in choices:
+            return _fail(errors, where, f"expected one of "
+                                        f"{'|'.join(map(str, choices))}, "
+                                        f"got {v!r}")
+        return v
+    return check
 
 
-def _bool(errors, where, block, key, default):
-    v = block.get(key, default)
+def _flag(errors, where, v):
     if not isinstance(v, bool):
-        errors.append(f"{where}.{key}: expected true/false, got {v!r}")
-        return default
+        return _fail(errors, where, f"expected true/false, got {v!r}")
     return v
 
 
-def _str(errors, where, block, key, choices=None, default=_MISSING):
-    if key not in block:
-        if default is _MISSING:
-            errors.append(f"{where}: missing required key {key!r}")
-            return None
-        return default
-    v = block[key]
+def _text(errors, where, v):
     if not isinstance(v, str):
-        errors.append(f"{where}.{key}: expected a string, got {v!r}")
-        return None
-    if choices is not None and v not in choices:
-        errors.append(f"{where}.{key}: expected one of "
-                      f"{'|'.join(choices)}, got {v!r}")
-        return None
+        return _fail(errors, where, f"expected a string, got {v!r}")
     return v
 
 
-def _num_list(errors, where, block, key, default=_MISSING, length=None,
-              minlen=1):
-    if key not in block:
-        if default is _MISSING:
-            errors.append(f"{where}: missing required key {key!r}")
-            return None
-        return default
-    v = block[key]
-    if not isinstance(v, list) or not all(_is_num(x) for x in v):
-        errors.append(f"{where}.{key}: expected a list of finite numbers, "
-                      f"got {v!r}")
-        return None
-    if length is not None and len(v) != length:
-        errors.append(f"{where}.{key}: expected {length} entries, "
-                      f"got {len(v)}")
-        return None
-    if len(v) < minlen:
-        errors.append(f"{where}.{key}: needs at least {minlen} entries")
-        return None
-    return [float(x) for x in v]
+def _grid_size(errors, where, v):
+    if isinstance(v, int) and not isinstance(v, bool) and _is_pow2(v):
+        return v
+    return _fail(errors, where, f"every grid size must be a power of two "
+                                f"(>= 8), got {v!r}")
 
 
-def _pow2(errors, where, n) -> bool:
-    if not isinstance(n, int) or isinstance(n, bool) or not _is_pow2(n):
-        errors.append(f"{where}: every grid size must be a power of two "
-                      f"(>= 8), got {n!r}")
-        return False
-    return True
+def _list(item, length=None):
+    """A non-empty list of `item` values, of `length` entries when given."""
+    def check(errors, where, v):
+        if not isinstance(v, list) or not v:
+            return _fail(errors, where, f"expected a non-empty list, "
+                                        f"got {v!r}")
+        if length is not None and len(v) != length:
+            return _fail(errors, where, f"expected {length} entries, "
+                                        f"got {len(v)}")
+        before = len(errors)
+        out = [item(errors, f"{where}[{i}]", x) for i, x in enumerate(v)]
+        return out if len(errors) == before else None
+    return check
 
 
-def _norm_grid(errors, raw) -> dict | None:
-    where = "grid"
-    if not _check_unknown(errors, where, raw,
-                          {"preset", "d", "n", "length", "alpha"}):
-        return None
-    preset = _str(errors, where, raw, "preset", choices=("hnls", "nls"),
-                  default=None)
-    alpha_raw = raw.get("alpha")
-    if preset is not None and alpha_raw is not None:
-        errors.append(f"{where}: give either preset or alpha, not both")
-        return None
-    if preset is None and alpha_raw is None:
-        errors.append(f"{where}: need a preset (hnls|nls) or an alpha list")
-        return None
-
-    def as_list(v):
-        return v if isinstance(v, list) else None
-
-    d = _int(errors, where, raw, "d", default=None, minv=1)
-    if d is None and "d" not in raw:
-        for v in (as_list(raw.get("n")), as_list(raw.get("length")),
-                  as_list(alpha_raw)):
-            if v is not None:
-                d = len(v)
-                break
-        if d is None:
-            errors.append(f"{where}: cannot infer d; give d or a per-axis "
-                          f"list")
-            return None
-    if d is None or not 1 <= d <= 3:
-        errors.append(f"{where}: d must be 1, 2 or 3")
-        return None
-
-    n_raw = raw.get("n", _MISSING)
-    if n_raw is _MISSING:
-        errors.append(f"{where}: missing required key 'n'")
-        return None
-    ns = n_raw if isinstance(n_raw, list) else [n_raw] * d
-    if len(ns) != d:
-        errors.append(f"{where}.n: expected {d} entries, got {len(ns)}")
-        return None
-    if not all(_pow2(errors, f"{where}.n", m) for m in ns):
-        return None
-
-    len_raw = raw.get("length", _MISSING)
-    if len_raw is _MISSING:
-        errors.append(f"{where}: missing required key 'length'")
-        return None
-    lens = len_raw if isinstance(len_raw, list) else [len_raw] * d
-    if len(lens) != d or not all(_is_num(v) and v > 0 for v in lens):
-        errors.append(f"{where}.length: expected {d} positive finite "
-                      f"numbers")
-        return None
-
-    if preset == "hnls":
-        alpha = (1.0,) + (-1.0,) * (d - 1)
-    elif preset == "nls":
-        alpha = (1.0,) * d
-    else:
-        alpha = _num_list(errors, where, raw, "alpha", length=d)
-        if alpha is None:
-            return None
-        alpha = tuple(alpha)
-    return {"d": d, "n": tuple(int(m) for m in ns),
-            "length": tuple(float(v) for v in lens), "alpha": alpha}
+def _scalar_or_list(item, length=None):
+    """One `item` value, or a per-axis list of them."""
+    per_axis = _list(item, length)
+    return lambda errors, where, v: (
+        per_axis if isinstance(v, list) else item)(errors, where, v)
 
 
-_INITIAL_KEYS = {
-    "gaussian": {"shape", "amplitude", "width", "center", "boost"},
-    "random": {"shape", "amplitude", "corr"},
-    "harmonic": {"shape", "modes", "amplitude"},
-}
+def _or_null(check):
+    """null, or a value `check` accepts."""
+    return lambda errors, where, v: None if v is None else check(errors,
+                                                                 where, v)
 
 
-def _norm_initial(errors, where, raw, d) -> dict | None:
+def _given(value):
+    """A key checked before the walk; its normalized value is `value`."""
+    return lambda errors, where, v: value
+
+
+def _refuse(problem):
+    """A key that must be absent."""
+    return lambda errors, where, v: _fail(errors, where, problem)
+
+
+def _section(errors, where, raw, keys, rule=None):
+    """Walk the object `raw` against the table `keys`: report unknown keys,
+    missing required keys and each bad value; then, when the section has
+    no problem of its own, the cross-key `rule(errors, where, out)`.
+    Returns the normalized section with defaults filled in, or None when
+    `raw` is not an object."""
     if not isinstance(raw, dict):
-        errors.append(f"{where}: expected an object")
-        return None
-    shape = _str(errors, where, raw, "shape",
-                 choices=tuple(_INITIAL_KEYS) + ("zero",))
-    if shape is None:
-        return None
-    if shape == "zero":
-        _check_unknown(errors, where, raw, {"shape"})
-        return {"shape": "zero"}
-    if not _check_unknown(errors, where, raw, _INITIAL_KEYS[shape]):
-        return None
-    out = {"shape": shape,
-           "amplitude": _num(errors, where, raw, "amplitude", default=1.0)}
-    if shape == "gaussian":
-        w = raw.get("width", _MISSING)
-        if w is _MISSING:
-            errors.append(f"{where}: missing required key 'width'")
-        elif isinstance(w, list):
-            out["width"] = _num_list(errors, where, raw, "width", length=d)
-        elif _is_num(w) and w > 0:
-            out["width"] = float(w)
+        return _fail(errors, where, "expected an object")
+    before = len(errors)
+    for key in sorted(raw):
+        if key not in keys:
+            _fail(errors, where, f"unknown key {key!r}")
+    out = {}
+    for key, (check, default) in keys.items():
+        if key in raw:
+            out[key] = check(errors, f"{where}.{key}" if where else key,
+                             raw[key])
+        elif default is _REQUIRED:
+            out[key] = _fail(errors, where, f"missing required key {key!r}")
         else:
-            errors.append(f"{where}.width: expected a positive number or "
-                          f"per-axis list, got {w!r}")
-        out["center"] = _num_list(errors, where, raw, "center",
-                                  default=None, length=d)
-        out["boost"] = _num_list(errors, where, raw, "boost",
-                                 default=None, length=d)
-    elif shape == "random":
-        out["corr"] = _num(errors, where, raw, "corr", default=1.0,
-                           minv=0.0, strict=True)
-    else:
-        modes = raw.get("modes")
-        if not (isinstance(modes, list) and len(modes) == d
-                and all(isinstance(m, int) and not isinstance(m, bool)
-                        for m in modes)):
-            errors.append(f"{where}.modes: expected {d} integers")
-        else:
-            out["modes"] = [int(m) for m in modes]
+            out[key] = default
+    if rule is not None and len(errors) == before:
+        rule(errors, where, out)
     return out
 
 
-def _norm_run(errors, raw) -> dict | None:
-    where = "run"
-    allowed = {"t_end", "dt0", "sample_stride", "snapshot_stride", "adapt",
-               "linf_ceiling", "dt_floor"}
-    if not _check_unknown(errors, where, raw, allowed):
-        return None
-    return {
-        "t_end": _num(errors, where, raw, "t_end"),
-        "dt0": _num(errors, where, raw, "dt0", default=1e-3, minv=0.0,
-                    strict=True),
-        "sample_stride": _int(errors, where, raw, "sample_stride",
-                              default=10, minv=1),
-        "snapshot_stride": _int(errors, where, raw, "snapshot_stride",
-                                default=0, minv=0),
-        "adapt": _bool(errors, where, raw, "adapt", False),
-        "linf_ceiling": _num(errors, where, raw, "linf_ceiling",
-                             default=None, minv=0.0, strict=True,
-                             allow_none=True),
-        "dt_floor": _num(errors, where, raw, "dt_floor", default=None,
-                         minv=0.0, strict=True, allow_none=True),
+def _sub(keys, rule=None):
+    """The check of a nested section with table `keys`."""
+    return lambda errors, where, raw: _section(errors, where, raw, keys, rule)
+
+
+def _tagged(tag, variants, common=None, rule=None):
+    """The check of a section whose `tag` value picks the table of its own
+    keys from `variants`, on top of the `common` keys.  A missing or
+    unknown tag is reported, and the common keys are still checked."""
+    common = {tag: (_one_of(*variants), _REQUIRED), **(common or {})}
+    variant_keys = {key for table in variants.values() for key in table}
+
+    def check(errors, where, raw):
+        name = raw.get(tag) if isinstance(raw, dict) else None
+        if isinstance(name, str) and name in variants:
+            return _section(errors, where, raw, {**common, **variants[name]},
+                            rule)
+        if isinstance(raw, dict):
+            raw = {k: v for k, v in raw.items() if k not in variant_keys}
+        return _section(errors, where, raw, common, rule)
+    return check
+
+
+# shared rules and table fragments
+_FINITE = _number()
+_POSITIVE = _number(0.0, strict=True)
+_AMPLITUDE = {"amplitude": (_FINITE, 1.0)}
+_MARCH = {"t_end": (_POSITIVE, _REQUIRED), "dt": (_POSITIVE, 1e-3),
+          "sample_stride": (_integer(1), 10)}
+_CEILING = {"linf_ceiling": (_or_null(_POSITIVE), None)}
+_PROFILE_SHAPES = {"gaussian": {**_AMPLITUDE,
+                                 "width": (_POSITIVE, _REQUIRED),
+                                 "center": (_FINITE, 0.0)},
+                   "zero": {}}
+_PROFILE = {"profile": (_tagged("shape", _PROFILE_SHAPES), _REQUIRED)}
+_NONLINEARITY = {"lam": (_FINITE, 1.0), "sigma": (_number(0.0), 2.0)}
+_RUN = {"t_end": (_FINITE, _REQUIRED), "dt0": (_POSITIVE, 1e-3),
+        "sample_stride": _MARCH["sample_stride"],
+        "snapshot_stride": (_integer(0), 0), "adapt": (_flag, False),
+        **_CEILING, "dt_floor": (_or_null(_POSITIVE), None)}
+
+
+def _initial(d):
+    """The check of a field recipe on a d-dimensional grid (per-axis lists
+    are unchecked in length when d is None)."""
+    axes = _list(_FINITE, d)
+    return _tagged("shape", {
+        "gaussian": {**_AMPLITUDE,
+                     "width": (_scalar_or_list(_POSITIVE, d), _REQUIRED),
+                     "center": (axes, None), "boost": (axes, None)},
+        "random": {**_AMPLITUDE, "corr": (_POSITIVE, 1.0)},
+        "harmonic": {"modes": (_list(_integer(), d), _REQUIRED),
+                     **_AMPLITUDE},
+        "zero": {}})
+
+
+def _run_config(run: dict) -> RunConfig:
+    return RunConfig(t_end=run["t_end"], dt0=run["dt0"], adapt=run["adapt"],
+                     linf_ceiling=run["linf_ceiling"],
+                     dt_floor=run["dt_floor"],
+                     sample_stride=run["sample_stride"])
+
+
+def _runnable(errors, where, run):
+    try:
+        _run_config(run)
+    except ValueError as exc:
+        _fail(errors, where, str(exc))
+
+
+def _hole_inside(errors, where, block):
+    if block["eps"] >= block["r_max"]:
+        _fail(errors, f"{where}.eps", f"must be < r_max = {block['r_max']}, "
+                                      f"got {block['eps']}")
+
+
+def _distinct_speeds(errors, where, block):
+    if block["first"]["c"] == block["second"]["c"]:
+        _fail(errors, f"{where}.second.c", "must differ from first.c: the "
+                                           "two waves need distinct speeds")
+
+
+def _block_check(kind, grid):
+    """The check of the block named after `kind` (None for simulate and
+    conservation-report), composed from the fragments above.  Defaults
+    and list lengths follow the grid when it is valid."""
+    d = grid["d"] if grid else None
+    n0, len0 = (grid["n"][0], grid["length"][0]) if grid else (64, 40.0)
+    plane = {"n": (_grid_size, n0), "period": (_POSITIVE, len0),
+             "c": (_list(_FINITE, None if d is None else d - 1), _REQUIRED)}
+    standing = {"n": (_grid_size, grid["n"][1] if d == 2 else n0),
+                "omega": (_FINITE, _REQUIRED)}
+
+    def planar(errors, where, block):
+        if "omega" in block and d not in (None, 2):
+            _fail(errors, where, f"standing waves are planar (d = 2), grid "
+                                 f"has d = {d}")
+
+    side = _sub({**_PROFILE, "c": plane["c"]})
+    blocks = {
+        "planewave": _sub({**_PROFILE, **plane}),
+        "standing": _sub({**_PROFILE, **standing}, planar),
+        "stability": _tagged(
+            "wave", {"plane": plane, "standing": standing},
+            {**_PROFILE, "shape": (_initial(d), _REQUIRED),
+             "eps": (_list(_number(0.0)), _REQUIRED), **_MARCH,
+             "grow_factor": (_POSITIVE, 10.0), **_CEILING},
+            planar),
+        "two-wave": _sub({"first": (side, _REQUIRED),
+                          "second": (side, _REQUIRED),
+                          "n": plane["n"], "period": plane["period"],
+                          **_MARCH}, _distinct_speeds),
+        # a radial run may end where it starts (t_end = 0)
+        "radial": _sub({"n": (_integer(8), 256),
+                        "r_max": (_POSITIVE, _REQUIRED),
+                        "eps": (_number(0.0), 0.0),
+                        "sign": (_one_of(1, -1), 1), **_AMPLITUDE,
+                        "width": (_POSITIVE, _REQUIRED),
+                        **_MARCH, "t_end": (_number(0.0), _REQUIRED),
+                        **_CEILING,
+                        "concentration_eps": (_list(_FINITE), None)},
+                       _hole_inside),
+        "semiclassical": _sub({"k": (_FINITE, _REQUIRED),
+                               "a0": (_FINITE, 0.0),
+                               "gamma0": (_FINITE, 1.0),
+                               "candidate": (_initial(d), _REQUIRED),
+                               "t_end": (_POSITIVE, _REQUIRED),
+                               "samples": (_integer(2), 33)}),
+        "transform-check": _sub({"a0": (_FINITE, _REQUIRED),
+                                 "k": (_FINITE, _REQUIRED),
+                                 "d": (_integer(1, 3), 2),
+                                 "t_end": (_POSITIVE, 1.0),
+                                 "nodes": (_integer(2), 201),
+                                 "max_step": (_POSITIVE, 1e-3)}),
     }
+    return blocks.get(kind)
 
 
-def _norm_profile(errors, where, raw) -> dict | None:
-    """1-D profile recipe: {"shape": "gaussian"|"zero", amplitude, width,
-    center?}."""
-    if not isinstance(raw, dict):
-        errors.append(f"{where}: expected an object")
+def _norm_grid(errors, raw) -> dict | None:
+    """The grid section, or None when it has any problem.  `n` and
+    `length` are scalars broadcast to every axis or per-axis lists; `d`
+    may be omitted when one of `n`, `length` and `alpha` is a list."""
+    where, before = "grid", len(errors)
+    g = _section(errors, where, raw, {
+        "preset": (_one_of("hnls", "nls"), None),
+        "d": (_integer(1, 3), None),
+        "n": (_scalar_or_list(_grid_size), _REQUIRED),
+        "length": (_scalar_or_list(_POSITIVE), _REQUIRED),
+        "alpha": (_or_null(_list(_FINITE)), None)})
+    if g is None:
         return None
-    shape = _str(errors, where, raw, "shape", choices=("gaussian", "zero"))
-    if shape == "zero":
-        _check_unknown(errors, where, raw, {"shape"})
-        return {"shape": "zero"}
-    if not _check_unknown(errors, where, raw,
-                          {"shape", "amplitude", "width", "center"}):
+    if "preset" in raw and g["alpha"] is not None:
+        _fail(errors, where, "give either preset or alpha, not both")
+    elif "preset" not in raw and raw.get("alpha") is None:
+        _fail(errors, where, "need a preset (hnls|nls) or an alpha list")
+    lists = {key: g[key] for key in ("n", "length", "alpha")
+             if isinstance(g[key], list)}
+    d = g["d"]
+    if "d" not in raw:
+        d = len(next(iter(lists.values()))) if lists else None
+        if d is None:
+            _fail(errors, where, "cannot infer d; give d or a per-axis list")
+        elif d > 3:
+            _fail(errors, where, "d must be 1, 2 or 3")
+    for key, v in lists.items():
+        if d is not None and len(v) != d:
+            _fail(errors, f"{where}.{key}", f"expected {d} entries, "
+                                            f"got {len(v)}")
+    if len(errors) > before:
         return None
-    return {"shape": "gaussian",
-            "amplitude": _num(errors, where, raw, "amplitude", default=1.0),
-            "width": _num(errors, where, raw, "width", minv=0.0,
-                          strict=True),
-            "center": _num(errors, where, raw, "center", default=0.0)}
 
+    def axes(v):
+        return tuple(v) if isinstance(v, list) else (v,) * d
 
-def _profile_values(profile: dict, n: int, period: float) -> np.ndarray:
-    z = (np.arange(n) - n // 2) * (period / n)
-    if profile["shape"] == "zero":
-        return np.zeros(n, dtype=np.complex128)
-    amp, width = profile["amplitude"], profile["width"]
-    return (amp * np.exp(-0.5 * ((z - profile["center"]) / width) ** 2)
-            ).astype(np.complex128)
-
-
-def _norm_kind_block(errors, kind, raw, grid) -> dict | None:
-    """Validate the kind-specific block; `grid` is the normalized grid
-    dict (may be None when the kind has none or grid validation failed)."""
-    where = kind
-    gd = grid["d"] if grid else None
-    gn0 = grid["n"][0] if grid else 64
-    glen0 = grid["length"][0] if grid else 40.0
-
-    if kind == "planewave" or kind == "standing":
-        allowed = {"profile", "n", "c", "period"} if kind == "planewave" \
-            else {"profile", "n", "omega"}
-        if not _check_unknown(errors, where, raw, allowed):
-            return None
-        out = {"profile": _norm_profile(errors, f"{where}.profile",
-                                        raw.get("profile", {}))}
-        if kind == "planewave":
-            out["n"] = _int(errors, where, raw, "n", default=gn0, minv=2)
-            out["period"] = _num(errors, where, raw, "period",
-                                 default=glen0, minv=0.0, strict=True)
-            want = gd - 1 if gd else None
-            out["c"] = _num_list(errors, where, raw, "c", length=want)
-        else:
-            if gd is not None and gd != 2:
-                errors.append(f"{where}: the standing recipe is planar "
-                              f"(d = 2), grid has d = {gd}")
-            out["n"] = _int(errors, where, raw, "n",
-                            default=grid["n"][1] if gd == 2 else gn0, minv=2)
-            out["omega"] = _num(errors, where, raw, "omega")
-        if out["n"] is not None:
-            _pow2(errors, f"{where}.n", out["n"])
-        return out
-
-    if kind == "semiclassical":
-        if not _check_unknown(errors, where, raw,
-                              {"k", "a0", "gamma0", "candidate", "t_end",
-                               "samples"}):
-            return None
-        return {
-            "k": _num(errors, where, raw, "k"),
-            "a0": _num(errors, where, raw, "a0", default=0.0),
-            "gamma0": _num(errors, where, raw, "gamma0", default=1.0),
-            "candidate": _norm_initial(errors, f"{where}.candidate",
-                                       raw.get("candidate", {}), gd or 2),
-            "t_end": _num(errors, where, raw, "t_end", minv=0.0,
-                          strict=True),
-            "samples": _int(errors, where, raw, "samples", default=33,
-                            minv=2),
-        }
-
-    if kind == "radial":
-        if not _check_unknown(errors, where, raw,
-                              {"n", "r_max", "eps", "sign", "amplitude",
-                               "width", "dt", "t_end", "sample_stride",
-                               "linf_ceiling", "concentration_eps"}):
-            return None
-        sign = raw.get("sign", 1)
-        if sign not in (1, -1):
-            errors.append(f"{where}.sign: expected 1 or -1, got {sign!r}")
-            sign = 1
-        return {
-            "n": _int(errors, where, raw, "n", default=256, minv=8),
-            "r_max": _num(errors, where, raw, "r_max", minv=0.0,
-                          strict=True),
-            "eps": _num(errors, where, raw, "eps", default=0.0, minv=0.0),
-            "sign": sign,
-            "amplitude": _num(errors, where, raw, "amplitude", default=1.0),
-            "width": _num(errors, where, raw, "width", minv=0.0,
-                          strict=True),
-            "dt": _num(errors, where, raw, "dt", default=1e-3, minv=0.0,
-                       strict=True),
-            "t_end": _num(errors, where, raw, "t_end", minv=0.0),
-            "sample_stride": _int(errors, where, raw, "sample_stride",
-                                  default=10, minv=1),
-            "linf_ceiling": _num(errors, where, raw, "linf_ceiling",
-                                 default=None, minv=0.0, strict=True,
-                                 allow_none=True),
-            "concentration_eps": _num_list(errors, where, raw,
-                                           "concentration_eps",
-                                           default=None),
-        }
-
-    if kind == "transform-check":
-        if not _check_unknown(errors, where, raw,
-                              {"a0", "k", "d", "t_end", "nodes",
-                               "max_step"}):
-            return None
-        dim = _int(errors, where, raw, "d", default=2, minv=1)
-        if dim is not None and dim > 3:
-            errors.append(f"{where}.d: must be 1, 2 or 3, got {dim}")
-        return {
-            "a0": _num(errors, where, raw, "a0"),
-            "k": _num(errors, where, raw, "k"),
-            "d": dim,
-            "t_end": _num(errors, where, raw, "t_end", default=1.0,
-                          minv=0.0, strict=True),
-            "nodes": _int(errors, where, raw, "nodes", default=201, minv=2),
-            "max_step": _num(errors, where, raw, "max_step", default=1e-3,
-                             minv=0.0, strict=True),
-        }
-
-    if kind == "stability":
-        if not _check_unknown(errors, where, raw,
-                              {"wave", "profile", "n", "period", "c",
-                               "omega", "shape", "eps", "t_end", "dt",
-                               "sample_stride", "grow_factor",
-                               "linf_ceiling"}):
-            return None
-        wave = _str(errors, where, raw, "wave",
-                    choices=("plane", "standing"))
-        out = {
-            "wave": wave,
-            "profile": _norm_profile(errors, f"{where}.profile",
-                                     raw.get("profile", {})),
-            "shape": _norm_initial(errors, f"{where}.shape",
-                                   raw.get("shape", {}), gd or 2),
-            "eps": _num_list(errors, where, raw, "eps"),
-            "t_end": _num(errors, where, raw, "t_end", minv=0.0,
-                          strict=True),
-            "dt": _num(errors, where, raw, "dt", default=1e-3, minv=0.0,
-                       strict=True),
-            "sample_stride": _int(errors, where, raw, "sample_stride",
-                                  default=10, minv=1),
-            "grow_factor": _num(errors, where, raw, "grow_factor",
-                                default=10.0, minv=0.0, strict=True),
-            "linf_ceiling": _num(errors, where, raw, "linf_ceiling",
-                                 default=None, minv=0.0, strict=True,
-                                 allow_none=True),
-        }
-        if out["eps"] is not None and any(e < 0 for e in out["eps"]):
-            errors.append(f"{where}.eps: entries must be >= 0")
-        if wave == "plane":
-            if "omega" in raw:
-                errors.append(f"{where}: omega is a standing-wave key")
-            out["n"] = _int(errors, where, raw, "n", default=gn0, minv=2)
-            out["period"] = _num(errors, where, raw, "period",
-                                 default=glen0, minv=0.0, strict=True)
-            out["c"] = _num_list(errors, where, raw, "c",
-                                 length=gd - 1 if gd else None)
-        elif wave == "standing":
-            for key in ("c", "period"):
-                if key in raw:
-                    errors.append(f"{where}: {key} is a plane-wave key")
-            if gd is not None and gd != 2:
-                errors.append(f"{where}: standing stability is planar "
-                              f"(d = 2), grid has d = {gd}")
-            out["n"] = _int(errors, where, raw, "n",
-                            default=grid["n"][1] if gd == 2 else gn0, minv=2)
-            out["omega"] = _num(errors, where, raw, "omega")
-        if out.get("n") is not None:
-            _pow2(errors, f"{where}.n", out["n"])
-        return out
-
-    if kind == "two-wave":
-        if not _check_unknown(errors, where, raw,
-                              {"first", "second", "n", "period", "t_end",
-                               "dt", "sample_stride"}):
-            return None
-
-        def side(name):
-            sub = raw.get(name, {})
-            w = f"{where}.{name}"
-            if not _check_unknown(errors, w, sub, {"profile", "c"}):
-                return None
-            return {"profile": _norm_profile(errors, f"{w}.profile",
-                                             sub.get("profile", {})),
-                    "c": _num_list(errors, w, sub, "c",
-                                   length=gd - 1 if gd else None)}
-
-        out = {
-            "first": side("first"),
-            "second": side("second"),
-            "n": _int(errors, where, raw, "n", default=gn0, minv=2),
-            "period": _num(errors, where, raw, "period", default=glen0,
-                           minv=0.0, strict=True),
-            "t_end": _num(errors, where, raw, "t_end", minv=0.0,
-                          strict=True),
-            "dt": _num(errors, where, raw, "dt", default=1e-3, minv=0.0,
-                       strict=True),
-            "sample_stride": _int(errors, where, raw, "sample_stride",
-                                  default=10, minv=1),
-        }
-        if out["n"] is not None:
-            _pow2(errors, f"{where}.n", out["n"])
-        return out
-
-    raise AssertionError(f"unhandled kind {kind!r}")
+    alpha = {"hnls": [1.0] + [-1.0] * (d - 1), "nls": [1.0] * d}.get(
+        g["preset"], g["alpha"])
+    return {"d": d, "n": axes(g["n"]), "length": axes(g["length"]),
+            "alpha": tuple(alpha)}
 
 
 _NEEDS_GRID = {"simulate", "conservation-report", "planewave", "standing",
@@ -585,7 +434,6 @@ def parse_config(text: str) -> ExperimentConfig:
     """Validate a JSON experiment config; raises ConfigError carrying the
     full list of problems, or returns the normalized config with advisory
     warnings attached."""
-    errors = []
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -598,68 +446,48 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError([f"kind: expected one of {'|'.join(KINDS)}, "
                            f"got {kind!r}"])
 
-    allowed = {"kind", "grid", "nonlinearity", "initial", "run", "output",
-               "seed"}
-    if kind not in ("simulate", "conservation-report"):
-        allowed.add(kind)
-    _check_unknown(errors, "config", raw, allowed)
-
+    errors = []
     grid = None
+    if kind in _NEEDS_GRID and "grid" in raw:
+        grid = _norm_grid(errors, raw["grid"])   # the sections below read it
+    keys = {"kind": (_given(kind), _REQUIRED),
+            "nonlinearity": (_sub(_NONLINEARITY), {"lam": 1.0, "sigma": 2.0}),
+            "output": (_text, "."), "seed": (_integer(0), 0)}
     if kind in _NEEDS_GRID:
-        if "grid" not in raw:
-            errors.append("config: missing required section 'grid'")
-        else:
-            grid = _norm_grid(errors, raw["grid"])
-    elif "grid" in raw:
-        errors.append(f"config: kind {kind!r} takes no grid section")
-
-    nl = raw.get("nonlinearity", {})
-    lam, sigma = 1.0, 2.0
-    if _check_unknown(errors, "nonlinearity", nl, {"lam", "sigma"}):
-        lam = _num(errors, "nonlinearity", nl, "lam", default=1.0)
-        sigma = _num(errors, "nonlinearity", nl, "sigma", default=2.0,
-                     minv=0.0)
-
-    initial = None
+        keys["grid"] = (_given(grid), _REQUIRED)
     if kind in _NEEDS_INITIAL:
-        if "initial" not in raw:
-            errors.append("config: missing required section 'initial'")
-        elif grid is not None:
-            initial = _norm_initial(errors, "initial", raw["initial"],
-                                    grid["d"])
-    elif "initial" in raw:
-        errors.append(f"config: kind {kind!r} takes no initial section")
-
-    run_cfg = None
+        keys["initial"] = (_initial(grid and grid["d"]), _REQUIRED)
     if kind in _NEEDS_RUN:
-        if "run" not in raw:
-            errors.append("config: missing required section 'run'")
-        else:
-            run_cfg = _norm_run(errors, raw["run"])
-    elif "run" in raw:
-        errors.append(f"config: kind {kind!r} takes no run section")
-
-    block = None
-    if kind not in ("simulate", "conservation-report"):
-        if kind not in raw:
-            errors.append(f"config: missing required section {kind!r}")
-        else:
-            block = _norm_kind_block(errors, kind, raw[kind], grid)
-
-    output = _str(errors, "config", raw, "output", default=".")
-    seed = _int(errors, "config", raw, "seed", default=0, minv=0)
+        keys["run"] = (_sub(_RUN, _runnable), _REQUIRED)
+    block_check = _block_check(kind, grid)
+    if block_check is not None:
+        keys[kind] = (block_check, _REQUIRED)
+    for name in ("grid", "initial", "run"):
+        keys.setdefault(name, (_refuse(f"kind {kind!r} takes no {name} "
+                                       f"section"), None))
+    top = _section(errors, "", raw, keys)
 
     if errors:
         raise ConfigError(errors)
 
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     cfg = ExperimentConfig(
-        kind=kind, grid=grid, lam=float(lam), sigma=float(sigma),
-        initial=initial, run=run_cfg, block=block, output=output,
-        seed=int(seed),
+        kind=kind, grid=grid, lam=top["nonlinearity"]["lam"],
+        sigma=top["nonlinearity"]["sigma"], initial=top["initial"],
+        run=top["run"], block=top.get(kind), output=top["output"],
+        seed=top["seed"],
         config_hash=hashlib.sha256(canonical.encode("utf-8")).hexdigest())
     cfg.warnings.extend(_config_warnings(cfg))
     return cfg
+
+
+def _profile_values(profile: dict, n: int, period: float) -> np.ndarray:
+    z = (np.arange(n) - n // 2) * (period / n)
+    if profile["shape"] == "zero":
+        return np.zeros(n, dtype=np.complex128)
+    amp, width = profile["amplitude"], profile["width"]
+    return (amp * np.exp(-0.5 * ((z - profile["center"]) / width) ** 2)
+            ).astype(np.complex128)
 
 
 def _config_warnings(cfg: ExperimentConfig) -> list:
@@ -734,11 +562,6 @@ def _run_full(cfg, grid, u0, outdir, outputs, basename="observables"):
     a final snapshot."""
     problem = EvolutionProblem(grid, lam=cfg.lam, sigma=cfg.sigma)
     rc = cfg.run
-    run_config = RunConfig(t_end=rc["t_end"], dt0=rc["dt0"],
-                           adapt=rc["adapt"],
-                           linf_ceiling=rc["linf_ceiling"],
-                           dt_floor=rc["dt_floor"],
-                           sample_stride=rc["sample_stride"])
     stride = rc["snapshot_stride"]
     emitted = [0]
 
@@ -750,7 +573,7 @@ def _run_full(cfg, grid, u0, outdir, outputs, basename="observables"):
         emitted[0] += 1
 
     state, series = run(StepperState(field=u0, dt=rc["dt0"]), problem,
-                        run_config, observer)
+                        _run_config(rc), observer)
     csv_path = os.path.join(outdir, basename + ".csv")
     save_series_csv(csv_path, _series_columns(series))
     outputs.append(csv_path)
@@ -808,13 +631,8 @@ def _wave_spec(cfg, plane: bool):
 
 def _exp_structured_wave(cfg, outdir, outputs) -> str:
     """Evolve a lifted plane or standing wave and compare against the
-    profile flow; writes <kind>.json.
-
-    planewave block: {"profile": recipe, "c": [speeds], "n": profile
-    samples, "period": profile box} -- n/period default to the grid's
-    first axis.  standing block: {"profile": recipe, "omega": carrier
-    frequency, "n": transverse samples} -- omega must sit on the grid
-    (integer carrier index).
+    profile flow; writes <kind>.json.  A standing wave's omega must sit
+    on the grid (integer carrier index).
     """
     grid = cfg.build_grid()
     plane = cfg.kind == "planewave"
@@ -838,9 +656,8 @@ def _exp_structured_wave(cfg, outdir, outputs) -> str:
 def _exp_semiclassical(cfg, outdir, outputs) -> str:
     """Chirp-dilated candidate sampled along its coefficient trajectory.
 
-    Block: {"k", "a0", "gamma0", "candidate": field recipe, "t_end",
-    "samples"}.  Writes semiclassical.csv (t, sup, a, b, f, g), the final
-    field, and a JSON report with the defect and any collapse truncation.
+    Writes semiclassical.csv (t, sup, a, b, f, g), the final field, and a
+    JSON report with the defect and any collapse truncation.
     """
     grid = cfg.build_grid()
     b = cfg.block
@@ -875,8 +692,6 @@ def _exp_semiclassical(cfg, outdir, outputs) -> str:
 def _exp_radial(cfg, outdir, outputs) -> str:
     """Radial Crank-Nicolson run from a Gaussian.
 
-    Block: {"n", "r_max", "eps", "sign", "amplitude", "width", "dt",
-    "t_end", "sample_stride", "linf_ceiling", "concentration_eps"}.
     eps > 0 means a Dirichlet hole (cone-region profile).
     """
     b = cfg.block
@@ -908,9 +723,9 @@ def _exp_radial(cfg, outdir, outputs) -> str:
 def _exp_transform_check(cfg, outdir, outputs) -> str:
     """Coefficient ODEs vs closed forms.
 
-    Block: {"a0", "k", "d", "t_end", "nodes", "max_step"}.  The report
-    carries the max deviation of b (and of g where an elementary
-    antiderivative exists, i.e. k >= 0) plus the constraint residuals.
+    The report carries the max deviation of b (and of g where an
+    elementary antiderivative exists, i.e. k >= 0) plus the constraint
+    residuals.
     """
     b = cfg.block
     t_grid = np.linspace(0.0, b["t_end"], b["nodes"])
@@ -941,11 +756,9 @@ def _exp_transform_check(cfg, outdir, outputs) -> str:
 def _exp_stability(cfg, outdir, outputs) -> str:
     """Perturbation-size sweep around a structured wave.
 
-    Block: {"wave": "plane"|"standing", "profile": recipe, "n", "period"
-    or "omega", "c" (plane), "shape": field recipe for v0, "eps": [..],
-    "t_end", "dt", "sample_stride", "grow_factor", "linf_ceiling"}.
-    One CSV + JSON pair per eps; blow-up inside the sweep is a recorded
-    outcome, not a failure.
+    `shape` is the field recipe of the perturbation v0.  One CSV + JSON
+    pair per eps; blow-up inside the sweep is a recorded outcome, not a
+    failure.
     """
     grid = cfg.build_grid()
     b = cfg.block
@@ -971,11 +784,7 @@ def _exp_stability(cfg, outdir, outputs) -> str:
 
 
 def _exp_two_wave(cfg, outdir, outputs) -> str:
-    """Interaction remainder of two plane waves at distinct speeds.
-
-    Block: {"first": {"profile", "c"}, "second": {"profile", "c"}, "n",
-    "period", "t_end", "dt", "sample_stride"}.
-    """
+    """Interaction remainder of two plane waves at distinct speeds."""
     grid = cfg.build_grid()
     b = cfg.block
 

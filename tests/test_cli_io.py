@@ -202,6 +202,25 @@ def test_parse_collects_every_error():
         parse_config(_cfg(initial={"shape": "gaussian", "width": -1.0}))
 
 
+def test_parse_collects_every_error_through_tagged_sections():
+    # an unknown tag still lets the section's common keys be checked
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps({
+            "kind": "stability",
+            "grid": {"preset": "hnls", "d": 2, "n": 32, "length": 40.0},
+            "stability": {"wave": "sideways",
+                          "profile": {"shape": "zero"},
+                          "shape": {"shape": "zero"}}}))
+    joined = " | ".join(info.value.errors)
+    assert "stability.wave" in joined
+    assert "'eps'" in joined and "'t_end'" in joined
+    # a bad preset does not hide a bad size
+    with pytest.raises(ConfigError) as info:
+        parse_config(_cfg(grid={"preset": 3, "n": 63, "length": 40.0}))
+    joined = " | ".join(info.value.errors)
+    assert "grid.preset" in joined and "grid.n" in joined
+
+
 def test_parse_rejects_wrong_sections_and_kind():
     with pytest.raises(ConfigError, match="kind"):
         parse_config(json.dumps({"kind": "simulatte"}))
@@ -232,6 +251,22 @@ def _planewave_cfg(**block):
         "planewave": pw, "run": {"t_end": 0.05}})
 
 
+def _radial_cfg(**block):
+    rad = {"r_max": 10.0, "width": 1.0, "t_end": 0.01}
+    rad.update(block)
+    return json.dumps({"kind": "radial", "radial": rad})
+
+
+def _two_wave_cfg(c1, c2):
+    def side(c):
+        return {"profile": {"shape": "gaussian", "width": 3.0}, "c": [c]}
+
+    return json.dumps({
+        "kind": "two-wave",
+        "grid": {"preset": "hnls", "d": 2, "n": 32, "length": 40.0},
+        "two-wave": {"first": side(c1), "second": side(c2), "t_end": 0.01}})
+
+
 @pytest.mark.parametrize("kind, text, key", [
     ("simulate", _cfg(run={"t_end": _NAN}), "t_end"),
     ("simulate", _cfg(run={"t_end": 0.05, "dt0": _INF}), "dt0"),
@@ -244,6 +279,14 @@ def _planewave_cfg(**block):
     ("simulate", _cfg(grid={"preset": "hnls", "d": 2, "n": 4,
                             "length": 40.0}), "power of two"),
     ("planewave", _planewave_cfg(n=4), "power of two"),
+    ("simulate", _cfg(run={"t_end": -0.01, "adapt": True}), "adapt"),
+    ("radial", _radial_cfg(eps=10.0), "eps"),
+    ("two-wave", _two_wave_cfg(1.0, 1.0), "second.c"),
+    ("simulate", _cfg(initial={"shape": "gaussian",
+                               "width": [0.0, 2.0]}), "width"),
+    ("simulate", _cfg(initial={"shape": "gaussian",
+                               "width": [-1.0, 2.0]}), "width"),
+    ("radial", _radial_cfg(sign=True), "sign"),
 ])
 def test_bad_numbers_exit_2_before_any_run(kind, text, key, tmp_path,
                                           capsys):

@@ -1,6 +1,7 @@
 """Decomposed evolution u = v + phi: steppers, stability harness, two waves."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -448,7 +449,8 @@ def test_non_finite_perturbation_step_is_recorded_blowup():
     spec = _plane_spec(c=(2.0,), sigma=4.0, amplitude=1.5)
     v0 = gaussian_field(grid, amplitude=5.0, width=2.0)
     problem = EvolutionProblem(grid, lam=1.0, sigma=4.0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         state, series = run_decomposed(
             make_decomposed(spec, grid, v0=v0), problem, 1.0, dt=5e-2,
             stepper=step_perturbation, linf_ceiling=1e300)
