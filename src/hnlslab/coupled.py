@@ -1,11 +1,14 @@
 """Evolution on decomposed spaces: structured wave plus H1 perturbation.
 
 A solution is written u = v + phi where phi is a lifted plane or standing
-wave and v carries everything else.  The primary stepper advances u with
+wave and v carries everything else.  The primary method advances u with
 the full solver and phi with its own low-dimensional solver, then defines
 v by subtraction — it inherits the full solver's conservation exactness
-and needs no linearization.  A direct integrator for the perturbation
-equation
+and needs no linearization.  `run_decomposed` and `two_wave_run` carry the
+spectrum of u and of each profile between steps (`SpectralMarch`, two FFTs
+a step) and lift the profile to form v only where v is read, at samples
+and at blow-up; `step_decomposed` is the same method as a single step.  A
+direct integrator for the perturbation equation
 
     i v_t + box v + lam (|v+phi|^sigma (v+phi) - |phi|^sigma phi) = 0
 
@@ -25,7 +28,8 @@ import numpy as np
 from .fields import (ComplexField, Grid, GridError, constant_field, norms,
                      spectral_derivative)
 from .evolution import (STATUS_BLOWNUP, STATUS_RUNNING, EvolutionProblem,
-                        RunConfig, StepperState, march, step_strang)
+                        RunConfig, SpectralMarch, StepperState, march,
+                        step_strang)
 from .families import (PlaneWaveSpec, StandingWaveSpec, _carrier_index,
                        lift_profile, plane_wave_problem,
                        standing_wave_lift, standing_wave_problem)
@@ -37,7 +41,7 @@ def lift_structured(spec, values: np.ndarray, grid: Grid,
     if isinstance(spec, PlaneWaveSpec):
         return lift_profile(values, spec.c, grid, spec.period)
     if isinstance(spec, StandingWaveSpec):
-        _carrier_index(spec, grid)
+        _carrier_index(spec.omega, grid.length[0])
         return standing_wave_lift(values, spec.omega, grid, t)
     raise TypeError(f"unsupported structured spec {type(spec).__name__}")
 
@@ -199,27 +203,9 @@ def _profile_proxies(state: DecomposedState) -> tuple:
     return f.linf(), float(np.sqrt(np.max(amp2)))
 
 
-def run_decomposed(state: DecomposedState, problem: EvolutionProblem,
-                   t_end: float, *, dt: float = 1e-3, stepper=None,
-                   sample_stride: int = 10,
-                   linf_ceiling: float | None = None) -> tuple:
-    """March to t_end with the chosen stepper (default subtraction),
-    sampling ||v||_H1 and the profile decay proxies every stride.
-
-    Both split substeps are pointwise unitary, so a collapsing component
-    never turns non-finite by itself; blow-up is detected by the sup-norm
-    bound ||v||_inf + ||profile||_inf passing `linf_ceiling` (default:
-    1e6 times its initial value) or turning non-finite, by `march` as in
-    the full solver.  A completed run keeps the status "Running".
-    """
-    if stepper is None:
-        stepper = step_decomposed
-    config = RunConfig(t_end=t_end, dt0=dt, linf_ceiling=linf_ceiling,
-                       sample_stride=sample_stride)
-    if t_end < state.t:
-        raise ValueError("decomposed runs only go forward")
-    ts, hs, ps, gs = [], [], [], []
-
+def _stepped(state: DecomposedState, problem: EvolutionProblem, stepper):
+    """`step(h)` and `now(t)` of a run that calls `stepper` once per step;
+    `now` returns the stepper's latest state."""
     def step(h: float) -> float:
         nonlocal state
         state = stepper(state, problem, h)
@@ -227,16 +213,84 @@ def run_decomposed(state: DecomposedState, problem: EvolutionProblem,
             return math.inf        # the stepper found a non-finite component
         return state.v.linf() + state.profile.linf()
 
+    return step, lambda t: state
+
+
+def _carried(state: DecomposedState, problem: EvolutionProblem):
+    """`step(h)` and `now(t)` of the subtraction method with carried
+    spectra; `now` forms the decomposed state at the march time t, once
+    per step taken."""
+    if state.status != STATUS_RUNNING:
+        return (lambda h: math.inf), (lambda t: state)
+    grid, spec = state.v.grid, state.spec
+    u = SpectralMarch(state.full_field(), problem)
+    f = SpectralMarch(state.profile, state.profile_problem)
+    current = state
+
+    def step(h: float) -> float:
+        nonlocal current
+        current = None
+        return u.step(h) + 2.0 * f.step(h)
+
+    def now(t: float) -> DecomposedState:
+        nonlocal current
+        if current is None:
+            profile = f.field(t)
+            phi = lift_structured(spec, profile.values, grid, t)
+            current = replace(state, profile=profile, v=ComplexField(
+                grid, u.field(t).values - phi, t=t))
+        return current
+
+    return step, now
+
+
+def run_decomposed(state: DecomposedState, problem: EvolutionProblem,
+                   t_end: float, *, dt: float = 1e-3, stepper=None,
+                   sample_stride: int = 10,
+                   linf_ceiling: float | None = None) -> tuple:
+    """March to t_end, sampling ||v||_H1 and the profile decay proxies
+    every stride.
+
+    By default this is the subtraction method with carried spectra: u =
+    v0 + phi0 and the profile each march as a `SpectralMarch` (two FFTs a
+    step on the full grid), and v = u - lift(profile) is formed only at
+    samples and at blow-up, so the profile is lifted once per sample, not
+    twice per step.  An explicit `stepper` (such as `step_perturbation`)
+    is called once per step instead.  A state that is not "Running" is
+    left as it is.
+
+    Both split substeps are pointwise unitary, so a collapsing component
+    never turns non-finite by itself; blow-up is detected by `march`, as
+    in the full solver, from a bound on ||v||_inf + ||profile||_inf
+    passing `linf_ceiling` (default: 1e6 times its initial value) or
+    turning non-finite.  With carried spectra the bound is sup|u| + 2
+    sup|profile| over the half-step fields, since |v| <= |u| + |phi|;
+    with a stepper it is ||v||_inf + ||profile||_inf after the step.  A
+    completed run keeps the status "Running".
+    """
+    config = RunConfig(t_end=t_end, dt0=dt, linf_ceiling=linf_ceiling,
+                       sample_stride=sample_stride)
+    if t_end < state.t:
+        raise ValueError("decomposed runs only go forward")
+    _check_problem(state, problem)
+    if stepper is not None:
+        step, now = _stepped(state, problem, stepper)
+    else:
+        step, now = _carried(state, problem)
+    ts, hs, ps, gs = [], [], [], []
+
     def record(m) -> float:
-        nb = norms(state.v)
-        p, gp = _profile_proxies(state)
-        ts.append(state.t)
+        s = now(m.t)
+        nb = norms(s.v)
+        p, gp = _profile_proxies(s)
+        ts.append(s.t)
         hs.append(nb.h1)
         ps.append(p)
         gs.append(gp)
         return nb.linf + p
 
     m = march(state.t, config, problem.sigma, step, record)
+    state = now(m.t)
     if m.status == STATUS_BLOWNUP and state.status == STATUS_RUNNING:
         state = replace(state, status=STATUS_BLOWNUP)
     series = CoupledSeries(t=np.asarray(ts), h=np.asarray(hs),
@@ -399,7 +453,11 @@ def two_wave_run(spec1: PlaneWaveSpec, spec2: PlaneWaveSpec,
                  v0: ComplexField | None, T: float, grid: Grid, *,
                  dt: float = 1e-3, sample_stride: int = 10) -> TwoWaveSeries:
     """Evolve u = v0 + lift(f1) + lift(f2) fully, the profiles
-    independently, and report the interaction remainder in H1."""
+    independently, and report the interaction remainder in H1.
+
+    u and both profiles are carried as spectra (`SpectralMarch`); the
+    remainder is formed at samples only.  A step's sup bound for `march`
+    is the sum of the three half-step sups."""
     for s in (spec1, spec2):
         if not isinstance(s, PlaneWaveSpec):
             raise TypeError("two-wave interaction takes plane-wave specs")
@@ -421,29 +479,25 @@ def two_wave_run(spec1: PlaneWaveSpec, spec2: PlaneWaveSpec,
     scale = norms(ComplexField(grid, l1)).h1 * norms(ComplexField(grid, l2)).h1
 
     problem = EvolutionProblem(grid=grid, lam=spec1.lam, sigma=spec1.sigma)
-    u = ComplexField(grid, v0.values + l1 + l2)
-    sup = u.linf() + f1.linf() + f2.linf()
+    waves = [SpectralMarch(ComplexField(grid, v0.values + l1 + l2), problem),
+             SpectralMarch(f1, prob1), SpectralMarch(f2, prob2)]
     # at t=0 the remainder is v0 itself; subtracting the lifts back out
     # would leave roundoff
     last = v0.values
     ts, rem = [], []
 
     def step(h: float) -> float:
-        nonlocal u, f1, f2, sup
-        u = step_strang(StepperState(field=u, dt=h), problem).field
-        f1 = step_strang(StepperState(field=f1, dt=h), prob1).field
-        f2 = step_strang(StepperState(field=f2, dt=h), prob2).field
-        sup = u.linf() + f1.linf() + f2.linf()
-        return sup
+        return sum(w.step(h) for w in waves)
 
     def record(m) -> float:
         nonlocal last
+        u, g1, g2 = (w.field(m.t) for w in waves)
         if m.steps > 0:
-            last = u.values - lift_structured(spec1, f1.values, grid, u.t) \
-                - lift_structured(spec2, f2.values, grid, u.t)
-        ts.append(u.t)
-        rem.append(norms(ComplexField(grid, last, t=u.t)).h1)
-        return sup
+            last = u.values - lift_structured(spec1, g1.values, grid, m.t) \
+                - lift_structured(spec2, g2.values, grid, m.t)
+        ts.append(m.t)
+        rem.append(norms(ComplexField(grid, last, t=m.t)).h1)
+        return u.linf() + g1.linf() + g2.linf()
 
     status = march(0.0, config, spec1.sigma, step, record).status
 

@@ -143,6 +143,48 @@ def step_strang(state: StepperState, problem: EvolutionProblem,
                         status=state.status)
 
 
+class SpectralMarch:
+    """One field carried as its spectrum u^ = fftn(u) through Strang steps.
+
+    A step is ifftn(u^ L(h/2)) -> N(h) -> fftn -> L(h/2): two FFTs where
+    `step_strang` spends four, matching a loop of it to roundoff.  The
+    physical field is formed by one ifftn, and only when `field` asks.
+    """
+
+    def __init__(self, field: ComplexField, problem: EvolutionProblem):
+        self.problem = problem
+        self.spectrum = np.fft.fftn(field.values)
+        self._grid = field.grid
+        self._field = field        # None while only the spectrum is current
+
+    def step(self, h: float) -> float:
+        """Advance by h and return the sup of the half-step field L(h/2) u,
+        read off the amplitude the nonlinear stage computes (non-finite
+        when the field is)."""
+        problem, sigma = self.problem, self.problem.sigma
+        half = problem.linear_phase(0.5 * h)
+        w = self.spectrum * half
+        np.fft.ifftn(w, out=w)
+        amp = _nonlinear_stage(w, problem, h)
+        if sigma > 0:
+            sup = float(np.max(amp)) ** (1.0 / sigma)
+        else:
+            sup = float(np.max(np.abs(w)))
+        del amp            # free it before the forward FFT: peak memory
+        np.fft.fftn(w, out=w)
+        w *= half
+        self.spectrum = w
+        self._field = None
+        return sup
+
+    def field(self, t: float) -> ComplexField:
+        """The physical field, stamped t; formed once per step taken."""
+        if self._field is None or self._field.t != t:
+            self._field = ComplexField(self._grid, np.fft.ifftn(self.spectrum),
+                                       t=t)
+        return self._field
+
+
 @dataclass
 class MarchState:
     """Progress of one `march`: shown to each `record` call, then returned."""
@@ -226,57 +268,31 @@ def run(state: StepperState, problem: EvolutionProblem, config: RunConfig,
     """March a state to config.t_end with `march`, sampling observables
     every sample_stride steps (plus first and last).
 
-    The march carries the spectrum u^ = fftn(u) between steps, so one Strang
-    step costs two FFTs: u^ -> ifftn(u^ L(dt/2)) -> N(dt) -> fftn -> L(dt/2).
-    It matches a loop of `step_strang` to roundoff.  The physical field
-    ifftn(u^) is formed only where it is read: at each sample (and so at
-    each observer call and snapshot), at blow-up and at the end of the run.
-    The step's sup bound is the amplitude the nonlinear stage computes,
-    the sup of the half-step field L(dt/2) u, so a step whose half-step
-    field passes the ceiling is completed and the run stops at its end.
+    The field is a `SpectralMarch`, so one Strang step costs two FFTs and
+    matches a loop of `step_strang` to roundoff.  The physical field is
+    formed only where it is read: at each sample (and so at each observer
+    call and snapshot), at blow-up and at the end of the run.  The step's
+    sup bound is that of the half-step field L(dt/2) u, so a step whose
+    half-step field passes the ceiling is completed and the run stops at
+    its end.
     """
-    sigma = problem.sigma
-    series = ObservableSeries(lam=problem.lam, sigma=sigma,
+    series = ObservableSeries(lam=problem.lam, sigma=problem.sigma,
                               alpha=problem.grid.alpha)
-    field = state.field           # None while only the spectrum is current
-    spec = np.fft.fftn(field.values)
-
-    def physical(t: float) -> ComplexField:
-        return state.field.with_values(np.fft.ifftn(spec), t=t)
-
-    def step(h: float) -> float:
-        nonlocal spec, field
-        half = problem.linear_phase(0.5 * h)
-        w = spec * half
-        np.fft.ifftn(w, out=w)
-        amp = _nonlinear_stage(w, problem, h)
-        if sigma > 0:
-            sup = float(np.max(amp)) ** (1.0 / sigma)
-        else:
-            sup = float(np.max(np.abs(w)))
-        del amp            # keep peak memory down through a following sample
-        np.fft.fftn(w, out=w)
-        w *= half
-        spec = w
-        field = None
-        return sup
+    u = SpectralMarch(state.field, problem)
 
     def record(m: MarchState) -> float:
-        nonlocal field
-        if field is None:
-            field = physical(m.t)
-        s = sample(field, problem.lam, sigma, problem.potential,
-                   spectrum=spec)
+        field = u.field(m.t)
+        s = sample(field, problem.lam, problem.sigma, problem.potential,
+                   spectrum=u.spectrum)
         series.append(s)
         if observer is not None:
             observer(StepperState(field, m.dt, m.steps, m.status,
                                   m.t_detect), s)
         return s.linf
 
-    m = march(state.t, config, sigma, step, record)
-    if field is None:
-        field = physical(m.t)
-    return StepperState(field, m.dt, m.steps, m.status, m.t_detect), series
+    m = march(state.t, config, problem.sigma, u.step, record)
+    return (StepperState(u.field(m.t), m.dt, m.steps, m.status, m.t_detect),
+            series)
 
 
 def residual_hnls(f_minus: ComplexField, f_center: ComplexField,

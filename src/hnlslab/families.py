@@ -11,6 +11,7 @@ comparisons against the 2-D stepper make sharp tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -69,22 +70,24 @@ class PlaneWaveSpec:
         return 1.0 - self.speed_sq
 
 
-def _alignment_ints(c: Sequence[float], period: float, grid: Grid) -> list:
-    if grid.d != len(c) + 1:
-        raise GridError(f"grid is {grid.d}-D but the speed vector has "
+def _alignment_ints(c: Sequence[float], period: float,
+                    length: Sequence[float]) -> list:
+    """The integer shifts c_j len_y_j / period of a lift onto a box of
+    side lengths `length`; GridError when the lift is not periodic."""
+    if len(length) != len(c) + 1:
+        raise GridError(f"grid is {len(length)}-D but the speed vector has "
                         f"{len(c)} components")
-    if abs(grid.length[0] - period) > 1e-9 * period:
+    if abs(length[0] - period) > 1e-9 * period:
         raise GridError("profile period must equal the box length along "
                         "the plus axis")
     out = []
     for j, cj in enumerate(c):
-        m = cj * grid.length[1 + j] / period
-        mi = round(m)
-        if abs(m - mi) > 1e-9:
+        m = cj * length[1 + j] / period
+        if not math.isfinite(m) or abs(m - round(m)) > 1e-9:
             raise GridError(
                 f"c[{j}] * len_y / len_x = {m} is not an integer; the "
                 "lifted wave would not be periodic on this box")
-        out.append(int(mi))
+        out.append(round(m))
     return out
 
 
@@ -100,7 +103,7 @@ def lift_profile(values: np.ndarray, c: Sequence[float], grid: Grid,
     if vals.ndim != 1:
         raise FieldDataError("profile values must be 1-D")
     period = grid.length[0] if period is None else float(period)
-    ints = _alignment_ints(c, period, grid)
+    ints = _alignment_ints(c, period, grid.length)
     nz, n0 = len(vals), grid.n[0]
     exact = nz == n0 and all((m * n0) % grid.n[1 + j] == 0
                              for j, m in enumerate(ints))
@@ -156,7 +159,7 @@ def plane_wave_profile_at(spec: PlaneWaveSpec, t: float, *,
 def plane_wave_field(spec: PlaneWaveSpec, t: float, grid: Grid, *,
                      dt: float = 1e-3) -> ComplexField:
     """Lifted plane wave u(t, x, y) = f(t, x - c.y) on `grid`."""
-    _alignment_ints(spec.c, spec.period, grid)
+    _alignment_ints(spec.c, spec.period, grid.length)
     prof = plane_wave_profile_at(spec, t, dt=dt)
     return ComplexField(grid, lift_profile(prof, spec.c, grid, spec.period),
                         t=t)
@@ -200,13 +203,12 @@ def standing_wave_problem(spec: StandingWaveSpec, grid: Grid) -> tuple:
             ComplexField(gT, spec.f0))
 
 
-def _carrier_index(spec: StandingWaveSpec, grid: Grid) -> int:
-    m = spec.omega * grid.length[0] / (2.0 * np.pi)
-    mi = round(m)
-    if abs(m - mi) > 1e-9:
-        raise GridError(f"omega = {spec.omega} is not an x-harmonic of the "
+def _carrier_index(omega: float, len_x: float) -> int:
+    m = omega * len_x / (2.0 * np.pi)
+    if not math.isfinite(m) or abs(m - round(m)) > 1e-9:
+        raise GridError(f"omega = {omega} is not an x-harmonic of the "
                         "box (needs omega = 2 pi m / len_x)")
-    return int(mi)
+    return round(m)
 
 
 def standing_wave_lift(values: np.ndarray, omega: float, grid: Grid,
@@ -219,7 +221,7 @@ def standing_wave_lift(values: np.ndarray, omega: float, grid: Grid,
 def standing_wave_field(spec: StandingWaveSpec, t: float, grid: Grid, *,
                         dt: float = 1e-3) -> ComplexField:
     """Standing wave at time t on `grid`."""
-    _carrier_index(spec, grid)
+    _carrier_index(spec.omega, grid.length[0])
     problem, field = standing_wave_problem(spec, grid)
     if t == 0.0:
         gvals = spec.f0

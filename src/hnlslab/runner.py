@@ -29,8 +29,10 @@ simulate / conservation-report); see the block tables in `_block_check`
 for their keys.  Unknown keys anywhere are rejected, so are NaN and
 Infinity wherever a number is expected, and so are key combinations the
 run would refuse (an adaptive backward run, a radial hole `eps >= r_max`,
-two waves at one speed).  Validation reports every problem at once rather
-than stopping at the first.
+two waves at one speed, a plane or standing wave that is not periodic on
+the box, a fixed-dt conservation-report with fewer than 5 samples).
+Validation reports every problem at once rather than stopping at the
+first.
 
 Profile-hypothesis lint results and regime certification are attached to
 the parsed config as `warnings`: advisory, never fatal.
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -48,8 +51,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .fields import (ComplexField, Grid, _is_pow2, gaussian_field,
-                     harmonic_field, norms, random_smooth_field)
+from .fields import (ComplexField, Grid, GridError, _is_pow2,
+                     gaussian_field, harmonic_field, norms,
+                     random_smooth_field)
 from .observables import verify_conservation
 from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
                         StepperState, run)
@@ -57,9 +61,10 @@ from .transforms import (closed_form_b, constraint_residuals,
                          integrate_transform_odes)
 from .radial import (concentration_scan, make_radial_profile, radial_energy,
                      radial_mass, save_radial_csv, solve_radial)
-from .families import (PlaneWaveSpec, StandingWaveSpec,
-                       make_semiclassical_spec, plane_wave_field,
-                       semiclassical_field, standing_wave_field)
+from .families import (PlaneWaveSpec, StandingWaveSpec, _alignment_ints,
+                       _carrier_index, make_semiclassical_spec,
+                       plane_wave_field, semiclassical_field,
+                       standing_wave_field)
 from .coupled import (certify_regime, profile_hypothesis_warnings,
                       stability_run, two_wave_run)
 from .artifacts import (RunManifest, save_series_csv, write_json,
@@ -314,6 +319,30 @@ def _runnable(errors, where, run):
         _fail(errors, where, str(exc))
 
 
+def _fixed_dt_samples(run: dict) -> int:
+    """Samples a fixed-dt `march` takes: the first, one every
+    sample_stride steps and the last; steps end within the march's Done
+    tolerance of t_end.  Step counts past 1e18 are all counted as 1e18."""
+    span = abs(run["t_end"])
+    tol = 1e-12 * max(span, 1.0)
+    steps = math.ceil(min((span - tol) / run["dt0"], 1e18)) \
+        if span > tol else 0
+    return 1 + -(-steps // run["sample_stride"])
+
+
+def _auditable(errors, where, run):
+    """The run rule of conservation-report: `verify_conservation` needs 5
+    samples.  An adaptive run's count is not known before it runs."""
+    before = len(errors)
+    _runnable(errors, where, run)
+    if len(errors) == before and not run["adapt"]:
+        samples = _fixed_dt_samples(run)
+        if samples < 5:
+            _fail(errors, where, f"conservation-report needs at least 5 "
+                                 f"samples; t_end, dt0 and sample_stride "
+                                 f"give {samples}")
+
+
 def _hole_inside(errors, where, block):
     if block["eps"] >= block["r_max"]:
         _fail(errors, f"{where}.eps", f"must be < r_max = {block['r_max']}, "
@@ -337,25 +366,50 @@ def _block_check(kind, grid):
     standing = {"n": (_grid_size, grid["n"][1] if d == 2 else n0),
                 "omega": (_FINITE, _REQUIRED)}
 
-    def planar(errors, where, block):
-        if "omega" in block and d not in (None, 2):
+    def on_box(errors, where, rule, *args):
+        # a `families` rule on the box lengths; the run would raise its
+        # GridError
+        try:
+            rule(*args)
+        except GridError as exc:
+            _fail(errors, where, str(exc))
+
+    def fits(errors, where, block):
+        """The plane or standing wave is periodic on the box."""
+        if grid is None:
+            return
+        if "omega" not in block:
+            on_box(errors, where, _alignment_ints, block["c"],
+                   block["period"], grid["length"])
+        elif d != 2:
             _fail(errors, where, f"standing waves are planar (d = 2), grid "
                                  f"has d = {d}")
+        else:
+            on_box(errors, where, _carrier_index, block["omega"],
+                   grid["length"][0])
+
+    def both_fit(errors, where, block):
+        _distinct_speeds(errors, where, block)
+        if grid is None:
+            return
+        for name in ("first", "second"):
+            on_box(errors, f"{where}.{name}", _alignment_ints,
+                   block[name]["c"], block["period"], grid["length"])
 
     side = _sub({**_PROFILE, "c": plane["c"]})
     blocks = {
-        "planewave": _sub({**_PROFILE, **plane}),
-        "standing": _sub({**_PROFILE, **standing}, planar),
+        "planewave": _sub({**_PROFILE, **plane}, fits),
+        "standing": _sub({**_PROFILE, **standing}, fits),
         "stability": _tagged(
             "wave", {"plane": plane, "standing": standing},
             {**_PROFILE, "shape": (_initial(d), _REQUIRED),
              "eps": (_list(_number(0.0)), _REQUIRED), **_MARCH,
              "grow_factor": (_POSITIVE, 10.0), **_CEILING},
-            planar),
+            fits),
         "two-wave": _sub({"first": (side, _REQUIRED),
                           "second": (side, _REQUIRED),
                           "n": plane["n"], "period": plane["period"],
-                          **_MARCH}, _distinct_speeds),
+                          **_MARCH}, both_fit),
         # a radial run may end where it starts (t_end = 0)
         "radial": _sub({"n": (_integer(8), 256),
                         "r_max": (_POSITIVE, _REQUIRED),
@@ -458,7 +512,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if kind in _NEEDS_INITIAL:
         keys["initial"] = (_initial(grid and grid["d"]), _REQUIRED)
     if kind in _NEEDS_RUN:
-        keys["run"] = (_sub(_RUN, _runnable), _REQUIRED)
+        keys["run"] = (_sub(_RUN, _auditable if kind == "conservation-report"
+                            else _runnable), _REQUIRED)
     block_check = _block_check(kind, grid)
     if block_check is not None:
         keys[kind] = (block_check, _REQUIRED)
@@ -511,11 +566,8 @@ def _config_warnings(cfg: ExperimentConfig) -> list:
         period = b["period"] if b["wave"] == "plane" \
             else cfg.grid["length"][1]
         lint("profile", b["profile"], b["n"], period)
-        try:
-            spec = _wave_spec(cfg, b["wave"] == "plane")
-        except ValueError:
-            return warn       # the run will report the construction error
-        in_regime, note = certify_regime(spec, cfg.build_grid())
+        in_regime, note = certify_regime(_wave_spec(cfg, b["wave"] == "plane"),
+                                         cfg.build_grid())
         if not in_regime:
             warn.append(f"out-of-regime: {note}")
     return warn

@@ -241,13 +241,13 @@ def test_parse_rejects_wrong_sections_and_kind():
 _NAN, _INF = float("nan"), float("inf")
 
 
-def _planewave_cfg(**block):
+def _planewave_cfg(length=40.0, **block):
     pw = {"profile": {"shape": "gaussian", "amplitude": 1.0, "width": 3.0},
           "c": [1.0]}
     pw.update(block)
     return json.dumps({
         "kind": "planewave",
-        "grid": {"preset": "hnls", "d": 2, "n": 32, "length": 40.0},
+        "grid": {"preset": "hnls", "d": 2, "n": 32, "length": length},
         "planewave": pw, "run": {"t_end": 0.05}})
 
 
@@ -257,14 +257,27 @@ def _radial_cfg(**block):
     return json.dumps({"kind": "radial", "radial": rad})
 
 
-def _two_wave_cfg(c1, c2):
+def _two_wave_cfg(c1, c2, n=32):
     def side(c):
         return {"profile": {"shape": "gaussian", "width": 3.0}, "c": [c]}
 
     return json.dumps({
         "kind": "two-wave",
-        "grid": {"preset": "hnls", "d": 2, "n": 32, "length": 40.0},
+        "grid": {"preset": "hnls", "d": 2, "n": n, "length": 40.0},
         "two-wave": {"first": side(c1), "second": side(c2), "t_end": 0.01}})
+
+
+def _standing_cfg(kind="standing", n=32):
+    block = {"profile": {"shape": "gaussian", "width": 3.0}, "omega": 0.3}
+    cfg = {"kind": kind,
+           "grid": {"preset": "hnls", "d": 2, "n": n, "length": 40.0}}
+    if kind == "stability":
+        block.update(wave="standing", shape={"shape": "zero"}, eps=[1e-3],
+                     t_end=0.01)
+    else:
+        cfg["run"] = {"t_end": 0.05}
+    cfg[kind] = block
+    return json.dumps(cfg)
 
 
 @pytest.mark.parametrize("kind, text, key", [
@@ -287,6 +300,18 @@ def _two_wave_cfg(c1, c2):
     ("simulate", _cfg(initial={"shape": "gaussian",
                                "width": [-1.0, 2.0]}), "width"),
     ("radial", _radial_cfg(sign=True), "sign"),
+    ("planewave", _planewave_cfg(period=20.0), "period"),
+    ("planewave", _planewave_cfg(c=[0.3]), "len_y"),
+    # c len_y / period overflows to inf
+    ("planewave", _planewave_cfg(length=1e308, c=[2.0]), "len_y"),
+    ("two-wave", _two_wave_cfg(0.5, 0.3), "two-wave.first"),
+    ("standing", _standing_cfg(), "omega"),
+    ("stability", _standing_cfg(kind="stability"), "omega"),
+    ("conservation-report", _cfg(kind="conservation-report",
+                                 run={"t_end": 0.01}), "5 samples"),
+    # the wave rules wait for a valid grid
+    ("standing", _standing_cfg(n=63), "power of two"),
+    ("two-wave", _two_wave_cfg(1.0, -1.0, n=63), "power of two"),
 ])
 def test_bad_numbers_exit_2_before_any_run(kind, text, key, tmp_path,
                                           capsys):
@@ -413,15 +438,17 @@ def test_blowup_is_exit_zero(tmp_path):
 
 
 def test_operational_failure_is_nonzero_with_manifest(tmp_path):
-    # valid schema, but the lift is incompatible with a square box
+    # the schema rejects a lift incompatible with a square box, so the
+    # speed is changed after validation to make the run itself fail
     cfg = parse_config(json.dumps({
         "kind": "planewave",
         "grid": {"preset": "hnls", "d": 2, "n": 32, "length": 40.0},
         "planewave": {"profile": {"shape": "gaussian", "amplitude": 0.7,
                                   "width": 3.0},
-                      "c": [0.5]},
+                      "c": [1.0]},
         "run": {"t_end": 0.1},
     }))
+    cfg.block["c"] = [0.5]
     assert run_experiment(cfg, out_dir=tmp_path) == 1
     man = _manifest(tmp_path)
     assert man["status"].startswith("Failed:")

@@ -470,3 +470,125 @@ def test_completed_decomposed_run_stays_running():
     # first sample, every 4th step, and the last
     assert len(series.t) == 1 + 50 // 4 + 1
     assert series.t[-1] == state.t
+
+
+# ---------------------------------------------------------------------------
+# carried spectra: the default run against the single-step forms
+
+@pytest.mark.parametrize("spec", [
+    _plane_spec(c=(1.0,)),
+    _plane_spec(c=(2.0,), sigma=4.0, amplitude=0.4, width=4.0),
+    _standing_spec(),
+])
+def test_carried_run_matches_step_decomposed_loop(spec):
+    grid = hnls_grid()
+    v0 = _seed(grid)
+    problem = EvolutionProblem(grid, lam=1.0, sigma=spec.sigma)
+    # 0.0537 / 4e-3 leaves a clipped last step
+    kw = dict(dt=4e-3, sample_stride=5)
+    a, sa = run_decomposed(make_decomposed(spec, grid, v0=v0), problem,
+                           0.0537, **kw)
+    b, sb = run_decomposed(make_decomposed(spec, grid, v0=v0), problem,
+                           0.0537, stepper=step_decomposed, **kw)
+    assert a.status == b.status == STATUS_RUNNING
+    assert a.t == b.t
+    assert np.array_equal(sa.t, sb.t) and len(sa.t) == 1 + 13 // 5 + 1
+    phi_h1 = norms(ComplexField(
+        grid, lift_structured(spec, b.profile.values, grid, b.t))).h1
+    assert norms(b.v).h1 > 1e-3              # the perturbation is alive
+    assert _diff_h1(a.v, b.v) <= 1e-11 * phi_h1   # measured 1.2e-14
+    assert np.allclose(sa.h, sb.h, rtol=0.0, atol=1e-11 * phi_h1)
+    assert np.allclose(a.profile.values, b.profile.values, rtol=0.0,
+                       atol=1e-12)
+
+
+def test_two_wave_run_matches_step_strang_loop():
+    grid = hnls_grid()
+    s1 = _plane_spec(c=(1.0,))
+    s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), period=40.0, c=(-1.0,),
+                       lam=1.0, sigma=2.0)
+    v0 = _seed(grid)
+    T, dt, stride = 0.0537, 4e-3, 5
+    out = two_wave_run(s1, s2, v0, T, grid, dt=dt, sample_stride=stride)
+
+    problem = EvolutionProblem(grid, lam=1.0, sigma=2.0)
+    u = StepperState(field=ComplexField(
+        grid, v0.values + lift_structured(s1, s1.f0, grid, 0.0)
+        + lift_structured(s2, s2.f0, grid, 0.0)), dt=dt)
+    profiles = [(StepperState(field=ComplexField(PROFILE_GRID, s.f0),
+                              dt=dt),
+                 EvolutionProblem(Grid((64,), (40.0,), (s.dispersion,)),
+                                  lam=1.0, sigma=2.0)) for s in (s1, s2)]
+    ts, rem = [0.0], [norms(v0).h1]
+    t, steps = 0.0, 0
+    while T - t > 1e-12:
+        h = min(dt, T - t)
+        u = step_strang(StepperState(field=u.field, dt=h), problem)
+        profiles = [(step_strang(StepperState(field=p.field, dt=h), pb), pb)
+                    for p, pb in profiles]
+        t, steps = t + h, steps + 1
+        if steps % stride == 0 or T - t <= 1e-12:
+            r = u.field.values - sum(
+                lift_structured(s, p.field.values, grid, t)
+                for s, (p, _) in zip((s1, s2), profiles))
+            ts.append(t)
+            rem.append(norms(ComplexField(grid, r)).h1)
+    assert out.status == "Done"
+    assert np.array_equal(out.t, ts)
+    assert np.allclose(out.remainder, rem, rtol=0.0,
+                       atol=1e-11 * np.sqrt(out.product_scale))
+
+
+class _Counter:
+    """Counts the calls of wrapped functions whose arguments `when` takes."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def wrap(self, fn, when=lambda *args: True):
+        def counted(*args, **kwargs):
+            self.calls += bool(when(*args))
+            return fn(*args, **kwargs)
+        return counted
+
+
+def test_carried_run_fft_and_lift_counts(monkeypatch):
+    # per step: 2 full-grid FFTs; per sample after t=0: one ifftn and one
+    # lift to form v; per sample: one fftn in the H1 norm; once: the
+    # forward FFT of u0 = v0 + lift(phi0)
+    import hnlslab.coupled as coupled
+    grid = hnls_grid(n=32)
+    spec = PlaneWaveSpec(f0=_bump(3.0)[::2], period=40.0, c=(1.0,),
+                         lam=1.0, sigma=2.0)
+    state = make_decomposed(spec, grid, v0=_seed(grid))
+    problem = EvolutionProblem(grid, lam=1.0, sigma=2.0)
+    ffts, lifts = _Counter(), _Counter()
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, ffts.wrap(
+            getattr(np.fft, name), lambda a, *rest: a.shape == grid.n))
+    monkeypatch.setattr(coupled, "lift_structured",
+                        lifts.wrap(coupled.lift_structured))
+    _, series = run_decomposed(state, problem, 0.025, dt=1e-3,
+                               sample_stride=10)
+    n_steps, k = 25, len(series.t)
+    assert k == 4                         # samples at steps 0, 10, 20, 25
+    assert ffts.calls == 2 * n_steps + 2 * k
+    assert lifts.calls == k
+
+
+def test_carried_run_leaves_a_blown_up_state_alone():
+    grid = hnls_grid()
+    base = make_decomposed(_plane_spec(), grid, v0=_seed(grid))
+    dead = DecomposedState(v=base.v, spec=base.spec, profile=base.profile,
+                           profile_problem=base.profile_problem,
+                           status=STATUS_BLOWNUP)
+    problem = EvolutionProblem(grid, lam=1.0, sigma=2.0)
+    out, series = run_decomposed(dead, problem, 0.1)
+    assert out is dead
+    assert list(series.t) == [0.0]
+    ref, ref_series = run_decomposed(dead, problem, 0.1,
+                                     stepper=step_decomposed)
+    assert ref is dead and np.array_equal(series.h, ref_series.h)
+    # the problem is still checked once per run
+    with pytest.raises(ValueError):
+        run_decomposed(base, EvolutionProblem(grid, lam=1.0, sigma=4.0), 0.1)
