@@ -6,9 +6,10 @@ the full solver and phi with its own low-dimensional solver, then defines
 v by subtraction — it inherits the full solver's conservation exactness
 and needs no linearization.  `run_decomposed` and `two_wave_run` carry the
 spectrum of u and of each profile between steps (`SpectralMarch`, two FFTs
-a step) and lift the profile to form v only where v is read, at samples
-and at blow-up; `step_decomposed` is the same method as a single step.  A
-direct integrator for the perturbation equation
+a step) and lift the profile to form v only where v is read: at samples,
+and at a step whose cheap sup bound passes the blow-up ceiling.
+`step_decomposed` is the same method as a single step.  A direct
+integrator for the perturbation equation
 
     i v_t + box v + lam (|v+phi|^sigma (v+phi) - |phi|^sigma phi) = 0
 
@@ -204,8 +205,9 @@ def _profile_proxies(state: DecomposedState) -> tuple:
 
 
 def _stepped(state: DecomposedState, problem: EvolutionProblem, stepper):
-    """`step(h)` and `now(t)` of a run that calls `stepper` once per step;
-    `now` returns the stepper's latest state."""
+    """`step(h)`, `now(t)` and `exact` of a run that calls `stepper` once
+    per step; `now` returns the stepper's latest state, and the step's
+    bound is already exact."""
     def step(h: float) -> float:
         nonlocal state
         state = stepper(state, problem, h)
@@ -213,15 +215,16 @@ def _stepped(state: DecomposedState, problem: EvolutionProblem, stepper):
             return math.inf        # the stepper found a non-finite component
         return state.v.linf() + state.profile.linf()
 
-    return step, lambda t: state
+    return step, lambda t: state, None
 
 
 def _carried(state: DecomposedState, problem: EvolutionProblem):
-    """`step(h)` and `now(t)` of the subtraction method with carried
-    spectra; `now` forms the decomposed state at the march time t, once
-    per step taken."""
+    """`step(h)`, `now(t)` and `exact(m)` of the subtraction method with
+    carried spectra; `now` forms the decomposed state at the march time t,
+    once per step taken, and `exact` reads its ||v||_inf + ||profile||_inf
+    where the step's bound sup|u| + 2 sup|profile| is too loose."""
     if state.status != STATUS_RUNNING:
-        return (lambda h: math.inf), (lambda t: state)
+        return (lambda h: math.inf), (lambda t: state), None
     grid, spec = state.v.grid, state.spec
     u = SpectralMarch(state.full_field(), problem)
     f = SpectralMarch(state.profile, state.profile_problem)
@@ -241,7 +244,11 @@ def _carried(state: DecomposedState, problem: EvolutionProblem):
                 grid, u.field(t).values - phi, t=t))
         return current
 
-    return step, now
+    def exact(m) -> float:
+        s = now(m.t)
+        return s.v.linf() + s.profile.linf()
+
+    return step, now, exact
 
 
 def run_decomposed(state: DecomposedState, problem: EvolutionProblem,
@@ -264,9 +271,11 @@ def run_decomposed(state: DecomposedState, problem: EvolutionProblem,
     in the full solver, from a bound on ||v||_inf + ||profile||_inf
     passing `linf_ceiling` (default: 1e6 times its initial value) or
     turning non-finite.  With carried spectra the bound is sup|u| + 2
-    sup|profile| over the half-step fields, since |v| <= |u| + |phi|;
-    with a stepper it is ||v||_inf + ||profile||_inf after the step.  A
-    completed run keeps the status "Running".
+    sup|profile| over the half-step fields, since |v| <= |u| + |phi|; it
+    can be three times the bounded quantity, so when it passes the
+    ceiling v is formed and ||v||_inf + ||profile||_inf at the step's end
+    decides, as it does after every step of a stepper.  A completed run
+    keeps the status "Running".
     """
     config = RunConfig(t_end=t_end, dt0=dt, linf_ceiling=linf_ceiling,
                        sample_stride=sample_stride)
@@ -274,9 +283,9 @@ def run_decomposed(state: DecomposedState, problem: EvolutionProblem,
         raise ValueError("decomposed runs only go forward")
     _check_problem(state, problem)
     if stepper is not None:
-        step, now = _stepped(state, problem, stepper)
+        step, now, exact = _stepped(state, problem, stepper)
     else:
-        step, now = _carried(state, problem)
+        step, now, exact = _carried(state, problem)
     ts, hs, ps, gs = [], [], [], []
 
     def record(m) -> float:
@@ -289,7 +298,7 @@ def run_decomposed(state: DecomposedState, problem: EvolutionProblem,
         gs.append(gp)
         return nb.linf + p
 
-    m = march(state.t, config, problem.sigma, step, record)
+    m = march(state.t, config, problem.sigma, step, record, exact)
     state = now(m.t)
     if m.status == STATUS_BLOWNUP and state.status == STATUS_RUNNING:
         state = replace(state, status=STATUS_BLOWNUP)

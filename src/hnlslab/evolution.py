@@ -197,13 +197,17 @@ class MarchState:
 
 def march(t0: float, config: RunConfig, sigma: float,
           step: Callable[[float], float],
-          record: Callable[[MarchState], float]) -> MarchState:
+          record: Callable[[MarchState], float],
+          exact: Callable[[MarchState], float] | None = None) -> MarchState:
     """The time loop of every solver: advance from t0 to config.t_end.
 
     `step(h)` advances the caller's state by h (negative when marching
     backward) and returns a bound on its sup norm, non-finite when the
     state is.  `record(m)` samples the state at m.t and returns its exact
-    sup norm.  Samples are taken first, every sample_stride steps, at
+    sup norm.  `exact(m)`, when given, returns that sup norm without
+    taking a sample; it is asked only when a step's finite bound passes
+    the ceiling, and its value decides, so a loose bound stops no run
+    early.  Samples are taken first, every sample_stride steps, at
     blow-up when the bound is finite, and last; `m.status` is already
     final for the last two.
 
@@ -249,6 +253,8 @@ def march(t0: float, config: RunConfig, sigma: float,
         bound = step(h)
         m.t = m.t + h
         m.steps += 1
+        if exact is not None and math.isfinite(bound) and bound > ceiling:
+            bound = exact(m)
         if not math.isfinite(bound) or bound > ceiling:
             m.status, m.t_detect = STATUS_BLOWNUP, m.t
             if math.isfinite(bound):

@@ -592,3 +592,39 @@ def test_carried_run_leaves_a_blown_up_state_alone():
     # the problem is still checked once per run
     with pytest.raises(ValueError):
         run_decomposed(base, EvolutionProblem(grid, lam=1.0, sigma=4.0), 0.1)
+
+
+def test_carried_run_under_a_ceiling_its_loose_bound_passes():
+    # sup|u| + 2 sup|profile| is about 3 * 0.75 here, the bounded
+    # ||v||_inf + ||profile||_inf about 0.75: a ceiling of 1.5 stops neither
+    grid = hnls_grid()
+    spec = _plane_spec()
+    v0 = _seed(grid)
+    problem = EvolutionProblem(grid, lam=1.0, sigma=2.0)
+    kw = dict(dt=4e-3, sample_stride=5, linf_ceiling=1.5)
+    a, sa = run_decomposed(make_decomposed(spec, grid, v0=v0), problem,
+                           0.0537, **kw)
+    b, sb = run_decomposed(make_decomposed(spec, grid, v0=v0), problem,
+                           0.0537, stepper=step_decomposed, **kw)
+    assert a.status == b.status == STATUS_RUNNING
+    assert a.t == b.t == 0.0537
+    assert np.array_equal(sa.t, sb.t)
+    assert _diff_h1(a.v, b.v) <= 1e-11 * norms(b.v).h1 + 1e-13
+
+
+def test_carried_run_detects_blowup_where_the_stepper_does():
+    # the collapse of test_stability_detects_blowup: the carried run must
+    # not stop on its loose first-step bound (about 6.6 > 5)
+    fine = Grid((512,), (40.0,), (1.0,))
+    f0 = gaussian_field(fine, amplitude=2.2, width=1.2).values
+    spec = PlaneWaveSpec(f0=f0, period=40.0, c=(0.5,), lam=1.0, sigma=4.0)
+    grid = make_grid(2, (64, 64), (40.0, 80.0), (1.0, -1.0))
+    problem = EvolutionProblem(grid, lam=1.0, sigma=4.0)
+    v0 = _seed(grid, amplitude=1e-3)
+    a, sa = run_decomposed(make_decomposed(spec, grid, v0=v0), problem, 0.5,
+                           linf_ceiling=5.0)
+    b, sb = run_decomposed(make_decomposed(spec, grid, v0=v0), problem, 0.5,
+                           linf_ceiling=5.0, stepper=step_decomposed)
+    assert a.status == b.status == STATUS_BLOWNUP
+    assert np.array_equal(sa.t, sb.t)
+    assert 0.02 < a.t == b.t < 0.2              # detected at t ~ 0.08
