@@ -14,12 +14,13 @@ sign instead and is reported for reference only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import (ComplexField, FieldDataError, boundary_mass_fraction,
-                     spectral_derivative)
+from .fields import (ComplexField, FieldDataError, Grid, _abs2, _abs_power,
+                     _edge_fraction, _marginal, spectral_derivative)
 
 # boundary mass fraction above which moment observables are untrustworthy
 MOMENT_BOUNDARY_TOL = 1e-8
@@ -66,26 +67,35 @@ class ObservableSeries:
         return len(self.samples)
 
 
+def _lsig2(grid: Grid, a2: np.ndarray, sigma: float) -> float:
+    """int |u|^(sigma+2), from a2 = |u|^2."""
+    return grid.cell * float(np.sum(_abs_power(a2, sigma + 2.0)))
+
+
+def _energy(grid: Grid, spectrum: np.ndarray, a2: np.ndarray, lsig2: float,
+            lam: float, sigma: float, potential: np.ndarray | None) -> float:
+    """E from the spectrum, a2 = |u|^2 and lsig2 = int |u|^(sigma+2).  The
+    kinetic term sum_j alpha_j int |d_j u|^2 is one Parseval sum of
+    grid.symbol |u^|^2."""
+    spec2 = _abs2(spectrum)
+    spec2 *= grid.symbol
+    kin = grid.cell * float(np.sum(spec2)) / float(spec2.size)
+    e = 0.5 * kin - lam / (sigma + 2.0) * lsig2
+    if potential is not None:
+        e += 0.5 * grid.cell * float(np.sum(potential * a2))
+    return e
+
+
 def energy(field: ComplexField, lam: float, sigma: float,
            potential: np.ndarray | None = None, *,
            spectrum: np.ndarray | None = None) -> float:
     """Signature-weighted energy; optional static real potential adds
     1/2 int V |u|^2.  `spectrum`, when given, must be fftn(field.values)."""
-    g = field.grid
-    w = g.cell
     if spectrum is None:
         spectrum = np.fft.fftn(field.values)
-    spec2 = np.abs(spectrum) ** 2
-    npts = float(np.prod(g.n))
-    kin = 0.0
-    for j in range(g.d):
-        kin += g.alpha[j] * float(np.sum(g.xi_along(j) ** 2 * spec2)) / npts
-    a = np.abs(field.values)
-    pot = float(np.sum(a ** (sigma + 2.0)))
-    e = 0.5 * w * kin - lam / (sigma + 2.0) * w * pot
-    if potential is not None:
-        e += 0.5 * w * float(np.sum(potential * a ** 2))
-    return e
+    a2 = _abs2(field.values)
+    return _energy(field.grid, spectrum, a2, _lsig2(field.grid, a2, sigma),
+                   lam, sigma, potential)
 
 
 def sample(field: ComplexField, lam: float, sigma: float,
@@ -96,16 +106,23 @@ def sample(field: ComplexField, lam: float, sigma: float,
     The d derivatives and the kinetic energy all come from one spectrum:
     `spectrum` if given (it must be fftn(field.values)), else one forward
     FFT here.  A sample therefore costs d inverse FFTs plus that one.
+
+    Pointwise it costs one |u|^2 = re^2 + im^2 array, which feeds mass,
+    linf, the finiteness test (its sum), |u|^(sigma+2), the potential term,
+    the edge slabs of the boundary fraction and, as a 1-D marginal per
+    axis, the centre of mass and virial; per axis one real product
+    q_j = Im(conj(u) d_j u), whose marginal gives both the momentum and the
+    moment flux; and one |u^|^2 sum for the kinetic energy.
     """
-    if not field.is_finite():
-        raise FieldDataError("sample: field contains NaN or Inf")
-    if spectrum is None:
-        spectrum = np.fft.fftn(field.values)
     g = field.grid
     w = g.cell
     u = field.values
-    a2 = np.abs(u) ** 2
-    mass = w * float(np.sum(a2))
+    a2 = _abs2(u)
+    total = float(np.sum(a2))
+    if not math.isfinite(total) and not field.is_finite():
+        raise FieldDataError("sample: field contains NaN or Inf")
+    if spectrum is None:
+        spectrum = np.fft.fftn(u)
 
     mom = []
     com = []
@@ -114,27 +131,30 @@ def sample(field: ComplexField, lam: float, sigma: float,
     virial = 0.0
     for j in range(g.d):
         du = spectral_derivative(field, j, spectrum=spectrum).values
-        pj = w * float(np.sum(np.imag(np.conj(u) * du)))
-        xj = g.coord_along(j)
-        comj = w * float(np.sum(xj * a2))
-        flux = w * float(np.sum(np.imag(np.conj(u) * (xj * du))))
+        q = u.real * du.imag
+        q -= u.imag * du.real
+        qj = _marginal(q, j)
+        a2j = _marginal(a2, j)
+        xj = g.coords[j]
+        flux = w * float(np.sum(xj * qj))
         sgn = 1.0 if g.alpha[j] >= 0 else -1.0
-        mom.append(pj)
-        com.append(comj)
+        mom.append(w * float(np.sum(qj)))
+        com.append(w * float(np.sum(xj * a2j)))
         rate_abs += 4.0 * abs(g.alpha[j]) * flux
         rate_signed += 4.0 * sgn * flux
-        virial += sgn * w * float(np.sum(xj ** 2 * a2))
+        virial += sgn * w * float(np.sum(xj * xj * a2j))
 
-    lsig2 = w * float(np.sum(np.abs(u) ** (sigma + 2.0)))
-    e = energy(field, lam, sigma, potential, spectrum=spectrum)
+    lsig2 = _lsig2(g, a2, sigma)
+    e = _energy(g, spectrum, a2, lsig2, lam, sigma, potential)
     d = g.d
     rhs = 16.0 * e + 4.0 * lam * ((2.0 * d + 4.0) / (sigma + 2.0) - d) * lsig2
-    bf = boundary_mass_fraction(field)
+    bf = _edge_fraction(a2, total)
     return ObservableSample(
-        t=field.t, mass=mass, energy=e, momentum=tuple(mom), com=tuple(com),
-        virial=virial, virial_rate=rate_abs, virial_rate_signed=rate_signed,
-        virial_rhs=rhs, lsig2=lsig2, linf=float(np.sqrt(np.max(a2))),
-        boundary_fraction=bf, moments_ok=bool(bf <= MOMENT_BOUNDARY_TOL))
+        t=field.t, mass=w * total, energy=e, momentum=tuple(mom),
+        com=tuple(com), virial=virial, virial_rate=rate_abs,
+        virial_rate_signed=rate_signed, virial_rhs=rhs, lsig2=lsig2,
+        linf=float(np.sqrt(np.max(a2))), boundary_fraction=bf,
+        moments_ok=bool(bf <= MOMENT_BOUNDARY_TOL))
 
 
 @dataclass
@@ -176,16 +196,18 @@ def _rel_drift(col: np.ndarray) -> float:
 def verify_conservation(series: ObservableSeries) -> ConservationReport:
     """Audit a sampled run: drifts, center-of-mass linearity, virial identities.
 
-    Needs at least 5 samples on a uniform time grid for the difference
-    stencils; the center-of-mass fit is an ordinary least-squares line.
+    Needs at least 5 samples.  The virial derivatives are three-point
+    differences at the interior samples on the series' own time grid,
+    which need not be uniform (an adaptive run, or a last interval clipped
+    to land on t_end): with h- and h+ the intervals before and after a
+    sample and D- and D+ the difference quotients over them,
+    dV/dt = (h+ D- + h- D+) / (h- + h+) and d2V/dt2 = 2 (D+ - D-) / (h- + h+),
+    which are the centered differences when h- = h+.  The center-of-mass
+    fit is an ordinary least-squares line.
     """
     if len(series) < 5:
         raise ValueError("verify_conservation needs at least 5 samples")
     t = series.t
-    dt = np.diff(t)
-    if np.max(np.abs(dt - dt[0])) > 1e-9 * max(abs(t[-1]), 1.0):
-        raise ValueError("verify_conservation expects uniform sample times")
-    h = dt[0]
 
     mass = series.column("mass")
     en = series.column("energy")
@@ -222,8 +244,11 @@ def verify_conservation(series: ObservableSeries) -> ConservationReport:
     rate = series.column("virial_rate")
     rate_s = series.column("virial_rate_signed")
     rhs = series.column("virial_rhs")
-    dV = (V[2:] - V[:-2]) / (2.0 * h)
-    d2V = (V[2:] - 2.0 * V[1:-1] + V[:-2]) / h ** 2
+    h = np.diff(t)
+    quot = np.diff(V) / h
+    hm, hp, span = h[:-1], h[1:], h[:-1] + h[1:]
+    dV = (hp * quot[:-1] + hm * quot[1:]) / span
+    d2V = 2.0 * (quot[1:] - quot[:-1]) / span
     mid = slice(1, -1)
     res_rate = float(np.max(np.abs(dV - rate[mid])))
     res_rate_s = float(np.max(np.abs(dV - rate_s[mid])))

@@ -149,6 +149,25 @@ def test_norms_reject_nan():
         norms(ComplexField(g, v))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_norms_match_direct_sums(d, rng):
+    g = Grid((32, 16, 8)[:d], (9.0, 7.0, 5.0)[:d], (1.0, -2.0, 0.5)[:d])
+    f = random_smooth_field(g, rng, amplitude=1.7, corr=0.6)
+    ps = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0)
+    b = norms(f, ps=ps)
+    a = np.abs(f.values)
+    spec2 = np.abs(np.fft.fftn(f.values)) ** 2
+    grad2 = g.cell * sum(np.sum(g.xi_along(j) ** 2 * spec2)
+                         for j in range(d)) / spec2.size
+    l2 = np.sqrt(g.cell * np.sum(a ** 2))
+    assert b.l2 == pytest.approx(l2, rel=1e-14)
+    assert b.h1 == pytest.approx(np.sqrt(l2 ** 2 + grad2), rel=1e-14)
+    assert b.linf == pytest.approx(np.max(a), rel=1e-15)
+    for p in ps:
+        lp = (g.cell * np.sum(a ** p)) ** (1.0 / p)
+        assert b.lp[p] == pytest.approx(lp, rel=1e-14), p
+
+
 def test_h1_dominates_l2(rng):
     g = hnls_grid(n=32)
     for _ in range(5):
@@ -261,3 +280,22 @@ def test_boundary_mass_fraction_flags_edge_data():
     assert boundary_mass_fraction(centered) < 1e-12
     edge = gaussian_field(g, width=1.0, center=(19.0, 0.0))
     assert boundary_mass_fraction(edge) > 1e-3
+
+
+@pytest.mark.parametrize("band", [0, 1, 2, 3, 4, 5, 9])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_boundary_mass_fraction_matches_edge_mask(band, d, rng):
+    # bands up to and past half the box: the two slabs of an axis meet,
+    # then cover it, and no cell may be counted twice
+    g = Grid((8,) * d, (5.0,) * d, (1.0,) * d)
+    f = random_smooth_field(g, rng, corr=0.3)
+    a2 = np.abs(f.values) ** 2
+    mask = np.zeros(g.n, dtype=bool)
+    for j in range(d):
+        for edge in (slice(0, band), slice(max(8 - band, 0), None)):
+            sl = [slice(None)] * d
+            sl[j] = edge
+            mask[tuple(sl)] = True
+    want = np.sum(a2[mask]) / np.sum(a2)
+    assert boundary_mass_fraction(f, band) == pytest.approx(want, rel=1e-14,
+                                                             abs=1e-300)
