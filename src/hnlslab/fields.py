@@ -339,23 +339,21 @@ def apply_linear_propagator(field: ComplexField, dt: float) -> ComplexField:
     return field.with_values(out, t=field.t + dt)
 
 
-def _edge_sum(a2: np.ndarray, band: int) -> float:
-    """Sum of a2 over the cells within `band` of any box edge, slab by slab:
-    axis j's two edge slabs, restricted to the interior of the axes before
-    it so that no cell is counted twice."""
+def _edge_fraction(a2: np.ndarray, total: float, band: int = 2) -> float:
+    """Share of total = sum(a2) within `band` cells of any box edge.  The
+    edge is summed slab by slab, never as total minus interior (which
+    cancels): axis j's two edge slabs, restricted to the interior of the
+    axes before it so that no cell is counted twice."""
+    if total == 0.0:
+        return 0.0
     inner = [slice(None)] * a2.ndim
     acc = 0.0
     for j, n in enumerate(a2.shape):
         b = max(0, min(band, n))
-        hi = max(n - b, b)
-        for edge in (slice(0, b), slice(hi, n)):
+        for edge in (slice(0, b), slice(max(n - b, b), n)):
             acc += float(np.sum(a2[tuple(inner[:j]) + (edge,)]))
         inner[j] = slice(b, n - b)
-    return acc
-
-
-def _edge_fraction(a2: np.ndarray, total: float, band: int = 2) -> float:
-    return _edge_sum(a2, band) / total if total != 0.0 else 0.0
+    return acc / total
 
 
 def boundary_mass_fraction(field: ComplexField, band: int = 2) -> float:
