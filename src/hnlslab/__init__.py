@@ -8,8 +8,8 @@ __version__ = "0.1.0"
 
 from .fields import (
     Grid, ComplexField, NormBundle, GridError, FieldDataError,
-    make_grid, constant_field, gaussian_field, harmonic_field,
-    random_smooth_field, spectral_derivative, norms, lp_norm,
+    constant_field, gaussian_field, harmonic_field,
+    random_smooth_field, spectral_derivative, norms,
     apply_linear_propagator, boundary_mass_fraction,
 )
 from .observables import (

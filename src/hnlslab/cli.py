@@ -32,8 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to the JSON experiment config")
         p.add_argument("--out", default=None,
                        help="output directory (overrides the config)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap worker thread pools (best effort)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
     return parser
@@ -67,8 +65,7 @@ def main(argv=None) -> int:
 
     outdir = args.out if args.out is not None else config.output
     try:
-        code = run_experiment(config, out_dir=args.out,
-                              threads=args.threads)
+        code = run_experiment(config, out_dir=args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -88,7 +88,7 @@ def make_decomposed(spec, grid: Grid,
     lift_structured(spec, field.values, grid, 0.0)  # validates compatibility
     if v0 is None:
         v0 = constant_field(grid, 0.0)
-    if v0.grid.n != grid.n or not v0.grid.same_box(grid):
+    if not v0.grid.same_box(grid):
         raise GridError("v0 grid does not match the target grid")
     if v0.t != 0.0:
         raise ValueError("v0 must be stamped t=0")
@@ -103,8 +103,7 @@ def _check_problem(state: DecomposedState, problem: EvolutionProblem):
         raise ValueError(
             "problem and structured spec disagree on (lam, sigma): the "
             "decomposition identity only holds for a single nonlinearity")
-    if problem.grid.n != state.v.grid.n \
-            or not problem.grid.same_box(state.v.grid):
+    if not problem.grid.same_box(state.v.grid):
         raise GridError("problem grid does not match the state grid")
 
 
@@ -483,7 +482,7 @@ def two_wave_run(spec1: PlaneWaveSpec, spec2: PlaneWaveSpec,
     l2 = lift_structured(spec2, f2.values, grid, 0.0)
     if v0 is None:
         v0 = constant_field(grid, 0.0)
-    if v0.grid.n != grid.n or not v0.grid.same_box(grid):
+    if not v0.grid.same_box(grid):
         raise GridError("v0 grid does not match the target grid")
     scale = norms(ComplexField(grid, l1)).h1 * norms(ComplexField(grid, l2)).h1
 

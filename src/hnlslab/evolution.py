@@ -114,11 +114,12 @@ class StepperState:
         return self.field.t
 
 
-def _nonlinear_stage(u: np.ndarray, problem: EvolutionProblem,
-                     dt: float) -> np.ndarray:
+def _nonlinear_stage(u: np.ndarray, dt: float, lam: float, sigma: float,
+                     potential: np.ndarray | None = None) -> np.ndarray:
     """Apply the exact phase map N(dt): u -> u exp(i dt (lam |u|^sigma - V)),
     in place, and return the amplitude |u|^sigma it used.  The map keeps
-    |u| pointwise, so that amplitude also bounds the new field.
+    |u| pointwise, so that amplitude also bounds the new field.  Every
+    split-step solver calls it: the Strang steps here and the radial step.
 
     Cost, all pointwise: the amplitude (re^2 + im^2 for sigma = 2, its
     square for sigma = 4, |u|^sigma otherwise), the phase dt (lam amp - V)
@@ -127,16 +128,15 @@ def _nonlinear_stage(u: np.ndarray, problem: EvolutionProblem,
     is formed and no complex exp is taken; cos/sin give the same bits as
     exp(i phase) with numpy 2.4.
     """
-    sigma = problem.sigma
     if sigma in (2.0, 4.0):
         amp = _abs2(u)
         if sigma == 4.0:
             amp *= amp
     else:
         amp = np.abs(u) ** sigma
-    theta = problem.lam * amp
-    if problem.potential is not None:
-        theta -= problem.potential
+    theta = lam * amp
+    if potential is not None:
+        theta -= potential
     theta *= dt
     z = np.empty_like(u)
     np.cos(theta, out=z.real)
@@ -151,7 +151,7 @@ def step_strang(state: StepperState, problem: EvolutionProblem,
     dt = state.dt * direction
     half = problem.linear_phase(0.5 * dt)
     u = np.fft.ifftn(np.fft.fftn(state.field.values) * half)
-    _nonlinear_stage(u, problem, dt)
+    _nonlinear_stage(u, dt, problem.lam, problem.sigma, problem.potential)
     u = np.fft.ifftn(np.fft.fftn(u) * half)
     return StepperState(field=state.field.with_values(u, t=state.field.t + dt),
                         dt=state.dt, step_count=state.step_count + 1,
@@ -180,7 +180,7 @@ class SpectralMarch:
         half = problem.linear_phase(0.5 * h)
         w = self.spectrum * half
         np.fft.ifftn(w, out=w)
-        amp = _nonlinear_stage(w, problem, h)
+        amp = _nonlinear_stage(w, h, problem.lam, sigma, problem.potential)
         if sigma > 0:
             sup = float(np.max(amp)) ** (1.0 / sigma)
         else:

@@ -263,6 +263,28 @@ class SemiclassicalSpec:
                 raise ValueError(f"{name} must be finite")
 
 
+def _stationary_residual(u: np.ndarray, grid: Grid, V: np.ndarray,
+                         gamma0: float | None, lam: float) -> tuple:
+    """(res, gamma0, defect) of the stationary equation at sigma = 4/d:
+    res = box u + lam |u|^sigma u - (V + gamma0) u with spectral
+    derivatives, gamma0 the Rayleigh quotient when None, and defect the
+    l2 norm of res over the sum of the three terms' norms (0 when they
+    all vanish)."""
+    box = np.fft.ifftn(np.fft.fftn(u) * (-grid.symbol))
+    nl = lam * np.abs(u) ** (4.0 / grid.d) * u
+    if gamma0 is None:
+        gamma0 = (np.real(np.vdot(u, box + nl - V * u))
+                  / np.real(np.vdot(u, u)))
+    gamma0 = float(gamma0)
+    pot = (V + gamma0) * u
+    res = box + nl - pot
+    scale = (np.linalg.norm(box.ravel()) + np.linalg.norm(nl.ravel())
+             + np.linalg.norm(pot.ravel()))
+    if scale == 0.0:
+        return res, gamma0, 0.0
+    return res, gamma0, float(np.linalg.norm(res.ravel()) / scale)
+
+
 def bound_state_defect(A0: ComplexField, k: float, gamma0: float,
                        lam: float) -> float:
     """Relative l2 residual of the stationary equation
@@ -274,19 +296,8 @@ def bound_state_defect(A0: ComplexField, k: float, gamma0: float,
     power the chirp-dilation map transports).  Zero fields report 0.
     """
     g = A0.grid
-    u = A0.values
-    if not np.any(u):
-        return 0.0
-    sigma = 4.0 / g.d
-    box = np.fft.ifftn(np.fft.fftn(u) * (-g.symbol))
-    nl = lam * np.abs(u) ** sigma * u
-    pot = (harmonic_saddle_potential(g, k) + gamma0) * u
-    res = box + nl - pot
-    scale = (np.linalg.norm(box.ravel()) + np.linalg.norm(nl.ravel())
-             + np.linalg.norm(pot.ravel()))
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(res.ravel()) / scale)
+    return _stationary_residual(A0.values, g, harmonic_saddle_potential(g, k),
+                                gamma0, lam)[2]
 
 
 def refine_bound_state(seed: ComplexField, k: float, lam: float, *,
@@ -302,28 +313,14 @@ def refine_bound_state(seed: ComplexField, k: float, lam: float, *,
     claimed, only that the returned defect never exceeds the seed's.
     """
     g = seed.grid
-    sigma = 4.0 / g.d
     V = harmonic_saddle_potential(g, k)
     P = 1.0 / (1.0 + np.abs(g.symbol))
     m0 = np.linalg.norm(seed.values.ravel())
     if m0 == 0.0:
         raise ValueError("seed field is zero")
 
-    def stationary_terms(u):
-        box = np.fft.ifftn(np.fft.fftn(u) * (-g.symbol))
-        nl = lam * np.abs(u) ** sigma * u
-        if gamma0 is None:
-            gm = float(np.real(np.vdot(u, box + nl - V * u))
-                       / np.real(np.vdot(u, u)))
-        else:
-            gm = float(gamma0)
-        res = box + nl - (V + gm) * u
-        scale = (np.linalg.norm(box.ravel()) + np.linalg.norm(nl.ravel())
-                 + np.linalg.norm(((V + gm) * u).ravel()))
-        return res, gm, float(np.linalg.norm(res.ravel()) / max(scale, 1e-300))
-
     u = seed.values.copy()
-    res, gm, d_cur = stationary_terms(u)
+    res, gm, d_cur = _stationary_residual(u, g, V, gamma0, lam)
     best = (u.copy(), gm, d_cur)
     tau = float(step)
     for _ in range(int(iters)):
@@ -334,7 +331,8 @@ def refine_bound_state(seed: ComplexField, k: float, lam: float, *,
         for sgn in (-1.0, 1.0):
             cand = u + sgn * tau * direction
             cand *= m0 / np.linalg.norm(cand.ravel())
-            res_c, gm_c, d_c = stationary_terms(cand)
+            res_c, gm_c, d_c = _stationary_residual(cand, g, V, gamma0,
+                                                   lam)
             if d_c < d_cur:
                 u, res, gm, d_cur = cand, res_c, gm_c, d_c
                 accepted = True

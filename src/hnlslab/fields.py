@@ -105,14 +105,6 @@ class Grid:
         return f"Grid(n={self.n}, length={self.length}, alpha={self.alpha})"
 
 
-def make_grid(d: int, n: Sequence[int], length: Sequence[float],
-              alpha: Sequence[float]) -> Grid:
-    """Validating constructor for Grid; `d` must match the vector lengths."""
-    if len(n) != d:
-        raise GridError(f"d={d} but n has {len(n)} entries")
-    return Grid(n, length, alpha)
-
-
 class ComplexField:
     """Complex state sampled on a Grid, stamped with a physical time.
 
@@ -287,10 +279,6 @@ def norms(field: ComplexField, ps: Sequence[float] = ()) -> NormBundle:
             raise GridError(f"Lp norm needs p > 0, got {p}")
         bundle.lp[p] = float((w * np.sum(_abs_power(a2, p))) ** (1.0 / p))
     return bundle
-
-
-def lp_norm(field: ComplexField, p: float) -> float:
-    return norms(field, ps=(p,)).lp[p]
 
 
 # ---------------------------------------------------------------------------

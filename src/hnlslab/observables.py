@@ -202,8 +202,12 @@ def verify_conservation(series: ObservableSeries) -> ConservationReport:
     to land on t_end): with h- and h+ the intervals before and after a
     sample and D- and D+ the difference quotients over them,
     dV/dt = (h+ D- + h- D+) / (h- + h+) and d2V/dt2 = 2 (D+ - D-) / (h- + h+),
-    which are the centered differences when h- = h+.  The center-of-mass
-    fit is an ordinary least-squares line.
+    which are the centered differences when h- = h+.  A sample whose two
+    intervals differ by more than 1e3x (a last step clipped to a sliver
+    of dt) is left out of the virial residuals, since its d2V divides the
+    roundoff in V by h- h+; every sample is kept when none qualifies.
+    The drifts and the center-of-mass fit, an ordinary least-squares
+    line, use every sample.
     """
     if len(series) < 5:
         raise ValueError("verify_conservation needs at least 5 samples")
@@ -249,7 +253,11 @@ def verify_conservation(series: ObservableSeries) -> ConservationReport:
     hm, hp, span = h[:-1], h[1:], h[:-1] + h[1:]
     dV = (hp * quot[:-1] + hm * quot[1:]) / span
     d2V = 2.0 * (quot[1:] - quot[:-1]) / span
-    mid = slice(1, -1)
+    a, b = np.abs(hm), np.abs(hp)
+    keep = np.maximum(a, b) <= 1e3 * np.minimum(a, b)
+    if not keep.any():
+        keep[:] = True
+    dV, d2V, mid = dV[keep], d2V[keep], np.flatnonzero(keep) + 1
     res_rate = float(np.max(np.abs(dV - rate[mid])))
     res_rate_s = float(np.max(np.abs(dV - rate_s[mid])))
     scale = max(float(np.max(np.abs(rate))), 1e-300)

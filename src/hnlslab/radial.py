@@ -16,13 +16,13 @@ does not load it unless a radial computation runs.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import Grid, cubic_stencil, lagrange_weights
-from .evolution import STATUS_DONE, MarchState, RunConfig, march
+from .evolution import (STATUS_DONE, MarchState, RunConfig,
+                        _nonlinear_stage, march)
 
 BC_DIRICHLET = "dirichlet"
 BC_REGULARITY = "regularity"
@@ -189,8 +189,8 @@ def radial_energy(profile: RadialProfile) -> float:
 def theta_moment(profile: RadialProfile) -> float:
     """Weighted moment int (r^2/2 - eps^2 log r) |F|^2 r dr.
 
-    Reported alongside blow-up runs on holed domains; no claim is
-    certified from its sign, it is diagnostic output only.
+    A library diagnostic for blow-up runs on holed domains: no experiment
+    writes it, and no claim is certified from its sign.
     """
     r = profile.r
     theta = 0.5 * r * r
@@ -268,38 +268,21 @@ class _CrankNicolsonHalf:
 
 def solve_radial(profile: RadialProfile, dt: float, t_end: float, *,
                  adapt: bool = False, linf_ceiling: float | None = None,
-                 dt_floor: float | None = None, sample_stride: int = 10,
-                 direct: bool = False) -> RadialRunResult:
+                 dt_floor: float | None = None,
+                 sample_stride: int = 10) -> RadialRunResult:
     """March a radial profile to t_end with Strang splitting: half a
-    Crank-Nicolson linear step, the exact pointwise nonlinear phase, and
-    another linear half step.
+    Crank-Nicolson linear step, the exact pointwise nonlinear phase (the
+    phase map of the evolution module), and another linear half step.
 
-    sign=-1 profiles are evolved by conjugation (conjugate, flip lam,
-    evolve as sign=+1, conjugate back) unless direct=True, which runs the
-    sign=-1 Crank-Nicolson as-is; the two paths agree to roundoff and the
-    test suite holds them to 1e-10.  Blow-up is a recorded outcome, as in
-    the full-dimensional solver.
+    Both signs run the same step: sign=-1 only flips the sign of the
+    Laplacian in the Crank-Nicolson map.  Blow-up is a recorded outcome,
+    as in the full-dimensional solver.
     """
     config = RunConfig(t_end=t_end, dt0=dt, adapt=adapt,
                        linf_ceiling=linf_ceiling, dt_floor=dt_floor,
                        sample_stride=sample_stride)
     if t_end < profile.t:
         raise ValueError("radial runs only march forward in time")
-
-    if profile.sign == -1 and not direct:
-        mirror = replace(profile, values=np.conj(profile.values),
-                         lam=-profile.lam, sign=1)
-        res = solve_radial(mirror, dt, t_end, adapt=adapt,
-                           linf_ceiling=linf_ceiling, dt_floor=dt_floor,
-                           sample_stride=sample_stride)
-        back = RadialTrajectory(profile.r)
-        for tk, vk in zip(res.trajectory.t, res.trajectory._vals):
-            back.append(tk, np.conj(vk))
-        final = profile.with_values(np.conj(res.profile.values),
-                                    t=res.profile.t)
-        return RadialRunResult(profile=final, trajectory=back,
-                               status=res.status, t_detect=res.t_detect,
-                               steps=res.steps)
 
     act = _active_slice(len(profile.r), profile.bc_inner)
     trip = _laplacian_triplets(profile.r, profile.bc_inner)
@@ -314,11 +297,7 @@ def solve_radial(profile: RadialProfile, dt: float, t_end: float, *,
         if h != built_dt:
             cn, built_dt = _CrankNicolsonHalf(trip, s, h), h
         a = cn.apply(vals[act])
-        if sigma == 2.0:
-            amp = a.real ** 2 + a.imag ** 2
-        else:
-            amp = np.abs(a) ** sigma
-        a = a * np.exp(1j * h * lam * amp)
+        _nonlinear_stage(a, h, lam, sigma)
         a = cn.apply(a)
         vals = np.zeros_like(vals)
         vals[act] = a

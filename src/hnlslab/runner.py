@@ -874,16 +874,7 @@ _EXPERIMENTS = {
 }
 
 
-def _limit_threads(n: int) -> None:
-    """Best-effort cap on library thread pools; the FFT core is serial, so
-    this only matters for BLAS-backed dense work."""
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
-
-
-def run_experiment(config: ExperimentConfig, out_dir=None,
-                   threads: int | None = None) -> int:
+def run_experiment(config: ExperimentConfig, out_dir=None) -> int:
     """Execute one experiment and write its manifest.
 
     Returns the process exit status: 0 when the run completed (including
@@ -895,8 +886,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     """
     outdir = os.fspath(out_dir) if out_dir is not None else config.output
     os.makedirs(outdir, exist_ok=True)
-    if threads is not None:
-        _limit_threads(threads)
     started = _now()
     outputs = []
     try:

@@ -16,7 +16,6 @@ from hnlslab import (
     SnapshotError,
     file_digest,
     load_series_csv,
-    make_grid,
     parse_config,
     random_smooth_field,
     read_snapshot,
@@ -50,7 +49,7 @@ def _manifest(outdir):
 def test_snapshot_round_trip_bitwise(tmp_path, rng):
     grids = [Grid((16,), (10.0,), (1.0,)),
              hnls_grid(n=16),
-             make_grid(3, (8, 8, 8), (5.0, 7.0, 9.0), (1.0, -1.0, -1.0))]
+             Grid((8, 8, 8), (5.0, 7.0, 9.0), (1.0, -1.0, -1.0))]
     for i, grid in enumerate(grids):
         field = random_smooth_field(grid, rng, amplitude=1.3, t=0.0)
         field = field.with_values(field.values, t=0.625)

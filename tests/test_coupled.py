@@ -26,7 +26,6 @@ from hnlslab import (
     harmonic_saddle_potential,
     lift_structured,
     make_decomposed,
-    make_grid,
     norms,
     profile_hypothesis_warnings,
     run_decomposed,
@@ -217,7 +216,7 @@ def test_perturbation_stepper_is_second_order():
 
 def test_certify_regime_windows():
     g2 = hnls_grid()
-    g3 = make_grid(3, (16, 16, 16), (40.0, 40.0, 40.0), (1.0, -1.0, -1.0))
+    g3 = Grid((16, 16, 16), (40.0, 40.0, 40.0), (1.0, -1.0, -1.0))
 
     ok, note = certify_regime(_plane_spec(c=(2.0,), sigma=4.0), g2)
     assert ok and "quintic" in note
@@ -306,7 +305,7 @@ def test_stability_detects_blowup():
     fine = Grid((512,), (40.0,), (1.0,))
     f0 = gaussian_field(fine, amplitude=2.2, width=1.2).values
     spec = PlaneWaveSpec(f0=f0, period=40.0, c=(0.5,), lam=1.0, sigma=4.0)
-    grid = make_grid(2, (64, 64), (40.0, 80.0), (1.0, -1.0))
+    grid = Grid((64, 64), (40.0, 80.0), (1.0, -1.0))
     reports = stability_run(spec, _seed(grid, amplitude=1.0), (1e-3,), 0.5,
                             grid, linf_ceiling=5.0)
     r = reports[0]
@@ -618,7 +617,7 @@ def test_carried_run_detects_blowup_where_the_stepper_does():
     fine = Grid((512,), (40.0,), (1.0,))
     f0 = gaussian_field(fine, amplitude=2.2, width=1.2).values
     spec = PlaneWaveSpec(f0=f0, period=40.0, c=(0.5,), lam=1.0, sigma=4.0)
-    grid = make_grid(2, (64, 64), (40.0, 80.0), (1.0, -1.0))
+    grid = Grid((64, 64), (40.0, 80.0), (1.0, -1.0))
     problem = EvolutionProblem(grid, lam=1.0, sigma=4.0)
     v0 = _seed(grid, amplitude=1e-3)
     a, sa = run_decomposed(make_decomposed(spec, grid, v0=v0), problem, 0.5,

@@ -22,7 +22,6 @@ from hnlslab import (
     gaussian_field,
     integrate_transform_odes,
     lift_profile,
-    make_grid,
     make_semiclassical_spec,
     norms,
     plane_wave_field,
@@ -88,7 +87,7 @@ def test_lift_rejects_incompatible_boxes():
 
 def test_lift_gather_matches_trig_series():
     # same function sampled at 64 (gather branch) and 128 (series branch)
-    grid = make_grid(2, (64, 32), (40.0, 40.0), (1.0, -1.0))
+    grid = Grid((64, 32), (40.0, 40.0), (1.0, -1.0))
     coarse = lift_profile(_bump(4.0), (2.0,), grid)
     fine_grid = Grid((128,), (40.0,), (1.0,))
     f_fine = gaussian_field(fine_grid, amplitude=0.7, width=4.0).values
@@ -144,7 +143,7 @@ def test_lift_commute_on_wrap_free_grid():
     # n_y = 2 n_x so every c=2 lifted frequency (and every nonlinear
     # product) is representable in y: the 2-D stepper then reproduces the
     # lifted 1-D evolution to rounding.
-    grid = make_grid(2, (64, 128), (40.0, 40.0), (1.0, -1.0))
+    grid = Grid((64, 128), (40.0, 40.0), (1.0, -1.0))
     spec = PlaneWaveSpec(f0=_bump(3.0), period=40.0, c=(2.0,), lam=1.0,
                          sigma=2.0)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=2.0)
@@ -183,7 +182,7 @@ def test_plane_wave_residual_small():
 
 
 def test_three_dimensional_lift_point_values():
-    grid = make_grid(3, (32, 32, 64), (40.0, 40.0, 40.0), (1.0, -1.0, -1.0))
+    grid = Grid((32, 32, 64), (40.0, 40.0, 40.0), (1.0, -1.0, -1.0))
     g1 = Grid((32,), (40.0,), (1.0,))
     f0 = gaussian_field(g1, amplitude=0.5, width=3.0).values
     spec = PlaneWaveSpec(f0=f0, period=40.0, c=(1.0, 2.0), lam=1.0, sigma=2.0)

@@ -4,30 +4,30 @@ import pytest
 from hnlslab.fields import (
     ComplexField, FieldDataError, Grid, GridError, apply_linear_propagator,
     boundary_mass_fraction, constant_field, evaluate_dilated,
-    evaluate_linear_map, gaussian_field, harmonic_field, lp_norm, make_grid,
-    norms, random_smooth_field, spectral_derivative, translate,
+    evaluate_linear_map, gaussian_field, harmonic_field, norms,
+    random_smooth_field, spectral_derivative, translate,
 )
 from conftest import hnls_grid
 
 
 # ---------------------------------------------------------------- grid basics
 
-def test_make_grid_rejects_non_power_of_two():
+def test_grid_rejects_non_power_of_two():
     with pytest.raises(GridError, match="power of two"):
-        make_grid(2, (63, 64), (20.0, 20.0), (1.0, -1.0))
+        Grid((63, 64), (20.0, 20.0), (1.0, -1.0))
 
 
-def test_make_grid_rejects_bad_dimension_and_lengths():
+def test_grid_rejects_bad_dimension_and_lengths():
     with pytest.raises(GridError):
-        make_grid(4, (16,) * 4, (10.0,) * 4, (1.0,) * 4)
+        Grid((16,) * 4, (10.0,) * 4, (1.0,) * 4)
     with pytest.raises(GridError):
-        make_grid(2, (16, 16), (-1.0, 10.0), (1.0, -1.0))
+        Grid((16, 16), (-1.0, 10.0), (1.0, -1.0))
     with pytest.raises(GridError):
-        make_grid(2, (16, 16, 16), (10.0, 10.0), (1.0, -1.0))
+        Grid((16, 16, 16), (10.0, 10.0), (1.0, -1.0))
 
 
 def test_wavenumbers_3d():
-    g = make_grid(3, (32, 32, 32), (20.0, 20.0, 20.0), (1.0, -1.0, -1.0))
+    g = Grid((32, 32, 32), (20.0, 20.0, 20.0), (1.0, -1.0, -1.0))
     for j in range(3):
         assert np.isclose(np.max(g.xi[j]), 2 * np.pi * 15 / 20)
         assert np.isclose(np.min(g.xi[j]), -2 * np.pi * 16 / 20)
@@ -42,7 +42,7 @@ def test_centered_coordinates():
 
 def test_one_dimensional_grid_allowed():
     # the traveling-profile equation needs d=1 with alpha = 1 - |c|^2
-    g = make_grid(1, (64,), (30.0,), (0.0,))
+    g = Grid((64,), (30.0,), (0.0,))
     assert g.d == 1 and g.alpha == (0.0,)
 
 
@@ -132,13 +132,13 @@ def test_norms_gaussian_analytic():
     assert abs(b.l2**2 - np.pi) < 1e-10 * np.pi
 
 
-def test_lp_norms():
+def test_norms_lp_entries():
     g = Grid((16, 16), (2.0, 3.0), (1.0, -1.0))
     f = constant_field(g, 0.5j)
-    assert np.isclose(lp_norm(f, 4), (0.5**4 * 6.0) ** 0.25)
-    assert np.isclose(lp_norm(f, 2), norms(f).l2)
+    assert np.isclose(norms(f, ps=(4,)).lp[4], (0.5**4 * 6.0) ** 0.25)
+    assert np.isclose(norms(f, ps=(2,)).lp[2], norms(f).l2)
     with pytest.raises(GridError):
-        lp_norm(f, -1.0)
+        norms(f, ps=(-1.0,))
 
 
 def test_norms_reject_nan():

@@ -205,7 +205,7 @@ def test_nonlinear_stage_matches_complex_exp(sigma, with_potential):
     problem = EvolutionProblem(g, lam=1.3, sigma=sigma, potential=V)
     dt = 0.2
     u = u0.copy()
-    amp = _nonlinear_stage(u, problem, dt)
+    amp = _nonlinear_stage(u, dt, problem.lam, sigma, V)
     # the amplitude: exact products for sigma = 2 and 4, |u|^sigma otherwise
     if sigma == 2.0:
         assert np.array_equal(amp, u0.real ** 2 + u0.imag ** 2)
@@ -336,6 +336,42 @@ def test_verify_conservation_on_uniform_times_is_centered(alpha, dt0, stride):
         <= 1e-12 * rep.virial_scale
     assert abs(rep.virial_second_residual - second) \
         <= 1e-12 * rep.virial_second_scale
+
+
+def test_verify_conservation_leaves_sliver_interval_out():
+    # t_end a hair past 0.05 makes `march` clip a last step of 1e-7 or
+    # 5e-12 after the sample at 0.05, whose d2V would divide the roundoff
+    # in V by h- h+; the audit leaves that sample out of the virial
+    # residuals, so they stay at the unclipped run's level
+    g = hnls_grid(n=32, length=20.0)
+    f = gaussian_field(g, amplitude=1.0, width=1.5, boost=(0.5, -0.3))
+    problem = EvolutionProblem(g, lam=1.0, sigma=2.0)
+    reps, series = {}, {}
+    for t_end in (0.05, 0.0500001, 0.050000000005, 0.055):
+        _, series[t_end] = run(StepperState(field=f, dt=1e-3), problem,
+                               RunConfig(t_end=t_end))
+        reps[t_end] = verify_conservation(series[t_end])
+    base = reps[0.05]
+    for t_end in (0.0500001, 0.050000000005):
+        h = np.diff(series[t_end].t)
+        assert h[-1] < 1e-3 * h[-2]
+        rep = reps[t_end]
+        assert rep.virial_rate_residual <= 2.0 * base.virial_rate_residual
+        assert rep.virial_second_residual <= 2.0 * base.virial_second_residual
+    # intervals 0.01 then 0.005 (ratio 2): every sample is audited, so the
+    # residuals are the three-point formula's over all of them, bit for bit
+    s, rep = series[0.055], reps[0.055]
+    h = np.diff(s.t)
+    assert h[-1] == pytest.approx(0.5 * h[-2])
+    quot = np.diff(s.column("virial")) / h
+    span = h[:-1] + h[1:]
+    dV = (h[1:] * quot[:-1] + h[:-1] * quot[1:]) / span
+    d2V = 2.0 * (quot[1:] - quot[:-1]) / span
+    for got, d, col in ((rep.virial_rate_residual, dV, "virial_rate"),
+                        (rep.virial_rate_signed_residual, dV,
+                         "virial_rate_signed"),
+                        (rep.virial_second_residual, d2V, "virial_rhs")):
+        assert got == float(np.max(np.abs(d - s.column(col)[1:-1])))
 
 
 def test_conservation_report_elliptic_run():

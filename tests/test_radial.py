@@ -168,17 +168,37 @@ def test_mass_conserved_to_roundoff():
         assert abs(radial_mass(res.profile) - m0) / m0 < 1e-10
 
 
-def test_conjugation_identity():
-    # sign=-1 evolved directly vs conjugate/flip-lam/conjugate-back
+@pytest.mark.parametrize("sigma", [1.5, 4.0])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("eps", [0.0, 0.4])
+def test_mass_conserved_for_other_powers(sigma, sign, eps):
+    # the sigma != 2 amplitude |F|^sigma, both wedges, both inner conditions
     prof = make_radial_profile(
-        1024, 20.0, lambda r: 1.5 * np.exp(-r * r) * np.exp(-0.25j * r * r),
-        lam=1.0, sigma=2.0, sign=-1)
-    via_mirror = solve_radial(prof, 1e-3, 0.5)
-    direct = solve_radial(prof, 1e-3, 0.5, direct=True)
-    diff = np.max(np.abs(via_mirror.profile.values - direct.profile.values))
+        512, 20.0, lambda r: 1.2 * np.exp(-r * r) * np.exp(-0.3j * r * r),
+        eps=eps, lam=1.0, sigma=sigma, sign=sign)
+    m0 = radial_mass(prof)
+    res = solve_radial(prof, 1e-3, 0.3, sample_stride=100)
+    assert res.status == STATUS_DONE and res.steps == 300
+    assert abs(radial_mass(res.profile) - m0) / m0 < 1e-10
+
+
+def test_conjugation_identity():
+    # the sign=-1 problem is the conjugate of the sign=+1 problem with lam
+    # flipped: evolve both and compare after conjugating back
+    def data(r):
+        return 1.5 * np.exp(-r * r) * np.exp(-0.25j * r * r)
+
+    prof = make_radial_profile(1024, 20.0, data, lam=1.0, sigma=2.0,
+                               sign=-1)
+    mirror = make_radial_profile(1024, 20.0, lambda r: np.conj(data(r)),
+                                 lam=-1.0, sigma=2.0, sign=1)
+    res = solve_radial(prof, 1e-3, 0.5)
+    res_mirror = solve_radial(mirror, 1e-3, 0.5)
+    diff = np.max(np.abs(res.profile.values
+                         - np.conj(res_mirror.profile.values)))
     assert diff < 1e-10
-    assert via_mirror.profile.sign == -1
-    assert via_mirror.profile.lam == 1.0
+    assert res.profile.sign == -1
+    assert res.profile.lam == 1.0
 
 
 def test_focusing_negative_energy_blows_up(focusing_blowup):
