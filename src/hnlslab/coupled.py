@@ -76,6 +76,18 @@ class DecomposedState:
         return self.v.with_values(self.v.values + phi)
 
 
+def _initial_v(v0: ComplexField | None, grid: Grid) -> ComplexField:
+    """v0 of a decomposed or two-wave run: zero when None, else a field on
+    `grid`'s box stamped t=0."""
+    if v0 is None:
+        return constant_field(grid, 0.0)
+    if not v0.grid.same_box(grid):
+        raise GridError("v0 grid does not match the target grid")
+    if v0.t != 0.0:
+        raise ValueError("v0 must be stamped t=0")
+    return v0
+
+
 def make_decomposed(spec, grid: Grid,
                     v0: ComplexField | None = None) -> DecomposedState:
     """Initial decomposed state at t=0; v0 defaults to zero."""
@@ -86,13 +98,7 @@ def make_decomposed(spec, grid: Grid,
     else:
         raise TypeError(f"unsupported structured spec {type(spec).__name__}")
     lift_structured(spec, field.values, grid, 0.0)  # validates compatibility
-    if v0 is None:
-        v0 = constant_field(grid, 0.0)
-    if not v0.grid.same_box(grid):
-        raise GridError("v0 grid does not match the target grid")
-    if v0.t != 0.0:
-        raise ValueError("v0 must be stamped t=0")
-    return DecomposedState(v=v0, spec=spec, profile=field,
+    return DecomposedState(v=_initial_v(v0, grid), spec=spec, profile=field,
                            profile_problem=problem)
 
 
@@ -480,10 +486,7 @@ def two_wave_run(spec1: PlaneWaveSpec, spec2: PlaneWaveSpec,
     prob2, f2 = plane_wave_problem(spec2)
     l1 = lift_structured(spec1, f1.values, grid, 0.0)
     l2 = lift_structured(spec2, f2.values, grid, 0.0)
-    if v0 is None:
-        v0 = constant_field(grid, 0.0)
-    if not v0.grid.same_box(grid):
-        raise GridError("v0 grid does not match the target grid")
+    v0 = _initial_v(v0, grid)
     scale = norms(ComplexField(grid, l1)).h1 * norms(ComplexField(grid, l2)).h1
 
     problem = EvolutionProblem(grid=grid, lam=spec1.lam, sigma=spec1.sigma)

@@ -12,7 +12,7 @@ the usual O(dt^2) splitting error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,6 +25,14 @@ STATUS_DONE = "Done"
 STATUS_BLOWNUP = "BlownUp"
 
 
+def _check_nonlinearity(lam: float, sigma: float) -> None:
+    """The rule on (lam, sigma) of every problem, wave spec and radial
+    profile: lam finite, sigma finite and >= 0."""
+    if not (math.isfinite(lam) and math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"need lam finite and sigma finite >= 0, got "
+                         f"lam={lam}, sigma={sigma}")
+
+
 @dataclass
 class EvolutionProblem:
     """Grid plus physics: nonlinearity strength/power and optional potential."""
@@ -32,26 +40,17 @@ class EvolutionProblem:
     lam: float
     sigma: float
     potential: np.ndarray | None = None
-    _phases: dict = dc_field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        _check_nonlinearity(self.lam, self.sigma)
         if self.potential is not None:
             self.potential = np.asarray(self.potential, dtype=float)
             if self.potential.shape != self.grid.n:
                 raise GridError("potential shape does not match grid")
 
     def linear_phase(self, dt: float) -> np.ndarray:
-        """Cached Fourier multiplier exp(-i dt sum alpha_j xi_j^2)."""
-        key = float(dt)
-        ph = self._phases.get(key)
-        if ph is None:
-            ph = np.exp(-1j * dt * self.grid.symbol)
-            if len(self._phases) > 16:
-                self._phases.clear()
-            self._phases[key] = ph
-        return ph
+        """Fourier multiplier exp(-i dt sum alpha_j xi_j^2)."""
+        return np.exp(-1j * dt * self.grid.symbol)
 
 
 def harmonic_saddle_potential(grid: Grid, k: float, flat_frac: float = 0.8) -> np.ndarray:
@@ -162,23 +161,27 @@ class SpectralMarch:
     """One field carried as its spectrum u^ = fftn(u) through Strang steps.
 
     A step is ifftn(u^ L(h/2)) -> N(h) -> fftn -> L(h/2): two FFTs where
-    `step_strang` spends four, matching a loop of it to roundoff.  The
-    physical field is formed by one ifftn, and only when `field` asks.
+    `step_strang` spends four, matching a loop of it to roundoff.  L(h/2)
+    is kept for the last h stepped and formed again only when h changes.
+    The physical field is formed by one ifftn, and only when `field` asks.
     """
 
     def __init__(self, field: ComplexField, problem: EvolutionProblem):
+        if not field.grid.same_box(problem.grid):
+            raise GridError(f"field on {field.grid}, problem on {problem.grid}")
         self.problem = problem
         self.spectrum = np.fft.fftn(field.values)
-        self._grid = field.grid
         self._field = field        # None while only the spectrum is current
+        self._h = self._half = None     # the last step size and its L(h/2)
 
     def step(self, h: float) -> float:
         """Advance by h and return the sup of the half-step field L(h/2) u,
         read off the amplitude the nonlinear stage computes (non-finite
         when the field is)."""
         problem, sigma = self.problem, self.problem.sigma
-        half = problem.linear_phase(0.5 * h)
-        w = self.spectrum * half
+        if h != self._h:
+            self._h, self._half = h, problem.linear_phase(0.5 * h)
+        w = self.spectrum * self._half
         np.fft.ifftn(w, out=w)
         amp = _nonlinear_stage(w, h, problem.lam, sigma, problem.potential)
         if sigma > 0:
@@ -187,7 +190,7 @@ class SpectralMarch:
             sup = float(np.max(np.abs(w)))
         del amp            # free it before the forward FFT: peak memory
         np.fft.fftn(w, out=w)
-        w *= half
+        w *= self._half
         self.spectrum = w
         self._field = None
         return sup
@@ -195,8 +198,8 @@ class SpectralMarch:
     def field(self, t: float) -> ComplexField:
         """The physical field, stamped t; formed once per step taken."""
         if self._field is None or self._field.t != t:
-            self._field = ComplexField(self._grid, np.fft.ifftn(self.spectrum),
-                                       t=t)
+            self._field = ComplexField(self.problem.grid,
+                                       np.fft.ifftn(self.spectrum), t=t)
         return self._field
 
 
@@ -208,6 +211,21 @@ class MarchState:
     steps: int = 0
     status: str = STATUS_RUNNING
     t_detect: float | None = None
+
+
+def _done_tol(t_end: float) -> float:
+    """How close to t_end a march must come to end "Done"."""
+    return 1e-12 * max(abs(t_end), 1.0)
+
+
+def _fixed_dt_samples(config: RunConfig) -> int:
+    """Samples a fixed-dt `march` from t = 0 takes: the first, one every
+    sample_stride steps and the last; steps end within `_done_tol` of
+    t_end.  Step counts past 1e18 are all counted as 1e18."""
+    span, tol = abs(config.t_end), _done_tol(config.t_end)
+    steps = math.ceil(min((span - tol) / config.dt0, 1e18)) \
+        if span > tol else 0
+    return 1 + -(-steps // config.sample_stride)
 
 
 def march(t0: float, config: RunConfig, sigma: float,
@@ -247,7 +265,7 @@ def march(t0: float, config: RunConfig, sigma: float,
         else 1e6 * max(sup, 1e-300)
     dt_floor = config.dt_floor if config.dt_floor is not None \
         else config.dt0 * 1e-8
-    tol = 1e-12 * max(abs(config.t_end), 1.0)
+    tol = _done_tol(config.t_end)
     stride = config.sample_stride
     last_sup = sup
     while True:

@@ -20,7 +20,8 @@ import numpy as np
 from .fields import (ComplexField, FieldDataError, Grid, GridError,
                      _is_pow2, evaluate_at_axes)
 from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
-                        StepperState, harmonic_saddle_potential, run)
+                        StepperState, _check_nonlinearity,
+                        harmonic_saddle_potential, run)
 from .transforms import (TransformError, TransformState,
                          integrate_transform_odes, signature_quadratic)
 
@@ -56,8 +57,7 @@ class PlaneWaveSpec:
         self.c = tuple(float(v) for v in self.c)
         if not self.c:
             raise ValueError("speed vector must have at least one component")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        _check_nonlinearity(self.lam, self.sigma)
 
     @property
     def speed_sq(self) -> float:
@@ -145,13 +145,19 @@ def plane_wave_profile_at(spec: PlaneWaveSpec, t: float, *,
     if abs(spec.dispersion) < 1e-12:
         return spec.f0 * np.exp(1j * spec.lam * t
                                 * np.abs(spec.f0) ** spec.sigma)
+    return _march_profile(*plane_wave_problem(spec), t, dt, "profile")
+
+
+def _march_profile(problem: EvolutionProblem, field: ComplexField, t: float,
+                   dt: float, what: str) -> np.ndarray:
+    """Values of `field` marched by `run` to t (a copy at t = 0); a run
+    that does not end Done raises RuntimeError naming `what`."""
     if t == 0.0:
-        return spec.f0.copy()
-    problem, field = plane_wave_problem(spec)
+        return field.values.copy()
     state, _ = run(StepperState(field=field, dt=dt), problem,
                    RunConfig(t_end=t, dt0=dt, sample_stride=10 ** 9))
     if state.status != STATUS_DONE:
-        raise RuntimeError(f"profile evolution ended {state.status} "
+        raise RuntimeError(f"{what} evolution ended {state.status} "
                            f"at t={state.t:.6g}")
     return state.field.values
 
@@ -187,8 +193,7 @@ class StandingWaveSpec:
         if not np.all(np.isfinite(self.f0)):
             raise FieldDataError("transverse profile must be finite")
         self.omega = float(self.omega)
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        _check_nonlinearity(self.lam, self.sigma)
 
 
 def standing_wave_problem(spec: StandingWaveSpec, grid: Grid) -> tuple:
@@ -222,16 +227,8 @@ def standing_wave_field(spec: StandingWaveSpec, t: float, grid: Grid, *,
                         dt: float = 1e-3) -> ComplexField:
     """Standing wave at time t on `grid`."""
     _carrier_index(spec.omega, grid.length[0])
-    problem, field = standing_wave_problem(spec, grid)
-    if t == 0.0:
-        gvals = spec.f0
-    else:
-        state, _ = run(StepperState(field=field, dt=dt), problem,
-                       RunConfig(t_end=t, dt0=dt, sample_stride=10 ** 9))
-        if state.status != STATUS_DONE:
-            raise RuntimeError(f"transverse evolution ended {state.status} "
-                               f"at t={state.t:.6g}")
-        gvals = state.field.values
+    gvals = _march_profile(*standing_wave_problem(spec, grid), t, dt,
+                           "transverse")
     return ComplexField(grid, standing_wave_lift(gvals, spec.omega, grid, t),
                         t=t)
 

@@ -24,6 +24,7 @@ from .fields import (ComplexField, FieldDataError, Grid, _abs2, _abs_power,
 
 # boundary mass fraction above which moment observables are untrustworthy
 MOMENT_BOUNDARY_TOL = 1e-8
+_AUDIT_SAMPLES = 5      # samples `verify_conservation` needs
 
 
 @dataclass
@@ -209,8 +210,9 @@ def verify_conservation(series: ObservableSeries) -> ConservationReport:
     The drifts and the center-of-mass fit, an ordinary least-squares
     line, use every sample.
     """
-    if len(series) < 5:
-        raise ValueError("verify_conservation needs at least 5 samples")
+    if len(series) < _AUDIT_SAMPLES:
+        raise ValueError(f"verify_conservation needs at least "
+                         f"{_AUDIT_SAMPLES} samples")
     t = series.t
 
     mass = series.column("mass")

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import load_series_csv, save_series_csv
 from .fields import Grid, cubic_stencil, lagrange_weights
 from .evolution import (STATUS_DONE, MarchState, RunConfig,
-                        _nonlinear_stage, march)
+                        _check_nonlinearity, _nonlinear_stage, march)
 
 BC_DIRICHLET = "dirichlet"
 BC_REGULARITY = "regularity"
@@ -68,8 +69,7 @@ class RadialProfile:
                              f"eps={self.r[0]} (expected {expected_bc!r})")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        _check_nonlinearity(self.lam, self.sigma)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("profile values must be finite")
         if self.values[-1] != 0:
@@ -566,14 +566,14 @@ def concentration_scan(trajectory: RadialTrajectory,
 
 
 def save_radial_csv(profile: RadialProfile, path) -> None:
-    """Three columns r, re, im with a header line."""
-    data = np.column_stack([profile.r, profile.values.real,
-                            profile.values.imag])
-    np.savetxt(path, data, delimiter=",", header="r,re,im", comments="")
+    """Columns r, re, im under a header line, via `save_series_csv`."""
+    save_series_csv(path, {"r": profile.r, "re": profile.values.real,
+                           "im": profile.values.imag})
 
 
 def load_radial_csv(path, *, lam: float, sigma: float, sign: int = 1,
                     t: float = 0.0) -> RadialProfile:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return RadialProfile(r=data[:, 0], values=data[:, 1] + 1j * data[:, 2],
+    """Inverse of `save_radial_csv`; files in the older %.18e form load too."""
+    cols = load_series_csv(path)
+    return RadialProfile(r=cols["r"], values=cols["re"] + 1j * cols["im"],
                          lam=lam, sigma=sigma, sign=sign, t=t)

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -54,9 +53,9 @@ from . import __version__
 from .fields import (ComplexField, Grid, GridError, _is_pow2,
                      gaussian_field, harmonic_field, norms,
                      random_smooth_field)
-from .observables import verify_conservation
+from .observables import _AUDIT_SAMPLES, verify_conservation
 from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
-                        StepperState, run)
+                        StepperState, _fixed_dt_samples, run)
 from .transforms import (closed_form_b, constraint_residuals,
                          integrate_transform_odes)
 from .radial import (concentration_scan, make_radial_profile, radial_energy,
@@ -313,46 +312,30 @@ def _run_config(run: dict) -> RunConfig:
 
 
 def _runnable(errors, where, run):
+    """The run section's `RunConfig`, or None with its problem reported."""
     try:
-        _run_config(run)
+        return _run_config(run)
     except ValueError as exc:
-        _fail(errors, where, str(exc))
-
-
-def _fixed_dt_samples(run: dict) -> int:
-    """Samples a fixed-dt `march` takes: the first, one every
-    sample_stride steps and the last; steps end within the march's Done
-    tolerance of t_end.  Step counts past 1e18 are all counted as 1e18."""
-    span = abs(run["t_end"])
-    tol = 1e-12 * max(span, 1.0)
-    steps = math.ceil(min((span - tol) / run["dt0"], 1e18)) \
-        if span > tol else 0
-    return 1 + -(-steps // run["sample_stride"])
+        return _fail(errors, where, str(exc))
 
 
 def _auditable(errors, where, run):
-    """The run rule of conservation-report: `verify_conservation` needs 5
-    samples.  An adaptive run's count is not known before it runs."""
-    before = len(errors)
-    _runnable(errors, where, run)
-    if len(errors) == before and not run["adapt"]:
-        samples = _fixed_dt_samples(run)
-        if samples < 5:
-            _fail(errors, where, f"conservation-report needs at least 5 "
-                                 f"samples; t_end, dt0 and sample_stride "
-                                 f"give {samples}")
+    """The run rule of conservation-report: `verify_conservation` needs
+    `_AUDIT_SAMPLES` samples.  An adaptive run's count is not known
+    before it runs."""
+    config = _runnable(errors, where, run)
+    if config is not None and not config.adapt:
+        samples = _fixed_dt_samples(config)
+        if samples < _AUDIT_SAMPLES:
+            _fail(errors, where, f"conservation-report needs at least "
+                                 f"{_AUDIT_SAMPLES} samples; t_end, dt0 and "
+                                 f"sample_stride give {samples}")
 
 
 def _hole_inside(errors, where, block):
     if block["eps"] >= block["r_max"]:
         _fail(errors, f"{where}.eps", f"must be < r_max = {block['r_max']}, "
                                       f"got {block['eps']}")
-
-
-def _distinct_speeds(errors, where, block):
-    if block["first"]["c"] == block["second"]["c"]:
-        _fail(errors, f"{where}.second.c", "must differ from first.c: the "
-                                           "two waves need distinct speeds")
 
 
 def _block_check(kind, grid):
@@ -389,12 +372,12 @@ def _block_check(kind, grid):
                    grid["length"][0])
 
     def both_fit(errors, where, block):
-        _distinct_speeds(errors, where, block)
-        if grid is None:
-            return
+        if block["first"]["c"] == block["second"]["c"]:
+            _fail(errors, f"{where}.second.c", "must differ from first.c: "
+                  "the two waves need distinct speeds")
         for name in ("first", "second"):
-            on_box(errors, f"{where}.{name}", _alignment_ints,
-                   block[name]["c"], block["period"], grid["length"])
+            fits(errors, f"{where}.{name}",
+                 {**block[name], "period": block["period"]})
 
     side = _sub({**_PROFILE, "c": plane["c"]})
     blocks = {
@@ -537,7 +520,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _profile_values(profile: dict, n: int, period: float) -> np.ndarray:
-    z = (np.arange(n) - n // 2) * (period / n)
+    """Profile samples on the grid its wave's profile marches on."""
+    z = Grid((n,), (period,), (1.0,)).coords[0]
     if profile["shape"] == "zero":
         return np.zeros(n, dtype=np.complex128)
     amp, width = profile["amplitude"], profile["width"]
@@ -547,27 +531,19 @@ def _profile_values(profile: dict, n: int, period: float) -> np.ndarray:
 
 def _config_warnings(cfg: ExperimentConfig) -> list:
     """Advisory lint: profile hypotheses and regime certification."""
-    warn = []
-
-    def lint(label, profile, n, period):
-        f0 = _profile_values(profile, n, period)
-        warn.extend(f"{label}: {w}"
-                    for w in profile_hypothesis_warnings(f0, period))
-
     b = cfg.block
-    if cfg.kind == "planewave":
-        lint("profile", b["profile"], b["n"], b["period"])
-    elif cfg.kind == "standing":
-        lint("profile", b["profile"], b["n"], cfg.grid["length"][1])
-    elif cfg.kind == "two-wave":
-        lint("first.profile", b["first"]["profile"], b["n"], b["period"])
-        lint("second.profile", b["second"]["profile"], b["n"], b["period"])
-    elif cfg.kind == "stability":
-        period = b["period"] if b["wave"] == "plane" \
-            else cfg.grid["length"][1]
-        lint("profile", b["profile"], b["n"], period)
-        in_regime, note = certify_regime(_wave_spec(cfg, b["wave"] == "plane"),
-                                         cfg.build_grid())
+    if cfg.kind == "two-wave":
+        specs = {f"{name}.profile": _wave_spec(cfg, b, b[name])
+                 for name in ("first", "second")}
+    elif cfg.kind in ("planewave", "standing", "stability"):
+        specs = {"profile": _wave_spec(cfg, b)}
+    else:
+        return []
+    period = _profile_period(cfg, b)
+    warn = [f"{label}: {w}" for label, spec in specs.items()
+            for w in profile_hypothesis_warnings(spec.f0, period)]
+    if cfg.kind == "stability":
+        in_regime, note = certify_regime(specs["profile"], cfg.build_grid())
         if not in_regime:
             warn.append(f"out-of-regime: {note}")
     return warn
@@ -667,18 +643,24 @@ def _exp_conservation(cfg, outdir, outputs) -> str:
     return state.status
 
 
-def _wave_spec(cfg, plane: bool):
-    """The plane (or standing) wave spec of a planewave, standing or
-    stability block."""
-    b = cfg.block
-    if plane:
-        return PlaneWaveSpec(f0=_profile_values(b["profile"], b["n"],
-                                                b["period"]),
-                             period=b["period"], c=tuple(b["c"]),
-                             lam=cfg.lam, sigma=cfg.sigma)
-    return StandingWaveSpec(f0=_profile_values(b["profile"], b["n"],
-                                               cfg.grid["length"][1]),
-                            omega=b["omega"], lam=cfg.lam, sigma=cfg.sigma)
+def _profile_period(cfg, block) -> float:
+    """The period a wave block's profile is sampled over: the plus-axis
+    period of a plane wave, the transverse box length of a standing one."""
+    return cfg.grid["length"][1] if "omega" in block else block["period"]
+
+
+def _wave_spec(cfg, block, side=None):
+    """The plane or standing wave spec of a planewave, standing or
+    stability block, or of the `side` (first or second) of a two-wave
+    block."""
+    side = block if side is None else side
+    f0 = _profile_values(side["profile"], block["n"],
+                         _profile_period(cfg, block))
+    if "omega" in block:
+        return StandingWaveSpec(f0=f0, omega=block["omega"], lam=cfg.lam,
+                                sigma=cfg.sigma)
+    return PlaneWaveSpec(f0=f0, period=block["period"], c=tuple(side["c"]),
+                         lam=cfg.lam, sigma=cfg.sigma)
 
 
 def _exp_structured_wave(cfg, outdir, outputs) -> str:
@@ -687,9 +669,9 @@ def _exp_structured_wave(cfg, outdir, outputs) -> str:
     on the grid (integer carrier index).
     """
     grid = cfg.build_grid()
-    plane = cfg.kind == "planewave"
-    spec = _wave_spec(cfg, plane)
-    wave_field = plane_wave_field if plane else standing_wave_field
+    spec = _wave_spec(cfg, cfg.block)
+    wave_field = plane_wave_field if cfg.kind == "planewave" \
+        else standing_wave_field
     u0 = wave_field(spec, 0.0, grid)
     state, _ = _run_full(cfg, grid, u0, outdir, outputs)
     mismatch = None
@@ -814,7 +796,7 @@ def _exp_stability(cfg, outdir, outputs) -> str:
     """
     grid = cfg.build_grid()
     b = cfg.block
-    spec = _wave_spec(cfg, b["wave"] == "plane")
+    spec = _wave_spec(cfg, b)
     shape = _field_from_block(b["shape"], grid,
                               np.random.default_rng(cfg.seed))
     reports = stability_run(spec, shape, b["eps"], b["t_end"], grid,
@@ -839,14 +821,8 @@ def _exp_two_wave(cfg, outdir, outputs) -> str:
     """Interaction remainder of two plane waves at distinct speeds."""
     grid = cfg.build_grid()
     b = cfg.block
-
-    def spec(side):
-        return PlaneWaveSpec(f0=_profile_values(side["profile"], b["n"],
-                                                b["period"]),
-                             period=b["period"], c=tuple(side["c"]),
-                             lam=cfg.lam, sigma=cfg.sigma)
-
-    series = two_wave_run(spec(b["first"]), spec(b["second"]), None,
+    series = two_wave_run(_wave_spec(cfg, b, b["first"]),
+                          _wave_spec(cfg, b, b["second"]), None,
                           b["t_end"], grid, dt=b["dt"],
                           sample_stride=b["sample_stride"])
     csv_path = os.path.join(outdir, "two_wave.csv")

@@ -406,6 +406,10 @@ def test_two_wave_rejects_bad_pairs():
     with pytest.raises(GridError):
         two_wave_run(s1, _plane_spec(c=(-1.0,)),
                      constant_field(hnls_grid(n=32), 0.0), 0.1, grid)
+    # the run starts at t = 0, so a later v0 used to be run from there
+    late = ComplexField(grid, np.zeros(grid.n, dtype=complex), t=0.5)
+    with pytest.raises(ValueError):
+        two_wave_run(s1, _plane_spec(c=(-1.0,)), late, 0.1, grid)
 
 
 def test_two_wave_remainder_at_t0_is_v0():

@@ -7,11 +7,11 @@ from hnlslab.fields import (
 )
 from hnlslab.evolution import (
     STATUS_BLOWNUP, STATUS_DONE, EvolutionProblem, FieldTrajectory, RunConfig,
-    StepperState, harmonic_saddle_potential, march, residual_hnls, run,
-    step_strang,
+    StepperState, _fixed_dt_samples, harmonic_saddle_potential, march,
+    residual_hnls, run, step_strang,
 )
 from hnlslab.observables import sample
-from conftest import hnls_grid
+from conftest import BAD_NONLINEARITY, hnls_grid
 
 
 def _run_field(f, problem, **kw):
@@ -439,3 +439,51 @@ def test_run_config_rejects_unusable_ceiling_and_floor():
         with pytest.raises(ValueError):
             RunConfig(t_end=1.0, dt_floor=bad)
     RunConfig(t_end=1.0, linf_ceiling=np.inf, dt_floor=1e-12)
+
+
+def test_fixed_dt_samples_counts_the_records_of_march():
+    # the parse-time count of a conservation-report is what `march` takes,
+    # clipped last steps, t_end = 0 and a span inside the Done tolerance
+    # included
+    for t_end in (0.0, 1e-13, 1e-3, 0.0095, 0.01, 0.055, -0.055, 0.1, 0.37,
+                  1.0, 2.5):
+        for dt0 in (1e-3, 3e-3, 7e-3, 0.01, 0.05):
+            for stride in (1, 2, 3, 10):
+                config = RunConfig(t_end=t_end, dt0=dt0, sample_stride=stride)
+                records = []
+                march(0.0, config, 2.0, lambda h: 1.0,
+                      lambda m: records.append(m.steps) or 1.0)
+                assert _fixed_dt_samples(config) == len(records), \
+                    (t_end, dt0, stride)
+
+
+# ------------------------------------------------------ nonlinearity and box
+
+@pytest.mark.parametrize("lam, sigma", BAD_NONLINEARITY)
+def test_problem_rejects_non_finite_nonlinearity(lam, sigma):
+    # sigma = NaN used to run and report BlownUp at the first step
+    with pytest.raises(ValueError):
+        EvolutionProblem(hnls_grid(n=16), lam=lam, sigma=sigma)
+
+
+def test_run_rejects_a_field_on_another_box():
+    # stepping with one operator and sampling with another used to end Done
+    f = gaussian_field(hnls_grid(n=32, length=40.0), amplitude=0.5,
+                       width=2.0)
+    problem = EvolutionProblem(Grid((32, 32), (20.0, 20.0), (1.0, 1.0)),
+                               lam=1.0, sigma=2.0)
+    with pytest.raises(GridError):
+        _run_field(f, problem, t_end=0.01)
+
+
+def test_run_forms_the_linear_phase_once_per_step_size(monkeypatch):
+    # 25 steps of dt0 and a clipped last step: two distinct step sizes
+    g = hnls_grid(n=16, length=20.0)
+    problem = EvolutionProblem(g, lam=1.0, sigma=2.0)
+    formula, calls = problem.linear_phase, []
+    monkeypatch.setattr(problem, "linear_phase",
+                        lambda dt: calls.append(dt) or formula(dt))
+    state, _ = _run_field(gaussian_field(g, amplitude=0.8, width=2.0),
+                          problem, t_end=0.0255, dt0=1e-3)
+    assert state.status == STATUS_DONE and state.step_count == 26
+    assert len(calls) == 2

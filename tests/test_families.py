@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import hnls_grid
+from conftest import BAD_NONLINEARITY, hnls_grid
 
 from hnlslab import (
     ComplexField,
@@ -62,6 +62,16 @@ def test_plane_wave_spec_validation():
         PlaneWaveSpec(f0=f0, period=40.0, c=(), lam=1.0, sigma=2.0)
     with pytest.raises(ValueError):
         PlaneWaveSpec(f0=f0, period=40.0, c=(1.0,), lam=1.0, sigma=-1.0)
+
+
+@pytest.mark.parametrize("lam, sigma", BAD_NONLINEARITY)
+def test_wave_specs_reject_non_finite_nonlinearity(lam, sigma):
+    with pytest.raises(ValueError):
+        PlaneWaveSpec(f0=_bump(3.0), period=40.0, c=(1.0,), lam=lam,
+                      sigma=sigma)
+    with pytest.raises(ValueError):
+        StandingWaveSpec(f0=_bump(2.0), omega=2.0 * np.pi / 40.0, lam=lam,
+                         sigma=sigma)
 
 
 def test_plane_wave_spec_follows_the_grid_size_rule():

@@ -34,7 +34,7 @@ from hnlslab.radial import (
     _shoot_rhs,
 )
 from hnlslab.evolution import STATUS_BLOWNUP, STATUS_DONE
-from conftest import hnls_grid
+from conftest import BAD_NONLINEARITY, hnls_grid
 
 # frozen from the shooting oracle (DOP853 classifier, bracket bisection);
 # stable to ~1e-10 across r_max in {25, 40} and n in {4096, 8192, 16384},
@@ -460,6 +460,42 @@ def test_radial_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(back.values, prof.values, atol=1e-16)
     header = path.read_text().splitlines()[0]
     assert header == "r,re,im"
+
+
+def test_radial_csv_write_is_atomic(tmp_path, monkeypatch):
+    # a failed rename raises and leaves the old file and no temporary
+    prof = make_radial_profile(64, 12.0, lambda r: np.exp(-r * r))
+    path = tmp_path / "profile.csv"
+    save_radial_csv(prof, path)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        save_radial_csv(prof.with_values(2.0 * prof.values), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["profile.csv"]
+
+
+def test_radial_csv_reads_the_older_savetxt_form(tmp_path):
+    prof = make_radial_profile(64, 12.0,
+                               lambda r: np.exp(-r * r) * (1 - 0.3j))
+    path = tmp_path / "old.csv"
+    np.savetxt(path, np.column_stack([prof.r, prof.values.real,
+                                      prof.values.imag]),
+               delimiter=",", header="r,re,im", comments="")
+    back = load_radial_csv(path, lam=prof.lam, sigma=prof.sigma)
+    assert np.array_equal(back.r, prof.r)
+    assert np.array_equal(back.values, prof.values)
+
+
+@pytest.mark.parametrize("lam, sigma", BAD_NONLINEARITY)
+def test_radial_profile_rejects_non_finite_nonlinearity(lam, sigma):
+    with pytest.raises(ValueError):
+        make_radial_profile(64, 12.0, lambda r: np.exp(-r * r), lam=lam,
+                            sigma=sigma)
 
 
 def test_package_import_leaves_scipy_unloaded():
