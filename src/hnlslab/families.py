@@ -52,11 +52,13 @@ class PlaneWaveSpec:
         if not np.all(np.isfinite(self.f0)):
             raise FieldDataError("profile samples must be finite")
         self.period = float(self.period)
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not 0 < self.period < math.inf:
+            raise ValueError(f"period must be finite and > 0, "
+                             f"got {self.period}")
         self.c = tuple(float(v) for v in self.c)
-        if not self.c:
-            raise ValueError("speed vector must have at least one component")
+        if not self.c or not all(map(math.isfinite, self.c)):
+            raise ValueError(f"speed vector must be finite and non-empty, "
+                             f"got {self.c}")
         _check_nonlinearity(self.lam, self.sigma)
 
     @property
@@ -193,6 +195,8 @@ class StandingWaveSpec:
         if not np.all(np.isfinite(self.f0)):
             raise FieldDataError("transverse profile must be finite")
         self.omega = float(self.omega)
+        if not math.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega}")
         _check_nonlinearity(self.lam, self.sigma)
 
 

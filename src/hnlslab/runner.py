@@ -28,9 +28,10 @@ plus exactly one kind-specific block named after the kind (none for
 simulate / conservation-report); see the block tables in `_block_check`
 for their keys.  Unknown keys anywhere are rejected, so are NaN and
 Infinity wherever a number is expected, and so are key combinations the
-run would refuse (an adaptive backward run, a radial hole `eps >= r_max`,
-two waves at one speed, a plane or standing wave that is not periodic on
-the box, a fixed-dt conservation-report with fewer than 5 samples).
+run would refuse (an adaptive backward run, a radial hole `eps >= r_max`
+or around a concentration radius, two waves at one speed, a plane or
+standing wave that does not fit the box, a fixed-dt conservation-report
+with fewer than 5 samples).
 Validation reports every problem at once rather than stopping at the
 first.
 
@@ -336,6 +337,10 @@ def _hole_inside(errors, where, block):
     if block["eps"] >= block["r_max"]:
         _fail(errors, f"{where}.eps", f"must be < r_max = {block['r_max']}, "
                                       f"got {block['eps']}")
+    for i, e in enumerate(block["concentration_eps"] or ()):
+        if e <= block["eps"]:
+            _fail(errors, f"{where}.concentration_eps[{i}]",
+                  f"must be > eps = {block['eps']}, got {e}")
 
 
 def _block_check(kind, grid):
@@ -358,7 +363,8 @@ def _block_check(kind, grid):
             _fail(errors, where, str(exc))
 
     def fits(errors, where, block):
-        """The plane or standing wave is periodic on the box."""
+        """The plane or standing wave fits the box: it is periodic, and a
+        standing profile spans the transverse axis."""
         if grid is None:
             return
         if "omega" not in block:
@@ -368,6 +374,10 @@ def _block_check(kind, grid):
             _fail(errors, where, f"standing waves are planar (d = 2), grid "
                                  f"has d = {d}")
         else:
+            if block["n"] != grid["n"][1]:
+                _fail(errors, f"{where}.n", f"must equal the transverse grid "
+                                            f"size {grid['n'][1]}, got "
+                                            f"{block['n']}")
             on_box(errors, where, _carrier_index, block["omega"],
                    grid["length"][0])
 
@@ -413,7 +423,7 @@ def _block_check(kind, grid):
                                  "k": (_FINITE, _REQUIRED),
                                  "d": (_integer(1, 3), 2),
                                  "t_end": (_POSITIVE, 1.0),
-                                 "nodes": (_integer(2), 201),
+                                 "nodes": (_integer(3), 201),
                                  "max_step": (_POSITIVE, 1e-3)}),
     }
     return blocks.get(kind)
@@ -585,7 +595,35 @@ def _series_columns(series) -> dict:
     return cols
 
 
-def _run_full(cfg, grid, u0, outdir, outputs, basename="observables"):
+class _RunDir:
+    """The output directory of one run.  Every artifact is written through
+    it by file name and recorded, in write order, once its writer returns;
+    the manifest lists exactly what was recorded.  The writers are looked
+    up by name at each call, so a wrapper set on this module sees them."""
+
+    def __init__(self, root: str):
+        self.root = root
+        self.paths = []
+
+    def _put(self, name, write):
+        path = os.path.join(self.root, name)
+        write(path)
+        self.paths.append(path)
+
+    def series(self, name, columns):
+        self._put(name, lambda path: save_series_csv(path, columns))
+
+    def json(self, name, payload):
+        self._put(name, lambda path: write_json(path, payload))
+
+    def snapshot(self, name, field):
+        self._put(name, lambda path: write_snapshot(field, path))
+
+    def radial(self, name, profile):
+        self._put(name, lambda path: save_radial_csv(profile, path))
+
+
+def _run_full(cfg, grid, u0, out):
     """Shared full-grid march: series CSV, optional stride snapshots, and
     a final snapshot."""
     problem = EvolutionProblem(grid, lam=cfg.lam, sigma=cfg.sigma)
@@ -595,51 +633,31 @@ def _run_full(cfg, grid, u0, outdir, outputs, basename="observables"):
 
     def observer(st, _sample):
         if stride > 0 and emitted[0] % stride == 0:
-            path = os.path.join(outdir, f"snap_{emitted[0]:05d}.snap")
-            write_snapshot(st.field, path)
-            outputs.append(path)
+            out.snapshot(f"snap_{emitted[0]:05d}.snap", st.field)
         emitted[0] += 1
 
     state, series = run(StepperState(field=u0, dt=rc["dt0"]), problem,
                         _run_config(rc), observer)
-    csv_path = os.path.join(outdir, basename + ".csv")
-    save_series_csv(csv_path, _series_columns(series))
-    outputs.append(csv_path)
-    snap_path = os.path.join(outdir, "final.snap")
-    write_snapshot(state.field, snap_path)
-    outputs.append(snap_path)
+    out.series("observables.csv", _series_columns(series))
+    out.snapshot("final.snap", state.field)
     return state, series
 
 
-def _exp_simulate(cfg, outdir, outputs) -> str:
-    """Plain initial-value run: observables.csv, snapshots, final.snap."""
+def _exp_simulate(cfg, out) -> str:
+    """Plain initial-value run: observables.csv, snapshots, final.snap;
+    a conservation-report adds a drift report (conservation.json)."""
     grid = cfg.build_grid()
     u0 = _field_from_block(cfg.initial, grid,
                            np.random.default_rng(cfg.seed))
-    state, _ = _run_full(cfg, grid, u0, outdir, outputs)
-    return state.status
-
-
-def _exp_conservation(cfg, outdir, outputs) -> str:
-    """Simulate plus a drift report (conservation.json)."""
-    grid = cfg.build_grid()
-    u0 = _field_from_block(cfg.initial, grid,
-                           np.random.default_rng(cfg.seed))
-    state, series = _run_full(cfg, grid, u0, outdir, outputs)
+    state, series = _run_full(cfg, grid, u0, out)
+    if cfg.kind == "simulate":
+        return state.status
     rep = verify_conservation(series)
-    path = os.path.join(outdir, "conservation.json")
-    write_json(path, {
-        "status": state.status,
-        "mass_drift": rep.mass_drift,
-        "energy_drift": rep.energy_drift,
-        "momentum_drift": rep.momentum_drift,
-        "com_fit_residual": rep.com_fit_residual,
-        "virial_rate_residual": rep.virial_rate_residual,
-        "virial_second_residual": rep.virial_second_residual,
-        "rate_convention": rep.rate_convention,
-        "moments_ok": rep.moments_ok,
-    })
-    outputs.append(path)
+    out.json("conservation.json", {"status": state.status, **{
+        key: getattr(rep, key) for key in (
+            "mass_drift", "energy_drift", "momentum_drift",
+            "com_fit_residual", "virial_rate_residual",
+            "virial_second_residual", "rate_convention", "moments_ok")}})
     return state.status
 
 
@@ -663,7 +681,7 @@ def _wave_spec(cfg, block, side=None):
                          lam=cfg.lam, sigma=cfg.sigma)
 
 
-def _exp_structured_wave(cfg, outdir, outputs) -> str:
+def _exp_structured_wave(cfg, out) -> str:
     """Evolve a lifted plane or standing wave and compare against the
     profile flow; writes <kind>.json.  A standing wave's omega must sit
     on the grid (integer carrier index).
@@ -673,21 +691,19 @@ def _exp_structured_wave(cfg, outdir, outputs) -> str:
     wave_field = plane_wave_field if cfg.kind == "planewave" \
         else standing_wave_field
     u0 = wave_field(spec, 0.0, grid)
-    state, _ = _run_full(cfg, grid, u0, outdir, outputs)
+    state, _ = _run_full(cfg, grid, u0, out)
     mismatch = None
     if state.status == STATUS_DONE:
         ref = wave_field(spec, state.t, grid, dt=cfg.run["dt0"])
         num = norms(state.field.with_values(state.field.values - ref.values))
         mismatch = num.l2 / max(norms(ref).l2, 1e-300)
-    path = os.path.join(outdir, f"{cfg.kind}.json")
-    write_json(path, {"status": state.status, "t_end": state.t,
-                      "formula_mismatch": mismatch,
-                      "warnings": cfg.warnings})
-    outputs.append(path)
+    out.json(f"{cfg.kind}.json", {"status": state.status, "t_end": state.t,
+                                  "formula_mismatch": mismatch,
+                                  "warnings": cfg.warnings})
     return state.status
 
 
-def _exp_semiclassical(cfg, outdir, outputs) -> str:
+def _exp_semiclassical(cfg, out) -> str:
     """Chirp-dilated candidate sampled along its coefficient trajectory.
 
     Writes semiclassical.csv (t, sup, a, b, f, g), the final field, and a
@@ -706,24 +722,18 @@ def _exp_semiclassical(cfg, outdir, outputs) -> str:
     for tt in state.t:
         psi = semiclassical_field(spec, float(tt), grid, state=state)
         sups.append(psi.linf())
-    csv_path = os.path.join(outdir, "semiclassical.csv")
-    save_series_csv(csv_path, {"t": state.t, "sup": np.asarray(sups),
-                               "a": state.a, "b": state.b, "f": state.f,
-                               "g": state.g})
-    outputs.append(csv_path)
-    snap_path = os.path.join(outdir, "final.snap")
-    write_snapshot(psi, snap_path)
-    outputs.append(snap_path)
-    path = os.path.join(outdir, "semiclassical.json")
-    write_json(path, {"status": "Done", "defect": spec.defect,
-                      "truncated": state.truncated,
-                      "singular_time": state.singular_time,
-                      "reached_t": float(state.t[-1])})
-    outputs.append(path)
+    out.series("semiclassical.csv", {"t": state.t, "sup": np.asarray(sups),
+                                     "a": state.a, "b": state.b,
+                                     "f": state.f, "g": state.g})
+    out.snapshot("final.snap", psi)
+    out.json("semiclassical.json", {"status": "Done", "defect": spec.defect,
+                                    "truncated": state.truncated,
+                                    "singular_time": state.singular_time,
+                                    "reached_t": float(state.t[-1])})
     return "Done"
 
 
-def _exp_radial(cfg, outdir, outputs) -> str:
+def _exp_radial(cfg, out) -> str:
     """Radial Crank-Nicolson run from a Gaussian.
 
     eps > 0 means a Dirichlet hole (cone-region profile).
@@ -736,9 +746,7 @@ def _exp_radial(cfg, outdir, outputs) -> str:
     result = solve_radial(prof, b["dt"], b["t_end"],
                           sample_stride=b["sample_stride"],
                           linf_ceiling=b["linf_ceiling"])
-    csv_path = os.path.join(outdir, "radial_final.csv")
-    save_radial_csv(result.profile, csv_path)
-    outputs.append(csv_path)
+    out.radial("radial_final.csv", result.profile)
     payload = {"status": result.status, "t_detect": result.t_detect,
                "steps": result.steps,
                "mass_initial": radial_mass(prof),
@@ -748,13 +756,11 @@ def _exp_radial(cfg, outdir, outputs) -> str:
         scan = concentration_scan(result.trajectory, b["concentration_eps"])
         payload["concentration"] = {"eps": list(scan.eps),
                                     "increasing": list(scan.increasing)}
-    path = os.path.join(outdir, "radial.json")
-    write_json(path, payload)
-    outputs.append(path)
+    out.json("radial.json", payload)
     return result.status
 
 
-def _exp_transform_check(cfg, outdir, outputs) -> str:
+def _exp_transform_check(cfg, out) -> str:
     """Coefficient ODEs vs closed forms.
 
     The report carries the max deviation of b (and of g where an
@@ -765,10 +771,9 @@ def _exp_transform_check(cfg, outdir, outputs) -> str:
     t_grid = np.linspace(0.0, b["t_end"], b["nodes"])
     state = integrate_transform_odes(b["a0"], b["k"], b["d"], t_grid,
                                      max_step=b["max_step"])
-    b_dev = float(np.max(np.abs(state.b
-                                - closed_form_b(b["a0"], b["k"], state.t))))
-    g_dev = None
     a0, k, t = b["a0"], b["k"], state.t
+    b_dev = float(np.max(np.abs(state.b - closed_form_b(a0, k, t))))
+    g_dev = None
     if k > 0:
         rk = 2.0 * np.sqrt(k)
         g_ref = (np.arctan(((a0 ** 2 + 4 * k) * t + a0) / rk)
@@ -776,18 +781,16 @@ def _exp_transform_check(cfg, outdir, outputs) -> str:
         g_dev = float(np.max(np.abs(state.g - g_ref)))
     elif k == 0:
         g_dev = float(np.max(np.abs(state.g - t / (1.0 + a0 * t))))
-    path = os.path.join(outdir, "transform_check.json")
-    write_json(path, {"status": "Done", "a0": a0, "k": k, "d": b["d"],
-                      "truncated": state.truncated,
-                      "singular_time": state.singular_time,
-                      "b_closed_form_dev": b_dev,
-                      "g_closed_form_dev": g_dev,
-                      "constraints": constraint_residuals(state)})
-    outputs.append(path)
+    out.json("transform_check.json", {
+        "status": "Done", "a0": a0, "k": k, "d": b["d"],
+        "truncated": state.truncated, "singular_time": state.singular_time,
+        "b_closed_form_dev": b_dev, "g_closed_form_dev": g_dev,
+        # a collapse can leave too few samples to difference
+        "constraints": constraint_residuals(state) if len(t) > 2 else None})
     return "Done"
 
 
-def _exp_stability(cfg, outdir, outputs) -> str:
+def _exp_stability(cfg, out) -> str:
     """Perturbation-size sweep around a structured wave.
 
     `shape` is the field recipe of the perturbation v0.  One CSV + JSON
@@ -804,20 +807,15 @@ def _exp_stability(cfg, outdir, outputs) -> str:
                             grow_factor=b["grow_factor"],
                             linf_ceiling=b["linf_ceiling"])
     for i, rep in enumerate(reports):
-        csv_name = f"stability_eps{i}.csv"
-        save_series_csv(os.path.join(outdir, csv_name),
-                        {"t": rep.t, "h": rep.h_series,
-                         "phi_sup": rep.phi_sup,
-                         "grad_phi_sup": rep.grad_phi_sup})
-        outputs.append(os.path.join(outdir, csv_name))
-        rep.series_path = csv_name
-        json_name = os.path.join(outdir, f"stability_eps{i}.json")
-        write_json(json_name, json.loads(rep.to_json()))
-        outputs.append(json_name)
+        rep.series_path = f"stability_eps{i}.csv"
+        out.series(rep.series_path, {"t": rep.t, "h": rep.h_series,
+                                     "phi_sup": rep.phi_sup,
+                                     "grad_phi_sup": rep.grad_phi_sup})
+        out.json(f"stability_eps{i}.json", json.loads(rep.to_json()))
     return "Done"
 
 
-def _exp_two_wave(cfg, outdir, outputs) -> str:
+def _exp_two_wave(cfg, out) -> str:
     """Interaction remainder of two plane waves at distinct speeds."""
     grid = cfg.build_grid()
     b = cfg.block
@@ -825,21 +823,19 @@ def _exp_two_wave(cfg, outdir, outputs) -> str:
                           _wave_spec(cfg, b, b["second"]), None,
                           b["t_end"], grid, dt=b["dt"],
                           sample_stride=b["sample_stride"])
-    csv_path = os.path.join(outdir, "two_wave.csv")
-    save_series_csv(csv_path, {"t": series.t, "remainder": series.remainder})
-    outputs.append(csv_path)
-    path = os.path.join(outdir, "two_wave.json")
-    write_json(path, {"status": series.status,
-                      "boundary_fraction": series.boundary_fraction,
-                      "product_scale": series.product_scale,
-                      "remainder_sup": float(np.max(series.remainder))})
-    outputs.append(path)
+    out.series("two_wave.csv", {"t": series.t,
+                                "remainder": series.remainder})
+    out.json("two_wave.json", {
+        "status": series.status,
+        "boundary_fraction": series.boundary_fraction,
+        "product_scale": series.product_scale,
+        "remainder_sup": float(np.max(series.remainder))})
     return series.status
 
 
 _EXPERIMENTS = {
     "simulate": _exp_simulate,
-    "conservation-report": _exp_conservation,
+    "conservation-report": _exp_simulate,
     "planewave": _exp_structured_wave,
     "standing": _exp_structured_wave,
     "semiclassical": _exp_semiclassical,
@@ -863,16 +859,15 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> int:
     outdir = os.fspath(out_dir) if out_dir is not None else config.output
     os.makedirs(outdir, exist_ok=True)
     started = _now()
-    outputs = []
+    out = _RunDir(outdir)
     try:
-        status = _EXPERIMENTS[config.kind](config, outdir, outputs)
+        status = _EXPERIMENTS[config.kind](config, out)
     except Exception as exc:
         status = f"Failed: {type(exc).__name__}: {exc}"
     manifest = RunManifest(config_hash=config.config_hash,
                            code_version=__version__, started=started,
                            finished=_now(), status=status)
-    for path in outputs:
-        if os.path.exists(path):
-            manifest.add_output(outdir, path)
+    for path in out.paths:
+        manifest.add_output(outdir, path)
     manifest.write(os.path.join(outdir, "manifest.json"))
     return 0 if status in ("Done", "BlownUp") else 1

@@ -10,6 +10,7 @@ import pytest
 from conftest import hnls_grid
 
 from hnlslab import (
+    KINDS,
     ConfigError,
     Grid,
     RunManifest,
@@ -238,6 +239,7 @@ def test_parse_rejects_wrong_sections_and_kind():
 
 
 _NAN, _INF = float("nan"), float("inf")
+_OMEGA = 2.0 * math.pi / 40.0     # the first carrier on a box of length 40
 
 
 def _planewave_cfg(length=40.0, **block):
@@ -266,8 +268,9 @@ def _two_wave_cfg(c1, c2, n=32):
         "two-wave": {"first": side(c1), "second": side(c2), "t_end": 0.01}})
 
 
-def _standing_cfg(kind="standing", n=32):
-    block = {"profile": {"shape": "gaussian", "width": 3.0}, "omega": 0.3}
+def _standing_cfg(kind="standing", n=32, block=None):
+    block = {"profile": {"shape": "gaussian", "width": 3.0}, "omega": 0.3,
+             **(block or {})}
     cfg = {"kind": kind,
            "grid": {"preset": "hnls", "d": 2, "n": n, "length": 40.0}}
     if kind == "stability":
@@ -311,6 +314,20 @@ def _standing_cfg(kind="standing", n=32):
     # the wave rules wait for a valid grid
     ("standing", _standing_cfg(n=63), "power of two"),
     ("two-wave", _two_wave_cfg(1.0, -1.0, n=63), "power of two"),
+    # the profile must span the transverse axis
+    ("standing", _standing_cfg(n=64, block={"omega": _OMEGA, "n": 32}),
+     "transverse grid size"),
+    ("stability", _standing_cfg(kind="stability", n=64,
+                                block={"omega": _OMEGA, "n": 32}),
+     "transverse grid size"),
+    # the concentration scan needs grid points inside each radius
+    ("radial", _radial_cfg(eps=0.5, concentration_eps=[0.2]),
+     "concentration_eps"),
+    # constraint residuals difference three samples
+    ("transform-check", json.dumps({"kind": "transform-check",
+                                    "transform-check": {"a0": 0.0, "k": 0.25,
+                                                        "nodes": 2}}),
+     "nodes"),
 ])
 def test_bad_numbers_exit_2_before_any_run(kind, text, key, tmp_path,
                                           capsys):
@@ -425,6 +442,19 @@ def test_transform_check_lens_case(tmp_path):
     assert not report["truncated"]
 
 
+def test_transform_check_records_a_collapse_before_three_samples(tmp_path):
+    # b = 1 - 10 t vanishes at t = 0.1, before the second of 3 nodes
+    cfg = parse_config(json.dumps({
+        "kind": "transform-check",
+        "transform-check": {"a0": -10.0, "k": 0.0, "nodes": 3, "t_end": 1.0},
+    }))
+    assert run_experiment(cfg, out_dir=tmp_path) == 0
+    assert _manifest(tmp_path)["status"] == "Done"
+    report = json.loads((tmp_path / "transform_check.json").read_text())
+    assert report["truncated"]
+    assert report["constraints"] is None
+
+
 def test_stability_sweep_writes_report_per_eps(tmp_path):
     cfg = parse_config(json.dumps({
         "kind": "stability",
@@ -493,6 +523,68 @@ def test_identical_config_and_seed_reproduce_digests(tmp_path):
     third = sorted((o["path"], o["sha256"])
                    for o in _manifest(out)["outputs"])
     assert third != digests[0]
+
+
+_TINY_GRID = {"preset": "hnls", "d": 2, "n": 16, "length": 40.0}
+_TINY_BUMP = {"shape": "gaussian", "width": 3.0}
+_TINY_RUN = {"t_end": 0.02, "sample_stride": 5}
+
+# (config, artifacts in the order they are written) per experiment kind
+_TINY_RUNS = {
+    "simulate": (
+        {"grid": _TINY_GRID, "initial": _TINY_BUMP,
+         "run": {**_TINY_RUN, "snapshot_stride": 2}},
+        ["snap_00000.snap", "snap_00002.snap", "snap_00004.snap",
+         "observables.csv", "final.snap"]),
+    "conservation-report": (
+        {"grid": _TINY_GRID, "initial": _TINY_BUMP, "run": _TINY_RUN},
+        ["observables.csv", "final.snap", "conservation.json"]),
+    "planewave": (
+        {"grid": _TINY_GRID, "run": _TINY_RUN,
+         "planewave": {"profile": _TINY_BUMP, "c": [1.0]}},
+        ["observables.csv", "final.snap", "planewave.json"]),
+    "standing": (
+        {"grid": _TINY_GRID, "run": _TINY_RUN,
+         "standing": {"profile": _TINY_BUMP, "omega": _OMEGA}},
+        ["observables.csv", "final.snap", "standing.json"]),
+    "semiclassical": (
+        {"grid": _TINY_GRID,
+         "semiclassical": {"k": 0.25, "candidate": _TINY_BUMP,
+                           "t_end": 0.1, "samples": 3}},
+        ["semiclassical.csv", "final.snap", "semiclassical.json"]),
+    "radial": (
+        {"radial": {"n": 64, "r_max": 10.0, "width": 1.0, "t_end": 0.02}},
+        ["radial_final.csv", "radial.json"]),
+    "transform-check": (
+        {"transform-check": {"a0": 0.0, "k": 0.25, "t_end": 0.1,
+                             "nodes": 11}},
+        ["transform_check.json"]),
+    "stability": (
+        {"grid": _TINY_GRID,
+         "stability": {"wave": "plane", "profile": _TINY_BUMP, "c": [1.0],
+                       "shape": _TINY_BUMP, "eps": [1e-3, 5e-4],
+                       "t_end": 0.01}},
+        ["stability_eps0.csv", "stability_eps0.json",
+         "stability_eps1.csv", "stability_eps1.json"]),
+    "two-wave": (
+        {"grid": {**_TINY_GRID, "length": [40.0, 80.0]},
+         "two-wave": {"first": {"profile": _TINY_BUMP, "c": [0.5]},
+                      "second": {"profile": _TINY_BUMP, "c": [-0.5]},
+                      "t_end": 0.01}},
+        ["two_wave.csv", "two_wave.json"]),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_manifest_lists_every_artifact_in_write_order(kind, tmp_path):
+    sections, written = _TINY_RUNS[kind]
+    cfg = parse_config(json.dumps({"kind": kind, **sections}))
+    assert run_experiment(cfg, out_dir=tmp_path) == 0
+    outputs = _manifest(tmp_path)["outputs"]
+    assert [o["path"] for o in outputs] == written
+    assert sorted(os.listdir(tmp_path)) == sorted(written + ["manifest.json"])
+    for entry in outputs:
+        assert file_digest(tmp_path / entry["path"]) == entry["sha256"]
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,19 @@ def test_wave_specs_reject_non_finite_nonlinearity(lam, sigma):
                          sigma=sigma)
 
 
+_NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+@pytest.mark.parametrize("spec, params", [
+    *((PlaneWaveSpec, {"period": v, "c": (1.0,)}) for v in _NON_FINITE[:2]),
+    *((PlaneWaveSpec, {"period": 40.0, "c": (v,)}) for v in _NON_FINITE),
+    *((StandingWaveSpec, {"omega": v}) for v in _NON_FINITE),
+])
+def test_wave_specs_reject_non_finite_wave_parameters(spec, params):
+    with pytest.raises(ValueError, match="finite"):
+        spec(f0=_bump(3.0), lam=1.0, sigma=2.0, **params)
+
+
 def test_plane_wave_spec_follows_the_grid_size_rule():
     # a 4-sample profile is refused when the spec is built (Grid needs
     # >= 8 samples), not later by the profile grid
