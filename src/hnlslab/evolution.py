@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import ComplexField, Grid, GridError, _abs2, cubic_stencil
+from .fields import ComplexField, Grid, GridError, _abs2, cubic_read
 from .observables import ObservableSample, ObservableSeries, sample
 
 STATUS_RUNNING = "Running"
@@ -395,14 +395,6 @@ class FieldTrajectory:
         return len(self.fields)
 
     def at(self, s: float) -> ComplexField:
-        """Field at time s, cubic in time through the 4 nearest snapshots."""
-        t = self.times
-        if not t:
-            raise ValueError("empty trajectory")
-        if s < t[0] - 1e-12 or s > t[-1] + 1e-12:
-            raise ValueError(f"time {s} outside stored range [{t[0]}, {t[-1]}]")
-        lo, w = cubic_stencil(t, s, 1e-13)
-        if w is None:
-            return self.fields[lo].copy()
-        acc = sum(wk * f.values for wk, f in zip(w, self.fields[lo:lo + 4]))
-        return ComplexField(self.fields[0].grid, acc, t=s)
+        """Field at time s by the `cubic_read` rule, stamped s."""
+        values = cubic_read(self.times, [f.values for f in self.fields], s)
+        return ComplexField(self.fields[0].grid, values, t=s)

@@ -297,23 +297,24 @@ def lagrange_weights(nodes: Sequence[float], s: float) -> list:
     return weights
 
 
-def cubic_stencil(times: Sequence[float], s: float,
-                  tol: float = 0.0) -> tuple:
-    """Where to read samples stored at increasing `times` at time s.
-
-    Returns (i, None) when s is within tol * max(1, |s|) of node i, whose
-    sample is then the value itself; otherwise (lo, w): the cubic through
-    the 4 nodes times[lo:lo+4] nearest s has the value sum_k w[k] y[lo+k].
-    Raises ValueError when that needs more nodes than there are.
-    """
+def cubic_read(times: Sequence[float], values: Sequence, s: float):
+    """The read rule of every stored trajectory: the value at time s of
+    samples `values[i]` at increasing `times[i]`.  s may lie up to 1e-12
+    past either end; within 1e-13 * max(1, |s|) of a stored time it is a
+    copy of that sample, elsewhere the cubic through the 4 nearest samples.
+    Raises ValueError when there is no sample, s is out of range, or the
+    cubic needs more samples than there are."""
+    if len(times) == 0 or not times[0] - 1e-12 <= s <= times[-1] + 1e-12:
+        raise ValueError(f"time {s} outside the stored times")
     idx = int(np.searchsorted(times, s))
     for i in (idx, idx - 1):
-        if 0 <= i < len(times) and abs(times[i] - s) <= tol * max(1.0, abs(s)):
-            return i, None
+        if 0 <= i < len(times) and abs(times[i] - s) <= 1e-13 * max(1.0, abs(s)):
+            return values[i].copy()
     if len(times) < 4:
         raise ValueError("need at least 4 samples to interpolate")
     lo = min(max(idx - 2, 0), len(times) - 4)
-    return lo, lagrange_weights(times[lo:lo + 4], s)
+    w = lagrange_weights(times[lo:lo + 4], s)
+    return sum(wk * v for wk, v in zip(w, values[lo:lo + 4]))
 
 
 def apply_linear_propagator(field: ComplexField, dt: float) -> ComplexField:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import load_series_csv, save_series_csv
-from .fields import Grid, cubic_stencil, lagrange_weights
+from .fields import Grid, cubic_read, lagrange_weights
 from .evolution import (STATUS_DONE, MarchState, RunConfig,
                         _check_nonlinearity, _nonlinear_stage, march)
 
@@ -200,7 +200,7 @@ def theta_moment(profile: RadialProfile) -> float:
 
 
 class RadialTrajectory:
-    """Time-ordered radial snapshots with 4-point Lagrange access in t."""
+    """Time-ordered radial snapshots, read in t by `cubic_read`."""
 
     def __init__(self, r: np.ndarray):
         self.r = np.asarray(r, dtype=np.float64)
@@ -223,14 +223,8 @@ class RadialTrajectory:
         return len(self._t)
 
     def at(self, t: float) -> np.ndarray:
-        """Values at time t (exact at stored nodes, cubic in between)."""
-        ts = self._t
-        if not ts or not ts[0] <= t <= ts[-1]:
-            raise ValueError(f"t={t} outside the sampled times")
-        lo, w = cubic_stencil(ts, t)
-        if w is None:
-            return self._vals[lo].copy()
-        return sum(wk * v for wk, v in zip(w, self._vals[lo:lo + 4]))
+        """Values at time t by the `cubic_read` rule."""
+        return cubic_read(self._t, self._vals, t)
 
 
 @dataclass
@@ -544,6 +538,9 @@ class ConcentrationReport:
     window: int
 
 
+_SCAN_SAMPLES = 5    # the shortest trailing window of `concentration_scan`
+
+
 def concentration_scan(trajectory: RadialTrajectory,
                        eps_list) -> ConcentrationReport:
     """Sup of |F| over r < eps at every sampled time, and whether each
@@ -552,13 +549,16 @@ def concentration_scan(trajectory: RadialTrajectory,
     eps = tuple(float(e) for e in eps_list)
     if not eps or min(eps) <= trajectory.r[0]:
         raise ValueError("every eps must exceed the inner grid radius")
+    if len(trajectory) < _SCAN_SAMPLES:
+        raise ValueError(f"the scan needs at least {_SCAN_SAMPLES} samples, "
+                         f"got {len(trajectory)}")
     ts = trajectory.t
     series = np.zeros((len(eps), len(ts)))
     for j, e in enumerate(eps):
         sel = trajectory.r < e
         for i, vals in enumerate(trajectory._vals):
             series[j, i] = np.max(np.abs(vals[sel]))
-    window = max(5, len(ts) // 10)
+    window = max(_SCAN_SAMPLES, len(ts) // 10)
     increasing = tuple(bool(np.all(np.diff(row[-window:]) > 0))
                        for row in series)
     return ConcentrationReport(eps=eps, t=ts, series=series,

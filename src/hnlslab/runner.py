@@ -59,8 +59,8 @@ from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
                         StepperState, _fixed_dt_samples, run)
 from .transforms import (closed_form_b, constraint_residuals,
                          integrate_transform_odes)
-from .radial import (concentration_scan, make_radial_profile, radial_energy,
-                     radial_mass, save_radial_csv, solve_radial)
+from .radial import (_SCAN_SAMPLES, concentration_scan, make_radial_profile,
+                     radial_energy, radial_mass, save_radial_csv, solve_radial)
 from .families import (PlaneWaveSpec, StandingWaveSpec, _alignment_ints,
                        _carrier_index, make_semiclassical_spec,
                        plane_wave_field, semiclassical_field,
@@ -333,7 +333,9 @@ def _auditable(errors, where, run):
                                  f"sample_stride give {samples}")
 
 
-def _hole_inside(errors, where, block):
+def _radial_rules(errors, where, block):
+    """The hole lies inside the box, and a concentration scan has grid
+    points inside each radius and the samples it needs."""
     if block["eps"] >= block["r_max"]:
         _fail(errors, f"{where}.eps", f"must be < r_max = {block['r_max']}, "
                                       f"got {block['eps']}")
@@ -341,6 +343,13 @@ def _hole_inside(errors, where, block):
         if e <= block["eps"]:
             _fail(errors, f"{where}.concentration_eps[{i}]",
                   f"must be > eps = {block['eps']}, got {e}")
+    samples = _fixed_dt_samples(RunConfig(
+        t_end=block["t_end"], dt0=block["dt"],
+        sample_stride=block["sample_stride"]))
+    if block["concentration_eps"] and samples < _SCAN_SAMPLES:
+        _fail(errors, f"{where}.concentration_eps",
+              f"the concentration scan needs at least {_SCAN_SAMPLES} "
+              f"samples; t_end, dt and sample_stride give {samples}")
 
 
 def _block_check(kind, grid):
@@ -412,7 +421,7 @@ def _block_check(kind, grid):
                         **_MARCH, "t_end": (_number(0.0), _REQUIRED),
                         **_CEILING,
                         "concentration_eps": (_list(_FINITE), None)},
-                       _hole_inside),
+                       _radial_rules),
         "semiclassical": _sub({"k": (_FINITE, _REQUIRED),
                                "a0": (_FINITE, 0.0),
                                "gamma0": (_FINITE, 1.0),
@@ -752,7 +761,12 @@ def _exp_radial(cfg, out) -> str:
                "mass_initial": radial_mass(prof),
                "mass_final": radial_mass(result.profile),
                "energy_initial": radial_energy(prof)}
-    if b["concentration_eps"] and len(result.trajectory) >= 5:
+    samples = len(result.trajectory)
+    if b["concentration_eps"] and samples < _SCAN_SAMPLES:   # cut short
+        payload.update(concentration=None, concentration_skipped=(
+            f"{result.status} after {samples} samples; the scan needs at "
+            f"least {_SCAN_SAMPLES}"))
+    elif b["concentration_eps"]:
         scan = concentration_scan(result.trajectory, b["concentration_eps"])
         payload["concentration"] = {"eps": list(scan.eps),
                                     "increasing": list(scan.increasing)}

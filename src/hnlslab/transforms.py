@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import FieldTrajectory
-from .fields import (ComplexField, Grid, GridError, cubic_stencil,
+from .fields import (ComplexField, Grid, GridError, cubic_read,
                      evaluate_at_axes, evaluate_dilated, evaluate_linear_map,
                      translate)
 
@@ -48,21 +48,13 @@ class TransformState:
     singular_time: float | None = None
 
     def at(self, s: float) -> tuple:
-        """(a, b, f, g) at time s: cubic through the 4 nearest samples,
-        exact on the stored nodes."""
-        t = self.t
-        if s < t[0] - 1e-12 or s > t[-1] + 1e-12:
-            raise TransformError(
-                f"time {s} outside coefficient range [{t[0]}, {t[-1]}]")
+        """(a, b, f, g) at time s by the `cubic_read` rule."""
         try:
-            lo, w = cubic_stencil(t, s, 1e-13)
+            row = cubic_read(self.t, np.stack((self.a, self.b, self.f,
+                                                self.g), axis=1), s)
         except ValueError as exc:
             raise TransformError(str(exc)) from None
-        if w is None:
-            return (float(self.a[lo]), float(self.b[lo]),
-                    float(self.f[lo]), float(self.g[lo]))
-        return tuple(float(sum(wk * v for wk, v in zip(w, col[lo:lo + 4])))
-                     for col in (self.a, self.b, self.f, self.g))
+        return tuple(float(v) for v in row)
 
 
 def _rhs(a: float, q: float, lb: float) -> tuple:

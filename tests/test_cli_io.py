@@ -323,6 +323,9 @@ def _standing_cfg(kind="standing", n=32, block=None):
     # the concentration scan needs grid points inside each radius
     ("radial", _radial_cfg(eps=0.5, concentration_eps=[0.2]),
      "concentration_eps"),
+    # t_end, dt and sample_stride give 3 samples; the scan needs 5
+    ("radial", _radial_cfg(n=64, t_end=0.02, concentration_eps=[1.0]),
+     "5 samples"),
     # constraint residuals difference three samples
     ("transform-check", json.dumps({"kind": "transform-check",
                                     "transform-check": {"a0": 0.0, "k": 0.25,
@@ -453,6 +456,20 @@ def test_transform_check_records_a_collapse_before_three_samples(tmp_path):
     report = json.loads((tmp_path / "transform_check.json").read_text())
     assert report["truncated"]
     assert report["constraints"] is None
+
+
+def test_radial_blowup_before_the_scan_records_why(tmp_path):
+    # the sup starts at 1 above the ceiling: BlownUp after 1 step, with 2
+    # of the 5 samples the concentration scan needs
+    cfg = parse_config(_radial_cfg(n=64, t_end=1.0, linf_ceiling=0.5,
+                                   concentration_eps=[1.0]))
+    assert run_experiment(cfg, out_dir=tmp_path) == 0
+    assert _manifest(tmp_path)["status"] == "BlownUp"
+    report = json.loads((tmp_path / "radial.json").read_text())
+    assert report["steps"] == 1
+    assert report["concentration"] is None
+    assert report["concentration_skipped"] == ("BlownUp after 2 samples; "
+                                               "the scan needs at least 5")
 
 
 def test_stability_sweep_writes_report_per_eps(tmp_path):

@@ -7,6 +7,9 @@ from hnlslab.fields import (
     evaluate_linear_map, gaussian_field, harmonic_field, norms,
     random_smooth_field, spectral_derivative, translate,
 )
+from hnlslab.evolution import FieldTrajectory
+from hnlslab.radial import RadialTrajectory
+from hnlslab.transforms import TransformState
 from conftest import hnls_grid
 
 
@@ -299,3 +302,54 @@ def test_boundary_mass_fraction_matches_edge_mask(band, d, rng):
     want = np.sum(a2[mask]) / np.sum(a2)
     assert boundary_mass_fraction(f, band) == pytest.approx(want, rel=1e-14,
                                                              abs=1e-300)
+
+
+# ------------------------------------------------------- trajectory read rule
+
+# five uneven sample times, and per time 8 values (a field or radial
+# profile on 8 points, or the map coefficients a, b, f, g in the first 4).
+# t_end = 7 puts t_end + 5e-13 inside its sample's 1e-13 * |s| tolerance.
+_TIMES = (0.0, 1.0, 2.5, 4.5, 7.0)
+_ROWS = np.random.default_rng(11).standard_normal((5, 8))
+
+
+def _field_reader(k):
+    grid = Grid((8,), (1.0,), (1.0,))
+    traj = FieldTrajectory([ComplexField(grid, _ROWS[i], t=_TIMES[i])
+                            for i in range(k)])
+
+    def read(s):
+        field = traj.at(s)
+        assert field.t == s
+        return field.values
+    return read, lambda i: _ROWS[i].astype(np.complex128)
+
+
+def _radial_reader(k):
+    traj = RadialTrajectory(np.linspace(0.0, 1.0, 8))
+    for i in range(k):
+        traj.append(_TIMES[i], _ROWS[i])
+    return traj.at, lambda i: _ROWS[i].astype(np.complex128)
+
+
+def _transform_reader(k):
+    a, b, f, g = _ROWS[:k, :4].T
+    state = TransformState(a0=0.0, k=0.0, d=2, t=np.array(_TIMES[:k]),
+                           a=a, b=b, f=f, g=g)
+    return lambda s: np.array(state.at(s)), lambda i: _ROWS[i, :4]
+
+
+@pytest.mark.parametrize("reader", [_field_reader, _radial_reader,
+                                    _transform_reader])
+def test_every_trajectory_reads_by_one_rule(reader):
+    read, stored = reader(5)
+    for i in (2, 4):
+        for s in (_TIMES[i], _TIMES[i] * (1 + 1e-14)):
+            assert read(s).tobytes() == stored(i).tobytes()
+    assert read(_TIMES[-1] + 5e-13).tobytes() == stored(4).tobytes()
+    with pytest.raises(ValueError):
+        read(_TIMES[-1] + 1e-11)
+    with pytest.raises(ValueError):
+        reader(3)[0](0.5)           # the cubic needs 4 samples
+    with pytest.raises(ValueError):
+        reader(0)[0](0.0)

