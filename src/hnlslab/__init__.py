@@ -39,7 +39,7 @@ from .families import (
     lift_profile, plane_wave_problem, plane_wave_profile_at,
     plane_wave_field, standing_wave_problem, standing_wave_lift,
     standing_wave_field, bound_state_defect, refine_bound_state,
-    make_semiclassical_spec, semiclassical_field,
+    semiclassical_field,
 )
 from .coupled import (
     DecomposedState, CoupledSeries, StabilityReport, TwoWaveSeries,

@@ -20,7 +20,6 @@ two-wave interaction run.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -47,18 +46,28 @@ def lift_structured(spec, values: np.ndarray, grid: Grid,
     raise TypeError(f"unsupported structured spec {type(spec).__name__}")
 
 
+def _profile_start(spec, grid: Grid) -> tuple:
+    """(problem, initial field) of a plane or standing wave's profile
+    equation for a decomposed state on `grid`."""
+    if isinstance(spec, PlaneWaveSpec):
+        return plane_wave_problem(spec)
+    if isinstance(spec, StandingWaveSpec):
+        return standing_wave_problem(spec, grid)
+    raise TypeError(f"unsupported structured spec {type(spec).__name__}")
+
+
 @dataclass
 class DecomposedState:
     """u = v + phi with both components time-synchronized.
 
     `profile` holds the low-dimensional samples of the structured part on
-    its own grid; the lift to the full grid happens on demand.
+    its own grid; the lift to the full grid happens on demand.  Both
+    evolution problems follow from `spec` and v's grid.
     """
 
     v: ComplexField
     spec: object
     profile: ComplexField
-    profile_problem: EvolutionProblem
     status: str = STATUS_RUNNING
 
     def __post_init__(self):
@@ -69,6 +78,16 @@ class DecomposedState:
     @property
     def t(self) -> float:
         return self.v.t
+
+    @property
+    def problem(self) -> EvolutionProblem:
+        """The full problem u = v + phi evolves under."""
+        return EvolutionProblem(self.v.grid, self.spec.lam, self.spec.sigma)
+
+    @property
+    def profile_problem(self) -> EvolutionProblem:
+        """The profile equation's problem."""
+        return _profile_start(self.spec, self.v.grid)[0]
 
     def full_field(self) -> ComplexField:
         phi = lift_structured(self.spec, self.profile.values, self.v.grid,
@@ -91,41 +110,22 @@ def _initial_v(v0: ComplexField | None, grid: Grid) -> ComplexField:
 def make_decomposed(spec, grid: Grid,
                     v0: ComplexField | None = None) -> DecomposedState:
     """Initial decomposed state at t=0; v0 defaults to zero."""
-    if isinstance(spec, PlaneWaveSpec):
-        problem, field = plane_wave_problem(spec)
-    elif isinstance(spec, StandingWaveSpec):
-        problem, field = standing_wave_problem(spec, grid)
-    else:
-        raise TypeError(f"unsupported structured spec {type(spec).__name__}")
+    _, field = _profile_start(spec, grid)
     lift_structured(spec, field.values, grid, 0.0)  # validates compatibility
-    return DecomposedState(v=_initial_v(v0, grid), spec=spec, profile=field,
-                           profile_problem=problem)
+    return DecomposedState(v=_initial_v(v0, grid), spec=spec, profile=field)
 
 
-def _check_problem(state: DecomposedState, problem: EvolutionProblem):
-    if problem.potential is not None:
-        raise ValueError("decomposed evolution does not support potentials")
-    if problem.lam != state.spec.lam or problem.sigma != state.spec.sigma:
-        raise ValueError(
-            "problem and structured spec disagree on (lam, sigma): the "
-            "decomposition identity only holds for a single nonlinearity")
-    if not problem.grid.same_box(state.v.grid):
-        raise GridError("problem grid does not match the state grid")
-
-
-def step_decomposed(state: DecomposedState, problem: EvolutionProblem,
-                    dt: float) -> DecomposedState:
+def step_decomposed(state: DecomposedState, dt: float) -> DecomposedState:
     """Advance u = v + phi with the full stepper, phi with its profile
     stepper, and subtract.  Blow-up of either component is recorded on the
     returned status, never raised."""
-    _check_problem(state, problem)
     if state.status != STATUS_RUNNING:
         return state
     grid = state.v.grid
     t = state.t
     phi0 = lift_structured(state.spec, state.profile.values, grid, t)
     u = state.v.with_values(state.v.values + phi0)
-    su = step_strang(StepperState(field=u, dt=dt), problem)
+    su = step_strang(StepperState(field=u, dt=dt), state.problem)
     sp = step_strang(StepperState(field=state.profile, dt=dt),
                      state.profile_problem)
     status = STATUS_RUNNING
@@ -136,30 +136,28 @@ def step_decomposed(state: DecomposedState, problem: EvolutionProblem,
         phi1 = lift_structured(state.spec, sp.field.values, grid, t + dt)
         v1 = su.field.values - phi1
     return DecomposedState(v=ComplexField(grid, v1, t=t + dt),
-                           spec=state.spec, profile=sp.field,
-                           profile_problem=state.profile_problem,
-                           status=status)
+                           spec=state.spec, profile=sp.field, status=status)
 
 
-def step_perturbation(state: DecomposedState, problem: EvolutionProblem,
-                      dt: float) -> DecomposedState:
+def step_perturbation(state: DecomposedState, dt: float) -> DecomposedState:
     """Advance v by the perturbation equation directly: Strang linear
     half-steps around one classical RK4 sweep of the nonlinear coupling,
     with phi sampled at the substep times."""
-    _check_problem(state, problem)
     if state.status != STATUS_RUNNING:
         return state
     grid = state.v.grid
     t = state.t
     half = 0.5 * dt
+    profile_problem = state.profile_problem
     sp_h = step_strang(StepperState(field=state.profile, dt=half),
-                       state.profile_problem)
+                       profile_problem)
     sp_1 = step_strang(StepperState(field=sp_h.field, dt=half),
-                       state.profile_problem)
+                       profile_problem)
     phi0 = lift_structured(state.spec, state.profile.values, grid, t)
     phi_h = lift_structured(state.spec, sp_h.field.values, grid, t + half)
     phi_1 = lift_structured(state.spec, sp_1.field.values, grid, t + dt)
 
+    problem = state.problem
     lam, sigma = problem.lam, problem.sigma
 
     def coupling(w, phi):
@@ -181,9 +179,7 @@ def step_perturbation(state: DecomposedState, problem: EvolutionProblem,
     if not (np.all(np.isfinite(w.view(float))) and sp_1.field.is_finite()):
         status = STATUS_BLOWNUP
     return DecomposedState(v=ComplexField(grid, w, t=t + dt),
-                           spec=state.spec, profile=sp_1.field,
-                           profile_problem=state.profile_problem,
-                           status=status)
+                           spec=state.spec, profile=sp_1.field, status=status)
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +205,13 @@ def _profile_proxies(state: DecomposedState) -> tuple:
     return f.linf(), float(np.sqrt(np.max(amp2)))
 
 
-def _stepped(state: DecomposedState, problem: EvolutionProblem, stepper):
+def _stepped(state: DecomposedState, stepper):
     """`step(h)`, `now(t)` and `exact` of a run that calls `stepper` once
     per step; `now` returns the stepper's latest state, and the step's
     bound is already exact."""
     def step(h: float) -> float:
         nonlocal state
-        state = stepper(state, problem, h)
+        state = stepper(state, h)
         if state.status != STATUS_RUNNING:
             return math.inf        # the stepper found a non-finite component
         return state.v.linf() + state.profile.linf()
@@ -223,7 +219,7 @@ def _stepped(state: DecomposedState, problem: EvolutionProblem, stepper):
     return step, lambda t: state, None
 
 
-def _carried(state: DecomposedState, problem: EvolutionProblem):
+def _carried(state: DecomposedState):
     """`step(h)`, `now(t)` and `exact(m)` of the subtraction method with
     carried spectra; `now` forms the decomposed state at the march time t,
     once per step taken, and `exact` reads its ||v||_inf + ||profile||_inf
@@ -231,7 +227,7 @@ def _carried(state: DecomposedState, problem: EvolutionProblem):
     if state.status != STATUS_RUNNING:
         return (lambda h: math.inf), (lambda t: state), None
     grid, spec = state.v.grid, state.spec
-    u = SpectralMarch(state.full_field(), problem)
+    u = SpectralMarch(state.full_field(), state.problem)
     f = SpectralMarch(state.profile, state.profile_problem)
     current = state
 
@@ -256,9 +252,8 @@ def _carried(state: DecomposedState, problem: EvolutionProblem):
     return step, now, exact
 
 
-def run_decomposed(state: DecomposedState, problem: EvolutionProblem,
-                   t_end: float, *, dt: float = 1e-3, stepper=None,
-                   sample_stride: int = 10,
+def run_decomposed(state: DecomposedState, t_end: float, *,
+                   dt: float = 1e-3, stepper=None, sample_stride: int = 10,
                    linf_ceiling: float | None = None) -> tuple:
     """March to t_end, sampling ||v||_H1 and the profile decay proxies
     every stride.
@@ -267,9 +262,9 @@ def run_decomposed(state: DecomposedState, problem: EvolutionProblem,
     v0 + phi0 and the profile each march as a `SpectralMarch` (two FFTs a
     step on the full grid), and v = u - lift(profile) is formed only at
     samples and at blow-up, so the profile is lifted once per sample, not
-    twice per step.  An explicit `stepper` (such as `step_perturbation`)
-    is called once per step instead.  A state that is not "Running" is
-    left as it is.
+    twice per step.  An explicit `stepper(state, h)` (such as
+    `step_perturbation`) is called once per step instead.  A state that is
+    not "Running" is left as it is.
 
     Both split substeps are pointwise unitary, so a collapsing component
     never turns non-finite by itself; blow-up is detected by `march`, as
@@ -286,11 +281,10 @@ def run_decomposed(state: DecomposedState, problem: EvolutionProblem,
                        sample_stride=sample_stride)
     if t_end < state.t:
         raise ValueError("decomposed runs only go forward")
-    _check_problem(state, problem)
     if stepper is not None:
-        step, now, exact = _stepped(state, problem, stepper)
+        step, now, exact = _stepped(state, stepper)
     else:
-        step, now, exact = _carried(state, problem)
+        step, now, exact = _carried(state)
     ts, hs, ps, gs = [], [], [], []
 
     def record(m) -> float:
@@ -303,7 +297,7 @@ def run_decomposed(state: DecomposedState, problem: EvolutionProblem,
         gs.append(gp)
         return nb.linf + p
 
-    m = march(state.t, config, problem.sigma, step, record, exact)
+    m = march(state.t, config, state.spec.sigma, step, record, exact)
     state = now(m.t)
     if m.status == STATUS_BLOWNUP and state.status == STATUS_RUNNING:
         state = replace(state, status=STATUS_BLOWNUP)
@@ -396,40 +390,45 @@ class StabilityReport:
     grad_phi_sup: np.ndarray
     series_path: str | None = None
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def payload(self) -> dict:
+        """The report's JSON record: the summary plus the series' path."""
+        return {
             "eps": self.eps,
             "h_sup": self.h_sup,
             "status": self.status,
             "in_regime": self.in_regime,
             "regime_note": self.regime_note,
             "series": self.series_path,
-        })
+        }
 
 
-def stability_run(spec, v0_shape: ComplexField, eps_list, T: float,
-                  grid: Grid, *, dt: float = 1e-3, sample_stride: int = 10,
+def stability_run(spec, v0_shape: ComplexField, eps_list, T: float, *,
+                  dt: float = 1e-3, sample_stride: int = 10,
                   grow_factor: float = 10.0,
                   linf_ceiling: float | None = None) -> list:
-    """One decomposed run per eps, with v0 = eps * shape / ||shape||_H1.
+    """One decomposed run per eps on v0_shape's grid, with v0 = eps *
+    shape / ||shape||_H1.  Every eps must be finite and >= 0; the whole
+    list is checked before the first run.
 
     Blow-up is a recorded outcome.  `Grew` is declared when h_sup exceeds
     grow_factor * eps — the certified windows promise existence of bounds,
     not their values, so the factor is an explicit harness knob, not physics.
     """
+    eps_list = tuple(eps_list)
+    for eps in eps_list:
+        if not (math.isfinite(eps) and eps >= 0):
+            raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    grid = v0_shape.grid
     in_regime, note = certify_regime(spec, grid)
     shape_h1 = norms(v0_shape).h1
     reports = []
     for eps in eps_list:
-        if eps < 0:
-            raise ValueError("eps must be >= 0")
         if eps == 0.0 or shape_h1 == 0.0:
             v0 = constant_field(grid, 0.0)
         else:
             v0 = ComplexField(grid, v0_shape.values * (eps / shape_h1))
         state = make_decomposed(spec, grid, v0=v0)
-        problem = EvolutionProblem(grid=grid, lam=spec.lam, sigma=spec.sigma)
-        state, series = run_decomposed(state, problem, T, dt=dt,
+        state, series = run_decomposed(state, T, dt=dt,
                                        sample_stride=sample_stride,
                                        linf_ceiling=linf_ceiling)
         h_sup = float(np.max(series.h))

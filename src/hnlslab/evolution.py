@@ -301,11 +301,12 @@ def march(t0: float, config: RunConfig, sigma: float,
     return m
 
 
-def run(state: StepperState, problem: EvolutionProblem, config: RunConfig,
+def run(field: ComplexField, problem: EvolutionProblem, config: RunConfig,
         observer: Callable[[StepperState, ObservableSample], None] | None = None,
         ) -> tuple[StepperState, ObservableSeries]:
-    """March a state to config.t_end with `march`, sampling observables
-    every sample_stride steps (plus first and last).
+    """March a field from field.t to config.t_end with `march` in steps of
+    config.dt0, sampling observables every sample_stride steps (plus first
+    and last).
 
     The field is a `SpectralMarch`, so one Strang step costs two FFTs and
     matches a loop of `step_strang` to roundoff.  The physical field is
@@ -315,21 +316,20 @@ def run(state: StepperState, problem: EvolutionProblem, config: RunConfig,
     half-step field passes the ceiling is completed and the run stops at
     its end.
     """
-    series = ObservableSeries(lam=problem.lam, sigma=problem.sigma,
-                              alpha=problem.grid.alpha)
-    u = SpectralMarch(state.field, problem)
+    series = ObservableSeries(alpha=problem.grid.alpha)
+    u = SpectralMarch(field, problem)
 
     def record(m: MarchState) -> float:
-        field = u.field(m.t)
-        s = sample(field, problem.lam, problem.sigma, problem.potential,
+        f = u.field(m.t)
+        s = sample(f, problem.lam, problem.sigma, problem.potential,
                    spectrum=u.spectrum)
         series.append(s)
         if observer is not None:
-            observer(StepperState(field, m.dt, m.steps, m.status,
+            observer(StepperState(f, m.dt, m.steps, m.status,
                                   m.t_detect), s)
         return s.linf
 
-    m = march(state.t, config, problem.sigma, u.step, record)
+    m = march(field.t, config, problem.sigma, u.step, record)
     return (StepperState(u.field(m.t), m.dt, m.steps, m.status, m.t_detect),
             series)
 

@@ -12,7 +12,7 @@ comparisons against the 2-D stepper make sharp tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
@@ -20,8 +20,7 @@ import numpy as np
 from .fields import (ComplexField, FieldDataError, Grid, GridError,
                      _is_pow2, evaluate_at_axes)
 from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
-                        StepperState, _check_nonlinearity,
-                        harmonic_saddle_potential, run)
+                        _check_nonlinearity, harmonic_saddle_potential, run)
 from .transforms import (TransformError, TransformState,
                          integrate_transform_odes, signature_quadratic)
 
@@ -156,7 +155,7 @@ def _march_profile(problem: EvolutionProblem, field: ComplexField, t: float,
     that does not end Done raises RuntimeError naming `what`."""
     if t == 0.0:
         return field.values.copy()
-    state, _ = run(StepperState(field=field, dt=dt), problem,
+    state, _ = run(field, problem,
                    RunConfig(t_end=t, dt0=dt, sample_stride=10 ** 9))
     if state.status != STATUS_DONE:
         raise RuntimeError(f"{what} evolution ended {state.status} "
@@ -244,9 +243,9 @@ def standing_wave_field(spec: StandingWaveSpec, t: float, grid: Grid, *,
 class SemiclassicalSpec:
     """Stationary candidate A0 plus the transform parameters.
 
-    `defect` is the measured residual of the stationary equation for A0 —
-    recorded, never assumed zero: every consumer of this spec inherits an
-    error budget proportional to it.
+    `defect` is the residual of the stationary equation for A0
+    (`bound_state_defect`), measured here, never assumed zero: every
+    consumer of this spec inherits an error budget proportional to it.
     """
 
     A0: ComplexField
@@ -254,14 +253,18 @@ class SemiclassicalSpec:
     gamma0: float
     a0: float
     lam: float
-    defect: float
+    defect: float = dc_field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.A0, ComplexField):
             raise TypeError("A0 must be a ComplexField")
-        for name in ("k", "gamma0", "a0", "lam", "defect"):
+        for name in ("k", "gamma0", "a0", "lam"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        self.defect = bound_state_defect(self.A0, self.k, self.gamma0,
+                                         self.lam)
+        if not np.isfinite(self.defect):
+            raise ValueError("defect must be finite")
 
 
 def _stationary_residual(u: np.ndarray, grid: Grid, V: np.ndarray,
@@ -347,25 +350,17 @@ def refine_bound_state(seed: ComplexField, k: float, lam: float, *,
     return ComplexField(g, best[0], t=seed.t), best[1], best[2]
 
 
-def make_semiclassical_spec(A0: ComplexField, k: float, gamma0: float,
-                            a0: float, lam: float) -> SemiclassicalSpec:
-    """Bundle a candidate with its measured defect."""
-    return SemiclassicalSpec(A0=A0, k=k, gamma0=gamma0, a0=a0, lam=lam,
-                             defect=bound_state_defect(A0, k, gamma0, lam))
-
-
-def semiclassical_field(spec: SemiclassicalSpec, t: float, grid: Grid, *,
+def semiclassical_field(spec: SemiclassicalSpec, t: float, *,
                         state: TransformState | None = None,
                         max_step: float = 1e-3) -> ComplexField:
-    """Chirp-dilated candidate
+    """Chirp-dilated candidate on A0's grid
 
         psi(t) = f(t) A0(x / b(t)) exp(i a(t) q(x)/4) exp(i gamma0 g(t)),
 
     with (a, b, f, g) from the coefficient ODEs for (a0, k).  Fails past
     the collapse time of b: the coefficients stop existing there.
     """
-    if not spec.A0.grid.same_box(grid):
-        raise GridError("candidate and target grids differ")
+    grid = spec.A0.grid
     if state is not None and state.d != grid.d:
         raise TransformError(f"coefficient state is for d={state.d}, "
                              f"grid is d={grid.d}")

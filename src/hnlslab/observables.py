@@ -47,8 +47,6 @@ class ObservableSample:
 
 @dataclass
 class ObservableSeries:
-    lam: float
-    sigma: float
     alpha: tuple
     samples: list = dc_field(default_factory=list)
 

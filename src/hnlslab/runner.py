@@ -56,15 +56,14 @@ from .fields import (ComplexField, Grid, GridError, _is_pow2,
                      random_smooth_field)
 from .observables import _AUDIT_SAMPLES, verify_conservation
 from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
-                        StepperState, _fixed_dt_samples, run)
+                        _fixed_dt_samples, run)
 from .transforms import (closed_form_b, constraint_residuals,
                          integrate_transform_odes)
 from .radial import (_SCAN_SAMPLES, concentration_scan, make_radial_profile,
                      radial_energy, radial_mass, save_radial_csv, solve_radial)
-from .families import (PlaneWaveSpec, StandingWaveSpec, _alignment_ints,
-                       _carrier_index, make_semiclassical_spec,
-                       plane_wave_field, semiclassical_field,
-                       standing_wave_field)
+from .families import (PlaneWaveSpec, SemiclassicalSpec, StandingWaveSpec,
+                       _alignment_ints, _carrier_index, plane_wave_field,
+                       semiclassical_field, standing_wave_field)
 from .coupled import (certify_regime, profile_hypothesis_warnings,
                       stability_run, two_wave_run)
 from .artifacts import (RunManifest, save_series_csv, write_json,
@@ -645,8 +644,7 @@ def _run_full(cfg, grid, u0, out):
             out.snapshot(f"snap_{emitted[0]:05d}.snap", st.field)
         emitted[0] += 1
 
-    state, series = run(StepperState(field=u0, dt=rc["dt0"]), problem,
-                        _run_config(rc), observer)
+    state, series = run(u0, problem, _run_config(rc), observer)
     out.series("observables.csv", _series_columns(series))
     out.snapshot("final.snap", state.field)
     return state, series
@@ -722,14 +720,13 @@ def _exp_semiclassical(cfg, out) -> str:
     b = cfg.block
     cand = _field_from_block(b["candidate"], grid,
                              np.random.default_rng(cfg.seed))
-    spec = make_semiclassical_spec(cand, b["k"], b["gamma0"], b["a0"],
-                                   cfg.lam)
+    spec = SemiclassicalSpec(cand, b["k"], b["gamma0"], b["a0"], cfg.lam)
     t_grid = np.linspace(0.0, b["t_end"], b["samples"])
     state = integrate_transform_odes(b["a0"], b["k"], grid.d, t_grid)
     sups = []
     psi = None
     for tt in state.t:
-        psi = semiclassical_field(spec, float(tt), grid, state=state)
+        psi = semiclassical_field(spec, float(tt), state=state)
         sups.append(psi.linf())
     out.series("semiclassical.csv", {"t": state.t, "sup": np.asarray(sups),
                                      "a": state.a, "b": state.b,
@@ -816,8 +813,8 @@ def _exp_stability(cfg, out) -> str:
     spec = _wave_spec(cfg, b)
     shape = _field_from_block(b["shape"], grid,
                               np.random.default_rng(cfg.seed))
-    reports = stability_run(spec, shape, b["eps"], b["t_end"], grid,
-                            dt=b["dt"], sample_stride=b["sample_stride"],
+    reports = stability_run(spec, shape, b["eps"], b["t_end"], dt=b["dt"],
+                            sample_stride=b["sample_stride"],
                             grow_factor=b["grow_factor"],
                             linf_ceiling=b["linf_ceiling"])
     for i, rep in enumerate(reports):
@@ -825,7 +822,7 @@ def _exp_stability(cfg, out) -> str:
         out.series(rep.series_path, {"t": rep.t, "h": rep.h_series,
                                      "phi_sup": rep.phi_sup,
                                      "grad_phi_sup": rep.grad_phi_sup})
-        out.json(f"stability_eps{i}.json", json.loads(rep.to_json()))
+        out.json(f"stability_eps{i}.json", rep.payload())
     return "Done"
 
 

@@ -26,7 +26,6 @@ from hnlslab import (
     STATUS_DONE,
     SemiclassicalSpec,
     StandingWaveSpec,
-    StepperState,
     apply_pct,
     closed_form_b,
     concentration_scan,
@@ -72,7 +71,7 @@ def _conservation_run(lam, dt):
     u0 = gaussian_field(grid, amplitude=0.7, width=3.0, boost=(0.5, -0.3))
     problem = EvolutionProblem(grid, lam=lam, sigma=2.0)
     start = time.monotonic()
-    _, series = run(StepperState(field=u0, dt=dt), problem,
+    _, series = run(u0, problem,
                     RunConfig(t_end=1.0, dt0=dt, sample_stride=10))
     elapsed = time.monotonic() - start
     return verify_conservation(series), elapsed
@@ -205,8 +204,7 @@ def test_05_transform_maps_saddle_potential_runs_to_free_solutions():
     problem_pot = EvolutionProblem(g, lam=1.0, sigma=2.0,
                                    potential=harmonic_saddle_potential(g, k))
     traj = FieldTrajectory()
-    run(StepperState(field=gaussian_field(g, amplitude=0.8, width=1.3),
-                     dt=5e-4),
+    run(gaussian_field(g, amplitude=0.8, width=1.3),
         problem_pot, RunConfig(t_end=0.75, dt0=5e-4, sample_stride=10),
         observer=lambda st, s: traj.append(st.field))
     problem_free = EvolutionProblem(g, lam=1.0, sigma=2.0)
@@ -231,13 +229,11 @@ def test_06_semiclassical_trichotomy():
     A0 = gaussian_field(grid, amplitude=1.0, width=np.sqrt(2.0))
 
     # expanding branch: sup decays like t^(-d/2)
-    spec = SemiclassicalSpec(A0=A0, k=1.0, gamma0=0.5, a0=0.0, lam=1.0,
-                             defect=0.0)
+    spec = SemiclassicalSpec(A0=A0, k=1.0, gamma0=0.5, a0=0.0, lam=1.0)
     state = integrate_transform_odes(0.0, 1.0, 2,
                                      np.linspace(0.0, 100.0, 1001))
     ts = np.array([10.0, 17.8, 31.6, 56.2, 100.0])
-    sups = [semiclassical_field(spec, t, grid, state=state).linf()
-            for t in ts]
+    sups = [semiclassical_field(spec, t, state=state).linf() for t in ts]
     slope = float(np.polyfit(np.log(ts), np.log(sups), 1)[0])
 
     # marginal branch: b decays to the 1e-6 level at t = 1.  b^2 is exactly
@@ -282,9 +278,9 @@ def test_07_unit_speed_plane_wave_is_phase_flow():
         drift = max(drift, float(
             np.max(np.abs(np.abs(st.field.values) - base))))
 
-    run(StepperState(field=u0, dt=1e-2), problem,
+    run(u0, problem,
         RunConfig(t_end=10.0, dt0=1e-2, sample_stride=10), observer=watch)
-    state, _ = run(StepperState(field=u0, dt=1e-3), problem,
+    state, _ = run(u0, problem,
                    RunConfig(t_end=1.0, dt0=1e-3, sample_stride=10 ** 9))
     formula = _rel(state.field.values,
                    plane_wave_field(spec, 1.0, grid).values)
@@ -317,13 +313,12 @@ def _diff_h1(a, b):
 def test_08_decomposed_flow_dual_path_and_fixed_point():
     grid = hnls_grid()
     spec = _plane_spec()
-    problem = EvolutionProblem(grid, lam=1.0, sigma=2.0)
     v0 = _seed(grid, amplitude=0.05)
-    a, _ = run_decomposed(make_decomposed(spec, grid, v0=v0), problem, 0.2)
-    b, _ = run_decomposed(make_decomposed(spec, grid, v0=v0), problem, 0.2,
+    a, _ = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.2)
+    b, _ = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.2,
                           stepper=step_perturbation)
     agree = _diff_h1(a.v, b.v)
-    _, series = run_decomposed(make_decomposed(spec, grid), problem, 2.0)
+    _, series = run_decomposed(make_decomposed(spec, grid), 2.0)
     quiet = float(np.max(series.h))
     _check("08 subtraction vs perturbation steppers, zero seed inert",
            norms(a.v).h1 > 1e-3 and agree < 1e-5 and quiet < 1e-9,
@@ -338,7 +333,7 @@ def test_09_plane_wave_stability_scaling():
     spec = PlaneWaveSpec(f0=f0, period=40.0, c=(2.0,), lam=1.0, sigma=4.0)
     eps = (1e-3, 5e-4, 2.5e-4)
     start = time.monotonic()
-    reports = stability_run(spec, _seed(grid, amplitude=1.0), eps, 5.0, grid)
+    reports = stability_run(spec, _seed(grid, amplitude=1.0), eps, 5.0)
     elapsed = time.monotonic() - start
     bounded = all(r.status == "Bounded" and r.in_regime for r in reports)
     gains = [r.h_sup / e for r, e in zip(reports, eps)]
@@ -364,14 +359,13 @@ def test_09_plane_wave_stability_scaling():
 def test_10_standing_wave_counterpart():
     grid = hnls_grid()
     spec = _standing_spec()
-    problem = EvolutionProblem(grid, lam=1.0, sigma=4.0)
     v0 = _seed(grid, amplitude=0.05)
-    a, _ = run_decomposed(make_decomposed(spec, grid, v0=v0), problem, 0.2)
-    b, _ = run_decomposed(make_decomposed(spec, grid, v0=v0), problem, 0.2,
+    a, _ = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.2)
+    b, _ = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.2,
                           stepper=step_perturbation)
     agree = _diff_h1(a.v, b.v)
     eps = (1e-3, 5e-4, 2.5e-4)
-    reports = stability_run(spec, _seed(grid, amplitude=1.0), eps, 5.0, grid)
+    reports = stability_run(spec, _seed(grid, amplitude=1.0), eps, 5.0)
     bounded = all(r.status == "Bounded" and r.in_regime for r in reports)
     gains = [r.h_sup / e for r, e in zip(reports, eps)]
     ratios = [reports[0].h_sup / reports[1].h_sup,

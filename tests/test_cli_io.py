@@ -472,6 +472,19 @@ def test_radial_blowup_before_the_scan_records_why(tmp_path):
                                                "the scan needs at least 5")
 
 
+def test_radial_scan_that_finishes_is_reported(tmp_path):
+    # 100 steps sampled every 10: 11 samples; the Gaussian spreads, so its
+    # sup inside neither radius grows
+    cfg = parse_config(_radial_cfg(n=64, t_end=0.1,
+                                   concentration_eps=[1.0, 2.0]))
+    assert run_experiment(cfg, out_dir=tmp_path) == 0
+    report = json.loads((tmp_path / "radial.json").read_text())
+    assert report["status"] == "Done" and report["steps"] == 100
+    assert report["concentration"] == {"eps": [1.0, 2.0],
+                                       "increasing": [False, False]}
+    assert "concentration_skipped" not in report
+
+
 def test_stability_sweep_writes_report_per_eps(tmp_path):
     cfg = parse_config(json.dumps({
         "kind": "stability",

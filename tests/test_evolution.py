@@ -16,7 +16,7 @@ from conftest import BAD_NONLINEARITY, hnls_grid
 
 def _run_field(f, problem, **kw):
     cfg = RunConfig(**kw)
-    state, series = run(StepperState(field=f, dt=cfg.dt0), problem, cfg)
+    state, series = run(f, problem, cfg)
     return state, series
 
 
@@ -346,8 +346,7 @@ def test_adaptive_dt_follows_sampled_sup():
     stride, dt0 = 5, 1e-3
     dts = []
     cfg = RunConfig(t_end=0.05, dt0=dt0, adapt=True, sample_stride=stride)
-    state, series = run(StepperState(field=f, dt=dt0), problem, cfg,
-                        lambda st, s: dts.append(st.dt))
+    state, series = run(f, problem, cfg, lambda st, s: dts.append(st.dt))
     assert state.status == STATUS_DONE
     linf = series.column("linf")
     expected = dt0 / (1.0 + linf ** 2)
@@ -428,6 +427,36 @@ def test_march_blowup_policy():
     # an explicit ceiling replaces the default
     m, _ = _scripted_march([1.0, 3.0], t_end=1.0, dt0=0.1, linf_ceiling=2.0)
     assert m.status == STATUS_BLOWNUP and m.steps == 2
+
+
+def _adaptive_march(sups, **kw):
+    """Adaptive march() whose k-th sample reports sups[k]; the step sizes
+    it takes."""
+    sizes, samples = [], iter(sups)
+
+    def step(h):
+        sizes.append(h)
+        return 1.0
+
+    m = march(0.0, RunConfig(adapt=True, sample_stride=1, **kw), 2.0, step,
+              lambda m: next(samples))
+    return m, sizes
+
+
+def test_march_dt_floor_underflow():
+    # the rule dt0 / (1 + sup^2) passes under dt_floor at sup = 100: while
+    # the sup still grows that is a blow-up, detected where it is seen
+    m, sizes = _adaptive_march([1.0, 100.0], t_end=1.0, dt0=0.1,
+                               dt_floor=1e-3)
+    assert m.status == STATUS_BLOWNUP and m.steps == 1
+    assert sizes == [0.05]
+    assert m.t_detect == m.t == 0.05
+    # a sup that stops growing runs on at dt_floor
+    m, sizes = _adaptive_march([100.0] * 6, t_end=0.05, dt0=0.1,
+                               dt_floor=1e-2)
+    assert m.status == STATUS_DONE and m.t_detect is None
+    assert m.steps == 5 and m.dt <= 1e-2
+    assert all(abs(h - 1e-2) < 1e-15 for h in sizes)
 
 
 def test_run_config_rejects_unusable_ceiling_and_floor():

@@ -15,14 +15,12 @@ from hnlslab import (
     RunConfig,
     SemiclassicalSpec,
     StandingWaveSpec,
-    StepperState,
     TransformError,
     apply_linear_propagator,
     bound_state_defect,
     gaussian_field,
     integrate_transform_odes,
     lift_profile,
-    make_semiclassical_spec,
     norms,
     plane_wave_field,
     refine_bound_state,
@@ -145,8 +143,7 @@ def test_unit_speed_formula_matches_full_evolution():
     f0 = _bump(4.0, amplitude=0.8) * (1.0 + 0.25j)
     spec = PlaneWaveSpec(f0=f0, period=40.0, c=(1.0,), lam=1.0, sigma=2.0)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=2.0)
-    state, _ = run(StepperState(field=plane_wave_field(spec, 0.0, grid),
-                                dt=1e-3),
+    state, _ = run(plane_wave_field(spec, 0.0, grid),
                    problem, RunConfig(t_end=1.0, dt0=1e-3,
                                       sample_stride=10 ** 9))
     expect = plane_wave_field(spec, 1.0, grid)
@@ -170,8 +167,7 @@ def test_lift_commute_on_wrap_free_grid():
     spec = PlaneWaveSpec(f0=_bump(3.0), period=40.0, c=(2.0,), lam=1.0,
                          sigma=2.0)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=2.0)
-    state, _ = run(StepperState(field=plane_wave_field(spec, 0.0, grid),
-                                dt=1e-3),
+    state, _ = run(plane_wave_field(spec, 0.0, grid),
                    problem, RunConfig(t_end=0.3, dt0=1e-3,
                                       sample_stride=10 ** 9))
     expect = plane_wave_field(spec, 0.3, grid)
@@ -186,8 +182,7 @@ def test_lift_commute_square_grid_alias_floor():
     spec = PlaneWaveSpec(f0=_bump(4.0), period=40.0, c=(2.0,), lam=1.0,
                          sigma=2.0)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=2.0)
-    state, _ = run(StepperState(field=plane_wave_field(spec, 0.0, grid),
-                                dt=1e-3),
+    state, _ = run(plane_wave_field(spec, 0.0, grid),
                    problem, RunConfig(t_end=0.3, dt0=1e-3,
                                       sample_stride=10 ** 9))
     expect = plane_wave_field(spec, 0.3, grid)
@@ -282,8 +277,7 @@ def test_standing_lift_commute():
     spec = StandingWaveSpec(f0=f0, omega=2.0 * np.pi / 40.0, lam=1.0,
                             sigma=4.0)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=4.0)
-    state, _ = run(StepperState(field=standing_wave_field(spec, 0.0, grid),
-                                dt=1e-3),
+    state, _ = run(standing_wave_field(spec, 0.0, grid),
                    problem, RunConfig(t_end=0.25, dt0=1e-3,
                                       sample_stride=10 ** 9))
     expect = standing_wave_field(spec, 0.25, grid)
@@ -301,21 +295,19 @@ def _candidate(grid):
 def test_semiclassical_identity_at_time_zero():
     grid = hnls_grid()
     A0 = _candidate(grid)
-    spec = SemiclassicalSpec(A0=A0, k=0.3, gamma0=0.7, a0=0.0, lam=1.0,
-                             defect=0.0)
-    psi = semiclassical_field(spec, 0.0, grid)
+    spec = SemiclassicalSpec(A0=A0, k=0.3, gamma0=0.7, a0=0.0, lam=1.0)
+    psi = semiclassical_field(spec, 0.0)
     assert np.array_equal(psi.values, A0.values)
 
 
 def test_semiclassical_sup_decay_on_saddle():
     grid = hnls_grid()
     spec = SemiclassicalSpec(A0=_candidate(grid), k=1.0, gamma0=0.5, a0=0.0,
-                             lam=1.0, defect=0.0)
+                             lam=1.0)
     state = integrate_transform_odes(0.0, 1.0, 2,
                                      np.linspace(0.0, 100.0, 1001))
     ts = np.array([10.0, 17.8, 31.6, 56.2, 100.0])
-    sups = [semiclassical_field(spec, t, grid, state=state).linf()
-            for t in ts]
+    sups = [semiclassical_field(spec, t, state=state).linf() for t in ts]
     slope = np.polyfit(np.log(ts), np.log(sups), 1)[0]
     assert -1.1 < slope < -0.9  # -d/2 for d=2
 
@@ -323,11 +315,9 @@ def test_semiclassical_sup_decay_on_saddle():
 def test_semiclassical_halving_and_floor_crossing():
     grid = hnls_grid()
     A0 = _candidate(grid)
-    spec = SemiclassicalSpec(A0=A0, k=0.0, gamma0=0.5, a0=-1.0, lam=1.0,
-                             defect=0.0)
+    spec = SemiclassicalSpec(A0=A0, k=0.0, gamma0=0.5, a0=-1.0, lam=1.0)
     state = integrate_transform_odes(-1.0, 0.0, 2, np.linspace(0.0, 0.5, 251))
-    ratio = semiclassical_field(spec, 0.5, grid, state=state).linf() \
-        / A0.linf()
+    ratio = semiclassical_field(spec, 0.5, state=state).linf() / A0.linf()
     assert abs(ratio - 2.0) < 1e-6
 
     # b^2 is exactly quadratic in t, so extrapolating a fit from the
@@ -353,34 +343,28 @@ def test_semiclassical_singular_saddle_cases():
         assert state.truncated
         assert state.singular_time is not None
         assert abs(state.singular_time - t_sing) < 1e-3
-        spec = SemiclassicalSpec(A0=A0, k=-1.0, gamma0=0.0, a0=a0, lam=1.0,
-                                 defect=0.0)
+        spec = SemiclassicalSpec(A0=A0, k=-1.0, gamma0=0.0, a0=a0, lam=1.0)
         with pytest.raises(TransformError):
-            semiclassical_field(spec, t_sing + 0.1, grid, state=state)
+            semiclassical_field(spec, t_sing + 0.1, state=state)
 
 
-def test_semiclassical_grid_and_state_checks():
+def test_semiclassical_state_checks():
     grid = hnls_grid()
-    other = hnls_grid(length=41.0)
-    spec = SemiclassicalSpec(A0=_candidate(other), k=0.0, gamma0=0.0, a0=0.0,
-                             lam=1.0, defect=0.0)
-    with pytest.raises(GridError):
-        semiclassical_field(spec, 0.1, grid)
-    spec2 = SemiclassicalSpec(A0=_candidate(grid), k=0.0, gamma0=0.0, a0=0.0,
-                              lam=1.0, defect=0.0)
+    spec = SemiclassicalSpec(A0=_candidate(grid), k=0.0, gamma0=0.0, a0=0.0,
+                             lam=1.0)
     bad_state = integrate_transform_odes(0.0, 0.0, 3,
                                          np.linspace(0.0, 0.2, 11))
     with pytest.raises(TransformError):
-        semiclassical_field(spec2, 0.1, grid, state=bad_state)
+        semiclassical_field(spec, 0.1, state=bad_state)
     with pytest.raises(TransformError):
-        semiclassical_field(spec2, -0.5, grid)
+        semiclassical_field(spec, -0.5)
 
 
 def test_bound_state_defect_conventions():
     grid = hnls_grid()
     zero = ComplexField(grid, np.zeros(grid.n, dtype=complex))
     assert bound_state_defect(zero, 1.0, 0.5, 1.0) == 0.0
-    spec = make_semiclassical_spec(_candidate(grid), 1.0, 0.5, 0.0, 1.0)
+    spec = SemiclassicalSpec(_candidate(grid), 1.0, 0.5, 0.0, 1.0)
     assert spec.defect == pytest.approx(0.4866430042, abs=1e-8)
     assert 0.0 < spec.defect < 1.0
 
@@ -399,10 +383,10 @@ def test_refinement_lowers_defect_and_scales_residual():
     h = 1e-3
     ratios = []
     for A, gm, dd in ((A1, g1, d1), (A2, g2, d2)):
-        sp = SemiclassicalSpec(A0=A, k=0.0, gamma0=gm, a0=0.0, lam=1.0,
-                               defect=dd)
+        sp = SemiclassicalSpec(A0=A, k=0.0, gamma0=gm, a0=0.0, lam=1.0)
+        assert sp.defect == dd
         st = integrate_transform_odes(0.0, 0.0, 2, np.linspace(0.0, 0.2, 101))
-        triple = [semiclassical_field(sp, t, grid, state=st)
+        triple = [semiclassical_field(sp, t, state=st)
                   for t in (0.1 - h, 0.1, 0.1 + h)]
         ratios.append(residual_hnls(*triple, problem) / dd)
     assert 1.0 / 3.0 < ratios[0] / ratios[1] < 3.0

@@ -8,7 +8,7 @@ from hnlslab.fields import (
     random_smooth_field, spectral_derivative,
 )
 from hnlslab.evolution import (
-    EvolutionProblem, RunConfig, StepperState, _nonlinear_stage,
+    EvolutionProblem, RunConfig, _nonlinear_stage,
     harmonic_saddle_potential, run,
 )
 from hnlslab.observables import (
@@ -238,7 +238,7 @@ def test_boundary_flag_on_offcenter_data():
 
 def test_series_columns():
     g = hnls_grid(n=16)
-    ser = ObservableSeries(lam=1.0, sigma=2.0, alpha=g.alpha)
+    ser = ObservableSeries(alpha=g.alpha)
     for t in (0.0, 0.1, 0.2):
         f = constant_field(g, 1.0, t=t)
         ser.append(sample(f, 1.0, 2.0))
@@ -249,7 +249,7 @@ def test_series_columns():
 
 def test_verify_conservation_needs_enough_samples():
     g = hnls_grid(n=16)
-    ser = ObservableSeries(lam=0.0, sigma=2.0, alpha=g.alpha)
+    ser = ObservableSeries(alpha=g.alpha)
     for t in (0.0, 0.1):
         ser.append(sample(constant_field(g, 1.0, t=t), 0.0, 2.0))
     with pytest.raises(ValueError):
@@ -263,7 +263,7 @@ def test_conservation_report_on_nonlinear_run():
     f = gaussian_field(g, amplitude=0.8, width=1.3, boost=(0.7, -0.4))
     problem = EvolutionProblem(g, lam=1.0, sigma=2.0)
     cfg = RunConfig(t_end=0.2, dt0=5e-4, sample_stride=20)
-    _, series = run(StepperState(field=f, dt=cfg.dt0), problem, cfg)
+    _, series = run(f, problem, cfg)
     rep = verify_conservation(series)
     assert rep.mass_drift < 1e-12
     assert rep.energy_drift < 1e-8
@@ -285,7 +285,7 @@ def test_conservation_report_on_nonlinear_run():
 
 
 def _synthetic_series(t, V, rate, rhs):
-    ser = ObservableSeries(lam=1.0, sigma=2.0, alpha=(1.0, -1.0))
+    ser = ObservableSeries(alpha=(1.0, -1.0))
     for tk, vk, rk, hk in zip(t, V, rate, rhs):
         ser.append(ObservableSample(
             t=tk, mass=1.0, energy=hk / 16.0, momentum=(0.25, -0.5),
@@ -325,8 +325,7 @@ def test_verify_conservation_on_uniform_times_is_centered(alpha, dt0, stride):
     g = Grid((32, 32), (40.0, 40.0), alpha)
     f = gaussian_field(g, amplitude=0.8, width=1.3, boost=(0.7, -0.4))
     cfg = RunConfig(t_end=100 * dt0, dt0=dt0, sample_stride=stride)
-    _, series = run(StepperState(field=f, dt=cfg.dt0),
-                    EvolutionProblem(g, lam=1.0, sigma=2.0), cfg)
+    _, series = run(f, EvolutionProblem(g, lam=1.0, sigma=2.0), cfg)
     dt = np.diff(series.t)
     assert np.max(np.abs(dt - dt[0])) <= 1e-12 * dt[0]
     rep = verify_conservation(series)
@@ -348,8 +347,7 @@ def test_verify_conservation_leaves_sliver_interval_out():
     problem = EvolutionProblem(g, lam=1.0, sigma=2.0)
     reps, series = {}, {}
     for t_end in (0.05, 0.0500001, 0.050000000005, 0.055):
-        _, series[t_end] = run(StepperState(field=f, dt=1e-3), problem,
-                               RunConfig(t_end=t_end))
+        _, series[t_end] = run(f, problem, RunConfig(t_end=t_end))
         reps[t_end] = verify_conservation(series[t_end])
     base = reps[0.05]
     for t_end in (0.0500001, 0.050000000005):
@@ -380,7 +378,7 @@ def test_conservation_report_elliptic_run():
     f = gaussian_field(g, amplitude=0.6, width=1.4, boost=(0.5, 0.3))
     problem = EvolutionProblem(g, lam=-1.0, sigma=2.0)
     cfg = RunConfig(t_end=0.2, dt0=5e-4, sample_stride=20)
-    _, series = run(StepperState(field=f, dt=cfg.dt0), problem, cfg)
+    _, series = run(f, problem, cfg)
     rep = verify_conservation(series)
     for j in range(2):
         assert np.isclose(rep.com_single_factor_ratio[j], 2.0, rtol=1e-3)

@@ -20,7 +20,7 @@ from hnlslab.artifacts import (  # noqa: E402
     read_snapshot, snapshot_nbytes, write_snapshot,
 )
 from hnlslab.evolution import (  # noqa: E402
-    STATUS_DONE, EvolutionProblem, RunConfig, StepperState, run,
+    STATUS_DONE, EvolutionProblem, RunConfig, run,
 )
 from hnlslab.fields import (  # noqa: E402
     ComplexField, Grid, cubic_read, gaussian_field,
@@ -51,7 +51,7 @@ def _field(alpha, amplitude):
 
 def _run(f, lam, sigma, t_end):
     problem = EvolutionProblem(f.grid, lam=lam, sigma=sigma)
-    state, series = run(StepperState(field=f, dt=DT), problem,
+    state, series = run(f, problem,
                         RunConfig(t_end=t_end, dt0=DT, sample_stride=1))
     assert state.status == STATUS_DONE
     return state, series

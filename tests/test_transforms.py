@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hnlslab.evolution import (
-    EvolutionProblem, FieldTrajectory, RunConfig, StepperState,
+    EvolutionProblem, FieldTrajectory, RunConfig,
     harmonic_saddle_potential, residual_hnls, run,
 )
 from hnlslab.fields import ComplexField, Grid, constant_field, gaussian_field
@@ -235,8 +235,7 @@ def free_solution():
     problem = EvolutionProblem(g, lam=1.0, sigma=2.0)
     traj = FieldTrajectory()
     cfg = RunConfig(t_end=0.8, dt0=5e-4, sample_stride=10)
-    run(StepperState(field=u0, dt=cfg.dt0), problem, cfg,
-        observer=lambda st, s: traj.append(st.field))
+    run(u0, problem, cfg, observer=lambda st, s: traj.append(st.field))
     return g, problem, traj
 
 
@@ -267,8 +266,7 @@ def test_galilean_boost_honours_alpha(alpha):
     problem = EvolutionProblem(g, lam=1.0, sigma=2.0)
     traj = FieldTrajectory()
     cfg = RunConfig(t_end=0.2, dt0=1e-3, sample_stride=10)
-    run(StepperState(field=gaussian_field(g, amplitude=0.6, width=2.0),
-                     dt=cfg.dt0), problem, cfg,
+    run(gaussian_field(g, amplitude=0.6, width=2.0), problem, cfg,
         observer=lambda st, s: traj.append(st.field))
     r0 = _triple_residual(traj, 0.1, 1e-2, problem)
     boosted = apply_symmetry(traj, SymmetryParams(kind="galilean",
@@ -337,8 +335,7 @@ def test_pct_maps_potential_solutions_to_free_solutions():
     u0 = gaussian_field(g, amplitude=0.8, width=1.3)
     traj = FieldTrajectory()
     cfg = RunConfig(t_end=0.75, dt0=5e-4, sample_stride=10)
-    run(StepperState(field=u0, dt=cfg.dt0), problem_pot, cfg,
-        observer=lambda st, s: traj.append(st.field))
+    run(u0, problem_pot, cfg, observer=lambda st, s: traj.append(st.field))
     r_own = residual_hnls(traj.at(0.5 - 5e-3), traj.at(0.5),
                           traj.at(0.5 + 5e-3), problem_pot)
 
