@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import spectral
 from .fields import (ComplexField, Grid, GridError, constant_field, norms,
                      spectral_derivative)
 from .evolution import (STATUS_BLOWNUP, STATUS_RUNNING, EvolutionProblem,
@@ -165,7 +166,7 @@ def step_perturbation(state: DecomposedState, dt: float) -> DecomposedState:
         return 1j * lam * (np.abs(s) ** sigma * s - np.abs(phi) ** sigma * phi)
 
     ph = problem.linear_phase(half)
-    w = np.fft.ifftn(np.fft.fftn(state.v.values) * ph)
+    w = spectral.ifftn(spectral.fftn(state.v.values) * ph)
     # an overflow here is a blow-up, recorded below, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = coupling(w, phi0)
@@ -173,7 +174,7 @@ def step_perturbation(state: DecomposedState, dt: float) -> DecomposedState:
         k3 = coupling(w + half * k2, phi_h)
         k4 = coupling(w + dt * k3, phi_1)
         w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    w = np.fft.ifftn(np.fft.fftn(w) * ph)
+    w = spectral.ifftn(spectral.fftn(w) * ph)
 
     status = STATUS_RUNNING
     if not (np.all(np.isfinite(w.view(float))) and sp_1.field.is_finite()):
@@ -333,15 +334,15 @@ def profile_hypothesis_warnings(values: np.ndarray,
             f"localization proxy: |f| at the box edge is {edge / peak:.2e} "
             "of its peak (> 1e-4); the z^2-moment integral is unreliable")
     n = len(v)
-    spec = np.abs(np.fft.fft(v)) / n
-    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=period / n)
+    spec = np.abs(spectral.fftn(v)) / n
+    xi = spectral.freq(n, period / n)
     hi = np.abs(xi) > (2.0 / 3.0) * np.max(np.abs(xi))
     tail = float(np.sqrt(np.sum(spec[hi] ** 2) / np.sum(spec ** 2)))
     if tail > 1e-4:
         out.append(
             f"smoothness proxy: {tail:.2e} of the spectral mass sits in "
             "the top third of modes (> 1e-4); H2 membership is doubtful")
-    fz = np.abs(np.fft.ifft(1j * xi * np.fft.fft(v)))
+    fz = np.abs(spectral.ifftn(1j * xi * spectral.fftn(v)))
     gpeak = float(np.max(fz))
     if gpeak > 0 and max(fz[0], fz[-1]) > 1e-4 * gpeak:
         out.append(

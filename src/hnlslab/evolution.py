@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import ComplexField, Grid, GridError, _abs2, cubic_read
+from . import spectral
+from .fields import ComplexField, Grid, GridError, cubic_read
 from .observables import ObservableSample, ObservableSeries, sample
 
 STATUS_RUNNING = "Running"
@@ -125,23 +126,35 @@ def _nonlinear_stage(u: np.ndarray, dt: float, lam: float, sigma: float,
     built in one real buffer, cos and sin of it written into the two halves
     of one complex buffer, and one complex multiply.  No complex argument
     is formed and no complex exp is taken; cos/sin give the same bits as
-    exp(i phase) with numpy 2.4.
+    exp(i phase) with numpy 2.4.  The three buffers are allocated here and
+    `spectral.pointwise` runs the map on row blocks of them.
     """
+    amp = np.empty(u.shape)
+    theta = np.empty(u.shape)
+    z = np.empty_like(u)
+    spectral.pointwise(_phase_map, u, amp, theta, z, dt, lam, sigma,
+                       potential)
+    return amp
+
+
+def _phase_map(u, amp, theta, z, dt, lam, sigma, potential) -> None:
+    """`_nonlinear_stage` on one block, written into its buffers."""
     if sigma in (2.0, 4.0):
-        amp = _abs2(u)
+        np.multiply(u.real, u.real, out=amp)      # the bits of _abs2(u)
+        np.multiply(u.imag, u.imag, out=theta)
+        amp += theta
         if sigma == 4.0:
             amp *= amp
     else:
-        amp = np.abs(u) ** sigma
-    theta = lam * amp
+        np.abs(u, out=amp)
+        amp **= sigma
+    np.multiply(lam, amp, out=theta)
     if potential is not None:
         theta -= potential
     theta *= dt
-    z = np.empty_like(u)
     np.cos(theta, out=z.real)
     np.sin(theta, out=z.imag)
     u *= z
-    return amp
 
 
 def step_strang(state: StepperState, problem: EvolutionProblem,
@@ -149,9 +162,9 @@ def step_strang(state: StepperState, problem: EvolutionProblem,
     """One Strang step of size state.dt (times `direction` = +-1)."""
     dt = state.dt * direction
     half = problem.linear_phase(0.5 * dt)
-    u = np.fft.ifftn(np.fft.fftn(state.field.values) * half)
+    u = spectral.ifftn(spectral.fftn(state.field.values) * half)
     _nonlinear_stage(u, dt, problem.lam, problem.sigma, problem.potential)
-    u = np.fft.ifftn(np.fft.fftn(u) * half)
+    u = spectral.ifftn(spectral.fftn(u) * half)
     return StepperState(field=state.field.with_values(u, t=state.field.t + dt),
                         dt=state.dt, step_count=state.step_count + 1,
                         status=state.status)
@@ -164,13 +177,17 @@ class SpectralMarch:
     `step_strang` spends four, matching a loop of it to roundoff.  L(h/2)
     is kept for the last h stepped and formed again only when h changes.
     The physical field is formed by one ifftn, and only when `field` asks.
+    On a large grid both multiplies, both transforms and the phase map run
+    on the row blocks of `spectral`, bit for bit the serial step.  Each
+    step allocates its scratch afresh, so none is alive between steps
+    (where a sample would add it to the peak memory).
     """
 
     def __init__(self, field: ComplexField, problem: EvolutionProblem):
         if not field.grid.same_box(problem.grid):
             raise GridError(f"field on {field.grid}, problem on {problem.grid}")
         self.problem = problem
-        self.spectrum = np.fft.fftn(field.values)
+        self.spectrum = spectral.fftn(field.values)
         self._field = field        # None while only the spectrum is current
         self._h = self._half = None     # the last step size and its L(h/2)
 
@@ -181,16 +198,17 @@ class SpectralMarch:
         problem, sigma = self.problem, self.problem.sigma
         if h != self._h:
             self._h, self._half = h, problem.linear_phase(0.5 * h)
-        w = self.spectrum * self._half
-        np.fft.ifftn(w, out=w)
+        w = np.empty_like(self.spectrum)
+        spectral.pointwise(np.multiply, self.spectrum, self._half, w)
+        spectral.ifftn(w, out=w)
         amp = _nonlinear_stage(w, h, problem.lam, sigma, problem.potential)
         if sigma > 0:
             sup = float(np.max(amp)) ** (1.0 / sigma)
         else:
             sup = float(np.max(np.abs(w)))
         del amp            # free it before the forward FFT: peak memory
-        np.fft.fftn(w, out=w)
-        w *= self._half
+        spectral.fftn(w, out=w)
+        spectral.pointwise(np.multiply, w, self._half, w)
         self.spectrum = w
         self._field = None
         return sup
@@ -199,7 +217,7 @@ class SpectralMarch:
         """The physical field, stamped t; formed once per step taken."""
         if self._field is None or self._field.t != t:
             self._field = ComplexField(self.problem.grid,
-                                       np.fft.ifftn(self.spectrum), t=t)
+                                       spectral.ifftn(self.spectrum), t=t)
         return self._field
 
 
@@ -354,7 +372,7 @@ def residual_hnls(f_minus: ComplexField, f_center: ComplexField,
     h = 0.5 * (f_plus.t - f_minus.t)
     u = f_center.values
     ut = (f_plus.values - f_minus.values) / (2.0 * h)
-    lin = np.fft.ifftn(np.fft.fftn(u) * (-g.symbol))
+    lin = spectral.ifftn(spectral.fftn(u) * (-g.symbol))
     res = 1j * ut + lin + problem.lam * np.abs(u) ** problem.sigma * u
     if problem.potential is not None:
         res = res - problem.potential * u

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import spectral
 from .fields import (ComplexField, FieldDataError, Grid, GridError,
                      _is_pow2, evaluate_at_axes)
 from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
@@ -117,8 +118,8 @@ def lift_profile(values: np.ndarray, c: Sequence[float], grid: Grid,
             idx = idx.reshape(idx.shape + (1,)) \
                 - s * jj.reshape((1,) * (j + 1) + (-1,))
         return vals[np.mod(idx, n0)]
-    xi = 2.0 * np.pi * np.fft.fftfreq(nz, d=period / nz)
-    coef = np.fft.fft(vals) * np.exp(1j * xi * 0.5 * period) / nz
+    xi = spectral.freq(nz, period / nz)
+    coef = spectral.fftn(vals) * np.exp(1j * xi * 0.5 * period) / nz
     mats = [np.exp(1j * np.outer(grid.coords[0], xi)) * coef]
     for j, cj in enumerate(c):
         mats.append(np.exp(-1j * np.outer(cj * grid.coords[1 + j], xi)))
@@ -274,7 +275,7 @@ def _stationary_residual(u: np.ndarray, grid: Grid, V: np.ndarray,
     derivatives, gamma0 the Rayleigh quotient when None, and defect the
     l2 norm of res over the sum of the three terms' norms (0 when they
     all vanish)."""
-    box = np.fft.ifftn(np.fft.fftn(u) * (-grid.symbol))
+    box = spectral.ifftn(spectral.fftn(u) * (-grid.symbol))
     nl = lam * np.abs(u) ** (4.0 / grid.d) * u
     if gamma0 is None:
         gamma0 = (np.real(np.vdot(u, box + nl - V * u))
@@ -330,7 +331,7 @@ def refine_bound_state(seed: ComplexField, k: float, lam: float, *,
     for _ in range(int(iters)):
         if d_cur == 0.0 or tau < 1e-10:
             break
-        direction = np.fft.ifftn(P * np.fft.fftn(res))
+        direction = spectral.ifftn(P * spectral.fftn(res))
         accepted = False
         for sgn in (-1.0, 1.0):
             cand = u + sgn * tau * direction

@@ -20,6 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import spectral
+
 
 class GridError(ValueError):
     """Raised for an inconsistent grid request."""
@@ -70,8 +72,7 @@ class Grid:
         self.alpha = alpha
         self.dx = tuple(length[j] / n[j] for j in range(d))
         self.cell = float(np.prod(self.dx))
-        self.xi = tuple(2.0 * np.pi * np.fft.fftfreq(n[j], d=self.dx[j])
-                        for j in range(d))
+        self.xi = tuple(spectral.freq(n[j], self.dx[j]) for j in range(d))
         self.coords = tuple((np.arange(n[j]) - n[j] // 2) * self.dx[j]
                             for j in range(d))
         # symbol of the linear operator: sum_j alpha_j xi_j^2, full shape
@@ -183,7 +184,7 @@ def random_smooth_field(grid: Grid, rng: np.random.Generator,
     damp = np.ones(grid.n)
     for j in range(grid.d):
         damp = damp * np.exp(-0.5 * (corr * grid.xi_along(j)) ** 2)
-    vals = np.fft.ifftn(np.fft.fftn(noise) * damp)
+    vals = spectral.ifftn(spectral.fftn(noise) * damp)
     peak = np.max(np.abs(vals))
     if peak > 0:
         vals = vals * (amplitude / peak)
@@ -206,9 +207,9 @@ def spectral_derivative(field: ComplexField, axis: int, order: int = 1, *,
     if order not in (1, 2):
         raise GridError(f"derivative order must be 1 or 2, got {order}")
     if spectrum is None:
-        spectrum = np.fft.fftn(field.values)
+        spectrum = spectral.fftn(field.values)
     out = spectrum * (1j * g.xi_along(axis)) ** order
-    np.fft.ifftn(out, out=out)
+    spectral.ifftn(out, out=out)
     return field.with_values(out)
 
 
@@ -241,7 +242,7 @@ def _marginal(a: np.ndarray, axis: int) -> np.ndarray:
 def gradient_sq_integral(field: ComplexField) -> float:
     """integral of |grad u|^2 over the box (all axes weighted +1), via Parseval."""
     g = field.grid
-    spec2 = _abs2(np.fft.fftn(field.values))
+    spec2 = _abs2(spectral.fftn(field.values))
     acc = 0.0
     for j in range(g.d):
         acc += float(np.sum(g.xi[j] ** 2 * _marginal(spec2, j)))
@@ -324,7 +325,8 @@ def apply_linear_propagator(field: ComplexField, dt: float) -> ComplexField:
     every real dt, so it composes and inverts exactly.
     """
     g = field.grid
-    out = np.fft.ifftn(np.fft.fftn(field.values) * np.exp(-1j * dt * g.symbol))
+    out = spectral.ifftn(spectral.fftn(field.values)
+                         * np.exp(-1j * dt * g.symbol))
     return field.with_values(out, t=field.t + dt)
 
 
@@ -367,7 +369,7 @@ def evaluate_at_axes(field: ComplexField, axis_points: Sequence[np.ndarray]) -> 
     callers relying on that should have negligible data near the boundary.
     """
     g = field.grid
-    spec = np.fft.fftn(field.values)
+    spec = spectral.fftn(field.values)
     out = spec
     for j in range(g.d):
         E = _axis_eval_matrix(g, j, np.asarray(axis_points[j], dtype=float))
@@ -395,7 +397,7 @@ def evaluate_linear_map(field: ComplexField, matrix: np.ndarray) -> ComplexField
     M = np.asarray(matrix, dtype=float)
     if M.shape != (2, 2):
         raise GridError("matrix must be 2x2")
-    spec = np.fft.fftn(field.values)
+    spec = spectral.fftn(field.values)
     xi_x, xi_y = np.meshgrid(g.xi[0], g.xi[1], indexing="ij")
     # phase of mode (xi_x, xi_y) at point M(x, y): (M^T xi) . (x, y) + offsets
     kx = M[0, 0] * xi_x + M[1, 0] * xi_y
@@ -413,7 +415,7 @@ def translate(field: ComplexField, delta: Sequence[float]) -> ComplexField:
     g = field.grid
     if len(delta) != g.d:
         raise GridError(f"delta needs {g.d} entries")
-    spec = np.fft.fftn(field.values)
+    spec = spectral.fftn(field.values)
     for j, dj in enumerate(delta):
         spec = spec * np.exp(-1j * float(dj) * g.xi_along(j))
-    return field.with_values(np.fft.ifftn(spec))
+    return field.with_values(spectral.ifftn(spec))

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import spectral
 from .fields import (ComplexField, FieldDataError, Grid, _abs2, _abs_power,
                      _edge_fraction, _marginal, spectral_derivative)
 
@@ -91,7 +92,7 @@ def energy(field: ComplexField, lam: float, sigma: float,
     """Signature-weighted energy; optional static real potential adds
     1/2 int V |u|^2.  `spectrum`, when given, must be fftn(field.values)."""
     if spectrum is None:
-        spectrum = np.fft.fftn(field.values)
+        spectrum = spectral.fftn(field.values)
     a2 = _abs2(field.values)
     return _energy(field.grid, spectrum, a2, _lsig2(field.grid, a2, sigma),
                    lam, sigma, potential)
@@ -121,7 +122,7 @@ def sample(field: ComplexField, lam: float, sigma: float,
     if not math.isfinite(total) and not field.is_finite():
         raise FieldDataError("sample: field contains NaN or Inf")
     if spectrum is None:
-        spectrum = np.fft.fftn(u)
+        spectrum = spectral.fftn(u)
 
     mom = []
     com = []
@@ -132,6 +133,7 @@ def sample(field: ComplexField, lam: float, sigma: float,
         du = spectral_derivative(field, j, spectrum=spectrum).values
         q = u.real * du.imag
         q -= u.imag * du.real
+        del du          # not alive while the next axis forms its own
         qj = _marginal(q, j)
         a2j = _marginal(a2, j)
         xj = g.coords[j]

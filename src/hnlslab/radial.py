@@ -237,27 +237,32 @@ class RadialRunResult:
 
 
 class _CrankNicolsonHalf:
-    """Cayley map approximating exp(i * sign * A * dt/2) on active nodes."""
+    """Cayley map approximating exp(i * sign * A * dt/2) on active nodes.
+
+    The tridiagonal left-hand matrix is LU-factored once per dt (LAPACK
+    zgttrf, partial pivoting), and each `apply` is one zgttrs solve.
+    """
 
     def __init__(self, triplets, sign: int, dt: float):
+        from scipy.linalg.lapack import zgttrf, zgttrs
         sub, diag, sup = triplets
         th = 0.25j * sign * dt  # (dt/2)/2 enters each side of the Cayley map
-        m = len(diag)
-        ab = np.zeros((3, m), dtype=np.complex128)
-        ab[0, 1:] = -th * sup[:-1]
-        ab[1, :] = 1.0 - th * diag
-        ab[2, :-1] = -th * sub[1:]
-        self._ab = ab
+        *lu, info = zgttrf(-th * sub[1:], 1.0 - th * diag, -th * sup[:-1])
+        if info != 0:
+            raise ValueError(f"Crank-Nicolson matrix at dt={dt} is "
+                             f"singular (zgttrf info={info})")
+        self._lu = lu
+        self._solve = zgttrs
         self._rd = 1.0 + th * diag
         self._ru = th * sup
         self._rs = th * sub
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        from scipy.linalg import solve_banded
         rhs = self._rd * v
         rhs[:-1] += self._ru[:-1] * v[1:]
         rhs[1:] += self._rs[1:] * v[:-1]
-        return solve_banded((1, 1), self._ab, rhs, check_finite=False)
+        x, _ = self._solve(*self._lu, rhs, overwrite_b=1)
+        return x
 
 
 def solve_radial(profile: RadialProfile, dt: float, t_end: float, *,

@@ -3,13 +3,14 @@ import pytest
 
 from hnlslab.fields import (
     ComplexField, Grid, GridError, apply_linear_propagator, constant_field,
-    gaussian_field, norms, random_smooth_field,
+    gaussian_field, random_smooth_field,
 )
 from hnlslab.evolution import (
     STATUS_BLOWNUP, STATUS_DONE, EvolutionProblem, FieldTrajectory, RunConfig,
     StepperState, _fixed_dt_samples, harmonic_saddle_potential, march,
     residual_hnls, run, step_strang,
 )
+from hnlslab import spectral
 from hnlslab.observables import sample
 from conftest import BAD_NONLINEARITY, hnls_grid
 
@@ -313,13 +314,13 @@ class _FFTCounter:
     def __init__(self, monkeypatch):
         self.calls = 0
         for name in ("fftn", "ifftn"):
-            original = getattr(np.fft, name)
+            original = getattr(spectral, name)
 
             def counted(*args, _fn=original, **kwargs):
                 self.calls += 1
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(np.fft, name, counted)
+            monkeypatch.setattr(spectral, name, counted)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -13,7 +13,6 @@ from scipy.linalg import eigh
 from hnlslab.radial import (
     BC_DIRICHLET,
     BC_REGULARITY,
-    ConeField,
     RadialProfile,
     RadialTrajectory,
     concentration_scan,
@@ -30,6 +29,7 @@ from hnlslab.radial import (
     solve_radial,
     theta_moment,
     _active_slice,
+    _CrankNicolsonHalf,
     _series_start,
     _shoot_rhs,
 )
@@ -251,6 +251,18 @@ def test_solver_validation():
         solve_radial(prof, 1e-3, -1.0)
     with pytest.raises(ValueError):
         solve_radial(prof, 1e-3, 1.0, sample_stride=0)
+
+
+def test_crank_nicolson_half_refuses_a_singular_matrix():
+    # a diagonal of 1/th zeroes the left-hand matrix 1 - th * diag
+    dt = 1e-3
+    th = 0.25j * dt
+    ok = _CrankNicolsonHalf((np.zeros(4), np.ones(4), np.zeros(4)), 1, dt)
+    v = np.arange(4.0) + 1j
+    assert np.allclose(ok.apply(v), (1 + th) / (1 - th) * v, rtol=1e-15)
+    with pytest.raises(ValueError, match="singular"):
+        _CrankNicolsonHalf((np.zeros(4), np.full(4, 1 / th), np.zeros(4)),
+                           1, dt)
 
 
 def test_solver_rejects_non_finite_times():

@@ -5,7 +5,7 @@ from hnlslab.evolution import (
     EvolutionProblem, FieldTrajectory, RunConfig,
     harmonic_saddle_potential, residual_hnls, run,
 )
-from hnlslab.fields import ComplexField, Grid, constant_field, gaussian_field
+from hnlslab.fields import Grid, constant_field, gaussian_field
 from hnlslab.transforms import (
     SymmetryParams, TransformError, apply_pct, apply_symmetry, closed_form_b,
     constraint_residuals, integrate_transform_odes, signature_quadratic,
