@@ -35,14 +35,17 @@ class SnapshotError(ValueError):
     """Raised for malformed, truncated, or foreign snapshot files."""
 
 
-def _atomic_write_bytes(path, data: bytes) -> None:
+def _atomic_write_bytes(path, *chunks) -> None:
+    """Write the bytes-like chunks, in order, to a temporary file beside
+    path and rename it over path."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.",
                                suffix="-" + os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -62,7 +65,9 @@ def write_snapshot(field: ComplexField, path) -> int:
 
     Layout (all little-endian): magic "HNLSNAP1", u32 version = 1, u32 d,
     u32 n[d], f64 len[d], f64 alpha[d], f64 t, then prod(n) complex
-    samples as (re, im) f64 pairs in row-major order.
+    samples as (re, im) f64 pairs in row-major order.  The samples are
+    written from the field's own buffer when it is C-ordered little-endian
+    complex128, so no copy of the field is made.
     """
     g = field.grid
     head = SNAPSHOT_MAGIC
@@ -71,10 +76,9 @@ def write_snapshot(field: ComplexField, path) -> int:
     head += struct.pack(f"<{g.d}d", *g.length)
     head += struct.pack(f"<{g.d}d", *g.alpha)
     head += struct.pack("<d", field.t)
-    body = np.ascontiguousarray(field.values, dtype="<c16").tobytes()
-    data = head + body
-    _atomic_write_bytes(path, data)
-    return len(data)
+    body = np.ascontiguousarray(field.values, dtype="<c16")
+    _atomic_write_bytes(path, head, memoryview(body).cast("B"))
+    return len(head) + body.nbytes
 
 
 def read_snapshot(path) -> ComplexField:

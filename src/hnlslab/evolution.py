@@ -50,8 +50,10 @@ class EvolutionProblem:
                 raise GridError("potential shape does not match grid")
 
     def linear_phase(self, dt: float) -> np.ndarray:
-        """Fourier multiplier exp(-i dt sum alpha_j xi_j^2)."""
-        return np.exp(-1j * dt * self.grid.symbol)
+        """Fourier multiplier exp(-i dt sum alpha_j xi_j^2), formed in one
+        complex array."""
+        out = -1j * dt * self.grid.symbol
+        return np.exp(out, out=out)
 
 
 def harmonic_saddle_potential(grid: Grid, k: float, flat_frac: float = 0.8) -> np.ndarray:
@@ -115,46 +117,60 @@ class StepperState:
 
 
 def _nonlinear_stage(u: np.ndarray, dt: float, lam: float, sigma: float,
-                     potential: np.ndarray | None = None) -> np.ndarray:
+                     potential: np.ndarray | None = None) -> float:
     """Apply the exact phase map N(dt): u -> u exp(i dt (lam |u|^sigma - V)),
-    in place, and return the amplitude |u|^sigma it used.  The map keeps
-    |u| pointwise, so that amplitude also bounds the new field.  Every
-    split-step solver calls it: the Strang steps here and the radial step.
+    in place, and return sup |u| (non-finite when u is).  The map keeps |u|
+    pointwise, so for sigma > 0 the sup is read off the amplitude the map
+    computes.  Every split-step solver calls it: the Strang steps here and
+    the radial step.
 
     Cost, all pointwise: the amplitude (re^2 + im^2 for sigma = 2, its
     square for sigma = 4, |u|^sigma otherwise), the phase dt (lam amp - V)
     built in one real buffer, cos and sin of it written into the two halves
     of one complex buffer, and one complex multiply.  No complex argument
     is formed and no complex exp is taken; cos/sin give the same bits as
-    exp(i phase) with numpy 2.4.  The three buffers are allocated here and
-    `spectral.pointwise` runs the map on row blocks of them.
+    exp(i phase) with numpy 2.4.  `spectral.streamed` runs the map chunk
+    by chunk through scratch of one chunk per row block (one real and one
+    complex buffer), and the sup is the max of the chunks' maxima, so the
+    result is the whole-array map's bit for bit.
     """
-    amp = np.empty(u.shape)
-    theta = np.empty(u.shape)
-    z = np.empty_like(u)
-    spectral.pointwise(_phase_map, u, amp, theta, z, dt, lam, sigma,
-                       potential)
-    return amp
+    maxima = spectral.streamed(_phase_map, (u, potential), (float, complex),
+                               dt, lam, sigma)
+    top = float(maxima[0] if len(maxima) == 1 else np.max(maxima))
+    return top ** (1.0 / sigma) if sigma > 0 else top
 
 
-def _phase_map(u, amp, theta, z, dt, lam, sigma, potential) -> None:
-    """`_nonlinear_stage` on one block, written into its buffers."""
-    if sigma in (2.0, 4.0):
-        np.multiply(u.real, u.real, out=amp)      # the bits of _abs2(u)
-        np.multiply(u.imag, u.imag, out=theta)
-        amp += theta
-        if sigma == 4.0:
-            amp *= amp
-    else:
-        np.abs(u, out=amp)
-        amp **= sigma
-    np.multiply(lam, amp, out=theta)
+def _phase_map(u, potential, theta, z, dt, lam, sigma):
+    """`_nonlinear_stage` on one chunk, through its scratch theta and z;
+    returns the chunk's max of the amplitude |u|^sigma (for sigma = 0,
+    where that is 1, the max of |u| after the map)."""
+    _amplitude(u, sigma, theta, z.real)
+    top = theta.max()
+    theta *= lam
     if potential is not None:
         theta -= potential
     theta *= dt
     np.cos(theta, out=z.real)
     np.sin(theta, out=z.imag)
     u *= z
+    if sigma == 0:
+        return np.abs(u, out=theta).max()
+    return top
+
+
+def _amplitude(u, sigma, out, tmp) -> None:
+    """|u|^sigma into out, tmp being scratch of its shape: re^2 + im^2 (the
+    bits of _abs2(u)) for sigma = 2, its square for sigma = 4, and
+    np.abs(u) ** sigma otherwise."""
+    if sigma in (2.0, 4.0):
+        np.multiply(u.real, u.real, out=out)
+        np.multiply(u.imag, u.imag, out=tmp)
+        out += tmp
+        if sigma == 4.0:
+            out *= out
+    else:
+        np.abs(u, out=out)
+        out **= sigma
 
 
 def step_strang(state: StepperState, problem: EvolutionProblem,
@@ -178,9 +194,12 @@ class SpectralMarch:
     is kept for the last h stepped and formed again only when h changes.
     The physical field is formed by one ifftn, and only when `field` asks.
     On a large grid both multiplies, both transforms and the phase map run
-    on the row blocks of `spectral`, bit for bit the serial step.  Each
-    step allocates its scratch afresh, so none is alive between steps
-    (where a sample would add it to the peak memory).
+    on the row blocks of `spectral`, bit for bit the serial step.  A step
+    works in place on `spectrum`; its only new memory is the phase map's
+    scratch, one chunk of `spectral.CHUNK_POINTS` points per row block
+    (freed when the step returns), and L(h/2) when h changes.  It first
+    lets go of the last sample's field and of an L(h/2) it replaces, so
+    neither is alive while the step runs.
     """
 
     def __init__(self, field: ComplexField, problem: EvolutionProblem):
@@ -195,22 +214,18 @@ class SpectralMarch:
         """Advance by h and return the sup of the half-step field L(h/2) u,
         read off the amplitude the nonlinear stage computes (non-finite
         when the field is)."""
-        problem, sigma = self.problem, self.problem.sigma
-        if h != self._h:
-            self._h, self._half = h, problem.linear_phase(0.5 * h)
-        w = np.empty_like(self.spectrum)
-        spectral.pointwise(np.multiply, self.spectrum, self._half, w)
-        spectral.ifftn(w, out=w)
-        amp = _nonlinear_stage(w, h, problem.lam, sigma, problem.potential)
-        if sigma > 0:
-            sup = float(np.max(amp)) ** (1.0 / sigma)
-        else:
-            sup = float(np.max(np.abs(w)))
-        del amp            # free it before the forward FFT: peak memory
-        spectral.fftn(w, out=w)
-        spectral.pointwise(np.multiply, w, self._half, w)
-        self.spectrum = w
+        problem = self.problem
         self._field = None
+        if h != self._h:
+            self._half = None
+            self._h, self._half = h, problem.linear_phase(0.5 * h)
+        w, half = self.spectrum, self._half
+        spectral.pointwise(np.multiply, w, half, w)
+        spectral.ifftn(w, out=w)
+        sup = _nonlinear_stage(w, h, problem.lam, problem.sigma,
+                               problem.potential)
+        spectral.fftn(w, out=w)
+        spectral.pointwise(np.multiply, w, half, w)
         return sup
 
     def field(self, t: float) -> ComplexField:

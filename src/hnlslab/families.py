@@ -19,7 +19,7 @@ import numpy as np
 
 from . import spectral
 from .fields import (ComplexField, FieldDataError, Grid, GridError,
-                     _is_pow2, evaluate_at_axes)
+                     _abs2, _is_pow2, evaluate_at_axes)
 from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
                         _check_nonlinearity, harmonic_saddle_potential, run)
 from .transforms import (TransformError, TransformState,
@@ -268,26 +268,33 @@ class SemiclassicalSpec:
             raise ValueError("defect must be finite")
 
 
+def _norm(x: np.ndarray) -> float:
+    """The l2 norm of x as a numpy sum, which unlike np.linalg.norm (BLAS)
+    gives the same bits whatever the number of BLAS threads."""
+    return math.sqrt(float(np.sum(_abs2(x))))
+
+
 def _stationary_residual(u: np.ndarray, grid: Grid, V: np.ndarray,
                          gamma0: float | None, lam: float) -> tuple:
     """(res, gamma0, defect) of the stationary equation at sigma = 4/d:
     res = box u + lam |u|^sigma u - (V + gamma0) u with spectral
     derivatives, gamma0 the Rayleigh quotient when None, and defect the
     l2 norm of res over the sum of the three terms' norms (0 when they
-    all vanish)."""
+    all vanish).  Every reduction is a numpy sum, not BLAS, so the result
+    does not depend on the number of BLAS threads."""
     box = spectral.ifftn(spectral.fftn(u) * (-grid.symbol))
     nl = lam * np.abs(u) ** (4.0 / grid.d) * u
     if gamma0 is None:
-        gamma0 = (np.real(np.vdot(u, box + nl - V * u))
-                  / np.real(np.vdot(u, u)))
+        r = box + nl - V * u
+        gamma0 = (np.sum(u.real * r.real + u.imag * r.imag)
+                  / np.sum(_abs2(u)))
     gamma0 = float(gamma0)
     pot = (V + gamma0) * u
     res = box + nl - pot
-    scale = (np.linalg.norm(box.ravel()) + np.linalg.norm(nl.ravel())
-             + np.linalg.norm(pot.ravel()))
+    scale = _norm(box) + _norm(nl) + _norm(pot)
     if scale == 0.0:
         return res, gamma0, 0.0
-    return res, gamma0, float(np.linalg.norm(res.ravel()) / scale)
+    return res, gamma0, _norm(res) / scale
 
 
 def bound_state_defect(A0: ComplexField, k: float, gamma0: float,
@@ -320,7 +327,7 @@ def refine_bound_state(seed: ComplexField, k: float, lam: float, *,
     g = seed.grid
     V = harmonic_saddle_potential(g, k)
     P = 1.0 / (1.0 + np.abs(g.symbol))
-    m0 = np.linalg.norm(seed.values.ravel())
+    m0 = _norm(seed.values)
     if m0 == 0.0:
         raise ValueError("seed field is zero")
 
@@ -335,7 +342,7 @@ def refine_bound_state(seed: ComplexField, k: float, lam: float, *,
         accepted = False
         for sgn in (-1.0, 1.0):
             cand = u + sgn * tau * direction
-            cand *= m0 / np.linalg.norm(cand.ravel())
+            cand *= m0 / _norm(cand)
             res_c, gm_c, d_c = _stationary_residual(cand, g, V, gamma0,
                                                    lam)
             if d_c < d_cur:

@@ -258,6 +258,13 @@ class NormBundle:
     lp: dict = dc_field(default_factory=dict)
 
 
+def l2_norm(field: ComplexField) -> float:
+    """The `l2` of `norms(field)` alone, from one |u|^2 sum and no FFT; a
+    non-finite field gives a non-finite norm."""
+    return float(np.sqrt(field.grid.cell
+                         * float(np.sum(_abs2(field.values)))))
+
+
 def norms(field: ComplexField, ps: Sequence[float] = ()) -> NormBundle:
     """L2, H1 and Linf norms (plus requested Lp norms) of a field.
 

@@ -111,8 +111,10 @@ def sample(field: ComplexField, lam: float, sigma: float,
     linf, the finiteness test (its sum), |u|^(sigma+2), the potential term,
     the edge slabs of the boundary fraction and, as a 1-D marginal per
     axis, the centre of mass and virial; per axis one real product
-    q_j = Im(conj(u) d_j u), whose marginal gives both the momentum and the
-    moment flux; and one |u^|^2 sum for the kinetic energy.
+    q_j = Im(conj(u) d_j u), formed in the buffer of d_j u, whose marginal
+    gives both the momentum and the moment flux; and one |u^|^2 sum for
+    the kinetic energy.  Beyond the field and the spectrum it holds at most
+    |u|^2 and one derivative at a time.
     """
     g = field.grid
     w = g.cell
@@ -131,10 +133,12 @@ def sample(field: ComplexField, lam: float, sigma: float,
     virial = 0.0
     for j in range(g.d):
         du = spectral_derivative(field, j, spectrum=spectrum).values
-        q = u.real * du.imag
-        q -= u.imag * du.real
-        del du          # not alive while the next axis forms its own
+        q, t = du.imag, du.real       # q_j is formed in du's own buffer
+        np.multiply(u.real, q, out=q)
+        np.multiply(u.imag, t, out=t)
+        q -= t
         qj = _marginal(q, j)
+        del du, q, t    # not alive while the next axis forms its own
         a2j = _marginal(a2, j)
         xj = g.coords[j]
         flux = w * float(np.sum(xj * qj))

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import __version__
 from .fields import (ComplexField, Grid, GridError, _is_pow2,
-                     gaussian_field, harmonic_field, norms,
+                     gaussian_field, harmonic_field, l2_norm,
                      random_smooth_field)
 from .observables import _AUDIT_SAMPLES, verify_conservation
 from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
@@ -702,8 +702,9 @@ def _exp_structured_wave(cfg, out) -> str:
     mismatch = None
     if state.status == STATUS_DONE:
         ref = wave_field(spec, state.t, grid, dt=cfg.run["dt0"])
-        num = norms(state.field.with_values(state.field.values - ref.values))
-        mismatch = num.l2 / max(norms(ref).l2, 1e-300)
+        num = l2_norm(state.field.with_values(state.field.values
+                                              - ref.values))
+        mismatch = num / max(l2_norm(ref), 1e-300)
     out.json(f"{cfg.kind}.json", {"status": state.status, "t_end": state.t,
                                   "formula_mismatch": mismatch,
                                   "warnings": cfg.warnings})

@@ -9,14 +9,19 @@ in-place 1-D pass per axis, last axis first, but each pass is cut into
 blocks of rows that run on a thread pool; numpy's pocketfft releases the
 GIL, so the blocks run at once.  Every line goes through the same 1-D call
 either way, so the output is bit for bit numpy's whatever the number of
-workers.  `pointwise` cuts an elementwise map into the same row blocks.
+workers.  `pointwise` cuts an in-place elementwise map into the same row
+blocks, and `streamed` walks each block in chunks of at least
+CHUNK_POINTS points through scratch of one chunk per block.
 
 Workers are the CPUs in the process's affinity mask, so `taskset -c 0`
 makes every transform serial.  The pool is made, and `concurrent.futures`
 imported, at the first split.  The calling thread runs the first block and
-allocates every array a split writes: the tasks get views of it and
-allocate no array of their own (memory a worker thread allocates stays in
-its malloc arena), and never start tasks of their own.
+allocates every array a split writes, `streamed`'s scratch included: the
+tasks get views of it and allocate no array of their own (memory a worker
+thread allocates stays in its malloc arena), and never start tasks of
+their own.  The scratch of `streamed` is one chunk per block whatever the
+size of the field, so a map that needs temporaries costs a bounded amount
+of memory beyond the arrays it maps.
 """
 
 from __future__ import annotations
@@ -31,6 +36,11 @@ import numpy as np
 # 5.9 -> 4.5 ms, 512^2 26.9 -> 15.6 ms, 64^3 24.7 -> 15.3 ms; so splits
 # start at 256^2 = 2 * 2^15 points.
 SPLIT_POINTS = 1 << 15
+
+# `streamed` walks a block in chunks of at least this many points (whole
+# rows) and fewer than twice as many: 128^2 and every smaller field is one
+# chunk, and a 512^2 block of 256 rows is 8 chunks of 32.
+CHUNK_POINTS = 1 << 14
 
 _workers = None     # CPUs in the affinity mask, read at the first split test
 _pool = None        # made at the first split
@@ -94,6 +104,50 @@ def pointwise(fn, *args) -> None:
               for rows in _rows(args[0].shape[0], nb)])
 
 
+def streamed(fn, arrays: tuple, scratch: tuple, *consts) -> list:
+    """`fn(*chunks, *buffers, *consts)` on consecutive chunks of whole rows
+    of the row blocks of `pointwise`, and the list of what every call
+    returned, in row order.  `arrays` all have the shape of the first, and
+    a None among them is passed as it is; `scratch` lists the dtypes of
+    fn's buffers, of which the calling thread allocates one chunk per
+    block: fn gets the leading rows of them that match its chunk, and may
+    write them and its chunks.
+
+    A block of r rows is cut evenly into max(1, r // step) chunks, step
+    being the rows of CHUNK_POINTS points, so a chunk holds at least
+    CHUNK_POINTS points (or the whole block) and fewer than twice that.
+    No chunk is then a single point unless the array is one: on a single
+    point numpy's in-place complex multiply takes a path of other bits."""
+    first = arrays[0]
+    n, nb = first.shape[0], blocks(first.size)
+    step = max(1, CHUNK_POINTS // (first.size // n))    # rows of a chunk
+    if nb == 1 and n < 2 * step:        # one chunk: the whole array
+        return [fn(*arrays, *[np.empty(first.shape, dtype)
+                              for dtype in scratch], *consts)]
+    block_args = []
+    for rows in _rows(n, nb):
+        r = rows.stop - rows.start
+        chunks = _rows(r, max(1, r // step))
+        most = chunks[-1].stop - chunks[-1].start    # the largest chunk
+        block_args.append((
+            [None if a is None else a[rows] for a in arrays],
+            [np.empty((most,) + first.shape[1:], dtype) for dtype in scratch],
+            chunks, fn, consts))
+    if len(block_args) == 1:
+        return _walk(*block_args[0])
+    return [value for values in _run(_walk, block_args) for value in values]
+
+
+def _walk(arrays: list, buffers: list, chunks: list, fn, consts) -> list:
+    """`streamed` on one row block."""
+    found = []
+    for rows in chunks:
+        size = rows.stop - rows.start
+        found.append(fn(*[None if a is None else a[rows] for a in arrays],
+                        *[b[:size] for b in buffers], *consts))
+    return found
+
+
 def _rows(n: int, nb: int) -> list:
     nb = min(nb, n)
     return [slice(n * i // nb, n * (i + 1) // nb) for i in range(nb)]
@@ -119,10 +173,10 @@ def _split_passes(fft1, a: np.ndarray, out: np.ndarray | None,
     return out
 
 
-def _run(fn, block_args: list) -> None:
-    """fn(*args) for every args of block_args: the first here, the rest
-    on the pool, each in a copy of the caller's context (numpy's errstate
-    lives there); returns when all are done and re-raises a task's error."""
+def _run(fn, block_args: list) -> list:
+    """[fn(*args) for args in block_args]: the first here, the rest on the
+    pool, each in a copy of the caller's context (numpy's errstate lives
+    there); returns when all are done and re-raises a task's error."""
     global _pool
     if _pool is None:
         from concurrent.futures import ThreadPoolExecutor
@@ -131,9 +185,8 @@ def _run(fn, block_args: list) -> None:
     futures = [_pool.submit(contextvars.copy_context().run, fn, *args)
                for args in block_args[1:]]
     try:
-        fn(*block_args[0])
+        first = fn(*block_args[0])
     finally:
         for future in futures:
             future.exception()          # waits; errors re-raised below
-    for future in futures:
-        future.result()
+    return [first] + [future.result() for future in futures]

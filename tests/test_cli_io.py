@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +105,23 @@ def test_snapshot_overwrite_and_no_temp_debris(tmp_path, rng):
     write_snapshot(b, path)          # atomic replace, not append
     assert read_snapshot(path).values.tobytes() == b.values.tobytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["field.snap"]
+
+
+@pytest.mark.skipif(sys.byteorder != "little",
+                    reason="a big-endian field is converted to the format")
+def test_snapshot_writes_the_field_without_a_copy(tmp_path, rng):
+    field = random_smooth_field(hnls_grid(n=256), rng)
+    path = tmp_path / "big.snap"
+    write_snapshot(field, path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_snapshot(field, path)
+        rise = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert rise <= field.values.nbytes // 8
+    assert read_snapshot(path).values.tobytes() == field.values.tobytes()
 
 
 # ---------------------------------------------------------------------------

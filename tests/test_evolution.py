@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from hnlslab.fields import (
 )
 from hnlslab.evolution import (
     STATUS_BLOWNUP, STATUS_DONE, EvolutionProblem, FieldTrajectory, RunConfig,
-    StepperState, _fixed_dt_samples, harmonic_saddle_potential, march,
-    residual_hnls, run, step_strang,
+    SpectralMarch, StepperState, _fixed_dt_samples, harmonic_saddle_potential,
+    march, residual_hnls, run, step_strang,
 )
 from hnlslab import spectral
 from hnlslab.observables import sample
@@ -517,3 +519,40 @@ def test_run_forms_the_linear_phase_once_per_step_size(monkeypatch):
                           problem, t_end=0.0255, dt0=1e-3)
     assert state.status == STATUS_DONE and state.step_count == 26
     assert len(calls) == 2
+
+
+def _traced_rise(fn) -> int:
+    """How far fn() raises the traced peak above the memory traced before."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    fn()
+    return tracemalloc.get_traced_memory()[1] - before
+
+
+@pytest.mark.parametrize("n", [512, 64])
+def test_step_and_sample_memory_is_bounded(n, monkeypatch):
+    # two row blocks on any machine: 512^2 splits, 64^2 stays one block
+    monkeypatch.setattr(spectral, "_workers", 2)
+    g = hnls_grid(n=n)
+    march = SpectralMarch(gaussian_field(g, amplitude=0.8, width=3.0),
+                          EvolutionProblem(g, lam=1.0, sigma=4.0))
+    size, field = g.n[0] * g.n[1], march.spectrum.nbytes
+    nb = spectral.blocks(size)
+    assert nb == (2 if n == 512 else 1)
+    # the phase map's scratch: one real and one complex chunk per block
+    scratch = nb * min(spectral.CHUNK_POINTS, size // nb) * 24
+    slack = 256 * 1024      # numpy's iterator buffers and Python objects
+    tracemalloc.start()
+    try:
+        march.step(1e-3)            # warm-up: L(h/2) and FFT plans
+        sample(march.field(1e-3), 1.0, 4.0, spectrum=march.spectrum)
+        step = _traced_rise(lambda: march.step(1e-3))
+        # a sample forms the field, |u|^2 and one derivative at a time
+        taken = _traced_rise(lambda: sample(march.field(2e-3), 1.0, 4.0,
+                                            spectrum=march.spectrum))
+    finally:
+        tracemalloc.stop()
+    assert step <= scratch + 32 * 1024
+    if n == 512:
+        assert step <= field // 4
+    assert taken <= field + size * 8 + field + slack

@@ -1,5 +1,9 @@
 """Plane-wave, standing-wave, and semiclassical family constructors."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -397,3 +401,24 @@ def test_refine_rejects_zero_seed():
     zero = ComplexField(grid, np.zeros(grid.n, dtype=complex))
     with pytest.raises(ValueError):
         refine_bound_state(zero, 0.0, 1.0, iters=5)
+
+
+def test_bound_state_defect_does_not_depend_on_blas_threads():
+    # the seed-11 semiclassical candidate (128^2, where OpenBLAS threads its
+    # dot products): the defect's repr with 1 and 2 BLAS threads
+    import hnlslab
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hnlslab.__file__)))
+    code = ("import math, hnlslab\n"
+            "g = hnlslab.Grid((128, 128), (40.0, 40.0), (1.0, -1.0))\n"
+            "A0 = hnlslab.gaussian_field(g, amplitude=1.0,"
+            " width=math.sqrt(2.0))\n"
+            "print(repr(hnlslab.bound_state_defect(A0, 0.25, 1.0, 1.0)))\n")
+    defects = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True,
+                             timeout=120)
+        defects.append(out.stdout.strip())
+    assert defects[0] == defects[1]

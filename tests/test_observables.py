@@ -8,7 +8,7 @@ from hnlslab.fields import (
     random_smooth_field, spectral_derivative,
 )
 from hnlslab.evolution import (
-    EvolutionProblem, RunConfig, _nonlinear_stage,
+    EvolutionProblem, RunConfig, _amplitude, _nonlinear_stage,
     harmonic_saddle_potential, run,
 )
 from hnlslab.observables import (
@@ -204,8 +204,12 @@ def test_nonlinear_stage_matches_complex_exp(sigma, with_potential):
     V = harmonic_saddle_potential(g, k=0.3) if with_potential else None
     problem = EvolutionProblem(g, lam=1.3, sigma=sigma, potential=V)
     dt = 0.2
+    amp = np.empty(g.n)
+    _amplitude(u0, sigma, amp, np.empty(g.n))
     u = u0.copy()
-    amp = _nonlinear_stage(u, dt, problem.lam, sigma, V)
+    sup = _nonlinear_stage(u, dt, problem.lam, sigma, V)
+    assert sup == (np.max(amp) ** (1.0 / sigma) if sigma > 0
+                   else np.max(np.abs(u)))
     # the amplitude: exact products for sigma = 2 and 4, |u|^sigma otherwise
     if sigma == 2.0:
         assert np.array_equal(amp, u0.real ** 2 + u0.imag ** 2)

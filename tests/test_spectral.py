@@ -8,10 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from hnlslab import spectral
-from hnlslab.evolution import (EvolutionProblem, RunConfig,
+from hnlslab import evolution, spectral
+from hnlslab.evolution import (STATUS_BLOWNUP, EvolutionProblem, RunConfig,
+                               _nonlinear_stage, _phase_map,
                                harmonic_saddle_potential, run)
-from hnlslab.fields import Grid, random_smooth_field
+from hnlslab.fields import Grid, gaussian_field, random_smooth_field
 
 SHAPES = [(32,), (16, 16), (16, 32), (32, 16), (16, 16, 16), (16, 32, 16)]
 
@@ -25,7 +26,7 @@ def split(monkeypatch):
 
     def counted(fn, block_args):
         calls.append(len(block_args))
-        original(fn, block_args)
+        return original(fn, block_args)
 
     def set_blocks(nb, size):
         monkeypatch.setattr(spectral, "SPLIT_POINTS", size // nb)
@@ -187,3 +188,69 @@ def test_a_forked_child_splits_on_a_pool_of_its_own():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "0"
+
+
+def _phase_map_cases():
+    # first axes of 45, 7 and 37 rows: blocks and chunks come out uneven
+    for shape in [(45,), (7, 6, 5), (37, 6)]:
+        for sigma in [0.0, 1.5, 2.0, 4.0]:
+            yield shape, sigma
+
+
+@pytest.mark.parametrize("shape,sigma", list(_phase_map_cases()))
+@pytest.mark.parametrize("with_potential", [False, True])
+def test_streamed_phase_map_equals_the_whole_array_map_bit_for_bit(
+        shape, sigma, with_potential, split, monkeypatch, rng):
+    u0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    V = rng.standard_normal(shape) if with_potential else None
+    u = u0.copy()
+    top = _phase_map(u, V, np.empty(shape), np.empty(shape, complex),
+                     0.3, 1.3, sigma)
+    for nb, chunk_points in [(1, 7), (3, 4), (2, 9), (1, 13)]:
+        split(nb, u0.size)
+        monkeypatch.setattr(spectral, "CHUNK_POINTS", chunk_points)
+        chunks = []
+        monkeypatch.setattr(evolution, "_phase_map", lambda *a: chunks.append(
+            a[0].shape[0]) or _phase_map(*a))
+        streamed = u0.copy()
+        sup = _nonlinear_stage(streamed, 0.3, 1.3, sigma, V)
+        assert sum(chunks) == shape[0] and len(chunks) > nb
+        assert np.array_equal(streamed, u)
+        assert sup == (float(top) ** (1.0 / sigma) if sigma > 0 else top)
+
+
+@pytest.mark.parametrize("shape", [(32,), (16, 32), (32, 16, 16)])
+@pytest.mark.parametrize("sigma", [0.0, 1.5, 2.0, 4.0])
+def test_streamed_run_with_a_potential_equals_the_one_chunk_run(
+        shape, sigma, split, monkeypatch):
+    whole, whole_rows = _run(shape, sigma)
+    split(3, int(np.prod(shape)))
+    monkeypatch.setattr(spectral, "CHUNK_POINTS",
+                        3 * int(np.prod(shape[1:])))
+    state, rows = _run(shape, sigma)
+    assert split.calls
+    assert np.array_equal(state.field.values, whole.field.values)
+    assert np.array_equal(rows, whole_rows)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.5, 2.0, 4.0])
+def test_a_nan_in_the_last_chunk_of_the_last_block_is_kept(sigma, split,
+                                                            monkeypatch):
+    split(3, 37 * 6)
+    monkeypatch.setattr(spectral, "CHUNK_POINTS", 2 * 6)
+    u = np.ones((37, 6), complex)
+    u[-1, -1] = np.nan
+    assert np.isnan(_nonlinear_stage(u, 0.3, 1.0, sigma))
+
+    # in a run the NaN enters through the potential's last point: the
+    # first step's field carries it, and the march ends BlownUp
+    g = Grid((64, 32), (20.0, 20.0), (1.0, -1.0))
+    split(3, 64 * 32)
+    V = np.zeros(g.n)
+    V[-1, -1] = np.nan
+    problem = EvolutionProblem(g, lam=1.0, sigma=sigma, potential=V)
+    state, _ = run(gaussian_field(g, amplitude=0.8, width=3.0), problem,
+                   RunConfig(t_end=0.1, dt0=1e-2))
+    assert state.status == STATUS_BLOWNUP
+    # sigma = 0 reads the sup after the map, the others before it
+    assert state.step_count == (1 if sigma == 0 else 2)
