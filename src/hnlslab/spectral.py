@@ -121,7 +121,10 @@ def streamed(fn, arrays: tuple, scratch: tuple, *consts) -> list:
     first = arrays[0]
     n, nb = first.shape[0], blocks(first.size)
     step = max(1, CHUNK_POINTS // (first.size // n))    # rows of a chunk
-    if nb == 1 and n < 2 * step:        # one chunk: the whole array
+    if nb == 1 and n < 2 * step:
+        # one chunk, the whole array: the call the loop below makes, less
+        # its bounds and views, which cost about 6 us a call on Python
+        # 3.11 and made a 64-point Strang step 15% slower than unchunked
         return [fn(*arrays, *[np.empty(first.shape, dtype)
                               for dtype in scratch], *consts)]
     block_args = []
