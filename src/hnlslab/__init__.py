@@ -36,16 +36,14 @@ from .radial import (
 )
 from .families import (
     PlaneWaveSpec, StandingWaveSpec, SemiclassicalSpec,
-    lift_profile, plane_wave_problem, plane_wave_profile_at,
-    plane_wave_field, standing_wave_problem, standing_wave_lift,
-    standing_wave_field, bound_state_defect, refine_bound_state,
-    semiclassical_field,
+    lift_profile, standing_wave_lift, wave_field, bound_state_defect,
+    refine_bound_state, semiclassical_field,
 )
 from .coupled import (
     DecomposedState, CoupledSeries, StabilityReport, TwoWaveSeries,
     lift_structured, make_decomposed, step_decomposed, step_perturbation,
-    run_decomposed, profile_hypothesis_warnings, certify_regime,
-    stability_run, two_wave_run,
+    run_decomposed, profile_hypothesis_warnings, stability_run,
+    two_wave_run,
 )
 from .artifacts import (
     RunManifest, SnapshotError,

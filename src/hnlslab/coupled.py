@@ -26,44 +26,28 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spectral
-from .fields import (ComplexField, Grid, GridError, constant_field, norms,
-                     spectral_derivative)
+from .fields import ComplexField, Grid, GridError, constant_field, norms
 from .evolution import (STATUS_BLOWNUP, STATUS_RUNNING, EvolutionProblem,
                         RunConfig, SpectralMarch, StepperState, march,
                         step_strang)
-from .families import (PlaneWaveSpec, StandingWaveSpec, _carrier_index,
-                       lift_profile, plane_wave_problem,
-                       standing_wave_lift, standing_wave_problem)
+from .families import PlaneWaveSpec
 
 
 def lift_structured(spec, values: np.ndarray, grid: Grid,
                     t: float) -> np.ndarray:
-    """Full-grid samples of the structured wave built from profile values."""
-    if isinstance(spec, PlaneWaveSpec):
-        return lift_profile(values, spec.c, grid, spec.period)
-    if isinstance(spec, StandingWaveSpec):
-        _carrier_index(spec.omega, grid.length[0])
-        return standing_wave_lift(values, spec.omega, grid, t)
-    raise TypeError(f"unsupported structured spec {type(spec).__name__}")
-
-
-def _profile_start(spec, grid: Grid) -> tuple:
-    """(problem, initial field) of a plane or standing wave's profile
-    equation for a decomposed state on `grid`."""
-    if isinstance(spec, PlaneWaveSpec):
-        return plane_wave_problem(spec)
-    if isinstance(spec, StandingWaveSpec):
-        return standing_wave_problem(spec, grid)
-    raise TypeError(f"unsupported structured spec {type(spec).__name__}")
+    """Full-grid samples of the structured wave built from profile values;
+    every lift in this module goes through here."""
+    return spec.lift(values, grid, t)
 
 
 @dataclass
 class DecomposedState:
     """u = v + phi with both components time-synchronized.
 
-    `profile` holds the low-dimensional samples of the structured part on
-    its own grid; the lift to the full grid happens on demand.  Both
-    evolution problems follow from `spec` and v's grid.
+    `spec` is a plane or standing wave spec from `families`.  `profile`
+    holds the low-dimensional samples of the structured part on its own
+    grid; the lift to the full grid happens on demand.  Both evolution
+    problems follow from `spec` and v's grid.
     """
 
     v: ComplexField
@@ -88,7 +72,7 @@ class DecomposedState:
     @property
     def profile_problem(self) -> EvolutionProblem:
         """The profile equation's problem."""
-        return _profile_start(self.spec, self.v.grid)[0]
+        return self.spec.profile(self.v.grid)[0]
 
     def full_field(self) -> ComplexField:
         phi = lift_structured(self.spec, self.profile.values, self.v.grid,
@@ -110,9 +94,9 @@ def _initial_v(v0: ComplexField | None, grid: Grid) -> ComplexField:
 
 def make_decomposed(spec, grid: Grid,
                     v0: ComplexField | None = None) -> DecomposedState:
-    """Initial decomposed state at t=0; v0 defaults to zero."""
-    _, field = _profile_start(spec, grid)
-    lift_structured(spec, field.values, grid, 0.0)  # validates compatibility
+    """Initial decomposed state at t=0; v0 defaults to zero.  GridError
+    when the wave does not fit `grid`."""
+    _, field = spec.profile(grid)
     return DecomposedState(v=_initial_v(v0, grid), spec=spec, profile=field)
 
 
@@ -193,17 +177,6 @@ class CoupledSeries:
     h: np.ndarray             # ||v||_H1
     phi_sup: np.ndarray       # ||phi||_inf
     grad_phi_sup: np.ndarray  # ||grad phi||_inf
-
-
-def _profile_proxies(state: DecomposedState) -> tuple:
-    spec, f = state.spec, state.profile
-    if isinstance(spec, PlaneWaveSpec):
-        fz = spectral_derivative(f, 0, 1)
-        return f.linf(), float(np.sqrt(1.0 + spec.speed_sq) * fz.linf())
-    amp2 = (spec.omega * np.abs(f.values)) ** 2
-    for j in range(f.grid.d):
-        amp2 = amp2 + np.abs(spectral_derivative(f, j, 1).values) ** 2
-    return f.linf(), float(np.sqrt(np.max(amp2)))
 
 
 def _stepped(state: DecomposedState, stepper):
@@ -291,7 +264,7 @@ def run_decomposed(state: DecomposedState, t_end: float, *,
     def record(m) -> float:
         s = now(m.t)
         nb = norms(s.v)
-        p, gp = _profile_proxies(s)
+        p, gp = s.spec.proxies(s.profile)
         ts.append(s.t)
         hs.append(nb.h1)
         ps.append(p)
@@ -351,32 +324,6 @@ def profile_hypothesis_warnings(values: np.ndarray,
     return out
 
 
-def certify_regime(spec, grid: Grid) -> tuple:
-    """(in_regime, note) for the stability statements this harness trusts.
-
-    Certified windows: planar quintic plane waves (d=2, sigma=4,
-    (|c|-1) lam > 0), cubic waves with two transverse speeds (d=3,
-    sigma=2, same sign condition), and planar quintic standing waves
-    (d=2, sigma=4, lam > 0).  Everything else runs but is labeled
-    out-of-regime.
-    """
-    if isinstance(spec, PlaneWaveSpec):
-        speed = np.sqrt(spec.speed_sq)
-        gap = (speed - 1.0) * spec.lam
-        if grid.d == 2 and spec.sigma == 4.0 and gap > 0:
-            return True, "planar quintic plane-wave window"
-        if grid.d == 3 and spec.sigma == 2.0 and gap > 0:
-            return True, "cubic plane-wave window, two transverse speeds"
-        return False, (f"outside certified windows: d={grid.d}, "
-                       f"sigma={spec.sigma}, (|c|-1)lam={gap:.3g}")
-    if isinstance(spec, StandingWaveSpec):
-        if grid.d == 2 and spec.sigma == 4.0 and spec.lam > 0:
-            return True, "planar quintic standing-wave window"
-        return False, (f"outside certified windows: d={grid.d}, "
-                       f"sigma={spec.sigma}, lam={spec.lam}")
-    return False, "unknown structured spec"
-
-
 @dataclass
 class StabilityReport:
     """Measured response of ||v||_H1 to a perturbation of size eps."""
@@ -389,17 +336,15 @@ class StabilityReport:
     regime_note: str
     phi_sup: np.ndarray
     grad_phi_sup: np.ndarray
-    series_path: str | None = None
 
     def payload(self) -> dict:
-        """The report's JSON record: the summary plus the series' path."""
+        """The report's summary as a JSON record."""
         return {
             "eps": self.eps,
             "h_sup": self.h_sup,
             "status": self.status,
             "in_regime": self.in_regime,
             "regime_note": self.regime_note,
-            "series": self.series_path,
         }
 
 
@@ -420,7 +365,7 @@ def stability_run(spec, v0_shape: ComplexField, eps_list, T: float, *,
         if not (math.isfinite(eps) and eps >= 0):
             raise ValueError(f"eps must be finite and >= 0, got {eps}")
     grid = v0_shape.grid
-    in_regime, note = certify_regime(spec, grid)
+    in_regime, note = spec.regime(grid)
     shape_h1 = norms(v0_shape).h1
     reports = []
     for eps in eps_list:
@@ -482,8 +427,8 @@ def two_wave_run(spec1: PlaneWaveSpec, spec2: PlaneWaveSpec,
     config = RunConfig(t_end=T, dt0=dt, sample_stride=sample_stride)
     if T < 0:
         raise ValueError("two-wave runs only go forward")
-    prob1, f1 = plane_wave_problem(spec1)
-    prob2, f2 = plane_wave_problem(spec2)
+    prob1, f1 = spec1.profile(grid)
+    prob2, f2 = spec2.profile(grid)
     l1 = lift_structured(spec1, f1.values, grid, 0.0)
     l2 = lift_structured(spec2, f2.values, grid, 0.0)
     v0 = _initial_v(v0, grid)

@@ -56,10 +56,10 @@ class EvolutionProblem:
         return np.exp(out, out=out)
 
 
-def harmonic_saddle_potential(grid: Grid, k: float, flat_frac: float = 0.8) -> np.ndarray:
+def harmonic_saddle_potential(grid: Grid, k: float) -> np.ndarray:
     """Signed quadratic potential k (x^2 - |y|^2), tapered near the edges.
 
-    The quadratic form is exact on the central `flat_frac` of each half-axis
+    The quadratic form is exact on the central 0.8 of each half-axis
     and rolled smoothly to zero at the boundary with a cos^2 ramp, so the
     periodic wrap never sees a jump.  Intended for data concentrated well
     inside the flat region.
@@ -68,7 +68,7 @@ def harmonic_saddle_potential(grid: Grid, k: float, flat_frac: float = 0.8) -> n
     taper = np.ones(grid.n)
     for j in range(grid.d):
         x = grid.coord_along(j)
-        r0 = flat_frac * 0.5 * grid.length[j]
+        r0 = 0.8 * 0.5 * grid.length[j]
         r1 = 0.5 * grid.length[j]
         ax = np.abs(x)
         ramp = np.where(ax <= r0, 1.0,

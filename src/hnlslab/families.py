@@ -7,6 +7,9 @@ with the coefficient ODEs from the transforms module.  Each constructor is
 an oracle for the full solver: the families are exact modulo the measured
 inputs (profile integration error, bound-state defect), so two-path
 comparisons against the 2-D stepper make sharp tests.
+
+The two wave specs own all that tells plane from standing, behind the same
+methods (`profile`, `profile_at`, `lift`, `proxies`, `regime`).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import spectral
 from .fields import (ComplexField, FieldDataError, Grid, GridError,
-                     _abs2, _is_pow2, evaluate_at_axes)
+                     _abs2, _is_pow2, evaluate_at_axes, spectral_derivative)
 from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
                         _check_nonlinearity, harmonic_saddle_potential, run)
 from .transforms import (TransformError, TransformState,
@@ -34,8 +37,8 @@ class PlaneWaveSpec:
     """One period of a profile f plus the transverse speed vector c.
 
     The lifted field is u(t, x, y) = f(t, x - c.y); it fits a periodic box
-    only when every c_j * len_y_j / period is an integer, which is checked
-    against the concrete grid at lift time.
+    only when every c_j * len_y_j / period is an integer, which `profile`
+    checks against the concrete grid.
     """
 
     f0: np.ndarray
@@ -70,6 +73,51 @@ class PlaneWaveSpec:
         """Coefficient 1 - |c|^2 of the profile equation; 0 means the
         profile reduces to an exactly solvable phase flow."""
         return 1.0 - self.speed_sq
+
+    def profile(self, grid: Grid) -> tuple:
+        """1-D evolution problem and initial field for the profile equation
+        i f_t + (1 - |c|^2) f_zz + lam |f|^sigma f = 0; GridError when the
+        lifted wave is not periodic on `grid`."""
+        _alignment_ints(self.c, self.period, grid.length)
+        g1 = Grid((len(self.f0),), (self.period,), (self.dispersion,))
+        return (EvolutionProblem(grid=g1, lam=self.lam, sigma=self.sigma),
+                ComplexField(g1, self.f0))
+
+    def profile_at(self, t: float, grid: Grid, dt: float) -> np.ndarray:
+        """Profile samples f(t, .).
+
+        With |c| = 1 the dispersion drops out and the flow is the exact
+        pointwise phase rotation f0 * exp(i lam |f0|^sigma t); otherwise
+        the profile is marched there by the 1-D split-step solver.
+        """
+        problem, field = self.profile(grid)
+        if abs(self.dispersion) < 1e-12:
+            return self.f0 * np.exp(1j * self.lam * t
+                                    * np.abs(self.f0) ** self.sigma)
+        return _march_profile(problem, field, t, dt, "profile")
+
+    def lift(self, values: np.ndarray, grid: Grid, t: float) -> np.ndarray:
+        """u(t, x, y) = f(t, x - c.y) on `grid` from profile samples."""
+        return lift_profile(values, self.c, grid, self.period)
+
+    def proxies(self, profile: ComplexField) -> tuple:
+        """(||phi||_inf, ||grad phi||_inf) of the lifted wave, read off its
+        profile: |grad phi| = sqrt(1 + |c|^2) |f'|."""
+        fz = spectral_derivative(profile, 0, 1)
+        return (profile.linf(),
+                float(np.sqrt(1.0 + self.speed_sq) * fz.linf()))
+
+    def regime(self, grid: Grid) -> tuple:
+        """(in_regime, note) of the certified stability windows: planar
+        quintic waves (d=2, sigma=4) and cubic waves with two transverse
+        speeds (d=3, sigma=2), both with (|c| - 1) lam > 0."""
+        gap = (np.sqrt(self.speed_sq) - 1.0) * self.lam
+        if grid.d == 2 and self.sigma == 4.0 and gap > 0:
+            return True, "planar quintic plane-wave window"
+        if grid.d == 3 and self.sigma == 2.0 and gap > 0:
+            return True, "cubic plane-wave window, two transverse speeds"
+        return False, (f"outside certified windows: d={grid.d}, "
+                       f"sigma={self.sigma}, (|c|-1)lam={gap:.3g}")
 
 
 def _alignment_ints(c: Sequence[float], period: float,
@@ -128,28 +176,6 @@ def lift_profile(values: np.ndarray, c: Sequence[float], grid: Grid,
     return np.einsum(script, *mats, optimize=True)
 
 
-def plane_wave_problem(spec: PlaneWaveSpec) -> tuple:
-    """1-D evolution problem and initial field for the profile equation
-    i f_t + (1 - |c|^2) f_zz + lam |f|^sigma f = 0."""
-    g1 = Grid((len(spec.f0),), (spec.period,), (spec.dispersion,))
-    return (EvolutionProblem(grid=g1, lam=spec.lam, sigma=spec.sigma),
-            ComplexField(g1, spec.f0))
-
-
-def plane_wave_profile_at(spec: PlaneWaveSpec, t: float, *,
-                          dt: float = 1e-3) -> np.ndarray:
-    """Profile samples f(t, .).
-
-    With |c| = 1 the dispersion drops out and the flow is the exact
-    pointwise phase rotation f0 * exp(i lam |f0|^sigma t); otherwise the
-    profile is marched there by the 1-D split-step solver.
-    """
-    if abs(spec.dispersion) < 1e-12:
-        return spec.f0 * np.exp(1j * spec.lam * t
-                                * np.abs(spec.f0) ** spec.sigma)
-    return _march_profile(*plane_wave_problem(spec), t, dt, "profile")
-
-
 def _march_profile(problem: EvolutionProblem, field: ComplexField, t: float,
                    dt: float, what: str) -> np.ndarray:
     """Values of `field` marched by `run` to t (a copy at t = 0); a run
@@ -164,12 +190,11 @@ def _march_profile(problem: EvolutionProblem, field: ComplexField, t: float,
     return state.field.values
 
 
-def plane_wave_field(spec: PlaneWaveSpec, t: float, grid: Grid, *,
-                     dt: float = 1e-3) -> ComplexField:
-    """Lifted plane wave u(t, x, y) = f(t, x - c.y) on `grid`."""
-    _alignment_ints(spec.c, spec.period, grid.length)
-    prof = plane_wave_profile_at(spec, t, dt=dt)
-    return ComplexField(grid, lift_profile(prof, spec.c, grid, spec.period),
+def wave_field(spec, t: float, grid: Grid, *,
+               dt: float = 1e-3) -> ComplexField:
+    """The plane or standing wave `spec` at time t on `grid`: its profile
+    carried to t (`profile_at`, marching with step dt) and lifted."""
+    return ComplexField(grid, spec.lift(spec.profile_at(t, grid, dt), grid, t),
                         t=t)
 
 
@@ -199,17 +224,46 @@ class StandingWaveSpec:
             raise ValueError(f"omega must be finite, got {self.omega}")
         _check_nonlinearity(self.lam, self.sigma)
 
+    def profile(self, grid: Grid) -> tuple:
+        """Transverse evolution problem and initial field for g; GridError
+        when omega is not an x-harmonic of `grid` or f0 does not span its
+        transverse axes."""
+        _carrier_index(self.omega, grid.length[0])
+        if grid.d < 2:
+            raise GridError("standing waves need at least one transverse "
+                            "axis")
+        if self.f0.shape != grid.n[1:]:
+            raise GridError(f"transverse profile shape {self.f0.shape} does "
+                            f"not match the grid's transverse axes "
+                            f"{grid.n[1:]}")
+        gT = Grid(grid.n[1:], grid.length[1:], (-1.0,) * (grid.d - 1))
+        return (EvolutionProblem(grid=gT, lam=self.lam, sigma=self.sigma),
+                ComplexField(gT, self.f0))
 
-def standing_wave_problem(spec: StandingWaveSpec, grid: Grid) -> tuple:
-    """Transverse evolution problem and initial field for g."""
-    if grid.d < 2:
-        raise GridError("standing waves need at least one transverse axis")
-    if spec.f0.shape != grid.n[1:]:
-        raise GridError(f"transverse profile shape {spec.f0.shape} does not "
-                        f"match the grid's transverse axes {grid.n[1:]}")
-    gT = Grid(grid.n[1:], grid.length[1:], (-1.0,) * (grid.d - 1))
-    return (EvolutionProblem(grid=gT, lam=spec.lam, sigma=spec.sigma),
-            ComplexField(gT, spec.f0))
+    def profile_at(self, t: float, grid: Grid, dt: float) -> np.ndarray:
+        """Transverse samples g(t, .), marched by the split-step solver."""
+        return _march_profile(*self.profile(grid), t, dt, "transverse")
+
+    def lift(self, values: np.ndarray, grid: Grid, t: float) -> np.ndarray:
+        """u(t, x, y) = e^{i(omega x - omega^2 t)} g(t, y) on `grid`."""
+        return standing_wave_lift(values, self.omega, grid, t)
+
+    def proxies(self, profile: ComplexField) -> tuple:
+        """(||phi||_inf, ||grad phi||_inf) of the lifted wave, read off its
+        profile: |grad phi|^2 = omega^2 |g|^2 + |grad_y g|^2."""
+        amp2 = (self.omega * np.abs(profile.values)) ** 2
+        for j in range(profile.grid.d):
+            amp2 = amp2 + np.abs(
+                spectral_derivative(profile, j, 1).values) ** 2
+        return profile.linf(), float(np.sqrt(np.max(amp2)))
+
+    def regime(self, grid: Grid) -> tuple:
+        """(in_regime, note) of the certified stability window: planar
+        quintic waves (d=2, sigma=4) with lam > 0."""
+        if grid.d == 2 and self.sigma == 4.0 and self.lam > 0:
+            return True, "planar quintic standing-wave window"
+        return False, (f"outside certified windows: d={grid.d}, "
+                       f"sigma={self.sigma}, lam={self.lam}")
 
 
 def _carrier_index(omega: float, len_x: float) -> int:
@@ -225,16 +279,6 @@ def standing_wave_lift(values: np.ndarray, omega: float, grid: Grid,
     """e^{i(omega x - omega^2 t)} * values broadcast over the plus axis."""
     phase = np.exp(1j * (omega * grid.coord_along(0) - omega * omega * t))
     return phase * values[np.newaxis, ...]
-
-
-def standing_wave_field(spec: StandingWaveSpec, t: float, grid: Grid, *,
-                        dt: float = 1e-3) -> ComplexField:
-    """Standing wave at time t on `grid`."""
-    _carrier_index(spec.omega, grid.length[0])
-    gvals = _march_profile(*standing_wave_problem(spec, grid), t, dt,
-                           "transverse")
-    return ComplexField(grid, standing_wave_lift(gvals, spec.omega, grid, t),
-                        t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +403,13 @@ def refine_bound_state(seed: ComplexField, k: float, lam: float, *,
 
 
 def semiclassical_field(spec: SemiclassicalSpec, t: float, *,
-                        state: TransformState | None = None,
-                        max_step: float = 1e-3) -> ComplexField:
+                        state: TransformState | None = None) -> ComplexField:
     """Chirp-dilated candidate on A0's grid
 
         psi(t) = f(t) A0(x / b(t)) exp(i a(t) q(x)/4) exp(i gamma0 g(t)),
 
-    with (a, b, f, g) from the coefficient ODEs for (a0, k).  Fails past
-    the collapse time of b: the coefficients stop existing there.
+    with (a, b, f, g) from `state` or the coefficient ODEs for (a0, k).
+    Fails past the collapse time of b: the coefficients stop existing there.
     """
     grid = spec.A0.grid
     if state is not None and state.d != grid.d:
@@ -381,8 +424,7 @@ def semiclassical_field(spec: SemiclassicalSpec, t: float, *,
                     "coefficients are integrated forward from t=0")
             npts = max(2, min(4096, int(np.ceil(t / 0.05)) + 1))
             state = integrate_transform_odes(spec.a0, spec.k, grid.d,
-                                             np.linspace(0.0, t, npts),
-                                             max_step=max_step)
+                                             np.linspace(0.0, t, npts))
         a_t, b_t, f_t, g_t = state.at(t)
     if b_t == 1.0:
         inner = spec.A0.values

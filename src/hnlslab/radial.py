@@ -213,11 +213,18 @@ class RadialTrajectory:
         if values.shape != self.r.shape:
             raise ValueError("snapshot shape does not match the radial grid")
         self._t.append(float(t))
-        self._vals.append(np.array(values, dtype=np.complex128))
+        vals = np.array(values, dtype=np.complex128)
+        vals.flags.writeable = False
+        self._vals.append(vals)
 
     @property
     def t(self) -> np.ndarray:
         return np.array(self._t)
+
+    @property
+    def values(self) -> tuple:
+        """The stored snapshots in time order, as read-only arrays."""
+        return tuple(self._vals)
 
     def __len__(self) -> int:
         return len(self._t)
@@ -267,7 +274,6 @@ class _CrankNicolsonHalf:
 
 def solve_radial(profile: RadialProfile, dt: float, t_end: float, *,
                  adapt: bool = False, linf_ceiling: float | None = None,
-                 dt_floor: float | None = None,
                  sample_stride: int = 10) -> RadialRunResult:
     """March a radial profile to t_end with Strang splitting: half a
     Crank-Nicolson linear step, the exact pointwise nonlinear phase (the
@@ -278,8 +284,7 @@ def solve_radial(profile: RadialProfile, dt: float, t_end: float, *,
     as in the full-dimensional solver.
     """
     config = RunConfig(t_end=t_end, dt0=dt, adapt=adapt,
-                       linf_ceiling=linf_ceiling, dt_floor=dt_floor,
-                       sample_stride=sample_stride)
+                       linf_ceiling=linf_ceiling, sample_stride=sample_stride)
     if t_end < profile.t:
         raise ValueError("radial runs only march forward in time")
 
@@ -561,7 +566,7 @@ def concentration_scan(trajectory: RadialTrajectory,
     series = np.zeros((len(eps), len(ts)))
     for j, e in enumerate(eps):
         sel = trajectory.r < e
-        for i, vals in enumerate(trajectory._vals):
+        for i, vals in enumerate(trajectory.values):
             series[j, i] = np.max(np.abs(vals[sel]))
     window = max(_SCAN_SAMPLES, len(ts) // 10)
     increasing = tuple(bool(np.all(np.diff(row[-window:]) > 0))

@@ -57,15 +57,14 @@ from .fields import (ComplexField, Grid, GridError, _is_pow2,
 from .observables import _AUDIT_SAMPLES, verify_conservation
 from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
                         _fixed_dt_samples, run)
-from .transforms import (closed_form_b, constraint_residuals,
-                         integrate_transform_odes)
+from .transforms import (_RESIDUAL_SAMPLES, closed_form_b,
+                         constraint_residuals, integrate_transform_odes)
 from .radial import (_SCAN_SAMPLES, concentration_scan, make_radial_profile,
                      radial_energy, radial_mass, save_radial_csv, solve_radial)
 from .families import (PlaneWaveSpec, SemiclassicalSpec, StandingWaveSpec,
-                       _alignment_ints, _carrier_index, plane_wave_field,
-                       semiclassical_field, standing_wave_field)
-from .coupled import (certify_regime, profile_hypothesis_warnings,
-                      stability_run, two_wave_run)
+                       _alignment_ints, _carrier_index, semiclassical_field,
+                       wave_field)
+from .coupled import profile_hypothesis_warnings, stability_run, two_wave_run
 from .artifacts import (RunManifest, save_series_csv, write_json,
                         write_snapshot)
 
@@ -431,7 +430,7 @@ def _block_check(kind, grid):
                                  "k": (_FINITE, _REQUIRED),
                                  "d": (_integer(1, 3), 2),
                                  "t_end": (_POSITIVE, 1.0),
-                                 "nodes": (_integer(3), 201),
+                                 "nodes": (_integer(_RESIDUAL_SAMPLES), 201),
                                  "max_step": (_POSITIVE, 1e-3)}),
     }
     return blocks.get(kind)
@@ -561,7 +560,7 @@ def _config_warnings(cfg: ExperimentConfig) -> list:
     warn = [f"{label}: {w}" for label, spec in specs.items()
             for w in profile_hypothesis_warnings(spec.f0, period)]
     if cfg.kind == "stability":
-        in_regime, note = certify_regime(specs["profile"], cfg.build_grid())
+        in_regime, note = specs["profile"].regime(cfg.build_grid())
         if not in_regime:
             warn.append(f"out-of-regime: {note}")
     return warn
@@ -695,8 +694,6 @@ def _exp_structured_wave(cfg, out) -> str:
     """
     grid = cfg.build_grid()
     spec = _wave_spec(cfg, cfg.block)
-    wave_field = plane_wave_field if cfg.kind == "planewave" \
-        else standing_wave_field
     u0 = wave_field(spec, 0.0, grid)
     state, _ = _run_full(cfg, grid, u0, out)
     mismatch = None
@@ -798,7 +795,8 @@ def _exp_transform_check(cfg, out) -> str:
         "truncated": state.truncated, "singular_time": state.singular_time,
         "b_closed_form_dev": b_dev, "g_closed_form_dev": g_dev,
         # a collapse can leave too few samples to difference
-        "constraints": constraint_residuals(state) if len(t) > 2 else None})
+        "constraints": (constraint_residuals(state)
+                        if len(t) >= _RESIDUAL_SAMPLES else None)})
     return "Done"
 
 
@@ -819,11 +817,12 @@ def _exp_stability(cfg, out) -> str:
                             grow_factor=b["grow_factor"],
                             linf_ceiling=b["linf_ceiling"])
     for i, rep in enumerate(reports):
-        rep.series_path = f"stability_eps{i}.csv"
-        out.series(rep.series_path, {"t": rep.t, "h": rep.h_series,
-                                     "phi_sup": rep.phi_sup,
-                                     "grad_phi_sup": rep.grad_phi_sup})
-        out.json(f"stability_eps{i}.json", rep.payload())
+        series = f"stability_eps{i}.csv"
+        out.series(series, {"t": rep.t, "h": rep.h_series,
+                            "phi_sup": rep.phi_sup,
+                            "grad_phi_sup": rep.grad_phi_sup})
+        out.json(f"stability_eps{i}.json",
+                 {**rep.payload(), "series": series})
     return "Done"
 
 

@@ -21,6 +21,7 @@ from .fields import (ComplexField, Grid, GridError, cubic_read,
 
 B_FLOOR = 1e-8
 _LB_FLOOR = math.log(B_FLOOR)
+_RESIDUAL_SAMPLES = 3   # samples `constraint_residuals` needs
 
 
 class TransformError(ValueError):
@@ -117,8 +118,9 @@ def integrate_transform_odes(a0: float, k: float, d: int,
         raise TransformError("t_grid must start at 0")
     if np.any(np.diff(t_grid) <= 0):
         raise TransformError("t_grid must be strictly increasing")
-    if max_step <= 0:
-        raise TransformError("max_step must be positive")
+    if not 0 < max_step < math.inf:
+        raise TransformError(f"max_step must be finite and > 0, "
+                             f"got {max_step}")
 
     a, q, lb, g = float(a0), 4.0 * k - a0 ** 2, 0.0, 0.0
     ta, tb, tlb, tg = [a], [1.0], [0.0], [0.0]
@@ -182,8 +184,9 @@ def constraint_residuals(state: TransformState) -> dict:
     differencing).  Requires a uniform sample grid.
     """
     t = state.t
-    if len(t) < 3:
-        raise TransformError("need at least 3 samples for residuals")
+    if len(t) < _RESIDUAL_SAMPLES:
+        raise TransformError(f"need at least {_RESIDUAL_SAMPLES} samples "
+                             "for residuals")
     dt = np.diff(t)
     if np.max(np.abs(dt - dt[0])) > 1e-9 * max(abs(t[-1]), 1.0):
         raise TransformError("constraint residuals need a uniform t grid")

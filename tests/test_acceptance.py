@@ -36,7 +36,6 @@ from hnlslab import (
     make_decomposed,
     make_radial_profile,
     norms,
-    plane_wave_field,
     profile_hypothesis_warnings,
     radial_energy,
     read_snapshot,
@@ -50,6 +49,7 @@ from hnlslab import (
     stability_run,
     step_perturbation,
     verify_conservation,
+    wave_field,
     write_snapshot,
 )
 from scipy.interpolate import CubicSpline
@@ -269,7 +269,7 @@ def test_07_unit_speed_plane_wave_is_phase_flow():
                         width=4.0).values * (1.0 + 0.25j)
     spec = PlaneWaveSpec(f0=f0, period=40.0, c=(1.0,), lam=1.0, sigma=2.0)
     problem = EvolutionProblem(grid, lam=1.0, sigma=2.0)
-    u0 = plane_wave_field(spec, 0.0, grid)
+    u0 = wave_field(spec, 0.0, grid)
     base = np.abs(u0.values)
     drift = 0.0
 
@@ -283,7 +283,7 @@ def test_07_unit_speed_plane_wave_is_phase_flow():
     state, _ = run(u0, problem,
                    RunConfig(t_end=1.0, dt0=1e-3, sample_stride=10 ** 9))
     formula = _rel(state.field.values,
-                   plane_wave_field(spec, 1.0, grid).values)
+                   wave_field(spec, 1.0, grid).values)
     _check("07 |c|=1 plane wave: modulus frozen, formula reproduced",
            drift < 1e-12 and formula < 1e-6,
            f"max modulus drift {drift:.1e} over t in [0,10], formula "

@@ -19,7 +19,6 @@ from hnlslab import (
     StabilityReport,
     StandingWaveSpec,
     StepperState,
-    certify_regime,
     constant_field,
     gaussian_field,
     lift_structured,
@@ -83,9 +82,9 @@ def test_make_decomposed_rejects_bad_inputs():
     late = ComplexField(grid, np.zeros(grid.n, dtype=complex), t=0.5)
     with pytest.raises(ValueError):
         make_decomposed(spec, grid, v0=late)
-    with pytest.raises(TypeError):
+    with pytest.raises(AttributeError):
         make_decomposed("gaussian", grid)
-    with pytest.raises(TypeError):
+    with pytest.raises(AttributeError):
         lift_structured(3.5, _bump(3.0), grid, 0.0)
 
 
@@ -199,23 +198,21 @@ def test_certify_regime_windows():
     g2 = hnls_grid()
     g3 = Grid((16, 16, 16), (40.0, 40.0, 40.0), (1.0, -1.0, -1.0))
 
-    ok, note = certify_regime(_plane_spec(c=(2.0,), sigma=4.0), g2)
+    ok, note = _plane_spec(c=(2.0,), sigma=4.0).regime(g2)
     assert ok and "quintic" in note
-    ok, _ = certify_regime(_plane_spec(c=(2.0,), sigma=4.0, lam=-1.0), g2)
+    ok, _ = _plane_spec(c=(2.0,), sigma=4.0, lam=-1.0).regime(g2)
     assert not ok
-    ok, _ = certify_regime(_plane_spec(c=(0.5,), sigma=4.0), g2)
+    ok, _ = _plane_spec(c=(0.5,), sigma=4.0).regime(g2)
     assert not ok                      # below the speed threshold
-    ok, _ = certify_regime(_plane_spec(c=(2.0,), sigma=2.0), g2)
+    ok, _ = _plane_spec(c=(2.0,), sigma=2.0).regime(g2)
     assert not ok                      # planar cubic is not certified
-    ok, note = certify_regime(_plane_spec(c=(1.0, 2.0), sigma=2.0), g3)
+    ok, note = _plane_spec(c=(1.0, 2.0), sigma=2.0).regime(g3)
     assert ok and "transverse" in note
 
-    ok, note = certify_regime(_standing_spec(), g2)
+    ok, note = _standing_spec().regime(g2)
     assert ok and "standing" in note
-    ok, _ = certify_regime(_standing_spec(lam=-1.0), g2)
+    ok, _ = _standing_spec(lam=-1.0).regime(g2)
     assert not ok
-    ok, note = certify_regime(3.5, g2)
-    assert not ok and "unknown" in note
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +324,10 @@ def test_stability_report_payload():
                           status="Bounded", in_regime=True,
                           regime_note="planar quintic plane-wave window",
                           phi_sup=np.array([0.4, 0.3]),
-                          grad_phi_sup=np.array([0.1, 0.1]),
-                          series_path="run/eps_1e-3.csv")
+                          grad_phi_sup=np.array([0.1, 0.1]))
     assert rep.payload() == {"eps": 1e-3, "h_sup": 2e-3, "status": "Bounded",
                  "in_regime": True,
-                 "regime_note": "planar quintic plane-wave window",
-                 "series": "run/eps_1e-3.csv"}
+                 "regime_note": "planar quintic plane-wave window"}
 
 
 # ---------------------------------------------------------------------------

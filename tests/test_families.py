@@ -26,12 +26,11 @@ from hnlslab import (
     integrate_transform_odes,
     lift_profile,
     norms,
-    plane_wave_field,
     refine_bound_state,
     residual_hnls,
     run,
     semiclassical_field,
-    standing_wave_field,
+    wave_field,
 )
 
 PROFILE_GRID = Grid((64,), (40.0,), (1.0,))
@@ -131,10 +130,10 @@ def test_unit_speed_flow_preserves_modulus_and_norms():
     grid = hnls_grid()
     f0 = _bump(4.0) * (1.0 + 0.25j)
     spec = PlaneWaveSpec(f0=f0, period=40.0, c=(1.0,), lam=1.0, sigma=2.0)
-    u0 = plane_wave_field(spec, 0.0, grid)
+    u0 = wave_field(spec, 0.0, grid)
     n0 = norms(u0, ps=(4, 6))
     for t in (2.5, 10.0):
-        ut = plane_wave_field(spec, t, grid)
+        ut = wave_field(spec, t, grid)
         assert np.max(np.abs(np.abs(ut.values) - np.abs(u0.values))) < 1e-12
         nt = norms(ut, ps=(4, 6))
         assert nt.l2 == pytest.approx(n0.l2, rel=1e-12)
@@ -147,10 +146,10 @@ def test_unit_speed_formula_matches_full_evolution():
     f0 = _bump(4.0, amplitude=0.8) * (1.0 + 0.25j)
     spec = PlaneWaveSpec(f0=f0, period=40.0, c=(1.0,), lam=1.0, sigma=2.0)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=2.0)
-    state, _ = run(plane_wave_field(spec, 0.0, grid),
+    state, _ = run(wave_field(spec, 0.0, grid),
                    problem, RunConfig(t_end=1.0, dt0=1e-3,
                                       sample_stride=10 ** 9))
-    expect = plane_wave_field(spec, 1.0, grid)
+    expect = wave_field(spec, 1.0, grid)
     assert _rel(state.field.values, expect.values) < 1e-6
 
 
@@ -158,8 +157,8 @@ def test_profile_free_flow_matches_propagator():
     grid = hnls_grid()
     spec = PlaneWaveSpec(f0=_bump(3.0), period=40.0, c=(2.0,), lam=0.0,
                          sigma=2.0)
-    direct = plane_wave_field(spec, 0.35, grid)
-    lifted = apply_linear_propagator(plane_wave_field(spec, 0.0, grid), 0.35)
+    direct = wave_field(spec, 0.35, grid)
+    lifted = apply_linear_propagator(wave_field(spec, 0.0, grid), 0.35)
     assert _rel(direct.values, lifted.values) < 1e-9
 
 
@@ -171,10 +170,10 @@ def test_lift_commute_on_wrap_free_grid():
     spec = PlaneWaveSpec(f0=_bump(3.0), period=40.0, c=(2.0,), lam=1.0,
                          sigma=2.0)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=2.0)
-    state, _ = run(plane_wave_field(spec, 0.0, grid),
+    state, _ = run(wave_field(spec, 0.0, grid),
                    problem, RunConfig(t_end=0.3, dt0=1e-3,
                                       sample_stride=10 ** 9))
-    expect = plane_wave_field(spec, 0.3, grid)
+    expect = wave_field(spec, 0.3, grid)
     assert _rel(state.field.values, expect.values) < 1e-6
 
 
@@ -186,10 +185,10 @@ def test_lift_commute_square_grid_alias_floor():
     spec = PlaneWaveSpec(f0=_bump(4.0), period=40.0, c=(2.0,), lam=1.0,
                          sigma=2.0)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=2.0)
-    state, _ = run(plane_wave_field(spec, 0.0, grid),
+    state, _ = run(wave_field(spec, 0.0, grid),
                    problem, RunConfig(t_end=0.3, dt0=1e-3,
                                       sample_stride=10 ** 9))
-    expect = plane_wave_field(spec, 0.3, grid)
+    expect = wave_field(spec, 0.3, grid)
     assert _rel(state.field.values, expect.values) < 5e-6
 
 
@@ -199,7 +198,7 @@ def test_plane_wave_residual_small():
                          sigma=2.0)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=2.0)
     h = 1e-3
-    triple = [plane_wave_field(spec, t, grid) for t in (0.5 - h, 0.5, 0.5 + h)]
+    triple = [wave_field(spec, t, grid) for t in (0.5 - h, 0.5, 0.5 + h)]
     assert residual_hnls(*triple, problem) < 5e-3
 
 
@@ -208,7 +207,7 @@ def test_three_dimensional_lift_point_values():
     g1 = Grid((32,), (40.0,), (1.0,))
     f0 = gaussian_field(g1, amplitude=0.5, width=3.0).values
     spec = PlaneWaveSpec(f0=f0, period=40.0, c=(1.0, 2.0), lam=1.0, sigma=2.0)
-    u = plane_wave_field(spec, 0.0, grid)
+    u = wave_field(spec, 0.0, grid)
     xi = 2.0 * np.pi * np.fft.fftfreq(32, d=40.0 / 32)
     coef = np.fft.fft(f0) * np.exp(1j * xi * 20.0) / 32
     X, Y1, Y2 = grid.meshgrid()
@@ -227,9 +226,9 @@ def test_standing_wave_carrier_must_sit_on_grid():
                         width=2.0).values
     bad = StandingWaveSpec(f0=f0, omega=0.3, lam=1.0, sigma=4.0)
     with pytest.raises(GridError):
-        standing_wave_field(bad, 0.1, grid)
+        wave_field(bad, 0.1, grid)
     with pytest.raises(GridError):
-        standing_wave_field(
+        wave_field(
             StandingWaveSpec(f0=f0[:32], omega=2.0 * np.pi / 40.0, lam=1.0,
                              sigma=4.0), 0.1, grid)
 
@@ -241,7 +240,7 @@ def test_standing_constant_profile_is_phase_flow():
     spec = StandingWaveSpec(f0=np.full(64, amp, dtype=complex), omega=om,
                             lam=1.0, sigma=4.0)
     t = 0.7
-    got = standing_wave_field(spec, t, grid)
+    got = wave_field(spec, t, grid)
     x = grid.coord_along(0)
     expect = amp * np.exp(1j * (om * x - om * om * t + amp ** 4 * t)) \
         * np.ones(grid.n)
@@ -254,8 +253,8 @@ def test_standing_free_flow_matches_propagator():
                         width=2.0).values
     spec = StandingWaveSpec(f0=f0, omega=2.0 * np.pi / 40.0, lam=0.0,
                             sigma=4.0)
-    direct = standing_wave_field(spec, 0.4, grid)
-    lifted = apply_linear_propagator(standing_wave_field(spec, 0.0, grid),
+    direct = wave_field(spec, 0.4, grid)
+    lifted = apply_linear_propagator(wave_field(spec, 0.0, grid),
                                      0.4)
     assert _rel(direct.values, lifted.values) < 1e-10
 
@@ -268,7 +267,7 @@ def test_standing_wave_residual_small():
                             sigma=4.0)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=4.0)
     h = 1e-3
-    triple = [standing_wave_field(spec, t, grid)
+    triple = [wave_field(spec, t, grid)
               for t in (0.3 - h, 0.3, 0.3 + h)]
     assert residual_hnls(*triple, problem) < 5e-3
 
@@ -281,10 +280,10 @@ def test_standing_lift_commute():
     spec = StandingWaveSpec(f0=f0, omega=2.0 * np.pi / 40.0, lam=1.0,
                             sigma=4.0)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=4.0)
-    state, _ = run(standing_wave_field(spec, 0.0, grid),
+    state, _ = run(wave_field(spec, 0.0, grid),
                    problem, RunConfig(t_end=0.25, dt0=1e-3,
                                       sample_stride=10 ** 9))
-    expect = standing_wave_field(spec, 0.25, grid)
+    expect = wave_field(spec, 0.25, grid)
     assert _rel(state.field.values, expect.values) < 1e-6
 
 

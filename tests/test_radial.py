@@ -291,6 +291,10 @@ def test_trajectory_interface():
         traj.at(0.55)
     with pytest.raises(ValueError):
         traj.append(0.3, np.zeros(64, dtype=complex))
+    assert [v[0] for v in traj.values] == [0, 1, 2, 3, 4]
+    with pytest.raises(ValueError):
+        traj.values[0][0] = 9.0   # the stored snapshots are read-only
+    assert traj.at(0.2).flags.writeable   # a read is a copy
 
 
 # ---------------------------------------------------------------------------

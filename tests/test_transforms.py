@@ -124,6 +124,15 @@ def test_input_validation():
         st.at(2.0)
 
 
+@pytest.mark.parametrize("max_step", [np.nan, np.inf])
+def test_non_finite_max_step_is_refused(max_step):
+    # NaN once failed in math.ceil with a bare ValueError, and inf took one
+    # RK4 step per node: b(1) = 1.80321 on 5 nodes against 1.80278
+    with pytest.raises(TransformError, match="max_step"):
+        integrate_transform_odes(0.5, 0.25, d=2, t_grid=np.linspace(0, 1, 5),
+                                 max_step=max_step)
+
+
 # ------------------------------------------------------------ closed_form_b
 
 def test_closed_form_b_examples():
