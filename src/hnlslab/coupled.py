@@ -416,7 +416,10 @@ def two_wave_run(spec1: PlaneWaveSpec, spec2: PlaneWaveSpec,
 
     u and both profiles are carried as spectra (`SpectralMarch`); the
     remainder is formed at samples only.  A step's sup bound for `march`
-    is the sum of the three half-step sups."""
+    is the sum of the three half-step sups.  The initial lifts are read
+    only to form u and `product_scale`, and are freed before the march;
+    v0's values stay only as the remainder of the t=0 sample, until the
+    next sample replaces it."""
     for s in (spec1, spec2):
         if not isinstance(s, PlaneWaveSpec):
             raise TypeError("two-wave interaction takes plane-wave specs")
@@ -440,6 +443,7 @@ def two_wave_run(spec1: PlaneWaveSpec, spec2: PlaneWaveSpec,
     # at t=0 the remainder is v0 itself; subtracting the lifts back out
     # would leave roundoff
     last = v0.values
+    del l1, l2, v0
     ts, rem = [], []
 
     def step(h: float) -> float:

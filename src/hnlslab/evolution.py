@@ -51,7 +51,7 @@ class EvolutionProblem:
 
     def linear_phase(self, dt: float) -> np.ndarray:
         """Fourier multiplier exp(-i dt sum alpha_j xi_j^2), formed in one
-        complex array."""
+        complex array from the grid's symbol, which is freed on return."""
         out = -1j * dt * self.grid.symbol
         return np.exp(out, out=out)
 
@@ -348,9 +348,19 @@ def run(field: ComplexField, problem: EvolutionProblem, config: RunConfig,
     sup bound is that of the half-step field L(dt/2) u, so a step whose
     half-step field passes the ceiling is completed and the run stops at
     its end.
+
+    `run` owns the field it is given: once the march holds its spectrum,
+    `run` drops its own reference, and the march drops its reference at
+    the first step.  A caller that passes a field it does not keep (see
+    `runner._run_full`) frees it then, so a run's peak holds the carried
+    spectrum, L(dt/2) and one sample's working set, not the initial field.
+    (CPython 3.10 keeps call arguments on the caller's stack until the
+    call returns, so there the field lives to the end of the run.)
     """
     series = ObservableSeries(alpha=problem.grid.alpha)
     u = SpectralMarch(field, problem)
+    t0 = field.t
+    del field
 
     def record(m: MarchState) -> float:
         f = u.field(m.t)
@@ -362,7 +372,7 @@ def run(field: ComplexField, problem: EvolutionProblem, config: RunConfig,
                                   m.t_detect), s)
         return s.linf
 
-    m = march(field.t, config, problem.sigma, u.step, record)
+    m = march(t0, config, problem.sigma, u.step, record)
     return (StepperState(u.field(m.t), m.dt, m.steps, m.status, m.t_detect),
             series)
 

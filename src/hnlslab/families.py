@@ -319,14 +319,16 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _stationary_residual(u: np.ndarray, grid: Grid, V: np.ndarray,
-                         gamma0: float | None, lam: float) -> tuple:
+                         gamma0: float | None, lam: float,
+                         symbol: np.ndarray) -> tuple:
     """(res, gamma0, defect) of the stationary equation at sigma = 4/d:
     res = box u + lam |u|^sigma u - (V + gamma0) u with spectral
     derivatives, gamma0 the Rayleigh quotient when None, and defect the
     l2 norm of res over the sum of the three terms' norms (0 when they
-    all vanish).  Every reduction is a numpy sum, not BLAS, so the result
-    does not depend on the number of BLAS threads."""
-    box = spectral.ifftn(spectral.fftn(u) * (-grid.symbol))
+    all vanish).  `symbol` is grid.symbol, which a caller that asks many
+    times forms once.  Every reduction is a numpy sum, not BLAS, so the
+    result does not depend on the number of BLAS threads."""
+    box = spectral.ifftn(spectral.fftn(u) * (-symbol))
     nl = lam * np.abs(u) ** (4.0 / grid.d) * u
     if gamma0 is None:
         r = box + nl - V * u
@@ -353,7 +355,7 @@ def bound_state_defect(A0: ComplexField, k: float, gamma0: float,
     """
     g = A0.grid
     return _stationary_residual(A0.values, g, harmonic_saddle_potential(g, k),
-                                gamma0, lam)[2]
+                                gamma0, lam, g.symbol)[2]
 
 
 def refine_bound_state(seed: ComplexField, k: float, lam: float, *,
@@ -370,13 +372,14 @@ def refine_bound_state(seed: ComplexField, k: float, lam: float, *,
     """
     g = seed.grid
     V = harmonic_saddle_potential(g, k)
-    P = 1.0 / (1.0 + np.abs(g.symbol))
+    symbol = g.symbol
+    P = 1.0 / (1.0 + np.abs(symbol))
     m0 = _norm(seed.values)
     if m0 == 0.0:
         raise ValueError("seed field is zero")
 
     u = seed.values.copy()
-    res, gm, d_cur = _stationary_residual(u, g, V, gamma0, lam)
+    res, gm, d_cur = _stationary_residual(u, g, V, gamma0, lam, symbol)
     best = (u.copy(), gm, d_cur)
     tau = float(step)
     for _ in range(int(iters)):
@@ -388,7 +391,7 @@ def refine_bound_state(seed: ComplexField, k: float, lam: float, *,
             cand = u + sgn * tau * direction
             cand *= m0 / _norm(cand)
             res_c, gm_c, d_c = _stationary_residual(cand, g, V, gamma0,
-                                                   lam)
+                                                   lam, symbol)
             if d_c < d_cur:
                 u, res, gm, d_cur = cand, res_c, gm_c, d_c
                 accepted = True

@@ -42,10 +42,13 @@ class Grid:
     discrete wavenumbers xi_j = 2*pi*m/length[j], m = -n/2 .. n/2-1 in FFT
     ordering.  `alpha` holds the signature of the linear operator; any real
     vector is legal (zero entries switch an axis off entirely).
+
+    A Grid stores only per-axis arrays (`xi`, `coords`), never one of the
+    full shape: `symbol` is formed on each read, so that no run carries it
+    between the steps and samples that need it.
     """
 
-    __slots__ = ("d", "n", "length", "alpha", "dx", "cell", "xi", "coords",
-                 "symbol")
+    __slots__ = ("d", "n", "length", "alpha", "dx", "cell", "xi", "coords")
 
     def __init__(self, n: Sequence[int], length: Sequence[float],
                  alpha: Sequence[float]):
@@ -75,13 +78,19 @@ class Grid:
         self.xi = tuple(spectral.freq(n[j], self.dx[j]) for j in range(d))
         self.coords = tuple((np.arange(n[j]) - n[j] // 2) * self.dx[j]
                             for j in range(d))
-        # symbol of the linear operator: sum_j alpha_j xi_j^2, full shape
-        sym = np.zeros(self.n)
-        for j in range(d):
-            sym = sym + alpha[j] * self._along(self.xi[j] ** 2, j)
-        self.symbol = sym
-        for arr in (*self.xi, *self.coords, self.symbol):
+        for arr in (*self.xi, *self.coords):
             arr.setflags(write=False)
+
+    @property
+    def symbol(self) -> np.ndarray:
+        """Symbol of the linear operator, sum_j alpha_j xi_j^2, as a fresh
+        read-only array of the full shape.  The axes are added in order
+        into one real array, so forming it holds nothing else."""
+        sym = np.zeros(self.n)
+        for j in range(self.d):
+            sym += self.alpha[j] * self._along(self.xi[j] ** 2, j)
+        sym.setflags(write=False)
+        return sym
 
     def _along(self, arr_1d: np.ndarray, axis: int) -> np.ndarray:
         """Reshape a 1-D per-axis array for broadcasting over the box."""

@@ -76,7 +76,8 @@ def _energy(grid: Grid, spectrum: np.ndarray, a2: np.ndarray, lsig2: float,
             lam: float, sigma: float, potential: np.ndarray | None) -> float:
     """E from the spectrum, a2 = |u|^2 and lsig2 = int |u|^(sigma+2).  The
     kinetic term sum_j alpha_j int |d_j u|^2 is one Parseval sum of
-    grid.symbol |u^|^2."""
+    grid.symbol |u^|^2; the symbol is formed here, and both real arrays
+    together take the room of one complex derivative."""
     spec2 = _abs2(spectrum)
     spec2 *= grid.symbol
     kin = grid.cell * float(np.sum(spec2)) / float(spec2.size)
@@ -114,7 +115,8 @@ def sample(field: ComplexField, lam: float, sigma: float,
     q_j = Im(conj(u) d_j u), formed in the buffer of d_j u, whose marginal
     gives both the momentum and the moment flux; and one |u^|^2 sum for
     the kinetic energy.  Beyond the field and the spectrum it holds at most
-    |u|^2 and one derivative at a time.
+    |u|^2 and one derivative at a time (or, after the derivatives, |u^|^2
+    and the symbol).
     """
     g = field.grid
     w = g.cell

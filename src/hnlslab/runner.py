@@ -630,9 +630,11 @@ class _RunDir:
         self._put(name, lambda path: save_radial_csv(profile, path))
 
 
-def _run_full(cfg, grid, u0, out):
+def _run_full(cfg, grid, make_u0, out):
     """Shared full-grid march: series CSV, optional stride snapshots, and
-    a final snapshot."""
+    a final snapshot.  `make_u0()` returns the initial field; it is formed
+    inside the call to `run`, so no frame here keeps it and `run` frees it
+    at the first step."""
     problem = EvolutionProblem(grid, lam=cfg.lam, sigma=cfg.sigma)
     rc = cfg.run
     stride = rc["snapshot_stride"]
@@ -643,7 +645,7 @@ def _run_full(cfg, grid, u0, out):
             out.snapshot(f"snap_{emitted[0]:05d}.snap", st.field)
         emitted[0] += 1
 
-    state, series = run(u0, problem, _run_config(rc), observer)
+    state, series = run(make_u0(), problem, _run_config(rc), observer)
     out.series("observables.csv", _series_columns(series))
     out.snapshot("final.snap", state.field)
     return state, series
@@ -653,9 +655,8 @@ def _exp_simulate(cfg, out) -> str:
     """Plain initial-value run: observables.csv, snapshots, final.snap;
     a conservation-report adds a drift report (conservation.json)."""
     grid = cfg.build_grid()
-    u0 = _field_from_block(cfg.initial, grid,
-                           np.random.default_rng(cfg.seed))
-    state, series = _run_full(cfg, grid, u0, out)
+    state, series = _run_full(cfg, grid, lambda: _field_from_block(
+        cfg.initial, grid, np.random.default_rng(cfg.seed)), out)
     if cfg.kind == "simulate":
         return state.status
     rep = verify_conservation(series)
@@ -694,8 +695,8 @@ def _exp_structured_wave(cfg, out) -> str:
     """
     grid = cfg.build_grid()
     spec = _wave_spec(cfg, cfg.block)
-    u0 = wave_field(spec, 0.0, grid)
-    state, _ = _run_full(cfg, grid, u0, out)
+    state, _ = _run_full(cfg, grid, lambda: wave_field(spec, 0.0, grid),
+                         out)
     mismatch = None
     if state.status == STATUS_DONE:
         ref = wave_field(spec, state.t, grid, dt=cfg.run["dt0"])

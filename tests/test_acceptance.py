@@ -43,10 +43,8 @@ from hnlslab import (
     run,
     run_decomposed,
     semiclassical_field,
-    shoot_ground_state,
     snapshot_nbytes,
     solve_radial,
-    stability_run,
     step_perturbation,
     verify_conservation,
     wave_field,
@@ -81,11 +79,6 @@ def _conservation_run(lam, dt):
 def focusing_run():
     """Boosted-Gaussian focusing run shared by tests 01-03."""
     return _conservation_run(lam=1.0, dt=1e-3)
-
-
-@pytest.fixture(scope="module")
-def ground_state():
-    return shoot_ground_state(2.0)
 
 
 def test_01_conservation_drifts_and_dt_convergence(focusing_run):
@@ -326,15 +319,10 @@ def test_08_decomposed_flow_dual_path_and_fixed_point():
            f"{quiet:.1e} in H1 to t=2")
 
 
-def test_09_plane_wave_stability_scaling():
-    grid = hnls_grid()
-    f0 = gaussian_field(PROFILE_GRID, amplitude=0.4, width=4.0).values
-    lint = profile_hypothesis_warnings(f0, 40.0)
-    spec = PlaneWaveSpec(f0=f0, period=40.0, c=(2.0,), lam=1.0, sigma=4.0)
-    eps = (1e-3, 5e-4, 2.5e-4)
-    start = time.monotonic()
-    reports = stability_run(spec, _seed(grid, amplitude=1.0), eps, 5.0)
-    elapsed = time.monotonic() - start
+def test_09_plane_wave_stability_scaling(plane_quintic_sweep):
+    sweep = plane_quintic_sweep
+    lint = profile_hypothesis_warnings(sweep.spec.f0, 40.0)
+    eps, reports, elapsed = sweep.eps, sweep.reports, sweep.elapsed
     bounded = all(r.status == "Bounded" and r.in_regime for r in reports)
     gains = [r.h_sup / e for r, e in zip(reports, eps)]
     ratios = [reports[0].h_sup / reports[1].h_sup,
@@ -356,7 +344,7 @@ def test_09_plane_wave_stability_scaling():
            f"{elapsed:.0f} s")
 
 
-def test_10_standing_wave_counterpart():
+def test_10_standing_wave_counterpart(standing_quintic_sweep):
     grid = hnls_grid()
     spec = _standing_spec()
     v0 = _seed(grid, amplitude=0.05)
@@ -364,8 +352,7 @@ def test_10_standing_wave_counterpart():
     b, _ = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.2,
                           stepper=step_perturbation)
     agree = _diff_h1(a.v, b.v)
-    eps = (1e-3, 5e-4, 2.5e-4)
-    reports = stability_run(spec, _seed(grid, amplitude=1.0), eps, 5.0)
+    eps, reports = standing_quintic_sweep.eps, standing_quintic_sweep.reports
     bounded = all(r.status == "Bounded" and r.in_regime for r in reports)
     gains = [r.h_sup / e for r, e in zip(reports, eps)]
     ratios = [reports[0].h_sup / reports[1].h_sup,

@@ -5,11 +5,12 @@ import math
 import os
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from conftest import hnls_grid
+from conftest import hnls_grid, needs_owned_arguments
 
 from hnlslab import (
     KINDS,
@@ -27,6 +28,7 @@ from hnlslab import (
     snapshot_nbytes,
     write_snapshot,
 )
+from hnlslab import runner
 from hnlslab.cli import main as cli_main
 
 
@@ -527,6 +529,32 @@ def test_stability_sweep_writes_report_per_eps(tmp_path):
         assert report["series"] == f"stability_eps{i}.csv"
         series = load_series_csv(tmp_path / report["series"])
         assert set(series) == {"t", "h", "phi_sup", "grad_phi_sup"}
+
+
+@needs_owned_arguments
+def test_runner_keeps_no_reference_to_the_initial_field(tmp_path,
+                                                         monkeypatch):
+    made, alive = [], []
+    field_from_block, write = runner._field_from_block, runner.write_snapshot
+
+    def traced_field_from_block(*args):
+        f = field_from_block(*args)
+        made.append(weakref.ref(f.values))     # the field's memory
+        return f
+
+    def traced_write(field, path):
+        alive.append(made[0]() is not None)
+        return write(field, path)
+
+    monkeypatch.setattr(runner, "_field_from_block", traced_field_from_block)
+    monkeypatch.setattr(runner, "write_snapshot", traced_write)
+    cfg = parse_config(_cfg(run={"t_end": 0.03, "dt0": 1e-2,
+                                 "sample_stride": 1, "snapshot_stride": 1}))
+    assert run_experiment(cfg, out_dir=tmp_path / "out") == 0
+    # snap_00000 is u0 itself; snap_00001..3 and final.snap come after the
+    # first step, when nothing holds u0
+    assert alive == [True, False, False, False, False]
+    assert made[0]() is None
 
 
 def test_blowup_is_exit_zero(tmp_path):

@@ -1,6 +1,7 @@
 """Decomposed evolution u = v + phi: steppers, stability harness, two waves."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from hnlslab import (
     step_strang,
     two_wave_run,
 )
-from hnlslab import spectral
+from hnlslab import coupled, spectral
 
 PROFILE_GRID = Grid((64,), (40.0,), (1.0,))
 
@@ -218,16 +219,12 @@ def test_certify_regime_windows():
 # ---------------------------------------------------------------------------
 # stability harness
 
-def test_stability_sweep_plane_quintic():
+def test_stability_sweep_plane_quintic(plane_quintic_sweep):
     # Certified window: planar quintic, |c| = 2 > 1, focusing.  Halving the
     # perturbation must roughly halve the measured response.
-    grid = hnls_grid()
-    f0 = _bump(4.0, amplitude=0.4)
-    assert profile_hypothesis_warnings(f0, 40.0) == []
-    spec = PlaneWaveSpec(f0=f0, period=40.0, c=(2.0,), lam=1.0, sigma=4.0)
-    shape = _seed(grid, amplitude=1.0)
-    eps = (1e-3, 5e-4, 2.5e-4)
-    reports = stability_run(spec, shape, eps, 5.0)
+    sweep = plane_quintic_sweep
+    assert profile_hypothesis_warnings(sweep.spec.f0, 40.0) == []
+    eps, reports = sweep.eps, sweep.reports
     sups = []
     for r, e in zip(reports, eps):
         assert r.in_regime
@@ -259,11 +256,9 @@ def test_stability_zero_eps_measures_grid_debris():
     assert reports[0].h_sup < 1e-4           # measured 1.8e-5
 
 
-def test_stability_sweep_standing_quintic():
-    grid = hnls_grid()
-    spec = _standing_spec()
-    eps = (1e-3, 5e-4, 2.5e-4)
-    reports = stability_run(spec, _seed(grid, amplitude=1.0), eps, 5.0)
+def test_stability_sweep_standing_quintic(standing_quintic_sweep):
+    eps = standing_quintic_sweep.eps
+    reports = standing_quintic_sweep.reports
     sups = []
     for r, e in zip(reports, eps):
         assert r.in_regime
@@ -368,6 +363,30 @@ def test_two_wave_interaction_stays_localized():
     # the remainder lives where the waves overlap, not in the far corner of
     # the (z1, z2) fundamental cell
     assert out.boundary_fraction < 1e-6      # measured 5e-9
+
+
+def test_two_wave_run_frees_its_lifts_before_the_march(monkeypatch):
+    lifts, alive = [], []
+    lift, march = coupled.lift_structured, coupled.march
+
+    def traced_lift(spec, values, grid, t):
+        out = lift(spec, values, grid, t)
+        if t == 0.0:
+            lifts.append(weakref.ref(out))
+        return out
+
+    def traced_march(*args):
+        alive.append([ref() is not None for ref in lifts])
+        return march(*args)
+
+    monkeypatch.setattr(coupled, "lift_structured", traced_lift)
+    monkeypatch.setattr(coupled, "march", traced_march)
+    s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), period=40.0, c=(-1.0,),
+                       lam=1.0, sigma=2.0)
+    out = two_wave_run(_plane_spec(c=(1.0,)), s2, None, 0.05, hnls_grid(),
+                       dt=1e-2, sample_stride=1)
+    assert out.status == "Done"
+    assert alive == [[False, False]]
 
 
 def test_two_wave_symmetry_and_degenerate_cases():

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hnlslab.evolution import (
 )
 from hnlslab import spectral
 from hnlslab.observables import sample
-from conftest import BAD_NONLINEARITY, hnls_grid
+from conftest import BAD_NONLINEARITY, hnls_grid, needs_owned_arguments
 
 
 def _run_field(f, problem, **kw):
@@ -556,3 +557,50 @@ def test_step_and_sample_memory_is_bounded(n, monkeypatch):
     if n == 512:
         assert step <= field // 4
     assert taken <= field + size * 8 + field + slack
+
+
+@needs_owned_arguments
+def test_run_frees_its_field_after_the_first_step():
+    g = hnls_grid(n=16)
+    refs = []
+
+    def initial():
+        f = gaussian_field(g, amplitude=0.8, width=3.0)
+        refs.append(weakref.ref(f.values))     # the field's memory
+        return f
+
+    alive = []
+    run(initial(), EvolutionProblem(g, lam=1.0, sigma=2.0),
+        RunConfig(t_end=3e-3, dt0=1e-3, sample_stride=1),
+        observer=lambda st, s: alive.append(refs[0]() is not None))
+    # the first sample reads the field itself; every later one does not
+    assert alive == [True, False, False, False]
+
+
+@needs_owned_arguments
+def test_run_peak_holds_the_march_and_one_sample(monkeypatch):
+    # 64^3 in two row blocks: N = 262144 points, 4 MiB complex, 2 MiB
+    # real.  Past the first step a run holds the spectrum and L(h/2)
+    # (8 MiB); a sample adds the physical field, |u|^2 and one derivative
+    # (10 MiB): 18 MiB.  The initial field (4 MiB) is gone by then.  The
+    # measured peak is 18.69 MiB in two blocks and 18.13 MiB serial: numpy's
+    # buffers for the split FFT passes and smaller arrays, so the margin is
+    # 1 MiB.
+    monkeypatch.setattr(spectral, "_workers", 2)
+    g = Grid((64,) * 3, (30.0,) * 3, (1.0, -1.0, -1.0))
+    mib = 2 ** 20
+    bound = (4 * mib + 4 * mib                  # spectrum, L(h/2)
+             + 4 * mib + 2 * mib + 4 * mib      # field, |u|^2, d_j u
+             + 1 * mib)                         # margin
+    problem = EvolutionProblem(g, lam=1.0, sigma=2.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, series = run(gaussian_field(g, amplitude=0.7, width=3.0),
+                        problem, RunConfig(t_end=4e-3, dt0=1e-3,
+                                           sample_stride=2))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(series) == 3
+    assert peak <= bound

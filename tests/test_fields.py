@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,39 @@ def test_centered_coordinates():
     assert np.isclose(g.coords[0][0], -20.0)
     assert np.isclose(g.coords[0][-1], 20.0 - 40.0 / 64)
     assert np.isclose(g.cell, (40.0 / 64) ** 2)
+
+
+_SIGNATURES = {"hnls": (1.0, -1.0, -1.0), "nls": (1.0, 1.0, 1.0),
+               "zero-axis": (0.0, 0.7, -1.3)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(_SIGNATURES))
+def test_symbol_is_read_only_and_the_signature_sum(kind, d):
+    n = (16, 8, 32)[:d]
+    g = Grid(n, (10.0, 7.0, 13.0)[:d], _SIGNATURES[kind][:d])
+    # the value a Grid used to store: sum_j alpha_j xi_j^2, axis by axis
+    ref = np.zeros(n)
+    for j in range(d):
+        ref = ref + g.alpha[j] * g.xi_along(j) ** 2
+    sym = g.symbol
+    assert sym.shape == n and sym.dtype == np.float64
+    assert sym.tobytes() == ref.tobytes()       # the same bits, -0.0 too
+    assert not sym.flags.writeable
+    with pytest.raises(ValueError):
+        sym[(0,) * d] = 1.0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_grid_holds_no_array_of_its_shape(d):
+    # per-axis arrays only; in 1-D an axis is the whole shape, so d >= 2
+    g = Grid((16, 8, 32)[:d], (10.0,) * d, (1.0,) * d)
+    assert not hasattr(g, "__dict__")
+    held = [getattr(g, name) for name in Grid.__slots__]
+    arrays = [a for v in held for a in (v if isinstance(v, tuple) else (v,))
+              if isinstance(a, np.ndarray)]
+    assert len(arrays) == 2 * d                  # xi and coords
+    assert all(a.ndim == 1 and a.size < math.prod(g.n) for a in arrays)
 
 
 def test_one_dimensional_grid_allowed():

@@ -43,11 +43,6 @@ Q0_CUBIC = 2.2062008646
 
 
 @pytest.fixture(scope="module")
-def ground_state():
-    return shoot_ground_state(2.0)
-
-
-@pytest.fixture(scope="module")
 def focusing_blowup():
     prof = make_radial_profile(1024, 15.0, lambda r: 3.5 * np.exp(-r * r),
                                lam=1.0, sigma=2.0)
