@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import ComplexField, Grid
+from .fields import ComplexField, Grid, GridError
 
 SNAPSHOT_MAGIC = b"HNLSNAP1"
 SNAPSHOT_VERSION = 1
@@ -94,8 +95,6 @@ def read_snapshot(path) -> ComplexField:
     version, d = struct.unpack_from("<II", raw, 8)
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {version}")
-    if not 1 <= d <= 16:
-        raise SnapshotError(f"implausible dimension {d}")
     header = 16 + 4 * d + 8 * d + 8 * d + 8
     if len(raw) < header:
         raise SnapshotError("truncated snapshot header")
@@ -107,13 +106,16 @@ def read_snapshot(path) -> ComplexField:
     off += 8 * d
     (t,) = struct.unpack_from("<d", raw, off)
     off += 8
-    count = int(np.prod(n))
+    count = math.prod(n)      # exact: np.prod wraps to 0 for n = (2**31,) * 3
     expected = off + 16 * count
     if len(raw) != expected:
         raise SnapshotError(f"payload size mismatch: file has {len(raw)} "
                             f"bytes, header promises {expected}")
     vals = np.frombuffer(raw, dtype="<c16", count=count, offset=off)
-    grid = Grid(tuple(int(m) for m in n), length, alpha)
+    try:
+        grid = Grid(tuple(int(m) for m in n), length, alpha)
+    except GridError as exc:
+        raise SnapshotError(f"header describes no valid grid: {exc}") from exc
     return ComplexField(grid, vals.astype(np.complex128).reshape(grid.n),
                         t=float(t))
 

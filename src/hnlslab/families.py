@@ -234,7 +234,7 @@ class StandingWaveSpec:
                             "axis")
         if self.f0.shape != grid.n[1:]:
             raise GridError(f"transverse profile shape {self.f0.shape} does "
-                            f"not match the grid's transverse axes "
+                            f"not match the transverse grid size "
                             f"{grid.n[1:]}")
         gT = Grid(grid.n[1:], grid.length[1:], (-1.0,) * (grid.d - 1))
         return (EvolutionProblem(grid=gT, lam=self.lam, sigma=self.sigma),

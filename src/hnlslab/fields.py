@@ -74,10 +74,19 @@ class Grid:
         self.length = length
         self.alpha = alpha
         self.dx = tuple(length[j] / n[j] for j in range(d))
-        self.cell = float(np.prod(self.dx))
+        with np.errstate(all="ignore"):      # a box out of range is refused
+            self.cell = float(np.prod(self.dx))
+        if not 0.0 < self.cell < math.inf:     # then no dx is 0 or inf
+            raise GridError(f"box length {length} on {n} points gives the "
+                            f"cell volume {self.cell}")
         self.xi = tuple(spectral.freq(n[j], self.dx[j]) for j in range(d))
         self.coords = tuple((np.arange(n[j]) - n[j] // 2) * self.dx[j]
                             for j in range(d))
+        with np.errstate(all="ignore"):
+            if not np.isfinite(np.concatenate([*self.xi, *self.coords])
+                               ** 2).all():
+                raise GridError(f"box length {length} on {n} points gives "
+                                f"an inf squared coordinate or wavenumber")
         for arr in (*self.xi, *self.coords):
             arr.setflags(write=False)
 
@@ -346,8 +355,12 @@ def apply_linear_propagator(field: ComplexField, dt: float) -> ComplexField:
     return field.with_values(out, t=field.t + dt)
 
 
-def _edge_fraction(a2: np.ndarray, total: float, band: int = 2) -> float:
-    """Share of total = sum(a2) within `band` cells of any box edge.  The
+# cells from a box edge that `boundary_mass_fraction` counts as the edge
+EDGE_BAND = 2
+
+
+def _edge_fraction(a2: np.ndarray, total: float) -> float:
+    """Share of total = sum(a2) within EDGE_BAND cells of any box edge.  The
     edge is summed slab by slab, never as total minus interior (which
     cancels): axis j's two edge slabs, restricted to the interior of the
     axes before it so that no cell is counted twice."""
@@ -356,17 +369,17 @@ def _edge_fraction(a2: np.ndarray, total: float, band: int = 2) -> float:
     inner = [slice(None)] * a2.ndim
     acc = 0.0
     for j, n in enumerate(a2.shape):
-        b = max(0, min(band, n))
+        b = max(0, min(EDGE_BAND, n))
         for edge in (slice(0, b), slice(max(n - b, b), n)):
             acc += float(np.sum(a2[tuple(inner[:j]) + (edge,)]))
         inner[j] = slice(b, n - b)
     return acc / total
 
 
-def boundary_mass_fraction(field: ComplexField, band: int = 2) -> float:
-    """Fraction of the discrete mass within `band` cells of any box edge."""
+def boundary_mass_fraction(field: ComplexField) -> float:
+    """Fraction of the discrete mass within EDGE_BAND cells of an edge."""
     a2 = _abs2(field.values)
-    return _edge_fraction(a2, float(np.sum(a2)), band)
+    return _edge_fraction(a2, float(np.sum(a2)))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ class RadialProfile:
     sigma: float
     sign: int = 1
     t: float = 0.0
-    bc_inner: str = ""
 
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=np.float64)
@@ -61,12 +60,6 @@ class RadialProfile:
             raise ValueError("radial grid must be uniform")
         if self.r[0] < 0:
             raise ValueError("radial grid must start at eps >= 0")
-        expected_bc = BC_REGULARITY if self.r[0] == 0.0 else BC_DIRICHLET
-        if self.bc_inner == "":
-            self.bc_inner = expected_bc
-        elif self.bc_inner != expected_bc:
-            raise ValueError(f"bc_inner {self.bc_inner!r} inconsistent with "
-                             f"eps={self.r[0]} (expected {expected_bc!r})")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         _check_nonlinearity(self.lam, self.sigma)
@@ -82,6 +75,11 @@ class RadialProfile:
         return float(self.r[0])
 
     @property
+    def bc_inner(self) -> str:
+        """The inner boundary condition, fixed by eps (see above)."""
+        return BC_REGULARITY if self.eps == 0.0 else BC_DIRICHLET
+
+    @property
     def r_max(self) -> float:
         return float(self.r[-1])
 
@@ -92,8 +90,7 @@ class RadialProfile:
     def with_values(self, values: np.ndarray, t: float | None = None) -> "RadialProfile":
         return RadialProfile(r=self.r, values=values, lam=self.lam,
                              sigma=self.sigma, sign=self.sign,
-                             t=self.t if t is None else float(t),
-                             bc_inner=self.bc_inner)
+                             t=self.t if t is None else float(t))
 
     def linf(self) -> float:
         return float(np.max(np.abs(self.values)))

@@ -33,7 +33,8 @@ or around a concentration radius, two waves at one speed, a plane or
 standing wave that does not fit the box, a fixed-dt conservation-report
 with fewer than 5 samples).
 Validation reports every problem at once rather than stopping at the
-first.
+first; a wave's fit to its box is checked once the grid, the nonlinearity
+and the wave's block have no problem of their own.
 
 Profile-hypothesis lint results and regime certification are attached to
 the parsed config as `warnings`: advisory, never fatal.
@@ -45,7 +46,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -62,8 +63,7 @@ from .transforms import (_RESIDUAL_SAMPLES, closed_form_b,
 from .radial import (_SCAN_SAMPLES, concentration_scan, make_radial_profile,
                      radial_energy, radial_mass, save_radial_csv, solve_radial)
 from .families import (PlaneWaveSpec, SemiclassicalSpec, StandingWaveSpec,
-                       _alignment_ints, _carrier_index, semiclassical_field,
-                       wave_field)
+                       semiclassical_field, wave_field)
 from .coupled import profile_hypothesis_warnings, stability_run, two_wave_run
 from .artifacts import (RunManifest, save_series_csv, write_json,
                         write_snapshot)
@@ -361,55 +361,24 @@ def _block_check(kind, grid):
     standing = {"n": (_grid_size, grid["n"][1] if d == 2 else n0),
                 "omega": (_FINITE, _REQUIRED)}
 
-    def on_box(errors, where, rule, *args):
-        # a `families` rule on the box lengths; the run would raise its
-        # GridError
-        try:
-            rule(*args)
-        except GridError as exc:
-            _fail(errors, where, str(exc))
-
-    def fits(errors, where, block):
-        """The plane or standing wave fits the box: it is periodic, and a
-        standing profile spans the transverse axis."""
-        if grid is None:
-            return
-        if "omega" not in block:
-            on_box(errors, where, _alignment_ints, block["c"],
-                   block["period"], grid["length"])
-        elif d != 2:
-            _fail(errors, where, f"standing waves are planar (d = 2), grid "
-                                 f"has d = {d}")
-        else:
-            if block["n"] != grid["n"][1]:
-                _fail(errors, f"{where}.n", f"must equal the transverse grid "
-                                            f"size {grid['n'][1]}, got "
-                                            f"{block['n']}")
-            on_box(errors, where, _carrier_index, block["omega"],
-                   grid["length"][0])
-
-    def both_fit(errors, where, block):
+    def distinct_speeds(errors, where, block):
         if block["first"]["c"] == block["second"]["c"]:
             _fail(errors, f"{where}.second.c", "must differ from first.c: "
                   "the two waves need distinct speeds")
-        for name in ("first", "second"):
-            fits(errors, f"{where}.{name}",
-                 {**block[name], "period": block["period"]})
 
     side = _sub({**_PROFILE, "c": plane["c"]})
     blocks = {
-        "planewave": _sub({**_PROFILE, **plane}, fits),
-        "standing": _sub({**_PROFILE, **standing}, fits),
+        "planewave": _sub({**_PROFILE, **plane}),
+        "standing": _sub({**_PROFILE, **standing}),
         "stability": _tagged(
             "wave", {"plane": plane, "standing": standing},
             {**_PROFILE, "shape": (_initial(d), _REQUIRED),
              "eps": (_list(_number(0.0)), _REQUIRED), **_MARCH,
-             "grow_factor": (_POSITIVE, 10.0), **_CEILING},
-            fits),
+             "grow_factor": (_POSITIVE, 10.0), **_CEILING}),
         "two-wave": _sub({"first": (side, _REQUIRED),
                           "second": (side, _REQUIRED),
                           "n": plane["n"], "period": plane["period"],
-                          **_MARCH}, both_fit),
+                          **_MARCH}, distinct_speeds),
         # a radial run may end where it starts (t_end = 0)
         "radial": _sub({"n": (_integer(8), 256),
                         "r_max": (_POSITIVE, _REQUIRED),
@@ -474,8 +443,13 @@ def _norm_grid(errors, raw) -> dict | None:
 
     alpha = {"hnls": [1.0] + [-1.0] * (d - 1), "nls": [1.0] * d}.get(
         g["preset"], g["alpha"])
-    return {"d": d, "n": axes(g["n"]), "length": axes(g["length"]),
-            "alpha": tuple(alpha)}
+    out = {"d": d, "n": axes(g["n"]), "length": axes(g["length"]),
+           "alpha": tuple(alpha)}
+    try:   # what is left for `Grid` to refuse is a box out of double range
+        Grid(out["n"], out["length"], out["alpha"])
+    except GridError as exc:
+        return _fail(errors, f"{where}.length", str(exc))
+    return out
 
 
 _NEEDS_GRID = {"simulate", "conservation-report", "planewave", "standing",
@@ -521,49 +495,32 @@ def parse_config(text: str) -> ExperimentConfig:
         keys.setdefault(name, (_refuse(f"kind {kind!r} takes no {name} "
                                        f"section"), None))
     top = _section(errors, "", raw, keys)
-
-    if errors:
-        raise ConfigError(errors)
-
+    nonlinearity = top["nonlinearity"] or {}
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     cfg = ExperimentConfig(
-        kind=kind, grid=grid, lam=top["nonlinearity"]["lam"],
-        sigma=top["nonlinearity"]["sigma"], initial=top["initial"],
+        kind=kind, grid=grid, lam=nonlinearity.get("lam"),
+        sigma=nonlinearity.get("sigma"), initial=top["initial"],
         run=top["run"], block=top.get(kind), output=top["output"],
         seed=top["seed"],
         config_hash=hashlib.sha256(canonical.encode("utf-8")).hexdigest())
-    cfg.warnings.extend(_config_warnings(cfg))
-    return cfg
-
-
-def _profile_values(profile: dict, n: int, period: float) -> np.ndarray:
-    """Profile samples on the grid its wave's profile marches on."""
-    z = Grid((n,), (period,), (1.0,)).coords[0]
-    if profile["shape"] == "zero":
-        return np.zeros(n, dtype=np.complex128)
-    amp, width = profile["amplitude"], profile["width"]
-    return (amp * np.exp(-0.5 * ((z - profile["center"]) / width) ** 2)
-            ).astype(np.complex128)
-
-
-def _config_warnings(cfg: ExperimentConfig) -> list:
-    """Advisory lint: profile hypotheses and regime certification."""
-    b = cfg.block
-    if cfg.kind == "two-wave":
-        specs = {f"{name}.profile": _wave_spec(cfg, b, b[name])
-                 for name in ("first", "second")}
-    elif cfg.kind in ("planewave", "standing", "stability"):
-        specs = {"profile": _wave_spec(cfg, b)}
-    else:
-        return []
-    period = _profile_period(cfg, b)
-    warn = [f"{label}: {w}" for label, spec in specs.items()
-            for w in profile_hypothesis_warnings(spec.f0, period)]
-    if cfg.kind == "stability":
-        in_regime, note = specs["profile"].regime(cfg.build_grid())
+    # the specs decide whether a wave fits its box, once the grid, the
+    # nonlinearity and the block are valid (no other key starts like those)
+    specs = {}
+    if grid and cfg.block and not any(e.startswith(("nonlinearity", kind))
+                                      for e in errors):
+        specs = _wave_specs(cfg, errors)
+    if errors:
+        raise ConfigError(errors)
+    for where, spec in specs.items():     # advisory lint: profile hypotheses
+        _, profile = spec.profile(cfg.build_grid())
+        label = f"{where}.profile".removeprefix(f"{kind}.")
+        cfg.warnings += [f"{label}: {w}" for w in profile_hypothesis_warnings(
+            spec.f0, profile.grid.length[0])]
+    if kind == "stability":               # and regime certification
+        in_regime, note = specs[kind].regime(cfg.build_grid())
         if not in_regime:
-            warn.append(f"out-of-regime: {note}")
-    return warn
+            cfg.warnings.append(f"out-of-regime: {note}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -668,33 +625,55 @@ def _exp_simulate(cfg, out) -> str:
     return state.status
 
 
-def _profile_period(cfg, block) -> float:
-    """The period a wave block's profile is sampled over: the plus-axis
-    period of a plane wave, the transverse box length of a standing one."""
-    return cfg.grid["length"][1] if "omega" in block else block["period"]
-
-
-def _wave_spec(cfg, block, side=None):
-    """The plane or standing wave spec of a planewave, standing or
-    stability block, or of the `side` (first or second) of a two-wave
-    block."""
-    side = block if side is None else side
-    f0 = _profile_values(side["profile"], block["n"],
-                         _profile_period(cfg, block))
-    if "omega" in block:
-        return StandingWaveSpec(f0=f0, omega=block["omega"], lam=cfg.lam,
+def _wave_spec(cfg, grid, side):
+    """The plane or standing wave spec of `side`, the wave block itself or
+    the first or second of a two-wave block.  Its profile is sampled on
+    the grid that `profile(grid)` gives the spec with a zero profile,
+    which raises GridError when the wave does not fit `grid`."""
+    b, f0 = cfg.block, np.zeros(cfg.block["n"])
+    if "omega" in b:
+        spec = StandingWaveSpec(f0=f0, omega=b["omega"], lam=cfg.lam,
                                 sigma=cfg.sigma)
-    return PlaneWaveSpec(f0=f0, period=block["period"], c=tuple(side["c"]),
-                         lam=cfg.lam, sigma=cfg.sigma)
+    else:
+        spec = PlaneWaveSpec(f0=f0, period=b["period"], c=tuple(side["c"]),
+                             lam=cfg.lam, sigma=cfg.sigma)
+    _, profile = spec.profile(grid)
+    p = side["profile"]
+    if p["shape"] == "zero":
+        return spec
+    return replace(spec, f0=gaussian_field(profile.grid, p["amplitude"],
+                                           p["width"], (p["center"],)).values)
+
+
+def _wave_specs(cfg, errors=None) -> dict:
+    """{block path: plane or standing wave spec} of a planewave, standing,
+    stability or two-wave config; empty for the other kinds.  A wave that
+    does not fit the box raises its spec's GridError, or, when `errors`
+    is given, has it reported there at its block path and is left out."""
+    b = cfg.block
+    if cfg.kind == "two-wave":
+        sides = {f"two-wave.{name}": b[name] for name in ("first", "second")}
+    elif cfg.kind in ("planewave", "standing", "stability"):
+        sides = {cfg.kind: b}
+    else:
+        return {}
+    grid = cfg.build_grid()
+    specs = {}
+    for where, side in sides.items():
+        try:
+            specs[where] = _wave_spec(cfg, grid, side)
+        except GridError as exc:
+            if errors is None:
+                raise
+            _fail(errors, where, str(exc))
+    return specs
 
 
 def _exp_structured_wave(cfg, out) -> str:
     """Evolve a lifted plane or standing wave and compare against the
-    profile flow; writes <kind>.json.  A standing wave's omega must sit
-    on the grid (integer carrier index).
-    """
+    profile flow; writes <kind>.json."""
     grid = cfg.build_grid()
-    spec = _wave_spec(cfg, cfg.block)
+    spec = _wave_specs(cfg)[cfg.kind]
     state, _ = _run_full(cfg, grid, lambda: wave_field(spec, 0.0, grid),
                          out)
     mismatch = None
@@ -810,7 +789,7 @@ def _exp_stability(cfg, out) -> str:
     """
     grid = cfg.build_grid()
     b = cfg.block
-    spec = _wave_spec(cfg, b)
+    spec = _wave_specs(cfg)["stability"]
     shape = _field_from_block(b["shape"], grid,
                               np.random.default_rng(cfg.seed))
     reports = stability_run(spec, shape, b["eps"], b["t_end"], dt=b["dt"],
@@ -831,9 +810,9 @@ def _exp_two_wave(cfg, out) -> str:
     """Interaction remainder of two plane waves at distinct speeds."""
     grid = cfg.build_grid()
     b = cfg.block
-    series = two_wave_run(_wave_spec(cfg, b, b["first"]),
-                          _wave_spec(cfg, b, b["second"]), None,
-                          b["t_end"], grid, dt=b["dt"],
+    specs = _wave_specs(cfg)
+    series = two_wave_run(specs["two-wave.first"], specs["two-wave.second"],
+                          None, b["t_end"], grid, dt=b["dt"],
                           sample_stride=b["sample_stride"])
     out.series("two_wave.csv", {"t": series.t,
                                 "remainder": series.remainder})

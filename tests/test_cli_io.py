@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import struct
 import sys
 import tracemalloc
 import weakref
@@ -96,6 +97,22 @@ def test_snapshot_rejects_corruption(tmp_path, rng):
     expect_error(raw[:40], "truncated")
     expect_error(raw[:-8], "size mismatch")
     expect_error(raw + b"\x00", "size mismatch")
+    # no bound on d of its own: a huge d promises a header the file lacks
+    expect_error(raw[:12] + struct.pack("<I", 2 ** 32 - 1) + raw[16:],
+                 "truncated")
+
+    def header(n, length):
+        d = len(n)
+        return raw[:12] + struct.pack(f"<I{d}I{2 * d}dd", d, *n, *length,
+                                      *(1.0,) * d, 0.0)
+
+    # 2**93 samples: a count wrapped to 0 would pass a bare header
+    expect_error(header((2 ** 31,) * 3, (10.0,) * 3), "size mismatch")
+    # files of the promised size whose header `Grid` refuses
+    for n, length in (((8,) * 4, (10.0,) * 4), ((12, 16), (10.0, 10.0)),
+                      ((16, 16), (math.nan, 10.0))):
+        expect_error(header(n, length) + bytes(16 * math.prod(n)),
+                     "no valid grid")
 
 
 def test_snapshot_overwrite_and_no_temp_debris(tmp_path, rng):
@@ -325,8 +342,10 @@ def _standing_cfg(kind="standing", n=32, block=None):
     ("radial", _radial_cfg(sign=True), "sign"),
     ("planewave", _planewave_cfg(period=20.0), "period"),
     ("planewave", _planewave_cfg(c=[0.3]), "len_y"),
-    # c len_y / period overflows to inf
-    ("planewave", _planewave_cfg(length=1e308, c=[2.0]), "len_y"),
+    # c len_y / period overflows to inf on a valid box
+    ("planewave", _planewave_cfg(c=[1e307]), "len_y"),
+    # a box whose cell volume overflows
+    ("planewave", _planewave_cfg(length=1e308, c=[2.0]), "length"),
     ("two-wave", _two_wave_cfg(0.5, 0.3), "two-wave.first"),
     ("standing", _standing_cfg(), "omega"),
     ("stability", _standing_cfg(kind="stability"), "omega"),
@@ -364,6 +383,33 @@ def test_bad_numbers_exit_2_before_any_run(kind, text, key, tmp_path,
     assert cli_main([kind, "--config", str(cfg_path), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_parse_reports_a_misfit_wave_with_every_other_problem():
+    text = json.loads(_planewave_cfg(c=[0.3]))
+    text["output"] = 7
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(text))
+    joined = " | ".join(info.value.errors)
+    assert "planewave: c[0] * len_y" in joined and "output" in joined
+
+
+@pytest.mark.parametrize("length", [1e200, 1e-200])
+def test_box_out_of_double_range_exits_2_and_writes_nothing(length, tmp_path,
+                                                            capsys):
+    # the cell volume overflows or underflows: the run would write
+    # inf/nan or zero observables
+    text = _cfg(grid={"preset": "hnls", "d": 2, "n": 16, "length": length})
+    with pytest.raises(ConfigError, match="grid.length"):
+        parse_config(text)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+    assert "grid.length" in capsys.readouterr().err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
 def test_parse_stability_out_of_regime_warning():

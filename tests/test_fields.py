@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hnlslab import fields
 from hnlslab.fields import (
     ComplexField, FieldDataError, Grid, GridError, apply_linear_propagator,
     boundary_mass_fraction, constant_field, evaluate_dilated,
@@ -29,6 +30,21 @@ def test_grid_rejects_bad_dimension_and_lengths():
         Grid((16, 16), (-1.0, 10.0), (1.0, -1.0))
     with pytest.raises(GridError):
         Grid((16, 16, 16), (10.0, 10.0), (1.0, -1.0))
+
+
+@pytest.mark.parametrize("n, length, what", [
+    ((16, 16), 1e200, "cell volume inf"),
+    ((16, 16), 1e308, "cell volume inf"),
+    ((16, 16), 1e-200, "cell volume 0.0"),
+    ((8,), 5e-324, "cell volume 0.0"),        # dx itself underflows to 0
+    ((8,), 1e200, "squared coordinate"),
+    ((8,), 1e-200, "squared coordinate or wavenumber"),
+])
+def test_grid_rejects_a_box_out_of_double_range(n, length, what):
+    # numpy warns about none of it: the refusal is the only report
+    with np.errstate(all="raise"):
+        with pytest.raises(GridError, match=what):
+            Grid(n, (length,) * len(n), (1.0,) * len(n))
 
 
 def test_wavenumbers_3d():
@@ -322,9 +338,11 @@ def test_boundary_mass_fraction_flags_edge_data():
 
 @pytest.mark.parametrize("band", [0, 1, 2, 3, 4, 5, 9])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_boundary_mass_fraction_matches_edge_mask(band, d, rng):
+def test_boundary_mass_fraction_matches_edge_mask(band, d, rng,
+                                                 monkeypatch):
     # bands up to and past half the box: the two slabs of an axis meet,
     # then cover it, and no cell may be counted twice
+    monkeypatch.setattr(fields, "EDGE_BAND", band)
     g = Grid((8,) * d, (5.0,) * d, (1.0,) * d)
     f = random_smooth_field(g, rng, corr=0.3)
     a2 = np.abs(f.values) ** 2
@@ -335,8 +353,8 @@ def test_boundary_mass_fraction_matches_edge_mask(band, d, rng):
             sl[j] = edge
             mask[tuple(sl)] = True
     want = np.sum(a2[mask]) / np.sum(a2)
-    assert boundary_mass_fraction(f, band) == pytest.approx(want, rel=1e-14,
-                                                             abs=1e-300)
+    assert boundary_mass_fraction(f) == pytest.approx(want, rel=1e-14,
+                                                      abs=1e-300)
 
 
 # ------------------------------------------------------- trajectory read rule

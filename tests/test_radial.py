@@ -63,9 +63,6 @@ def test_profile_validation():
         RadialProfile(r=r, values=np.zeros(64), lam=1.0, sigma=2.0, sign=2)
     with pytest.raises(ValueError, match="exactly zero"):
         RadialProfile(r=r, values=np.ones(64), lam=1.0, sigma=2.0)
-    with pytest.raises(ValueError, match="inconsistent"):
-        RadialProfile(r=r, values=np.zeros(64), lam=1.0, sigma=2.0,
-                      bc_inner=BC_DIRICHLET)
     with pytest.raises(ValueError, match="finite"):
         vals = np.zeros(64)
         vals[3] = np.nan
