@@ -26,7 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spectral
-from .fields import ComplexField, Grid, GridError, constant_field, norms
+from .fields import (ComplexField, Grid, GridError, constant_field,
+                     multiply_out, norms)
 from .evolution import (STATUS_BLOWNUP, STATUS_RUNNING, EvolutionProblem,
                         RunConfig, SpectralMarch, StepperState, march,
                         step_strang)
@@ -149,7 +150,7 @@ def step_perturbation(state: DecomposedState, dt: float) -> DecomposedState:
         s = w + phi
         return 1j * lam * (np.abs(s) ** sigma * s - np.abs(phi) ** sigma * phi)
 
-    ph = problem.linear_phase(half)
+    ph = multiply_out(problem.linear_phase(half))
     w = spectral.ifftn(spectral.fftn(state.v.values) * ph)
     # an overflow here is a blow-up, recorded below, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):

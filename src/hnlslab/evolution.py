@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from . import spectral
-from .fields import ComplexField, Grid, GridError, cubic_read
+from .fields import (ComplexField, Grid, GridError, cubic_read,
+                     linear_factors, multiply_out)
 from .observables import ObservableSample, ObservableSeries, sample
 
 STATUS_RUNNING = "Running"
@@ -49,11 +50,11 @@ class EvolutionProblem:
             if self.potential.shape != self.grid.n:
                 raise GridError("potential shape does not match grid")
 
-    def linear_phase(self, dt: float) -> np.ndarray:
-        """Fourier multiplier exp(-i dt sum alpha_j xi_j^2), formed in one
-        complex array from the grid's symbol, which is freed on return."""
-        out = -1j * dt * self.grid.symbol
-        return np.exp(out, out=out)
+    def linear_phase(self, dt: float) -> tuple:
+        """The d per-axis factors exp(-i dt alpha_j xi_j^2) of the Fourier
+        multiplier L(dt) (`fields.linear_factors`); `fields.multiply_out`
+        forms L(dt) from them."""
+        return linear_factors(self.grid, dt)
 
 
 def harmonic_saddle_potential(grid: Grid, k: float) -> np.ndarray:
@@ -177,7 +178,7 @@ def step_strang(state: StepperState, problem: EvolutionProblem,
                 direction: float = 1.0) -> StepperState:
     """One Strang step of size state.dt (times `direction` = +-1)."""
     dt = state.dt * direction
-    half = problem.linear_phase(0.5 * dt)
+    half = multiply_out(problem.linear_phase(0.5 * dt))
     u = spectral.ifftn(spectral.fftn(state.field.values) * half)
     _nonlinear_stage(u, dt, problem.lam, problem.sigma, problem.potential)
     u = spectral.ifftn(spectral.fftn(u) * half)
@@ -190,16 +191,19 @@ class SpectralMarch:
     """One field carried as its spectrum u^ = fftn(u) through Strang steps.
 
     A step is ifftn(u^ L(h/2)) -> N(h) -> fftn -> L(h/2): two FFTs where
-    `step_strang` spends four, matching a loop of it to roundoff.  L(h/2)
-    is kept for the last h stepped and formed again only when h changes.
-    The physical field is formed by one ifftn, and only when `field` asks.
-    On a large grid both multiplies, both transforms and the phase map run
-    on the row blocks of `spectral`, bit for bit the serial step.  A step
+    `step_strang` spends four, matching a loop of it to roundoff.  The
+    per-axis factors of L(h/2) (`linear_phase`) are kept for the last h
+    stepped and formed again only when h changes.  The full-grid L(h/2)
+    is multiplied out of them at the first step after a sample and held
+    only until the next sample: `field` drops it before it forms the
+    physical field by one ifftn, which it does only when asked.  On a
+    large grid both multiplies, both transforms and the phase map run on
+    the row blocks of `spectral`, bit for bit the serial step.  A step
     works in place on `spectrum`; its only new memory is the phase map's
     scratch, one chunk of `spectral.CHUNK_POINTS` points per row block
-    (freed when the step returns), and L(h/2) when h changes.  It first
-    lets go of the last sample's field and of an L(h/2) it replaces, so
-    neither is alive while the step runs.
+    (freed when the step returns), and L(h/2) after a sample or when h
+    changes.  It first lets go of the last sample's field and of an
+    L(h/2) it replaces, so neither is alive beside the new L(h/2).
     """
 
     def __init__(self, field: ComplexField, problem: EvolutionProblem):
@@ -208,7 +212,8 @@ class SpectralMarch:
         self.problem = problem
         self.spectrum = spectral.fftn(field.values)
         self._field = field        # None while only the spectrum is current
-        self._h = self._half = None     # the last step size and its L(h/2)
+        self._h = self._factors = None  # the last step size, L(h/2)'s factors
+        self._half = None               # L(h/2), held between samples
 
     def step(self, h: float) -> float:
         """Advance by h and return the sup of the half-step field L(h/2) u,
@@ -218,7 +223,9 @@ class SpectralMarch:
         self._field = None
         if h != self._h:
             self._half = None
-            self._h, self._half = h, problem.linear_phase(0.5 * h)
+            self._h, self._factors = h, problem.linear_phase(0.5 * h)
+        if self._half is None:
+            self._half = multiply_out(self._factors)
         w, half = self.spectrum, self._half
         spectral.pointwise(np.multiply, w, half, w)
         spectral.ifftn(w, out=w)
@@ -229,8 +236,10 @@ class SpectralMarch:
         return sup
 
     def field(self, t: float) -> ComplexField:
-        """The physical field, stamped t; formed once per step taken."""
+        """The physical field, stamped t; formed once per step taken, after
+        L(h/2) is let go (the next step multiplies it out again)."""
         if self._field is None or self._field.t != t:
+            self._half = None
             self._field = ComplexField(self.problem.grid,
                                        spectral.ifftn(self.spectrum), t=t)
         return self._field
@@ -353,7 +362,8 @@ def run(field: ComplexField, problem: EvolutionProblem, config: RunConfig,
     `run` drops its own reference, and the march drops its reference at
     the first step.  A caller that passes a field it does not keep (see
     `runner._run_full`) frees it then, so a run's peak holds the carried
-    spectrum, L(dt/2) and one sample's working set, not the initial field.
+    spectrum and either L(dt/2), while stepping, or one sample's working
+    set (the field and one derivative), not the initial field.
     (CPython 3.10 keeps call arguments on the caller's stack until the
     call returns, so there the field lives to the end of the run.)
     """

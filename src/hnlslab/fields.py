@@ -45,7 +45,9 @@ class Grid:
 
     A Grid stores only per-axis arrays (`xi`, `coords`), never one of the
     full shape: `symbol` is formed on each read, so that no run carries it
-    between the steps and samples that need it.
+    between the steps and samples that need it.  A signature whose symbol
+    is not finite somewhere on the box is refused, which the per-axis
+    terms `axis_symbol` tell without forming the symbol.
     """
 
     __slots__ = ("d", "n", "length", "alpha", "dx", "cell", "xi", "coords")
@@ -87,17 +89,31 @@ class Grid:
                                ** 2).all():
                 raise GridError(f"box length {length} on {n} points gives "
                                 f"an inf squared coordinate or wavenumber")
+            # the symbol's extremes are the sums of the axes' extremes
+            terms = self.axis_symbol
+            top = sum(float(s.max()) for s in terms)
+            bottom = sum(float(s.min()) for s in terms)
+        if not (math.isfinite(top) and math.isfinite(bottom)):
+            raise GridError(f"alpha {alpha} on a box of length {length} "
+                            f"gives a symbol out of double range")
         for arr in (*self.xi, *self.coords):
             arr.setflags(write=False)
 
     @property
+    def axis_symbol(self) -> tuple:
+        """The per-axis terms alpha_j xi_j^2 of the symbol, as 1-D arrays
+        formed on each read."""
+        return tuple(a * xi ** 2 for a, xi in zip(self.alpha, self.xi))
+
+    @property
     def symbol(self) -> np.ndarray:
         """Symbol of the linear operator, sum_j alpha_j xi_j^2, as a fresh
-        read-only array of the full shape.  The axes are added in order
-        into one real array, so forming it holds nothing else."""
+        read-only array of the full shape.  The axes' terms `axis_symbol`
+        are added in order into one real array, so forming it holds
+        nothing else."""
         sym = np.zeros(self.n)
-        for j in range(self.d):
-            sym += self.alpha[j] * self._along(self.xi[j] ** 2, j)
+        for j, s in enumerate(self.axis_symbol):
+            sym += self._along(s, j)
         sym.setflags(write=False)
         return sym
 
@@ -246,7 +262,9 @@ def _abs_power(a2: np.ndarray, p: float) -> np.ndarray:
     if p == 4.0:
         return a2 * a2
     if p == 6.0:
-        return a2 * a2 * a2
+        out = a2 * a2
+        out *= a2           # in place: one array beside a2, not two
+        return out
     return a2 ** (0.5 * p)
 
 
@@ -257,15 +275,21 @@ def _marginal(a: np.ndarray, axis: int) -> np.ndarray:
     return a.sum(axis=others) if others else a
 
 
+def _parseval(grid: Grid, spec2: np.ndarray, weights) -> float:
+    """sum_j integral of weights[j] |u^|^2 by Parseval, from spec2 = |u^|^2
+    and one 1-D weight per axis: each weight is dotted with the axis's
+    marginal of spec2, so no full-size weight is formed."""
+    acc = 0.0
+    for j in range(grid.d):
+        acc += float(np.sum(weights[j] * _marginal(spec2, j)))
+    return grid.cell * acc / float(spec2.size)
+
+
 def gradient_sq_integral(field: ComplexField) -> float:
     """integral of |grad u|^2 over the box (all axes weighted +1), via Parseval."""
     g = field.grid
-    spec2 = _abs2(spectral.fftn(field.values))
-    acc = 0.0
-    for j in range(g.d):
-        acc += float(np.sum(g.xi[j] ** 2 * _marginal(spec2, j)))
-    npts = float(np.prod(g.n))
-    return g.cell * acc / npts
+    return _parseval(g, _abs2(spectral.fftn(field.values)),
+                     [xi ** 2 for xi in g.xi])
 
 
 @dataclass
@@ -343,15 +367,33 @@ def cubic_read(times: Sequence[float], values: Sequence, s: float):
     return sum(wk * v for wk, v in zip(w, values[lo:lo + 4]))
 
 
+def linear_factors(grid: Grid, dt: float) -> tuple:
+    """The d per-axis factors exp(-i dt alpha_j xi_j^2) of the free
+    propagator L(dt), as 1-D arrays.  The axis operators commute, so L(dt)
+    is exactly their product (`multiply_out`)."""
+    return tuple(np.exp(-1j * dt * s) for s in grid.axis_symbol)
+
+
+def multiply_out(factors: tuple) -> np.ndarray:
+    """The full-grid multiplier prod_j factors[j], each point's product
+    taken axis 0 first, as one new complex array; for d = 1 it is the one
+    factor itself.  `einsum` writes the products straight into the result,
+    where a broadcast multiply would take numpy's iterator buffers (up to
+    256 KiB) beside it."""
+    if len(factors) == 1:
+        return factors[0]
+    axes = "ijk"[:len(factors)]
+    return np.einsum(",".join(axes) + "->" + axes, *factors)
+
+
 def apply_linear_propagator(field: ComplexField, dt: float) -> ComplexField:
     """Advance the free flow i u_t + sum_j alpha_j d^2_j u = 0 by dt exactly.
 
-    Multiplies the spectrum by exp(-i dt sum_j alpha_j xi_j^2); unitary for
-    every real dt, so it composes and inverts exactly.
+    Multiplies the spectrum by L(dt) = `multiply_out(linear_factors(grid,
+    dt))`; unitary for every real dt, so it composes and inverts exactly.
     """
-    g = field.grid
     out = spectral.ifftn(spectral.fftn(field.values)
-                         * np.exp(-1j * dt * g.symbol))
+                         * multiply_out(linear_factors(field.grid, dt)))
     return field.with_values(out, t=field.t + dt)
 
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import spectral
 from .fields import (ComplexField, FieldDataError, Grid, _abs2, _abs_power,
-                     _edge_fraction, _marginal, spectral_derivative)
+                     _edge_fraction, _marginal, _parseval,
+                     spectral_derivative)
 
 # boundary mass fraction above which moment observables are untrustworthy
 MOMENT_BOUNDARY_TOL = 1e-8
@@ -67,23 +68,26 @@ class ObservableSeries:
         return len(self.samples)
 
 
-def _lsig2(grid: Grid, a2: np.ndarray, sigma: float) -> float:
-    """int |u|^(sigma+2), from a2 = |u|^2."""
-    return grid.cell * float(np.sum(_abs_power(a2, sigma + 2.0)))
+def _pointwise_sums(grid: Grid, a2: np.ndarray, sigma: float,
+                    potential: np.ndarray | None) -> tuple:
+    """(int |u|^(sigma+2), sum V |u|^2 or None without a potential), the
+    terms of E read off a2 = |u|^2."""
+    lsig2 = grid.cell * float(np.sum(_abs_power(a2, sigma + 2.0)))
+    return lsig2, (None if potential is None
+                   else float(np.sum(potential * a2)))
 
 
-def _energy(grid: Grid, spectrum: np.ndarray, a2: np.ndarray, lsig2: float,
-            lam: float, sigma: float, potential: np.ndarray | None) -> float:
-    """E from the spectrum, a2 = |u|^2 and lsig2 = int |u|^(sigma+2).  The
-    kinetic term sum_j alpha_j int |d_j u|^2 is one Parseval sum of
-    grid.symbol |u^|^2; the symbol is formed here, and both real arrays
-    together take the room of one complex derivative."""
-    spec2 = _abs2(spectrum)
-    spec2 *= grid.symbol
-    kin = grid.cell * float(np.sum(spec2)) / float(spec2.size)
+def _energy(grid: Grid, spectrum: np.ndarray, lsig2: float,
+            potential_sum: float | None, lam: float, sigma: float) -> float:
+    """E from the spectrum and the `_pointwise_sums` lsig2 and
+    potential_sum.  The kinetic term sum_j alpha_j int |d_j u|^2 is the
+    Parseval sum of the per-axis marginals of |u^|^2 weighted by
+    grid.axis_symbol, as `gradient_sq_integral` weights them by xi_j^2:
+    the one real array it forms is |u^|^2."""
+    kin = _parseval(grid, _abs2(spectrum), grid.axis_symbol)
     e = 0.5 * kin - lam / (sigma + 2.0) * lsig2
-    if potential is not None:
-        e += 0.5 * grid.cell * float(np.sum(potential * a2))
+    if potential_sum is not None:
+        e += 0.5 * grid.cell * potential_sum
     return e
 
 
@@ -94,9 +98,8 @@ def energy(field: ComplexField, lam: float, sigma: float,
     1/2 int V |u|^2.  `spectrum`, when given, must be fftn(field.values)."""
     if spectrum is None:
         spectrum = spectral.fftn(field.values)
-    a2 = _abs2(field.values)
-    return _energy(field.grid, spectrum, a2, _lsig2(field.grid, a2, sigma),
-                   lam, sigma, potential)
+    sums = _pointwise_sums(field.grid, _abs2(field.values), sigma, potential)
+    return _energy(field.grid, spectrum, *sums, lam, sigma)
 
 
 def sample(field: ComplexField, lam: float, sigma: float,
@@ -111,12 +114,14 @@ def sample(field: ComplexField, lam: float, sigma: float,
     Pointwise it costs one |u|^2 = re^2 + im^2 array, which feeds mass,
     linf, the finiteness test (its sum), |u|^(sigma+2), the potential term,
     the edge slabs of the boundary fraction and, as a 1-D marginal per
-    axis, the centre of mass and virial; per axis one real product
-    q_j = Im(conj(u) d_j u), formed in the buffer of d_j u, whose marginal
-    gives both the momentum and the moment flux; and one |u^|^2 sum for
-    the kinetic energy.  Beyond the field and the spectrum it holds at most
-    |u|^2 and one derivative at a time (or, after the derivatives, |u^|^2
-    and the symbol).
+    axis, the centre of mass and virial; it is reduced to those scalars
+    and marginals, and freed, before any derivative is formed.  Per axis
+    one real product q_j = Im(conj(u) d_j u), formed in the buffer of
+    d_j u, gives by its marginal both the momentum and the moment flux;
+    and the per-axis marginals of one |u^|^2 give the kinetic energy.
+    Beyond the field and the spectrum it holds at most one complex
+    array's worth at a time: |u|^2 and one real temporary, one
+    derivative, or |u^|^2 and one real temporary.
     """
     g = field.grid
     w = g.cell
@@ -125,6 +130,11 @@ def sample(field: ComplexField, lam: float, sigma: float,
     total = float(np.sum(a2))
     if not math.isfinite(total) and not field.is_finite():
         raise FieldDataError("sample: field contains NaN or Inf")
+    linf = float(np.sqrt(np.max(a2)))
+    lsig2, potential_sum = _pointwise_sums(g, a2, sigma, potential)
+    bf = _edge_fraction(a2, total)
+    a2_axes = [_marginal(a2, j) for j in range(g.d)]
+    del a2          # not alive while the derivatives are formed
     if spectrum is None:
         spectrum = spectral.fftn(u)
 
@@ -141,7 +151,7 @@ def sample(field: ComplexField, lam: float, sigma: float,
         q -= t
         qj = _marginal(q, j)
         del du, q, t    # not alive while the next axis forms its own
-        a2j = _marginal(a2, j)
+        a2j = a2_axes[j]
         xj = g.coords[j]
         flux = w * float(np.sum(xj * qj))
         sgn = 1.0 if g.alpha[j] >= 0 else -1.0
@@ -151,16 +161,14 @@ def sample(field: ComplexField, lam: float, sigma: float,
         rate_signed += 4.0 * sgn * flux
         virial += sgn * w * float(np.sum(xj * xj * a2j))
 
-    lsig2 = _lsig2(g, a2, sigma)
-    e = _energy(g, spectrum, a2, lsig2, lam, sigma, potential)
+    e = _energy(g, spectrum, lsig2, potential_sum, lam, sigma)
     d = g.d
     rhs = 16.0 * e + 4.0 * lam * ((2.0 * d + 4.0) / (sigma + 2.0) - d) * lsig2
-    bf = _edge_fraction(a2, total)
     return ObservableSample(
         t=field.t, mass=w * total, energy=e, momentum=tuple(mom),
         com=tuple(com), virial=virial, virial_rate=rate_abs,
         virial_rate_signed=rate_signed, virial_rhs=rhs, lsig2=lsig2,
-        linf=float(np.sqrt(np.max(a2))), boundary_fraction=bf,
+        linf=linf, boundary_fraction=bf,
         moments_ok=bool(bf <= MOMENT_BOUNDARY_TOL))
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import struct
+import subprocess
 import sys
 import tracemalloc
 import weakref
@@ -331,6 +332,9 @@ def _standing_cfg(kind="standing", n=32, block=None):
                                "boost": [_NAN, 0.0]}), "boost"),
     ("simulate", _cfg(grid={"preset": "hnls", "d": 2, "n": 4,
                             "length": 40.0}), "power of two"),
+    # alpha_x xi_x^2 overflows on a valid box: the run would write inf
+    ("simulate", _cfg(grid={"alpha": [1e308, -1.0], "n": 16,
+                            "length": 10.0}), "grid.alpha"),
     ("planewave", _planewave_cfg(n=4), "power of two"),
     ("simulate", _cfg(run={"t_end": -0.01, "adapt": True}), "adapt"),
     ("radial", _radial_cfg(eps=10.0), "eps"),
@@ -392,6 +396,11 @@ def test_parse_reports_a_misfit_wave_with_every_other_problem():
         parse_config(json.dumps(text))
     joined = " | ".join(info.value.errors)
     assert "planewave: c[0] * len_y" in joined and "output" in joined
+    # two equal speeds do not hold back the waves' fit to the box
+    with pytest.raises(ConfigError) as info:
+        parse_config(_two_wave_cfg(0.3, 0.3))
+    assert sorted(e.split(":")[0] for e in info.value.errors) == [
+        "two-wave.first", "two-wave.second", "two-wave.second.c"]
 
 
 @pytest.mark.parametrize("length", [1e200, 1e-200])
@@ -441,6 +450,21 @@ def test_parse_profile_lint_warning():
 
 # ---------------------------------------------------------------------------
 # run_experiment
+
+def test_a_gaussian_run_leaves_numpy_random_unloaded(tmp_path):
+    # only a random shape needs numpy's generator, so only it imports it
+    import hnlslab
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hnlslab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, hnlslab\n"
+            "cfg = hnlslab.parse_config(sys.argv[1])\n"
+            "assert hnlslab.run_experiment(cfg, out_dir=sys.argv[2]) == 0\n"
+            "print('numpy.random' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code, _cfg(),
+                          str(tmp_path / "out")], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
 
 def test_simulate_writes_verifiable_artifacts(tmp_path):
     cfg = parse_config(_cfg(run={"t_end": 0.05, "snapshot_stride": 3}))

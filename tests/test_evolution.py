@@ -559,6 +559,29 @@ def test_step_and_sample_memory_is_bounded(n, monkeypatch):
     assert taken <= field + size * 8 + field + slack
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_sample_after_steps_holds_no_propagator_and_no_abs2(d, monkeypatch):
+    # 512^2 and 64^3, in two row blocks: forming the field lets go of
+    # L(h/2), and the sample reduces |u|^2 before its first derivative, so
+    # the field and the sample together add one complex array to the march
+    monkeypatch.setattr(spectral, "_workers", 2)
+    g = hnls_grid(n=512 if d == 2 else 64, d=d)
+    march = SpectralMarch(gaussian_field(g, amplitude=0.8, width=3.0),
+                          EvolutionProblem(g, lam=1.0, sigma=2.0))
+    field = march.spectrum.nbytes
+    slack = 256 * 1024      # numpy's iterator buffers and Python objects
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            march.step(1e-3)        # L(h/2) is formed and held
+        taken = _traced_rise(lambda: sample(march.field(3e-3), 1.0, 2.0,
+                                            spectrum=march.spectrum))
+    finally:
+        tracemalloc.stop()
+    # holding L(h/2) would add a complex array, holding |u|^2 a real one
+    assert taken <= field + slack
+
+
 @needs_owned_arguments
 def test_run_frees_its_field_after_the_first_step():
     g = hnls_grid(n=16)
@@ -580,17 +603,17 @@ def test_run_frees_its_field_after_the_first_step():
 @needs_owned_arguments
 def test_run_peak_holds_the_march_and_one_sample(monkeypatch):
     # 64^3 in two row blocks: N = 262144 points, 4 MiB complex, 2 MiB
-    # real.  Past the first step a run holds the spectrum and L(h/2)
-    # (8 MiB); a sample adds the physical field, |u|^2 and one derivative
-    # (10 MiB): 18 MiB.  The initial field (4 MiB) is gone by then.  The
-    # measured peak is 18.69 MiB in two blocks and 18.13 MiB serial: numpy's
-    # buffers for the split FFT passes and smaller arrays, so the margin is
-    # 1 MiB.
+    # real.  Past the first step a run holds the spectrum and, while it
+    # steps, L(h/2) (8 MiB).  A sample lets go of L(h/2) and adds the
+    # physical field and one derivative (12 MiB); |u|^2 is reduced and
+    # freed before the first derivative.  The initial field (4 MiB) is
+    # gone by then.  The margin of 1 MiB covers numpy's buffers for the
+    # split FFT passes and smaller arrays.
     monkeypatch.setattr(spectral, "_workers", 2)
     g = Grid((64,) * 3, (30.0,) * 3, (1.0, -1.0, -1.0))
     mib = 2 ** 20
-    bound = (4 * mib + 4 * mib                  # spectrum, L(h/2)
-             + 4 * mib + 2 * mib + 4 * mib      # field, |u|^2, d_j u
+    bound = (4 * mib                            # spectrum
+             + 4 * mib + 4 * mib                # field, d_j u
              + 1 * mib)                         # margin
     problem = EvolutionProblem(g, lam=1.0, sigma=2.0)
     tracemalloc.start()

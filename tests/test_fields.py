@@ -7,8 +7,8 @@ from hnlslab import fields
 from hnlslab.fields import (
     ComplexField, FieldDataError, Grid, GridError, apply_linear_propagator,
     boundary_mass_fraction, constant_field, evaluate_dilated,
-    evaluate_linear_map, gaussian_field, harmonic_field, norms,
-    random_smooth_field, spectral_derivative, translate,
+    evaluate_linear_map, gaussian_field, harmonic_field, linear_factors,
+    multiply_out, norms, random_smooth_field, spectral_derivative, translate,
 )
 from hnlslab.evolution import FieldTrajectory
 from hnlslab.radial import RadialTrajectory
@@ -45,6 +45,23 @@ def test_grid_rejects_a_box_out_of_double_range(n, length, what):
     with np.errstate(all="raise"):
         with pytest.raises(GridError, match=what):
             Grid(n, (length,) * len(n), (1.0,) * len(n))
+
+
+@pytest.mark.parametrize("alpha, refused", [
+    ((1e308, -1.0), True),            # alpha_x xi_x^2 overflows
+    ((4e306, 4e306), True),           # each term is finite, their sum not
+    ((4e306, -4e306), False),         # the terms' signs differ: finite
+])
+def test_grid_refuses_a_symbol_out_of_double_range(alpha, refused):
+    # 16 points on a length of 10: max xi^2 = (16 pi / 10)^2 = 25.3
+    with np.errstate(all="raise"):
+        if refused:
+            with pytest.raises(GridError, match="symbol out of double range"):
+                Grid((16, 16), (10.0, 10.0), alpha)
+        else:
+            g = Grid((16, 16), (10.0, 10.0), alpha)
+    if not refused:
+        assert np.isfinite(g.symbol).all()
 
 
 def test_wavenumbers_3d():
@@ -231,6 +248,23 @@ def test_h1_dominates_l2(rng):
 
 
 # ------------------------------------------------------------------ propagator
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(_SIGNATURES))
+def test_propagator_factors_multiply_out_to_the_exp_of_the_symbol(kind, d):
+    # the axis operators commute: L(dt) is the product of its factors, to
+    # the roundoff of phases up to |dt| max|symbol|, and in 1-D the one
+    # factor is exp(-i dt symbol) itself
+    g = Grid((16, 8, 32)[:d], (10.0, 7.0, 13.0)[:d], _SIGNATURES[kind][:d])
+    for dt in (1e-3, 0.37, -2.5):
+        ref = np.exp(-1j * dt * g.symbol)
+        out = multiply_out(linear_factors(g, dt))
+        assert out.shape == g.n
+        if d == 1:
+            assert out.tobytes() == ref.tobytes()
+        phase = abs(dt) * float(np.max(np.abs(g.symbol)))
+        assert np.max(np.abs(out - ref)) <= 1e-15 * max(1.0, phase)
+
 
 def test_propagator_constant_unchanged():
     g = hnls_grid(n=16)
