@@ -147,7 +147,11 @@ def lift_profile(values: np.ndarray, c: Sequence[float], grid: Grid,
 
     When every index shift c_j dy/dx is an integer the lift is an exact
     gather, so repeated lifts are bit-stable; otherwise the trigonometric
-    interpolant of the profile is evaluated at the shifted points.
+    interpolant of the profile is evaluated at the shifted points.  The
+    gather walks the result in chunks of rows (`spectral.streamed`): row i
+    takes vals[(i - shift) mod n], shift being the transverse index shift
+    (an array of the transverse shape), so no index array of the grid's
+    shape is formed.
     """
     vals = np.ascontiguousarray(values, dtype=np.complex128)
     if vals.ndim != 1:
@@ -158,14 +162,20 @@ def lift_profile(values: np.ndarray, c: Sequence[float], grid: Grid,
     exact = nz == n0 and all((m * n0) % grid.n[1 + j] == 0
                              for j, m in enumerate(ints))
     if exact:
-        idx = np.arange(n0)
+        shift = np.zeros(grid.n[1:], dtype=np.int64)
         for j, m in enumerate(ints):
             nj = grid.n[1 + j]
-            s = (m * n0) // nj
-            jj = np.arange(nj) - nj // 2
-            idx = idx.reshape(idx.shape + (1,)) \
-                - s * jj.reshape((1,) * (j + 1) + (-1,))
-        return vals[np.mod(idx, n0)]
+            along = [1] * (grid.d - 1)
+            along[j] = nj
+            shift += ((m * n0) // nj) * (np.arange(nj) - nj // 2).reshape(
+                along)
+        # row i takes vals[(i - shift) mod n0] = twice[i + (n0 - shift mod n0)]
+        shift = n0 - np.remainder(shift, n0)
+        out = np.empty(grid.n, dtype=np.complex128)
+        rows = np.arange(n0).reshape((n0,) + (1,) * (grid.d - 1))
+        spectral.streamed(_gather, (out, rows), (np.int64,),
+                          np.concatenate([vals, vals]), shift)
+        return out
     xi = spectral.freq(nz, period / nz)
     coef = spectral.fftn(vals) * np.exp(1j * xi * 0.5 * period) / nz
     mats = [np.exp(1j * np.outer(grid.coords[0], xi)) * coef]
@@ -174,6 +184,14 @@ def lift_profile(values: np.ndarray, c: Sequence[float], grid: Grid,
     letters = "abc"[: len(mats)]
     script = ",".join(f"{ax}m" for ax in letters) + "->" + letters
     return np.einsum(script, *mats, optimize=True)
+
+
+def _gather(out, rows, idx, twice, shift) -> None:
+    """`lift_profile`'s exact gather on one chunk of rows, through the
+    index scratch idx: out = twice[rows + shift], every index in range."""
+    np.copyto(idx, shift)
+    idx += rows     # one broadcast operand: numpy buffers half a chunk
+    np.take(twice, idx, out=out, mode="clip")   # clip: unbuffered, a no-op
 
 
 def _march_profile(problem: EvolutionProblem, field: ComplexField, t: float,

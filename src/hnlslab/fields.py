@@ -255,40 +255,171 @@ def _abs2(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _abs_power(a2: np.ndarray, p: float) -> np.ndarray:
-    """|u|^p from a2 = |u|^2: products for p = 2, 4, 6, else a2**(p/2)."""
+def _abs2_into(values: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """The bits of `_abs2(values)` written into out, im^2 going through
+    tmp, which may hold fewer rows than out (it then takes them in turn)."""
+    np.multiply(values.real, values.real, out=out)
+    step = tmp.shape[0]
+    for r in range(0, out.shape[0], step):
+        part = out[r:r + step]
+        t = tmp[:part.shape[0]]
+        np.multiply(values.imag[r:r + step], values.imag[r:r + step], out=t)
+        part += t
+
+
+def _abs_power_into(a2: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """|u|^p from a2 = |u|^2, in out unless p = 2 (a2 itself): products
+    for p = 4 and 6, else a2**(p/2), the bits of numpy's `a2 ** (p/2)`."""
     if p == 2.0:
         return a2
-    if p == 4.0:
-        return a2 * a2
-    if p == 6.0:
-        out = a2 * a2
-        out *= a2           # in place: one array beside a2, not two
-        return out
-    return a2 ** (0.5 * p)
+    if p in (4.0, 6.0):
+        np.multiply(a2, a2, out=out)
+        if p == 6.0:
+            out *= a2
+    else:
+        np.power(a2, 0.5 * p, out=out)
+    return out
 
 
-def _marginal(a: np.ndarray, axis: int) -> np.ndarray:
-    """Sum of `a` over every axis but `axis`: a 1-D array to dot with a
-    per-axis weight (x_j, x_j^2, xi_j^2) instead of a full-size product."""
-    others = tuple(k for k in range(a.ndim) if k != axis)
-    return a.sum(axis=others) if others else a
+def _marginals(a: np.ndarray) -> list:
+    """Sums of `a` over every axis but j, one per axis j: 1-D arrays to dot
+    with a per-axis weight (x_j, x_j^2, xi_j^2) instead of a full-size
+    product.  Each is a new array, for d = 1 a copy of a."""
+    return [a.sum(axis=tuple(k for k in range(a.ndim) if k != j))
+            for j in range(a.ndim)]
 
 
-def _parseval(grid: Grid, spec2: np.ndarray, weights) -> float:
-    """sum_j integral of weights[j] |u^|^2 by Parseval, from spec2 = |u^|^2
-    and one 1-D weight per axis: each weight is dotted with the axis's
-    marginal of spec2, so no full-size weight is formed."""
+def _in_order(parts):
+    """The sum of `parts` taken left to right: how the chunks' shares of a
+    streamed reduction are combined, so its bits follow the chunks alone."""
+    acc = parts[0]
+    for part in parts[1:]:
+        acc = acc + part
+    return acc
+
+
+def _joined(chunk_marginals: list) -> list:
+    """The whole array's marginals from its chunks' (`_marginals` of each
+    chunk of rows): axis 0's are the chunks' rows in turn, every other
+    axis's the chunks' sums in order."""
+    first = np.concatenate([m[0] for m in chunk_marginals])
+    return [first] + [_in_order([m[j] for m in chunk_marginals])
+                      for j in range(1, len(chunk_marginals[0]))]
+
+
+def _chunk_marginals(a, a2, tmp) -> list:
+    """`_marginals` of |a|^2 on one chunk, through its scratch a2, tmp."""
+    _abs2_into(a, a2, tmp)
+    return _marginals(a2)
+
+
+def _abs2_marginals(values: np.ndarray) -> list:
+    """`_marginals(_abs2(values))` in one streamed pass: a chunk of |u|^2
+    and half of one beside `values`, never a full-size array."""
+    return _joined(spectral.streamed(_chunk_marginals, (values,),
+                                     (float, (float, 2))))
+
+
+# cells from a box edge that `boundary_mass_fraction` counts as the edge
+EDGE_BAND = 2
+
+
+@dataclass
+class _Sums:
+    """The reductions of |u|^2 that `_field_sums` takes in one pass."""
+    total: float            # sum |u|^2
+    top: float              # max |u|^2
+    finite: bool            # every value of u is finite
+    powers: list            # sum |u|^p, per p asked
+    potential: float | None     # sum V |u|^2, with a potential V
+    edge: float | None      # sum of |u|^2 within band cells of an edge
+    marginals: list | None  # `_marginals(|u|^2)`, when asked
+
+
+def _field_sums(values: np.ndarray, *, powers=(), potential=None,
+                band: int | None = None, marginals: bool = False) -> _Sums:
+    """Every full-grid reduction of |u|^2 = re^2 + im^2 in one streamed
+    pass (`spectral.streamed`): per chunk of rows, one |u|^2 array and one
+    temporary of the chunk.  Each chunk's shares are combined in chunk
+    order, so the sums depend on the shape and CHUNK_POINTS alone, and a
+    field of one chunk gives the bits of the whole-array sums.
+
+    The edge within `band` cells of the box is summed slab by slab, never
+    as total minus interior (which cancels): axis j's two edge slabs,
+    restricted to the interior of the axes before it so that no cell is
+    counted twice."""
+    whole = potential is not None or any(p != 2.0 for p in powers)
+    if potential is not None:
+        potential = np.broadcast_to(potential, values.shape)
+    totals, tops, finites, power_sums, potential_sums, slabs, chunk_marginals \
+        = zip(*spectral.streamed(
+            _chunk_sums, (values, potential, np.arange(values.shape[0])),
+            (float, float if whole else (float, 2)),
+            tuple(powers), band, values.shape, marginals))
+    edge = None
+    if band is not None:
+        edge = 0.0
+        for slab in zip(*slabs):
+            edge += _in_order(slab)
+    return _Sums(
+        total=_in_order(totals), top=max(tops),     # read when finite
+        finite=all(finites),
+        powers=[_in_order(sums) for sums in zip(*power_sums)],
+        potential=None if potential is None else _in_order(potential_sums),
+        edge=edge,
+        marginals=_joined(chunk_marginals) if marginals else None)
+
+
+def _chunk_sums(u, potential, rows, a2, tmp, powers, band, shape,
+                marginals) -> tuple:
+    """`_field_sums` on one chunk of rows `rows` of an array of `shape`."""
+    _abs2_into(u, a2, tmp)
+    total = float(a2.sum())
+    finite = math.isfinite(total) or bool(np.isfinite(u).all())
+    sums = [float(_abs_power_into(a2, p, tmp).sum()) for p in powers]
+    pot = None
+    if potential is not None:
+        pot = float(np.multiply(potential, a2, out=tmp).sum())
+    slabs = None
+    if band is not None:
+        slabs = _edge_slabs(a2, int(rows[0]), shape, band)
+    return (total, float(a2.max()), finite, sums, pot, slabs,
+            _marginals(a2) if marginals else None)
+
+
+def _edge_slabs(a2: np.ndarray, r0: int, shape: tuple, band: int) -> list:
+    """The sums over a2, the rows r0.. of an array of `shape`, of each of
+    the edge slabs of `_field_sums` in turn (0.0 where they miss it)."""
+    r1 = r0 + a2.shape[0]
+    inner = [slice(None)] * len(shape)
+    out = []
+    for j, n in enumerate(shape):
+        b = max(0, min(band, n))
+        for edge in (slice(0, b), slice(max(n - b, b), n)):
+            index = tuple(inner[:j]) + (edge,)
+            first = index[0].indices(shape[0])
+            lo, hi = max(first[0], r0), min(first[1], r1)
+            out.append(0.0 if lo >= hi else float(
+                a2[(slice(lo - r0, hi - r0),) + index[1:]].sum()))
+        inner[j] = slice(b, n - b)
+    return out
+
+
+def _parseval(grid: Grid, marginals: list, weights) -> float:
+    """sum_j integral of weights[j] |u^|^2 by Parseval, from the marginals
+    of |u^|^2 (`_abs2_marginals` of the spectrum) and one 1-D weight per
+    axis: each weight is dotted with its axis's marginal, so no full-size
+    weight is formed."""
     acc = 0.0
     for j in range(grid.d):
-        acc += float(np.sum(weights[j] * _marginal(spec2, j)))
-    return grid.cell * acc / float(spec2.size)
+        acc += float((weights[j] * marginals[j]).sum())
+    return grid.cell * acc / float(math.prod(grid.n))
 
 
 def gradient_sq_integral(field: ComplexField) -> float:
     """integral of |grad u|^2 over the box (all axes weighted +1), via Parseval."""
     g = field.grid
-    return _parseval(g, _abs2(spectral.fftn(field.values)),
+    return _parseval(g, _abs2_marginals(spectral.fftn(field.values)),
                      [xi ** 2 for xi in g.xi])
 
 
@@ -301,33 +432,32 @@ class NormBundle:
 
 
 def l2_norm(field: ComplexField) -> float:
-    """The `l2` of `norms(field)` alone, from one |u|^2 sum and no FFT; a
-    non-finite field gives a non-finite norm."""
-    return float(np.sqrt(field.grid.cell
-                         * float(np.sum(_abs2(field.values)))))
+    """The `l2` of `norms(field)` alone, from one streamed |u|^2 sum and no
+    FFT; a non-finite field gives a non-finite norm."""
+    return float(np.sqrt(field.grid.cell * _field_sums(field.values).total))
 
 
 def norms(field: ComplexField, ps: Sequence[float] = ()) -> NormBundle:
     """L2, H1 and Linf norms (plus requested Lp norms) of a field.
 
     Quadrature is the plain Riemann sum with the uniform cell weight, which
-    is spectrally accurate for smooth periodic data.  One |u|^2 array feeds
-    every norm.  Raises FieldDataError on non-finite input rather than
-    propagating NaN.
+    is spectrally accurate for smooth periodic data.  One streamed pass
+    over |u|^2 (`_field_sums`) feeds every norm but the gradient term.
+    Raises FieldDataError on non-finite input rather than propagating NaN.
     """
-    a2 = _abs2(field.values)
-    total = float(np.sum(a2))
-    if not math.isfinite(total) and not field.is_finite():
+    sums = _field_sums(field.values, powers=[p for p in ps if p > 0])
+    if not sums.finite:
         raise FieldDataError("norms: field contains NaN or Inf")
     w = field.grid.cell
-    l2sq = w * total
+    l2sq = w * sums.total
     h1 = float(np.sqrt(l2sq + gradient_sq_integral(field)))
     bundle = NormBundle(l2=float(np.sqrt(l2sq)), h1=h1,
-                        linf=float(np.sqrt(np.max(a2))))
+                        linf=float(np.sqrt(sums.top)))
+    power_sums = iter(sums.powers)
     for p in ps:
         if p <= 0:
             raise GridError(f"Lp norm needs p > 0, got {p}")
-        bundle.lp[p] = float((w * np.sum(_abs_power(a2, p))) ** (1.0 / p))
+        bundle.lp[p] = float(np.float64(w * next(power_sums)) ** (1.0 / p))
     return bundle
 
 
@@ -397,31 +527,10 @@ def apply_linear_propagator(field: ComplexField, dt: float) -> ComplexField:
     return field.with_values(out, t=field.t + dt)
 
 
-# cells from a box edge that `boundary_mass_fraction` counts as the edge
-EDGE_BAND = 2
-
-
-def _edge_fraction(a2: np.ndarray, total: float) -> float:
-    """Share of total = sum(a2) within EDGE_BAND cells of any box edge.  The
-    edge is summed slab by slab, never as total minus interior (which
-    cancels): axis j's two edge slabs, restricted to the interior of the
-    axes before it so that no cell is counted twice."""
-    if total == 0.0:
-        return 0.0
-    inner = [slice(None)] * a2.ndim
-    acc = 0.0
-    for j, n in enumerate(a2.shape):
-        b = max(0, min(EDGE_BAND, n))
-        for edge in (slice(0, b), slice(max(n - b, b), n)):
-            acc += float(np.sum(a2[tuple(inner[:j]) + (edge,)]))
-        inner[j] = slice(b, n - b)
-    return acc / total
-
-
 def boundary_mass_fraction(field: ComplexField) -> float:
     """Fraction of the discrete mass within EDGE_BAND cells of an edge."""
-    a2 = _abs2(field.values)
-    return _edge_fraction(a2, float(np.sum(a2)))
+    sums = _field_sums(field.values, band=EDGE_BAND)
+    return 0.0 if sums.total == 0.0 else sums.edge / sums.total
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import spectral
-from .fields import (ComplexField, FieldDataError, Grid, _abs2, _abs_power,
-                     _edge_fraction, _marginal, _parseval,
-                     spectral_derivative)
+from . import fields
+from .fields import (ComplexField, FieldDataError, Grid, _abs2_marginals,
+                     _field_sums, _in_order, _parseval, spectral_derivative)
 
 # boundary mass fraction above which moment observables are untrustworthy
 MOMENT_BOUNDARY_TOL = 1e-8
@@ -68,23 +68,15 @@ class ObservableSeries:
         return len(self.samples)
 
 
-def _pointwise_sums(grid: Grid, a2: np.ndarray, sigma: float,
-                    potential: np.ndarray | None) -> tuple:
-    """(int |u|^(sigma+2), sum V |u|^2 or None without a potential), the
-    terms of E read off a2 = |u|^2."""
-    lsig2 = grid.cell * float(np.sum(_abs_power(a2, sigma + 2.0)))
-    return lsig2, (None if potential is None
-                   else float(np.sum(potential * a2)))
-
-
 def _energy(grid: Grid, spectrum: np.ndarray, lsig2: float,
             potential_sum: float | None, lam: float, sigma: float) -> float:
-    """E from the spectrum and the `_pointwise_sums` lsig2 and
-    potential_sum.  The kinetic term sum_j alpha_j int |d_j u|^2 is the
-    Parseval sum of the per-axis marginals of |u^|^2 weighted by
-    grid.axis_symbol, as `gradient_sq_integral` weights them by xi_j^2:
-    the one real array it forms is |u^|^2."""
-    kin = _parseval(grid, _abs2(spectrum), grid.axis_symbol)
+    """E from the spectrum, lsig2 = int |u|^(sigma+2) and potential_sum =
+    sum V |u|^2 (None without a potential).  The kinetic term
+    sum_j alpha_j int |d_j u|^2 is the Parseval sum of the per-axis
+    marginals of |u^|^2 weighted by grid.axis_symbol, as
+    `gradient_sq_integral` weights them by xi_j^2; they are reduced chunk
+    by chunk (`_abs2_marginals`), so no full-size array is formed."""
+    kin = _parseval(grid, _abs2_marginals(spectrum), grid.axis_symbol)
     e = 0.5 * kin - lam / (sigma + 2.0) * lsig2
     if potential_sum is not None:
         e += 0.5 * grid.cell * potential_sum
@@ -96,10 +88,64 @@ def energy(field: ComplexField, lam: float, sigma: float,
            spectrum: np.ndarray | None = None) -> float:
     """Signature-weighted energy; optional static real potential adds
     1/2 int V |u|^2.  `spectrum`, when given, must be fftn(field.values)."""
+    sums = _field_sums(field.values, powers=(sigma + 2.0,),
+                       potential=potential)
     if spectrum is None:
         spectrum = spectral.fftn(field.values)
-    sums = _pointwise_sums(field.grid, _abs2(field.values), sigma, potential)
-    return _energy(field.grid, spectrum, *sums, lam, sigma)
+    return _energy(field.grid, spectrum, field.grid.cell * sums.powers[0],
+                   sums.potential, lam, sigma)
+
+
+def _flux_marginals(field: ComplexField, spectrum: np.ndarray) -> list:
+    """Per axis j the marginal Q_j(x_j) = Im sum over the other axes of
+    conj(u) d_j u, from the spectrum of u.
+
+    For d >= 2 no full d_j u is formed.  The spectrum is cut into slabs of
+    the other axes' wavenumbers; each slab is transformed back along axis
+    j alone, as u_j = ifft_j(u^) and du_j = ifft_j(i xi_j u^), and by
+    Parseval over the other axes Q_j = Im sum conj(u_j) du_j / N_other.
+    That is two 1-D passes per axis, 2d in all where d inverse transforms
+    of the whole field take d^2.  For d = 1 the field itself stands in for
+    u_j, and d_x u is one inverse transform."""
+    grid = field.grid
+    if grid.d == 1:
+        du = spectral_derivative(field, 0, spectrum=spectrum).values
+        return [_flux_density(field.values, du)]
+    out = []
+    for j in range(grid.d):
+        # slabs are rows of another axis, swapped first; j lies at `axis`
+        other = 1 if j == 0 else 0
+        axis = 1 if j == 0 else j
+        shape = [1] * grid.d
+        shape[axis] = grid.n[j]
+        parts = spectral.streamed(
+            _flux_chunk, (spectrum.swapaxes(0, other),),
+            (complex, complex), axis, (1j * grid.xi[j]).reshape(shape))
+        out.append(_in_order(parts) / float(math.prod(grid.n) // grid.n[j]))
+    return out
+
+
+def _flux_density(u: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """Im(conj(u) du) = u.re du.im - u.im du.re, formed in du's buffer and
+    returned as a view of it."""
+    q, t = du.imag, du.real
+    np.multiply(u.real, q, out=q)
+    np.multiply(u.imag, t, out=t)
+    q -= t
+    return q
+
+
+def _flux_chunk(slab, u_j, du_j, axis, ixi) -> np.ndarray:
+    """One slab's share of `_flux_marginals` along `axis`, through the
+    scratch u_j and du_j."""
+    np.copyto(u_j, slab)
+    # from the contiguous copy: a strided slab would take two of numpy's
+    # iterator buffers, not one
+    np.multiply(u_j, ixi, out=du_j)
+    spectral.ifft_along(u_j, axis)
+    spectral.ifft_along(du_j, axis)
+    q = _flux_density(u_j, du_j)
+    return q.sum(axis=tuple(k for k in range(q.ndim) if k != axis))
 
 
 def sample(field: ComplexField, lam: float, sigma: float,
@@ -107,34 +153,32 @@ def sample(field: ComplexField, lam: float, sigma: float,
            spectrum: np.ndarray | None = None) -> ObservableSample:
     """Compute every scalar diagnostic of `field` in one pass.
 
-    The d derivatives and the kinetic energy all come from one spectrum:
+    The moment fluxes and the kinetic energy all come from one spectrum:
     `spectrum` if given (it must be fftn(field.values)), else one forward
-    FFT here.  A sample therefore costs d inverse FFTs plus that one.
+    FFT here.  Beyond it a sample costs two 1-D inverse passes per axis
+    (`_flux_marginals`), for d = 1 one inverse FFT.
 
-    Pointwise it costs one |u|^2 = re^2 + im^2 array, which feeds mass,
-    linf, the finiteness test (its sum), |u|^(sigma+2), the potential term,
-    the edge slabs of the boundary fraction and, as a 1-D marginal per
-    axis, the centre of mass and virial; it is reduced to those scalars
-    and marginals, and freed, before any derivative is formed.  Per axis
-    one real product q_j = Im(conj(u) d_j u), formed in the buffer of
-    d_j u, gives by its marginal both the momentum and the moment flux;
-    and the per-axis marginals of one |u^|^2 give the kinetic energy.
-    Beyond the field and the spectrum it holds at most one complex
-    array's worth at a time: |u|^2 and one real temporary, one
-    derivative, or |u^|^2 and one real temporary.
+    Every full-grid reduction walks bounded chunks, so beside the field
+    and the spectrum a sample holds one chunk's scratch per row block at a
+    time and no full-size array (d = 1 forms d_x u).  One streamed pass
+    over |u|^2 (`fields._field_sums`) gives mass, linf, the finiteness
+    test, |u|^(sigma+2), the potential term, the edge slabs of the
+    boundary fraction and, as a 1-D marginal per axis, the centre of mass
+    and virial.  Per axis the marginal of q_j = Im(conj(u) d_j u) gives
+    both the momentum and the moment flux; and the per-axis marginals of
+    |u^|^2, taken in one more streamed pass, give the kinetic energy.
     """
     g = field.grid
     w = g.cell
     u = field.values
-    a2 = _abs2(u)
-    total = float(np.sum(a2))
-    if not math.isfinite(total) and not field.is_finite():
+    sums = _field_sums(u, powers=(sigma + 2.0,), potential=potential,
+                       band=fields.EDGE_BAND, marginals=True)
+    if not sums.finite:
         raise FieldDataError("sample: field contains NaN or Inf")
-    linf = float(np.sqrt(np.max(a2)))
-    lsig2, potential_sum = _pointwise_sums(g, a2, sigma, potential)
-    bf = _edge_fraction(a2, total)
-    a2_axes = [_marginal(a2, j) for j in range(g.d)]
-    del a2          # not alive while the derivatives are formed
+    total = sums.total
+    linf = float(np.sqrt(sums.top))
+    lsig2 = g.cell * sums.powers[0]
+    bf = 0.0 if total == 0.0 else sums.edge / total
     if spectrum is None:
         spectrum = spectral.fftn(u)
 
@@ -143,15 +187,8 @@ def sample(field: ComplexField, lam: float, sigma: float,
     rate_abs = 0.0
     rate_signed = 0.0
     virial = 0.0
-    for j in range(g.d):
-        du = spectral_derivative(field, j, spectrum=spectrum).values
-        q, t = du.imag, du.real       # q_j is formed in du's own buffer
-        np.multiply(u.real, q, out=q)
-        np.multiply(u.imag, t, out=t)
-        q -= t
-        qj = _marginal(q, j)
-        del du, q, t    # not alive while the next axis forms its own
-        a2j = a2_axes[j]
+    for j, qj in enumerate(_flux_marginals(field, spectrum)):
+        a2j = sums.marginals[j]
         xj = g.coords[j]
         flux = w * float(np.sum(xj * qj))
         sgn = 1.0 if g.alpha[j] >= 0 else -1.0
@@ -161,7 +198,7 @@ def sample(field: ComplexField, lam: float, sigma: float,
         rate_signed += 4.0 * sgn * flux
         virial += sgn * w * float(np.sum(xj * xj * a2j))
 
-    e = _energy(g, spectrum, lsig2, potential_sum, lam, sigma)
+    e = _energy(g, spectrum, lsig2, sums.potential, lam, sigma)
     d = g.d
     rhs = 16.0 * e + 4.0 * lam * ((2.0 * d + 4.0) / (sigma + 2.0) - d) * lsig2
     return ObservableSample(

@@ -31,7 +31,9 @@ Infinity wherever a number is expected, and so are key combinations the
 run would refuse (an adaptive backward run, a radial hole `eps >= r_max`
 or around a concentration radius, two waves at one speed, a plane or
 standing wave that does not fit the box, a fixed-dt conservation-report
-with fewer than 5 samples).
+with fewer than 5 samples), and so is an amplitude whose field's |u|^2
+or |u|^(sigma+2) summed over the box (for `stability.shape`, whose H1
+norm) is not finite.
 Validation reports every problem at once rather than stopping at the
 first; a wave's fit to its box is checked once the grid, the nonlinearity
 and the keys of the wave's block are valid, so two equal speeds are
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field as dc_field, replace
@@ -53,8 +56,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .fields import (ComplexField, Grid, GridError, _is_pow2,
-                     gaussian_field, harmonic_field, l2_norm,
+from .fields import (ComplexField, Grid, GridError, _field_sums, _is_pow2,
+                     gaussian_field, harmonic_field, l2_norm, norms,
                      random_smooth_field)
 from .observables import _AUDIT_SAMPLES, verify_conservation
 from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
@@ -408,6 +411,84 @@ def _distinct_speeds(errors, block):
                                            "two waves need distinct speeds")
 
 
+# an amplitude passes at once when its bound on every sum is this far
+# inside double range; nearer overflow the field's own sums decide
+_AMPLITUDE_MARGIN = 4.0
+
+
+def _amplitude_rule(errors, where, amplitude, bound, sums, what) -> None:
+    """The one rule on an amplitude: the sums `sums()` that a run takes
+    of the field it gives (|u|^2 and |u|^(sigma+2) over the box, or the
+    H1 norm) must be finite, or the run would write inf or nan.  No
+    recipe's modulus exceeds its amplitude, so `bound(|amplitude|)`
+    bounds those sums, and `sums()` builds the field only when the bound
+    is within _AMPLITUDE_MARGIN of overflow.  A refusal is reported at
+    the amplitude key of `where`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.float64(abs(amplitude))
+        if math.isfinite(_AMPLITUDE_MARGIN * bound(a)) or all(
+                math.isfinite(x) for x in sums()):
+            return
+    _fail(errors, f"{where}.amplitude", f"{amplitude!r} gives a field "
+                                        f"whose {what} is not finite")
+
+
+def _amplitude_rules(errors, cfg, specs) -> None:
+    """`_amplitude_rule` on every block that reads an amplitude (`initial`,
+    `candidate`, `shape`, each wave's `profile`, `radial`), once that
+    block, the grid and the nonlinearity are valid.  The perturbation
+    `stability.shape` is rescaled to each eps by its H1 norm, so that
+    norm is what must be finite."""
+    p = cfg.sigma + 2.0
+    what = f"|u|^2 or |u|^{p:g} summed over the box"
+    grid = cfg.build_grid() if cfg.grid else None
+
+    def clean(where):
+        return not any(e.startswith(where) for e in errors)
+
+    def powers(a):
+        return max(a * a, a ** p)
+
+    def sums(values, copies=1.0):
+        found = _field_sums(values, powers=(p,))
+        return copies * found.total, copies * found.powers[0]
+
+    recipes = {"initial": cfg.initial}
+    if cfg.kind == "semiclassical" and clean(cfg.kind):
+        recipes["semiclassical.candidate"] = cfg.block["candidate"]
+    for where, block in recipes.items():
+        if block is not None and block["shape"] != "zero" and clean(where):
+            _amplitude_rule(
+                errors, where, block["amplitude"],
+                lambda a: math.prod(grid.n) * powers(a),
+                lambda: sums(_field_from_block(block, grid, cfg.seed).values),
+                what)
+    if cfg.kind == "stability" and clean(cfg.kind):
+        block = cfg.block["shape"]
+        if block["shape"] != "zero":
+            # ||u||_H1^2 <= cell N |A|^2 (1 + max |xi|^2), by Parseval
+            reach = 1.0 + sum(float(np.max(xi ** 2)) for xi in grid.xi)
+            _amplitude_rule(
+                errors, "stability.shape", block["amplitude"],
+                lambda a: grid.cell * math.prod(grid.n) * reach * a * a,
+                lambda: [norms(_field_from_block(block, grid,
+                                                 cfg.seed)).h1],
+                "H1 norm")
+    for where, spec in specs.items():
+        side = cfg.block if where == cfg.kind else \
+            cfg.block[where.rsplit(".", 1)[1]]
+        if side["profile"]["shape"] != "zero":
+            points = math.prod(grid.n)
+            _amplitude_rule(
+                errors, f"{where}.profile", side["profile"]["amplitude"],
+                lambda a: points * powers(a),
+                lambda: sums(spec.f0, copies=points / spec.f0.size), what)
+    if cfg.kind == "radial" and clean(cfg.kind):
+        _amplitude_rule(errors, "radial", cfg.block["amplitude"],
+                        lambda a: cfg.block["n"] * powers(a),
+                        lambda: sums(_radial_profile(cfg).values), what)
+
+
 def _norm_grid(errors, raw) -> dict | None:
     """The grid section, or None when it has any problem.  `n` and
     `length` are scalars broadcast to every axis or per-axis lists; `d`
@@ -516,9 +597,11 @@ def parse_config(text: str) -> ExperimentConfig:
     if block_ok and kind == "two-wave":
         _distinct_speeds(errors, cfg.block)
     specs = {}
-    if block_ok and grid and not any(e.startswith("nonlinearity")
-                                     for e in errors):
+    nonlinearity_ok = not any(e.startswith("nonlinearity") for e in errors)
+    if block_ok and grid and nonlinearity_ok:
         specs = _wave_specs(cfg, errors)
+    if nonlinearity_ok and (grid or kind not in _NEEDS_GRID):
+        _amplitude_rules(errors, cfg, specs)
     if errors:
         raise ConfigError(errors)
     for where, spec in specs.items():     # advisory lint: profile hypotheses
@@ -732,16 +815,22 @@ def _exp_semiclassical(cfg, out) -> str:
     return "Done"
 
 
+def _radial_profile(cfg):
+    """The radial block's initial Gaussian profile."""
+    b = cfg.block
+    amp, width = b["amplitude"], b["width"]
+    return make_radial_profile(
+        b["n"], b["r_max"], lambda r: amp * np.exp(-0.5 * (r / width) ** 2),
+        eps=b["eps"], lam=cfg.lam, sigma=cfg.sigma, sign=b["sign"])
+
+
 def _exp_radial(cfg, out) -> str:
     """Radial Crank-Nicolson run from a Gaussian.
 
     eps > 0 means a Dirichlet hole (cone-region profile).
     """
     b = cfg.block
-    amp, width = b["amplitude"], b["width"]
-    prof = make_radial_profile(
-        b["n"], b["r_max"], lambda r: amp * np.exp(-0.5 * (r / width) ** 2),
-        eps=b["eps"], lam=cfg.lam, sigma=cfg.sigma, sign=b["sign"])
+    prof = _radial_profile(cfg)
     result = solve_radial(prof, b["dt"], b["t_end"],
                           sample_stride=b["sample_stride"],
                           linf_ceiling=b["linf_ceiling"])

@@ -9,9 +9,12 @@ in-place 1-D pass per axis, last axis first, but each pass is cut into
 blocks of rows that run on a thread pool; numpy's pocketfft releases the
 GIL, so the blocks run at once.  Every line goes through the same 1-D call
 either way, so the output is bit for bit numpy's whatever the number of
-workers.  `pointwise` cuts an in-place elementwise map into the same row
-blocks, and `streamed` walks each block in chunks of at least
-CHUNK_POINTS points through scratch of one chunk per block.
+workers.  `ifft_along` is one such pass on its own, the partial inverse
+transform along one axis.  `pointwise` cuts an in-place elementwise map
+into the same row blocks.  `streamed` cuts an array into chunks of at
+least CHUNK_POINTS points, from its shape alone, and walks each row
+block's run of chunks through scratch of one chunk per block; maps and
+reductions over a field both take it.
 
 Workers are the CPUs in the process's affinity mask, so `taskset -c 0`
 makes every transform serial.  The pool is made, and `concurrent.futures`
@@ -37,9 +40,9 @@ import numpy as np
 # start at 256^2 = 2 * 2^15 points.
 SPLIT_POINTS = 1 << 15
 
-# `streamed` walks a block in chunks of at least this many points (whole
+# `streamed` cuts an array into chunks of at least this many points (whole
 # rows) and fewer than twice as many: 128^2 and every smaller field is one
-# chunk, and a 512^2 block of 256 rows is 8 chunks of 32.
+# chunk, and 512^2 is 16 chunks of 32 rows, 8 to each of two blocks.
 CHUNK_POINTS = 1 << 14
 
 _workers = None     # CPUs in the affinity mask, read at the first split test
@@ -92,6 +95,12 @@ def ifftn(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return _split_passes(np.fft.ifft, a, out, nb)
 
 
+def ifft_along(a: np.ndarray, axis: int) -> np.ndarray:
+    """numpy.fft.ifft(a, axis=axis) in place: the inverse transform of
+    every line of `a` along one axis, the others left as they are."""
+    return np.fft.ifft(a, axis=axis, out=a)
+
+
 def pointwise(fn, *args) -> None:
     """Call the elementwise, in-place `fn(*args)` on row blocks of its
     array arguments, which all have the shape of the first; any other
@@ -106,39 +115,56 @@ def pointwise(fn, *args) -> None:
 
 def streamed(fn, arrays: tuple, scratch: tuple, *consts) -> list:
     """`fn(*chunks, *buffers, *consts)` on consecutive chunks of whole rows
-    of the row blocks of `pointwise`, and the list of what every call
-    returned, in row order.  `arrays` all have the shape of the first, and
-    a None among them is passed as it is; `scratch` lists the dtypes of
-    fn's buffers, of which the calling thread allocates one chunk per
-    block: fn gets the leading rows of them that match its chunk, and may
-    write them and its chunks.
+    of `arrays`, and the list of what every call returned, in row order.
+    `arrays` all have the row count of the first, and a None among them
+    is passed as it is; `scratch` lists the dtypes of fn's buffers, of
+    which the calling thread allocates one chunk per row block (an entry
+    `(dtype, k)` asks for 1/k of a chunk's rows, rounded up): fn gets the
+    leading rows of each that match its chunk, and may write them and its
+    chunks.
 
-    A block of r rows is cut evenly into max(1, r // step) chunks, step
-    being the rows of CHUNK_POINTS points, so a chunk holds at least
-    CHUNK_POINTS points (or the whole block) and fewer than twice that.
-    No chunk is then a single point unless the array is one: on a single
-    point numpy's in-place complex multiply takes a path of other bits."""
+    The n rows are cut evenly into max(1, n // step) chunks, step being
+    the rows of CHUNK_POINTS points, so a chunk holds at least
+    CHUNK_POINTS points (or the whole array) and fewer than twice that.
+    The cut follows from the shape and CHUNK_POINTS alone; the row blocks
+    of `pointwise` then take consecutive runs of whole chunks.  So every
+    call, and what it returns, is the same whatever the number of
+    workers, and a reduction that combines the returns in order gives the
+    same bits on one CPU as on many.  No chunk is a single point unless
+    the array is one: on a single point numpy's in-place complex multiply
+    takes a path of other bits."""
     first = arrays[0]
-    n, nb = first.shape[0], blocks(first.size)
+    n = first.shape[0]
     step = max(1, CHUNK_POINTS // (first.size // n))    # rows of a chunk
-    if nb == 1 and n < 2 * step:
+    if n < 2 * step:
         # one chunk, the whole array: the call the loop below makes, less
         # its bounds and views, which cost about 6 us a call on Python
         # 3.11 and made a 64-point Strang step 15% slower than unchunked
-        return [fn(*arrays, *[np.empty(first.shape, dtype)
-                              for dtype in scratch], *consts)]
+        return [fn(*arrays, *_buffers(first.shape, n, scratch), *consts)]
+    chunks = _rows(n, n // step)
     block_args = []
-    for rows in _rows(n, nb):
-        r = rows.stop - rows.start
-        chunks = _rows(r, max(1, r // step))
-        most = chunks[-1].stop - chunks[-1].start    # the largest chunk
+    for group in _rows(len(chunks), blocks(first.size)):
+        mine = chunks[group]
+        start = mine[0].start
+        rows = slice(start, mine[-1].stop)
+        most = max(c.stop - c.start for c in mine)   # the largest chunk
         block_args.append((
             [None if a is None else a[rows] for a in arrays],
-            [np.empty((most,) + first.shape[1:], dtype) for dtype in scratch],
-            chunks, fn, consts))
+            _buffers(first.shape, most, scratch),
+            [slice(c.start - start, c.stop - start) for c in mine],
+            fn, consts))
     if len(block_args) == 1:
         return _walk(*block_args[0])
     return [value for values in _run(_walk, block_args) for value in values]
+
+
+def _buffers(shape: tuple, rows: int, scratch: tuple) -> list:
+    """`streamed`'s scratch for chunks of up to `rows` rows of `shape`."""
+    out = []
+    for entry in scratch:
+        dtype, k = entry if isinstance(entry, tuple) else (entry, 1)
+        out.append(np.empty((-(-rows // k),) + shape[1:], dtype))
+    return out
 
 
 def _walk(arrays: list, buffers: list, chunks: list, fn, consts) -> list:

@@ -297,14 +297,34 @@ def _radial_cfg(**block):
     return json.dumps({"kind": "radial", "radial": rad})
 
 
-def _two_wave_cfg(c1, c2, n=32):
-    def side(c):
-        return {"profile": {"shape": "gaussian", "width": 3.0}, "c": [c]}
+def _bump(amplitude):
+    return {"shape": "gaussian", "amplitude": amplitude, "width": 2.0}
+
+
+_BOX16 = {"preset": "hnls", "d": 2, "n": 16, "length": 20.0}
+
+
+def _two_wave_cfg(c1, c2, n=32, first=None):
+    def side(c, profile=None):
+        return {"profile": profile or {"shape": "gaussian", "width": 3.0},
+                "c": [c]}
 
     return json.dumps({
         "kind": "two-wave",
         "grid": {"preset": "hnls", "d": 2, "n": n, "length": 40.0},
-        "two-wave": {"first": side(c1), "second": side(c2), "t_end": 0.01}})
+        "two-wave": {"first": side(c1, first), "second": side(c2),
+                     "t_end": 0.01}})
+
+
+def _stability_cfg(**block):
+    stab = {"wave": "plane", "c": [1.0],
+            "profile": {"shape": "gaussian", "width": 3.0},
+            "shape": {"shape": "zero"}, "eps": [1e-3], "t_end": 0.01}
+    stab.update(block)
+    return json.dumps({
+        "kind": "stability",
+        "grid": {"preset": "hnls", "d": 2, "n": 32, "length": 40.0},
+        "stability": stab})
 
 
 def _standing_cfg(kind="standing", n=32, block=None):
@@ -375,6 +395,34 @@ def _standing_cfg(kind="standing", n=32, block=None):
                                     "transform-check": {"a0": 0.0, "k": 0.25,
                                                         "nodes": 2}}),
      "nodes"),
+    # an amplitude whose |u|^2 or |u|^(sigma+2) summed over the box
+    # overflows: the run would write inf mass, energy or sup
+    ("simulate", _cfg(grid=_BOX16, initial=_bump(1e200)),
+     "initial.amplitude"),
+    ("simulate", _cfg(grid=_BOX16, initial=_bump(1e100)),
+     "initial.amplitude"),
+    ("simulate", _cfg(grid=_BOX16, initial={"shape": "random",
+                                            "amplitude": 1e300}),
+     "initial.amplitude"),
+    ("conservation-report", _cfg(kind="conservation-report",
+                                 initial=_bump(1e200)), "initial.amplitude"),
+    ("planewave", _planewave_cfg(profile=_bump(1e200)),
+     "planewave.profile.amplitude"),
+    ("standing", _standing_cfg(block={"omega": _OMEGA,
+                                      "profile": _bump(1e200)}),
+     "standing.profile.amplitude"),
+    ("two-wave", _two_wave_cfg(1.0, -1.0, first=_bump(1e200)),
+     "two-wave.first.profile.amplitude"),
+    ("semiclassical", json.dumps({
+        "kind": "semiclassical",
+        "grid": {"preset": "hnls", "d": 2, "n": 32, "length": 40.0},
+        "semiclassical": {"k": 0.25, "candidate": _bump(1e200),
+                          "t_end": 0.1}}),
+     "semiclassical.candidate.amplitude"),
+    ("radial", _radial_cfg(amplitude=1e200), "radial.amplitude"),
+    # the perturbation is rescaled by its H1 norm, which must be finite
+    ("stability", _stability_cfg(shape=_bump(1e200)),
+     "stability.shape.amplitude"),
 ])
 def test_bad_numbers_exit_2_before_any_run(kind, text, key, tmp_path,
                                           capsys):
@@ -387,6 +435,23 @@ def test_bad_numbers_exit_2_before_any_run(kind, text, key, tmp_path,
     assert cli_main([kind, "--config", str(cfg_path), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_amplitude_rule_builds_a_field_only_near_overflow(monkeypatch):
+    # on 16^2 a Gaussian's sum of |u|^4 is about 4 A^4: at A = 5e76 the
+    # bound 4 N A^4 overflows but the field's own sums do not
+    built = []
+    recipe = runner._field_from_block
+    monkeypatch.setattr(runner, "_field_from_block",
+                        lambda *a: built.append(a) or recipe(*a))
+    parse_config(_cfg(grid=_BOX16, initial=_bump(1e60)))
+    assert built == []
+    parse_config(_cfg(grid=_BOX16, initial=_bump(5e76)))
+    assert len(built) == 1
+    with pytest.raises(ConfigError, match="initial.amplitude: 1e"):
+        parse_config(_cfg(grid=_BOX16, initial=_bump(1e78)))
+    # a perturbation rescaled by a finite H1 norm runs at any amplitude
+    parse_config(_stability_cfg(shape=_bump(1e150)))
 
 
 def test_parse_reports_a_misfit_wave_with_every_other_problem():

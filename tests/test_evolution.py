@@ -313,15 +313,19 @@ def test_run_matches_step_strang_loop(alpha, sigma, saddle, t0, t_end):
         <= 1e-12 * max(1.0, abs(last.energy))
 
 
-class _FFTCounter:
-    def __init__(self, monkeypatch):
-        self.calls = 0
-        for name in ("fftn", "ifftn"):
+class _PassCounter:
+    """Counts 1-D FFT passes over a grid of `size` points: `fftn` and
+    `ifftn` make one per axis, `ifft_along` on a slab its share of one."""
+
+    def __init__(self, monkeypatch, size):
+        self.passes = 0.0
+        for name in ("fftn", "ifftn", "ifft_along"):
             original = getattr(spectral, name)
 
-            def counted(*args, _fn=original, **kwargs):
-                self.calls += 1
-                return _fn(*args, **kwargs)
+            def counted(a, *args, _fn=original, _whole=name != "ifft_along",
+                        **kwargs):
+                self.passes += a.ndim if _whole else a.size / size
+                return _fn(a, *args, **kwargs)
 
             monkeypatch.setattr(spectral, name, counted)
 
@@ -331,15 +335,18 @@ def test_fft_count_per_step_and_sample(d, monkeypatch):
     g = hnls_grid(n=16, length=20.0, d=d)
     f = gaussian_field(g, amplitude=0.8, width=2.0)
     problem = EvolutionProblem(g, lam=1.0, sigma=2.0)
-    counter = _FFTCounter(monkeypatch)
+    counter = _PassCounter(monkeypatch, f.values.size)
     state, series = _run_field(f, problem, t_end=0.025, dt0=1e-3,
                                sample_stride=10)
     n_steps, k = state.step_count, len(series)
     assert (n_steps, k) == (25, 4)        # samples at steps 0, 10, 20, 25
-    assert counter.calls <= 2 * n_steps + (d + 1) * k + 1
-    counter.calls = 0
+    # two transforms a step, one per sample (its field) and one at the end;
+    # a sample's fluxes take two passes per axis, one inverse FFT for d = 1
+    flux = 2 * d if d > 1 else 1
+    assert counter.passes <= d * (2 * n_steps + k + 1) + flux * k
+    counter.passes = 0
     sample(state.field, 1.0, 2.0)
-    assert counter.calls == d + 1
+    assert counter.passes == d + flux
 
 
 def test_adaptive_dt_follows_sampled_sup():
@@ -542,13 +549,14 @@ def test_step_and_sample_memory_is_bounded(n, monkeypatch):
     assert nb == (2 if n == 512 else 1)
     # the phase map's scratch: one real and one complex chunk per block
     scratch = nb * min(spectral.CHUNK_POINTS, size // nb) * 24
-    slack = 256 * 1024      # numpy's iterator buffers and Python objects
+    slack = 128 * 1024      # Python objects and the chunks' partial sums
     tracemalloc.start()
     try:
         march.step(1e-3)            # warm-up: L(h/2) and FFT plans
         sample(march.field(1e-3), 1.0, 4.0, spectrum=march.spectrum)
         step = _traced_rise(lambda: march.step(1e-3))
-        # a sample forms the field, |u|^2 and one derivative at a time
+        # a sample forms the field in place of L(h/2) and walks chunks
+        # through its scratch
         taken = _traced_rise(lambda: sample(march.field(2e-3), 1.0, 4.0,
                                             spectrum=march.spectrum))
     finally:
@@ -556,19 +564,29 @@ def test_step_and_sample_memory_is_bounded(n, monkeypatch):
     assert step <= scratch + 32 * 1024
     if n == 512:
         assert step <= field // 4
-    assert taken <= field + size * 8 + field + slack
+    assert taken <= _sample_scratch(nb, size) + slack
+
+
+def _sample_scratch(nb: int, size: int) -> int:
+    """A sample's largest scratch on nb row blocks of a field of `size`
+    points whose chunks hold CHUNK_POINTS points or the whole block: two
+    complex chunks for the moment fluxes and one of numpy's iterator
+    buffers (up to 8192 complex values) for the broadcast multiply by
+    i xi_j."""
+    chunk = min(spectral.CHUNK_POINTS, size // nb)
+    return nb * (2 * chunk + min(chunk, 8192)) * 16
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_sample_after_steps_holds_no_propagator_and_no_abs2(d, monkeypatch):
     # 512^2 and 64^3, in two row blocks: forming the field lets go of
-    # L(h/2), and the sample reduces |u|^2 before its first derivative, so
-    # the field and the sample together add one complex array to the march
+    # L(h/2), and every reduction of the sample walks chunks, so the field
+    # and the sample together add only the sample's scratch to the march:
+    # no |u|^2, no derivative and no |u^|^2 of the grid's shape
     monkeypatch.setattr(spectral, "_workers", 2)
     g = hnls_grid(n=512 if d == 2 else 64, d=d)
     march = SpectralMarch(gaussian_field(g, amplitude=0.8, width=3.0),
                           EvolutionProblem(g, lam=1.0, sigma=2.0))
-    field = march.spectrum.nbytes
     slack = 256 * 1024      # numpy's iterator buffers and Python objects
     tracemalloc.start()
     try:
@@ -578,8 +596,8 @@ def test_sample_after_steps_holds_no_propagator_and_no_abs2(d, monkeypatch):
                                             spectrum=march.spectrum))
     finally:
         tracemalloc.stop()
-    # holding L(h/2) would add a complex array, holding |u|^2 a real one
-    assert taken <= field + slack
+    # holding L(h/2) or |u|^2 would add a quarter of the field or more
+    assert taken <= _sample_scratch(2, march.spectrum.size) + slack
 
 
 @needs_owned_arguments
@@ -604,17 +622,20 @@ def test_run_frees_its_field_after_the_first_step():
 def test_run_peak_holds_the_march_and_one_sample(monkeypatch):
     # 64^3 in two row blocks: N = 262144 points, 4 MiB complex, 2 MiB
     # real.  Past the first step a run holds the spectrum and, while it
-    # steps, L(h/2) (8 MiB).  A sample lets go of L(h/2) and adds the
-    # physical field and one derivative (12 MiB); |u|^2 is reduced and
-    # freed before the first derivative.  The initial field (4 MiB) is
-    # gone by then.  The margin of 1 MiB covers numpy's buffers for the
-    # split FFT passes and smaller arrays.
+    # steps, L(h/2) and the phase map's chunks (8.75 MiB).  A sample lets
+    # go of L(h/2) and adds the physical field and its scratch, two
+    # complex chunks per block and one iterator buffer (9.25 MiB): every
+    # reduction walks chunks, so no |u|^2 and no derivative of the grid's
+    # shape is formed.  Building the initial field holds two fields
+    # (8 MiB), and it is gone by the first step.  The margin of 0.5 MiB
+    # covers numpy's buffers for the split FFT passes and smaller arrays.
     monkeypatch.setattr(spectral, "_workers", 2)
     g = Grid((64,) * 3, (30.0,) * 3, (1.0, -1.0, -1.0))
     mib = 2 ** 20
     bound = (4 * mib                            # spectrum
-             + 4 * mib + 4 * mib                # field, d_j u
-             + 1 * mib)                         # margin
+             + 4 * mib                          # field
+             + _sample_scratch(2, 64 ** 3)      # the sample's chunks
+             + mib // 2)                        # margin
     problem = EvolutionProblem(g, lam=1.0, sigma=2.0)
     tracemalloc.start()
     try:

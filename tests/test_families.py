@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from hnlslab import (
     semiclassical_field,
     wave_field,
 )
+from hnlslab import spectral
+from hnlslab.fields import l2_norm
 
 PROFILE_GRID = Grid((64,), (40.0,), (1.0,))
 
@@ -124,6 +127,51 @@ def test_lift_gather_is_bit_stable():
     f0 = _bump(3.0)
     assert np.array_equal(lift_profile(f0, (2.0,), grid),
                           lift_profile(f0, (2.0,), grid))
+
+
+@pytest.mark.parametrize("shape, c", [((64, 32), (2.0,)),
+                                      ((16, 8, 8), (1.0, -2.0))])
+def test_lift_gather_in_chunks_is_the_index_formula(shape, c, monkeypatch):
+    # chunks of 3 rows on two row blocks: row i of the lift is
+    # f[(i - sum_j s_j y_j) mod n], s_j = c_j n dy_j / dx the index shifts
+    monkeypatch.setattr(spectral, "_workers", 2)
+    monkeypatch.setattr(spectral, "SPLIT_POINTS", int(np.prod(shape)) // 2)
+    monkeypatch.setattr(spectral, "CHUNK_POINTS",
+                        3 * int(np.prod(shape[1:])))
+    d, n = len(shape), shape[0]
+    grid = Grid(shape, (40.0,) * d, (1.0,) + (-1.0,) * (d - 1))
+    f0 = _bump(3.0)[::64 // n] * (1.0 - 0.5j)
+    idx = np.arange(n).reshape((n,) + (1,) * (d - 1))
+    for j, cj in enumerate(c):
+        along = [1] * d
+        along[1 + j] = shape[1 + j]
+        y = np.arange(shape[1 + j]) - shape[1 + j] // 2
+        idx = idx - round(cj * n / shape[1 + j]) * y.reshape(along)
+    assert np.array_equal(lift_profile(f0, c, grid), f0[np.mod(idx, n)])
+
+
+def test_exact_lift_and_l2_norm_add_their_result_and_one_chunk(monkeypatch):
+    # 512^2 on one CPU: the exact gather and the |u|^2 sum walk chunks of
+    # rows, so neither forms an index or |u|^2 array of the grid's shape
+    # (two int64 index arrays, 4 MiB, and |u|^2 with im^2, 4 MiB, before)
+    monkeypatch.setattr(spectral, "_workers", 1)
+    grid = hnls_grid(n=512)
+    f0 = gaussian_field(Grid((512,), (40.0,), (1.0,)), amplitude=0.8,
+                        width=3.0).values
+    lift_profile(f0, (1.0,), grid)          # warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        u = lift_profile(f0, (1.0,), grid)
+        lift_rise = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        l2_norm(ComplexField(grid, u))
+        norm_rise = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert lift_rise <= u.nbytes + 256 * 1024
+    assert norm_rise <= 256 * 1024
 
 
 def test_unit_speed_flow_preserves_modulus_and_norms():

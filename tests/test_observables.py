@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hnlslab import spectral
 from hnlslab.fields import (
     ComplexField, FieldDataError, Grid, constant_field, gaussian_field,
     random_smooth_field, spectral_derivative,
@@ -164,8 +165,14 @@ def _reference_sample(f, lam, sigma, V):
 @pytest.mark.parametrize("alpha", ["hnls", "nls", "mixed"])
 @pytest.mark.parametrize("sigma", [0.0, 1.5, 2.0, 4.0])
 @pytest.mark.parametrize("with_potential", [False, True])
-def test_sample_matches_direct_sums(d, alpha, sigma, with_potential):
+@pytest.mark.parametrize("chunk_rows", [None, 3])
+def test_sample_matches_direct_sums(d, alpha, sigma, with_potential,
+                                    chunk_rows, monkeypatch):
     n, L = {1: 64, 2: 32, 3: 16}[d], 12.0
+    if chunk_rows is not None:
+        # every reduction walks chunks of 3 to 5 rows: n // 3 of them
+        monkeypatch.setattr(spectral, "CHUNK_POINTS",
+                            chunk_rows * n ** (d - 1))
     g = Grid((n,) * d, (L,) * d, _ALPHAS[alpha][:d])
     rng = np.random.default_rng(100 * d + int(4 * sigma))
     f = gaussian_field(g, amplitude=0.9 - 0.3j, width=1.6,

@@ -12,7 +12,9 @@ from hnlslab import evolution, spectral
 from hnlslab.evolution import (STATUS_BLOWNUP, EvolutionProblem, RunConfig,
                                _nonlinear_stage, _phase_map,
                                harmonic_saddle_potential, run)
-from hnlslab.fields import Grid, gaussian_field, random_smooth_field
+from hnlslab.fields import (Grid, boundary_mass_fraction, gaussian_field,
+                            l2_norm, norms, random_smooth_field)
+from hnlslab.observables import energy, sample
 
 SHAPES = [(32,), (16, 16), (16, 32), (32, 16), (16, 16, 16), (16, 32, 16)]
 
@@ -63,6 +65,11 @@ def test_split_transforms_equal_numpy_bit_for_bit(shape, nb, split, rng):
     assert split.calls == ([] if d == 1 else [nb] * (4 * 2 * d))
 
 
+def _rows_of(samples) -> np.ndarray:
+    return np.array([[s.t, s.mass, s.energy, s.linf, s.virial,
+                      s.virial_rate, *s.momentum, *s.com] for s in samples])
+
+
 def _run(shape, sigma):
     d = len(shape)
     g = Grid(shape, (20.0,) * d, (1.0,) + (-1.0,) * (d - 1))
@@ -71,9 +78,7 @@ def _run(shape, sigma):
                                potential=harmonic_saddle_potential(g, k=0.3))
     state, series = run(f, problem,
                         RunConfig(t_end=0.0213, dt0=4e-3, sample_stride=2))
-    return state, np.array([[s.t, s.mass, s.energy, s.linf, s.virial,
-                             s.virial_rate, *s.momentum, *s.com]
-                            for s in series.samples])
+    return state, _rows_of(series.samples)
 
 
 @pytest.mark.parametrize("shape", [(32,), (16, 32), (32, 16, 16)])
@@ -223,16 +228,26 @@ def test_streamed_phase_map_equals_the_whole_array_map_bit_for_bit(
 @pytest.mark.parametrize("sigma", [0.0, 1.5, 2.0, 4.0])
 def test_streamed_run_with_a_potential_equals_the_one_chunk_run(
         shape, sigma, split, monkeypatch):
-    whole, whole_rows = _run(shape, sigma)
+    # the march is the one-chunk march bit for bit; the samples' streamed
+    # sums follow CHUNK_POINTS, so they are those of the one-chunk run's
+    # fields summed in the same chunks
+    taken = []       # every sample's arguments, the carried spectrum too
+
+    def kept(field, *args, spectrum):
+        taken.append((field.copy(), args, spectrum.copy()))
+        return sample(field, *args, spectrum=spectrum)
+
+    monkeypatch.setattr(evolution, "sample", kept)
+    whole, _ = _run(shape, sigma)
+    monkeypatch.setattr(evolution, "sample", sample)
     split(3, int(np.prod(shape)))
     monkeypatch.setattr(spectral, "CHUNK_POINTS",
                         3 * int(np.prod(shape[1:])))
     state, rows = _run(shape, sigma)
     assert split.calls
     assert np.array_equal(state.field.values, whole.field.values)
-    assert np.array_equal(rows, whole_rows)
-
-
+    assert np.array_equal(rows, _rows_of(
+        [sample(f, *args, spectrum=spec) for f, args, spec in taken]))
 @pytest.mark.parametrize("sigma", [0.0, 1.5, 2.0, 4.0])
 def test_a_nan_in_the_last_chunk_of_the_last_block_is_kept(sigma, split,
                                                             monkeypatch):
@@ -254,3 +269,28 @@ def test_a_nan_in_the_last_chunk_of_the_last_block_is_kept(sigma, split,
     assert state.status == STATUS_BLOWNUP
     # sigma = 0 reads the sup after the map, the others before it
     assert state.step_count == (1 if sigma == 0 else 2)
+
+
+@pytest.mark.parametrize("shape", [(64,), (16, 32), (32, 8, 16)])
+def test_streamed_reductions_give_the_same_bits_on_every_block_count(
+        shape, split, monkeypatch):
+    # uneven chunks of 3 rows or more on 1, 2 and 3 row blocks: the
+    # chunks follow the shape and CHUNK_POINTS alone and their shares are
+    # combined in chunk order, so the worker count moves no bit
+    d = len(shape)
+    g = Grid(shape, (12.0,) * d, (1.0, -1.0, 0.5)[:d])
+    f = random_smooth_field(g, np.random.default_rng(3), amplitude=0.9,
+                            corr=0.5)
+    V = np.cos(g.coord_along(0)) + np.zeros(g.n)
+    monkeypatch.setattr(spectral, "CHUNK_POINTS",
+                        3 * int(np.prod(shape[1:])))
+    found = []
+    for nb in (1, 2, 3):
+        split(nb, f.values.size)
+        s = sample(f, -0.7, 1.5, V)
+        nrm = norms(f, ps=(1.0, 3.0, 4.0))
+        found.append((tuple(vars(s).values()), energy(f, -0.7, 1.5, V),
+                      nrm.l2, nrm.h1, nrm.linf, tuple(nrm.lp.values()),
+                      l2_norm(f), boundary_mass_fraction(f)))
+    assert set(split.calls) == {2, 3}
+    assert found[0] == found[1] == found[2]
