@@ -28,7 +28,8 @@ from .transforms import (
 )
 from .radial import (
     RadialProfile, RadialTrajectory, RadialRunResult, ConeField,
-    GroundState, ConcentrationReport, BC_DIRICHLET, BC_REGULARITY,
+    GroundState, ConcentrationReport, ConcentrationScan, BC_DIRICHLET,
+    BC_REGULARITY,
     make_radial_profile, radial_mass, radial_energy, theta_moment,
     radial_weights, radial_laplacian_dense, solve_radial, lift_to_cone,
     cone_trace_jump, shoot_ground_state, concentration_scan,

@@ -16,17 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import spectral
 from .fields import (ComplexField, FieldDataError, Grid, GridError,
-                     _abs2, _is_pow2, evaluate_at_axes, spectral_derivative)
+                     _abs2, _abs2_into, _axis_eval_matrix, _evaluate_spectrum,
+                     _is_pow2, spectral_derivative)
 from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
                         _check_nonlinearity, harmonic_saddle_potential, run)
-from .transforms import (TransformError, TransformState,
-                         integrate_transform_odes, signature_quadratic)
+from .transforms import (TransformError, TransformState, _signature_terms,
+                         integrate_transform_odes)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +311,7 @@ class SemiclassicalSpec:
     `defect` is the residual of the stationary equation for A0
     (`bound_state_defect`), measured here, never assumed zero: every
     consumer of this spec inherits an error budget proportional to it.
+    `spectrum` is A0's, formed at its first read and kept.
     """
 
     A0: ComplexField
@@ -329,11 +332,21 @@ class SemiclassicalSpec:
         if not np.isfinite(self.defect):
             raise ValueError("defect must be finite")
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return spectral.fftn(self.A0.values)
 
-def _norm(x: np.ndarray) -> float:
+
+def _norm(x: np.ndarray, out: np.ndarray | None = None,
+          tmp: np.ndarray | None = None) -> float:
     """The l2 norm of x as a numpy sum, which unlike np.linalg.norm (BLAS)
-    gives the same bits whatever the number of BLAS threads."""
-    return math.sqrt(float(np.sum(_abs2(x))))
+    gives the same bits whatever the number of BLAS threads.  With real
+    scratch `out` and `tmp` (see `_abs2_into`; tmp may be x.imag when x is
+    not read again) |x|^2 is formed there instead of in new arrays."""
+    if out is None:
+        return math.sqrt(float(np.sum(_abs2(x))))
+    _abs2_into(x, out, tmp)
+    return math.sqrt(float(np.sum(out)))
 
 
 def _stationary_residual(u: np.ndarray, grid: Grid, V: np.ndarray,
@@ -345,20 +358,43 @@ def _stationary_residual(u: np.ndarray, grid: Grid, V: np.ndarray,
     l2 norm of res over the sum of the three terms' norms (0 when they
     all vanish).  `symbol` is grid.symbol, which a caller that asks many
     times forms once.  Every reduction is a numpy sum, not BLAS, so the
-    result does not depend on the number of BLAS threads."""
-    box = spectral.ifftn(spectral.fftn(u) * (-symbol))
-    nl = lam * np.abs(u) ** (4.0 / grid.d) * u
+    result does not depend on the number of BLAS threads.
+
+    Beside u it holds two complex and two real arrays of the grid: box u,
+    which becomes box u + nl (the sum both res and gamma0's residual
+    start from) and then res; nl, which becomes that residual and then
+    the potential term; and the real scratch of the amplitude and the
+    norms.  Each is formed by the operations of the whole-array formula,
+    in its order, so the bits are that formula's."""
+    amp = np.negative(symbol)
+    box = spectral.fftn(u)
+    np.multiply(box, amp, out=box)
+    spectral.ifftn(box, out=box)
+    np.abs(u, out=amp)
+    amp **= 4.0 / grid.d
+    np.multiply(lam, amp, out=amp)
+    nl = np.multiply(amp, u)
+    tmp = np.empty(grid.n)
+    norm_box = _norm(box, amp, tmp)
+    norm_nl = _norm(nl, amp, tmp)
+    box += nl
     if gamma0 is None:
-        r = box + nl - V * u
-        gamma0 = (np.sum(u.real * r.real + u.imag * r.imag)
-                  / np.sum(_abs2(u)))
+        r = np.multiply(V, u, out=nl)
+        np.subtract(box, r, out=r)
+        np.multiply(u.real, r.real, out=amp)
+        np.multiply(u.imag, r.imag, out=tmp)
+        amp += tmp
+        dot = np.sum(amp)
+        _abs2_into(u, amp, tmp)
+        gamma0 = dot / np.sum(amp)
     gamma0 = float(gamma0)
-    pot = (V + gamma0) * u
-    res = box + nl - pot
-    scale = _norm(box) + _norm(nl) + _norm(pot)
+    np.add(V, gamma0, out=amp)
+    pot = np.multiply(amp, u, out=nl)
+    res = np.subtract(box, pot, out=box)
+    scale = norm_box + norm_nl + _norm(pot, amp, pot.imag)
     if scale == 0.0:
         return res, gamma0, 0.0
-    return res, gamma0, _norm(res) / scale
+    return res, gamma0, _norm(res, amp, tmp) / scale
 
 
 def bound_state_defect(A0: ComplexField, k: float, gamma0: float,
@@ -431,6 +467,14 @@ def semiclassical_field(spec: SemiclassicalSpec, t: float, *,
 
     with (a, b, f, g) from `state` or the coefficient ODEs for (a0, k).
     Fails past the collapse time of b: the coefficients stop existing there.
+
+    The result is formed in one buffer.  At b = 1 that is f A0; otherwise
+    A0(x / b) is read off the spec's kept spectrum with one
+    `_axis_eval_matrix` per distinct axis (equal axes share it), and f
+    times it is written into the buffer.  The chirp is then taken chunk by
+    chunk (`spectral.streamed`), in place: q as `signature_quadratic` sums
+    it, the phase, its `exp` and the product, the operations of the
+    whole-array formula in its order, so the bits are that formula's.
     """
     grid = spec.A0.grid
     if state is not None and state.d != grid.d:
@@ -447,10 +491,41 @@ def semiclassical_field(spec: SemiclassicalSpec, t: float, *,
             state = integrate_transform_odes(spec.a0, spec.k, grid.d,
                                              np.linspace(0.0, t, npts))
         a_t, b_t, f_t, g_t = state.at(t)
-    if b_t == 1.0:
-        inner = spec.A0.values
-    else:
-        pts = [grid.coords[j] / b_t for j in range(grid.d)]
-        inner = evaluate_at_axes(spec.A0, pts)
-    phase = 0.25 * a_t * signature_quadratic(grid) + spec.gamma0 * g_t
-    return ComplexField(grid, f_t * inner * np.exp(1j * phase), t=t)
+    out = np.multiply(f_t, spec.A0.values if b_t == 1.0
+                      else _dilated(spec, b_t), order="C")
+    terms = _signature_terms(grid)
+    spectral.streamed(_chirp, (out, terms[0]), (float, complex),
+                      [term for term in terms[1:] if term is not None],
+                      0.25 * a_t, spec.gamma0 * g_t)
+    return ComplexField(grid, out, t=t)
+
+
+def _dilated(spec: SemiclassicalSpec, b: float) -> np.ndarray:
+    """A0(x / b) on A0's grid, read off the spec's spectrum with one
+    `_axis_eval_matrix` per distinct axis (the size and length of an axis
+    fix its coordinates and wavenumbers); the matrices are freed on
+    return."""
+    grid = spec.A0.grid
+    axes = [(grid.n[j], grid.length[j]) for j in range(grid.d)]
+    matrices = {}
+    for j, axis in enumerate(axes):
+        if axis not in matrices:
+            matrices[axis] = _axis_eval_matrix(grid, j, grid.coords[j] / b)
+    return _evaluate_spectrum(spec.spectrum, [matrices[a] for a in axes])
+
+
+def _chirp(u, lead, q, z, rest, scale, shift) -> None:
+    """u *= exp(1j * (scale * q + shift)) on one chunk of rows, through the
+    scratch q and z: q is `signature_quadratic`, summed from zero as it
+    sums it, the axis-0 term `lead` (None when alpha_0 = 0) and then the
+    `rest` (`_signature_terms`)."""
+    q.fill(0.0)
+    if lead is not None:
+        q += lead
+    for term in rest:
+        q += term
+    np.multiply(scale, q, out=q)
+    q += shift
+    np.multiply(1j, q, out=z)
+    np.exp(z, out=z)
+    u *= z

@@ -549,10 +549,18 @@ def evaluate_at_axes(field: ComplexField, axis_points: Sequence[np.ndarray]) -> 
     callers relying on that should have negligible data near the boundary.
     """
     g = field.grid
-    spec = spectral.fftn(field.values)
+    return _evaluate_spectrum(
+        spectral.fftn(field.values),
+        (_axis_eval_matrix(g, j, np.asarray(axis_points[j], dtype=float))
+         for j in range(g.d)))
+
+
+def _evaluate_spectrum(spec: np.ndarray, matrices) -> np.ndarray:
+    """`evaluate_at_axes` from the field's spectrum and the axes' matrices
+    `_axis_eval_matrix`, in axis order: one contraction per axis, each a
+    fresh array.  The result is a view of the last, in its layout."""
     out = spec
-    for j in range(g.d):
-        E = _axis_eval_matrix(g, j, np.asarray(axis_points[j], dtype=float))
+    for j, E in enumerate(matrices):
         out = np.moveaxis(np.tensordot(E, out, axes=(1, j)), 0, j)
     return out
 

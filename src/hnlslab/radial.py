@@ -17,6 +17,7 @@ does not load it unless a radial computation runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -234,7 +235,7 @@ class RadialTrajectory:
 @dataclass
 class RadialRunResult:
     profile: RadialProfile
-    trajectory: RadialTrajectory
+    trajectory: RadialTrajectory | None     # None when samples were handed on
     status: str
     t_detect: float | None
     steps: int
@@ -271,7 +272,9 @@ class _CrankNicolsonHalf:
 
 def solve_radial(profile: RadialProfile, dt: float, t_end: float, *,
                  adapt: bool = False, linf_ceiling: float | None = None,
-                 sample_stride: int = 10) -> RadialRunResult:
+                 sample_stride: int = 10,
+                 on_sample: Callable[[float, np.ndarray], None] | None = None,
+                 ) -> RadialRunResult:
     """March a radial profile to t_end with Strang splitting: half a
     Crank-Nicolson linear step, the exact pointwise nonlinear phase (the
     phase map of the evolution module), and another linear half step.
@@ -279,6 +282,13 @@ def solve_radial(profile: RadialProfile, dt: float, t_end: float, *,
     Both signs run the same step: sign=-1 only flips the sign of the
     Laplacian in the Crank-Nicolson map.  Blow-up is a recorded outcome,
     as in the full-dimensional solver.
+
+    Each sample (see `march`) goes to `on_sample(t, values)`, values being
+    the solver's own array, which a hook that keeps it must copy; the
+    result then has no trajectory, and the run holds the profile, the
+    Crank-Nicolson factors and what the hook keeps (a `ConcentrationScan`
+    keeps one sup per radius per sample).  Without a hook every sample is
+    copied into `result.trajectory`, n complex values each.
     """
     config = RunConfig(t_end=t_end, dt0=dt, adapt=adapt,
                        linf_ceiling=linf_ceiling, sample_stride=sample_stride)
@@ -290,7 +300,10 @@ def solve_radial(profile: RadialProfile, dt: float, t_end: float, *,
     s, lam, sigma = profile.sign, profile.lam, profile.sigma
     vals = profile.values.copy()
     sup = float(np.max(np.abs(vals)))
-    traj = RadialTrajectory(profile.r)
+    traj = None
+    if on_sample is None:
+        traj = RadialTrajectory(profile.r)
+        on_sample = traj.append
     cn, built_dt = None, None
 
     def step(h: float) -> float:
@@ -306,7 +319,7 @@ def solve_radial(profile: RadialProfile, dt: float, t_end: float, *,
         return sup
 
     def record(m: MarchState) -> float:
-        traj.append(t_end if m.status == STATUS_DONE else m.t, vals)
+        on_sample(t_end if m.status == STATUS_DONE else m.t, vals)
         return sup
 
     m = march(profile.t, config, sigma, step, record)
@@ -545,31 +558,58 @@ class ConcentrationReport:
     window: int
 
 
-_SCAN_SAMPLES = 5    # the shortest trailing window of `concentration_scan`
+_SCAN_SAMPLES = 5    # the shortest trailing window of a concentration scan
+
+
+class ConcentrationScan:
+    """The concentration scan taken sample by sample: `add(t, values)`
+    keeps t and the sup of |values| over r < eps for each eps, one float
+    each, and `report()` reads the series off them.  Passed as
+    `solve_radial`'s `on_sample`, it scans a run that stores no profile."""
+
+    def __init__(self, r: np.ndarray, eps_list):
+        r = np.asarray(r, dtype=np.float64)
+        self.eps = tuple(float(e) for e in eps_list)
+        if not self.eps or min(self.eps) <= r[0]:
+            raise ValueError("every eps must exceed the inner grid radius")
+        self._inside = [r < e for e in self.eps]
+        self._t = []
+        self._sups = [[] for _ in self.eps]
+
+    def __len__(self) -> int:
+        return len(self._t)
+
+    def add(self, t: float, values: np.ndarray) -> None:
+        self._t.append(float(t))
+        for inside, sups in zip(self._inside, self._sups):
+            sups.append(float(np.max(np.abs(values[inside]))))
+
+    def report(self) -> ConcentrationReport:
+        """The series so far, and whether each increases strictly over the
+        last tenth of the samples (at least 5)."""
+        if len(self) < _SCAN_SAMPLES:
+            raise ValueError(f"the scan needs at least {_SCAN_SAMPLES} "
+                             f"samples, got {len(self)}")
+        series = np.array(self._sups)
+        window = max(_SCAN_SAMPLES, len(self) // 10)
+        increasing = tuple(bool(np.all(np.diff(row[-window:]) > 0))
+                           for row in series)
+        return ConcentrationReport(eps=self.eps, t=np.array(self._t),
+                                   series=series, increasing=increasing,
+                                   window=window)
 
 
 def concentration_scan(trajectory: RadialTrajectory,
                        eps_list) -> ConcentrationReport:
     """Sup of |F| over r < eps at every sampled time, and whether each
     series increases strictly over the last tenth of the samples (at
-    least 5) - the signature of blow-up concentrating at the cone."""
-    eps = tuple(float(e) for e in eps_list)
-    if not eps or min(eps) <= trajectory.r[0]:
-        raise ValueError("every eps must exceed the inner grid radius")
-    if len(trajectory) < _SCAN_SAMPLES:
-        raise ValueError(f"the scan needs at least {_SCAN_SAMPLES} samples, "
-                         f"got {len(trajectory)}")
-    ts = trajectory.t
-    series = np.zeros((len(eps), len(ts)))
-    for j, e in enumerate(eps):
-        sel = trajectory.r < e
-        for i, vals in enumerate(trajectory.values):
-            series[j, i] = np.max(np.abs(vals[sel]))
-    window = max(_SCAN_SAMPLES, len(ts) // 10)
-    increasing = tuple(bool(np.all(np.diff(row[-window:]) > 0))
-                       for row in series)
-    return ConcentrationReport(eps=eps, t=ts, series=series,
-                               increasing=increasing, window=window)
+    least 5) - the signature of blow-up concentrating at the cone.  The
+    stored snapshots are fed to a `ConcentrationScan`, so a run scanned
+    as it goes reports the same bits."""
+    scan = ConcentrationScan(trajectory.r, eps_list)
+    for t, values in zip(trajectory.t, trajectory.values):
+        scan.add(t, values)
+    return scan.report()
 
 
 def save_radial_csv(profile: RadialProfile, path) -> None:

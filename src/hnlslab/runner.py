@@ -64,7 +64,7 @@ from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
                         _fixed_dt_samples, run)
 from .transforms import (_RESIDUAL_SAMPLES, closed_form_b,
                          constraint_residuals, integrate_transform_odes)
-from .radial import (_SCAN_SAMPLES, concentration_scan, make_radial_profile,
+from .radial import (_SCAN_SAMPLES, ConcentrationScan, make_radial_profile,
                      radial_energy, radial_mass, save_radial_csv, solve_radial)
 from .families import (PlaneWaveSpec, SemiclassicalSpec, StandingWaveSpec,
                        semiclassical_field, wave_field)
@@ -791,7 +791,9 @@ def _exp_semiclassical(cfg, out) -> str:
     """Chirp-dilated candidate sampled along its coefficient trajectory.
 
     Writes semiclassical.csv (t, sup, a, b, f, g), the final field, and a
-    JSON report with the defect and any collapse truncation.
+    JSON report with the defect and any collapse truncation.  One field is
+    held at a time: each sample's is dropped once its sup is read, and
+    only the last is kept, for the snapshot.
     """
     grid = cfg.build_grid()
     b = cfg.block
@@ -799,11 +801,10 @@ def _exp_semiclassical(cfg, out) -> str:
     spec = SemiclassicalSpec(cand, b["k"], b["gamma0"], b["a0"], cfg.lam)
     t_grid = np.linspace(0.0, b["t_end"], b["samples"])
     state = integrate_transform_odes(b["a0"], b["k"], grid.d, t_grid)
-    sups = []
-    psi = None
-    for tt in state.t:
-        psi = semiclassical_field(spec, float(tt), state=state)
-        sups.append(psi.linf())
+    sups = [semiclassical_field(spec, float(tt), state=state).linf()
+            for tt in state.t[:-1]]
+    psi = semiclassical_field(spec, float(state.t[-1]), state=state)
+    sups.append(psi.linf())
     out.series("semiclassical.csv", {"t": state.t, "sup": np.asarray(sups),
                                      "a": state.a, "b": state.b,
                                      "f": state.f, "g": state.g})
@@ -827,30 +828,40 @@ def _radial_profile(cfg):
 def _exp_radial(cfg, out) -> str:
     """Radial Crank-Nicolson run from a Gaussian.
 
-    eps > 0 means a Dirichlet hole (cone-region profile).
+    eps > 0 means a Dirichlet hole (cone-region profile).  Each sample goes
+    straight into the concentration scan (one sup per radius) or nowhere,
+    so the run holds the profile and its Crank-Nicolson factors whatever
+    the sample count.
     """
     b = cfg.block
     prof = _radial_profile(cfg)
+    eps = b["concentration_eps"]
+    scan = ConcentrationScan(prof.r, eps) if eps else None
     result = solve_radial(prof, b["dt"], b["t_end"],
                           sample_stride=b["sample_stride"],
-                          linf_ceiling=b["linf_ceiling"])
+                          linf_ceiling=b["linf_ceiling"],
+                          on_sample=_ignore_sample if scan is None
+                          else scan.add)
     out.radial("radial_final.csv", result.profile)
     payload = {"status": result.status, "t_detect": result.t_detect,
                "steps": result.steps,
                "mass_initial": radial_mass(prof),
                "mass_final": radial_mass(result.profile),
                "energy_initial": radial_energy(prof)}
-    samples = len(result.trajectory)
-    if b["concentration_eps"] and samples < _SCAN_SAMPLES:   # cut short
+    if scan is not None and len(scan) < _SCAN_SAMPLES:   # cut short
         payload.update(concentration=None, concentration_skipped=(
-            f"{result.status} after {samples} samples; the scan needs at "
+            f"{result.status} after {len(scan)} samples; the scan needs at "
             f"least {_SCAN_SAMPLES}"))
-    elif b["concentration_eps"]:
-        scan = concentration_scan(result.trajectory, b["concentration_eps"])
-        payload["concentration"] = {"eps": list(scan.eps),
-                                    "increasing": list(scan.increasing)}
+    elif scan is not None:
+        report = scan.report()
+        payload["concentration"] = {"eps": list(report.eps),
+                                    "increasing": list(report.increasing)}
     out.json("radial.json", payload)
     return result.status
+
+
+def _ignore_sample(t, values) -> None:
+    """`solve_radial`'s sample hook of a run that scans nothing."""
 
 
 def _exp_transform_check(cfg, out) -> str:

@@ -221,13 +221,19 @@ def closed_form_b(a0: float, k: float, t):
 
 def signature_quadratic(grid: Grid) -> np.ndarray:
     """sum_j sign(alpha_j) x_j^2 on the grid (axes with alpha_j = 0 drop
-    out)."""
+    out), summed from zero in axis order."""
     q = np.zeros(grid.n)
-    for j in range(grid.d):
-        w = float(np.sign(grid.alpha[j]))
-        if w != 0.0:
-            q = q + w * grid.coord_along(j) ** 2
+    for term in _signature_terms(grid):
+        if term is not None:
+            q = q + term
     return q
+
+
+def _signature_terms(grid: Grid) -> list:
+    """The terms sign(alpha_j) x_j^2 of `signature_quadratic`, each along
+    its axis (`Grid.coord_along`), and None for an axis with alpha_j = 0."""
+    return [float(np.sign(a)) * grid.coord_along(j) ** 2 if a != 0 else None
+            for j, a in enumerate(grid.alpha)]
 
 
 def apply_pct(u_sampler, state: TransformState, t: float,

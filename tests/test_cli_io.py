@@ -641,6 +641,26 @@ def test_radial_scan_that_finishes_is_reported(tmp_path):
     assert "concentration_skipped" not in report
 
 
+def test_radial_memory_does_not_grow_with_the_sample_count(tmp_path):
+    # 500 steps on 256 nodes sampled every step or every 50th: each sample
+    # leaves one sup per radius, not a 4 KiB profile (2 MiB in all)
+    def peak(stride):
+        cfg = parse_config(_radial_cfg(n=256, dt=1e-3, t_end=0.5,
+                                       sample_stride=stride,
+                                       concentration_eps=[1.0, 2.0]))
+        out = tmp_path / f"stride_{stride}"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert run_experiment(cfg, out_dir=out) == 0
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    peak(50)                                    # imports scipy, warms up
+    assert peak(1) <= peak(50) + 64 * 1024
+
+
 def test_stability_sweep_writes_report_per_eps(tmp_path):
     cfg = parse_config(json.dumps({
         "kind": "stability",

@@ -31,10 +31,13 @@ from hnlslab import (
     residual_hnls,
     run,
     semiclassical_field,
+    signature_quadratic,
     wave_field,
 )
 from hnlslab import spectral
-from hnlslab.fields import l2_norm
+from hnlslab.evolution import harmonic_saddle_potential
+from hnlslab.families import _stationary_residual
+from hnlslab.fields import _abs2, evaluate_at_axes, l2_norm
 
 PROFILE_GRID = Grid((64,), (40.0,), (1.0,))
 
@@ -349,6 +352,95 @@ def test_semiclassical_identity_at_time_zero():
     spec = SemiclassicalSpec(A0=A0, k=0.3, gamma0=0.7, a0=0.0, lam=1.0)
     psi = semiclassical_field(spec, 0.0)
     assert np.array_equal(psi.values, A0.values)
+
+
+def _semiclassical_reference(spec, t, state):
+    # the whole-array formula: f A0(x / b) exp(i (a q / 4 + gamma0 g))
+    grid = spec.A0.grid
+    if t == 0.0 and state is None:
+        a_t, b_t, f_t, g_t = spec.a0, 1.0, 1.0, 0.0
+    else:
+        a_t, b_t, f_t, g_t = state.at(t)
+    if b_t == 1.0:
+        inner = spec.A0.values
+    else:
+        inner = evaluate_at_axes(spec.A0, [grid.coords[j] / b_t
+                                           for j in range(grid.d)])
+    phase = 0.25 * a_t * signature_quadratic(grid) + spec.gamma0 * g_t
+    return f_t * inner * np.exp(1j * phase)
+
+
+@pytest.mark.parametrize("n", [(128, 128), (256, 256), (32, 32, 16)])
+def test_semiclassical_field_keeps_the_bits_of_the_formula(n):
+    # the one-buffer field against the whole-array formula: b = 1 at t = 0
+    # without a state, then three times of a shrinking b; 256^2 is 4 chunks
+    grid = Grid(n, (40.0,) * len(n), (1.0,) + (-1.0,) * (len(n) - 1))
+    A0 = ComplexField(grid, _candidate(grid).values
+                      * np.exp(0.3j * grid.coord_along(0)))
+    spec = SemiclassicalSpec(A0=A0, k=0.25, gamma0=0.7, a0=0.5, lam=1.0)
+    state = integrate_transform_odes(0.5, 0.25, grid.d,
+                                     np.linspace(0.0, 2.0, 65))
+    for t, st in ((0.0, None), (0.3125, state), (1.0, state), (2.0, state)):
+        psi = semiclassical_field(spec, t, state=st)
+        assert psi.values.tobytes() == _semiclassical_reference(
+            spec, t, st).tobytes()
+
+
+def _stationary_reference(u, grid, V, gamma0, lam, symbol):
+    # the whole-array form of the stationary residual
+    def norm(x):
+        return np.sqrt(float(np.sum(_abs2(x))))
+    box = spectral.ifftn(spectral.fftn(u) * (-symbol))
+    nl = lam * np.abs(u) ** (4.0 / grid.d) * u
+    if gamma0 is None:
+        r = box + nl - V * u
+        gamma0 = (np.sum(u.real * r.real + u.imag * r.imag)
+                  / np.sum(_abs2(u)))
+    gamma0 = float(gamma0)
+    pot = (V + gamma0) * u
+    res = box + nl - pot
+    return res, gamma0, norm(res) / (norm(box) + norm(nl) + norm(pot))
+
+
+@pytest.mark.parametrize("gamma0", [None, 0.7])
+@pytest.mark.parametrize("n", [(128, 128), (256,), (32, 32, 16)])
+def test_stationary_residual_keeps_the_bits_of_the_formula(n, gamma0):
+    grid = Grid(n, (40.0,) * len(n), (1.0,) + (-1.0,) * (len(n) - 1))
+    u = _candidate(grid).values * np.exp(0.3j * grid.coord_along(0))
+    V = harmonic_saddle_potential(grid, 0.25)
+    res, gm, defect = _stationary_residual(u, grid, V, gamma0, -0.5,
+                                           grid.symbol)
+    ref, gm_ref, defect_ref = _stationary_reference(u, grid, V, gamma0,
+                                                    -0.5, grid.symbol)
+    assert res.tobytes() == ref.tobytes()
+    assert (gm, defect) == (gm_ref, defect_ref)
+
+
+def test_semiclassical_sample_and_defect_memory_is_bounded():
+    # the benchmark's 128^2 sample, its spectrum kept by the spec: three
+    # fields at the peak (the axis matrix and two contractions, or the
+    # result and the chirp's scratch), where the whole-array formula took
+    # five; the defect holds two complex and two real arrays beside A0,
+    # V and the symbol, where it took about six complex ones
+    grid = hnls_grid(n=128)
+    field = 16 * 128 * 128             # bytes of one complex field
+    spec = SemiclassicalSpec(A0=_candidate(grid), k=0.25, gamma0=0.0,
+                             a0=0.5, lam=1.0)
+    state = integrate_transform_odes(0.5, 0.25, 2, np.linspace(0.0, 2.0, 65))
+    semiclassical_field(spec, 1.0, state=state)         # forms the spectrum
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        semiclassical_field(spec, 2.0, state=state)
+        sample = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        bound_state_defect(spec.A0, 0.25, 0.0, 1.0)
+        defect = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sample <= 3 * field + 64 * 1024
+    assert defect <= 4.5 * field + 64 * 1024
 
 
 def test_semiclassical_sup_decay_on_saddle():

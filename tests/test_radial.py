@@ -13,6 +13,7 @@ from scipy.linalg import eigh
 from hnlslab.radial import (
     BC_DIRICHLET,
     BC_REGULARITY,
+    ConcentrationScan,
     RadialProfile,
     RadialTrajectory,
     concentration_scan,
@@ -223,6 +224,32 @@ def test_concentration_scan_increases_toward_blowup(focusing_blowup):
     assert np.all(rep.series[:, -1] >= 60.0)
 
 
+def test_streamed_scan_matches_the_stored_trajectory_scan(focusing_blowup):
+    # the same run scanned as it goes: the report's bits, and the run's,
+    # equal those of the stored trajectory's scan
+    prof, res = focusing_blowup
+    eps = [0.1, 0.2, 0.4]
+    scan = ConcentrationScan(prof.r, eps)
+    streamed = solve_radial(prof, 2e-3, 1.0, adapt=True, linf_ceiling=60.0,
+                            sample_stride=5, on_sample=scan.add)
+    assert streamed.trajectory is None
+    assert (streamed.status, streamed.t_detect, streamed.steps) == (
+        res.status, res.t_detect, res.steps)
+    assert streamed.profile.values.tobytes() == res.profile.values.tobytes()
+    stored = concentration_scan(res.trajectory, eps)
+    report = scan.report()
+    assert len(scan) == len(res.trajectory)
+    assert report.eps == stored.eps
+    assert report.t.tobytes() == stored.t.tobytes()
+    assert report.series.tobytes() == stored.series.tobytes()
+    assert report.window == stored.window
+    assert report.increasing == stored.increasing
+    # the rule itself: sup |F| over r < eps of each stored snapshot
+    rule = np.array([[np.max(np.abs(v[prof.r < e]))
+                      for v in res.trajectory.values] for e in eps])
+    assert report.series.tobytes() == rule.tobytes()
+
+
 def test_concentration_scan_zero_data_and_validation():
     r = np.linspace(0.0, 10.0, 128)
     traj = RadialTrajectory(r)
@@ -233,6 +260,11 @@ def test_concentration_scan_zero_data_and_validation():
     assert rep.increasing == (False, False)
     with pytest.raises(ValueError):
         concentration_scan(traj, [0.0])
+    with pytest.raises(ValueError, match="at least 5 samples, got 4"):
+        scan = ConcentrationScan(r, [0.5])
+        for t, vals in zip(traj.t[:4], traj.values):
+            scan.add(t, vals)
+        scan.report()
 
 
 def test_solver_validation():
