@@ -118,10 +118,12 @@ def _flux_marginals(field: ComplexField, spectrum: np.ndarray) -> list:
         axis = 1 if j == 0 else j
         shape = [1] * grid.d
         shape[axis] = grid.n[j]
-        parts = spectral.streamed(
+        # no name holds an axis's partials once they are summed, so the
+        # next axis streams beside this one's marginal alone
+        out.append(_in_order(spectral.streamed(
             _flux_chunk, (spectrum.swapaxes(0, other),),
-            (complex, complex), axis, (1j * grid.xi[j]).reshape(shape))
-        out.append(_in_order(parts) / float(math.prod(grid.n) // grid.n[j]))
+            (complex, complex), axis, (1j * grid.xi[j]).reshape(shape)))
+            / float(math.prod(grid.n) // grid.n[j]))
     return out
 
 

@@ -25,15 +25,15 @@ A config is one UTF-8 JSON object.  Top-level keys:
   seed           u64 for randomized shapes, default 0
 
 plus exactly one kind-specific block named after the kind (none for
-simulate / conservation-report); see the block tables in `_block_check`
-for their keys.  Unknown keys anywhere are rejected, so are NaN and
-Infinity wherever a number is expected, and so are key combinations the
-run would refuse (an adaptive backward run, a radial hole `eps >= r_max`
-or around a concentration radius, two waves at one speed, a plane or
-standing wave that does not fit the box, a fixed-dt conservation-report
-with fewer than 5 samples), and so is an amplitude whose field's |u|^2
-or |u|^(sigma+2) summed over the box (for `stability.shape`, whose H1
-norm) is not finite.
+simulate / conservation-report); see the kind declarations,
+`_DECLARATIONS`, for their keys.  Unknown keys anywhere are rejected, so
+are NaN and Infinity wherever a number is expected, and so are key
+combinations the run would refuse (an adaptive backward run, a radial
+hole `eps >= r_max` or around a concentration radius, two waves at one
+speed, a plane or standing wave that does not fit the box, a fixed-dt
+conservation-report with fewer than 5 samples), and so is an amplitude
+whose field's |u|^2 or |u|^(sigma+2) summed over the box (for
+`stability.shape`, whose H1 norm) is not finite.
 Validation reports every problem at once rather than stopping at the
 first; a wave's fit to its box is checked once the grid, the nonlinearity
 and the keys of the wave's block are valid, so two equal speeds are
@@ -52,6 +52,7 @@ import os
 import sys
 from dataclasses import dataclass, field as dc_field, replace
 from datetime import datetime, timezone
+from typing import Callable
 
 import numpy as np
 
@@ -71,10 +72,6 @@ from .families import (PlaneWaveSpec, SemiclassicalSpec, StandingWaveSpec,
 from .coupled import profile_hypothesis_warnings, stability_run, two_wave_run
 from .artifacts import (RunManifest, save_series_csv, write_json,
                         write_snapshot)
-
-KINDS = ("simulate", "planewave", "standing", "semiclassical", "radial",
-         "transform-check", "stability", "two-wave", "conservation-report")
-
 
 class ConfigError(ValueError):
     """Invalid experiment config; `errors` lists every problem found."""
@@ -256,7 +253,7 @@ def _sub(keys, rule=None):
     return lambda errors, where, raw: _section(errors, where, raw, keys, rule)
 
 
-def _tagged(tag, variants, common=None, rule=None):
+def _tagged(tag, variants, common=None):
     """The check of a section whose `tag` value picks the table of its own
     keys from `variants`, on top of the `common` keys.  A missing or
     unknown tag is reported, and the common keys are still checked."""
@@ -266,11 +263,10 @@ def _tagged(tag, variants, common=None, rule=None):
     def check(errors, where, raw):
         name = raw.get(tag) if isinstance(raw, dict) else None
         if isinstance(name, str) and name in variants:
-            return _section(errors, where, raw, {**common, **variants[name]},
-                            rule)
+            return _section(errors, where, raw, {**common, **variants[name]})
         if isinstance(raw, dict):
             raw = {k: v for k, v in raw.items() if k not in variant_keys}
-        return _section(errors, where, raw, common, rule)
+        return _section(errors, where, raw, common)
     return check
 
 
@@ -354,54 +350,22 @@ def _radial_rules(errors, where, block):
               f"samples; t_end, dt and sample_stride give {samples}")
 
 
-def _block_check(kind, grid):
-    """The check of the block named after `kind` (None for simulate and
-    conservation-report), composed from the fragments above.  Defaults
-    and list lengths follow the grid when it is valid."""
-    d = grid["d"] if grid else None
+def _wave_keys(grid):
+    """The keys of a plane and of a standing wave; defaults and the length
+    of `c` follow the grid when it is valid."""
     n0, len0 = (grid["n"][0], grid["length"][0]) if grid else (64, 40.0)
     plane = {"n": (_grid_size, n0), "period": (_POSITIVE, len0),
-             "c": (_list(_FINITE, None if d is None else d - 1), _REQUIRED)}
-    standing = {"n": (_grid_size, grid["n"][1] if d == 2 else n0),
-                "omega": (_FINITE, _REQUIRED)}
+             "c": (_list(_FINITE, grid and grid["d"] - 1), _REQUIRED)}
+    standing = {"n": (_grid_size, grid["n"][1] if grid and grid["d"] == 2
+                      else n0), "omega": (_FINITE, _REQUIRED)}
+    return {"plane": plane, "standing": standing}
 
+
+def _two_wave_block(grid):
+    plane = _wave_keys(grid)["plane"]
     side = _sub({**_PROFILE, "c": plane["c"]})
-    blocks = {
-        "planewave": _sub({**_PROFILE, **plane}),
-        "standing": _sub({**_PROFILE, **standing}),
-        "stability": _tagged(
-            "wave", {"plane": plane, "standing": standing},
-            {**_PROFILE, "shape": (_initial(d), _REQUIRED),
-             "eps": (_list(_number(0.0)), _REQUIRED), **_MARCH,
-             "grow_factor": (_POSITIVE, 10.0), **_CEILING}),
-        "two-wave": _sub({"first": (side, _REQUIRED),
-                          "second": (side, _REQUIRED),
-                          "n": plane["n"], "period": plane["period"],
-                          **_MARCH}),
-        # a radial run may end where it starts (t_end = 0)
-        "radial": _sub({"n": (_integer(8), 256),
-                        "r_max": (_POSITIVE, _REQUIRED),
-                        "eps": (_number(0.0), 0.0),
-                        "sign": (_one_of(1, -1), 1), **_AMPLITUDE,
-                        "width": (_POSITIVE, _REQUIRED),
-                        **_MARCH, "t_end": (_number(0.0), _REQUIRED),
-                        **_CEILING,
-                        "concentration_eps": (_list(_FINITE), None)},
-                       _radial_rules),
-        "semiclassical": _sub({"k": (_FINITE, _REQUIRED),
-                               "a0": (_FINITE, 0.0),
-                               "gamma0": (_FINITE, 1.0),
-                               "candidate": (_initial(d), _REQUIRED),
-                               "t_end": (_POSITIVE, _REQUIRED),
-                               "samples": (_integer(2), 33)}),
-        "transform-check": _sub({"a0": (_FINITE, _REQUIRED),
-                                 "k": (_FINITE, _REQUIRED),
-                                 "d": (_integer(1, 3), 2),
-                                 "t_end": (_POSITIVE, 1.0),
-                                 "nodes": (_integer(_RESIDUAL_SAMPLES), 201),
-                                 "max_step": (_POSITIVE, 1e-3)}),
-    }
-    return blocks.get(kind)
+    return _sub({"first": (side, _REQUIRED), "second": (side, _REQUIRED),
+                 "n": plane["n"], "period": plane["period"], **_MARCH})
 
 
 def _distinct_speeds(errors, block):
@@ -416,77 +380,80 @@ def _distinct_speeds(errors, block):
 _AMPLITUDE_MARGIN = 4.0
 
 
-def _amplitude_rule(errors, where, amplitude, bound, sums, what) -> None:
-    """The one rule on an amplitude: the sums `sums()` that a run takes
-    of the field it gives (|u|^2 and |u|^(sigma+2) over the box, or the
-    H1 norm) must be finite, or the run would write inf or nan.  No
-    recipe's modulus exceeds its amplitude, so `bound(|amplitude|)`
-    bounds those sums, and `sums()` builds the field only when the bound
-    is within _AMPLITUDE_MARGIN of overflow.  A refusal is reported at
-    the amplitude key of `where`."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = np.float64(abs(amplitude))
-        if math.isfinite(_AMPLITUDE_MARGIN * bound(a)) or all(
-                math.isfinite(x) for x in sums()):
-            return
-    _fail(errors, f"{where}.amplitude", f"{amplitude!r} gives a field "
-                                        f"whose {what} is not finite")
-
-
-def _amplitude_rules(errors, cfg, specs) -> None:
-    """`_amplitude_rule` on every block that reads an amplitude (`initial`,
-    `candidate`, `shape`, each wave's `profile`, `radial`), once that
-    block, the grid and the nonlinearity are valid.  The perturbation
-    `stability.shape` is rescaled to each eps by its H1 norm, so that
-    norm is what must be finite."""
+def _power_sums(cfg, points, values, copies=1.0):
+    """The bound, sums and their name in `_amplitude_rules` for |u|^2 and |u|^p
+    over `points` points that hold the field `values()` `copies` times."""
     p = cfg.sigma + 2.0
-    what = f"|u|^2 or |u|^{p:g} summed over the box"
-    grid = cfg.build_grid() if cfg.grid else None
 
-    def clean(where):
-        return not any(e.startswith(where) for e in errors)
-
-    def powers(a):
-        return max(a * a, a ** p)
-
-    def sums(values, copies=1.0):
-        found = _field_sums(values, powers=(p,))
+    def sums():
+        found = _field_sums(values(), powers=(p,))
         return copies * found.total, copies * found.powers[0]
 
-    recipes = {"initial": cfg.initial}
-    if cfg.kind == "semiclassical" and clean(cfg.kind):
-        recipes["semiclassical.candidate"] = cfg.block["candidate"]
-    for where, block in recipes.items():
-        if block is not None and block["shape"] != "zero" and clean(where):
-            _amplitude_rule(
-                errors, where, block["amplitude"],
-                lambda a: math.prod(grid.n) * powers(a),
-                lambda: sums(_field_from_block(block, grid, cfg.seed).values),
-                what)
-    if cfg.kind == "stability" and clean(cfg.kind):
-        block = cfg.block["shape"]
-        if block["shape"] != "zero":
-            # ||u||_H1^2 <= cell N |A|^2 (1 + max |xi|^2), by Parseval
-            reach = 1.0 + sum(float(np.max(xi ** 2)) for xi in grid.xi)
-            _amplitude_rule(
-                errors, "stability.shape", block["amplitude"],
-                lambda a: grid.cell * math.prod(grid.n) * reach * a * a,
-                lambda: [norms(_field_from_block(block, grid,
-                                                 cfg.seed)).h1],
-                "H1 norm")
+    return (lambda a: points * max(a * a, a ** p), sums,
+            f"|u|^2 or |u|^{p:g} summed over the box")
+
+
+def _recipe_sums(cfg, grid, recipe):
+    """`_power_sums` of a field recipe on the grid."""
+    return _power_sums(cfg, math.prod(grid.n), lambda: _field_from_block(
+        recipe, grid, cfg.seed).values)
+
+
+def _h1_norm(cfg, grid, recipe):
+    """A perturbation rescaled to each eps by its H1 norm, which must be
+    finite: ||u||_H1^2 <= cell N |A|^2 (1 + max |xi|^2), by Parseval."""
+    reach = 1.0 + sum(float(np.max(xi ** 2)) for xi in grid.xi)
+    return (lambda a: grid.cell * math.prod(grid.n) * reach * a * a,
+            lambda: [norms(_field_from_block(recipe, grid, cfg.seed)).h1],
+            "H1 norm")
+
+
+def _radial_sums(cfg, grid, block):
+    """`_power_sums` of the radial block's Gaussian on its nodes."""
+    return _power_sums(cfg, block["n"], lambda: _radial_profile(cfg).values)
+
+
+def _at(cfg, where):
+    """The section of `cfg` at the block path `where`: `initial`, the
+    kind's block or one key of it; None when the section is absent."""
+    head, _, key = where.partition(".")
+    section = cfg.initial if head == "initial" else cfg.block
+    return section[key] if key and section is not None else section
+
+
+def _amplitude_rules(errors, cfg, grid, specs) -> None:
+    """The one rule on an amplitude: the sums that a run takes of the
+    field it gives (|u|^2 and |u|^(sigma+2) over the box, or the H1 norm)
+    must be finite, or the run would write inf or nan.  It holds for each
+    amplitude the kind declares, once the section it sits in is valid,
+    and for the profile of each wave in `specs`; the grid and the
+    nonlinearity are valid.  No recipe's modulus exceeds its amplitude,
+    so `bound(|amplitude|)` bounds those sums, and `sums()` builds the
+    field only when the bound is within _AMPLITUDE_MARGIN of overflow.  A
+    refusal is reported at the amplitude key of the block."""
+    found = []
+    for where, bound_and_sums in _DECLARATIONS[cfg.kind].amplitudes:
+        block = _at(cfg, where)
+        section = where.partition(".")[0]
+        if (block is not None and block.get("shape") != "zero"
+                and not any(e.startswith(section) for e in errors)):
+            found.append((where, block["amplitude"],
+                          bound_and_sums(cfg, grid, block)))
     for where, spec in specs.items():
-        side = cfg.block if where == cfg.kind else \
-            cfg.block[where.rsplit(".", 1)[1]]
-        if side["profile"]["shape"] != "zero":
+        profile = _at(cfg, where)["profile"]
+        if profile["shape"] != "zero":
             points = math.prod(grid.n)
-            _amplitude_rule(
-                errors, f"{where}.profile", side["profile"]["amplitude"],
-                lambda a: points * powers(a),
-                lambda: sums(spec.f0, copies=points / spec.f0.size), what)
-    if cfg.kind == "radial" and clean(cfg.kind):
-        _amplitude_rule(errors, "radial", cfg.block["amplitude"],
-                        lambda a: cfg.block["n"] * powers(a),
-                        lambda: sums(_radial_profile(cfg).values), what)
+            found.append((f"{where}.profile", profile["amplitude"],
+                          _power_sums(cfg, points, lambda f0=spec.f0: f0,
+                                      points / spec.f0.size)))
+    for where, amplitude, (bound, sums, what) in found:
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = np.float64(abs(amplitude))
+            if math.isfinite(_AMPLITUDE_MARGIN * bound(a)) or all(
+                    math.isfinite(x) for x in sums()):
+                continue
+        _fail(errors, f"{where}.amplitude", f"{amplitude!r} gives a field "
+                                            f"whose {what} is not finite")
 
 
 def _norm_grid(errors, raw) -> dict | None:
@@ -539,12 +506,6 @@ def _norm_grid(errors, raw) -> dict | None:
     return out
 
 
-_NEEDS_GRID = {"simulate", "conservation-report", "planewave", "standing",
-               "semiclassical", "stability", "two-wave"}
-_NEEDS_INITIAL = {"simulate", "conservation-report"}
-_NEEDS_RUN = {"simulate", "conservation-report", "planewave", "standing"}
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Validate a JSON experiment config; raises ConfigError carrying the
     full list of problems, or returns the normalized config with advisory
@@ -560,25 +521,22 @@ def parse_config(text: str) -> ExperimentConfig:
     if kind not in KINDS:
         raise ConfigError([f"kind: expected one of {'|'.join(KINDS)}, "
                            f"got {kind!r}"])
+    decl = _DECLARATIONS[kind]
 
     errors = []
     grid = None
-    if kind in _NEEDS_GRID and "grid" in raw:
+    if "grid" in decl.sections and "grid" in raw:
         grid = _norm_grid(errors, raw["grid"])   # the sections below read it
     keys = {"kind": (_given(kind), _REQUIRED),
             "nonlinearity": (_sub(_NONLINEARITY), {"lam": 1.0, "sigma": 2.0}),
             "output": (_text, "."), "seed": (_integer(0), 0)}
-    if kind in _NEEDS_GRID:
-        keys["grid"] = (_given(grid), _REQUIRED)
-    if kind in _NEEDS_INITIAL:
-        keys["initial"] = (_initial(grid and grid["d"]), _REQUIRED)
-    if kind in _NEEDS_RUN:
-        keys["run"] = (_sub(_RUN, _auditable if kind == "conservation-report"
-                            else _runnable), _REQUIRED)
-    block_check = _block_check(kind, grid)
-    if block_check is not None:
-        keys[kind] = (block_check, _REQUIRED)
-    for name in ("grid", "initial", "run"):
+    sections = {"grid": _given(grid), "initial": _initial(grid and grid["d"]),
+                "run": _sub(_RUN, decl.run_rule)}
+    for name in decl.sections:
+        keys[name] = (sections[name], _REQUIRED)
+    if decl.block is not None:
+        keys[kind] = (decl.block(grid), _REQUIRED)
+    for name in sections:
         keys.setdefault(name, (_refuse(f"kind {kind!r} takes no {name} "
                                        f"section"), None))
     top = _section(errors, "", raw, keys)
@@ -591,26 +549,26 @@ def parse_config(text: str) -> ExperimentConfig:
         seed=top["seed"],
         config_hash=hashlib.sha256(canonical.encode("utf-8")).hexdigest())
     # once the block's keys are valid (no other key starts like the kind),
-    # the two speeds are compared, and the specs decide whether a wave
-    # fits its box if the grid and the nonlinearity are valid as well
+    # its cross-key rule runs, and the specs decide whether a wave fits its
+    # box if the grid and the nonlinearity are valid as well
     block_ok = cfg.block and not any(e.startswith(kind) for e in errors)
-    if block_ok and kind == "two-wave":
-        _distinct_speeds(errors, cfg.block)
-    specs = {}
+    if block_ok and decl.rule is not None:
+        decl.rule(errors, cfg.block)
+    specs, box = {}, cfg.build_grid() if grid else None
     nonlinearity_ok = not any(e.startswith("nonlinearity") for e in errors)
     if block_ok and grid and nonlinearity_ok:
-        specs = _wave_specs(cfg, errors)
-    if nonlinearity_ok and (grid or kind not in _NEEDS_GRID):
-        _amplitude_rules(errors, cfg, specs)
+        specs = _wave_specs(cfg, box, errors)
+    if nonlinearity_ok and (grid or "grid" not in decl.sections):
+        _amplitude_rules(errors, cfg, box, specs)
     if errors:
         raise ConfigError(errors)
     for where, spec in specs.items():     # advisory lint: profile hypotheses
-        _, profile = spec.profile(cfg.build_grid())
+        _, profile = spec.profile(box)
         label = f"{where}.profile".removeprefix(f"{kind}.")
         cfg.warnings += [f"{label}: {w}" for w in profile_hypothesis_warnings(
             spec.f0, profile.grid.length[0])]
-    if kind == "stability":               # and regime certification
-        in_regime, note = specs[kind].regime(cfg.build_grid())
+    if decl.regime:                       # and regime certification
+        in_regime, note = specs[kind].regime(box)
         if not in_regime:
             cfg.warnings.append(f"out-of-regime: {note}")
     return cfg
@@ -684,11 +642,14 @@ class _RunDir:
         self._put(name, lambda path: save_radial_csv(profile, path))
 
 
-def _run_full(cfg, grid, make_u0, out):
+def _run_full(cfg, out, make_u0=None):
     """Shared full-grid march: series CSV, optional stride snapshots, and
-    a final snapshot.  `make_u0()` returns the initial field; it is formed
-    inside the call to `run`, so no frame here keeps it and `run` frees it
-    at the first step."""
+    a final snapshot.  `make_u0(grid)` (by default the recipe `initial`)
+    forms the initial field inside the call to `run`, so no frame here
+    keeps it and `run` frees it at the first step."""
+    grid = cfg.build_grid()
+    make_u0 = make_u0 or (lambda grid: _field_from_block(cfg.initial, grid,
+                                                         cfg.seed))
     problem = EvolutionProblem(grid, lam=cfg.lam, sigma=cfg.sigma)
     rc = cfg.run
     stride = rc["snapshot_stride"]
@@ -699,20 +660,15 @@ def _run_full(cfg, grid, make_u0, out):
             out.snapshot(f"snap_{emitted[0]:05d}.snap", st.field)
         emitted[0] += 1
 
-    state, series = run(make_u0(), problem, _run_config(rc), observer)
+    state, series = run(make_u0(grid), problem, _run_config(rc), observer)
     out.series("observables.csv", _series_columns(series))
     out.snapshot("final.snap", state.field)
     return state, series
 
 
-def _exp_simulate(cfg, out) -> str:
-    """Plain initial-value run: observables.csv, snapshots, final.snap;
-    a conservation-report adds a drift report (conservation.json)."""
-    grid = cfg.build_grid()
-    state, series = _run_full(cfg, grid, lambda: _field_from_block(
-        cfg.initial, grid, cfg.seed), out)
-    if cfg.kind == "simulate":
-        return state.status
+def _exp_conservation_report(cfg, out) -> str:
+    """A simulate run plus its drift report (conservation.json)."""
+    state, series = _run_full(cfg, out)
     rep = verify_conservation(series)
     out.json("conservation.json", {"status": state.status, **{
         key: getattr(rep, key) for key in (
@@ -722,60 +678,44 @@ def _exp_simulate(cfg, out) -> str:
     return state.status
 
 
-def _wave_spec(cfg, grid, side):
-    """The plane or standing wave spec of `side`, the wave block itself or
-    the first or second of a two-wave block.  Its profile is sampled on
-    the grid that `profile(grid)` gives the spec with a zero profile,
-    which raises GridError when the wave does not fit `grid`."""
-    b, f0 = cfg.block, np.zeros(cfg.block["n"])
-    if "omega" in b:
-        spec = StandingWaveSpec(f0=f0, omega=b["omega"], lam=cfg.lam,
-                                sigma=cfg.sigma)
-    else:
-        spec = PlaneWaveSpec(f0=f0, period=b["period"], c=tuple(side["c"]),
-                             lam=cfg.lam, sigma=cfg.sigma)
-    _, profile = spec.profile(grid)
-    p = side["profile"]
-    if p["shape"] == "zero":
-        return spec
-    return replace(spec, f0=gaussian_field(profile.grid, p["amplitude"],
-                                           p["width"], (p["center"],)).values)
-
-
-def _wave_specs(cfg, errors=None) -> dict:
-    """{block path: plane or standing wave spec} of a planewave, standing,
-    stability or two-wave config; empty for the other kinds.  A wave that
-    does not fit the box raises its spec's GridError, or, when `errors`
-    is given, has it reported there at its block path and is left out."""
-    b = cfg.block
-    if cfg.kind == "two-wave":
-        sides = {f"two-wave.{name}": b[name] for name in ("first", "second")}
-    elif cfg.kind in ("planewave", "standing", "stability"):
-        sides = {cfg.kind: b}
-    else:
-        return {}
-    grid = cfg.build_grid()
-    specs = {}
-    for where, side in sides.items():
+def _wave_specs(cfg, grid, errors=None) -> dict:
+    """{block path: plane or standing wave spec} of every wave the kind
+    declares.  Its profile is sampled on the grid that `profile(grid)`
+    gives the spec with a zero profile, which raises GridError when the
+    wave does not fit `grid`; when `errors` is given, the misfit is
+    reported there at the block path instead and the wave left out."""
+    b, specs = cfg.block, {}
+    for where in _DECLARATIONS[cfg.kind].waves:
+        side, f0 = _at(cfg, where), np.zeros(b["n"])
         try:
-            specs[where] = _wave_spec(cfg, grid, side)
+            if "omega" in b:
+                spec = StandingWaveSpec(f0=f0, omega=b["omega"], lam=cfg.lam,
+                                        sigma=cfg.sigma)
+            else:
+                spec = PlaneWaveSpec(f0=f0, period=b["period"],
+                                     c=tuple(side["c"]), lam=cfg.lam,
+                                     sigma=cfg.sigma)
+            _, profile = spec.profile(grid)
         except GridError as exc:
             if errors is None:
                 raise
             _fail(errors, where, str(exc))
+            continue
+        p = side["profile"]
+        specs[where] = spec if p["shape"] == "zero" else replace(
+            spec, f0=gaussian_field(profile.grid, p["amplitude"], p["width"],
+                                    (p["center"],)).values)
     return specs
 
 
 def _exp_structured_wave(cfg, out) -> str:
     """Evolve a lifted plane or standing wave and compare against the
     profile flow; writes <kind>.json."""
-    grid = cfg.build_grid()
-    spec = _wave_specs(cfg)[cfg.kind]
-    state, _ = _run_full(cfg, grid, lambda: wave_field(spec, 0.0, grid),
-                         out)
+    spec = _wave_specs(cfg, cfg.build_grid())[cfg.kind]
+    state, _ = _run_full(cfg, out, lambda grid: wave_field(spec, 0.0, grid))
     mismatch = None
     if state.status == STATUS_DONE:
-        ref = wave_field(spec, state.t, grid, dt=cfg.run["dt0"])
+        ref = wave_field(spec, state.t, state.field.grid, dt=cfg.run["dt0"])
         scale = max(l2_norm(ref), 1e-300)
         # the difference is formed in the reference's own buffer, which
         # nothing else reads, so only the run's field stands beside it
@@ -904,7 +844,7 @@ def _exp_stability(cfg, out) -> str:
     """
     grid = cfg.build_grid()
     b = cfg.block
-    spec = _wave_specs(cfg)["stability"]
+    spec = _wave_specs(cfg, grid)["stability"]
     shape = _field_from_block(b["shape"], grid, cfg.seed)
     reports = stability_run(spec, shape, b["eps"], b["t_end"], dt=b["dt"],
                             sample_stride=b["sample_stride"],
@@ -924,9 +864,8 @@ def _exp_two_wave(cfg, out) -> str:
     """Interaction remainder of two plane waves at distinct speeds."""
     grid = cfg.build_grid()
     b = cfg.block
-    specs = _wave_specs(cfg)
-    series = two_wave_run(specs["two-wave.first"], specs["two-wave.second"],
-                          None, b["t_end"], grid, dt=b["dt"],
+    first, second = _wave_specs(cfg, grid).values()
+    series = two_wave_run(first, second, None, b["t_end"], grid, dt=b["dt"],
                           sample_stride=b["sample_stride"])
     out.series("two_wave.csv", {"t": series.t,
                                 "remainder": series.remainder})
@@ -938,17 +877,77 @@ def _exp_two_wave(cfg, out) -> str:
     return series.status
 
 
-_EXPERIMENTS = {
-    "simulate": _exp_simulate,
-    "conservation-report": _exp_simulate,
-    "planewave": _exp_structured_wave,
-    "standing": _exp_structured_wave,
-    "semiclassical": _exp_semiclassical,
-    "radial": _exp_radial,
-    "transform-check": _exp_transform_check,
-    "stability": _exp_stability,
-    "two-wave": _exp_two_wave,
+# ---------------------------------------------------------------------------
+# experiment kinds
+
+@dataclass(frozen=True)
+class _Kind:
+    """What one experiment kind is; `_DECLARATIONS` holds one per kind."""
+
+    run: Callable                   # run(cfg, out) -> status
+    sections: tuple = ()            # those it takes of grid, initial, run
+    run_rule: Callable = _runnable  # the run section's cross-key rule
+    block: Callable | None = None   # block(grid): the check of its block
+    rule: Callable | None = None    # rule(errors, block), once keys are valid
+    waves: tuple = ()               # the block paths of its waves
+    regime: bool = False            # warn when its wave is uncertified
+    amplitudes: tuple = ()          # (block path, rule) of other amplitudes
+
+
+_DECLARATIONS = {
+    # observables.csv, snapshots and final.snap
+    "simulate": _Kind(lambda cfg, out: _run_full(cfg, out)[0].status,
+                      ("grid", "initial", "run"),
+                      amplitudes=(("initial", _recipe_sums),)),
+    "planewave": _Kind(
+        _exp_structured_wave, ("grid", "run"),
+        block=lambda grid: _sub({**_PROFILE, **_wave_keys(grid)["plane"]}),
+        waves=("planewave",)),
+    "standing": _Kind(
+        _exp_structured_wave, ("grid", "run"),
+        block=lambda grid: _sub({**_PROFILE, **_wave_keys(grid)["standing"]}),
+        waves=("standing",)),
+    "semiclassical": _Kind(
+        _exp_semiclassical, ("grid",),
+        block=lambda grid: _sub({
+            "k": (_FINITE, _REQUIRED), "a0": (_FINITE, 0.0),
+            "gamma0": (_FINITE, 1.0),
+            "candidate": (_initial(grid and grid["d"]), _REQUIRED),
+            "t_end": (_POSITIVE, _REQUIRED), "samples": (_integer(2), 33)}),
+        amplitudes=(("semiclassical.candidate", _recipe_sums),)),
+    # a radial run may end where it starts (t_end = 0)
+    "radial": _Kind(
+        _exp_radial,
+        block=lambda grid: _sub({
+            "n": (_integer(8), 256), "r_max": (_POSITIVE, _REQUIRED),
+            "eps": (_number(0.0), 0.0), "sign": (_one_of(1, -1), 1),
+            **_AMPLITUDE, "width": (_POSITIVE, _REQUIRED), **_MARCH,
+            "t_end": (_number(0.0), _REQUIRED), **_CEILING,
+            "concentration_eps": (_list(_FINITE), None)}, _radial_rules),
+        amplitudes=(("radial", _radial_sums),)),
+    "transform-check": _Kind(
+        _exp_transform_check,
+        block=lambda grid: _sub({
+            "a0": (_FINITE, _REQUIRED), "k": (_FINITE, _REQUIRED),
+            "d": (_integer(1, 3), 2), "t_end": (_POSITIVE, 1.0),
+            "nodes": (_integer(_RESIDUAL_SAMPLES), 201),
+            "max_step": (_POSITIVE, 1e-3)})),
+    "stability": _Kind(
+        _exp_stability, ("grid",),
+        block=lambda grid: _tagged("wave", _wave_keys(grid), {
+            **_PROFILE, "shape": (_initial(grid and grid["d"]), _REQUIRED),
+            "eps": (_list(_number(0.0)), _REQUIRED), **_MARCH,
+            "grow_factor": (_POSITIVE, 10.0), **_CEILING}),
+        waves=("stability",), regime=True,
+        amplitudes=(("stability.shape", _h1_norm),)),
+    "two-wave": _Kind(_exp_two_wave, ("grid",), block=_two_wave_block,
+                      rule=_distinct_speeds,
+                      waves=("two-wave.first", "two-wave.second")),
+    "conservation-report": _Kind(
+        _exp_conservation_report, ("grid", "initial", "run"),
+        run_rule=_auditable, amplitudes=(("initial", _recipe_sums),)),
 }
+KINDS = tuple(_DECLARATIONS)
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> int:
@@ -966,7 +965,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> int:
     started = _now()
     out = _RunDir(outdir)
     try:
-        status = _EXPERIMENTS[config.kind](config, out)
+        status = _DECLARATIONS[config.kind].run(config, out)
     except Exception as exc:
         status = f"Failed: {type(exc).__name__}: {exc}"
     manifest = RunManifest(config_hash=config.config_hash,

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -258,6 +259,113 @@ def test_parse_collects_every_error_through_tagged_sections():
         parse_config(_cfg(grid={"preset": 3, "n": 63, "length": 40.0}))
     joined = " | ".join(info.value.errors)
     assert "grid.preset" in joined and "grid.n" in joined
+
+
+_GRID32 = {"preset": "hnls", "d": 2, "n": 32, "length": 40.0}
+_WIDTH3 = {"shape": "gaussian", "width": 3.0}
+_HUGE = {"shape": "gaussian", "amplitude": 1e200, "width": 2.0}
+_NOT_FINITE = "gives a field whose |u|^2 or |u|^4 summed over the box is " \
+              "not finite"
+_NOT_HARMONIC = "omega = 0.3 is not an x-harmonic of the box (needs " \
+                "omega = 2 pi m / len_x)"
+
+# (sections, every error in the order reported) per experiment kind: each
+# config has several problems, in different sections and rules at once
+_MANY_ERRORS = {
+    "simulate": (
+        {"grid": {**_GRID32, "n": [63, 64]},
+         "initial": {"shape": "gaussian", "width": -1.0},
+         "run": {"t_end": 0.1, "dt0": 0.0, "cadence": 5}, "mystery": 1},
+        ["grid.n[0]: every grid size must be a power of two (>= 8), got 63",
+         "config: unknown key 'mystery'",
+         "initial.width: must be > 0.0, got -1.0",
+         "run: unknown key 'cadence'",
+         "run.dt0: must be > 0.0, got 0.0"]),
+    "conservation-report": (
+        {"grid": {**_GRID32, "n": 16, "length": 20.0}, "initial": _HUGE,
+         "run": {"t_end": 0.01}, "output": 7},
+        ["output: expected a string, got 7",
+         "run: conservation-report needs at least 5 samples; t_end, dt0 "
+         "and sample_stride give 2",
+         f"initial.amplitude: 1e+200 {_NOT_FINITE}"]),
+    "planewave": (
+        {"grid": _GRID32, "planewave": {"profile": _WIDTH3, "c": [0.3]},
+         "run": {"t_end": 0.05, "dt0": -1.0}, "output": 7},
+        ["output: expected a string, got 7",
+         "run.dt0: must be > 0.0, got -1.0",
+         "planewave: c[0] * len_y / len_x = 0.3 is not an integer; the "
+         "lifted wave would not be periodic on this box"]),
+    "standing": (
+        {"grid": _GRID32, "standing": {"profile": _WIDTH3, "omega": 0.3},
+         "initial": _WIDTH3},
+        ["config: missing required key 'run'",
+         "initial: kind 'standing' takes no initial section",
+         f"standing: {_NOT_HARMONIC}"]),
+    "semiclassical": (
+        {"grid": _GRID32,
+         "semiclassical": {"k": 0.25, "candidate": _HUGE, "t_end": 0.1},
+         "run": {"t_end": 0.1}, "seed": -1},
+        ["seed: must be >= 0, got -1",
+         "run: kind 'semiclassical' takes no run section",
+         f"semiclassical.candidate.amplitude: 1e+200 {_NOT_FINITE}"]),
+    "radial": (
+        {"grid": _GRID32, "nonlinearity": {"sigma": -1.0},
+         "radial": {"n": 64, "r_max": 10.0, "eps": 10.0, "width": 1.0,
+                    "t_end": 0.02, "concentration_eps": [5.0]}},
+        ["nonlinearity.sigma: must be >= 0.0, got -1.0",
+         "radial.eps: must be < r_max = 10.0, got 10.0",
+         "radial.concentration_eps[0]: must be > eps = 10.0, got 5.0",
+         "radial.concentration_eps: the concentration scan needs at least "
+         "5 samples; t_end, dt and sample_stride give 3",
+         "grid: kind 'radial' takes no grid section"]),
+    "transform-check": (
+        {"transform-check": {"a0": 0.0, "d": 4, "nodes": 2, "tau": 1.0}},
+        ["transform-check: unknown key 'tau'",
+         "transform-check: missing required key 'k'",
+         "transform-check.d: must be <= 3, got 4",
+         "transform-check.nodes: must be >= 3, got 2"]),
+    "stability": (
+        {"grid": _GRID32,
+         "stability": {"wave": "standing", "omega": 0.3, "profile": _WIDTH3,
+                       "shape": {"shape": "zero"}, "eps": [1e-3],
+                       "t_end": 0.01},
+         "output": 7, "seed": "x"},
+        ["output: expected a string, got 7",
+         "seed: expected an integer, got 'x'",
+         f"stability: {_NOT_HARMONIC}"]),
+    "two-wave": (
+        {"grid": _GRID32,
+         "two-wave": {"first": {"profile": _HUGE, "c": [1.0]},
+                      "second": {"profile": _WIDTH3, "c": [1.0]},
+                      "t_end": 0.01},
+         "output": 7},
+        ["output: expected a string, got 7",
+         "two-wave.second.c: must differ from first.c: the two waves need "
+         "distinct speeds",
+         f"two-wave.first.profile.amplitude: 1e+200 {_NOT_FINITE}"]),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_parse_reports_every_error_in_order(kind):
+    sections, errors = _MANY_ERRORS[kind]
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps({"kind": kind, **sections}))
+    assert info.value.errors == errors
+
+
+_README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
+
+
+def test_readme_configs_parse_with_their_warnings():
+    with open(_README, encoding="utf-8") as f:
+        blocks = re.findall(r"```json\n(.*?)```", f.read(), re.S)
+    found = [(cfg.kind, cfg.warnings) for cfg in map(parse_config, blocks)]
+    assert found == [
+        ("simulate", []),
+        ("stability", ["out-of-regime: outside certified windows: d=2, "
+                       "sigma=4.0, (|c|-1)lam=-0.5"])]
 
 
 def test_parse_rejects_wrong_sections_and_kind():
@@ -805,6 +913,15 @@ _TINY_RUNS = {
                       "t_end": 0.01}},
         ["two_wave.csv", "two_wave.json"]),
 }
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if k in _TINY_RUNS[k][0]])
+def test_a_missing_block_is_one_config_error(kind):
+    # the rules on the block's amplitudes wait for the block itself
+    sections = {k: v for k, v in _TINY_RUNS[kind][0].items() if k != kind}
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps({"kind": kind, **sections}))
+    assert info.value.errors == [f"config: missing required key '{kind}'"]
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import weakref
 
@@ -564,17 +565,20 @@ def test_step_and_sample_memory_is_bounded(n, monkeypatch):
     assert step <= scratch + 32 * 1024
     if n == 512:
         assert step <= field // 4
-    assert taken <= _sample_scratch(nb, size) + slack
+    assert taken <= _sample_scratch(nb, g.n) + slack
 
 
-def _sample_scratch(nb: int, size: int) -> int:
-    """A sample's largest scratch on nb row blocks of a field of `size`
-    points whose chunks hold CHUNK_POINTS points or the whole block: two
-    complex chunks for the moment fluxes and one of numpy's iterator
-    buffers (up to 8192 complex values) for the broadcast multiply by
-    i xi_j."""
+def _sample_scratch(nb: int, shape: tuple) -> int:
+    """A sample's largest scratch on nb row blocks of a field of `shape`
+    whose chunks hold CHUNK_POINTS points or the whole block: two complex
+    chunks for the moment fluxes and one of numpy's iterator buffers (up
+    to 8192 complex values) for the broadcast multiply by i xi_j, plus
+    the partial marginals of the axis j that streams, one of n_j floats
+    per chunk."""
+    size = math.prod(shape)
     chunk = min(spectral.CHUNK_POINTS, size // nb)
-    return nb * (2 * chunk + min(chunk, 8192)) * 16
+    partials = max(1, size // spectral.CHUNK_POINTS) * max(shape) * 8
+    return nb * (2 * chunk + min(chunk, 8192)) * 16 + partials
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -597,7 +601,7 @@ def test_sample_after_steps_holds_no_propagator_and_no_abs2(d, monkeypatch):
     finally:
         tracemalloc.stop()
     # holding L(h/2) or |u|^2 would add a quarter of the field or more
-    assert taken <= _sample_scratch(2, march.spectrum.size) + slack
+    assert taken <= _sample_scratch(2, g.n) + slack
 
 
 @needs_owned_arguments
@@ -634,7 +638,7 @@ def test_run_peak_holds_the_march_and_one_sample(monkeypatch):
     mib = 2 ** 20
     bound = (4 * mib                            # spectrum
              + 4 * mib                          # field
-             + _sample_scratch(2, 64 ** 3)      # the sample's chunks
+             + _sample_scratch(2, g.n)         # the sample's chunks
              + mib // 2)                        # margin
     problem = EvolutionProblem(g, lam=1.0, sigma=2.0)
     tracemalloc.start()
