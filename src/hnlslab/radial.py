@@ -10,12 +10,17 @@ lift of profile pairs back to a 2-D grid, the trace-jump diagnostic at
 the cone |x| = |y|, the ground-state shooting machinery, and the
 concentration scan used to localize blow-up at the cone.
 
-scipy is imported inside the functions that use it, so `import hnlslab`
-does not load it unless a radial computation runs.
+The Crank-Nicolson step factors and solves its tridiagonal matrix with
+LAPACK's zgttrf/zgttrs from the library numpy's own linear algebra links,
+reached through ctypes, so a radial run loads nothing new; scipy's
+binding of the same routines is the fallback where numpy's LAPACK lacks
+them.  The ground-state shooting and the cone lift import scipy inside
+the functions that use it, so `import hnlslab` does not load it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -241,33 +246,126 @@ class RadialRunResult:
     steps: int
 
 
+def _numpy_lapack():
+    """(factor, bind) through numpy's own LAPACK, or None where it lacks
+    zgttrf/zgttrs.
+
+    numpy's wheels link scipy-openblas64, an ILP64 LAPACK whose symbols
+    carry a `scipy_` prefix and a `64_` suffix; `numpy.linalg` has loaded
+    it already.  Every integer goes by pointer to an int64, and zgttrs
+    takes the hidden Fortran length of its TRANS argument last.
+    `factor(dl, d, du)` returns (dl, d, du, du2, ipiv), the diagonals
+    factored in place (copied only if not contiguous complex), and
+    zgttrf's info; `bind(lu, b)` returns a call that solves b, a
+    contiguous complex array of the matrix's size, in place with those
+    factors and returns zgttrs's info.  The call's arguments are built
+    once: the pointers keep their arrays alive.
+    """
+    import ctypes
+    from numpy.linalg import _umath_linalg
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        gttrf, gttrs = lib.scipy_zgttrf_64_, lib.scipy_zgttrs_64_
+    except (OSError, AttributeError):
+        return None
+    p = ctypes.c_void_p
+    gttrf.argtypes, gttrf.restype = [p] * 7, None
+    gttrs.argtypes = [ctypes.c_char_p] + [p] * 10 + [ctypes.c_size_t]
+    gttrs.restype = None
+
+    def ptr(a):
+        return a.ctypes.data_as(p)
+
+    def factor(dl, d, du):
+        dl, d, du = (np.ascontiguousarray(a, np.complex128)
+                     for a in (dl, d, du))
+        n = len(d)
+        if not len(dl) == len(du) == n - 1:
+            raise ValueError(f"off-diagonals of {len(dl)} and {len(du)} "
+                             f"entries beside a diagonal of {n}")
+        lu = (dl, d, du, np.zeros(max(n - 2, 0), np.complex128),
+              np.zeros(n, np.int64))
+        info = np.zeros(1, np.int64)
+        gttrf(ptr(np.array([n], np.int64)), *map(ptr, lu), ptr(info))
+        return lu, int(info[0])
+
+    def bind(lu, b):
+        if (b.dtype != np.complex128 or not b.flags.c_contiguous
+                or b.shape != lu[1].shape):
+            raise ValueError("the right-hand side must be a contiguous "
+                             "complex array of the matrix's size")
+        n, one, info = (np.array([k], np.int64) for k in (len(b), 1, 0))
+        args = (b"N", ptr(n), ptr(one), *map(ptr, lu), ptr(b), ptr(n),
+                ptr(info), 1)
+
+        def solve() -> int:
+            gttrs(*args)
+            return int(info[0])
+        return solve
+
+    return factor, bind
+
+
+def _scipy_lapack():
+    """(factor, bind) of `_numpy_lapack` through scipy's LAPACK binding."""
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
+    def factor(dl, d, du):
+        *lu, info = zgttrf(dl, d, du)
+        return tuple(lu), info
+
+    def bind(lu, b):
+        return lambda: zgttrs(*lu, b, overwrite_b=1)[1]
+
+    return factor, bind
+
+
+@functools.cache
+def _tridiagonal_lapack():
+    """The zgttrf/zgttrs pair of this process: numpy's LAPACK where it
+    has them, which loads nothing, else scipy's."""
+    return _numpy_lapack() or _scipy_lapack()
+
+
 class _CrankNicolsonHalf:
     """Cayley map approximating exp(i * sign * A * dt/2) on active nodes.
 
     The tridiagonal left-hand matrix is LU-factored once per dt (LAPACK
-    zgttrf, partial pivoting), and each `apply` is one zgttrs solve.
+    zgttrf, partial pivoting, from `_tridiagonal_lapack`), and each
+    `apply` forms its right-hand side in a buffer kept with the factors
+    and makes one zgttrs solve there, in place.
     """
 
     def __init__(self, triplets, sign: int, dt: float):
-        from scipy.linalg.lapack import zgttrf, zgttrs
         sub, diag, sup = triplets
         th = 0.25j * sign * dt  # (dt/2)/2 enters each side of the Cayley map
-        *lu, info = zgttrf(-th * sub[1:], 1.0 - th * diag, -th * sup[:-1])
+        factor, bind = _tridiagonal_lapack()
+        self._lu, info = factor(-th * sub[1:], 1.0 - th * diag,
+                                -th * sup[:-1])
         if info != 0:
             raise ValueError(f"Crank-Nicolson matrix at dt={dt} is "
                              f"singular (zgttrf info={info})")
-        self._lu = lu
-        self._solve = zgttrs
         self._rd = 1.0 + th * diag
-        self._ru = th * sup
-        self._rs = th * sub
+        self._ru = th * sup[:-1]
+        self._rs = th * sub[1:]
+        self._b = np.empty_like(self._rd)
+        self._lo, self._hi = self._b[:-1], self._b[1:]
+        self._off = np.empty_like(self._ru)
+        self._solve = bind(self._lu, self._b)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        rhs = self._rd * v
-        rhs[:-1] += self._ru[:-1] * v[1:]
-        rhs[1:] += self._rs[1:] * v[:-1]
-        x, _ = self._solve(*self._lu, rhs, overwrite_b=1)
-        return x
+        """The map of v, in this solver's own buffer, which the next call
+        overwrites; v must not share memory with that buffer."""
+        b, lo, hi, off = self._b, self._lo, self._hi, self._off
+        np.multiply(self._rd, v, b)
+        np.multiply(self._ru, v[1:], off)
+        np.add(lo, off, lo)
+        np.multiply(self._rs, v[:-1], off)
+        np.add(hi, off, hi)
+        info = self._solve()
+        if info != 0:
+            raise ValueError(f"zgttrs refused its arguments (info={info})")
+        return b
 
 
 def solve_radial(profile: RadialProfile, dt: float, t_end: float, *,
@@ -305,17 +403,19 @@ def solve_radial(profile: RadialProfile, dt: float, t_end: float, *,
         traj = RadialTrajectory(profile.r)
         on_sample = traj.append
     cn, built_dt = None, None
+    mag = np.empty(len(vals[act]))
 
     def step(h: float) -> float:
-        nonlocal vals, sup, cn, built_dt
+        # each step writes into the carried vals, whose pinned wall nodes
+        # stay zero; each half step lands in the solver's own buffer
+        nonlocal sup, cn, built_dt
         if h != built_dt:
             cn, built_dt = _CrankNicolsonHalf(trip, s, h), h
         a = cn.apply(vals[act])
         _nonlinear_stage(a, h, lam, sigma)
-        a = cn.apply(a)
-        vals = np.zeros_like(vals)
         vals[act] = a
-        sup = float(np.max(np.abs(vals)))
+        vals[act] = cn.apply(vals[act])
+        sup = float(np.abs(vals[act], out=mag).max())
         return sup
 
     def record(m: MarchState) -> float:

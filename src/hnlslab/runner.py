@@ -331,9 +331,29 @@ def _auditable(errors, where, run):
                                  f"sample_stride give {samples}")
 
 
+def _too_narrow(errors, where, block, axes) -> bool:
+    """Whether the Gaussian `block` at `where` squares (x - center) / width
+    out of double range at a node x of one of `axes` (coordinate arrays),
+    as forming its field would; if so the width is refused.  `width` and
+    `center` (0 when absent) are scalars or one entry per axis."""
+    d = len(axes)
+    widths = np.broadcast_to(block["width"], (d,))
+    centers = np.broadcast_to(block.get("center") or 0.0, (d,))
+    with np.errstate(over="ignore"):
+        reach = [np.max(np.abs(x - c)) / w
+                 for x, w, c in zip(axes, widths, centers)]
+        if all(np.isfinite(q * q) for q in reach):
+            return False
+    _fail(errors, f"{where}.width", f"{block['width']!r} is too narrow for "
+                                    f"the box: ((x - center) / width)^2 "
+                                    f"overflows")
+    return True
+
+
 def _radial_rules(errors, where, block):
-    """The hole lies inside the box, and a concentration scan has grid
-    points inside each radius and the samples it needs."""
+    """The hole lies inside the box, the Gaussian's (r / width)^2 is finite
+    on its nodes, and a concentration scan has grid points inside each
+    radius and the samples it needs."""
     if block["eps"] >= block["r_max"]:
         _fail(errors, f"{where}.eps", f"must be < r_max = {block['r_max']}, "
                                       f"got {block['eps']}")
@@ -341,6 +361,8 @@ def _radial_rules(errors, where, block):
         if e <= block["eps"]:
             _fail(errors, f"{where}.concentration_eps[{i}]",
                   f"must be > eps = {block['eps']}, got {e}")
+    _too_narrow(errors, where, block, (np.linspace(
+        block["eps"], block["r_max"], block["n"]),))
     samples = _fixed_dt_samples(RunConfig(
         t_end=block["t_end"], dt0=block["dt"],
         sample_stride=block["sample_stride"]))
@@ -430,13 +452,17 @@ def _amplitude_rules(errors, cfg, grid, specs) -> None:
     nonlinearity are valid.  No recipe's modulus exceeds its amplitude,
     so `bound(|amplitude|)` bounds those sums, and `sums()` builds the
     field only when the bound is within _AMPLITUDE_MARGIN of overflow.  A
-    refusal is reported at the amplitude key of the block."""
+    refusal is reported at the amplitude key of the block.  A Gaussian on
+    the grid too narrow for it (`_too_narrow`) is refused at its width
+    key instead, and its amplitude is not checked."""
     found = []
     for where, bound_and_sums in _DECLARATIONS[cfg.kind].amplitudes:
         block = _at(cfg, where)
         section = where.partition(".")[0]
         if (block is not None and block.get("shape") != "zero"
-                and not any(e.startswith(section) for e in errors)):
+                and not any(e.startswith(section) for e in errors)
+                and not (block.get("shape") == "gaussian" and _too_narrow(
+                    errors, where, block, grid.coords))):
             found.append((where, block["amplitude"],
                           bound_and_sums(cfg, grid, block)))
     for where, spec in specs.items():
@@ -682,8 +708,9 @@ def _wave_specs(cfg, grid, errors=None) -> dict:
     """{block path: plane or standing wave spec} of every wave the kind
     declares.  Its profile is sampled on the grid that `profile(grid)`
     gives the spec with a zero profile, which raises GridError when the
-    wave does not fit `grid`; when `errors` is given, the misfit is
-    reported there at the block path instead and the wave left out."""
+    wave does not fit `grid`; when `errors` is given, the misfit, or a
+    Gaussian profile too narrow for that grid, is reported there at the
+    block path instead and the wave left out."""
     b, specs = cfg.block, {}
     for where in _DECLARATIONS[cfg.kind].waves:
         side, f0 = _at(cfg, where), np.zeros(b["n"])
@@ -702,6 +729,9 @@ def _wave_specs(cfg, grid, errors=None) -> dict:
             _fail(errors, where, str(exc))
             continue
         p = side["profile"]
+        if (errors is not None and p["shape"] == "gaussian" and _too_narrow(
+                errors, f"{where}.profile", p, profile.grid.coords)):
+            continue
         specs[where] = spec if p["shape"] == "zero" else replace(
             spec, f0=gaussian_field(profile.grid, p["amplitude"], p["width"],
                                     (p["center"],)).values)

@@ -409,6 +409,10 @@ def _bump(amplitude):
     return {"shape": "gaussian", "amplitude": amplitude, "width": 2.0}
 
 
+def _narrow(width, **extra):
+    return {"shape": "gaussian", "amplitude": 0.5, "width": width, **extra}
+
+
 _BOX16 = {"preset": "hnls", "d": 2, "n": 16, "length": 20.0}
 
 
@@ -531,6 +535,32 @@ def _standing_cfg(kind="standing", n=32, block=None):
     # the perturbation is rescaled by its H1 norm, which must be finite
     ("stability", _stability_cfg(shape=_bump(1e200)),
      "stability.shape.amplitude"),
+    # a Gaussian whose ((x - center) / width)^2 overflows on the box: numpy
+    # warned of the overflow and the run wrote a one-point spike
+    ("simulate", _cfg(initial=_narrow(1e-300)), "initial.width"),
+    ("simulate", _cfg(initial=_narrow([3.0, 1e-300])), "initial.width"),
+    ("simulate", _cfg(initial=_narrow(1.0, center=[1e300, 0.0])),
+     "initial.width"),
+    ("conservation-report", _cfg(kind="conservation-report",
+                                 initial=_narrow(1e-300)), "initial.width"),
+    ("planewave", _planewave_cfg(profile=_narrow(1e-300)),
+     "planewave.profile.width"),
+    ("standing", _standing_cfg(block={"omega": _OMEGA,
+                                      "profile": _narrow(1e-300)}),
+     "standing.profile.width"),
+    ("two-wave", _two_wave_cfg(1.0, -1.0, first=_narrow(1e-300)),
+     "two-wave.first.profile.width"),
+    ("stability", _stability_cfg(profile=_narrow(1e-300)),
+     "stability.profile.width"),
+    ("stability", _stability_cfg(shape=_narrow(1e-300)),
+     "stability.shape.width"),
+    ("semiclassical", json.dumps({
+        "kind": "semiclassical",
+        "grid": {"preset": "hnls", "d": 2, "n": 32, "length": 40.0},
+        "semiclassical": {"k": 0.25, "candidate": _narrow(1e-300),
+                          "t_end": 0.1}}),
+     "semiclassical.candidate.width"),
+    ("radial", _radial_cfg(width=1e-300), "radial.width"),
 ])
 def test_bad_numbers_exit_2_before_any_run(kind, text, key, tmp_path,
                                           capsys):
@@ -543,6 +573,15 @@ def test_bad_numbers_exit_2_before_any_run(kind, text, key, tmp_path,
     assert cli_main([kind, "--config", str(cfg_path), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_narrow_gaussian_whose_square_is_finite_runs(tmp_path):
+    # (10 / 1e-150)^2 = 1e302 is finite: the field is a one-point spike,
+    # formed without an overflow (tier-1 makes numpy's warnings errors)
+    for text in (_cfg(grid=_BOX16, initial=_narrow(1e-150)),
+                 _radial_cfg(width=1e-150)):
+        cfg = parse_config(text)
+        assert run_experiment(cfg, out_dir=tmp_path / cfg.kind) == 0
 
 
 def test_amplitude_rule_builds_a_field_only_near_overflow(monkeypatch):
@@ -765,7 +804,7 @@ def test_radial_memory_does_not_grow_with_the_sample_count(tmp_path):
         finally:
             tracemalloc.stop()
 
-    peak(50)                                    # imports scipy, warms up
+    peak(50)                        # first imports and lookups, warm-up
     assert peak(1) <= peak(50) + 64 * 1024
 
 
@@ -934,6 +973,37 @@ def test_manifest_lists_every_artifact_in_write_order(kind, tmp_path):
     assert sorted(os.listdir(tmp_path)) == sorted(written + ["manifest.json"])
     for entry in outputs:
         assert file_digest(tmp_path / entry["path"]) == entry["sha256"]
+
+
+def test_no_cli_kind_loads_scipy(tmp_path):
+    # every kind runs through the CLI in one fresh process, and the scipy
+    # modules loaded are listed after each: radial solves through numpy's
+    # LAPACK where it has zgttrf/zgttrs, and scipy's binding is used only
+    # where it lacks them
+    from hnlslab import radial
+    runs = []
+    for kind in KINDS:
+        if kind == "radial" and radial._numpy_lapack() is None:
+            continue
+        config = tmp_path / f"{kind}.json"
+        config.write_text(json.dumps({"kind": kind, **_TINY_RUNS[kind][0]}),
+                          encoding="utf-8")
+        runs.append((kind, str(config), str(tmp_path / kind)))
+    code = ("import json, sys\n"
+            "from hnlslab.cli import main\n"
+            "loaded = {}\n"
+            "for kind, config, out in json.loads(sys.argv[1]):\n"
+            "    assert main([kind, '--config', config, '--out', out]) == 0\n"
+            "    loaded[kind] = sorted(m for m in sys.modules\n"
+            "                          if m.startswith('scipy'))\n"
+            "print(json.dumps(loaded))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                         env=dict(os.environ, PYTHONPATH=src), check=True,
+                         capture_output=True, text=True, timeout=120)
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert list(loaded) == [kind for kind, _, _ in runs]
+    assert {kind: mods for kind, mods in loaded.items() if mods} == {}
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,11 @@ from hnlslab.radial import (
     theta_moment,
     _active_slice,
     _CrankNicolsonHalf,
+    _laplacian_triplets,
     _series_start,
     _shoot_rhs,
 )
+from hnlslab import radial
 from hnlslab.evolution import STATUS_BLOWNUP, STATUS_DONE
 from conftest import BAD_NONLINEARITY, hnls_grid
 
@@ -277,16 +279,62 @@ def test_solver_validation():
         solve_radial(prof, 1e-3, 1.0, sample_stride=0)
 
 
-def test_crank_nicolson_half_refuses_a_singular_matrix():
+def _lapack_path(name, monkeypatch):
+    """Point `_CrankNicolsonHalf` at numpy's LAPACK or scipy's binding."""
+    lapack = {"numpy": radial._numpy_lapack,
+              "scipy": radial._scipy_lapack}[name]()
+    if lapack is None:
+        pytest.skip("numpy's LAPACK lacks zgttrf/zgttrs")
+    monkeypatch.setattr(radial, "_tridiagonal_lapack", lambda: lapack)
+
+
+@pytest.mark.parametrize("path", ["numpy", "scipy"])
+@pytest.mark.parametrize("n", [64, 2048])
+@pytest.mark.parametrize("dt", [1e-4, 4e-4, 1e-2])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("eps", [0.0, 0.5])       # regularity, Dirichlet
+def test_crank_nicolson_half_matches_scipy_lapack_bit_for_bit(
+        path, n, dt, sign, eps, monkeypatch):
+    from scipy.linalg.lapack import zgttrf, zgttrs
+    _lapack_path(path, monkeypatch)
+    sub, diag, sup = trip = _laplacian_triplets(
+        np.linspace(eps, 15.0, n), BC_REGULARITY if eps == 0 else BC_DIRICHLET)
+    th = 0.25j * sign * dt
+    *lu, info = zgttrf(-th * sub[1:], 1.0 - th * diag, -th * sup[:-1])
+    assert info == 0
+    cn = _CrankNicolsonHalf(trip, sign, dt)
+    for mine, ref in zip(cn._lu[:4], lu[:4]):
+        assert mine.tobytes() == ref.tobytes()
+    assert np.array_equal(cn._lu[4], lu[4])           # pivots
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(len(diag)) + 1j * rng.standard_normal(len(diag))
+    for _ in range(2):       # the second call reuses the solver's buffers
+        rhs = (1.0 + th * diag) * v
+        rhs[:-1] += (th * sup)[:-1] * v[1:]
+        rhs[1:] += (th * sub)[1:] * v[:-1]
+        x, info = zgttrs(*lu, rhs)
+        assert info == 0
+        got = cn.apply(v)
+        assert got.tobytes() == x.tobytes()
+        v = got.copy()
+
+
+@pytest.mark.parametrize("path", ["numpy", "scipy"])
+def test_crank_nicolson_half_refuses_a_singular_matrix(path, monkeypatch):
     # a diagonal of 1/th zeroes the left-hand matrix 1 - th * diag
+    from scipy.linalg.lapack import zgttrf
+    _lapack_path(path, monkeypatch)
     dt = 1e-3
     th = 0.25j * dt
     ok = _CrankNicolsonHalf((np.zeros(4), np.ones(4), np.zeros(4)), 1, dt)
     v = np.arange(4.0) + 1j
     assert np.allclose(ok.apply(v), (1 + th) / (1 - th) * v, rtol=1e-15)
-    with pytest.raises(ValueError, match="singular"):
-        _CrankNicolsonHalf((np.zeros(4), np.full(4, 1 / th), np.zeros(4)),
-                           1, dt)
+    diag = np.full(4, 1 / th)
+    info = zgttrf(np.zeros(3, complex), 1.0 - th * diag,
+                  np.zeros(3, complex))[-1]
+    assert info > 0
+    with pytest.raises(ValueError, match=rf"singular \(zgttrf info={info}\)"):
+        _CrankNicolsonHalf((np.zeros(4), diag, np.zeros(4)), 1, dt)
 
 
 def test_solver_rejects_non_finite_times():
@@ -539,7 +587,9 @@ def test_radial_profile_rejects_non_finite_nonlinearity(lam, sigma):
 
 
 def test_package_import_leaves_scipy_unloaded():
-    # only the radial solvers need scipy; they import it when they run
+    # the ground-state shooting and the cone lift import scipy when they
+    # run; the radial solver needs it only where numpy's LAPACK lacks
+    # zgttrf/zgttrs
     import hnlslab
     src = os.path.dirname(os.path.dirname(os.path.abspath(hnlslab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
