@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spectral
-from .fields import (ComplexField, Grid, GridError, constant_field,
-                     multiply_out, norms)
+from .fields import (ComplexField, Grid, GridError, _in_order,
+                     constant_field, multiply_out, norms)
 from .evolution import (STATUS_BLOWNUP, STATUS_RUNNING, EvolutionProblem,
                         RunConfig, SpectralMarch, StepperState, march,
                         step_strang)
@@ -282,49 +282,6 @@ def run_decomposed(state: DecomposedState, t_end: float, *,
     return state, series
 
 
-def profile_hypothesis_warnings(values: np.ndarray,
-                                period: float) -> list:
-    """Warning-level lint of the profile hypotheses behind the certified
-    stability windows.
-
-    Discrete proxies for membership in H2 (spectral tail), L2(z^2 dz)
-    and W11 (localization of f and f' at the box edge).  Returns a list
-    of human-readable warnings; empty means the hypotheses look satisfied
-    at desk precision.  Never raises: the underlying function spaces are
-    not decidable from samples, so this is advisory only.
-    """
-    v = np.ascontiguousarray(values, dtype=np.complex128)
-    if v.ndim != 1 or len(v) < 8:
-        return ["profile must be a 1-D array of at least 8 samples"]
-    if not np.all(np.isfinite(v)):
-        return ["profile has non-finite samples"]
-    peak = float(np.max(np.abs(v)))
-    if peak == 0.0:
-        return []
-    out = []
-    edge = max(abs(v[0]), abs(v[-1]))
-    if edge > 1e-4 * peak:
-        out.append(
-            f"localization proxy: |f| at the box edge is {edge / peak:.2e} "
-            "of its peak (> 1e-4); the z^2-moment integral is unreliable")
-    n = len(v)
-    spec = np.abs(spectral.fftn(v)) / n
-    xi = spectral.freq(n, period / n)
-    hi = np.abs(xi) > (2.0 / 3.0) * np.max(np.abs(xi))
-    tail = float(np.sqrt(np.sum(spec[hi] ** 2) / np.sum(spec ** 2)))
-    if tail > 1e-4:
-        out.append(
-            f"smoothness proxy: {tail:.2e} of the spectral mass sits in "
-            "the top third of modes (> 1e-4); H2 membership is doubtful")
-    fz = np.abs(spectral.ifftn(1j * xi * spectral.fftn(v)))
-    gpeak = float(np.max(fz))
-    if gpeak > 0 and max(fz[0], fz[-1]) > 1e-4 * gpeak:
-        out.append(
-            "gradient localization proxy: |f'| at the box edge exceeds "
-            "1e-4 of its peak; the W11 norm is box-size dependent")
-    return out
-
-
 @dataclass
 class StabilityReport:
     """Measured response of ||v||_H1 to a perturbation of size eps."""
@@ -462,19 +419,45 @@ def two_wave_run(spec1: PlaneWaveSpec, spec2: PlaneWaveSpec,
 
     status = march(0.0, config, spec1.sigma, step, record).status
 
-    mesh = grid.meshgrid()
-    period = grid.length[0]
-
-    def far_from(spec):
-        z = mesh[0].astype(float).copy()
-        for j, cj in enumerate(spec.c):
-            z -= cj * mesh[1 + j]
-        z -= period * np.round(z / period)
-        return np.abs(z) > 0.8 * (period / 2.0)
-
-    band = far_from(spec1) & far_from(spec2)
-    total = float(np.sum(np.abs(last) ** 2))
-    frac = float(np.sum(np.abs(last[band]) ** 2) / total) if total > 0 else 0.0
     return TwoWaveSeries(t=np.asarray(ts), remainder=np.asarray(rem),
-                         status=status, boundary_fraction=frac,
+                         status=status,
+                         boundary_fraction=_band_fraction(
+                             last, grid, (spec1.c, spec2.c)),
                          product_scale=float(scale))
+
+
+def _band_fraction(values: np.ndarray, grid: Grid, speeds) -> float:
+    """`TwoWaveSeries.boundary_fraction` of the remainder `values`: the
+    share of sum |u|^2 on the cells far from both waves, where
+    |z| > 0.8 period / 2 for z = x - c . y wrapped into one period
+    (period: the box along x) and c each of the two `speeds`.  It is summed
+    chunk by chunk (`spectral.streamed`) from per-axis coordinates, so it
+    forms no array of the grid's shape; a field of one chunk gives the
+    bits of the whole-array sums."""
+    totals, far = zip(*spectral.streamed(
+        _band_sums, (values, grid.coord_along(0)),
+        (float, float, float, bool, bool), speeds,
+        [grid.coord_along(j) for j in range(1, grid.d)], grid.length[0]))
+    total = _in_order(totals)
+    return float(_in_order(far) / total) if total > 0 else 0.0
+
+
+def _band_sums(u, x, a2, z, w, far, band, speeds, ys, period) -> tuple:
+    """`_band_fraction`'s two sums over one chunk of rows, whose
+    coordinates along axis 0 are `x` and along the other axes `ys`.  The
+    band's |u|^2 is gathered (the one array this allocates, at most a
+    chunk), as the whole-array formula sums it."""
+    np.abs(u, out=a2)
+    np.square(a2, out=a2)
+    for c, out in zip(speeds, (band, far)):
+        np.copyto(z, x)
+        for cj, y in zip(c, ys):
+            np.subtract(z, cj * y, out=z)
+        np.divide(z, period, out=w)
+        np.round(w, out=w)
+        np.multiply(period, w, out=w)
+        np.subtract(z, w, out=z)
+        np.abs(z, out=z)
+        np.greater(z, 0.8 * (period / 2.0), out=out)
+    np.logical_and(band, far, out=band)
+    return float(a2.sum()), float(a2[band].sum())

@@ -9,7 +9,8 @@ inputs (profile integration error, bound-state defect), so two-path
 comparisons against the 2-D stepper make sharp tests.
 
 The two wave specs own all that tells plane from standing, behind the same
-methods (`profile`, `profile_at`, `lift`, `proxies`, `regime`).
+methods (`profile`, `profile_at`, `lift`, `proxies`, `regime`), and
+`profile_hypothesis_warnings` lints the profile of either kind.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -27,8 +28,9 @@ from .fields import (ComplexField, FieldDataError, Grid, GridError,
                      _is_pow2, spectral_derivative)
 from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
                         _check_nonlinearity, harmonic_saddle_potential, run)
-from .transforms import (TransformError, TransformState, _signature_terms,
-                         integrate_transform_odes)
+
+if TYPE_CHECKING:     # `semiclassical_field` imports transforms when called
+    from .transforms import TransformState
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +303,49 @@ def standing_wave_lift(values: np.ndarray, omega: float, grid: Grid,
     return phase * values[np.newaxis, ...]
 
 
+def profile_hypothesis_warnings(values: np.ndarray,
+                                period: float) -> list:
+    """Warning-level lint of the profile hypotheses behind the certified
+    stability windows.
+
+    Discrete proxies for membership in H2 (spectral tail), L2(z^2 dz)
+    and W11 (localization of f and f' at the box edge).  Returns a list
+    of human-readable warnings; empty means the hypotheses look satisfied
+    at desk precision.  Never raises: the underlying function spaces are
+    not decidable from samples, so this is advisory only.
+    """
+    v = np.ascontiguousarray(values, dtype=np.complex128)
+    if v.ndim != 1 or len(v) < 8:
+        return ["profile must be a 1-D array of at least 8 samples"]
+    if not np.all(np.isfinite(v)):
+        return ["profile has non-finite samples"]
+    peak = float(np.max(np.abs(v)))
+    if peak == 0.0:
+        return []
+    out = []
+    edge = max(abs(v[0]), abs(v[-1]))
+    if edge > 1e-4 * peak:
+        out.append(
+            f"localization proxy: |f| at the box edge is {edge / peak:.2e} "
+            "of its peak (> 1e-4); the z^2-moment integral is unreliable")
+    n = len(v)
+    spec = np.abs(spectral.fftn(v)) / n
+    xi = spectral.freq(n, period / n)
+    hi = np.abs(xi) > (2.0 / 3.0) * np.max(np.abs(xi))
+    tail = float(np.sqrt(np.sum(spec[hi] ** 2) / np.sum(spec ** 2)))
+    if tail > 1e-4:
+        out.append(
+            f"smoothness proxy: {tail:.2e} of the spectral mass sits in "
+            "the top third of modes (> 1e-4); H2 membership is doubtful")
+    fz = np.abs(spectral.ifftn(1j * xi * spectral.fftn(v)))
+    gpeak = float(np.max(fz))
+    if gpeak > 0 and max(fz[0], fz[-1]) > 1e-4 * gpeak:
+        out.append(
+            "gradient localization proxy: |f'| at the box edge exceeds "
+            "1e-4 of its peak; the W11 norm is box-size dependent")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # semiclassical fields from a stationary candidate
 
@@ -476,6 +521,8 @@ def semiclassical_field(spec: SemiclassicalSpec, t: float, *,
     it, the phase, its `exp` and the product, the operations of the
     whole-array formula in its order, so the bits are that formula's.
     """
+    from .transforms import (TransformError, _signature_terms,
+                             integrate_transform_odes)
     grid = spec.A0.grid
     if state is not None and state.d != grid.d:
         raise TransformError(f"coefficient state is for d={state.d}, "

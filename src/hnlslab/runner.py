@@ -63,15 +63,13 @@ from .fields import (ComplexField, Grid, GridError, _field_sums, _is_pow2,
 from .observables import _AUDIT_SAMPLES, verify_conservation
 from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
                         _fixed_dt_samples, run)
-from .transforms import (_RESIDUAL_SAMPLES, closed_form_b,
-                         constraint_residuals, integrate_transform_odes)
-from .radial import (_SCAN_SAMPLES, ConcentrationScan, make_radial_profile,
-                     radial_energy, radial_mass, save_radial_csv, solve_radial)
-from .families import (PlaneWaveSpec, SemiclassicalSpec, StandingWaveSpec,
-                       semiclassical_field, wave_field)
-from .coupled import profile_hypothesis_warnings, stability_run, two_wave_run
 from .artifacts import (RunManifest, save_series_csv, write_json,
                         write_snapshot)
+
+# `families`, `transforms`, `radial` and `coupled` are imported by the
+# parse rules and runs of the kinds that use them, so that a process loads
+# only the modules of the kinds it parses and runs.
+
 
 class ConfigError(ValueError):
     """Invalid experiment config; `errors` lists every problem found."""
@@ -354,6 +352,7 @@ def _radial_rules(errors, where, block):
     """The hole lies inside the box, the Gaussian's (r / width)^2 is finite
     on its nodes, and a concentration scan has grid points inside each
     radius and the samples it needs."""
+    from .radial import _SCAN_SAMPLES
     if block["eps"] >= block["r_max"]:
         _fail(errors, f"{where}.eps", f"must be < r_max = {block['r_max']}, "
                                       f"got {block['eps']}")
@@ -388,6 +387,14 @@ def _two_wave_block(grid):
     side = _sub({**_PROFILE, "c": plane["c"]})
     return _sub({"first": (side, _REQUIRED), "second": (side, _REQUIRED),
                  "n": plane["n"], "period": plane["period"], **_MARCH})
+
+
+def _transform_check_block(grid):
+    from .transforms import _RESIDUAL_SAMPLES
+    return _sub({"a0": (_FINITE, _REQUIRED), "k": (_FINITE, _REQUIRED),
+                 "d": (_integer(1, 3), 2), "t_end": (_POSITIVE, 1.0),
+                 "nodes": (_integer(_RESIDUAL_SAMPLES), 201),
+                 "max_step": (_POSITIVE, 1e-3)})
 
 
 def _distinct_speeds(errors, block):
@@ -589,6 +596,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if errors:
         raise ConfigError(errors)
     for where, spec in specs.items():     # advisory lint: profile hypotheses
+        from .families import profile_hypothesis_warnings
         _, profile = spec.profile(box)
         label = f"{where}.profile".removeprefix(f"{kind}.")
         cfg.warnings += [f"{label}: {w}" for w in profile_hypothesis_warnings(
@@ -665,6 +673,7 @@ class _RunDir:
         self._put(name, lambda path: write_snapshot(field, path))
 
     def radial(self, name, profile):
+        from .radial import save_radial_csv
         self._put(name, lambda path: save_radial_csv(profile, path))
 
 
@@ -711,6 +720,7 @@ def _wave_specs(cfg, grid, errors=None) -> dict:
     wave does not fit `grid`; when `errors` is given, the misfit, or a
     Gaussian profile too narrow for that grid, is reported there at the
     block path instead and the wave left out."""
+    from .families import PlaneWaveSpec, StandingWaveSpec
     b, specs = cfg.block, {}
     for where in _DECLARATIONS[cfg.kind].waves:
         side, f0 = _at(cfg, where), np.zeros(b["n"])
@@ -741,6 +751,7 @@ def _wave_specs(cfg, grid, errors=None) -> dict:
 def _exp_structured_wave(cfg, out) -> str:
     """Evolve a lifted plane or standing wave and compare against the
     profile flow; writes <kind>.json."""
+    from .families import wave_field
     spec = _wave_specs(cfg, cfg.build_grid())[cfg.kind]
     state, _ = _run_full(cfg, out, lambda grid: wave_field(spec, 0.0, grid))
     mismatch = None
@@ -765,6 +776,8 @@ def _exp_semiclassical(cfg, out) -> str:
     held at a time: each sample's is dropped once its sup is read, and
     only the last is kept, for the snapshot.
     """
+    from .families import SemiclassicalSpec, semiclassical_field
+    from .transforms import integrate_transform_odes
     grid = cfg.build_grid()
     b = cfg.block
     cand = _field_from_block(b["candidate"], grid, cfg.seed)
@@ -788,6 +801,7 @@ def _exp_semiclassical(cfg, out) -> str:
 
 def _radial_profile(cfg):
     """The radial block's initial Gaussian profile."""
+    from .radial import make_radial_profile
     b = cfg.block
     amp, width = b["amplitude"], b["width"]
     return make_radial_profile(
@@ -803,6 +817,8 @@ def _exp_radial(cfg, out) -> str:
     so the run holds the profile and its Crank-Nicolson factors whatever
     the sample count.
     """
+    from .radial import (_SCAN_SAMPLES, ConcentrationScan, radial_energy,
+                         radial_mass, solve_radial)
     b = cfg.block
     prof = _radial_profile(cfg)
     eps = b["concentration_eps"]
@@ -841,6 +857,8 @@ def _exp_transform_check(cfg, out) -> str:
     elementary antiderivative exists, i.e. k >= 0) plus the constraint
     residuals.
     """
+    from .transforms import (_RESIDUAL_SAMPLES, closed_form_b,
+                             constraint_residuals, integrate_transform_odes)
     b = cfg.block
     t_grid = np.linspace(0.0, b["t_end"], b["nodes"])
     state = integrate_transform_odes(b["a0"], b["k"], b["d"], t_grid,
@@ -872,6 +890,7 @@ def _exp_stability(cfg, out) -> str:
     pair per eps; blow-up inside the sweep is a recorded outcome, not a
     failure.
     """
+    from .coupled import stability_run
     grid = cfg.build_grid()
     b = cfg.block
     spec = _wave_specs(cfg, grid)["stability"]
@@ -892,6 +911,7 @@ def _exp_stability(cfg, out) -> str:
 
 def _exp_two_wave(cfg, out) -> str:
     """Interaction remainder of two plane waves at distinct speeds."""
+    from .coupled import two_wave_run
     grid = cfg.build_grid()
     b = cfg.block
     first, second = _wave_specs(cfg, grid).values()
@@ -955,13 +975,8 @@ _DECLARATIONS = {
             "t_end": (_number(0.0), _REQUIRED), **_CEILING,
             "concentration_eps": (_list(_FINITE), None)}, _radial_rules),
         amplitudes=(("radial", _radial_sums),)),
-    "transform-check": _Kind(
-        _exp_transform_check,
-        block=lambda grid: _sub({
-            "a0": (_FINITE, _REQUIRED), "k": (_FINITE, _REQUIRED),
-            "d": (_integer(1, 3), 2), "t_end": (_POSITIVE, 1.0),
-            "nodes": (_integer(_RESIDUAL_SAMPLES), 201),
-            "max_step": (_POSITIVE, 1e-3)})),
+    "transform-check": _Kind(_exp_transform_check,
+                             block=_transform_check_block),
     "stability": _Kind(
         _exp_stability, ("grid",),
         block=lambda grid: _tagged("wave", _wave_keys(grid), {

@@ -1,5 +1,6 @@
 """Snapshots, CSV series, manifests, config parsing, runner, and CLI."""
 
+import importlib
 import json
 import math
 import os
@@ -975,35 +976,124 @@ def test_manifest_lists_every_artifact_in_write_order(kind, tmp_path):
         assert file_digest(tmp_path / entry["path"]) == entry["sha256"]
 
 
-def test_no_cli_kind_loads_scipy(tmp_path):
-    # every kind runs through the CLI in one fresh process, and the scipy
-    # modules loaded are listed after each: radial solves through numpy's
-    # LAPACK where it has zgttrf/zgttrs, and scipy's binding is used only
-    # where it lacks them
+def _src_path() -> str:
+    return os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
+
+
+@pytest.fixture(scope="module")
+def cli_run_modules(tmp_path_factory):
+    """{kind: sorted modules in sys.modules} after `cli.main` ran the
+    kind's tiny config, each kind in a fresh process; radial is left out
+    where numpy's LAPACK lacks zgttrf/zgttrs."""
     from hnlslab import radial
-    runs = []
+    tmp = tmp_path_factory.mktemp("cli_runs")
+    code = ("import json, sys\n"
+            "from hnlslab.cli import main\n"
+            "kind, config, out = sys.argv[1:]\n"
+            "assert main([kind, '--config', config, '--out', out]) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    loaded = {}
     for kind in KINDS:
         if kind == "radial" and radial._numpy_lapack() is None:
             continue
-        config = tmp_path / f"{kind}.json"
+        config = tmp / f"{kind}.json"
         config.write_text(json.dumps({"kind": kind, **_TINY_RUNS[kind][0]}),
                           encoding="utf-8")
-        runs.append((kind, str(config), str(tmp_path / kind)))
-    code = ("import json, sys\n"
-            "from hnlslab.cli import main\n"
-            "loaded = {}\n"
-            "for kind, config, out in json.loads(sys.argv[1]):\n"
-            "    assert main([kind, '--config', config, '--out', out]) == 0\n"
-            "    loaded[kind] = sorted(m for m in sys.modules\n"
-            "                          if m.startswith('scipy'))\n"
-            "print(json.dumps(loaded))\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
-                         env=dict(os.environ, PYTHONPATH=src), check=True,
-                         capture_output=True, text=True, timeout=120)
+        out = subprocess.run(
+            [sys.executable, "-c", code, kind, str(config), str(tmp / kind)],
+            env=dict(os.environ, PYTHONPATH=_src_path()), check=True,
+            capture_output=True, text=True, timeout=120)
+        loaded[kind] = json.loads(out.stdout.splitlines()[-1])
+    return loaded
+
+
+def test_no_cli_kind_loads_scipy(cli_run_modules):
+    # radial solves through numpy's LAPACK where it has zgttrf/zgttrs, and
+    # scipy's binding is used only where it lacks them
+    assert {kind: [m for m in mods if m.split(".")[0] == "scipy"]
+            for kind, mods in cli_run_modules.items()} == {
+        kind: [] for kind in cli_run_modules}
+
+
+# the package modules that a CLI run of every kind loads, and those that
+# only some kinds load, by kind
+_EVERY_KIND = {"hnlslab", "hnlslab.cli", "hnlslab.runner", "hnlslab.fields",
+               "hnlslab.spectral", "hnlslab.observables",
+               "hnlslab.evolution", "hnlslab.artifacts"}
+_KIND_MODULES = {
+    "simulate": set(), "conservation-report": set(),
+    "planewave": {"families"}, "standing": {"families"},
+    "semiclassical": {"families", "transforms"},
+    "radial": {"radial"}, "transform-check": {"transforms"},
+    "stability": {"families", "coupled"},
+    "two-wave": {"families", "coupled"},
+}
+
+
+def test_each_cli_kind_loads_only_its_modules(cli_run_modules):
+    assert set(_KIND_MODULES) == set(KINDS)
+    for kind, mods in cli_run_modules.items():
+        assert {m for m in mods if m.split(".")[0] == "hnlslab"} == (
+            _EVERY_KIND | {f"hnlslab.{m}" for m in _KIND_MODULES[kind]}), kind
+
+
+# every name the package exported, by the module that defines it
+_EXPORTED = {
+    "fields": "Grid ComplexField NormBundle GridError FieldDataError "
+              "constant_field gaussian_field harmonic_field "
+              "random_smooth_field spectral_derivative norms "
+              "apply_linear_propagator boundary_mass_fraction",
+    "observables": "ObservableSample ObservableSeries ConservationReport "
+                   "energy sample verify_conservation",
+    "evolution": "EvolutionProblem RunConfig StepperState FieldTrajectory "
+                 "step_strang run residual_hnls harmonic_saddle_potential "
+                 "STATUS_RUNNING STATUS_DONE STATUS_BLOWNUP",
+    "transforms": "TransformState TransformError SymmetryParams "
+                  "integrate_transform_odes constraint_residuals "
+                  "closed_form_b apply_pct apply_symmetry "
+                  "signature_quadratic",
+    "radial": "RadialProfile RadialTrajectory RadialRunResult ConeField "
+              "GroundState ConcentrationReport ConcentrationScan "
+              "BC_DIRICHLET BC_REGULARITY make_radial_profile radial_mass "
+              "radial_energy theta_moment radial_weights "
+              "radial_laplacian_dense solve_radial lift_to_cone "
+              "cone_trace_jump shoot_ground_state concentration_scan "
+              "save_radial_csv load_radial_csv",
+    "families": "PlaneWaveSpec StandingWaveSpec SemiclassicalSpec "
+                "lift_profile standing_wave_lift wave_field "
+                "bound_state_defect refine_bound_state semiclassical_field "
+                "profile_hypothesis_warnings",
+    "coupled": "DecomposedState CoupledSeries StabilityReport TwoWaveSeries "
+               "lift_structured make_decomposed step_decomposed "
+               "step_perturbation run_decomposed stability_run two_wave_run",
+    "artifacts": "RunManifest SnapshotError write_snapshot read_snapshot "
+                 "snapshot_nbytes save_series_csv load_series_csv "
+                 "file_digest write_json",
+    "runner": "ExperimentConfig ConfigError KINDS parse_config "
+              "run_experiment",
+}
+
+
+def test_package_exports_resolve_on_first_access():
+    # `import hnlslab` loads no submodule; each exported name is the
+    # object its module defines
+    code = ("import json, sys, hnlslab\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=_src_path()),
+                         check=True, capture_output=True, text=True,
+                         timeout=120)
     loaded = json.loads(out.stdout.splitlines()[-1])
-    assert list(loaded) == [kind for kind, _, _ in runs]
-    assert {kind: mods for kind, mods in loaded.items() if mods} == {}
+    assert [m for m in loaded if m.split(".")[0] == "hnlslab"] == ["hnlslab"]
+    import hnlslab
+    owner = {name: module for module, names in _EXPORTED.items()
+             for name in names.split()}
+    assert sorted(hnlslab.__all__) == sorted(owner)
+    for name, module in owner.items():
+        defined = getattr(importlib.import_module(f"hnlslab.{module}"), name)
+        assert getattr(hnlslab, name) is defined, name
+    with pytest.raises(AttributeError):
+        hnlslab.no_such_name
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Decomposed evolution u = v + phi: steppers, stability harness, two waves."""
 
+import tracemalloc
 import warnings
 import weakref
 
@@ -387,6 +388,74 @@ def test_two_wave_run_frees_its_lifts_before_the_march(monkeypatch):
                        dt=1e-2, sample_stride=1)
     assert out.status == "Done"
     assert alive == [[False, False]]
+
+
+def _band_fraction_reference(values, grid, speeds):
+    """The boundary fraction by the whole-array formula, on meshgrids."""
+    mesh = grid.meshgrid()
+    period = grid.length[0]
+    band = np.ones(grid.n, dtype=bool)
+    for c in speeds:
+        z = mesh[0].astype(float).copy()
+        for j, cj in enumerate(c):
+            z -= cj * mesh[1 + j]
+        z -= period * np.round(z / period)
+        band &= np.abs(z) > 0.8 * (period / 2.0)
+    total = float(np.sum(np.abs(values) ** 2))
+    return float(np.sum(np.abs(values[band]) ** 2) / total)
+
+
+@pytest.mark.parametrize("n, speeds", [
+    ((64, 64), ((0.5,), (-0.5,))),
+    ((64, 32, 32), ((1.0, 0.0), (0.0, -1.0))),
+    ((64, 64, 64), ((1.0, 0.0), (0.0, -1.0)))],
+    ids=["64x64", "64x32x32", "64x64x64"])
+def test_band_fraction_matches_the_whole_array_formula(n, speeds, rng,
+                                                       monkeypatch):
+    # 64^2 is one chunk, so the streamed sums have the formula's bits; the
+    # 3-D grids are 4 and 16 chunks, 64^3 on two row blocks
+    monkeypatch.setattr(spectral, "_workers", 2)
+    grid = Grid(n, (40.0, 80.0) if len(n) == 2 else (40.0,) * 3,
+                (1.0,) + (-1.0,) * (len(n) - 1))
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got = coupled._band_fraction(values, grid, speeds)
+    ref = _band_fraction_reference(values, grid, speeds)
+    assert 0.0 < ref < 1.0
+    if len(n) == 2:
+        assert got == ref
+    else:
+        assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_two_wave_band_step_stays_within_the_march_peak(monkeypatch):
+    # a 64^3 run on two row blocks: the boundary band is summed chunk by
+    # chunk after the march, so its step adds less than a sample does
+    # (meshgrids of the box took the band step to 24.8 MiB against the
+    # march's 21.0 MiB)
+    monkeypatch.setattr(spectral, "_workers", 2)
+    grid = Grid((64,) * 3, (40.0,) * 3, (1.0, -1.0, -1.0))
+    peaks, march = {}, coupled.march
+
+    def traced_march(*args):
+        tracemalloc.reset_peak()
+        out = march(*args)
+        peaks["march"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(coupled, "march", traced_march)
+    s1, s2 = (PlaneWaveSpec(f0=_bump(3.0, amplitude=0.5), period=40.0, c=c,
+                            lam=1.0, sigma=2.0)
+              for c in ((1.0, 0.0), (0.0, -1.0)))
+    tracemalloc.start()
+    try:
+        out = two_wave_run(s1, s2, None, 5e-3, grid, dt=1e-3,
+                           sample_stride=5)
+        peaks["band"] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.status == "Done"
+    assert peaks["band"] <= peaks["march"]
 
 
 def test_two_wave_symmetry_and_degenerate_cases():

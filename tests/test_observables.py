@@ -383,6 +383,48 @@ def test_verify_conservation_leaves_sliver_interval_out():
         assert got == float(np.max(np.abs(d - s.column(col)[1:-1])))
 
 
+def _lstsq_com_fit(series):
+    """The centre-of-mass slopes and relative fit residual of
+    `verify_conservation` by numpy's least-squares solver."""
+    t = series.t
+    A = np.vstack([t, np.ones_like(t)]).T
+    slopes, res, excursion = [], 0.0, 0.0
+    for j in range(len(series.alpha)):
+        c = series.column("com", j)
+        (slope, icpt), *_ = np.linalg.lstsq(A, c, rcond=None)
+        slopes.append(slope)
+        res = max(res, np.max(np.abs(c - (slope * t + icpt))))
+        excursion = max(excursion, np.max(c) - np.min(c))
+    return slopes, res / excursion, excursion / (t[-1] - t[0])
+
+
+@pytest.mark.parametrize("run_config", [
+    RunConfig(t_end=0.1, dt0=1e-3, sample_stride=10),
+    RunConfig(t_end=0.1, dt0=4e-3, sample_stride=2, adapt=True),
+    RunConfig(t_end=0.0955, dt0=1e-3, sample_stride=10)],
+    ids=["uniform", "adaptive", "clipped"])
+def test_com_fit_matches_least_squares(run_config):
+    # the closed-form line through each com_j(t) against lstsq's, on a
+    # focusing run whose centre of mass bends off a line, both to 1e-12 of
+    # the excursion (the fit residual is relative to it already; measured
+    # 4e-15, and slopes within 5e-15 of excursion / time span)
+    g = hnls_grid(n=32, length=20.0)
+    f = gaussian_field(g, amplitude=1.5, width=1.2, center=(1.0, -0.5),
+                       boost=(0.6, -0.4))
+    _, series = run(f, EvolutionProblem(
+        g, lam=1.0, sigma=2.0,
+        potential=harmonic_saddle_potential(g, 0.3)), run_config)
+    h = np.diff(series.t)
+    if run_config.adapt:
+        assert np.ptp(h) > 1e-3 * h[0]
+    rep = verify_conservation(series)
+    slopes, residual, scale = _lstsq_com_fit(series)
+    assert rep.com_fit_residual > 1e-3
+    assert abs(rep.com_fit_residual - residual) <= 1e-12
+    for got, ref in zip(rep.com_slope, slopes):
+        assert abs(got - ref) <= 1e-12 * scale
+
+
 def test_conservation_report_elliptic_run():
     # same audit on the all-plus signature: com ratio is +2 on every axis
     g = nls_grid(n=64, length=40.0)

@@ -1,5 +1,6 @@
 """Property tests: mass conservation and time reversal of `run` for every
-signature the Grid accepts, not only the hnls preset; the trajectory read
+signature the Grid accepts, not only the hnls preset; the point symmetries
+of `transforms` on marched solutions of both presets; the trajectory read
 rule `cubic_read` on random cubics; and bit-exact snapshot round trips.
 
 Both Strang substeps are unitary and the scheme is symmetric, so over 20
@@ -9,6 +10,8 @@ steps returns the initial field.  Over every corner of the drawn space
 largest relative mass drift measured was 3.1e-15 and the largest return
 error 4.9e-15 of the initial sup.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -20,11 +23,12 @@ from hnlslab.artifacts import (  # noqa: E402
     read_snapshot, snapshot_nbytes, write_snapshot,
 )
 from hnlslab.evolution import (  # noqa: E402
-    STATUS_DONE, EvolutionProblem, RunConfig, run,
+    STATUS_DONE, EvolutionProblem, RunConfig, residual_hnls, run,
 )
 from hnlslab.fields import (  # noqa: E402
     ComplexField, Grid, cubic_read, gaussian_field,
 )
+from hnlslab.transforms import SymmetryParams, apply_symmetry  # noqa: E402
 
 HNLS, NLS = (1.0, -1.0), (1.0, 1.0)
 DT, T = 1e-3, 0.02                    # 20 steps
@@ -77,6 +81,79 @@ def test_run_is_time_reversible(alpha, sigma, lam, amplitude):
     assert abs(back.t) <= 1e-12
     err = np.max(np.abs(back.field.values - f.values))
     assert err <= 1e-11 * np.max(np.abs(f.values))
+
+
+@functools.lru_cache(maxsize=None)
+def _marched_triple(alpha, lam, sigma):
+    """The problem and the samples at t = 0, 0.005 and 0.01 of a run from a
+    boosted Gaussian on a 64^2 box, resolved well enough that resampling
+    it moves its residual by less than the time differences leave."""
+    grid = Grid((64, 64), (20.0, 20.0), alpha)
+    problem = EvolutionProblem(grid, lam=lam, sigma=sigma)
+    fields = []
+    run(gaussian_field(grid, amplitude=0.6, width=1.5, boost=(0.4, -0.2)),
+        problem, RunConfig(t_end=0.01, dt0=DT, sample_stride=5),
+        observer=lambda state, _: fields.append(state.field))
+    return problem, fields
+
+
+_SYMMETRIES = {
+    "gauge": st.fixed_dictionaries({"theta": st.floats(-np.pi, np.pi)}),
+    "translation": st.fixed_dictionaries({
+        "shift": st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        "t0": st.floats(0.0, 1.0)}),
+    "galilean": st.fixed_dictionaries({
+        "boost": st.tuples(st.floats(-0.8, 0.8), st.floats(-0.8, 0.8))}),
+    "dilation": st.fixed_dictionaries({"scale": st.floats(0.85, 1.15)}),
+    "hyperbolic-rotation": st.fixed_dictionaries({
+        "rapidity": st.floats(-0.2, 0.2)}),
+}
+
+
+def _symmetric_residuals(alpha, lam, sigma, kind, params):
+    """residual_hnls of the marched triple, untransformed and transformed."""
+    problem, triple = _marched_triple(alpha, lam, sigma)
+    if kind == "dilation":
+        params = {**params, "sigma": sigma}
+    symmetry = SymmetryParams(kind=kind, **params)
+    moved = [apply_symmetry(f, symmetry) for f in triple]
+    return residual_hnls(*triple, problem), residual_hnls(*moved, problem)
+
+
+# how far above the triple's own residual (its centred-difference and
+# splitting error, 1e-5 to 5e-5 here) a symmetry may take it; the most
+# seen over the corners of the drawn ranges is in parentheses.  Gauge and
+# translation commute with every term on the grid (1 + 3e-10); a rotation
+# only resamples (1 + 3e-6); a dilation by s scales the time differences'
+# error by s^2 (1.34 at s = 1.15); a boost speeds the solution up, so its
+# time differences err more (5.5 at v = (0.8, -0.8))
+_RESIDUAL_RISE = {"gauge": 1.0 + 1e-6, "translation": 1.0 + 1e-6,
+                  "hyperbolic-rotation": 1.01, "dilation": 2.0,
+                  "galilean": 8.0}
+
+
+# every symmetry on both presets; a hyperbolic rotation keeps x^2 - y^2 and
+# so only the hnls signature
+@pytest.mark.parametrize("kind, alpha", [
+    (kind, alpha) for kind in _SYMMETRIES for alpha in (HNLS, NLS)
+    if kind != "hyperbolic-rotation" or alpha == HNLS],
+    ids=lambda v: {HNLS: "hnls", NLS: "nls"}.get(v, v))
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), sigma=st.sampled_from([1.5, 2.0, 4.0]), lam=LAMS)
+def test_point_symmetries_keep_the_residual_at_baseline(kind, alpha, data,
+                                                        sigma, lam):
+    params = data.draw(_SYMMETRIES[kind])
+    baseline, moved = _symmetric_residuals(alpha, lam, sigma, kind, params)
+    assert moved <= _RESIDUAL_RISE[kind] * baseline, (baseline, moved)
+
+
+def test_a_hyperbolic_rotation_is_no_symmetry_of_nls():
+    # the same triple on the all-plus signature leaves the residual far
+    # above its baseline, as x^2 + y^2 is not kept
+    baseline, moved = _symmetric_residuals(NLS, 1.0, 2.0,
+                                           "hyperbolic-rotation",
+                                           {"rapidity": 0.1})
+    assert moved > 100.0 * baseline
 
 
 def _bits(*xs) -> bytes:

@@ -6,8 +6,6 @@ import importlib.util
 import os
 import sys
 
-import hnlslab  # noqa: F401  (binds every module the tracer patches)
-
 TRACER = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench", "tracer.py")
 
@@ -21,7 +19,12 @@ def _load_tracer():
 
 def _patchable(targets) -> dict:
     """{(owner, name): object} for every binding `install` replaces: the
-    target itself and each hnlslab module that imported the same object."""
+    target itself and each hnlslab module that imported the same object.
+    Every target's module is imported first: `import hnlslab` loads no
+    submodule, and a traced benchmark round finds them loaded by the
+    untraced round before it."""
+    for modname, _, _, _ in targets:
+        importlib.import_module(modname)
     mods = [m for key, m in sorted(sys.modules.items())
             if key == "hnlslab" or key.startswith("hnlslab.")]
     out = {}
