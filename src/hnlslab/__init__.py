@@ -30,17 +30,15 @@ _EXPORTS = {
         integrate_transform_odes constraint_residuals closed_form_b
         apply_pct apply_symmetry signature_quadratic""",
     "radial": """
-        RadialProfile RadialTrajectory RadialRunResult ConeField
-        GroundState ConcentrationReport ConcentrationScan BC_DIRICHLET
-        BC_REGULARITY
-        make_radial_profile radial_mass radial_energy theta_moment
-        radial_weights radial_laplacian_dense solve_radial lift_to_cone
-        cone_trace_jump shoot_ground_state concentration_scan
-        save_radial_csv load_radial_csv""",
+        RadialProfile RadialTrajectory RadialRunResult GroundState
+        ConcentrationReport ConcentrationScan BC_DIRICHLET BC_REGULARITY
+        make_radial_profile radial_mass radial_energy radial_weights
+        radial_laplacian_dense solve_radial cone_trace_jump
+        shoot_ground_state concentration_scan save_radial_csv""",
     "families": """
         PlaneWaveSpec StandingWaveSpec SemiclassicalSpec
         lift_profile standing_wave_lift wave_field bound_state_defect
-        refine_bound_state semiclassical_field profile_hypothesis_warnings""",
+        semiclassical_field profile_hypothesis_warnings""",
     "coupled": """
         DecomposedState CoupledSeries StabilityReport TwoWaveSeries
         lift_structured make_decomposed step_decomposed step_perturbation

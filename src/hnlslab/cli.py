@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .runner import KINDS, ConfigError, parse_config, run_experiment
 
@@ -45,6 +44,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
+    if args.seed is not None:
+        # the seed goes into the config, so its checks and its hash cover it
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError:
+            raw = None      # parse_config reports it
+        if isinstance(raw, dict):
+            text = json.dumps({**raw, "seed": args.seed})
     try:
         config = parse_config(text)
     except ConfigError as exc:
@@ -55,11 +62,6 @@ def main(argv=None) -> int:
         print(f"config kind {config.kind!r} does not match subcommand "
               f"{args.command!r}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        if args.seed < 0:
-            print("error: --seed must be >= 0", file=sys.stderr)
-            return 2
-        config = replace(config, seed=args.seed)
     for warning in config.warnings:
         print(f"warning: {warning}", file=sys.stderr)
 

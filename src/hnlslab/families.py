@@ -24,7 +24,7 @@ import numpy as np
 
 from . import spectral
 from .fields import (ComplexField, FieldDataError, Grid, GridError,
-                     _abs2, _abs2_into, _axis_eval_matrix, _evaluate_spectrum,
+                     _abs2_into, _axis_eval_matrix, _evaluate_spectrum,
                      _is_pow2, spectral_derivative)
 from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
                         _check_nonlinearity, harmonic_saddle_potential, run)
@@ -382,64 +382,13 @@ class SemiclassicalSpec:
         return spectral.fftn(self.A0.values)
 
 
-def _norm(x: np.ndarray, out: np.ndarray | None = None,
-          tmp: np.ndarray | None = None) -> float:
+def _norm(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> float:
     """The l2 norm of x as a numpy sum, which unlike np.linalg.norm (BLAS)
-    gives the same bits whatever the number of BLAS threads.  With real
-    scratch `out` and `tmp` (see `_abs2_into`; tmp may be x.imag when x is
-    not read again) |x|^2 is formed there instead of in new arrays."""
-    if out is None:
-        return math.sqrt(float(np.sum(_abs2(x))))
+    gives the same bits whatever the number of BLAS threads.  |x|^2 is
+    formed in the real scratch `out` and `tmp` (see `_abs2_into`; tmp may
+    be x.imag when x is not read again), not in new arrays."""
     _abs2_into(x, out, tmp)
     return math.sqrt(float(np.sum(out)))
-
-
-def _stationary_residual(u: np.ndarray, grid: Grid, V: np.ndarray,
-                         gamma0: float | None, lam: float,
-                         symbol: np.ndarray) -> tuple:
-    """(res, gamma0, defect) of the stationary equation at sigma = 4/d:
-    res = box u + lam |u|^sigma u - (V + gamma0) u with spectral
-    derivatives, gamma0 the Rayleigh quotient when None, and defect the
-    l2 norm of res over the sum of the three terms' norms (0 when they
-    all vanish).  `symbol` is grid.symbol, which a caller that asks many
-    times forms once.  Every reduction is a numpy sum, not BLAS, so the
-    result does not depend on the number of BLAS threads.
-
-    Beside u it holds two complex and two real arrays of the grid: box u,
-    which becomes box u + nl (the sum both res and gamma0's residual
-    start from) and then res; nl, which becomes that residual and then
-    the potential term; and the real scratch of the amplitude and the
-    norms.  Each is formed by the operations of the whole-array formula,
-    in its order, so the bits are that formula's."""
-    amp = np.negative(symbol)
-    box = spectral.fftn(u)
-    np.multiply(box, amp, out=box)
-    spectral.ifftn(box, out=box)
-    np.abs(u, out=amp)
-    amp **= 4.0 / grid.d
-    np.multiply(lam, amp, out=amp)
-    nl = np.multiply(amp, u)
-    tmp = np.empty(grid.n)
-    norm_box = _norm(box, amp, tmp)
-    norm_nl = _norm(nl, amp, tmp)
-    box += nl
-    if gamma0 is None:
-        r = np.multiply(V, u, out=nl)
-        np.subtract(box, r, out=r)
-        np.multiply(u.real, r.real, out=amp)
-        np.multiply(u.imag, r.imag, out=tmp)
-        amp += tmp
-        dot = np.sum(amp)
-        _abs2_into(u, amp, tmp)
-        gamma0 = dot / np.sum(amp)
-    gamma0 = float(gamma0)
-    np.add(V, gamma0, out=amp)
-    pot = np.multiply(amp, u, out=nl)
-    res = np.subtract(box, pot, out=box)
-    scale = norm_box + norm_nl + _norm(pot, amp, pot.imag)
-    if scale == 0.0:
-        return res, gamma0, 0.0
-    return res, gamma0, _norm(res, amp, tmp) / scale
 
 
 def bound_state_defect(A0: ComplexField, k: float, gamma0: float,
@@ -448,60 +397,39 @@ def bound_state_defect(A0: ComplexField, k: float, gamma0: float,
 
         box A0 + lam |A0|^{4/d} A0 = (k (x^2 - |y|^2) + gamma0) A0,
 
-    with spectral derivatives and the same edge-tapered potential the
-    evolution module uses.  The power is pinned to sigma = 4/d (the only
-    power the chirp-dilation map transports).  Zero fields report 0.
-    """
-    g = A0.grid
-    return _stationary_residual(A0.values, g, harmonic_saddle_potential(g, k),
-                                gamma0, lam, g.symbol)[2]
+    with spectral derivatives and the same edge-tapered potential V the
+    evolution module uses: the l2 norm of res = box A0 + nl - pot over
+    the sum of the three terms' norms.  The power is pinned to
+    sigma = 4/d (the only power the chirp-dilation map transports).  Zero
+    fields report 0.  Every reduction is a numpy sum, not BLAS, so the
+    defect does not depend on the number of BLAS threads.
 
-
-def refine_bound_state(seed: ComplexField, k: float, lam: float, *,
-                       gamma0: float | None = None, iters: int = 500,
-                       step: float = 0.25) -> tuple:
-    """Best-effort stationary-candidate polish; returns (A0, gamma0, defect).
-
-    Preconditioned residual descent at fixed L2 norm: each sweep proposes
-    A -/+ step * P R (P a smooth inverse-symbol multiplier), keeps whichever
-    proposal lowers the defect and halves the step when neither does.
-    gamma0 floats as the Rayleigh quotient unless pinned.  This is a
-    documented heuristic with a fixed iteration budget — no convergence is
-    claimed, only that the returned defect never exceeds the seed's.
-    """
-    g = seed.grid
+    Beside A0 and V it holds two complex and two real arrays of the grid:
+    box A0, which becomes box A0 + nl and then res; nl, which becomes the
+    potential term; and the real scratch of the amplitude and the norms.
+    Each is formed by the operations of the whole-array formula, in its
+    order, so the bits are that formula's."""
+    g, u = A0.grid, A0.values
     V = harmonic_saddle_potential(g, k)
-    symbol = g.symbol
-    P = 1.0 / (1.0 + np.abs(symbol))
-    m0 = _norm(seed.values)
-    if m0 == 0.0:
-        raise ValueError("seed field is zero")
-
-    u = seed.values.copy()
-    res, gm, d_cur = _stationary_residual(u, g, V, gamma0, lam, symbol)
-    best = (u.copy(), gm, d_cur)
-    tau = float(step)
-    for _ in range(int(iters)):
-        if d_cur == 0.0 or tau < 1e-10:
-            break
-        direction = spectral.ifftn(P * spectral.fftn(res))
-        accepted = False
-        for sgn in (-1.0, 1.0):
-            cand = u + sgn * tau * direction
-            cand *= m0 / _norm(cand)
-            res_c, gm_c, d_c = _stationary_residual(cand, g, V, gamma0,
-                                                   lam, symbol)
-            if d_c < d_cur:
-                u, res, gm, d_cur = cand, res_c, gm_c, d_c
-                accepted = True
-                break
-        if accepted:
-            if d_cur < best[2]:
-                best = (u.copy(), gm, d_cur)
-            tau = min(tau * 1.2, step)
-        else:
-            tau *= 0.5
-    return ComplexField(g, best[0], t=seed.t), best[1], best[2]
+    amp = np.negative(g.symbol)
+    box = spectral.fftn(u)
+    np.multiply(box, amp, out=box)
+    spectral.ifftn(box, out=box)
+    np.abs(u, out=amp)
+    amp **= 4.0 / g.d
+    np.multiply(lam, amp, out=amp)
+    nl = np.multiply(amp, u)
+    tmp = np.empty(g.n)
+    norm_box = _norm(box, amp, tmp)
+    norm_nl = _norm(nl, amp, tmp)
+    box += nl
+    np.add(V, float(gamma0), out=amp)
+    pot = np.multiply(amp, u, out=nl)
+    res = np.subtract(box, pot, out=box)
+    scale = norm_box + norm_nl + _norm(pot, amp, pot.imag)
+    if scale == 0.0:
+        return 0.0
+    return _norm(res, amp, tmp) / scale
 
 
 def semiclassical_field(spec: SemiclassicalSpec, t: float, *,

@@ -576,8 +576,9 @@ def evaluate_linear_map(field: ComplexField, matrix: np.ndarray) -> ComplexField
     """Samples of x -> u(M x) for a 2x2 map M (d=2 only).
 
     The image lattice is not tensorial, so this contracts per-mode phase
-    factors instead of separable matrices.  Data should be negligible
-    wherever M maps outside the box.
+    factors instead of separable matrices, one row of modes (one xi_x) at
+    a time: the phase matrices are n x n, not n x N.  Data should be
+    negligible wherever M maps outside the box.
     """
     g = field.grid
     if g.d != 2:
@@ -586,15 +587,18 @@ def evaluate_linear_map(field: ComplexField, matrix: np.ndarray) -> ComplexField
     if M.shape != (2, 2):
         raise GridError("matrix must be 2x2")
     spec = spectral.fftn(field.values)
-    xi_x, xi_y = np.meshgrid(g.xi[0], g.xi[1], indexing="ij")
-    # phase of mode (xi_x, xi_y) at point M(x, y): (M^T xi) . (x, y) + offsets
-    kx = M[0, 0] * xi_x + M[1, 0] * xi_y
-    ky = M[0, 1] * xi_x + M[1, 1] * xi_y
-    off = np.exp(1j * (xi_x * 0.5 * g.length[0] + xi_y * 0.5 * g.length[1]))
-    cmod = (spec * off).ravel() / (g.n[0] * g.n[1])
-    A = np.exp(1j * np.outer(g.coords[0], kx.ravel()))
-    B = np.exp(1j * np.outer(g.coords[1], ky.ravel()))
-    vals = np.einsum("pm,qm,m->pq", A, B, cmod, optimize=True)
+    xi_y = g.xi[1]
+    vals = np.zeros(g.n, dtype=np.complex128)
+    for xi_x, row in zip(g.xi[0], spec):
+        # phase of mode (xi_x, xi_y) at point M(x, y): (M^T xi) . (x, y)
+        # plus the offsets of the box
+        kx = M[0, 0] * xi_x + M[1, 0] * xi_y
+        ky = M[0, 1] * xi_x + M[1, 1] * xi_y
+        off = np.exp(1j * (xi_x * 0.5 * g.length[0] + xi_y * 0.5 * g.length[1]))
+        cmod = row * off / (g.n[0] * g.n[1])
+        A = np.exp(1j * np.outer(g.coords[0], kx)) * cmod
+        B = np.exp(1j * np.outer(g.coords[1], ky))
+        vals += A @ B.T
     return field.with_values(vals)
 
 

@@ -6,16 +6,16 @@ becomes the ordinary radial NLS  i F_t + F_rr + F_r/r + lam |F|^s F = 0,
 and one on the |y| > |x| wedge, where the Laplacian enters with the
 opposite sign (conjugating the profile and flipping lam maps the second
 problem onto the first).  This module hosts the 1-D solver for both, the
-lift of profile pairs back to a 2-D grid, the trace-jump diagnostic at
-the cone |x| = |y|, the ground-state shooting machinery, and the
-concentration scan used to localize blow-up at the cone.
+trace-jump diagnostic at the cone |x| = |y|, the ground-state shooting
+machinery, and the concentration scan used to localize blow-up at the
+cone.
 
 The Crank-Nicolson step factors and solves its tridiagonal matrix with
 LAPACK's zgttrf/zgttrs from the library numpy's own linear algebra links,
 reached through ctypes, so a radial run loads nothing new; scipy's
 binding of the same routines is the fallback where numpy's LAPACK lacks
-them.  The ground-state shooting and the cone lift import scipy inside
-the functions that use it, so `import hnlslab` does not load it.
+them.  The ground-state shooting imports scipy inside the functions that
+use it, so `import hnlslab` does not load it.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .artifacts import load_series_csv, save_series_csv
-from .fields import Grid, cubic_read, lagrange_weights
+from .artifacts import save_series_csv
+from .fields import cubic_read, lagrange_weights
 from .evolution import (STATUS_DONE, MarchState, RunConfig,
                         _check_nonlinearity, _nonlinear_stage, march)
 
@@ -187,19 +187,6 @@ def radial_energy(profile: RadialProfile) -> float:
     w = radial_weights(profile)
     pot = float(np.sum(w * np.abs(v) ** (profile.sigma + 2.0)))
     return kin - profile.sign * profile.lam / (profile.sigma + 2.0) * pot
-
-
-def theta_moment(profile: RadialProfile) -> float:
-    """Weighted moment int (r^2/2 - eps^2 log r) |F|^2 r dr.
-
-    A library diagnostic for blow-up runs on holed domains: no experiment
-    writes it, and no claim is certified from its sign.
-    """
-    r = profile.r
-    theta = 0.5 * r * r
-    if profile.eps > 0:
-        theta = theta - profile.eps ** 2 * np.log(r)
-    return float(np.trapezoid(theta * np.abs(profile.values) ** 2 * r, r))
 
 
 class RadialTrajectory:
@@ -430,46 +417,7 @@ def solve_radial(profile: RadialProfile, dt: float, t_end: float, *,
 
 
 # ---------------------------------------------------------------------------
-# cone lift and trace diagnostics
-
-@dataclass
-class ConeField:
-    """2-D field assembled from the two radial branches.
-
-    mask: 1 on the |x| > |y| wedge, 2 on the |y| > |x| wedge, 0 on the
-    excluded strip |x^2 - y^2| <= eps^2 (and on the cone itself).
-    """
-    grid: Grid
-    values: np.ndarray
-    mask: np.ndarray
-    t: float
-
-
-def lift_to_cone(phi: RadialProfile, psi: RadialProfile, grid: Grid) -> ConeField:
-    """u(x, y) = phi(sqrt(x^2 - y^2)) / psi(sqrt(y^2 - x^2)) on the two
-    wedges, cubic interpolation in the radius; hyperbolic radii beyond a
-    profile's outer wall evaluate to 0, consistent with Dirichlet decay."""
-    from scipy.interpolate import CubicSpline
-    if grid.d != 2:
-        raise ValueError("cone lift is defined for d=2 grids")
-    if abs(phi.t - psi.t) > 1e-12 * max(1.0, abs(phi.t)):
-        raise ValueError("branch profiles are stamped at different times")
-    x, y = grid.meshgrid()
-    q = x * x - y * y
-    mask = np.zeros(grid.n, dtype=np.int8)
-    mask[q > phi.eps ** 2] = 1
-    mask[-q > psi.eps ** 2] = 2
-    values = np.zeros(grid.n, dtype=np.complex128)
-    for code, prof in ((1, phi), (2, psi)):
-        sel = mask == code
-        rh = np.sqrt(np.abs(q[sel]))
-        spline = CubicSpline(prof.r, prof.values)
-        inside = rh <= prof.r_max
-        branch = np.zeros(rh.shape, dtype=np.complex128)
-        branch[inside] = spline(rh[inside])
-        values[sel] = branch
-    return ConeField(grid=grid, values=values, mask=mask, t=phi.t)
-
+# cone trace diagnostics
 
 def _origin_limit(r: np.ndarray, mag: np.ndarray) -> float:
     # Lagrange extrapolation of |F| to r=0 from the innermost 4 nodes
@@ -717,10 +665,3 @@ def save_radial_csv(profile: RadialProfile, path) -> None:
     save_series_csv(path, {"r": profile.r, "re": profile.values.real,
                            "im": profile.values.imag})
 
-
-def load_radial_csv(path, *, lam: float, sigma: float, sign: int = 1,
-                    t: float = 0.0) -> RadialProfile:
-    """Inverse of `save_radial_csv`; files in the older %.18e form load too."""
-    cols = load_series_csv(path)
-    return RadialProfile(r=cols["r"], values=cols["re"] + 1j * cols["im"],
-                         lam=lam, sigma=sigma, sign=sign, t=t)

@@ -1052,16 +1052,15 @@ _EXPORTED = {
                   "integrate_transform_odes constraint_residuals "
                   "closed_form_b apply_pct apply_symmetry "
                   "signature_quadratic",
-    "radial": "RadialProfile RadialTrajectory RadialRunResult ConeField "
+    "radial": "RadialProfile RadialTrajectory RadialRunResult "
               "GroundState ConcentrationReport ConcentrationScan "
               "BC_DIRICHLET BC_REGULARITY make_radial_profile radial_mass "
-              "radial_energy theta_moment radial_weights "
-              "radial_laplacian_dense solve_radial lift_to_cone "
-              "cone_trace_jump shoot_ground_state concentration_scan "
-              "save_radial_csv load_radial_csv",
+              "radial_energy radial_weights radial_laplacian_dense "
+              "solve_radial cone_trace_jump shoot_ground_state "
+              "concentration_scan save_radial_csv",
     "families": "PlaneWaveSpec StandingWaveSpec SemiclassicalSpec "
                 "lift_profile standing_wave_lift wave_field "
-                "bound_state_defect refine_bound_state semiclassical_field "
+                "bound_state_defect semiclassical_field "
                 "profile_hypothesis_warnings",
     "coupled": "DecomposedState CoupledSeries StabilityReport TwoWaveSeries "
                "lift_structured make_decomposed step_decomposed "
@@ -1127,19 +1126,35 @@ def test_cli_rejects_mismatched_kind_and_bad_config(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
-def test_cli_seed_override_controls_output(tmp_path):
+def test_cli_seed_override_controls_output(tmp_path, capsys):
+    # --seed enters the config before it is parsed: the seed that ran is
+    # the one the config hash covers, and the schema checks it
+    seedless = _cfg(initial={"shape": "random", "amplitude": 0.5,
+                             "corr": 2.0})
     cfg_path = tmp_path / "rand.json"
-    cfg_path.write_text(
-        _cfg(initial={"shape": "random", "amplitude": 0.5, "corr": 2.0}),
-        encoding="utf-8")
-    digests = {}
-    for name, seed in (("a", "7"), ("b", "7"), ("c", "8")):
+    cfg_path.write_text(seedless, encoding="utf-8")
+    seeded_path = tmp_path / "seeded.json"
+    seeded_path.write_text(json.dumps({**json.loads(seedless), "seed": 7}),
+                           encoding="utf-8")
+    digests, hashes = {}, {}
+    for name, path, seed in (("a", cfg_path, ["--seed", "7"]),
+                             ("b", cfg_path, ["--seed", "7"]),
+                             ("c", cfg_path, ["--seed", "8"]),
+                             ("written", seeded_path, [])):
         out = tmp_path / name
-        assert cli_main(["simulate", "--config", str(cfg_path),
-                         "--out", str(out), "--seed", seed]) == 0
+        assert cli_main(["simulate", "--config", str(path),
+                         "--out", str(out), *seed]) == 0
         digests[name] = file_digest(out / "final.snap")
-    assert digests["a"] == digests["b"]
+        hashes[name] = _manifest(out)["config_hash"]
+    assert digests["a"] == digests["b"] == digests["written"]
     assert digests["a"] != digests["c"]
+    assert hashes["a"] == hashes["b"] == hashes["written"]
+    assert hashes["a"] != hashes["c"]
+    capsys.readouterr()
+    assert cli_main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "neg"), "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "neg").exists()
 
 
 def test_cli_surfaces_regime_warnings(tmp_path, capsys):

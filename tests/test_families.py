@@ -27,7 +27,6 @@ from hnlslab import (
     integrate_transform_odes,
     lift_profile,
     norms,
-    refine_bound_state,
     residual_hnls,
     run,
     semiclassical_field,
@@ -36,7 +35,6 @@ from hnlslab import (
 )
 from hnlslab import spectral
 from hnlslab.evolution import harmonic_saddle_potential
-from hnlslab.families import _stationary_residual
 from hnlslab.fields import _abs2, evaluate_at_axes, l2_norm
 
 PROFILE_GRID = Grid((64,), (40.0,), (1.0,))
@@ -386,34 +384,25 @@ def test_semiclassical_field_keeps_the_bits_of_the_formula(n):
             spec, t, st).tobytes()
 
 
-def _stationary_reference(u, grid, V, gamma0, lam, symbol):
-    # the whole-array form of the stationary residual
+def _stationary_reference(u, grid, V, gamma0, lam):
+    # the whole-array form of the bound-state defect
     def norm(x):
         return np.sqrt(float(np.sum(_abs2(x))))
-    box = spectral.ifftn(spectral.fftn(u) * (-symbol))
+    box = spectral.ifftn(spectral.fftn(u) * (-grid.symbol))
     nl = lam * np.abs(u) ** (4.0 / grid.d) * u
-    if gamma0 is None:
-        r = box + nl - V * u
-        gamma0 = (np.sum(u.real * r.real + u.imag * r.imag)
-                  / np.sum(_abs2(u)))
-    gamma0 = float(gamma0)
     pot = (V + gamma0) * u
     res = box + nl - pot
-    return res, gamma0, norm(res) / (norm(box) + norm(nl) + norm(pot))
+    return norm(res) / (norm(box) + norm(nl) + norm(pot))
 
 
-@pytest.mark.parametrize("gamma0", [None, 0.7])
+@pytest.mark.parametrize("gamma0", [0.7, 1.3])
 @pytest.mark.parametrize("n", [(128, 128), (256,), (32, 32, 16)])
 def test_stationary_residual_keeps_the_bits_of_the_formula(n, gamma0):
     grid = Grid(n, (40.0,) * len(n), (1.0,) + (-1.0,) * (len(n) - 1))
     u = _candidate(grid).values * np.exp(0.3j * grid.coord_along(0))
     V = harmonic_saddle_potential(grid, 0.25)
-    res, gm, defect = _stationary_residual(u, grid, V, gamma0, -0.5,
-                                           grid.symbol)
-    ref, gm_ref, defect_ref = _stationary_reference(u, grid, V, gamma0,
-                                                    -0.5, grid.symbol)
-    assert res.tobytes() == ref.tobytes()
-    assert (gm, defect) == (gm_ref, defect_ref)
+    defect = bound_state_defect(ComplexField(grid, u), 0.25, gamma0, -0.5)
+    assert defect == _stationary_reference(u, grid, V, gamma0, -0.5)
 
 
 def test_semiclassical_sample_and_defect_memory_is_bounded():
@@ -512,34 +501,23 @@ def test_bound_state_defect_conventions():
     assert 0.0 < spec.defect < 1.0
 
 
-def test_refinement_lowers_defect_and_scales_residual():
-    grid = hnls_grid()
-    seed = gaussian_field(grid, amplitude=1.2, width=1.5)
-    A1, g1, d1 = refine_bound_state(seed, 0.0, 1.0, iters=100)
-    A2, g2, d2 = refine_bound_state(seed, 0.0, 1.0, iters=500)
-    d_seed = bound_state_defect(seed, 0.0, g1, 1.0)
-    assert d2 <= d1 < d_seed
-
+def test_semiclassical_residual_follows_the_defect():
     # with k=0, a0=0 the coefficients stay trivial and the constructed
     # field is A e^{i gamma g(t)}; its equation residual tracks the defect
+    grid = hnls_grid()
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=2.0)
+    st = integrate_transform_odes(0.0, 0.0, 2, np.linspace(0.0, 0.2, 101))
     h = 1e-3
     ratios = []
-    for A, gm, dd in ((A1, g1, d1), (A2, g2, d2)):
-        sp = SemiclassicalSpec(A0=A, k=0.0, gamma0=gm, a0=0.0, lam=1.0)
-        assert sp.defect == dd
-        st = integrate_transform_odes(0.0, 0.0, 2, np.linspace(0.0, 0.2, 101))
+    for amplitude, width in ((1.2, 1.5), (1.0, 1.3)):
+        A = gaussian_field(grid, amplitude=amplitude, width=width)
+        sp = SemiclassicalSpec(A0=A, k=0.0, gamma0=0.5, a0=0.0, lam=1.0)
+        assert sp.defect == bound_state_defect(A, 0.0, 0.5, 1.0) > 0.0
         triple = [semiclassical_field(sp, t, state=st)
                   for t in (0.1 - h, 0.1, 0.1 + h)]
-        ratios.append(residual_hnls(*triple, problem) / dd)
+        ratios.append(residual_hnls(*triple, problem) / sp.defect)
+    assert all(1.0 / 3.0 < r < 3.0 for r in ratios)
     assert 1.0 / 3.0 < ratios[0] / ratios[1] < 3.0
-
-
-def test_refine_rejects_zero_seed():
-    grid = hnls_grid()
-    zero = ComplexField(grid, np.zeros(grid.n, dtype=complex))
-    with pytest.raises(ValueError):
-        refine_bound_state(zero, 0.0, 1.0, iters=5)
 
 
 def test_bound_state_defect_does_not_depend_on_blas_threads():

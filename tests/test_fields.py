@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hnlslab import fields
+from hnlslab import fields, spectral
 from hnlslab.fields import (
     ComplexField, FieldDataError, Grid, GridError, apply_linear_propagator,
     boundary_mass_fraction, constant_field, evaluate_dilated,
@@ -360,6 +361,62 @@ def test_evaluate_linear_map_identity_and_gaussian():
     Yp = M[1, 0] * X + M[1, 1] * Y
     ref = np.exp(-(Xp**2 + Yp**2) / (2 * 1.5**2))
     assert np.max(np.abs(out.values - ref)) < 1e-8
+
+
+def _linear_map_reference(field, M):
+    # the whole-mode contraction: two n x N phase matrices, N = n^2 modes
+    g = field.grid
+    spec = spectral.fftn(field.values)
+    xi_x, xi_y = np.meshgrid(g.xi[0], g.xi[1], indexing="ij")
+    kx = M[0, 0] * xi_x + M[1, 0] * xi_y
+    ky = M[0, 1] * xi_x + M[1, 1] * xi_y
+    off = np.exp(1j * (xi_x * 0.5 * g.length[0] + xi_y * 0.5 * g.length[1]))
+    cmod = (spec * off).ravel() / (g.n[0] * g.n[1])
+    A = np.exp(1j * np.outer(g.coords[0], kx.ravel()))
+    B = np.exp(1j * np.outer(g.coords[1], ky.ravel()))
+    return np.einsum("pm,qm,m->pq", A, B, cmod, optimize=True)
+
+
+_A = 0.3
+_LINEAR_MAPS = {
+    "boost": ((64, 64), [[np.cosh(_A), np.sinh(_A)], [np.sinh(_A), np.cosh(_A)]]),
+    "rotation": ((64, 64), [[np.cos(0.4), -np.sin(0.4)],
+                            [np.sin(0.4), np.cos(0.4)]]),
+    "shear": ((64, 64), [[1.0, 0.5], [0.0, 1.0]]),
+    "swap": ((64, 64), [[0.0, 1.0], [1.0, 0.0]]),
+    "reflection": ((64, 64), [[1.0, 0.0], [0.0, -1.0]]),
+    # unequal sides: a row of modes is n[1] long, the result n[0] x n[1]
+    "scaling-32x64": ((32, 64), [[0.8, 0.0], [0.0, 1.25]]),
+    "boost-64x32": ((64, 32), [[np.cosh(_A), np.sinh(_A)],
+                               [np.sinh(_A), np.cosh(_A)]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LINEAR_MAPS))
+def test_evaluate_linear_map_matches_the_whole_mode_contraction(name):
+    n, M = _LINEAR_MAPS[name]
+    g = Grid(n, (40.0, 40.0), (1.0, -1.0))
+    f = random_smooth_field(g, np.random.default_rng(3))
+    M = np.array(M)
+    ref = _linear_map_reference(f, M)
+    assert np.max(np.abs(evaluate_linear_map(f, M).values - ref)) < 1e-13
+
+
+def test_evaluate_linear_map_memory_is_bounded():
+    # modes are contracted one xi_x row at a time: at 128^2 the peak is a
+    # few fields (the spectrum, the result and one row's n x n phase
+    # matrices), where the whole-mode contraction took about 390
+    M = np.array(_LINEAR_MAPS["boost"][1])
+    big = random_smooth_field(hnls_grid(n=128), np.random.default_rng(4))
+    field = 16 * 128 * 128                # bytes of one complex field
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate_linear_map(big, M)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * field
 
 
 def test_boundary_mass_fraction_flags_edge_data():

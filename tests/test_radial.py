@@ -1,6 +1,8 @@
-"""Tests for the 1-D radial reduction, cone lift, and ground state."""
+"""Tests for the 1-D radial reduction, cone trace, and ground state."""
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -18,8 +20,6 @@ from hnlslab.radial import (
     RadialTrajectory,
     concentration_scan,
     cone_trace_jump,
-    lift_to_cone,
-    load_radial_csv,
     make_radial_profile,
     radial_energy,
     radial_laplacian_dense,
@@ -28,7 +28,6 @@ from hnlslab.radial import (
     save_radial_csv,
     shoot_ground_state,
     solve_radial,
-    theta_moment,
     _active_slice,
     _CrankNicolsonHalf,
     _laplacian_triplets,
@@ -36,6 +35,7 @@ from hnlslab.radial import (
     _shoot_rhs,
 )
 from hnlslab import radial
+from hnlslab.artifacts import load_series_csv
 from hnlslab.evolution import STATUS_BLOWNUP, STATUS_DONE
 from conftest import BAD_NONLINEARITY, hnls_grid
 
@@ -100,15 +100,6 @@ def test_weights_give_second_order_quadrature():
     assert radial_mass(prof) == pytest.approx(1.5 ** 2 / 4.0, rel=1e-4)
     assert radial_energy(prof) == pytest.approx(
         1.5 ** 2 / 4.0 - 1.5 ** 4 / 32.0, rel=1e-3)
-
-
-def test_theta_moment_gaussian():
-    prof = make_radial_profile(4096, 20.0, lambda r: 1.5 * np.exp(-r * r))
-    # int (r^2/2) A^2 e^{-2 r^2} r dr = A^2 / 16
-    assert theta_moment(prof) == pytest.approx(1.5 ** 2 / 16.0, rel=1e-6)
-    holed = make_radial_profile(4096, 20.0, lambda r: 1.5 * np.exp(-r * r),
-                                eps=0.3)
-    assert np.isfinite(theta_moment(holed))
 
 
 # ---------------------------------------------------------------------------
@@ -418,75 +409,7 @@ def test_ground_state_wrong_bracket_raises():
 
 
 # ---------------------------------------------------------------------------
-# cone lift and trace jump
-
-def test_lift_indicator_field():
-    grid = hnls_grid(n=128, length=40.0)
-    phi = make_radial_profile(2048, 25.0, lambda r: np.ones_like(r))
-    psi = make_radial_profile(2048, 25.0, lambda r: np.zeros_like(r))
-    cone = lift_to_cone(phi, psi, grid)
-    x, y = grid.meshgrid()
-    q = x * x - y * y
-    assert np.all(cone.mask[q > 0] == 1)
-    assert np.all(cone.mask[q < 0] == 2)
-    assert np.all(cone.mask[q == 0] == 0)
-    # wedge values: exactly the lifted profiles away from the outer wall
-    assert np.max(np.abs(cone.values[cone.mask == 1] - 1.0)) < 1e-12
-    assert np.max(np.abs(cone.values[cone.mask == 2])) == 0.0
-    assert np.max(np.abs(cone.values[cone.mask == 0])) == 0.0
-
-
-def test_lift_is_constant_on_hyperbolas(rng):
-    grid = hnls_grid(n=128, length=40.0)
-    phi = make_radial_profile(3001, 30.0, lambda r: np.exp(-r * r))
-    psi = make_radial_profile(3001, 30.0, lambda r: 0.5 * np.exp(-r * r))
-    cone = lift_to_cone(phi, psi, grid)
-    x, y = grid.meshgrid()
-    q = (x * x - y * y)
-    sel1 = np.argwhere(cone.mask == 1)
-    picks = sel1[rng.choice(len(sel1), size=100, replace=False)]
-    for i, j in picks:
-        k = q[i, j]
-        assert abs(cone.values[i, j] - np.exp(-k)) < 1e-6
-        # the y -> -y mirror sits on the same hyperbola: identical value
-        jm = (-j) % grid.n[1]
-        np.testing.assert_allclose(cone.values[i, jm], cone.values[i, j],
-                                   rtol=0, atol=1e-14)
-    sel2 = cone.mask == 2
-    assert np.max(np.abs(cone.values[sel2] - 0.5 * np.exp(q[sel2]))) < 1e-6
-
-
-def test_lift_beyond_outer_wall_is_zero():
-    grid = hnls_grid(n=64, length=40.0)
-    phi = make_radial_profile(512, 5.0, lambda r: np.ones_like(r))
-    psi = make_radial_profile(512, 5.0, lambda r: np.ones_like(r))
-    cone = lift_to_cone(phi, psi, grid)
-    x, y = grid.meshgrid()
-    far = np.abs(x * x - y * y) > 25.0
-    assert np.max(np.abs(cone.values[far])) == 0.0
-
-
-def test_lift_validation():
-    g3 = hnls_grid(n=16, d=3)
-    phi = make_radial_profile(64, 5.0, lambda r: np.ones_like(r))
-    with pytest.raises(ValueError, match="d=2"):
-        lift_to_cone(phi, phi, g3)
-    grid = hnls_grid(n=32, length=40.0)
-    late = make_radial_profile(64, 5.0, lambda r: np.ones_like(r), t=1.0)
-    with pytest.raises(ValueError, match="different times"):
-        lift_to_cone(phi, late, grid)
-
-
-def test_lift_excludes_strip_for_holed_profiles():
-    grid = hnls_grid(n=128, length=40.0)
-    phi = make_radial_profile(512, 20.0, lambda r: np.ones_like(r), eps=2.0)
-    psi = make_radial_profile(512, 20.0, lambda r: np.ones_like(r), eps=2.0)
-    cone = lift_to_cone(phi, psi, grid)
-    x, y = grid.meshgrid()
-    strip = np.abs(x * x - y * y) <= 4.0
-    assert np.all(cone.mask[strip] == 0)
-    assert np.max(np.abs(cone.values[strip])) == 0.0
-
+# cone trace jump
 
 def test_branch_data_is_continuous_at_time_zero(ground_state):
     # branch data Q(r) and e^{-i s^2/4} Q(s): equal moduli at equal radius
@@ -543,9 +466,10 @@ def test_radial_csv_roundtrip(tmp_path):
                                lambda r: np.exp(-r * r) * (1 + 0.5j))
     path = tmp_path / "profile.csv"
     save_radial_csv(prof, path)
-    back = load_radial_csv(path, lam=prof.lam, sigma=prof.sigma)
-    np.testing.assert_allclose(back.r, prof.r, atol=0, rtol=1e-15)
-    np.testing.assert_allclose(back.values, prof.values, atol=1e-16)
+    back = load_series_csv(path)
+    np.testing.assert_allclose(back["r"], prof.r, atol=0, rtol=1e-15)
+    np.testing.assert_allclose(back["re"] + 1j * back["im"], prof.values,
+                               atol=1e-16)
     header = path.read_text().splitlines()[0]
     assert header == "r,re,im"
 
@@ -567,18 +491,6 @@ def test_radial_csv_write_is_atomic(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["profile.csv"]
 
 
-def test_radial_csv_reads_the_older_savetxt_form(tmp_path):
-    prof = make_radial_profile(64, 12.0,
-                               lambda r: np.exp(-r * r) * (1 - 0.3j))
-    path = tmp_path / "old.csv"
-    np.savetxt(path, np.column_stack([prof.r, prof.values.real,
-                                      prof.values.imag]),
-               delimiter=",", header="r,re,im", comments="")
-    back = load_radial_csv(path, lam=prof.lam, sigma=prof.sigma)
-    assert np.array_equal(back.r, prof.r)
-    assert np.array_equal(back.values, prof.values)
-
-
 @pytest.mark.parametrize("lam, sigma", BAD_NONLINEARITY)
 def test_radial_profile_rejects_non_finite_nonlinearity(lam, sigma):
     with pytest.raises(ValueError):
@@ -587,9 +499,8 @@ def test_radial_profile_rejects_non_finite_nonlinearity(lam, sigma):
 
 
 def test_package_import_leaves_scipy_unloaded():
-    # the ground-state shooting and the cone lift import scipy when they
-    # run; the radial solver needs it only where numpy's LAPACK lacks
-    # zgttrf/zgttrs
+    # the ground-state shooting imports scipy when it runs; the radial
+    # solver needs it only where numpy's LAPACK lacks zgttrf/zgttrs
     import hnlslab
     src = os.path.dirname(os.path.dirname(os.path.abspath(hnlslab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -599,3 +510,33 @@ def test_package_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_scipy_is_imported_only_where_the_radial_module_needs_it():
+    # every scipy import in the package, as (enclosing function, module):
+    # the LAPACK fallback, and the ground-state shooting's integrator and
+    # Bessel tail
+    import hnlslab
+    found = set()
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            else:
+                names = []
+            found.update((inner, name) for name in names
+                         if name.split(".")[0] == "scipy")
+            walk(child, inner)
+
+    for path in sorted(pathlib.Path(hnlslab.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == {("radial._scipy_lapack", "scipy.linalg.lapack"),
+                     ("radial._classify_shot", "scipy.integrate"),
+                     ("radial.shoot_ground_state", "scipy.special")}
