@@ -177,13 +177,16 @@ def file_digest(path) -> str:
 class RunManifest:
     """What an experiment produced, verifiable after the fact.
 
-    `outputs` maps artifact paths (relative to the manifest's directory)
-    to their SHA-256 digests; identical config + seed must reproduce the
-    digests exactly.  The manifest is written even when the run fails, so
-    `status` is the single place to look for an outcome.
+    `config` is the config object that ran, seed included, and
+    `config_hash` the SHA-256 of its canonical (sorted-key,
+    whitespace-free) JSON.  `outputs` maps artifact paths (relative to the
+    manifest's directory) to their SHA-256 digests; identical config + seed
+    must reproduce the digests exactly.  The manifest is written even when
+    the run fails, so `status` is the single place to look for an outcome.
     """
 
     config_hash: str
+    config: dict
     code_version: str
     started: str
     finished: str
@@ -199,6 +202,7 @@ class RunManifest:
     def to_json(self) -> str:
         return json.dumps({
             "config_hash": self.config_hash,
+            "config": self.config,
             "code_version": self.code_version,
             "started": self.started,
             "finished": self.finished,

@@ -40,13 +40,13 @@ if TYPE_CHECKING:     # `semiclassical_field` imports transforms when called
 class PlaneWaveSpec:
     """One period of a profile f plus the transverse speed vector c.
 
-    The lifted field is u(t, x, y) = f(t, x - c.y); it fits a periodic box
-    only when every c_j * len_y_j / period is an integer, which `profile`
-    checks against the concrete grid.
+    The lifted field is u(t, x, y) = f(t, x - c.y).  The profile spans the
+    box it is lifted onto along x, so its period is len_x; the lift is
+    periodic only when every c_j * len_y_j / len_x is an integer, which
+    `profile` checks against the concrete grid.
     """
 
     f0: np.ndarray
-    period: float
     c: tuple
     lam: float
     sigma: float
@@ -58,10 +58,6 @@ class PlaneWaveSpec:
                 "profile must be 1-D with a power-of-two sample count >= 8")
         if not np.all(np.isfinite(self.f0)):
             raise FieldDataError("profile samples must be finite")
-        self.period = float(self.period)
-        if not 0 < self.period < math.inf:
-            raise ValueError(f"period must be finite and > 0, "
-                             f"got {self.period}")
         self.c = tuple(float(v) for v in self.c)
         if not self.c or not all(map(math.isfinite, self.c)):
             raise ValueError(f"speed vector must be finite and non-empty, "
@@ -82,8 +78,8 @@ class PlaneWaveSpec:
         """1-D evolution problem and initial field for the profile equation
         i f_t + (1 - |c|^2) f_zz + lam |f|^sigma f = 0; GridError when the
         lifted wave is not periodic on `grid`."""
-        _alignment_ints(self.c, self.period, grid.length)
-        g1 = Grid((len(self.f0),), (self.period,), (self.dispersion,))
+        _alignment_ints(self.c, grid.length)
+        g1 = Grid((len(self.f0),), (grid.length[0],), (self.dispersion,))
         return (EvolutionProblem(grid=g1, lam=self.lam, sigma=self.sigma),
                 ComplexField(g1, self.f0))
 
@@ -102,7 +98,7 @@ class PlaneWaveSpec:
 
     def lift(self, values: np.ndarray, grid: Grid, t: float) -> np.ndarray:
         """u(t, x, y) = f(t, x - c.y) on `grid` from profile samples."""
-        return lift_profile(values, self.c, grid, self.period)
+        return lift_profile(values, self.c, grid)
 
     def proxies(self, profile: ComplexField) -> tuple:
         """(||phi||_inf, ||grad phi||_inf) of the lifted wave, read off its
@@ -124,19 +120,15 @@ class PlaneWaveSpec:
                        f"sigma={self.sigma}, (|c|-1)lam={gap:.3g}")
 
 
-def _alignment_ints(c: Sequence[float], period: float,
-                    length: Sequence[float]) -> list:
-    """The integer shifts c_j len_y_j / period of a lift onto a box of
-    side lengths `length`; GridError when the lift is not periodic."""
+def _alignment_ints(c: Sequence[float], length: Sequence[float]) -> list:
+    """The integer shifts c_j len_y_j / len_x of a lift onto a box of side
+    lengths `length`; GridError when the lift is not periodic."""
     if len(length) != len(c) + 1:
         raise GridError(f"grid is {len(length)}-D but the speed vector has "
                         f"{len(c)} components")
-    if abs(length[0] - period) > 1e-9 * period:
-        raise GridError("profile period must equal the box length along "
-                        "the plus axis")
     out = []
     for j, cj in enumerate(c):
-        m = cj * length[1 + j] / period
+        m = cj * length[1 + j] / length[0]
         if not math.isfinite(m) or abs(m - round(m)) > 1e-9:
             raise GridError(
                 f"c[{j}] * len_y / len_x = {m} is not an integer; the "
@@ -145,9 +137,9 @@ def _alignment_ints(c: Sequence[float], period: float,
     return out
 
 
-def lift_profile(values: np.ndarray, c: Sequence[float], grid: Grid,
-                 period: float | None = None) -> np.ndarray:
-    """Samples of f(x - c.y) on `grid` from one period of f.
+def lift_profile(values: np.ndarray, c: Sequence[float],
+                 grid: Grid) -> np.ndarray:
+    """Samples of f(x - c.y) on `grid` from one period of f, len_x long.
 
     When every index shift c_j dy/dx is an integer the lift is an exact
     gather, so repeated lifts are bit-stable; otherwise the trigonometric
@@ -160,8 +152,8 @@ def lift_profile(values: np.ndarray, c: Sequence[float], grid: Grid,
     vals = np.ascontiguousarray(values, dtype=np.complex128)
     if vals.ndim != 1:
         raise FieldDataError("profile values must be 1-D")
-    period = grid.length[0] if period is None else float(period)
-    ints = _alignment_ints(c, period, grid.length)
+    period = grid.length[0]
+    ints = _alignment_ints(c, grid.length)
     nz, n0 = len(vals), grid.n[0]
     exact = nz == n0 and all((m * n0) % grid.n[1 + j] == 0
                              for j, m in enumerate(ints))

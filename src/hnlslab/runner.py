@@ -11,7 +11,8 @@ A config is one UTF-8 JSON object.  Top-level keys:
                  "hnls" is signature (+1, -1, ..), "nls" is all +1; `n` and
                  `length` broadcast from scalars; every n must be a power of
                  two >= 8.  `d` may be omitted when some list fixes it.
-  nonlinearity   {"lam": 1.0, "sigma": 2.0}
+  nonlinearity   {"lam": 1.0, "sigma": 2.0}; semiclassical takes
+                 sigma = 4/d only, and an omitted sigma means 4/d there
   initial        field recipe (simulate / conservation-report):
                  {"shape": "gaussian", "amplitude", "width", "center"?,
                   "boost"?} | {"shape": "random", "amplitude", "corr"}
@@ -26,11 +27,14 @@ A config is one UTF-8 JSON object.  Top-level keys:
 
 plus exactly one kind-specific block named after the kind (none for
 simulate / conservation-report); see the kind declarations,
-`_DECLARATIONS`, for their keys.  Unknown keys anywhere are rejected, so
-are NaN and Infinity wherever a number is expected, and so are key
-combinations the run would refuse (an adaptive backward run, a radial
-hole `eps >= r_max` or around a concentration radius, two waves at one
-speed, a plane or standing wave that does not fit the box, a fixed-dt
+`_DECLARATIONS`, for their keys.  A wave block names no period and no
+transverse size: the box fixes both (a plane profile spans len_x, a
+standing profile the transverse axes of the grid).  Unknown keys
+anywhere are rejected, so are NaN and Infinity wherever a number is
+expected, and so are key combinations the run would refuse (an adaptive
+backward run, a radial hole `eps >= r_max` or around a concentration
+radius, two waves at one speed, a plane or standing wave that does not
+fit the box, a semiclassical sigma other than 4/d, a fixed-dt
 conservation-report with fewer than 5 samples), and so is an amplitude
 whose field's |u|^2 or |u|^(sigma+2) summed over the box (for
 `stability.shape`, whose H1 norm) is not finite.
@@ -39,8 +43,10 @@ first; a wave's fit to its box is checked once the grid, the nonlinearity
 and the keys of the wave's block are valid, so two equal speeds are
 reported together with a misfit of either wave.
 
-Profile-hypothesis lint results and regime certification are attached to
-the parsed config as `warnings`: advisory, never fatal.
+Profile-hypothesis lint results (for 1-D profiles, the only ones the
+certified windows state) and regime certification are attached to the
+parsed config as `warnings`: advisory, never fatal.  The manifest of a
+run records the config object as given, seed included, beside its hash.
 """
 
 from __future__ import annotations
@@ -84,8 +90,10 @@ class ExperimentConfig:
     """A validated experiment: normalized sections plus advisory warnings.
 
     `grid`, `initial`, `run` and `block` hold plain dicts with defaults
-    filled in; `config_hash` is the SHA-256 of the canonical (sorted-key,
-    whitespace-free) JSON, so formatting does not change identity.
+    filled in; `source` is the config object as given (the CLI's --seed
+    written in), and `config_hash` the SHA-256 of its canonical
+    (sorted-key, whitespace-free) JSON, so formatting does not change
+    identity.
     """
 
     kind: str
@@ -97,8 +105,14 @@ class ExperimentConfig:
     block: dict | None
     output: str
     seed: int
-    config_hash: str
+    source: dict
     warnings: list = dc_field(default_factory=list)
+
+    @property
+    def config_hash(self) -> str:
+        canonical = json.dumps(self.source, sort_keys=True,
+                               separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def build_grid(self) -> Grid:
         if self.grid is None:
@@ -301,6 +315,22 @@ def _initial(d):
         "zero": {}})
 
 
+def _critical_nonlinearity(d):
+    """The nonlinearity keys of a kind that runs at the power 4/d only (the
+    one the chirp-dilation map transports): an omitted sigma means 4/d,
+    and any other is refused once the grid fixes d."""
+    if d is None:
+        return _NONLINEARITY
+    sigma = 4.0 / d
+
+    def check(errors, where, v):
+        if _FINITE(errors, where, v) is not None and v != sigma:
+            return _fail(errors, where, f"must be 4/d = {sigma!r} on a "
+                                        f"{d}-D grid, got {v!r}")
+        return sigma
+    return {**_NONLINEARITY, "sigma": (check, sigma)}
+
+
 def _run_config(run: dict) -> RunConfig:
     return RunConfig(t_end=run["t_end"], dt0=run["dt0"], adapt=run["adapt"],
                      linf_ceiling=run["linf_ceiling"],
@@ -372,21 +402,20 @@ def _radial_rules(errors, where, block):
 
 
 def _wave_keys(grid):
-    """The keys of a plane and of a standing wave; defaults and the length
-    of `c` follow the grid when it is valid."""
-    n0, len0 = (grid["n"][0], grid["length"][0]) if grid else (64, 40.0)
-    plane = {"n": (_grid_size, n0), "period": (_POSITIVE, len0),
+    """The keys of a plane and of a standing wave; the default profile size
+    and the length of `c` follow the grid when it is valid.  The box fixes
+    the rest: a plane profile's period is len_x, and a standing profile
+    spans the transverse axes of the grid."""
+    plane = {"n": (_grid_size, grid["n"][0] if grid else 64),
              "c": (_list(_FINITE, grid and grid["d"] - 1), _REQUIRED)}
-    standing = {"n": (_grid_size, grid["n"][1] if grid and grid["d"] == 2
-                      else n0), "omega": (_FINITE, _REQUIRED)}
-    return {"plane": plane, "standing": standing}
+    return {"plane": plane, "standing": {"omega": (_FINITE, _REQUIRED)}}
 
 
 def _two_wave_block(grid):
     plane = _wave_keys(grid)["plane"]
     side = _sub({**_PROFILE, "c": plane["c"]})
     return _sub({"first": (side, _REQUIRED), "second": (side, _REQUIRED),
-                 "n": plane["n"], "period": plane["period"], **_MARCH})
+                 "n": plane["n"], **_MARCH})
 
 
 def _transform_check_block(grid):
@@ -560,8 +589,10 @@ def parse_config(text: str) -> ExperimentConfig:
     grid = None
     if "grid" in decl.sections and "grid" in raw:
         grid = _norm_grid(errors, raw["grid"])   # the sections below read it
+    powers = decl.nonlinearity(grid and grid["d"])
     keys = {"kind": (_given(kind), _REQUIRED),
-            "nonlinearity": (_sub(_NONLINEARITY), {"lam": 1.0, "sigma": 2.0}),
+            "nonlinearity": (_sub(powers), {
+                key: default for key, (_, default) in powers.items()}),
             "output": (_text, "."), "seed": (_integer(0), 0)}
     sections = {"grid": _given(grid), "initial": _initial(grid and grid["d"]),
                 "run": _sub(_RUN, decl.run_rule)}
@@ -574,13 +605,11 @@ def parse_config(text: str) -> ExperimentConfig:
                                        f"section"), None))
     top = _section(errors, "", raw, keys)
     nonlinearity = top["nonlinearity"] or {}
-    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     cfg = ExperimentConfig(
         kind=kind, grid=grid, lam=nonlinearity.get("lam"),
         sigma=nonlinearity.get("sigma"), initial=top["initial"],
         run=top["run"], block=top.get(kind), output=top["output"],
-        seed=top["seed"],
-        config_hash=hashlib.sha256(canonical.encode("utf-8")).hexdigest())
+        seed=top["seed"], source=raw)
     # once the block's keys are valid (no other key starts like the kind),
     # its cross-key rule runs, and the specs decide whether a wave fits its
     # box if the grid and the nonlinearity are valid as well
@@ -598,6 +627,8 @@ def parse_config(text: str) -> ExperimentConfig:
     for where, spec in specs.items():     # advisory lint: profile hypotheses
         from .families import profile_hypothesis_warnings
         _, profile = spec.profile(box)
+        if profile.grid.d > 1:    # the certified windows have 1-D profiles
+            continue
         label = f"{where}.profile".removeprefix(f"{kind}.")
         cfg.warnings += [f"{label}: {w}" for w in profile_hypothesis_warnings(
             spec.f0, profile.grid.length[0])]
@@ -716,22 +747,24 @@ def _exp_conservation_report(cfg, out) -> str:
 def _wave_specs(cfg, grid, errors=None) -> dict:
     """{block path: plane or standing wave spec} of every wave the kind
     declares.  Its profile is sampled on the grid that `profile(grid)`
-    gives the spec with a zero profile, which raises GridError when the
-    wave does not fit `grid`; when `errors` is given, the misfit, or a
-    Gaussian profile too narrow for that grid, is reported there at the
-    block path instead and the wave left out."""
+    gives the spec with a zero profile (`n` samples of a plane wave, the
+    transverse shape of `grid` for a standing wave), which raises
+    GridError when the wave does not fit `grid`; when `errors` is given,
+    the misfit, or a Gaussian profile too narrow for that grid, is
+    reported there at the block path instead and the wave left out.  A
+    Gaussian's centre is the same on every axis of the profile."""
     from .families import PlaneWaveSpec, StandingWaveSpec
     b, specs = cfg.block, {}
     for where in _DECLARATIONS[cfg.kind].waves:
-        side, f0 = _at(cfg, where), np.zeros(b["n"])
+        side = _at(cfg, where)
         try:
             if "omega" in b:
-                spec = StandingWaveSpec(f0=f0, omega=b["omega"], lam=cfg.lam,
+                spec = StandingWaveSpec(f0=np.zeros(grid.n[1:]),
+                                        omega=b["omega"], lam=cfg.lam,
                                         sigma=cfg.sigma)
             else:
-                spec = PlaneWaveSpec(f0=f0, period=b["period"],
-                                     c=tuple(side["c"]), lam=cfg.lam,
-                                     sigma=cfg.sigma)
+                spec = PlaneWaveSpec(f0=np.zeros(b["n"]), c=tuple(side["c"]),
+                                     lam=cfg.lam, sigma=cfg.sigma)
             _, profile = spec.profile(grid)
         except GridError as exc:
             if errors is None:
@@ -744,7 +777,7 @@ def _wave_specs(cfg, grid, errors=None) -> dict:
             continue
         specs[where] = spec if p["shape"] == "zero" else replace(
             spec, f0=gaussian_field(profile.grid, p["amplitude"], p["width"],
-                                    (p["center"],)).values)
+                                    (p["center"],) * profile.grid.d).values)
     return specs
 
 
@@ -939,6 +972,7 @@ class _Kind:
     run_rule: Callable = _runnable  # the run section's cross-key rule
     block: Callable | None = None   # block(grid): the check of its block
     rule: Callable | None = None    # rule(errors, block), once keys are valid
+    nonlinearity: Callable = lambda d: _NONLINEARITY  # its keys, given d
     waves: tuple = ()               # the block paths of its waves
     regime: bool = False            # warn when its wave is uncertified
     amplitudes: tuple = ()          # (block path, rule) of other amplitudes
@@ -964,6 +998,7 @@ _DECLARATIONS = {
             "gamma0": (_FINITE, 1.0),
             "candidate": (_initial(grid and grid["d"]), _REQUIRED),
             "t_end": (_POSITIVE, _REQUIRED), "samples": (_integer(2), 33)}),
+        nonlinearity=_critical_nonlinearity,
         amplitudes=(("semiclassical.candidate", _recipe_sums),)),
     # a radial run may end where it starts (t_end = 0)
     "radial": _Kind(
@@ -1014,6 +1049,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> int:
     except Exception as exc:
         status = f"Failed: {type(exc).__name__}: {exc}"
     manifest = RunManifest(config_hash=config.config_hash,
+                           config=config.source,
                            code_version=__version__, started=started,
                            finished=_now(), status=status)
     for path in out.paths:

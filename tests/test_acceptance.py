@@ -260,7 +260,7 @@ def test_07_unit_speed_plane_wave_is_phase_flow():
     grid = hnls_grid()
     f0 = gaussian_field(PROFILE_GRID, amplitude=0.7,
                         width=4.0).values * (1.0 + 0.25j)
-    spec = PlaneWaveSpec(f0=f0, period=40.0, c=(1.0,), lam=1.0, sigma=2.0)
+    spec = PlaneWaveSpec(f0=f0, c=(1.0,), lam=1.0, sigma=2.0)
     problem = EvolutionProblem(grid, lam=1.0, sigma=2.0)
     u0 = wave_field(spec, 0.0, grid)
     base = np.abs(u0.values)
@@ -285,7 +285,7 @@ def test_07_unit_speed_plane_wave_is_phase_flow():
 
 def _plane_spec(c=(1.0,), lam=1.0, sigma=2.0, width=3.0, amplitude=0.7):
     f0 = gaussian_field(PROFILE_GRID, amplitude=amplitude, width=width).values
-    return PlaneWaveSpec(f0=f0, period=40.0, c=c, lam=lam, sigma=sigma)
+    return PlaneWaveSpec(f0=f0, c=c, lam=lam, sigma=sigma)
 
 
 def _standing_spec():

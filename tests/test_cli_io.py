@@ -1,5 +1,6 @@
 """Snapshots, CSV series, manifests, config parsing, runner, and CLI."""
 
+import hashlib
 import importlib
 import json
 import math
@@ -181,7 +182,8 @@ def test_series_csv_validation(tmp_path):
 def test_manifest_digests_match_files(tmp_path):
     (tmp_path / "a.csv").write_text("t\n0.0\n", encoding="utf-8")
     (tmp_path / "b.bin").write_bytes(b"\x00\x01\x02")
-    manifest = RunManifest(config_hash="deadbeef", code_version="0.1.0",
+    manifest = RunManifest(config_hash="deadbeef", config={},
+                           code_version="0.1.0",
                            started="2026-01-01T00:00:00+00:00",
                            finished="2026-01-01T00:00:01+00:00",
                            status="Done")
@@ -417,7 +419,7 @@ def _narrow(width, **extra):
 _BOX16 = {"preset": "hnls", "d": 2, "n": 16, "length": 20.0}
 
 
-def _two_wave_cfg(c1, c2, n=32, first=None):
+def _two_wave_cfg(c1, c2, n=32, first=None, **block):
     def side(c, profile=None):
         return {"profile": profile or {"shape": "gaussian", "width": 3.0},
                 "c": [c]}
@@ -426,7 +428,7 @@ def _two_wave_cfg(c1, c2, n=32, first=None):
         "kind": "two-wave",
         "grid": {"preset": "hnls", "d": 2, "n": n, "length": 40.0},
         "two-wave": {"first": side(c1, first), "second": side(c2),
-                     "t_end": 0.01}})
+                     "t_end": 0.01, **block}})
 
 
 def _stability_cfg(**block):
@@ -438,6 +440,16 @@ def _stability_cfg(**block):
         "kind": "stability",
         "grid": {"preset": "hnls", "d": 2, "n": 32, "length": 40.0},
         "stability": stab})
+
+
+def _semiclassical_cfg(d=2, **nonlinearity):
+    return json.dumps({
+        "kind": "semiclassical",
+        "grid": {"preset": "hnls", "d": d, "n": 16, "length": 20.0},
+        "nonlinearity": nonlinearity,
+        "semiclassical": {"k": 0.25, "a0": 0.5,
+                          "candidate": {"shape": "gaussian", "width": 2.0},
+                          "t_end": 0.1, "samples": 3}})
 
 
 def _standing_cfg(kind="standing", n=32, block=None):
@@ -477,9 +489,13 @@ def _standing_cfg(kind="standing", n=32, block=None):
     ("simulate", _cfg(initial={"shape": "gaussian",
                                "width": [-1.0, 2.0]}), "width"),
     ("radial", _radial_cfg(sign=True), "sign"),
-    ("planewave", _planewave_cfg(period=20.0), "period"),
+    # a plane profile's period is the box along x: the key is gone
+    ("planewave", _planewave_cfg(period=20.0), "unknown key 'period'"),
+    ("two-wave", _two_wave_cfg(1.0, -1.0, period=40.0),
+     "unknown key 'period'"),
+    ("stability", _stability_cfg(period=40.0), "unknown key 'period'"),
     ("planewave", _planewave_cfg(c=[0.3]), "len_y"),
-    # c len_y / period overflows to inf on a valid box
+    # c len_y / len_x overflows to inf on a valid box
     ("planewave", _planewave_cfg(c=[1e307]), "len_y"),
     # a box whose cell volume overflows
     ("planewave", _planewave_cfg(length=1e308, c=[2.0]), "length"),
@@ -491,12 +507,15 @@ def _standing_cfg(kind="standing", n=32, block=None):
     # the wave rules wait for a valid grid
     ("standing", _standing_cfg(n=63), "power of two"),
     ("two-wave", _two_wave_cfg(1.0, -1.0, n=63), "power of two"),
-    # the profile must span the transverse axis
+    # a standing profile spans the transverse axes of the grid: the key
+    # that sized it is gone
     ("standing", _standing_cfg(n=64, block={"omega": _OMEGA, "n": 32}),
-     "transverse grid size"),
+     "unknown key 'n'"),
     ("stability", _standing_cfg(kind="stability", n=64,
                                 block={"omega": _OMEGA, "n": 32}),
-     "transverse grid size"),
+     "unknown key 'n'"),
+    # the chirp-dilation map transports sigma = 4/d only
+    ("semiclassical", _semiclassical_cfg(sigma=7.0), "nonlinearity.sigma"),
     # the concentration scan needs grid points inside each radius
     ("radial", _radial_cfg(eps=0.5, concentration_eps=[0.2]),
      "concentration_eps"),
@@ -574,6 +593,47 @@ def test_bad_numbers_exit_2_before_any_run(kind, text, key, tmp_path,
     assert cli_main([kind, "--config", str(cfg_path), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_semiclassical_sigma_is_four_over_d(tmp_path):
+    # the run never reads sigma: the chirp-dilation map fixes it at 4/d,
+    # so an omitted sigma means 4/d and any other is refused
+    assert parse_config(_semiclassical_cfg(d=3)).sigma == 4.0 / 3.0
+    assert parse_config(_semiclassical_cfg(sigma=2.0)).sigma == 2.0
+    for d, sigma in ((2, 7.0), (3, 2.0), (2, 0.0)):
+        with pytest.raises(ConfigError) as info:
+            parse_config(_semiclassical_cfg(d=d, sigma=sigma))
+        assert info.value.errors == [
+            f"nonlinearity.sigma: must be 4/d = {4.0 / d!r} on a {d}-D "
+            f"grid, got {sigma!r}"]
+    cfg = parse_config(_semiclassical_cfg(d=3))
+    assert run_experiment(cfg, out_dir=tmp_path) == 0
+
+
+def test_three_dimensional_standing_waves_run(tmp_path, capsys):
+    # a standing profile spans both transverse axes of a 3-D box; it is
+    # not linted, as the certified windows state only 1-D profiles
+    grid = {"preset": "hnls", "d": 3, "n": 16, "length": 20.0}
+    wave = {"profile": {"shape": "gaussian", "amplitude": 0.5,
+                        "width": 2.0, "center": 1.0},
+            "omega": 2.0 * math.pi / 20.0}
+    configs = {
+        "standing": {"kind": "standing", "grid": grid, "standing": wave,
+                     "run": {"t_end": 0.05}},
+        "stability": {"kind": "stability", "grid": grid, "stability": {
+            "wave": "standing", **wave, "eps": [1e-3], "t_end": 0.01,
+            "shape": {"shape": "gaussian", "amplitude": 1.0,
+                      "width": 2.0}}}}
+    for kind, cfg in configs.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / kind
+        assert cli_main([kind, "--config", str(path), "--out", str(out)]) == 0
+        assert _manifest(out)["status"] == "Done"
+        err = capsys.readouterr().err
+        assert "profile" not in err, err
+    with open(tmp_path / "standing" / "standing.json") as handle:
+        assert json.load(handle)["formula_mismatch"] <= 1e-12
 
 
 def test_a_narrow_gaussian_whose_square_is_finite_runs(tmp_path):
@@ -1155,6 +1215,25 @@ def test_cli_seed_override_controls_output(tmp_path, capsys):
                      "--out", str(tmp_path / "neg"), "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err
     assert not (tmp_path / "neg").exists()
+
+
+def test_manifest_records_the_config_that_ran(tmp_path):
+    # the run directory alone says which config ran, --seed written in
+    cfg_path = tmp_path / "rand.json"
+    cfg_path.write_text(_cfg(initial={"shape": "random", "amplitude": 0.5},
+                             seed=3), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out",
+                     str(out), "--seed", "8"]) == 0
+    manifest = _manifest(out)
+    config = manifest["config"]
+    assert config["seed"] == 8
+    assert config["initial"] == {"shape": "random", "amplitude": 0.5}
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    assert (hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            == manifest["config_hash"])
+    assert parse_config(json.dumps(config)).config_hash == \
+        manifest["config_hash"]
 
 
 def test_cli_surfaces_regime_warnings(tmp_path, capsys):

@@ -44,8 +44,7 @@ def _bump(width, amplitude=0.7):
 
 
 def _plane_spec(c=(1.0,), lam=1.0, sigma=2.0, width=3.0, amplitude=0.7):
-    return PlaneWaveSpec(f0=_bump(width, amplitude), period=40.0, c=c,
-                         lam=lam, sigma=sigma)
+    return PlaneWaveSpec(f0=_bump(width, amplitude), c=c, lam=lam, sigma=sigma)
 
 
 def _standing_spec(lam=1.0, sigma=4.0):
@@ -166,7 +165,7 @@ def test_perturbation_stepper_reduces_to_plain_solver():
     # With a zero profile the coupling term collapses to the bare
     # nonlinearity and the stepper must reproduce the production solver.
     grid = hnls_grid()
-    spec = PlaneWaveSpec(f0=np.zeros(64, dtype=complex), period=40.0,
+    spec = PlaneWaveSpec(f0=np.zeros(64, dtype=complex),
                          c=(1.0,), lam=1.0, sigma=2.0)
     v0 = gaussian_field(grid, amplitude=0.5, width=3.0)
     problem = EvolutionProblem(grid, lam=1.0, sigma=2.0)
@@ -249,7 +248,7 @@ def test_stability_zero_eps_measures_grid_debris():
     # the c = 2 lift folds the profile's box-edge spectral tail onto modes
     # with the wrong symbol, so the debris is small but not zero.
     grid = hnls_grid()
-    spec = PlaneWaveSpec(f0=_bump(4.0, amplitude=0.4), period=40.0,
+    spec = PlaneWaveSpec(f0=_bump(4.0, amplitude=0.4),
                          c=(2.0,), lam=1.0, sigma=4.0)
     reports = stability_run(spec, _seed(grid, amplitude=1.0), (0.0,), 5.0)
     assert reports[0].status == "Bounded"
@@ -277,7 +276,7 @@ def test_stability_detects_blowup():
     # compatible because 0.5 * 80 / 40 is an integer.)
     fine = Grid((512,), (40.0,), (1.0,))
     f0 = gaussian_field(fine, amplitude=2.2, width=1.2).values
-    spec = PlaneWaveSpec(f0=f0, period=40.0, c=(0.5,), lam=1.0, sigma=4.0)
+    spec = PlaneWaveSpec(f0=f0, c=(0.5,), lam=1.0, sigma=4.0)
     grid = Grid((64, 64), (40.0, 80.0), (1.0, -1.0))
     reports = stability_run(spec, _seed(grid, amplitude=1.0), (1e-3,), 0.5,
                             linf_ceiling=5.0)
@@ -305,7 +304,7 @@ def test_stability_reports_growth_past_the_factor():
     # h_sup >= ||v0||_H1 = eps, so a growth factor below 1 marks any run
     # that does not blow up Grew, with the measured h_sup / eps
     grid = hnls_grid()
-    spec = PlaneWaveSpec(f0=_bump(4.0, amplitude=0.4), period=40.0,
+    spec = PlaneWaveSpec(f0=_bump(4.0, amplitude=0.4),
                          c=(2.0,), lam=1.0, sigma=4.0)
     rep, = stability_run(spec, _seed(grid, amplitude=1.0), (1e-3,), 0.5,
                          dt=1e-2, grow_factor=0.5)
@@ -355,7 +354,7 @@ def test_profile_lint_degenerate_inputs():
 def test_two_wave_interaction_stays_localized():
     grid = hnls_grid()
     s1 = _plane_spec(c=(1.0,))
-    s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), period=40.0, c=(-1.0,),
+    s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
                        lam=1.0, sigma=2.0)
     out = two_wave_run(s1, s2, None, 1.0, grid)
     assert out.status == "Done"
@@ -382,7 +381,7 @@ def test_two_wave_run_frees_its_lifts_before_the_march(monkeypatch):
 
     monkeypatch.setattr(coupled, "lift_structured", traced_lift)
     monkeypatch.setattr(coupled, "march", traced_march)
-    s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), period=40.0, c=(-1.0,),
+    s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
                        lam=1.0, sigma=2.0)
     out = two_wave_run(_plane_spec(c=(1.0,)), s2, None, 0.05, hnls_grid(),
                        dt=1e-2, sample_stride=1)
@@ -444,7 +443,7 @@ def test_two_wave_band_step_stays_within_the_march_peak(monkeypatch):
         return out
 
     monkeypatch.setattr(coupled, "march", traced_march)
-    s1, s2 = (PlaneWaveSpec(f0=_bump(3.0, amplitude=0.5), period=40.0, c=c,
+    s1, s2 = (PlaneWaveSpec(f0=_bump(3.0, amplitude=0.5), c=c,
                             lam=1.0, sigma=2.0)
               for c in ((1.0, 0.0), (0.0, -1.0)))
     tracemalloc.start()
@@ -461,7 +460,7 @@ def test_two_wave_band_step_stays_within_the_march_peak(monkeypatch):
 def test_two_wave_symmetry_and_degenerate_cases():
     grid = hnls_grid()
     s1 = _plane_spec(c=(1.0,))
-    s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), period=40.0, c=(-1.0,),
+    s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
                        lam=1.0, sigma=2.0)
     a = two_wave_run(s1, s2, None, 0.5, grid)
     b = two_wave_run(s2, s1, None, 0.5, grid)
@@ -469,7 +468,7 @@ def test_two_wave_symmetry_and_degenerate_cases():
     assert abs(a.product_scale - b.product_scale) < 1e-9
 
     # a vanishing partner reduces the run to single-wave debris
-    s2z = PlaneWaveSpec(f0=np.zeros(64, dtype=complex), period=40.0,
+    s2z = PlaneWaveSpec(f0=np.zeros(64, dtype=complex),
                         c=(-1.0,), lam=1.0, sigma=2.0)
     out = two_wave_run(s1, s2z, None, 0.5, grid)
     _, series = run_decomposed(make_decomposed(s1, grid), 0.5)
@@ -498,7 +497,7 @@ def test_two_wave_remainder_at_t0_is_v0():
     # u(0) = v0 + l1 + l2 exactly, so the remainder there is v0 itself
     grid = hnls_grid()
     s1 = _plane_spec(c=(1.0,))
-    s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), period=40.0, c=(-1.0,),
+    s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
                        lam=1.0, sigma=2.0)
     assert two_wave_run(s1, s2, None, 0.02, grid).remainder[0] == 0.0
     v0 = _seed(grid)
@@ -585,7 +584,7 @@ def test_carried_run_matches_step_decomposed_loop(spec):
 def test_two_wave_run_matches_step_strang_loop():
     grid = hnls_grid()
     s1 = _plane_spec(c=(1.0,))
-    s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), period=40.0, c=(-1.0,),
+    s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
                        lam=1.0, sigma=2.0)
     v0 = _seed(grid)
     T, dt, stride = 0.0537, 4e-3, 5
@@ -638,8 +637,7 @@ def test_carried_run_fft_and_lift_counts(monkeypatch):
     # forward FFT of u0 = v0 + lift(phi0)
     import hnlslab.coupled as coupled
     grid = hnls_grid(n=32)
-    spec = PlaneWaveSpec(f0=_bump(3.0)[::2], period=40.0, c=(1.0,),
-                         lam=1.0, sigma=2.0)
+    spec = PlaneWaveSpec(f0=_bump(3.0)[::2], c=(1.0,), lam=1.0, sigma=2.0)
     state = make_decomposed(spec, grid, v0=_seed(grid))
     ffts, lifts = _Counter(), _Counter()
     for name in ("fftn", "ifftn"):
@@ -687,7 +685,7 @@ def test_carried_run_detects_blowup_where_the_stepper_does():
     # not stop on its loose first-step bound (about 6.6 > 5)
     fine = Grid((512,), (40.0,), (1.0,))
     f0 = gaussian_field(fine, amplitude=2.2, width=1.2).values
-    spec = PlaneWaveSpec(f0=f0, period=40.0, c=(0.5,), lam=1.0, sigma=4.0)
+    spec = PlaneWaveSpec(f0=f0, c=(0.5,), lam=1.0, sigma=4.0)
     grid = Grid((64, 64), (40.0, 80.0), (1.0, -1.0))
     v0 = _seed(grid, amplitude=1e-3)
     a, sa = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.5,

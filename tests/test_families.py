@@ -54,26 +54,21 @@ def _bump(width, amplitude=0.7):
 def test_plane_wave_spec_validation():
     f0 = _bump(3.0)
     with pytest.raises(FieldDataError):
-        PlaneWaveSpec(f0=f0.reshape(8, 8), period=40.0, c=(1.0,), lam=1.0,
-                      sigma=2.0)
+        PlaneWaveSpec(f0=f0.reshape(8, 8), c=(1.0,), lam=1.0, sigma=2.0)
     with pytest.raises(FieldDataError):
-        PlaneWaveSpec(f0=f0[:60], period=40.0, c=(1.0,), lam=1.0, sigma=2.0)
+        PlaneWaveSpec(f0=f0[:60], c=(1.0,), lam=1.0, sigma=2.0)
     with pytest.raises(FieldDataError):
-        PlaneWaveSpec(f0=f0 * np.nan, period=40.0, c=(1.0,), lam=1.0,
-                      sigma=2.0)
+        PlaneWaveSpec(f0=f0 * np.nan, c=(1.0,), lam=1.0, sigma=2.0)
     with pytest.raises(ValueError):
-        PlaneWaveSpec(f0=f0, period=-40.0, c=(1.0,), lam=1.0, sigma=2.0)
+        PlaneWaveSpec(f0=f0, c=(), lam=1.0, sigma=2.0)
     with pytest.raises(ValueError):
-        PlaneWaveSpec(f0=f0, period=40.0, c=(), lam=1.0, sigma=2.0)
-    with pytest.raises(ValueError):
-        PlaneWaveSpec(f0=f0, period=40.0, c=(1.0,), lam=1.0, sigma=-1.0)
+        PlaneWaveSpec(f0=f0, c=(1.0,), lam=1.0, sigma=-1.0)
 
 
 @pytest.mark.parametrize("lam, sigma", BAD_NONLINEARITY)
 def test_wave_specs_reject_non_finite_nonlinearity(lam, sigma):
     with pytest.raises(ValueError):
-        PlaneWaveSpec(f0=_bump(3.0), period=40.0, c=(1.0,), lam=lam,
-                      sigma=sigma)
+        PlaneWaveSpec(f0=_bump(3.0), c=(1.0,), lam=lam, sigma=sigma)
     with pytest.raises(ValueError):
         StandingWaveSpec(f0=_bump(2.0), omega=2.0 * np.pi / 40.0, lam=lam,
                          sigma=sigma)
@@ -83,8 +78,7 @@ _NON_FINITE = (np.nan, np.inf, -np.inf)
 
 
 @pytest.mark.parametrize("spec, params", [
-    *((PlaneWaveSpec, {"period": v, "c": (1.0,)}) for v in _NON_FINITE[:2]),
-    *((PlaneWaveSpec, {"period": 40.0, "c": (v,)}) for v in _NON_FINITE),
+    *((PlaneWaveSpec, {"c": (v,)}) for v in _NON_FINITE),
     *((StandingWaveSpec, {"omega": v}) for v in _NON_FINITE),
 ])
 def test_wave_specs_reject_non_finite_wave_parameters(spec, params):
@@ -96,10 +90,9 @@ def test_plane_wave_spec_follows_the_grid_size_rule():
     # a 4-sample profile is refused when the spec is built (Grid needs
     # >= 8 samples), not later by the profile grid
     with pytest.raises(FieldDataError):
-        PlaneWaveSpec(f0=np.ones(4, dtype=complex), period=40.0, c=(1.0,),
-                      lam=1.0, sigma=2.0)
-    PlaneWaveSpec(f0=np.ones(8, dtype=complex), period=40.0, c=(1.0,),
-                  lam=1.0, sigma=2.0)
+        PlaneWaveSpec(f0=np.ones(4, dtype=complex), c=(1.0,), lam=1.0,
+                      sigma=2.0)
+    PlaneWaveSpec(f0=np.ones(8, dtype=complex), c=(1.0,), lam=1.0, sigma=2.0)
 
 
 def test_lift_rejects_incompatible_boxes():
@@ -109,8 +102,6 @@ def test_lift_rejects_incompatible_boxes():
         lift_profile(f0, (1.0, 1.0), grid)  # too many speeds for d=2
     with pytest.raises(GridError):
         lift_profile(f0, (0.7,), grid)  # 0.7 * 40 / 40 not an integer
-    with pytest.raises(GridError):
-        lift_profile(f0, (1.0,), grid, period=35.0)
 
 
 def test_lift_gather_matches_trig_series():
@@ -178,7 +169,7 @@ def test_exact_lift_and_l2_norm_add_their_result_and_one_chunk(monkeypatch):
 def test_unit_speed_flow_preserves_modulus_and_norms():
     grid = hnls_grid()
     f0 = _bump(4.0) * (1.0 + 0.25j)
-    spec = PlaneWaveSpec(f0=f0, period=40.0, c=(1.0,), lam=1.0, sigma=2.0)
+    spec = PlaneWaveSpec(f0=f0, c=(1.0,), lam=1.0, sigma=2.0)
     u0 = wave_field(spec, 0.0, grid)
     n0 = norms(u0, ps=(4, 6))
     for t in (2.5, 10.0):
@@ -193,7 +184,7 @@ def test_unit_speed_flow_preserves_modulus_and_norms():
 def test_unit_speed_formula_matches_full_evolution():
     grid = hnls_grid()
     f0 = _bump(4.0, amplitude=0.8) * (1.0 + 0.25j)
-    spec = PlaneWaveSpec(f0=f0, period=40.0, c=(1.0,), lam=1.0, sigma=2.0)
+    spec = PlaneWaveSpec(f0=f0, c=(1.0,), lam=1.0, sigma=2.0)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=2.0)
     state, _ = run(wave_field(spec, 0.0, grid),
                    problem, RunConfig(t_end=1.0, dt0=1e-3,
@@ -204,8 +195,7 @@ def test_unit_speed_formula_matches_full_evolution():
 
 def test_profile_free_flow_matches_propagator():
     grid = hnls_grid()
-    spec = PlaneWaveSpec(f0=_bump(3.0), period=40.0, c=(2.0,), lam=0.0,
-                         sigma=2.0)
+    spec = PlaneWaveSpec(f0=_bump(3.0), c=(2.0,), lam=0.0, sigma=2.0)
     direct = wave_field(spec, 0.35, grid)
     lifted = apply_linear_propagator(wave_field(spec, 0.0, grid), 0.35)
     assert _rel(direct.values, lifted.values) < 1e-9
@@ -216,8 +206,7 @@ def test_lift_commute_on_wrap_free_grid():
     # product) is representable in y: the 2-D stepper then reproduces the
     # lifted 1-D evolution to rounding.
     grid = Grid((64, 128), (40.0, 40.0), (1.0, -1.0))
-    spec = PlaneWaveSpec(f0=_bump(3.0), period=40.0, c=(2.0,), lam=1.0,
-                         sigma=2.0)
+    spec = PlaneWaveSpec(f0=_bump(3.0), c=(2.0,), lam=1.0, sigma=2.0)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=2.0)
     state, _ = run(wave_field(spec, 0.0, grid),
                    problem, RunConfig(t_end=0.3, dt0=1e-3,
@@ -231,8 +220,7 @@ def test_lift_commute_square_grid_alias_floor():
     # Gaussian's periodization tail (edge value ~e^-12.5) wraps with the
     # wrong symbol; that floor sits near 5e-7 and is data, not solver.
     grid = hnls_grid()
-    spec = PlaneWaveSpec(f0=_bump(4.0), period=40.0, c=(2.0,), lam=1.0,
-                         sigma=2.0)
+    spec = PlaneWaveSpec(f0=_bump(4.0), c=(2.0,), lam=1.0, sigma=2.0)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=2.0)
     state, _ = run(wave_field(spec, 0.0, grid),
                    problem, RunConfig(t_end=0.3, dt0=1e-3,
@@ -243,8 +231,7 @@ def test_lift_commute_square_grid_alias_floor():
 
 def test_plane_wave_residual_small():
     grid = hnls_grid()
-    spec = PlaneWaveSpec(f0=_bump(3.0), period=40.0, c=(2.0,), lam=1.0,
-                         sigma=2.0)
+    spec = PlaneWaveSpec(f0=_bump(3.0), c=(2.0,), lam=1.0, sigma=2.0)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=2.0)
     h = 1e-3
     triple = [wave_field(spec, t, grid) for t in (0.5 - h, 0.5, 0.5 + h)]
@@ -255,7 +242,7 @@ def test_three_dimensional_lift_point_values():
     grid = Grid((32, 32, 64), (40.0, 40.0, 40.0), (1.0, -1.0, -1.0))
     g1 = Grid((32,), (40.0,), (1.0,))
     f0 = gaussian_field(g1, amplitude=0.5, width=3.0).values
-    spec = PlaneWaveSpec(f0=f0, period=40.0, c=(1.0, 2.0), lam=1.0, sigma=2.0)
+    spec = PlaneWaveSpec(f0=f0, c=(1.0, 2.0), lam=1.0, sigma=2.0)
     u = wave_field(spec, 0.0, grid)
     xi = 2.0 * np.pi * np.fft.fftfreq(32, d=40.0 / 32)
     coef = np.fft.fft(f0) * np.exp(1j * xi * 20.0) / 32
