@@ -58,7 +58,8 @@ class EvolutionProblem:
 
 
 def harmonic_saddle_potential(grid: Grid, k: float) -> np.ndarray:
-    """Signed quadratic potential k (x^2 - |y|^2), tapered near the edges.
+    """Signature quadratic potential k sum_j x_j^2 / alpha_j (k (x^2 - |y|^2)
+    on hnls), tapered near the edges.
 
     The quadratic form is exact on the central 0.8 of each half-axis
     and rolled smoothly to zero at the boundary with a cos^2 ramp, so the
@@ -67,7 +68,7 @@ def harmonic_saddle_potential(grid: Grid, k: float) -> np.ndarray:
     """
     pot = np.zeros(grid.n)
     taper = np.ones(grid.n)
-    for j in range(grid.d):
+    for j, weight in enumerate(grid.signature_weights):
         x = grid.coord_along(j)
         r0 = 0.8 * 0.5 * grid.length[j]
         r1 = 0.5 * grid.length[j]
@@ -75,8 +76,7 @@ def harmonic_saddle_potential(grid: Grid, k: float) -> np.ndarray:
         ramp = np.where(ax <= r0, 1.0,
                         np.cos(0.5 * np.pi * np.clip((ax - r0) / (r1 - r0), 0.0, 1.0)) ** 2)
         taper = taper * ramp
-        sgn = 1.0 if j == 0 else -1.0
-        pot = pot + sgn * x ** 2
+        pot = pot + weight * x ** 2
     return k * pot * taper
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import spectral
 from .fields import (ComplexField, FieldDataError, Grid, GridError,
                      _abs2_into, _axis_eval_matrix, _evaluate_spectrum,
-                     _is_pow2, spectral_derivative)
+                     _is_pow2, hnls_alpha, spectral_derivative)
 from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
                         _check_nonlinearity, harmonic_saddle_potential, run)
 
@@ -68,30 +68,26 @@ class PlaneWaveSpec:
     def speed_sq(self) -> float:
         return float(sum(v * v for v in self.c))
 
-    @property
-    def dispersion(self) -> float:
-        """Coefficient 1 - |c|^2 of the profile equation; 0 means the
-        profile reduces to an exactly solvable phase flow."""
-        return 1.0 - self.speed_sq
-
     def profile(self, grid: Grid) -> tuple:
         """1-D evolution problem and initial field for the profile equation
-        i f_t + (1 - |c|^2) f_zz + lam |f|^sigma f = 0; GridError when the
-        lifted wave is not periodic on `grid`."""
+        i f_t + (alpha_0 + sum_j alpha_j c_j^2) f_zz + lam |f|^sigma f = 0
+        on `grid`'s alpha; GridError when the lift is not periodic there."""
         _alignment_ints(self.c, grid.length)
-        g1 = Grid((len(self.f0),), (grid.length[0],), (self.dispersion,))
+        a = grid.alpha
+        coef = a[0] + sum(aj * cj * cj for aj, cj in zip(a[1:], self.c))
+        g1 = Grid((len(self.f0),), (grid.length[0],), (coef,))
         return (EvolutionProblem(grid=g1, lam=self.lam, sigma=self.sigma),
                 ComplexField(g1, self.f0))
 
     def profile_at(self, t: float, grid: Grid, dt: float) -> np.ndarray:
         """Profile samples f(t, .).
 
-        With |c| = 1 the dispersion drops out and the flow is the exact
+        With no dispersion (|c| = 1 on hnls) the flow is the exact
         pointwise phase rotation f0 * exp(i lam |f0|^sigma t); otherwise
         the profile is marched there by the 1-D split-step solver.
         """
         problem, field = self.profile(grid)
-        if abs(self.dispersion) < 1e-12:
+        if abs(problem.grid.alpha[0]) < 1e-12:
             return self.f0 * np.exp(1j * self.lam * t
                                     * np.abs(self.f0) ** self.sigma)
         return _march_profile(problem, field, t, dt, "profile")
@@ -108,15 +104,15 @@ class PlaneWaveSpec:
                 float(np.sqrt(1.0 + self.speed_sq) * fz.linf()))
 
     def regime(self, grid: Grid) -> tuple:
-        """(in_regime, note) of the certified stability windows: planar
+        """(in_regime, note) of the certified windows, all on hnls: planar
         quintic waves (d=2, sigma=4) and cubic waves with two transverse
         speeds (d=3, sigma=2), both with (|c| - 1) lam > 0."""
         gap = (np.sqrt(self.speed_sq) - 1.0) * self.lam
-        if grid.d == 2 and self.sigma == 4.0 and gap > 0:
+        if grid.alpha == hnls_alpha(2) and self.sigma == 4.0 and gap > 0:
             return True, "planar quintic plane-wave window"
-        if grid.d == 3 and self.sigma == 2.0 and gap > 0:
+        if grid.alpha == hnls_alpha(3) and self.sigma == 2.0 and gap > 0:
             return True, "cubic plane-wave window, two transverse speeds"
-        return False, (f"outside certified windows: d={grid.d}, "
+        return False, (f"outside certified windows: alpha={grid.alpha}, "
                        f"sigma={self.sigma}, (|c|-1)lam={gap:.3g}")
 
 
@@ -219,9 +215,9 @@ def wave_field(spec, t: float, grid: Grid, *,
 class StandingWaveSpec:
     """Transverse profile f0 and an on-grid carrier frequency omega.
 
-    The field is u(t, x, y) = e^{i(omega x - omega^2 t)} g(t, y) where g
-    solves i g_t - Delta_y g + lam |g|^sigma g = 0 from g(0) = f0 (the
-    sign flips come from pushing the carrier phase through the equation).
+    The field is u(t, x, y) = e^{i(omega x - alpha_0 omega^2 t)} g(t, y)
+    where g solves i g_t + sum_{j>0} alpha_j d_j^2 g + lam |g|^sigma g = 0
+    from g(0) = f0, with alpha that of the grid it is lifted onto.
     """
 
     f0: np.ndarray
@@ -250,7 +246,7 @@ class StandingWaveSpec:
             raise GridError(f"transverse profile shape {self.f0.shape} does "
                             f"not match the transverse grid size "
                             f"{grid.n[1:]}")
-        gT = Grid(grid.n[1:], grid.length[1:], (-1.0,) * (grid.d - 1))
+        gT = Grid(grid.n[1:], grid.length[1:], grid.alpha[1:])
         return (EvolutionProblem(grid=gT, lam=self.lam, sigma=self.sigma),
                 ComplexField(gT, self.f0))
 
@@ -259,7 +255,7 @@ class StandingWaveSpec:
         return _march_profile(*self.profile(grid), t, dt, "transverse")
 
     def lift(self, values: np.ndarray, grid: Grid, t: float) -> np.ndarray:
-        """u(t, x, y) = e^{i(omega x - omega^2 t)} g(t, y) on `grid`."""
+        """u = e^{i(omega x - alpha_0 omega^2 t)} g(t, y) on `grid`."""
         return standing_wave_lift(values, self.omega, grid, t)
 
     def proxies(self, profile: ComplexField) -> tuple:
@@ -273,10 +269,10 @@ class StandingWaveSpec:
 
     def regime(self, grid: Grid) -> tuple:
         """(in_regime, note) of the certified stability window: planar
-        quintic waves (d=2, sigma=4) with lam > 0."""
-        if grid.d == 2 and self.sigma == 4.0 and self.lam > 0:
+        quintic waves (d=2, sigma=4) with lam > 0, on hnls."""
+        if grid.alpha == hnls_alpha(2) and self.sigma == 4.0 and self.lam > 0:
             return True, "planar quintic standing-wave window"
-        return False, (f"outside certified windows: d={grid.d}, "
+        return False, (f"outside certified windows: alpha={grid.alpha}, "
                        f"sigma={self.sigma}, lam={self.lam}")
 
 
@@ -290,8 +286,10 @@ def _carrier_index(omega: float, len_x: float) -> int:
 
 def standing_wave_lift(values: np.ndarray, omega: float, grid: Grid,
                        t: float) -> np.ndarray:
-    """e^{i(omega x - omega^2 t)} * values broadcast over the plus axis."""
-    phase = np.exp(1j * (omega * grid.coord_along(0) - omega * omega * t))
+    """e^{i(omega x - alpha_0 omega^2 t)} * values broadcast over the plus
+    axis."""
+    phase = np.exp(1j * (omega * grid.coord_along(0)
+                         - grid.alpha[0] * omega * omega * t))
     return phase * values[np.newaxis, ...]
 
 
@@ -387,14 +385,14 @@ def bound_state_defect(A0: ComplexField, k: float, gamma0: float,
                        lam: float) -> float:
     """Relative l2 residual of the stationary equation
 
-        box A0 + lam |A0|^{4/d} A0 = (k (x^2 - |y|^2) + gamma0) A0,
+        box A0 + lam |A0|^{4/d} A0 = (k q(x) + gamma0) A0,
 
-    with spectral derivatives and the same edge-tapered potential V the
-    evolution module uses: the l2 norm of res = box A0 + nl - pot over
-    the sum of the three terms' norms.  The power is pinned to
-    sigma = 4/d (the only power the chirp-dilation map transports).  Zero
-    fields report 0.  Every reduction is a numpy sum, not BLAS, so the
-    defect does not depend on the number of BLAS threads.
+    q(x) = sum_j x_j^2 / alpha_j, with spectral derivatives and the same
+    edge-tapered potential V the evolution module uses: the l2 norm of
+    res = box A0 + nl - pot over the sum of the three terms' norms.  The
+    power is pinned to sigma = 4/d (the only power the chirp-dilation map
+    transports).  Zero fields report 0.  Every reduction is a numpy sum,
+    not BLAS, so the defect does not depend on the number of BLAS threads.
 
     Beside A0 and V it holds two complex and two real arrays of the grid:
     box A0, which becomes box A0 + nl and then res; nl, which becomes the
@@ -461,8 +459,7 @@ def semiclassical_field(spec: SemiclassicalSpec, t: float, *,
     out = np.multiply(f_t, spec.A0.values if b_t == 1.0
                       else _dilated(spec, b_t), order="C")
     terms = _signature_terms(grid)
-    spectral.streamed(_chirp, (out, terms[0]), (float, complex),
-                      [term for term in terms[1:] if term is not None],
+    spectral.streamed(_chirp, (out, terms[0]), (float, complex), terms[1:],
                       0.25 * a_t, spec.gamma0 * g_t)
     return ComplexField(grid, out, t=t)
 
@@ -484,11 +481,10 @@ def _dilated(spec: SemiclassicalSpec, b: float) -> np.ndarray:
 def _chirp(u, lead, q, z, rest, scale, shift) -> None:
     """u *= exp(1j * (scale * q + shift)) on one chunk of rows, through the
     scratch q and z: q is `signature_quadratic`, summed from zero as it
-    sums it, the axis-0 term `lead` (None when alpha_0 = 0) and then the
-    `rest` (`_signature_terms`)."""
+    sums it, the axis-0 term `lead` and then the `rest`
+    (`_signature_terms`)."""
     q.fill(0.0)
-    if lead is not None:
-        q += lead
+    q += lead
     for term in rest:
         q += term
     np.multiply(scale, q, out=q)

@@ -6,10 +6,10 @@ the signature coefficients of the second-order linear operator
 
     i u_t + sum_j alpha_j d^2_j u + ... = 0
 
-so the same machinery runs the hyperbolic equation (alpha = (1, -1, ...)),
-the elliptic one (all +1), and the 1-D traveling-profile equation
-(alpha = (1 - |c|^2,)).  A ComplexField is a complex state sampled on such a
-box.  All operations are pure: input fields are never mutated.
+so the same machinery runs the hyperbolic equation (`hnls_alpha`), the
+elliptic one (all +1), and the 1-D traveling-profile equation
+(alpha = (alpha_0 + sum_j alpha_j c_j^2,)).  A ComplexField is a complex
+state sampled on such a box; no operation mutates an input field.
 """
 
 from __future__ import annotations
@@ -35,13 +35,20 @@ def _is_pow2(n: int) -> bool:
     return n >= 8 and (n & (n - 1)) == 0
 
 
+def hnls_alpha(d: int) -> tuple:
+    """(1, -1, ..., -1): the paper's signature, the one its theorem covers."""
+    return (1.0,) + (-1.0,) * (d - 1)
+
+
 class Grid:
     """Uniform periodic box with centered coordinates.
 
     Axis j carries n[j] samples on [-length[j]/2, length[j]/2) and the
     discrete wavenumbers xi_j = 2*pi*m/length[j], m = -n/2 .. n/2-1 in FFT
-    ordering.  `alpha` holds the signature of the linear operator; any real
-    vector is legal (zero entries switch an axis off entirely).
+    ordering.  `alpha` holds the signature of the linear operator, any real
+    vector whose nonzero entries invert (0 switches an axis off);
+    `signature_weights`, 1/alpha_j and 0 where alpha_j = 0, weigh the
+    quadratic form q(x) = sum_j x_j^2 / alpha_j.
 
     A Grid stores only per-axis arrays (`xi`, `coords`), never one of the
     full shape: `symbol` is formed on each read, so that no run carries it
@@ -50,7 +57,8 @@ class Grid:
     terms `axis_symbol` tell without forming the symbol.
     """
 
-    __slots__ = ("d", "n", "length", "alpha", "dx", "cell", "xi", "coords")
+    __slots__ = ("d", "n", "length", "alpha", "signature_weights", "dx",
+                 "cell", "xi", "coords")
 
     def __init__(self, n: Sequence[int], length: Sequence[float],
                  alpha: Sequence[float]):
@@ -68,9 +76,9 @@ class Grid:
         for v in length:
             if not (v > 0) or not np.isfinite(v):
                 raise GridError(f"box length must be positive and finite, got {v}")
-        for v in alpha:
-            if not np.isfinite(v):
-                raise GridError(f"alpha entries must be finite, got {v}")
+        self.signature_weights = tuple(1.0 / v if v else 0.0 for v in alpha)
+        if not all(map(math.isfinite, alpha + self.signature_weights)):
+            raise GridError(f"alpha {alpha} or its inverse is not finite")
         self.d = d
         self.n = n
         self.length = length

@@ -5,10 +5,10 @@ The energy uses the signature-weighted gradient
     E = 1/2 sum_j alpha_j int |d_j u|^2  -  lambda/(sigma+2) int |u|^(sigma+2)
 
 which reduces to the usual splitting (x minus transverse) for the hyperbolic
-signature.  Two moment-flux conventions are tracked side by side, because
-they differ in the wild: `virial_rate` is the one that actually differentiates
-the signed second moment (verified against centered differences in the test
-suite); `virial_rate_signed` weights the transverse axes with the signature
+signature.  The virial V weighs |u|^2 by q(x) = sum_j x_j^2 / alpha_j, so
+`virial_rhs` holds for every signature (Ghidaglia & Saut 1996).
+`virial_rate` differentiates V (verified against centered differences in
+the test suite); `virial_rate_signed` weights the axes with the signature
 sign instead and is reported for reference only.
 """
 
@@ -37,8 +37,8 @@ class ObservableSample:
     energy: float
     momentum: tuple          # Im int conj(u) d_j u, per axis
     com: tuple               # int x_j |u|^2, per axis
-    virial: float            # int (sum_j sign(alpha_j) x_j^2) |u|^2
-    virial_rate: float       # 4 sum_j |alpha_j| Im int conj(u) x_j d_j u
+    virial: float            # int (sum_j x_j^2 / alpha_j) |u|^2
+    virial_rate: float       # 4 sum_{alpha_j != 0} Im int conj(u) x_j d_j u
     virial_rate_signed: float  # 4 sum_j sign(alpha_j) Im int conj(u) x_j d_j u
     virial_rhs: float        # 16 E + 4 lambda ((2d+4)/(sigma+2) - d) int |u|^(sigma+2)
     lsig2: float             # int |u|^(sigma+2)
@@ -186,26 +186,26 @@ def sample(field: ComplexField, lam: float, sigma: float,
 
     mom = []
     com = []
-    rate_abs = 0.0
+    rate = 0.0
     rate_signed = 0.0
     virial = 0.0
     for j, qj in enumerate(_flux_marginals(field, spectrum)):
         a2j = sums.marginals[j]
         xj = g.coords[j]
         flux = w * float(np.sum(xj * qj))
-        sgn = 1.0 if g.alpha[j] >= 0 else -1.0
         mom.append(w * float(np.sum(qj)))
         com.append(w * float(np.sum(xj * a2j)))
-        rate_abs += 4.0 * abs(g.alpha[j]) * flux
-        rate_signed += 4.0 * sgn * flux
-        virial += sgn * w * float(np.sum(xj * xj * a2j))
+        if g.alpha[j] != 0:
+            rate += 4.0 * flux
+        rate_signed += (4.0 if g.alpha[j] >= 0 else -4.0) * flux
+        virial += g.signature_weights[j] * w * float(np.sum(xj * xj * a2j))
 
     e = _energy(g, spectrum, lsig2, sums.potential, lam, sigma)
-    d = g.d
+    d = sum(a != 0 for a in g.alpha)         # the axes switched on
     rhs = 16.0 * e + 4.0 * lam * ((2.0 * d + 4.0) / (sigma + 2.0) - d) * lsig2
     return ObservableSample(
         t=field.t, mass=w * total, energy=e, momentum=tuple(mom),
-        com=tuple(com), virial=virial, virial_rate=rate_abs,
+        com=tuple(com), virial=virial, virial_rate=rate,
         virial_rate_signed=rate_signed, virial_rhs=rhs, lsig2=lsig2,
         linf=linf, boundary_fraction=bf,
         moments_ok=bool(bf <= MOMENT_BOUNDARY_TOL))

@@ -64,8 +64,8 @@ import numpy as np
 
 from . import __version__
 from .fields import (ComplexField, Grid, GridError, _field_sums, _is_pow2,
-                     gaussian_field, harmonic_field, l2_norm, norms,
-                     random_smooth_field)
+                     gaussian_field, harmonic_field, hnls_alpha, l2_norm,
+                     norms, random_smooth_field)
 from .observables import _AUDIT_SAMPLES, verify_conservation
 from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
                         _fixed_dt_samples, run)
@@ -554,8 +554,8 @@ def _norm_grid(errors, raw) -> dict | None:
     def axes(v):
         return tuple(v) if isinstance(v, list) else (v,) * d
 
-    alpha = {"hnls": [1.0] + [-1.0] * (d - 1), "nls": [1.0] * d}.get(
-        g["preset"], g["alpha"])
+    alpha = {"hnls": hnls_alpha(d), "nls": [1.0] * d}.get(g["preset"],
+                                                           g["alpha"])
     out = {"d": d, "n": axes(g["n"]), "length": axes(g["length"]),
            "alpha": tuple(alpha)}
     # what is left for `Grid` to refuse is a box, or a symbol over the

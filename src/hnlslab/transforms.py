@@ -220,20 +220,16 @@ def closed_form_b(a0: float, k: float, t):
 
 
 def signature_quadratic(grid: Grid) -> np.ndarray:
-    """sum_j sign(alpha_j) x_j^2 on the grid (axes with alpha_j = 0 drop
+    """q(x) = sum_j x_j^2 / alpha_j on the grid (axes with alpha_j = 0 drop
     out), summed from zero in axis order."""
-    q = np.zeros(grid.n)
-    for term in _signature_terms(grid):
-        if term is not None:
-            q = q + term
-    return q
+    return sum(_signature_terms(grid), np.zeros(grid.n))
 
 
 def _signature_terms(grid: Grid) -> list:
-    """The terms sign(alpha_j) x_j^2 of `signature_quadratic`, each along
-    its axis (`Grid.coord_along`), and None for an axis with alpha_j = 0."""
-    return [float(np.sign(a)) * grid.coord_along(j) ** 2 if a != 0 else None
-            for j, a in enumerate(grid.alpha)]
+    """The terms x_j^2 / alpha_j of `signature_quadratic`, each along its
+    axis (`Grid.signature_weights`: 0 for an axis with alpha_j = 0)."""
+    return [w * grid.coord_along(j) ** 2
+            for j, w in enumerate(grid.signature_weights)]
 
 
 def apply_pct(u_sampler, state: TransformState, t: float,

@@ -367,8 +367,8 @@ def test_readme_configs_parse_with_their_warnings():
     found = [(cfg.kind, cfg.warnings) for cfg in map(parse_config, blocks)]
     assert found == [
         ("simulate", []),
-        ("stability", ["out-of-regime: outside certified windows: d=2, "
-                       "sigma=4.0, (|c|-1)lam=-0.5"])]
+        ("stability", ["out-of-regime: outside certified windows: "
+                       "alpha=(1.0, -1.0), sigma=4.0, (|c|-1)lam=-0.5"])]
 
 
 def test_parse_rejects_wrong_sections_and_kind():
@@ -479,6 +479,9 @@ def _standing_cfg(kind="standing", n=32, block=None):
                             "length": 40.0}), "power of two"),
     # alpha_x xi_x^2 overflows on a valid box: the run would write inf
     ("simulate", _cfg(grid={"alpha": [1e308, -1.0], "n": 16,
+                            "length": 10.0}), "grid.alpha"),
+    # 1 / 5e-324 overflows: the signature has no quadratic form
+    ("simulate", _cfg(grid={"alpha": [5e-324, -1.0], "n": 16,
                             "length": 10.0}), "grid.alpha"),
     ("planewave", _planewave_cfg(n=4), "power of two"),
     ("simulate", _cfg(run={"t_end": -0.01, "adapt": True}), "adapt"),

@@ -214,6 +214,11 @@ def test_certify_regime_windows():
     assert ok and "standing" in note
     ok, _ = _standing_spec(lam=-1.0).regime(g2)
     assert not ok
+    # the windows are the paper's theorem's, on the hnls signature only
+    off = Grid((64, 64), (40.0, 40.0), (1.7, -0.6))
+    for spec in (_plane_spec(c=(2.0,), sigma=4.0), _standing_spec()):
+        ok, note = spec.regime(off)
+        assert not ok and "alpha=(1.7, -0.6)" in note
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +600,7 @@ def test_two_wave_run_matches_step_strang_loop():
         grid, v0.values + lift_structured(s1, s1.f0, grid, 0.0)
         + lift_structured(s2, s2.f0, grid, 0.0)), dt=dt)
     profiles = [(StepperState(field=ComplexField(PROFILE_GRID, s.f0),
-                              dt=dt),
-                 EvolutionProblem(Grid((64,), (40.0,), (s.dispersion,)),
-                                  lam=1.0, sigma=2.0)) for s in (s1, s2)]
+                              dt=dt), s.profile(grid)[0]) for s in (s1, s2)]
     ts, rem = [0.0], [norms(v0).h1]
     t, steps = 0.0, 0
     while T - t > 1e-12:

@@ -65,6 +65,15 @@ def test_grid_refuses_a_symbol_out_of_double_range(alpha, refused):
         assert np.isfinite(g.symbol).all()
 
 
+@pytest.mark.parametrize("alpha, weights", [
+    ((1.0, -1.0), (1.0, -1.0)),
+    ((1.7, -0.6), (1.0 / 1.7, -1.0 / 0.6)),
+    ((0.0, -2.0), (0.0, -0.5)),             # an axis switched off weighs 0
+])
+def test_signature_weights_invert_alpha(alpha, weights):
+    assert Grid((16, 16), (10.0, 10.0), alpha).signature_weights == weights
+
+
 def test_wavenumbers_3d():
     g = Grid((32, 32, 32), (20.0, 20.0, 20.0), (1.0, -1.0, -1.0))
     for j in range(3):

@@ -120,7 +120,9 @@ def test_sample_rejects_nonfinite(bad):
 def _reference_sample(f, lam, sigma, V):
     """Every field of `sample`, one direct sum per quantity: |u| through
     np.abs, the complex products conj(u) d_j u and conj(u) x_j d_j u, one
-    Parseval sum per axis and a boolean edge mask."""
+    Parseval sum per axis and a boolean edge mask.  The virial weighs
+    x_j^2 by 1/alpha_j (no alpha_j is 0 here), so its rate weighs the
+    fluxes by 1."""
     g, u, w = f.grid, f.values, f.grid.cell
     a2 = np.abs(u) ** 2
     spec = np.fft.fftn(u)
@@ -139,9 +141,9 @@ def _reference_sample(f, lam, sigma, V):
         flux = w * np.sum(np.imag(np.conj(u) * (x * du)))
         mom.append(w * np.sum(np.imag(np.conj(u) * du)))
         com.append(w * np.sum(x * a2))
-        rate += 4.0 * abs(g.alpha[j]) * flux
+        rate += 4.0 * flux
         rate_s += 4.0 * sgn * flux
-        virial += sgn * w * np.sum(x ** 2 * a2)
+        virial += w * np.sum(x ** 2 * a2) / g.alpha[j]
     mask = np.zeros(g.n, dtype=bool)
     for j in range(g.d):
         for edge in (slice(0, 2), slice(-2, None)):
