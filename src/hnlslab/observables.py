@@ -6,10 +6,9 @@ The energy uses the signature-weighted gradient
 
 which reduces to the usual splitting (x minus transverse) for the hyperbolic
 signature.  The virial V weighs |u|^2 by q(x) = sum_j x_j^2 / alpha_j, so
-`virial_rhs` holds for every signature (Ghidaglia & Saut 1996).
+`virial_rhs` holds for every signature (Ghidaglia & Saut 1996), and
 `virial_rate` differentiates V (verified against centered differences in
-the test suite); `virial_rate_signed` weights the axes with the signature
-sign instead and is reported for reference only.
+the test suite).
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ class ObservableSample:
     com: tuple               # int x_j |u|^2, per axis
     virial: float            # int (sum_j x_j^2 / alpha_j) |u|^2
     virial_rate: float       # 4 sum_{alpha_j != 0} Im int conj(u) x_j d_j u
-    virial_rate_signed: float  # 4 sum_j sign(alpha_j) Im int conj(u) x_j d_j u
     virial_rhs: float        # 16 E + 4 lambda ((2d+4)/(sigma+2) - d) int |u|^(sigma+2)
     lsig2: float             # int |u|^(sigma+2)
     linf: float
@@ -187,7 +185,6 @@ def sample(field: ComplexField, lam: float, sigma: float,
     mom = []
     com = []
     rate = 0.0
-    rate_signed = 0.0
     virial = 0.0
     for j, qj in enumerate(_flux_marginals(field, spectrum)):
         a2j = sums.marginals[j]
@@ -197,7 +194,6 @@ def sample(field: ComplexField, lam: float, sigma: float,
         com.append(w * float(np.sum(xj * a2j)))
         if g.alpha[j] != 0:
             rate += 4.0 * flux
-        rate_signed += (4.0 if g.alpha[j] >= 0 else -4.0) * flux
         virial += g.signature_weights[j] * w * float(np.sum(xj * xj * a2j))
 
     e = _energy(g, spectrum, lsig2, sums.potential, lam, sigma)
@@ -205,9 +201,8 @@ def sample(field: ComplexField, lam: float, sigma: float,
     rhs = 16.0 * e + 4.0 * lam * ((2.0 * d + 4.0) / (sigma + 2.0) - d) * lsig2
     return ObservableSample(
         t=field.t, mass=w * total, energy=e, momentum=tuple(mom),
-        com=tuple(com), virial=virial, virial_rate=rate,
-        virial_rate_signed=rate_signed, virial_rhs=rhs, lsig2=lsig2,
-        linf=linf, boundary_fraction=bf,
+        com=tuple(com), virial=virial, virial_rate=rate, virial_rhs=rhs,
+        lsig2=lsig2, linf=linf, boundary_fraction=bf,
         moments_ok=bool(bf <= MOMENT_BOUNDARY_TOL))
 
 
@@ -218,10 +213,9 @@ class ConservationReport:
     Drifts are relative to the initial value (mass, energy) or normalized by
     the initial mass (momentum, whose initial value may legitimately be 0).
     `com_slope` / `com_predicted` compare the fitted linear center-of-mass
-    motion against 2 * alpha_j * momentum_j; `com_single_factor_ratio` records
-    slope / momentum_j for reference.  The virial residuals are based on
-    centered first/second differences at the interior sample times, tested
-    against both flux conventions; `rate_convention` records which matched.
+    motion against 2 * alpha_j * momentum_j on every axis.  The virial
+    residuals are based on centered first/second differences at the interior
+    sample times, each beside the scale it is judged by.
     """
     mass_drift: float
     energy_drift: float
@@ -229,11 +223,7 @@ class ConservationReport:
     com_slope: tuple
     com_predicted: tuple
     com_fit_residual: float
-    com_single_factor_ratio: tuple
-    ysign_matches_flip: bool | None
     virial_rate_residual: float
-    virial_rate_signed_residual: float
-    rate_convention: str
     virial_scale: float
     virial_second_residual: float
     virial_second_scale: float
@@ -278,7 +268,7 @@ def verify_conservation(series: ObservableSeries) -> ConservationReport:
 
     d = len(series.alpha)
     mom_drift = 0.0
-    slopes, preds, ratios = [], [], []
+    slopes, preds = [], []
     fit_res = 0.0
     excursion = 0.0
     tc = t - np.mean(t)
@@ -291,22 +281,12 @@ def verify_conservation(series: ObservableSeries) -> ConservationReport:
         slope = np.sum(tc * cc) / tss
         slopes.append(float(slope))
         preds.append(float(2.0 * series.alpha[j] * np.mean(pj)))
-        pm = float(np.mean(pj))
-        ratios.append(float(slope / pm) if pm != 0.0 else float("nan"))
         fit_res = max(fit_res, float(np.max(np.abs(cc - slope * tc))))
         excursion = max(excursion, float(np.max(cj) - np.min(cj)))
     fit_res = fit_res / max(excursion, 1e-300)
 
-    ysign = None
-    if d >= 2 and any(a < 0 for a in series.alpha):
-        j = next(i for i, a in enumerate(series.alpha) if a < 0)
-        pj = float(np.mean(series.column("momentum", j)))
-        if abs(pj) > 0 and abs(slopes[j]) > 0:
-            ysign = bool(np.sign(slopes[j]) == -np.sign(pj))
-
     V = series.column("virial")
     rate = series.column("virial_rate")
-    rate_s = series.column("virial_rate_signed")
     rhs = series.column("virial_rhs")
     h = np.diff(t)
     quot = np.diff(V) / h
@@ -319,7 +299,6 @@ def verify_conservation(series: ObservableSeries) -> ConservationReport:
         keep[:] = True
     dV, d2V, mid = dV[keep], d2V[keep], np.flatnonzero(keep) + 1
     res_rate = float(np.max(np.abs(dV - rate[mid])))
-    res_rate_s = float(np.max(np.abs(dV - rate_s[mid])))
     scale = max(float(np.max(np.abs(rate))), 1e-300)
     res_second = float(np.max(np.abs(d2V - rhs[mid])))
     scale2 = max(float(np.max(np.abs(16.0 * en))), 1e-300)
@@ -328,11 +307,7 @@ def verify_conservation(series: ObservableSeries) -> ConservationReport:
         mass_drift=mass_drift, energy_drift=energy_drift,
         momentum_drift=mom_drift,
         com_slope=tuple(slopes), com_predicted=tuple(preds),
-        com_fit_residual=fit_res, com_single_factor_ratio=tuple(ratios),
-        ysign_matches_flip=ysign,
-        virial_rate_residual=res_rate,
-        virial_rate_signed_residual=res_rate_s,
-        rate_convention="dilation" if res_rate <= res_rate_s else "signature-signed",
-        virial_scale=scale,
+        com_fit_residual=fit_res,
+        virial_rate_residual=res_rate, virial_scale=scale,
         virial_second_residual=res_second, virial_second_scale=scale2,
         moments_ok=all(s.moments_ok for s in series.samples))

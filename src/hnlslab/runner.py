@@ -27,9 +27,10 @@ A config is one UTF-8 JSON object.  Top-level keys:
 
 plus exactly one kind-specific block named after the kind (none for
 simulate / conservation-report); see the kind declarations,
-`_DECLARATIONS`, for their keys.  A wave block names no period and no
-transverse size: the box fixes both (a plane profile spans len_x, a
-standing profile the transverse axes of the grid).  Unknown keys
+`_DECLARATIONS`, for their keys.  A wave block names no sample count,
+no period and no transverse size: the box fixes them (a plane profile
+has n_x samples over len_x, a standing profile spans the transverse axes
+of the grid).  Unknown keys
 anywhere are rejected, so are NaN and Infinity wherever a number is
 expected, and so are key combinations the run would refuse (an adaptive
 backward run, a radial hole `eps >= r_max` or around a concentration
@@ -56,7 +57,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from datetime import datetime, timezone
 from typing import Callable
 
@@ -402,20 +403,19 @@ def _radial_rules(errors, where, block):
 
 
 def _wave_keys(grid):
-    """The keys of a plane and of a standing wave; the default profile size
-    and the length of `c` follow the grid when it is valid.  The box fixes
-    the rest: a plane profile's period is len_x, and a standing profile
+    """The keys of a plane and of a standing wave; the length of `c`
+    follows the grid when it is valid.  The box fixes the rest: a plane
+    profile has n_x samples over the period len_x, and a standing profile
     spans the transverse axes of the grid."""
-    plane = {"n": (_grid_size, grid["n"][0] if grid else 64),
-             "c": (_list(_FINITE, grid and grid["d"] - 1), _REQUIRED)}
-    return {"plane": plane, "standing": {"omega": (_FINITE, _REQUIRED)}}
+    return {"plane": {"c": (_list(_FINITE, grid and grid["d"] - 1),
+                            _REQUIRED)},
+            "standing": {"omega": (_FINITE, _REQUIRED)}}
 
 
 def _two_wave_block(grid):
-    plane = _wave_keys(grid)["plane"]
-    side = _sub({**_PROFILE, "c": plane["c"]})
+    side = _sub({**_PROFILE, **_wave_keys(grid)["plane"]})
     return _sub({"first": (side, _REQUIRED), "second": (side, _REQUIRED),
-                 "n": plane["n"], **_MARCH})
+                 **_MARCH})
 
 
 def _transform_check_block(grid):
@@ -736,19 +736,15 @@ def _exp_conservation_report(cfg, out) -> str:
     """A simulate run plus its drift report (conservation.json)."""
     state, series = _run_full(cfg, out)
     rep = verify_conservation(series)
-    out.json("conservation.json", {"status": state.status, **{
-        key: getattr(rep, key) for key in (
-            "mass_drift", "energy_drift", "momentum_drift",
-            "com_fit_residual", "virial_rate_residual",
-            "virial_second_residual", "rate_convention", "moments_ok")}})
+    out.json("conservation.json", {"status": state.status, **asdict(rep)})
     return state.status
 
 
 def _wave_specs(cfg, grid, errors=None) -> dict:
     """{block path: plane or standing wave spec} of every wave the kind
     declares.  Its profile is sampled on the grid that `profile(grid)`
-    gives the spec with a zero profile (`n` samples of a plane wave, the
-    transverse shape of `grid` for a standing wave), which raises
+    gives the spec with a zero profile (the n_x samples of a plane wave,
+    the transverse shape of `grid` for a standing wave), which raises
     GridError when the wave does not fit `grid`; when `errors` is given,
     the misfit, or a Gaussian profile too narrow for that grid, is
     reported there at the block path instead and the wave left out.  A
@@ -763,8 +759,9 @@ def _wave_specs(cfg, grid, errors=None) -> dict:
                                         omega=b["omega"], lam=cfg.lam,
                                         sigma=cfg.sigma)
             else:
-                spec = PlaneWaveSpec(f0=np.zeros(b["n"]), c=tuple(side["c"]),
-                                     lam=cfg.lam, sigma=cfg.sigma)
+                spec = PlaneWaveSpec(f0=np.zeros(grid.n[0]),
+                                     c=tuple(side["c"]), lam=cfg.lam,
+                                     sigma=cfg.sigma)
             _, profile = spec.profile(grid)
         except GridError as exc:
             if errors is None:

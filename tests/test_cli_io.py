@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from conftest import hnls_grid, needs_owned_arguments
 from hnlslab import (
     KINDS,
     ConfigError,
+    ConservationReport,
     Grid,
     RunManifest,
     SnapshotError,
@@ -431,6 +433,13 @@ def _two_wave_cfg(c1, c2, n=32, first=None, **block):
                      "t_end": 0.01, **block}})
 
 
+def _with_block_keys(cfg, **keys):
+    """`cfg` with `keys` added to the block of its kind."""
+    text = json.loads(cfg)
+    text[text["kind"]].update(keys)
+    return json.dumps(text)
+
+
 def _stability_cfg(**block):
     stab = {"wave": "plane", "c": [1.0],
             "profile": {"shape": "gaussian", "width": 3.0},
@@ -483,7 +492,6 @@ def _standing_cfg(kind="standing", n=32, block=None):
     # 1 / 5e-324 overflows: the signature has no quadratic form
     ("simulate", _cfg(grid={"alpha": [5e-324, -1.0], "n": 16,
                             "length": 10.0}), "grid.alpha"),
-    ("planewave", _planewave_cfg(n=4), "power of two"),
     ("simulate", _cfg(run={"t_end": -0.01, "adapt": True}), "adapt"),
     ("radial", _radial_cfg(eps=10.0), "eps"),
     ("two-wave", _two_wave_cfg(1.0, 1.0), "second.c"),
@@ -517,6 +525,11 @@ def _standing_cfg(kind="standing", n=32, block=None):
     ("stability", _standing_cfg(kind="stability", n=64,
                                 block={"omega": _OMEGA, "n": 32}),
      "unknown key 'n'"),
+    # a plane profile takes the grid's n_x samples: that key is gone too
+    ("planewave", _planewave_cfg(n=4), "unknown key 'n'"),
+    ("two-wave", _with_block_keys(_two_wave_cfg(1.0, -1.0), n=32),
+     "unknown key 'n'"),
+    ("stability", _stability_cfg(n=32), "unknown key 'n'"),
     # the chirp-dilation map transports sigma = 4/d only
     ("semiclassical", _semiclassical_cfg(sigma=7.0), "nonlinearity.sigma"),
     # the concentration scan needs grid points inside each radius
@@ -796,7 +809,14 @@ def test_conservation_report_on_non_uniform_sample_times(run, tmp_path,
     assert report["status"] == "Done"
     assert report["mass_drift"] < 1e-12
     assert report["virial_rate_residual"] < 1e-6
-    assert report["rate_convention"] == "dilation"
+    # the report is the whole ConservationReport: every residual is read
+    # beside the scale it is judged by
+    assert set(report) == {"status"} | {f.name for f in
+                                        fields(ConservationReport)}
+    assert (report["virial_rate_residual"]
+            <= 1e-6 * report["virial_scale"])
+    assert (report["virial_second_residual"]
+            <= 1e-6 * report["virial_second_scale"])
 
 
 def test_transform_check_lens_case(tmp_path):

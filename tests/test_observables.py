@@ -93,13 +93,12 @@ def test_virial_sign_weights():
 
 
 def test_virial_second_identity_free_gaussian():
-    # for a static Gaussian both flux conventions give 0 rate, and the rhs
+    # for a static Gaussian the virial rate is 0, and the rhs
     # reduces to 16E + 4*lam*((2d+4)/(sigma+2)-d)*P with d=2, sigma=2: 16E
     g = hnls_grid()
     f = gaussian_field(g, width=1.1)
     s = sample(f, 1.0, 2.0)
     assert abs(s.virial_rate) < 1e-10
-    assert abs(s.virial_rate_signed) < 1e-10
     assert np.isclose(s.virial_rhs, 16 * s.energy, rtol=1e-12)
 
 
@@ -133,16 +132,14 @@ def _reference_sample(f, lam, sigma, V):
     e = 0.5 * w * kin - lam / (sigma + 2.0) * w * pot
     if V is not None:
         e += 0.5 * w * np.sum(V * a2)
-    mom, com, rate, rate_s, virial = [], [], 0.0, 0.0, 0.0
+    mom, com, rate, virial = [], [], 0.0, 0.0
     for j in range(g.d):
         du = np.fft.ifftn(spec * 1j * g.xi_along(j))
         x = g.coord_along(j)
-        sgn = 1.0 if g.alpha[j] >= 0 else -1.0
         flux = w * np.sum(np.imag(np.conj(u) * (x * du)))
         mom.append(w * np.sum(np.imag(np.conj(u) * du)))
         com.append(w * np.sum(x * a2))
         rate += 4.0 * flux
-        rate_s += 4.0 * sgn * flux
         virial += w * np.sum(x ** 2 * a2) / g.alpha[j]
     mask = np.zeros(g.n, dtype=bool)
     for j in range(g.d):
@@ -153,7 +150,7 @@ def _reference_sample(f, lam, sigma, V):
     d = g.d
     return dict(
         mass=w * np.sum(a2), energy=e, momentum=mom, com=com,
-        virial=virial, virial_rate=rate, virial_rate_signed=rate_s,
+        virial=virial, virial_rate=rate,
         virial_rhs=16.0 * e + 4.0 * lam * ((2.0 * d + 4.0) / (sigma + 2.0)
                                            - d) * w * pot,
         lsig2=w * pot, linf=np.max(np.abs(u)),
@@ -194,8 +191,7 @@ def test_sample_matches_direct_sums(d, alpha, sigma, with_potential,
               + ref["potential"])
     scales = {"mass": mass, "momentum": mass, "com": mass * L,
               "virial": mass * L ** 2, "virial_rate": mass * L,
-              "virial_rate_signed": mass * L, "energy": escale,
-              "lsig2": escale, "virial_rhs": 16.0 * escale,
+              "energy": escale, "lsig2": escale, "virial_rhs": 16.0 * escale,
               "linf": ref["linf"], "boundary_fraction": 1.0}
     assert ref["boundary_fraction"] > 1e-4
     for name, scale in scales.items():
@@ -285,14 +281,7 @@ def test_conservation_report_on_nonlinear_run():
     for j in range(2):
         assert np.isclose(rep.com_slope[j], rep.com_predicted[j],
                           rtol=2e-4, atol=1e-9)
-    # the y center of mass drifts against its momentum (alpha_y < 0)
-    assert rep.ysign_matches_flip is True
-    # single-factor ratios land at +-2, never +-1
-    assert np.isclose(rep.com_single_factor_ratio[0], 2.0, rtol=1e-3)
-    assert np.isclose(rep.com_single_factor_ratio[1], -2.0, rtol=1e-3)
-    assert rep.rate_convention == "dilation"
     assert rep.virial_rate_residual < 1e-4 * rep.virial_scale
-    assert rep.virial_rate_signed_residual > 0.1 * rep.virial_scale
     assert rep.virial_second_residual < 1e-3 * rep.virial_second_scale
     assert rep.moments_ok
 
@@ -303,8 +292,8 @@ def _synthetic_series(t, V, rate, rhs):
         ser.append(ObservableSample(
             t=tk, mass=1.0, energy=hk / 16.0, momentum=(0.25, -0.5),
             com=(0.5 * tk, 1.0 + tk), virial=vk, virial_rate=rk,
-            virial_rate_signed=-rk, virial_rhs=hk, lsig2=1.0, linf=1.0,
-            boundary_fraction=0.0, moments_ok=True))
+            virial_rhs=hk, lsig2=1.0, linf=1.0, boundary_fraction=0.0,
+            moments_ok=True))
     return ser
 
 
@@ -316,7 +305,6 @@ def test_verify_conservation_audits_non_uniform_times():
         t, 1.0 + 2.0 * t - 3.0 * t ** 2, 2.0 - 6.0 * t, np.full(t.size, -6.0)))
     assert rep.virial_rate_residual <= 1e-12 * rep.virial_scale
     assert rep.virial_second_residual <= 1e-9 * rep.virial_second_scale
-    assert rep.rate_convention == "dilation"
     assert rep.com_fit_residual <= 1e-12
     assert rep.com_slope == pytest.approx((0.5, 1.0), rel=1e-12)
 
@@ -328,7 +316,6 @@ def _uniform_virial_residuals(series):
     dV = (V[2:] - V[:-2]) / (2.0 * h)
     d2V = (V[2:] - 2.0 * V[1:-1] + V[:-2]) / h ** 2
     return (np.max(np.abs(dV - series.column("virial_rate")[1:-1])),
-            np.max(np.abs(dV - series.column("virial_rate_signed")[1:-1])),
             np.max(np.abs(d2V - series.column("virial_rhs")[1:-1])))
 
 
@@ -342,10 +329,8 @@ def test_verify_conservation_on_uniform_times_is_centered(alpha, dt0, stride):
     dt = np.diff(series.t)
     assert np.max(np.abs(dt - dt[0])) <= 1e-12 * dt[0]
     rep = verify_conservation(series)
-    rate, rate_s, second = _uniform_virial_residuals(series)
+    rate, second = _uniform_virial_residuals(series)
     assert abs(rep.virial_rate_residual - rate) <= 1e-12 * rep.virial_scale
-    assert abs(rep.virial_rate_signed_residual - rate_s) \
-        <= 1e-12 * rep.virial_scale
     assert abs(rep.virial_second_residual - second) \
         <= 1e-12 * rep.virial_second_scale
 
@@ -379,8 +364,6 @@ def test_verify_conservation_leaves_sliver_interval_out():
     dV = (h[1:] * quot[:-1] + h[:-1] * quot[1:]) / span
     d2V = 2.0 * (quot[1:] - quot[:-1]) / span
     for got, d, col in ((rep.virial_rate_residual, dV, "virial_rate"),
-                        (rep.virial_rate_signed_residual, dV,
-                         "virial_rate_signed"),
                         (rep.virial_second_residual, d2V, "virial_rhs")):
         assert got == float(np.max(np.abs(d - s.column(col)[1:-1])))
 
@@ -428,7 +411,8 @@ def test_com_fit_matches_least_squares(run_config):
 
 
 def test_conservation_report_elliptic_run():
-    # same audit on the all-plus signature: com ratio is +2 on every axis
+    # same audit on the all-plus signature: the centre of mass moves at
+    # 2 p_j on every axis
     g = nls_grid(n=64, length=40.0)
     f = gaussian_field(g, amplitude=0.6, width=1.4, boost=(0.5, 0.3))
     problem = EvolutionProblem(g, lam=-1.0, sigma=2.0)
@@ -436,9 +420,8 @@ def test_conservation_report_elliptic_run():
     _, series = run(f, problem, cfg)
     rep = verify_conservation(series)
     for j in range(2):
-        assert np.isclose(rep.com_single_factor_ratio[j], 2.0, rtol=1e-3)
-    assert rep.ysign_matches_flip is None
-    assert rep.rate_convention == "dilation"
+        assert np.isclose(rep.com_slope[j], rep.com_predicted[j],
+                          rtol=1e-3)
     assert rep.virial_rate_residual < 1e-4 * rep.virial_scale
 
 
