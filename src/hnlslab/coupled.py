@@ -1,13 +1,14 @@
-"""Evolution on decomposed spaces: structured wave plus H1 perturbation.
+"""Evolution on decomposed spaces: structured waves plus H1 perturbation.
 
-A solution is written u = v + phi where phi is a lifted plane or standing
-wave and v carries everything else.  The primary method advances u with
-the full solver and phi with its own low-dimensional solver, then defines
-v by subtraction — it inherits the full solver's conservation exactness
-and needs no linearization.  `run_decomposed` and `two_wave_run` carry the
-spectrum of u and of each profile between steps (`SpectralMarch`, two FFTs
-a step) and lift the profile to form v only where v is read: at samples,
-and at a step whose cheap sup bound passes the blow-up ceiling.
+A solution is written u = v + phi where phi is the sum of one or more
+lifted plane or standing waves that share (lam, sigma) and v carries
+everything else.  The primary method advances u with the full solver and
+each wave's profile with its own low-dimensional solver, then defines v
+by subtraction — it inherits the full solver's conservation exactness and
+needs no linearization.  `run_decomposed` carries the spectrum of u and
+of each profile between steps (`SpectralMarch`, two FFTs a step) and
+lifts the profiles to form v only where v is read: at samples, and at a
+step whose cheap sup bound passes the blow-up ceiling.
 `step_decomposed` is the same method as a single step.  A direct
 integrator for the perturbation equation
 
@@ -15,7 +16,8 @@ integrator for the perturbation equation
 
 exists purely as a cross-validation oracle.  On top of the steppers sit
 the stability harness (sup of ||v||_H1 per perturbation size) and the
-two-wave interaction run.
+two-wave interaction run, a decomposed run of two plane waves whose v is
+the interaction remainder.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ import numpy as np
 from . import spectral
 from .fields import (ComplexField, Grid, GridError, _in_order,
                      constant_field, multiply_out, norms)
-from .evolution import (STATUS_BLOWNUP, STATUS_RUNNING, EvolutionProblem,
-                        RunConfig, SpectralMarch, StepperState, march,
-                        step_strang)
+from .evolution import (STATUS_BLOWNUP, STATUS_DONE, STATUS_RUNNING,
+                        EvolutionProblem, RunConfig, SpectralMarch,
+                        StepperState, march, step_strang)
 from .families import PlaneWaveSpec
 
 
@@ -43,23 +45,25 @@ def lift_structured(spec, values: np.ndarray, grid: Grid,
 
 @dataclass
 class DecomposedState:
-    """u = v + phi with both components time-synchronized.
+    """u = v + phi with every component time-synchronized.
 
-    `spec` is a plane or standing wave spec from `families`.  `profile`
-    holds the low-dimensional samples of the structured part on its own
-    grid; the lift to the full grid happens on demand.  Both evolution
-    problems follow from `spec` and v's grid.
+    `specs` is a tuple of plane or standing wave specs from `families`
+    that share (lam, sigma); phi is the sum of their lifts.  `profiles`
+    holds one low-dimensional sample per spec, on its own grid; the lifts
+    to the full grid happen on demand.  The evolution problems follow from
+    `specs` and v's grid.
     """
 
     v: ComplexField
-    spec: object
-    profile: ComplexField
+    specs: tuple
+    profiles: tuple
     status: str = STATUS_RUNNING
 
     def __post_init__(self):
-        if abs(self.v.t - self.profile.t) > 1e-12 * max(1.0, abs(self.v.t)):
-            raise ValueError(f"components out of sync: v at t={self.v.t}, "
-                             f"profile at t={self.profile.t}")
+        for profile in self.profiles:
+            if abs(self.v.t - profile.t) > 1e-12 * max(1.0, abs(self.v.t)):
+                raise ValueError(f"components out of sync: v at t={self.v.t}, "
+                                 f"profile at t={profile.t}")
 
     @property
     def t(self) -> float:
@@ -68,104 +72,123 @@ class DecomposedState:
     @property
     def problem(self) -> EvolutionProblem:
         """The full problem u = v + phi evolves under."""
-        return EvolutionProblem(self.v.grid, self.spec.lam, self.spec.sigma)
+        return EvolutionProblem(self.v.grid, self.specs[0].lam,
+                                self.specs[0].sigma)
 
     @property
-    def profile_problem(self) -> EvolutionProblem:
-        """The profile equation's problem."""
-        return self.spec.profile(self.v.grid)[0]
+    def profile_problems(self) -> tuple:
+        """Each profile equation's problem, in the order of `specs`."""
+        return tuple(spec.profile(self.v.grid)[0] for spec in self.specs)
 
     def full_field(self) -> ComplexField:
-        phi = lift_structured(self.spec, self.profile.values, self.v.grid,
-                              self.t)
-        return self.v.with_values(self.v.values + phi)
+        return self.v.with_values(_fold_lifts(
+            np.add, self.v.values, self.specs, self.profiles, self.v.grid,
+            self.t))
 
 
-def _initial_v(v0: ComplexField | None, grid: Grid) -> ComplexField:
-    """v0 of a decomposed or two-wave run: zero when None, else a field on
-    `grid`'s box stamped t=0."""
-    if v0 is None:
-        return constant_field(grid, 0.0)
-    if not v0.grid.same_box(grid):
-        raise GridError("v0 grid does not match the target grid")
-    if v0.t != 0.0:
-        raise ValueError("v0 must be stamped t=0")
-    return v0
+def _fold_lifts(op, values: np.ndarray, specs, profiles, grid: Grid,
+                t: float) -> np.ndarray:
+    """op(values, lift) for each profile's lift at t, one wave at a time:
+    np.add forms u = (v + phi_1) + phi_2 ..., np.subtract v from u."""
+    for spec, profile in zip(specs, profiles):
+        values = op(values, lift_structured(spec, profile.values, grid, t))
+    return values
 
 
-def make_decomposed(spec, grid: Grid,
+def make_decomposed(specs, grid: Grid,
                     v0: ComplexField | None = None) -> DecomposedState:
-    """Initial decomposed state at t=0; v0 defaults to zero.  GridError
-    when the wave does not fit `grid`."""
-    _, field = spec.profile(grid)
-    return DecomposedState(v=_initial_v(v0, grid), spec=spec, profile=field)
+    """Initial decomposed state at t=0 of the waves `specs`, one or more
+    that share (lam, sigma); v0 defaults to zero, else it must lie on
+    `grid`'s box, stamped t=0.  GridError when a wave or v0 does not fit
+    `grid`."""
+    specs = tuple(specs)
+    if not specs or any((s.lam, s.sigma) != (specs[0].lam, specs[0].sigma)
+                        for s in specs):
+        raise ValueError("a decomposed state takes one or more waves that "
+                         "share (lam, sigma)")
+    profiles = tuple(spec.profile(grid)[1] for spec in specs)
+    if v0 is None:
+        v0 = constant_field(grid, 0.0)
+    elif not v0.grid.same_box(grid):
+        raise GridError("v0 grid does not match the target grid")
+    elif v0.t != 0.0:
+        raise ValueError("v0 must be stamped t=0")
+    return DecomposedState(v=v0, specs=specs, profiles=profiles)
 
 
 def step_decomposed(state: DecomposedState, dt: float) -> DecomposedState:
-    """Advance u = v + phi with the full stepper, phi with its profile
-    stepper, and subtract.  Blow-up of either component is recorded on the
-    returned status, never raised."""
+    """Advance u = v + phi with the full stepper, each profile with its
+    own stepper, and subtract.  Blow-up of any component is recorded on
+    the returned status, never raised; v then keeps the lifts at the
+    step's start."""
     if state.status != STATUS_RUNNING:
         return state
     grid = state.v.grid
     t = state.t
-    phi0 = lift_structured(state.spec, state.profile.values, grid, t)
-    u = state.v.with_values(state.v.values + phi0)
-    su = step_strang(StepperState(field=u, dt=dt), state.problem)
-    sp = step_strang(StepperState(field=state.profile, dt=dt),
-                     state.profile_problem)
-    status = STATUS_RUNNING
-    if not (su.field.is_finite() and sp.field.is_finite()):
-        status = STATUS_BLOWNUP
-        v1 = su.field.values - phi0
+    su = step_strang(StepperState(field=state.full_field(), dt=dt),
+                     state.problem)
+    profiles = tuple(
+        step_strang(StepperState(field=profile, dt=dt), problem).field
+        for profile, problem in zip(state.profiles, state.profile_problems))
+    if su.field.is_finite() and all(p.is_finite() for p in profiles):
+        status, lifted, at = STATUS_RUNNING, profiles, t + dt
     else:
-        phi1 = lift_structured(state.spec, sp.field.values, grid, t + dt)
-        v1 = su.field.values - phi1
+        status, lifted, at = STATUS_BLOWNUP, state.profiles, t
+    v1 = _fold_lifts(np.subtract, su.field.values, state.specs, lifted,
+                     grid, at)
     return DecomposedState(v=ComplexField(grid, v1, t=t + dt),
-                           spec=state.spec, profile=sp.field, status=status)
+                           specs=state.specs, profiles=profiles,
+                           status=status)
 
 
 def step_perturbation(state: DecomposedState, dt: float) -> DecomposedState:
     """Advance v by the perturbation equation directly: Strang linear
     half-steps around one classical RK4 sweep of the nonlinear coupling,
-    with phi sampled at the substep times."""
+    with phi sampled at the substep times.  With several waves the
+    coupling subtracts the sum of the waves' own nonlinearities, as
+    v = u - phi_1 - phi_2 - ... requires."""
     if state.status != STATUS_RUNNING:
         return state
     grid = state.v.grid
     t = state.t
     half = 0.5 * dt
-    profile_problem = state.profile_problem
-    sp_h = step_strang(StepperState(field=state.profile, dt=half),
-                       profile_problem)
-    sp_1 = step_strang(StepperState(field=sp_h.field, dt=half),
-                       profile_problem)
-    phi0 = lift_structured(state.spec, state.profile.values, grid, t)
-    phi_h = lift_structured(state.spec, sp_h.field.values, grid, t + half)
-    phi_1 = lift_structured(state.spec, sp_1.field.values, grid, t + dt)
-
-    problem = state.problem
+    problem, problems = state.problem, state.profile_problems
     lam, sigma = problem.lam, problem.sigma
+    halves = tuple(step_strang(StepperState(field=p, dt=half), pb).field
+                   for p, pb in zip(state.profiles, problems))
+    ends = tuple(step_strang(StepperState(field=p, dt=half), pb).field
+                 for p, pb in zip(halves, problems))
 
-    def coupling(w, phi):
+    def forcing(profiles, at):
+        """phi at `at` and the sum of |phi_i|^sigma phi_i."""
+        lifts = [lift_structured(spec, p.values, grid, at)
+                 for spec, p in zip(state.specs, profiles)]
+        own = [np.abs(phi) ** sigma * phi for phi in lifts]
+        return sum(lifts[1:], lifts[0]), sum(own[1:], own[0])
+
+    def coupling(w, phi, own):
         s = w + phi
-        return 1j * lam * (np.abs(s) ** sigma * s - np.abs(phi) ** sigma * phi)
+        return 1j * lam * (np.abs(s) ** sigma * s - own)
 
     ph = multiply_out(problem.linear_phase(half))
     w = spectral.ifftn(spectral.fftn(state.v.values) * ph)
     # an overflow here is a blow-up, recorded below, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = coupling(w, phi0)
-        k2 = coupling(w + half * k1, phi_h)
-        k3 = coupling(w + half * k2, phi_h)
-        k4 = coupling(w + dt * k3, phi_1)
+        f0, f_h, f_1 = (forcing(state.profiles, t), forcing(halves, t + half),
+                        forcing(ends, t + dt))
+        k1 = coupling(w, *f0)
+        k2 = coupling(w + half * k1, *f_h)
+        k3 = coupling(w + half * k2, *f_h)
+        k4 = coupling(w + dt * k3, *f_1)
         w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     w = spectral.ifftn(spectral.fftn(w) * ph)
 
     status = STATUS_RUNNING
-    if not (np.all(np.isfinite(w.view(float))) and sp_1.field.is_finite()):
+    if not (np.all(np.isfinite(w.view(float)))
+            and all(p.is_finite() for p in ends)):
         status = STATUS_BLOWNUP
     return DecomposedState(v=ComplexField(grid, w, t=t + dt),
-                           spec=state.spec, profile=sp_1.field, status=status)
+                           specs=state.specs, profiles=ends, status=status)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +199,8 @@ class CoupledSeries:
     """Sampled diagnostics of a decomposed run."""
     t: np.ndarray
     h: np.ndarray             # ||v||_H1
-    phi_sup: np.ndarray       # ||phi||_inf
-    grad_phi_sup: np.ndarray  # ||grad phi||_inf
+    phi_sup: np.ndarray       # sum of ||phi_i||_inf over the waves
+    grad_phi_sup: np.ndarray  # sum of ||grad phi_i||_inf
 
 
 def _stepped(state: DecomposedState, stepper):
@@ -189,7 +212,7 @@ def _stepped(state: DecomposedState, stepper):
         state = stepper(state, h)
         if state.status != STATUS_RUNNING:
             return math.inf        # the stepper found a non-finite component
-        return state.v.linf() + state.profile.linf()
+        return state.v.linf() + sum(p.linf() for p in state.profiles)
 
     return step, lambda t: state, None
 
@@ -197,32 +220,34 @@ def _stepped(state: DecomposedState, stepper):
 def _carried(state: DecomposedState):
     """`step(h)`, `now(t)` and `exact(m)` of the subtraction method with
     carried spectra; `now` forms the decomposed state at the march time t,
-    once per step taken, and `exact` reads its ||v||_inf + ||profile||_inf
-    where the step's bound sup|u| + 2 sup|profile| is too loose."""
+    once per step taken, and `exact` reads its ||v||_inf + sum
+    ||profile_i||_inf where the step's bound is too loose."""
     if state.status != STATUS_RUNNING:
         return (lambda h: math.inf), (lambda t: state), None
-    grid, spec = state.v.grid, state.spec
+    grid, specs = state.v.grid, state.specs
     u = SpectralMarch(state.full_field(), state.problem)
-    f = SpectralMarch(state.profile, state.profile_problem)
+    fs = [SpectralMarch(profile, problem) for profile, problem
+          in zip(state.profiles, state.profile_problems)]
     current = state
 
     def step(h: float) -> float:
         nonlocal current
         current = None
-        return u.step(h) + 2.0 * f.step(h)
+        return u.step(h) + 2.0 * sum(f.step(h) for f in fs)
 
     def now(t: float) -> DecomposedState:
         nonlocal current
         if current is None:
-            profile = f.field(t)
-            phi = lift_structured(spec, profile.values, grid, t)
-            current = replace(state, profile=profile, v=ComplexField(
-                grid, u.field(t).values - phi, t=t))
+            profiles = tuple(f.field(t) for f in fs)
+            v = _fold_lifts(np.subtract, u.field(t).values, specs,
+                            profiles, grid, t)
+            current = DecomposedState(v=ComplexField(grid, v, t=t),
+                                      specs=specs, profiles=profiles)
         return current
 
     def exact(m) -> float:
         s = now(m.t)
-        return s.v.linf() + s.profile.linf()
+        return s.v.linf() + sum(p.linf() for p in s.profiles)
 
     return step, now, exact
 
@@ -231,26 +256,26 @@ def run_decomposed(state: DecomposedState, t_end: float, *,
                    dt: float = 1e-3, stepper=None, sample_stride: int = 10,
                    linf_ceiling: float | None = None) -> tuple:
     """March to t_end, sampling ||v||_H1 and the profile decay proxies
-    every stride.
+    (summed over the waves) every stride.
 
     By default this is the subtraction method with carried spectra: u =
-    v0 + phi0 and the profile each march as a `SpectralMarch` (two FFTs a
-    step on the full grid), and v = u - lift(profile) is formed only at
-    samples and at blow-up, so the profile is lifted once per sample, not
-    twice per step.  An explicit `stepper(state, h)` (such as
-    `step_perturbation`) is called once per step instead.  A state that is
-    not "Running" is left as it is.
+    v0 + phi0 and each profile march as a `SpectralMarch` (two FFTs a
+    step on the full grid), and v = u - phi is formed only at samples and
+    at blow-up, so each profile is lifted once per sample, not twice per
+    step.  An explicit `stepper(state, h)` (such as `step_perturbation`)
+    is called once per step instead.  A state that is not "Running" is
+    left as it is; a completed run keeps the status "Running".  As `run`
+    owns its field, the run owns `state`: the carried march lets go of it
+    at the first step, so a caller that does not keep it frees v0 then.
 
     Both split substeps are pointwise unitary, so a collapsing component
     never turns non-finite by itself; blow-up is detected by `march`, as
-    in the full solver, from a bound on ||v||_inf + ||profile||_inf
-    passing `linf_ceiling` (default: 1e6 times its initial value) or
-    turning non-finite.  With carried spectra the bound is sup|u| + 2
-    sup|profile| over the half-step fields, since |v| <= |u| + |phi|; it
-    can be three times the bounded quantity, so when it passes the
-    ceiling v is formed and ||v||_inf + ||profile||_inf at the step's end
-    decides, as it does after every step of a stepper.  A completed run
-    keeps the status "Running".
+    in the full solver, from ||v||_inf + sum ||profile_i||_inf passing
+    `linf_ceiling` (default: 1e6 times its initial value) or turning
+    non-finite.  With carried spectra a step's bound is sup|u| + 2 sum
+    sup|profile_i| over the half-step fields, since |v| <= |u| + |phi|;
+    when that passes the ceiling, v is formed and the exact sum decides,
+    as it does after every step of a stepper.
     """
     config = RunConfig(t_end=t_end, dt0=dt, linf_ceiling=linf_ceiling,
                        sample_stride=sample_stride)
@@ -260,19 +285,23 @@ def run_decomposed(state: DecomposedState, t_end: float, *,
         step, now, exact = _stepped(state, stepper)
     else:
         step, now, exact = _carried(state)
+    t0, sigma = state.t, state.specs[0].sigma
+    del state
     ts, hs, ps, gs = [], [], [], []
 
     def record(m) -> float:
         s = now(m.t)
+        p, gp = (sum(x) for x in zip(*(
+            spec.proxies(profile)
+            for spec, profile in zip(s.specs, s.profiles))))
         nb = norms(s.v)
-        p, gp = s.spec.proxies(s.profile)
         ts.append(s.t)
         hs.append(nb.h1)
         ps.append(p)
         gs.append(gp)
         return nb.linf + p
 
-    m = march(state.t, config, state.spec.sigma, step, record, exact)
+    m = march(t0, config, sigma, step, record, exact)
     state = now(m.t)
     if m.status == STATUS_BLOWNUP and state.status == STATUS_RUNNING:
         state = replace(state, status=STATUS_BLOWNUP)
@@ -331,7 +360,7 @@ def stability_run(spec, v0_shape: ComplexField, eps_list, T: float, *,
             v0 = constant_field(grid, 0.0)
         else:
             v0 = ComplexField(grid, v0_shape.values * (eps / shape_h1))
-        state = make_decomposed(spec, grid, v0=v0)
+        state = make_decomposed((spec,), grid, v0=v0)
         state, series = run_decomposed(state, T, dt=dt,
                                        sample_stride=sample_stride,
                                        linf_ceiling=linf_ceiling)
@@ -372,58 +401,28 @@ def two_wave_run(spec1: PlaneWaveSpec, spec2: PlaneWaveSpec,
     """Evolve u = v0 + lift(f1) + lift(f2) fully, the profiles
     independently, and report the interaction remainder in H1.
 
-    u and both profiles are carried as spectra (`SpectralMarch`); the
-    remainder is formed at samples only.  A step's sup bound for `march`
-    is the sum of the three half-step sups.  The initial lifts are read
-    only to form u and `product_scale`, and are freed before the march;
-    v0's values stay only as the remainder of the t=0 sample, until the
-    next sample replaces it."""
+    This is `run_decomposed` of the state with both waves: the remainder
+    is its v, and the run's blow-up rule is that of every decomposed run.
+    The initial lifts are read only to form `product_scale` and u, and
+    are freed before the march; v0's values stay only as the remainder of
+    the t=0 sample, until the next sample replaces it."""
     for s in (spec1, spec2):
         if not isinstance(s, PlaneWaveSpec):
             raise TypeError("two-wave interaction takes plane-wave specs")
     if spec1.c == spec2.c:
         raise ValueError("profiles must travel at distinct speeds")
-    if spec1.lam != spec2.lam or spec1.sigma != spec2.sigma:
-        raise ValueError("both waves must share (lam, sigma)")
-    config = RunConfig(t_end=T, dt0=dt, sample_stride=sample_stride)
-    if T < 0:
-        raise ValueError("two-wave runs only go forward")
-    prob1, f1 = spec1.profile(grid)
-    prob2, f2 = spec2.profile(grid)
-    l1 = lift_structured(spec1, f1.values, grid, 0.0)
-    l2 = lift_structured(spec2, f2.values, grid, 0.0)
-    v0 = _initial_v(v0, grid)
-    scale = norms(ComplexField(grid, l1)).h1 * norms(ComplexField(grid, l2)).h1
-
-    problem = EvolutionProblem(grid=grid, lam=spec1.lam, sigma=spec1.sigma)
-    waves = [SpectralMarch(ComplexField(grid, v0.values + l1 + l2), problem),
-             SpectralMarch(f1, prob1), SpectralMarch(f2, prob2)]
-    # at t=0 the remainder is v0 itself; subtracting the lifts back out
-    # would leave roundoff
-    last = v0.values
-    del l1, l2, v0
-    ts, rem = [], []
-
-    def step(h: float) -> float:
-        return sum(w.step(h) for w in waves)
-
-    def record(m) -> float:
-        nonlocal last
-        u, g1, g2 = (w.field(m.t) for w in waves)
-        if m.steps > 0:
-            last = u.values - lift_structured(spec1, g1.values, grid, m.t) \
-                - lift_structured(spec2, g2.values, grid, m.t)
-        ts.append(m.t)
-        rem.append(norms(ComplexField(grid, last, t=m.t)).h1)
-        return u.linf() + g1.linf() + g2.linf()
-
-    status = march(0.0, config, spec1.sigma, step, record).status
-
-    return TwoWaveSeries(t=np.asarray(ts), remainder=np.asarray(rem),
-                         status=status,
-                         boundary_fraction=_band_fraction(
-                             last, grid, (spec1.c, spec2.c)),
-                         product_scale=float(scale))
+    h1, h2 = (norms(ComplexField(grid, lift_structured(
+        spec, spec.profile(grid)[1].values, grid, 0.0))).h1
+        for spec in (spec1, spec2))
+    state, series = run_decomposed(make_decomposed((spec1, spec2), grid, v0),
+                                   T, dt=dt, sample_stride=sample_stride)
+    return TwoWaveSeries(
+        t=series.t, remainder=series.h,
+        status=STATUS_BLOWNUP if state.status == STATUS_BLOWNUP
+        else STATUS_DONE,
+        boundary_fraction=_band_fraction(state.v.values, grid,
+                                         (spec1.c, spec2.c)),
+        product_scale=float(h1 * h2))
 
 
 def _band_fraction(values: np.ndarray, grid: Grid, speeds) -> float:

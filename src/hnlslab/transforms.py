@@ -219,6 +219,23 @@ def closed_form_b(a0: float, k: float, t):
     return float(out) if out.ndim == 0 else out
 
 
+def closed_form_g(a0: float, k: float, t):
+    """Closed form of g(t), the antiderivative of b^-2, where an elementary
+    one exists: (arctan(((a0^2 + 4k) t + a0) / (2 sqrt k))
+    - arctan(a0 / (2 sqrt k))) / (2 sqrt k) for k > 0, and t / (1 + a0 t)
+    for k = 0.  None for k < 0."""
+    t = np.asarray(t, dtype=float)
+    if k > 0:
+        rk = 2.0 * np.sqrt(k)
+        out = (np.arctan(((a0 ** 2 + 4 * k) * t + a0) / rk)
+               - np.arctan(a0 / rk)) / rk
+    elif k == 0:
+        out = t / (1.0 + a0 * t)
+    else:
+        return None
+    return float(out) if out.ndim == 0 else out
+
+
 def signature_quadratic(grid: Grid) -> np.ndarray:
     """q(x) = sum_j x_j^2 / alpha_j on the grid (axes with alpha_j = 0 drop
     out), summed from zero in axis order."""

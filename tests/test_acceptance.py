@@ -2,10 +2,9 @@
 
 Each test prints a single PASS/FAIL line with the measured numbers, so a
 `pytest -v -s tests/test_acceptance.py` run doubles as the sign-off sheet.
-Two moment identities are asserted in the form the data actually satisfies
-(center-of-mass slope carries a factor 2*alpha_j; the moment flux is the
-dilation one); the single-factor / sign-flipped shorthands are printed
-alongside for the record.  See the notes in tests 02 and 03.
+Two moment identities are asserted in the form the data actually satisfies:
+the center-of-mass slope carries a factor 2*alpha_j, and the moment flux
+is the dilation one.  See the notes in tests 02 and 03.
 """
 
 import time
@@ -301,11 +300,11 @@ def test_08_decomposed_flow_dual_path_and_fixed_point():
     grid = hnls_grid()
     spec = _plane_spec()
     v0 = _seed(grid, amplitude=0.05)
-    a, _ = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.2)
-    b, _ = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.2,
+    a, _ = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.2)
+    b, _ = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.2,
                           stepper=step_perturbation)
     agree = _diff_h1(a.v, b.v)
-    _, series = run_decomposed(make_decomposed(spec, grid), 2.0)
+    _, series = run_decomposed(make_decomposed((spec,), grid), 2.0)
     quiet = float(np.max(series.h))
     _check("08 subtraction vs perturbation steppers, zero seed inert",
            norms(a.v).h1 > 1e-3 and agree < 1e-5 and quiet < 1e-9,
@@ -342,8 +341,8 @@ def test_10_standing_wave_counterpart(standing_quintic_sweep):
     grid = hnls_grid()
     spec = _standing_spec()
     v0 = _seed(grid, amplitude=0.05)
-    a, _ = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.2)
-    b, _ = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.2,
+    a, _ = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.2)
+    b, _ = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.2,
                           stepper=step_perturbation)
     agree = _diff_h1(a.v, b.v)
     eps, reports = standing_quintic_sweep.eps, standing_quintic_sweep.reports

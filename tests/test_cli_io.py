@@ -819,6 +819,32 @@ def test_conservation_report_on_non_uniform_sample_times(run, tmp_path,
             <= 1e-6 * report["virial_second_scale"])
 
 
+@pytest.mark.parametrize("grid, initial, run, status, samples", [
+    # sup 3 > 4 after a few steps: BlownUp at the third sample
+    ({"preset": "nls", "d": 2, "n": 32, "length": 10.0},
+     {"shape": "gaussian", "amplitude": 3.0, "width": 0.7},
+     {"t_end": 1.0, "dt0": 1e-3, "sample_stride": 100, "linf_ceiling": 4.0},
+     "BlownUp", 3),
+    # an adaptive run's samples are not counted before it runs
+    ({"preset": "hnls", "d": 2, "n": 16, "length": 10.0},
+     {"shape": "gaussian", "amplitude": 0.5, "width": 2.0},
+     {"t_end": 0.002, "adapt": True}, "Done", 2),
+], ids=["blowup", "adaptive"])
+def test_conservation_report_cut_short_records_the_skipped_audit(
+        grid, initial, run, status, samples, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_cfg(kind="conservation-report", grid=grid,
+                             initial=initial, run=run), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli_main(["conservation-report", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+    assert _manifest(out)["status"] == status
+    assert len(load_series_csv(out / "observables.csv")["t"]) == samples
+    report = json.loads((out / "conservation.json").read_text())
+    assert report == {"status": status, "audit_skipped": (
+        f"{status} after {samples} samples; the audit needs at least 5")}
+
+
 def test_transform_check_lens_case(tmp_path):
     cfg = parse_config(json.dumps({
         "kind": "transform-check",

@@ -3,6 +3,7 @@
 import tracemalloc
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def _diff_h1(a, b):
 def test_make_decomposed_initial_state():
     grid = hnls_grid()
     spec = _plane_spec()
-    state = make_decomposed(spec, grid)
+    state = make_decomposed((spec,), grid)
     assert state.t == 0.0
     assert state.status == STATUS_RUNNING
     assert state.v.linf() == 0.0
@@ -79,41 +80,47 @@ def test_make_decomposed_rejects_bad_inputs():
     grid = hnls_grid()
     spec = _plane_spec()
     with pytest.raises(GridError):
-        make_decomposed(spec, grid, v0=constant_field(hnls_grid(n=32), 0.0))
+        make_decomposed((spec,), grid, v0=constant_field(hnls_grid(n=32), 0.0))
     late = ComplexField(grid, np.zeros(grid.n, dtype=complex), t=0.5)
     with pytest.raises(ValueError):
-        make_decomposed(spec, grid, v0=late)
+        make_decomposed((spec,), grid, v0=late)
     with pytest.raises(AttributeError):
-        make_decomposed("gaussian", grid)
+        make_decomposed(("gaussian",), grid)
+    # the waves of one state share (lam, sigma), and there is at least one
+    for specs in ((), (spec, _plane_spec(c=(-1.0,), lam=-1.0)),
+                  (spec, _plane_spec(c=(-1.0,), sigma=4.0))):
+        with pytest.raises(ValueError, match="share"):
+            make_decomposed(specs, grid)
     with pytest.raises(AttributeError):
         lift_structured(3.5, _bump(3.0), grid, 0.0)
 
 
 def test_components_must_stay_synchronized():
     grid = hnls_grid()
-    state = make_decomposed(_plane_spec(), grid)
-    drifted = ComplexField(state.profile.grid, state.profile.values, t=1.0)
+    state = make_decomposed((_plane_spec(),), grid)
+    profile, = state.profiles
+    drifted = ComplexField(profile.grid, profile.values, t=1.0)
     with pytest.raises(ValueError):
-        DecomposedState(v=state.v, spec=state.spec, profile=drifted)
+        DecomposedState(v=state.v, specs=state.specs, profiles=(drifted,))
 
 
 def test_state_derives_both_problems():
     grid = hnls_grid()
-    plane = make_decomposed(_plane_spec(sigma=2.0), grid)
+    plane = make_decomposed((_plane_spec(sigma=2.0),), grid)
     assert plane.problem.grid.same_box(grid)
     assert (plane.problem.lam, plane.problem.sigma) == (1.0, 2.0)
     assert plane.problem.potential is None
-    assert plane.profile_problem.grid.same_box(plane.profile.grid)
-    standing = make_decomposed(_standing_spec(lam=-1.0), grid)
-    assert standing.profile_problem.grid.same_box(standing.profile.grid)
+    assert plane.profile_problems[0].grid.same_box(plane.profiles[0].grid)
+    standing = make_decomposed((_standing_spec(lam=-1.0),), grid)
+    assert standing.profile_problems[0].grid.same_box(
+        standing.profiles[0].grid)
     assert (standing.problem.lam, standing.problem.sigma) == (-1.0, 4.0)
 
 
 def test_finished_state_is_inert():
     grid = hnls_grid()
-    base = make_decomposed(_plane_spec(), grid)
-    dead = DecomposedState(v=base.v, spec=base.spec, profile=base.profile,
-                           status=STATUS_BLOWNUP)
+    base = make_decomposed((_plane_spec(),), grid)
+    dead = replace(base, status=STATUS_BLOWNUP)
     assert step_decomposed(dead, 1e-3) is dead
     assert step_perturbation(dead, 1e-3) is dead
     with pytest.raises(ValueError):
@@ -123,23 +130,29 @@ def test_finished_state_is_inert():
 # ---------------------------------------------------------------------------
 # dual-path agreement: subtraction stepper vs direct perturbation integrator
 
-def test_dual_path_agreement_plane_wave():
+@pytest.mark.parametrize("specs", [
+    (_plane_spec(),),
+    # v = u - phi_1 - phi_2 obeys the perturbation equation with each
+    # wave's own nonlinearity subtracted
+    (_plane_spec(), PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
+                                  lam=1.0, sigma=2.0)),
+], ids=["one", "two"])
+def test_dual_path_agreement_plane_wave(specs):
     grid = hnls_grid()
-    spec = _plane_spec()
     v0 = _seed(grid)
-    a, _ = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.2)
-    b, _ = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.2,
+    a, _ = run_decomposed(make_decomposed(specs, grid, v0=v0), 0.2)
+    b, _ = run_decomposed(make_decomposed(specs, grid, v0=v0), 0.2,
                           stepper=step_perturbation)
     assert norms(a.v).h1 > 1e-3          # the perturbation is alive
-    assert _diff_h1(a.v, b.v) < 1e-5     # measured 2e-11
+    assert _diff_h1(a.v, b.v) < 1e-5     # measured 1.0e-12 and 1.4e-12
 
 
 def test_dual_path_agreement_standing_wave():
     grid = hnls_grid()
     spec = _standing_spec()
     v0 = _seed(grid)
-    a, _ = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.2)
-    b, _ = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.2,
+    a, _ = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.2)
+    b, _ = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.2,
                           stepper=step_perturbation)
     assert _diff_h1(a.v, b.v) < 1e-5     # measured 9e-10
 
@@ -149,7 +162,8 @@ def test_zero_perturbation_is_fixed_point_plane():
     # lockstep.  |c| = 1 keeps the lift an exact index gather, so the only
     # debris is the (identical) time-stepping of both paths.
     grid = hnls_grid()
-    state, series = run_decomposed(make_decomposed(_plane_spec(), grid), 2.0)
+    state, series = run_decomposed(make_decomposed((_plane_spec(),), grid),
+                                   2.0)
     assert state.status == STATUS_RUNNING
     assert abs(state.t - 2.0) < 1e-9
     assert float(np.max(series.h)) < 1e-9    # measured 2e-11
@@ -157,7 +171,7 @@ def test_zero_perturbation_is_fixed_point_plane():
 
 def test_zero_perturbation_is_fixed_point_standing():
     grid = hnls_grid()
-    _, series = run_decomposed(make_decomposed(_standing_spec(), grid), 2.0)
+    _, series = run_decomposed(make_decomposed((_standing_spec(),), grid), 2.0)
     assert float(np.max(series.h)) < 1e-9    # measured 3e-12
 
 
@@ -169,7 +183,7 @@ def test_perturbation_stepper_reduces_to_plain_solver():
                          c=(1.0,), lam=1.0, sigma=2.0)
     v0 = gaussian_field(grid, amplitude=0.5, width=3.0)
     problem = EvolutionProblem(grid, lam=1.0, sigma=2.0)
-    state, _ = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.1,
+    state, _ = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.1,
                               stepper=step_perturbation)
     su = StepperState(field=v0, dt=1e-3)
     for _ in range(100):
@@ -181,10 +195,11 @@ def test_perturbation_stepper_is_second_order():
     grid = hnls_grid()
     spec = _plane_spec()
     v0 = _seed(grid, amplitude=0.2)
-    ref, _ = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.2, dt=1e-4)
+    ref, _ = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.2,
+                            dt=1e-4)
     errs = []
     for dt in (2e-3, 1e-3, 5e-4):
-        s, _ = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.2,
+        s, _ = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.2,
                               dt=dt, stepper=step_perturbation)
         errs.append(_diff_h1(s.v, ref.v))
     assert all(e > 1e-12 for e in errs)      # above the reference floor
@@ -391,7 +406,9 @@ def test_two_wave_run_frees_its_lifts_before_the_march(monkeypatch):
     out = two_wave_run(_plane_spec(c=(1.0,)), s2, None, 0.05, hnls_grid(),
                        dt=1e-2, sample_stride=1)
     assert out.status == "Done"
-    assert alive == [[False, False]]
+    # product_scale's two lifts and u0's two, each freed before the march
+    assert len(alive) == 1 and len(alive[0]) >= 2
+    assert not any(alive[0])
 
 
 def _band_fraction_reference(values, grid, speeds):
@@ -476,7 +493,7 @@ def test_two_wave_symmetry_and_degenerate_cases():
     s2z = PlaneWaveSpec(f0=np.zeros(64, dtype=complex),
                         c=(-1.0,), lam=1.0, sigma=2.0)
     out = two_wave_run(s1, s2z, None, 0.5, grid)
-    _, series = run_decomposed(make_decomposed(s1, grid), 0.5)
+    _, series = run_decomposed(make_decomposed((s1,), grid), 0.5)
     assert np.allclose(out.remainder, series.h, rtol=0.0, atol=1e-10)
 
 
@@ -520,11 +537,11 @@ def test_decomposed_and_two_wave_reject_non_finite_times():
     s2 = _plane_spec(c=(-1.0,), width=2.5)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
-            run_decomposed(make_decomposed(s1, grid), bad)
+            run_decomposed(make_decomposed((s1,), grid), bad)
         with pytest.raises(ValueError):
             two_wave_run(s1, s2, None, bad, grid)
     with pytest.raises(ValueError):
-        run_decomposed(make_decomposed(s1, grid), 0.1, dt=np.nan)
+        run_decomposed(make_decomposed((s1,), grid), 0.1, dt=np.nan)
     with pytest.raises(ValueError):
         two_wave_run(s1, s2, None, 0.1, grid, dt=0.0)
 
@@ -539,7 +556,7 @@ def test_non_finite_perturbation_step_is_recorded_blowup():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         state, series = run_decomposed(
-            make_decomposed(spec, grid, v0=v0), 1.0, dt=5e-2,
+            make_decomposed((spec,), grid, v0=v0), 1.0, dt=5e-2,
             stepper=step_perturbation, linf_ceiling=1e300)
     assert state.status == STATUS_BLOWNUP
     assert len(series.t) >= 1
@@ -549,7 +566,7 @@ def test_non_finite_perturbation_step_is_recorded_blowup():
 
 def test_completed_decomposed_run_stays_running():
     grid = hnls_grid()
-    state, series = run_decomposed(make_decomposed(_plane_spec(), grid),
+    state, series = run_decomposed(make_decomposed((_plane_spec(),), grid),
                                    0.05, sample_stride=4)
     assert state.status == STATUS_RUNNING
     assert abs(state.t - 0.05) < 1e-12
@@ -561,29 +578,30 @@ def test_completed_decomposed_run_stays_running():
 # ---------------------------------------------------------------------------
 # carried spectra: the default run against the single-step forms
 
-@pytest.mark.parametrize("spec", [
-    _plane_spec(c=(1.0,)),
-    _plane_spec(c=(2.0,), sigma=4.0, amplitude=0.4, width=4.0),
-    _standing_spec(),
-])
-def test_carried_run_matches_step_decomposed_loop(spec):
+@pytest.mark.parametrize("specs", [
+    (_plane_spec(c=(1.0,)),),
+    (_plane_spec(c=(2.0,), sigma=4.0, amplitude=0.4, width=4.0),),
+    (_standing_spec(),),
+    (_plane_spec(c=(1.0,)), PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5),
+                                          c=(-1.0,), lam=1.0, sigma=2.0)),
+], ids=["plane", "plane-quintic", "standing", "two-waves"])
+def test_carried_run_matches_step_decomposed_loop(specs):
     grid = hnls_grid()
     v0 = _seed(grid)
     # 0.0537 / 4e-3 leaves a clipped last step
     kw = dict(dt=4e-3, sample_stride=5)
-    a, sa = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.0537, **kw)
-    b, sb = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.0537,
+    a, sa = run_decomposed(make_decomposed(specs, grid, v0=v0), 0.0537, **kw)
+    b, sb = run_decomposed(make_decomposed(specs, grid, v0=v0), 0.0537,
                            stepper=step_decomposed, **kw)
     assert a.status == b.status == STATUS_RUNNING
     assert a.t == b.t
     assert np.array_equal(sa.t, sb.t) and len(sa.t) == 1 + 13 // 5 + 1
-    phi_h1 = norms(ComplexField(
-        grid, lift_structured(spec, b.profile.values, grid, b.t))).h1
+    phi_h1 = _diff_h1(b.full_field(), b.v)
     assert norms(b.v).h1 > 1e-3              # the perturbation is alive
-    assert _diff_h1(a.v, b.v) <= 1e-11 * phi_h1   # measured 1.2e-14
+    assert _diff_h1(a.v, b.v) <= 1e-11 * phi_h1   # measured <= 1.5e-13
     assert np.allclose(sa.h, sb.h, rtol=0.0, atol=1e-11 * phi_h1)
-    assert np.allclose(a.profile.values, b.profile.values, rtol=0.0,
-                       atol=1e-12)
+    for pa, pb in zip(a.profiles, b.profiles, strict=True):
+        assert np.allclose(pa.values, pb.values, rtol=0.0, atol=1e-12)
 
 
 def test_two_wave_run_matches_step_strang_loop():
@@ -641,7 +659,7 @@ def test_carried_run_fft_and_lift_counts(monkeypatch):
     import hnlslab.coupled as coupled
     grid = hnls_grid(n=32)
     spec = PlaneWaveSpec(f0=_bump(3.0)[::2], c=(1.0,), lam=1.0, sigma=2.0)
-    state = make_decomposed(spec, grid, v0=_seed(grid))
+    state = make_decomposed((spec,), grid, v0=_seed(grid))
     ffts, lifts = _Counter(), _Counter()
     for name in ("fftn", "ifftn"):
         monkeypatch.setattr(spectral, name, ffts.wrap(
@@ -657,9 +675,8 @@ def test_carried_run_fft_and_lift_counts(monkeypatch):
 
 def test_carried_run_leaves_a_blown_up_state_alone():
     grid = hnls_grid()
-    base = make_decomposed(_plane_spec(), grid, v0=_seed(grid))
-    dead = DecomposedState(v=base.v, spec=base.spec, profile=base.profile,
-                           status=STATUS_BLOWNUP)
+    base = make_decomposed((_plane_spec(),), grid, v0=_seed(grid))
+    dead = replace(base, status=STATUS_BLOWNUP)
     out, series = run_decomposed(dead, 0.1)
     assert out is dead
     assert list(series.t) == [0.0]
@@ -674,8 +691,8 @@ def test_carried_run_under_a_ceiling_its_loose_bound_passes():
     spec = _plane_spec()
     v0 = _seed(grid)
     kw = dict(dt=4e-3, sample_stride=5, linf_ceiling=1.5)
-    a, sa = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.0537, **kw)
-    b, sb = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.0537,
+    a, sa = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.0537, **kw)
+    b, sb = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.0537,
                            stepper=step_decomposed, **kw)
     assert a.status == b.status == STATUS_RUNNING
     assert a.t == b.t == 0.0537
@@ -683,17 +700,23 @@ def test_carried_run_under_a_ceiling_its_loose_bound_passes():
     assert _diff_h1(a.v, b.v) <= 1e-11 * norms(b.v).h1 + 1e-13
 
 
-def test_carried_run_detects_blowup_where_the_stepper_does():
-    # the collapse of test_stability_detects_blowup: the carried run must
-    # not stop on its loose first-step bound (about 6.6 > 5)
+@pytest.mark.parametrize("partner", [None, 0.3], ids=["one", "two"])
+def test_carried_run_detects_blowup_where_the_stepper_does(partner):
+    # the collapse of test_stability_detects_blowup, alone or beside a weak
+    # wave at the opposite speed: the carried run must not stop on its
+    # loose first-step bound (about 6.6 > 5 for the one wave)
     fine = Grid((512,), (40.0,), (1.0,))
     f0 = gaussian_field(fine, amplitude=2.2, width=1.2).values
-    spec = PlaneWaveSpec(f0=f0, c=(0.5,), lam=1.0, sigma=4.0)
+    specs = (PlaneWaveSpec(f0=f0, c=(0.5,), lam=1.0, sigma=4.0),)
+    if partner is not None:
+        specs += (PlaneWaveSpec(
+            f0=gaussian_field(fine, amplitude=partner, width=2.0).values,
+            c=(-0.5,), lam=1.0, sigma=4.0),)
     grid = Grid((64, 64), (40.0, 80.0), (1.0, -1.0))
     v0 = _seed(grid, amplitude=1e-3)
-    a, sa = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.5,
+    a, sa = run_decomposed(make_decomposed(specs, grid, v0=v0), 0.5,
                            linf_ceiling=5.0)
-    b, sb = run_decomposed(make_decomposed(spec, grid, v0=v0), 0.5,
+    b, sb = run_decomposed(make_decomposed(specs, grid, v0=v0), 0.5,
                            linf_ceiling=5.0, stepper=step_decomposed)
     assert a.status == b.status == STATUS_BLOWNUP
     assert np.array_equal(sa.t, sb.t)

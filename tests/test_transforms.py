@@ -151,6 +151,18 @@ def test_closed_form_b_agrees_with_ode():
     assert abs(st.b[-1] - closed_form_b(1.0, 1.0, 2.0)) < 1e-8
 
 
+def test_closed_form_g_examples_and_ode():
+    from hnlslab.transforms import closed_form_g
+    # k = 1/4, a0 = 0: b^2 = 1 + t^2, so g = arctan(t)
+    assert np.isclose(closed_form_g(0.0, 0.25, 1.0), np.pi / 4, rtol=1e-12)
+    assert closed_form_g(0.5, 0.0, 2.0) == 1.0      # t / (1 + a0 t)
+    assert closed_form_g(0.0, -1.0, 0.5) is None    # no elementary form
+    t = np.linspace(0.0, 2.0, 401)
+    for a0, k in ((1.0, 1.0), (-0.4, 0.0)):
+        st = integrate_transform_odes(a0, k, d=2, t_grid=t)
+        assert np.max(np.abs(st.g - closed_form_g(a0, k, t))) < 1e-8
+
+
 # ------------------------------------------------------------------ apply_pct
 
 def test_apply_pct_identity_parameters(rng):
