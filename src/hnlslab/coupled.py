@@ -395,17 +395,16 @@ class TwoWaveSeries:
     product_scale: float      # ||lift f1||_H1 * ||lift f2||_H1 at t=0
 
 
-def two_wave_run(spec1: PlaneWaveSpec, spec2: PlaneWaveSpec,
-                 v0: ComplexField | None, T: float, grid: Grid, *,
-                 dt: float = 1e-3, sample_stride: int = 10) -> TwoWaveSeries:
-    """Evolve u = v0 + lift(f1) + lift(f2) fully, the profiles
-    independently, and report the interaction remainder in H1.
+def two_wave_run(spec1: PlaneWaveSpec, spec2: PlaneWaveSpec, T: float,
+                 grid: Grid, *, dt: float = 1e-3,
+                 sample_stride: int = 10) -> TwoWaveSeries:
+    """Evolve u = lift(f1) + lift(f2) fully, the profiles independently,
+    and report the interaction remainder in H1.
 
     This is `run_decomposed` of the state with both waves: the remainder
     is its v, and the run's blow-up rule is that of every decomposed run.
     The initial lifts are read only to form `product_scale` and u, and
-    are freed before the march; v0's values stay only as the remainder of
-    the t=0 sample, until the next sample replaces it."""
+    are freed before the march."""
     for s in (spec1, spec2):
         if not isinstance(s, PlaneWaveSpec):
             raise TypeError("two-wave interaction takes plane-wave specs")
@@ -414,7 +413,7 @@ def two_wave_run(spec1: PlaneWaveSpec, spec2: PlaneWaveSpec,
     h1, h2 = (norms(ComplexField(grid, lift_structured(
         spec, spec.profile(grid)[1].values, grid, 0.0))).h1
         for spec in (spec1, spec2))
-    state, series = run_decomposed(make_decomposed((spec1, spec2), grid, v0),
+    state, series = run_decomposed(make_decomposed((spec1, spec2), grid),
                                    T, dt=dt, sample_stride=sample_stride)
     return TwoWaveSeries(
         t=series.t, remainder=series.h,

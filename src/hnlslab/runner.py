@@ -90,15 +90,18 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """A validated experiment: normalized sections plus advisory warnings.
 
-    `grid`, `initial`, `run` and `block` hold plain dicts with defaults
-    filled in; `source` is the config object as given (the CLI's --seed
+    `grid` is the `Grid` the parse checked, and `waves` (set only by the
+    parse) the wave spec it fitted to that grid at each block path of a
+    wave the kind declares; a run reads both and builds neither again.
+    `initial`, `run` and `block` hold plain dicts with defaults filled
+    in; `source` is the config object as given (the CLI's --seed
     written in), and `config_hash` the SHA-256 of its canonical
     (sorted-key, whitespace-free) JSON, so formatting does not change
     identity.
     """
 
     kind: str
-    grid: dict | None
+    grid: Grid | None
     lam: float
     sigma: float
     initial: dict | None
@@ -108,17 +111,13 @@ class ExperimentConfig:
     seed: int
     source: dict
     warnings: list = dc_field(default_factory=list)
+    waves: dict = dc_field(default_factory=dict, init=False)
 
     @property
     def config_hash(self) -> str:
         canonical = json.dumps(self.source, sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def build_grid(self) -> Grid:
-        if self.grid is None:
-            raise ValueError(f"experiment kind {self.kind!r} has no grid")
-        return Grid(self.grid["n"], self.grid["length"], self.grid["alpha"])
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +289,9 @@ _AMPLITUDE = {"amplitude": (_FINITE, 1.0)}
 _MARCH = {"t_end": (_POSITIVE, _REQUIRED), "dt": (_POSITIVE, 1e-3),
           "sample_stride": (_integer(1), 10)}
 _CEILING = {"linf_ceiling": (_or_null(_POSITIVE), None)}
+# a complex array of more points has more bytes than numpy can index: a
+# grid or radial size beyond it is refused before any array is formed
+_MAX_POINTS = np.iinfo(np.intp).max // 16
 _PROFILE_SHAPES = {"gaussian": {**_AMPLITUDE,
                                  "width": (_POSITIVE, _REQUIRED),
                                  "center": (_FINITE, 0.0)},
@@ -407,7 +409,7 @@ def _wave_keys(grid):
     follows the grid when it is valid.  The box fixes the rest: a plane
     profile has n_x samples over the period len_x, and a standing profile
     spans the transverse axes of the grid."""
-    return {"plane": {"c": (_list(_FINITE, grid and grid["d"] - 1),
+    return {"plane": {"c": (_list(_FINITE, grid and grid.d - 1),
                             _REQUIRED)},
             "standing": {"omega": (_FINITE, _REQUIRED)}}
 
@@ -431,6 +433,41 @@ def _distinct_speeds(errors, block):
     if block["first"]["c"] == block["second"]["c"]:
         _fail(errors, "two-wave.second.c", "must differ from first.c: the "
                                            "two waves need distinct speeds")
+
+
+def _wave_specs(cfg, errors) -> dict:
+    """{block path: plane or standing wave spec} of every wave the kind
+    declares that fits `cfg.grid`.  Its profile is sampled on the grid
+    that `profile(cfg.grid)` gives the spec with a zero profile (the n_x
+    samples of a plane wave, the transverse shape of the grid for a
+    standing wave); a misfit, or a Gaussian profile too narrow for that
+    grid, is reported in `errors` at the block path and the wave left
+    out.  A Gaussian's centre is the same on every axis of the profile."""
+    from .families import PlaneWaveSpec, StandingWaveSpec
+    b, grid, specs = cfg.block, cfg.grid, {}
+    for where in _DECLARATIONS[cfg.kind].waves:
+        side = _at(cfg, where)
+        try:
+            if "omega" in b:
+                spec = StandingWaveSpec(f0=np.zeros(grid.n[1:]),
+                                        omega=b["omega"], lam=cfg.lam,
+                                        sigma=cfg.sigma)
+            else:
+                spec = PlaneWaveSpec(f0=np.zeros(grid.n[0]),
+                                     c=tuple(side["c"]), lam=cfg.lam,
+                                     sigma=cfg.sigma)
+            _, profile = spec.profile(grid)
+        except GridError as exc:
+            _fail(errors, where, str(exc))
+            continue
+        p = side["profile"]
+        if p["shape"] == "gaussian" and _too_narrow(
+                errors, f"{where}.profile", p, profile.grid.coords):
+            continue
+        specs[where] = spec if p["shape"] == "zero" else replace(
+            spec, f0=gaussian_field(profile.grid, p["amplitude"], p["width"],
+                                    (p["center"],) * profile.grid.d).values)
+    return specs
 
 
 # an amplitude passes at once when its bound on every sum is this far
@@ -479,19 +516,19 @@ def _at(cfg, where):
     return section[key] if key and section is not None else section
 
 
-def _amplitude_rules(errors, cfg, grid, specs) -> None:
+def _amplitude_rules(errors, cfg) -> None:
     """The one rule on an amplitude: the sums that a run takes of the
     field it gives (|u|^2 and |u|^(sigma+2) over the box, or the H1 norm)
     must be finite, or the run would write inf or nan.  It holds for each
     amplitude the kind declares, once the section it sits in is valid,
-    and for the profile of each wave in `specs`; the grid and the
+    and for the profile of each wave in `cfg.waves`; the grid and the
     nonlinearity are valid.  No recipe's modulus exceeds its amplitude,
     so `bound(|amplitude|)` bounds those sums, and `sums()` builds the
     field only when the bound is within _AMPLITUDE_MARGIN of overflow.  A
     refusal is reported at the amplitude key of the block.  A Gaussian on
     the grid too narrow for it (`_too_narrow`) is refused at its width
     key instead, and its amplitude is not checked."""
-    found = []
+    grid, found = cfg.grid, []
     for where, bound_and_sums in _DECLARATIONS[cfg.kind].amplitudes:
         block = _at(cfg, where)
         section = where.partition(".")[0]
@@ -501,7 +538,7 @@ def _amplitude_rules(errors, cfg, grid, specs) -> None:
                     errors, where, block, grid.coords))):
             found.append((where, block["amplitude"],
                           bound_and_sums(cfg, grid, block)))
-    for where, spec in specs.items():
+    for where, spec in cfg.waves.items():
         profile = _at(cfg, where)["profile"]
         if profile["shape"] != "zero":
             points = math.prod(grid.n)
@@ -518,10 +555,10 @@ def _amplitude_rules(errors, cfg, grid, specs) -> None:
                                             f"whose {what} is not finite")
 
 
-def _norm_grid(errors, raw) -> dict | None:
-    """The grid section, or None when it has any problem.  `n` and
-    `length` are scalars broadcast to every axis or per-axis lists; `d`
-    may be omitted when one of `n`, `length` and `alpha` is a list."""
+def _norm_grid(errors, raw) -> Grid | None:
+    """The grid section's `Grid`, or None when it has any problem.  `n`
+    and `length` are scalars broadcast to every axis or per-axis lists;
+    `d` may be omitted when one of `n`, `length` and `alpha` is a list."""
     where, before = "grid", len(errors)
     g = _section(errors, where, raw, {
         "preset": (_one_of("hnls", "nls"), None),
@@ -554,18 +591,20 @@ def _norm_grid(errors, raw) -> dict | None:
     def axes(v):
         return tuple(v) if isinstance(v, list) else (v,) * d
 
+    n, length = axes(g["n"]), axes(g["length"])
+    if math.prod(n) > _MAX_POINTS:
+        return _fail(errors, f"{where}.n", f"{math.prod(n)} points are more "
+                                           f"than a numpy array can hold")
     alpha = {"hnls": hnls_alpha(d), "nls": [1.0] * d}.get(g["preset"],
                                                            g["alpha"])
-    out = {"d": d, "n": axes(g["n"]), "length": axes(g["length"]),
-           "alpha": tuple(alpha)}
     # what is left for `Grid` to refuse is a box, or a symbol over the
     # box, out of double range; the box alone is tried with alpha = 0
-    for key, alpha in (("length", (0.0,) * d), ("alpha", out["alpha"])):
+    for key, alpha in (("length", (0.0,) * d), ("alpha", alpha)):
         try:
-            Grid(out["n"], out["length"], alpha)
+            grid = Grid(n, length, alpha)
         except GridError as exc:
             return _fail(errors, f"{where}.{key}", str(exc))
-    return out
+    return grid
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -589,12 +628,12 @@ def parse_config(text: str) -> ExperimentConfig:
     grid = None
     if "grid" in decl.sections and "grid" in raw:
         grid = _norm_grid(errors, raw["grid"])   # the sections below read it
-    powers = decl.nonlinearity(grid and grid["d"])
+    powers = decl.nonlinearity(grid and grid.d)
     keys = {"kind": (_given(kind), _REQUIRED),
             "nonlinearity": (_sub(powers), {
                 key: default for key, (_, default) in powers.items()}),
             "output": (_text, "."), "seed": (_integer(0), 0)}
-    sections = {"grid": _given(grid), "initial": _initial(grid and grid["d"]),
+    sections = {"grid": _given(grid), "initial": _initial(grid and grid.d),
                 "run": _sub(_RUN, decl.run_rule)}
     for name in decl.sections:
         keys[name] = (sections[name], _REQUIRED)
@@ -616,24 +655,23 @@ def parse_config(text: str) -> ExperimentConfig:
     block_ok = cfg.block and not any(e.startswith(kind) for e in errors)
     if block_ok and decl.rule is not None:
         decl.rule(errors, cfg.block)
-    specs, box = {}, cfg.build_grid() if grid else None
     nonlinearity_ok = not any(e.startswith("nonlinearity") for e in errors)
     if block_ok and grid and nonlinearity_ok:
-        specs = _wave_specs(cfg, box, errors)
+        cfg.waves = _wave_specs(cfg, errors)
     if nonlinearity_ok and (grid or "grid" not in decl.sections):
-        _amplitude_rules(errors, cfg, box, specs)
+        _amplitude_rules(errors, cfg)
     if errors:
         raise ConfigError(errors)
-    for where, spec in specs.items():     # advisory lint: profile hypotheses
+    for where, spec in cfg.waves.items():  # advisory lint: profile hypotheses
         from .families import profile_hypothesis_warnings
-        _, profile = spec.profile(box)
+        _, profile = spec.profile(grid)
         if profile.grid.d > 1:    # the certified windows have 1-D profiles
             continue
         label = f"{where}.profile".removeprefix(f"{kind}.")
         cfg.warnings += [f"{label}: {w}" for w in profile_hypothesis_warnings(
             spec.f0, profile.grid.length[0])]
     if decl.regime:                       # and regime certification
-        in_regime, note = specs[kind].regime(box)
+        in_regime, note = cfg.waves[kind].regime(grid)
         if not in_regime:
             cfg.warnings.append(f"out-of-regime: {note}")
     return cfg
@@ -713,7 +751,7 @@ def _run_full(cfg, out, make_u0=None):
     a final snapshot.  `make_u0(grid)` (by default the recipe `initial`)
     forms the initial field inside the call to `run`, so no frame here
     keeps it and `run` frees it at the first step."""
-    grid = cfg.build_grid()
+    grid = cfg.grid
     make_u0 = make_u0 or (lambda grid: _field_from_block(cfg.initial, grid,
                                                          cfg.seed))
     problem = EvolutionProblem(grid, lam=cfg.lam, sigma=cfg.sigma)
@@ -748,49 +786,11 @@ def _exp_conservation_report(cfg, out) -> str:
     return state.status
 
 
-def _wave_specs(cfg, grid, errors=None) -> dict:
-    """{block path: plane or standing wave spec} of every wave the kind
-    declares.  Its profile is sampled on the grid that `profile(grid)`
-    gives the spec with a zero profile (the n_x samples of a plane wave,
-    the transverse shape of `grid` for a standing wave), which raises
-    GridError when the wave does not fit `grid`; when `errors` is given,
-    the misfit, or a Gaussian profile too narrow for that grid, is
-    reported there at the block path instead and the wave left out.  A
-    Gaussian's centre is the same on every axis of the profile."""
-    from .families import PlaneWaveSpec, StandingWaveSpec
-    b, specs = cfg.block, {}
-    for where in _DECLARATIONS[cfg.kind].waves:
-        side = _at(cfg, where)
-        try:
-            if "omega" in b:
-                spec = StandingWaveSpec(f0=np.zeros(grid.n[1:]),
-                                        omega=b["omega"], lam=cfg.lam,
-                                        sigma=cfg.sigma)
-            else:
-                spec = PlaneWaveSpec(f0=np.zeros(grid.n[0]),
-                                     c=tuple(side["c"]), lam=cfg.lam,
-                                     sigma=cfg.sigma)
-            _, profile = spec.profile(grid)
-        except GridError as exc:
-            if errors is None:
-                raise
-            _fail(errors, where, str(exc))
-            continue
-        p = side["profile"]
-        if (errors is not None and p["shape"] == "gaussian" and _too_narrow(
-                errors, f"{where}.profile", p, profile.grid.coords)):
-            continue
-        specs[where] = spec if p["shape"] == "zero" else replace(
-            spec, f0=gaussian_field(profile.grid, p["amplitude"], p["width"],
-                                    (p["center"],) * profile.grid.d).values)
-    return specs
-
-
 def _exp_structured_wave(cfg, out) -> str:
     """Evolve a lifted plane or standing wave and compare against the
     profile flow; writes <kind>.json."""
     from .families import wave_field
-    spec = _wave_specs(cfg, cfg.build_grid())[cfg.kind]
+    spec = cfg.waves[cfg.kind]
     state, _ = _run_full(cfg, out, lambda grid: wave_field(spec, 0.0, grid))
     mismatch = None
     if state.status == STATUS_DONE:
@@ -816,8 +816,7 @@ def _exp_semiclassical(cfg, out) -> str:
     """
     from .families import SemiclassicalSpec, semiclassical_field
     from .transforms import integrate_transform_odes
-    grid = cfg.build_grid()
-    b = cfg.block
+    grid, b = cfg.grid, cfg.block
     cand = _field_from_block(b["candidate"], grid, cfg.seed)
     spec = SemiclassicalSpec(cand, b["k"], b["gamma0"], b["a0"], cfg.lam)
     t_grid = np.linspace(0.0, b["t_end"], b["samples"])
@@ -925,11 +924,10 @@ def _exp_stability(cfg, out) -> str:
     failure.
     """
     from .coupled import stability_run
-    grid = cfg.build_grid()
     b = cfg.block
-    spec = _wave_specs(cfg, grid)["stability"]
-    shape = _field_from_block(b["shape"], grid, cfg.seed)
-    reports = stability_run(spec, shape, b["eps"], b["t_end"], dt=b["dt"],
+    shape = _field_from_block(b["shape"], cfg.grid, cfg.seed)
+    reports = stability_run(cfg.waves["stability"], shape, b["eps"],
+                            b["t_end"], dt=b["dt"],
                             sample_stride=b["sample_stride"],
                             grow_factor=b["grow_factor"],
                             linf_ceiling=b["linf_ceiling"])
@@ -946,10 +944,9 @@ def _exp_stability(cfg, out) -> str:
 def _exp_two_wave(cfg, out) -> str:
     """Interaction remainder of two plane waves at distinct speeds."""
     from .coupled import two_wave_run
-    grid = cfg.build_grid()
     b = cfg.block
-    first, second = _wave_specs(cfg, grid).values()
-    series = two_wave_run(first, second, None, b["t_end"], grid, dt=b["dt"],
+    first, second = cfg.waves.values()
+    series = two_wave_run(first, second, b["t_end"], cfg.grid, dt=b["dt"],
                           sample_stride=b["sample_stride"])
     out.series("two_wave.csv", {"t": series.t,
                                 "remainder": series.remainder})
@@ -997,7 +994,7 @@ _DECLARATIONS = {
         block=lambda grid: _sub({
             "k": (_FINITE, _REQUIRED), "a0": (_FINITE, 0.0),
             "gamma0": (_FINITE, 1.0),
-            "candidate": (_initial(grid and grid["d"]), _REQUIRED),
+            "candidate": (_initial(grid and grid.d), _REQUIRED),
             "t_end": (_POSITIVE, _REQUIRED), "samples": (_integer(2), 33)}),
         nonlinearity=_critical_nonlinearity,
         amplitudes=(("semiclassical.candidate", _recipe_sums),)),
@@ -1005,7 +1002,8 @@ _DECLARATIONS = {
     "radial": _Kind(
         _exp_radial,
         block=lambda grid: _sub({
-            "n": (_integer(8), 256), "r_max": (_POSITIVE, _REQUIRED),
+            "n": (_integer(8, _MAX_POINTS), 256),
+            "r_max": (_POSITIVE, _REQUIRED),
             "eps": (_number(0.0), 0.0), "sign": (_one_of(1, -1), 1),
             **_AMPLITUDE, "width": (_POSITIVE, _REQUIRED), **_MARCH,
             "t_end": (_number(0.0), _REQUIRED), **_CEILING,
@@ -1016,7 +1014,7 @@ _DECLARATIONS = {
     "stability": _Kind(
         _exp_stability, ("grid",),
         block=lambda grid: _tagged("wave", _wave_keys(grid), {
-            **_PROFILE, "shape": (_initial(grid and grid["d"]), _REQUIRED),
+            **_PROFILE, "shape": (_initial(grid and grid.d), _REQUIRED),
             "eps": (_list(_number(0.0)), _REQUIRED), **_MARCH,
             "grow_factor": (_POSITIVE, 10.0), **_CEILING}),
         waves=("stability",), regime=True,

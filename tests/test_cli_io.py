@@ -11,7 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -205,17 +205,15 @@ def test_manifest_digests_match_files(tmp_path):
 def test_parse_minimal_simulate_fills_defaults():
     cfg = parse_config(_cfg())
     assert cfg.kind == "simulate"
-    assert cfg.grid == {"d": 2, "n": (32, 32), "length": (40.0, 40.0),
-                        "alpha": (1.0, -1.0)}
+    assert cfg.grid.n == (32, 32) and cfg.grid.length == (40.0, 40.0)
+    assert cfg.grid.alpha == (1.0, -1.0)
     assert cfg.lam == 1.0 and cfg.sigma == 2.0
     assert cfg.run["dt0"] == 1e-3
     assert cfg.run["sample_stride"] == 10
     assert cfg.run["snapshot_stride"] == 0
     assert cfg.run["linf_ceiling"] is None    # solver rule: 1e6 x initial
     assert cfg.seed == 0 and cfg.output == "."
-    assert cfg.warnings == []
-    grid = cfg.build_grid()
-    assert grid.n == (32, 32) and grid.alpha == (1.0, -1.0)
+    assert cfg.warnings == [] and cfg.waves == {}
 
 
 def test_parse_config_hash_ignores_formatting():
@@ -568,6 +566,11 @@ def _standing_cfg(kind="standing", n=32, block=None):
                           "t_end": 0.1}}),
      "semiclassical.candidate.amplitude"),
     ("radial", _radial_cfg(amplitude=1e200), "radial.amplitude"),
+    # 16 bytes a point overflow numpy's index range: forming the grid's
+    # wavenumbers or the radial nodes raised "array is too big"
+    ("simulate", _cfg(grid={"preset": "hnls", "n": [2 ** 62, 8],
+                            "length": 10.0}), "grid.n"),
+    ("radial", _radial_cfg(n=2 ** 62), "radial.n"),
     # the perturbation is rescaled by its H1 norm, which must be finite
     ("stability", _stability_cfg(shape=_bump(1e200)),
      "stability.shape.amplitude"),
@@ -978,7 +981,7 @@ def test_blowup_is_exit_zero(tmp_path):
 
 def test_operational_failure_is_nonzero_with_manifest(tmp_path):
     # the schema rejects a lift incompatible with a square box, so the
-    # speed is changed after validation to make the run itself fail
+    # parsed wave's speed is changed to make the run itself fail
     cfg = parse_config(json.dumps({
         "kind": "planewave",
         "grid": {"preset": "hnls", "d": 2, "n": 32, "length": 40.0},
@@ -987,11 +990,48 @@ def test_operational_failure_is_nonzero_with_manifest(tmp_path):
                       "c": [1.0]},
         "run": {"t_end": 0.1},
     }))
-    cfg.block["c"] = [0.5]
+    cfg.waves["planewave"] = replace(cfg.waves["planewave"], c=(0.5,))
     assert run_experiment(cfg, out_dir=tmp_path) == 1
     man = _manifest(tmp_path)
     assert man["status"].startswith("Failed:")
     assert man["outputs"] == []
+
+
+def test_runs_lift_the_waves_the_parse_fitted(tmp_path, monkeypatch):
+    # the parse fits each wave to its box; a run lifts that very spec and
+    # constructs no wave spec of its own
+    from hnlslab import families
+    made, lifted = [], []
+    for cls in (families.PlaneWaveSpec, families.StandingWaveSpec):
+        def post_init(self, original=cls.__post_init__):
+            made.append(self)
+            original(self)
+
+        def lift(self, values, grid, t, original=cls.lift):
+            lifted.append(self)
+            return original(self, values, grid, t)
+
+        monkeypatch.setattr(cls, "__post_init__", post_init)
+        monkeypatch.setattr(cls, "lift", lift)
+    profile = {"shape": "gaussian", "amplitude": 0.5, "width": 2.0}
+    texts = [json.dumps({"kind": "planewave", "grid": _BOX16,
+                         "planewave": {"profile": profile, "c": [1.0]},
+                         "run": {"t_end": 0.01}}),
+             json.dumps({"kind": "standing", "grid": _BOX16,
+                         "standing": {"profile": profile,
+                                      "omega": 2.0 * math.pi / 20.0},
+                         "run": {"t_end": 0.01}}),
+             _stability_cfg(), _two_wave_cfg(1.0, -1.0)]
+    for text in texts:
+        cfg = parse_config(text)
+        made.clear()
+        lifted.clear()
+        out = tmp_path / cfg.kind
+        assert run_experiment(cfg, out_dir=out) == 0, _manifest(out)
+        assert made == [], cfg.kind
+        assert len(cfg.waves) == (2 if cfg.kind == "two-wave" else 1)
+        assert {id(spec) for spec in lifted} == {
+            id(spec) for spec in cfg.waves.values()}, cfg.kind
 
 
 def test_identical_config_and_seed_reproduce_digests(tmp_path):

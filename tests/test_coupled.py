@@ -376,7 +376,7 @@ def test_two_wave_interaction_stays_localized():
     s1 = _plane_spec(c=(1.0,))
     s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
                        lam=1.0, sigma=2.0)
-    out = two_wave_run(s1, s2, None, 1.0, grid)
+    out = two_wave_run(s1, s2, 1.0, grid)
     assert out.status == "Done"
     assert out.remainder[0] < 1e-12          # u0 is exactly the two lifts
     assert 1e-3 < float(np.max(out.remainder)) < out.product_scale
@@ -403,7 +403,7 @@ def test_two_wave_run_frees_its_lifts_before_the_march(monkeypatch):
     monkeypatch.setattr(coupled, "march", traced_march)
     s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
                        lam=1.0, sigma=2.0)
-    out = two_wave_run(_plane_spec(c=(1.0,)), s2, None, 0.05, hnls_grid(),
+    out = two_wave_run(_plane_spec(c=(1.0,)), s2, 0.05, hnls_grid(),
                        dt=1e-2, sample_stride=1)
     assert out.status == "Done"
     # product_scale's two lifts and u0's two, each freed before the march
@@ -470,8 +470,7 @@ def test_two_wave_band_step_stays_within_the_march_peak(monkeypatch):
               for c in ((1.0, 0.0), (0.0, -1.0)))
     tracemalloc.start()
     try:
-        out = two_wave_run(s1, s2, None, 5e-3, grid, dt=1e-3,
-                           sample_stride=5)
+        out = two_wave_run(s1, s2, 5e-3, grid, dt=1e-3, sample_stride=5)
         peaks["band"] = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -484,15 +483,15 @@ def test_two_wave_symmetry_and_degenerate_cases():
     s1 = _plane_spec(c=(1.0,))
     s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
                        lam=1.0, sigma=2.0)
-    a = two_wave_run(s1, s2, None, 0.5, grid)
-    b = two_wave_run(s2, s1, None, 0.5, grid)
+    a = two_wave_run(s1, s2, 0.5, grid)
+    b = two_wave_run(s2, s1, 0.5, grid)
     assert np.allclose(a.remainder, b.remainder, rtol=0.0, atol=1e-10)
     assert abs(a.product_scale - b.product_scale) < 1e-9
 
     # a vanishing partner reduces the run to single-wave debris
     s2z = PlaneWaveSpec(f0=np.zeros(64, dtype=complex),
                         c=(-1.0,), lam=1.0, sigma=2.0)
-    out = two_wave_run(s1, s2z, None, 0.5, grid)
+    out = two_wave_run(s1, s2z, 0.5, grid)
     _, series = run_decomposed(make_decomposed((s1,), grid), 0.5)
     assert np.allclose(out.remainder, series.h, rtol=0.0, atol=1e-10)
 
@@ -501,30 +500,24 @@ def test_two_wave_rejects_bad_pairs():
     grid = hnls_grid()
     s1 = _plane_spec(c=(1.0,))
     with pytest.raises(ValueError):
-        two_wave_run(s1, _plane_spec(c=(1.0,), width=2.0), None, 0.1, grid)
+        two_wave_run(s1, _plane_spec(c=(1.0,), width=2.0), 0.1, grid)
     with pytest.raises(ValueError):
-        two_wave_run(s1, _plane_spec(c=(-1.0,), lam=-1.0), None, 0.1, grid)
+        two_wave_run(s1, _plane_spec(c=(-1.0,), lam=-1.0), 0.1, grid)
     with pytest.raises(TypeError):
-        two_wave_run(s1, _standing_spec(), None, 0.1, grid)
-    with pytest.raises(GridError):
-        two_wave_run(s1, _plane_spec(c=(-1.0,)),
-                     constant_field(hnls_grid(n=32), 0.0), 0.1, grid)
-    # the run starts at t = 0, so a later v0 used to be run from there
-    late = ComplexField(grid, np.zeros(grid.n, dtype=complex), t=0.5)
-    with pytest.raises(ValueError):
-        two_wave_run(s1, _plane_spec(c=(-1.0,)), late, 0.1, grid)
+        two_wave_run(s1, _standing_spec(), 0.1, grid)
 
 
 def test_two_wave_remainder_at_t0_is_v0():
-    # u(0) = v0 + l1 + l2 exactly, so the remainder there is v0 itself
+    # u(0) = v0 + l1 + l2 exactly, so the remainder there is v0 itself:
+    # 0 for a two-wave run, and any v0 in the decomposed run of two waves
     grid = hnls_grid()
     s1 = _plane_spec(c=(1.0,))
     s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
                        lam=1.0, sigma=2.0)
-    assert two_wave_run(s1, s2, None, 0.02, grid).remainder[0] == 0.0
+    assert two_wave_run(s1, s2, 0.02, grid).remainder[0] == 0.0
     v0 = _seed(grid)
-    out = two_wave_run(s1, s2, v0, 0.02, grid)
-    assert out.remainder[0] == norms(v0).h1
+    _, series = run_decomposed(make_decomposed((s1, s2), grid, v0), 0.02)
+    assert series.h[0] == norms(v0).h1
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +532,11 @@ def test_decomposed_and_two_wave_reject_non_finite_times():
         with pytest.raises(ValueError):
             run_decomposed(make_decomposed((s1,), grid), bad)
         with pytest.raises(ValueError):
-            two_wave_run(s1, s2, None, bad, grid)
+            two_wave_run(s1, s2, bad, grid)
     with pytest.raises(ValueError):
         run_decomposed(make_decomposed((s1,), grid), 0.1, dt=np.nan)
     with pytest.raises(ValueError):
-        two_wave_run(s1, s2, None, 0.1, grid, dt=0.0)
+        two_wave_run(s1, s2, 0.1, grid, dt=0.0)
 
 
 def test_non_finite_perturbation_step_is_recorded_blowup():
@@ -609,17 +602,16 @@ def test_two_wave_run_matches_step_strang_loop():
     s1 = _plane_spec(c=(1.0,))
     s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
                        lam=1.0, sigma=2.0)
-    v0 = _seed(grid)
     T, dt, stride = 0.0537, 4e-3, 5
-    out = two_wave_run(s1, s2, v0, T, grid, dt=dt, sample_stride=stride)
+    out = two_wave_run(s1, s2, T, grid, dt=dt, sample_stride=stride)
 
     problem = EvolutionProblem(grid, lam=1.0, sigma=2.0)
     u = StepperState(field=ComplexField(
-        grid, v0.values + lift_structured(s1, s1.f0, grid, 0.0)
+        grid, lift_structured(s1, s1.f0, grid, 0.0)
         + lift_structured(s2, s2.f0, grid, 0.0)), dt=dt)
     profiles = [(StepperState(field=ComplexField(PROFILE_GRID, s.f0),
                               dt=dt), s.profile(grid)[0]) for s in (s1, s2)]
-    ts, rem = [0.0], [norms(v0).h1]
+    ts, rem = [0.0], [0.0]
     t, steps = 0.0, 0
     while T - t > 1e-12:
         h = min(dt, T - t)

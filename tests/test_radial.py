@@ -37,7 +37,7 @@ from hnlslab.radial import (
 from hnlslab import radial
 from hnlslab.artifacts import load_series_csv
 from hnlslab.evolution import STATUS_BLOWNUP, STATUS_DONE
-from conftest import BAD_NONLINEARITY, hnls_grid
+from conftest import BAD_NONLINEARITY
 
 # frozen from the shooting oracle (DOP853 classifier, bracket bisection);
 # stable to ~1e-10 across r_max in {25, 40} and n in {4096, 8192, 16384},
