@@ -36,11 +36,10 @@ from .evolution import (STATUS_BLOWNUP, STATUS_DONE, STATUS_RUNNING,
 from .families import PlaneWaveSpec
 
 
-def lift_structured(spec, values: np.ndarray, grid: Grid,
-                    t: float) -> np.ndarray:
-    """Full-grid samples of the structured wave built from profile values;
-    every lift in this module goes through here."""
-    return spec.lift(values, grid, t)
+def lift_structured(spec, values: np.ndarray, t: float) -> np.ndarray:
+    """Samples on the wave's box of the structured wave built from profile
+    values; every lift in this module goes through here."""
+    return spec.lift(values, t)
 
 
 @dataclass
@@ -49,9 +48,10 @@ class DecomposedState:
 
     `specs` is a tuple of plane or standing wave specs from `families`
     that share (lam, sigma); phi is the sum of their lifts.  `profiles`
-    holds one low-dimensional sample per spec, on its own grid; the lifts
-    to the full grid happen on demand.  The evolution problems follow from
-    `specs` and v's grid.
+    holds one low-dimensional sample per spec, on the grid of its
+    `problem`; the lifts to the full grid happen on demand.  v and every
+    wave lie on one box (GridError otherwise), and every component is
+    stamped one time.
     """
 
     v: ComplexField
@@ -60,6 +60,9 @@ class DecomposedState:
     status: str = STATUS_RUNNING
 
     def __post_init__(self):
+        for spec in self.specs:
+            if not spec.grid.same_box(self.v.grid):
+                raise GridError(f"v on {self.v.grid}, a wave on {spec.grid}")
         for profile in self.profiles:
             if abs(self.v.t - profile.t) > 1e-12 * max(1.0, abs(self.v.t)):
                 raise ValueError(f"components out of sync: v at t={self.v.t}, "
@@ -75,45 +78,35 @@ class DecomposedState:
         return EvolutionProblem(self.v.grid, self.specs[0].lam,
                                 self.specs[0].sigma)
 
-    @property
-    def profile_problems(self) -> tuple:
-        """Each profile equation's problem, in the order of `specs`."""
-        return tuple(spec.profile(self.v.grid)[0] for spec in self.specs)
-
     def full_field(self) -> ComplexField:
         return self.v.with_values(_fold_lifts(
-            np.add, self.v.values, self.specs, self.profiles, self.v.grid,
-            self.t))
+            np.add, self.v.values, self.specs, self.profiles, self.t))
 
 
-def _fold_lifts(op, values: np.ndarray, specs, profiles, grid: Grid,
+def _fold_lifts(op, values: np.ndarray, specs, profiles,
                 t: float) -> np.ndarray:
     """op(values, lift) for each profile's lift at t, one wave at a time:
     np.add forms u = (v + phi_1) + phi_2 ..., np.subtract v from u."""
     for spec, profile in zip(specs, profiles):
-        values = op(values, lift_structured(spec, profile.values, grid, t))
+        values = op(values, lift_structured(spec, profile.values, t))
     return values
 
 
-def make_decomposed(specs, grid: Grid,
-                    v0: ComplexField | None = None) -> DecomposedState:
+def make_decomposed(specs, v0: ComplexField | None = None) -> DecomposedState:
     """Initial decomposed state at t=0 of the waves `specs`, one or more
-    that share (lam, sigma); v0 defaults to zero, else it must lie on
-    `grid`'s box, stamped t=0.  GridError when a wave or v0 does not fit
-    `grid`."""
+    that share (lam, sigma) and their box; v0 defaults to zero, else it
+    must lie on that box, stamped t=0."""
     specs = tuple(specs)
     if not specs or any((s.lam, s.sigma) != (specs[0].lam, specs[0].sigma)
                         for s in specs):
         raise ValueError("a decomposed state takes one or more waves that "
                          "share (lam, sigma)")
-    profiles = tuple(spec.profile(grid)[1] for spec in specs)
     if v0 is None:
-        v0 = constant_field(grid, 0.0)
-    elif not v0.grid.same_box(grid):
-        raise GridError("v0 grid does not match the target grid")
+        v0 = constant_field(specs[0].grid, 0.0)
     elif v0.t != 0.0:
         raise ValueError("v0 must be stamped t=0")
-    return DecomposedState(v=v0, specs=specs, profiles=profiles)
+    return DecomposedState(v=v0, specs=specs, profiles=tuple(
+        ComplexField(spec.problem.grid, spec.f0) for spec in specs))
 
 
 def step_decomposed(state: DecomposedState, dt: float) -> DecomposedState:
@@ -128,14 +121,13 @@ def step_decomposed(state: DecomposedState, dt: float) -> DecomposedState:
     su = step_strang(StepperState(field=state.full_field(), dt=dt),
                      state.problem)
     profiles = tuple(
-        step_strang(StepperState(field=profile, dt=dt), problem).field
-        for profile, problem in zip(state.profiles, state.profile_problems))
+        step_strang(StepperState(field=profile, dt=dt), spec.problem).field
+        for profile, spec in zip(state.profiles, state.specs))
     if su.field.is_finite() and all(p.is_finite() for p in profiles):
         status, lifted, at = STATUS_RUNNING, profiles, t + dt
     else:
         status, lifted, at = STATUS_BLOWNUP, state.profiles, t
-    v1 = _fold_lifts(np.subtract, su.field.values, state.specs, lifted,
-                     grid, at)
+    v1 = _fold_lifts(np.subtract, su.field.values, state.specs, lifted, at)
     return DecomposedState(v=ComplexField(grid, v1, t=t + dt),
                            specs=state.specs, profiles=profiles,
                            status=status)
@@ -152,7 +144,7 @@ def step_perturbation(state: DecomposedState, dt: float) -> DecomposedState:
     grid = state.v.grid
     t = state.t
     half = 0.5 * dt
-    problem, problems = state.problem, state.profile_problems
+    problem, problems = state.problem, [s.problem for s in state.specs]
     lam, sigma = problem.lam, problem.sigma
     halves = tuple(step_strang(StepperState(field=p, dt=half), pb).field
                    for p, pb in zip(state.profiles, problems))
@@ -161,7 +153,7 @@ def step_perturbation(state: DecomposedState, dt: float) -> DecomposedState:
 
     def forcing(profiles, at):
         """phi at `at` and the sum of |phi_i|^sigma phi_i."""
-        lifts = [lift_structured(spec, p.values, grid, at)
+        lifts = [lift_structured(spec, p.values, at)
                  for spec, p in zip(state.specs, profiles)]
         own = [np.abs(phi) ** sigma * phi for phi in lifts]
         return sum(lifts[1:], lifts[0]), sum(own[1:], own[0])
@@ -226,8 +218,8 @@ def _carried(state: DecomposedState):
         return (lambda h: math.inf), (lambda t: state), None
     grid, specs = state.v.grid, state.specs
     u = SpectralMarch(state.full_field(), state.problem)
-    fs = [SpectralMarch(profile, problem) for profile, problem
-          in zip(state.profiles, state.profile_problems)]
+    fs = [SpectralMarch(profile, spec.problem)
+          for profile, spec in zip(state.profiles, specs)]
     current = state
 
     def step(h: float) -> float:
@@ -240,7 +232,7 @@ def _carried(state: DecomposedState):
         if current is None:
             profiles = tuple(f.field(t) for f in fs)
             v = _fold_lifts(np.subtract, u.field(t).values, specs,
-                            profiles, grid, t)
+                            profiles, t)
             current = DecomposedState(v=ComplexField(grid, v, t=t),
                                       specs=specs, profiles=profiles)
         return current
@@ -352,7 +344,7 @@ def stability_run(spec, v0_shape: ComplexField, eps_list, T: float, *,
         if not (math.isfinite(eps) and eps >= 0):
             raise ValueError(f"eps must be finite and >= 0, got {eps}")
     grid = v0_shape.grid
-    in_regime, note = spec.regime(grid)
+    in_regime, note = spec.regime()
     shape_h1 = norms(v0_shape).h1
     reports = []
     for eps in eps_list:
@@ -360,7 +352,7 @@ def stability_run(spec, v0_shape: ComplexField, eps_list, T: float, *,
             v0 = constant_field(grid, 0.0)
         else:
             v0 = ComplexField(grid, v0_shape.values * (eps / shape_h1))
-        state = make_decomposed((spec,), grid, v0=v0)
+        state = make_decomposed((spec,), v0=v0)
         state, series = run_decomposed(state, T, dt=dt,
                                        sample_stride=sample_stride,
                                        linf_ceiling=linf_ceiling)
@@ -395,9 +387,8 @@ class TwoWaveSeries:
     product_scale: float      # ||lift f1||_H1 * ||lift f2||_H1 at t=0
 
 
-def two_wave_run(spec1: PlaneWaveSpec, spec2: PlaneWaveSpec, T: float,
-                 grid: Grid, *, dt: float = 1e-3,
-                 sample_stride: int = 10) -> TwoWaveSeries:
+def two_wave_run(spec1: PlaneWaveSpec, spec2: PlaneWaveSpec, T: float, *,
+                 dt: float = 1e-3, sample_stride: int = 10) -> TwoWaveSeries:
     """Evolve u = lift(f1) + lift(f2) fully, the profiles independently,
     and report the interaction remainder in H1.
 
@@ -410,16 +401,15 @@ def two_wave_run(spec1: PlaneWaveSpec, spec2: PlaneWaveSpec, T: float,
             raise TypeError("two-wave interaction takes plane-wave specs")
     if spec1.c == spec2.c:
         raise ValueError("profiles must travel at distinct speeds")
-    h1, h2 = (norms(ComplexField(grid, lift_structured(
-        spec, spec.profile(grid)[1].values, grid, 0.0))).h1
-        for spec in (spec1, spec2))
-    state, series = run_decomposed(make_decomposed((spec1, spec2), grid),
+    h1, h2 = (norms(ComplexField(spec.grid, lift_structured(
+        spec, spec.f0, 0.0))).h1 for spec in (spec1, spec2))
+    state, series = run_decomposed(make_decomposed((spec1, spec2)),
                                    T, dt=dt, sample_stride=sample_stride)
     return TwoWaveSeries(
         t=series.t, remainder=series.h,
         status=STATUS_BLOWNUP if state.status == STATUS_BLOWNUP
         else STATUS_DONE,
-        boundary_fraction=_band_fraction(state.v.values, grid,
+        boundary_fraction=_band_fraction(state.v.values, state.v.grid,
                                          (spec1.c, spec2.c)),
         product_scale=float(h1 * h2))
 

@@ -178,15 +178,14 @@ def _amplitude(u, sigma, out, tmp) -> None:
 
 def step_strang(state: StepperState, problem: EvolutionProblem,
                 direction: float = 1.0) -> StepperState:
-    """One Strang step of size state.dt (times `direction` = +-1)."""
+    """One Strang step of size state.dt (times `direction` = +-1): one
+    `SpectralMarch` step of the field; GridError when the field is not on
+    the problem's box."""
     dt = state.dt * direction
-    half = multiply_out(problem.linear_phase(0.5 * dt))
-    u = spectral.ifftn(spectral.fftn(state.field.values) * half)
-    _nonlinear_stage(u, dt, problem.lam, problem.sigma, problem.potential)
-    u = spectral.ifftn(spectral.fftn(u) * half)
-    return StepperState(field=state.field.with_values(u, t=state.field.t + dt),
-                        dt=state.dt, step_count=state.step_count + 1,
-                        status=state.status)
+    u = SpectralMarch(state.field, problem)
+    u.step(dt)
+    return StepperState(field=u.field(state.field.t + dt), dt=state.dt,
+                        step_count=state.step_count + 1, status=state.status)
 
 
 class SpectralMarch:

@@ -9,8 +9,11 @@ inputs (profile integration error, bound-state defect), so two-path
 comparisons against the 2-D stepper make sharp tests.
 
 The two wave specs own all that tells plane from standing, behind the same
-methods (`profile`, `profile_at`, `lift`, `proxies`, `regime`), and
-`profile_hypothesis_warnings` lints the profile of either kind.
+methods (`profile_at`, `lift`, `proxies`, `regime`), and
+`profile_hypothesis_warnings` lints the profile of either kind.  Neither
+wave lies in H1: each exists only on a box it fits, so a spec takes its
+`grid` at construction, checks the fit there once, and keeps the profile
+equation as `problem`; no wave operation takes a grid.
 """
 
 from __future__ import annotations
@@ -38,18 +41,23 @@ if TYPE_CHECKING:     # `semiclassical_field` imports transforms when called
 
 @dataclass
 class PlaneWaveSpec:
-    """One period of a profile f plus the transverse speed vector c.
+    """One period of a profile f plus the transverse speed vector c, on the
+    box `grid`.
 
     The lifted field is u(t, x, y) = f(t, x - c.y).  The profile spans the
-    box it is lifted onto along x, so its period is len_x; the lift is
-    periodic only when every c_j * len_y_j / len_x is an integer, which
-    `profile` checks against the concrete grid.
+    box along x, so its period is len_x; the lift is periodic only when
+    every c_j * len_y_j / len_x is an integer, and construction raises
+    GridError otherwise.  `problem` is the profile equation
+    i f_t + (alpha_0 + sum_j alpha_j c_j^2) f_zz + lam |f|^sigma f = 0
+    on the grid's alpha, over n_x samples of len_x.
     """
 
     f0: np.ndarray
     c: tuple
     lam: float
     sigma: float
+    grid: Grid
+    problem: EvolutionProblem = dc_field(init=False)
 
     def __post_init__(self):
         self.f0 = np.ascontiguousarray(self.f0, dtype=np.complex128)
@@ -63,38 +71,32 @@ class PlaneWaveSpec:
             raise ValueError(f"speed vector must be finite and non-empty, "
                              f"got {self.c}")
         _check_nonlinearity(self.lam, self.sigma)
+        _alignment_ints(self.c, self.grid.length)
+        a = self.grid.alpha
+        coef = a[0] + sum(aj * cj * cj for aj, cj in zip(a[1:], self.c))
+        self.problem = EvolutionProblem(
+            Grid((len(self.f0),), (self.grid.length[0],), (coef,)),
+            self.lam, self.sigma)
 
     @property
     def speed_sq(self) -> float:
         return float(sum(v * v for v in self.c))
 
-    def profile(self, grid: Grid) -> tuple:
-        """1-D evolution problem and initial field for the profile equation
-        i f_t + (alpha_0 + sum_j alpha_j c_j^2) f_zz + lam |f|^sigma f = 0
-        on `grid`'s alpha; GridError when the lift is not periodic there."""
-        _alignment_ints(self.c, grid.length)
-        a = grid.alpha
-        coef = a[0] + sum(aj * cj * cj for aj, cj in zip(a[1:], self.c))
-        g1 = Grid((len(self.f0),), (grid.length[0],), (coef,))
-        return (EvolutionProblem(grid=g1, lam=self.lam, sigma=self.sigma),
-                ComplexField(g1, self.f0))
-
-    def profile_at(self, t: float, grid: Grid, dt: float) -> np.ndarray:
+    def profile_at(self, t: float, dt: float) -> np.ndarray:
         """Profile samples f(t, .).
 
         With no dispersion (|c| = 1 on hnls) the flow is the exact
         pointwise phase rotation f0 * exp(i lam |f0|^sigma t); otherwise
         the profile is marched there by the 1-D split-step solver.
         """
-        problem, field = self.profile(grid)
-        if abs(problem.grid.alpha[0]) < 1e-12:
+        if abs(self.problem.grid.alpha[0]) < 1e-12:
             return self.f0 * np.exp(1j * self.lam * t
                                     * np.abs(self.f0) ** self.sigma)
-        return _march_profile(problem, field, t, dt, "profile")
+        return _march_profile(self, t, dt, "profile")
 
-    def lift(self, values: np.ndarray, grid: Grid, t: float) -> np.ndarray:
-        """u(t, x, y) = f(t, x - c.y) on `grid` from profile samples."""
-        return lift_profile(values, self.c, grid)
+    def lift(self, values: np.ndarray, t: float) -> np.ndarray:
+        """u(t, x, y) = f(t, x - c.y) on the box from profile samples."""
+        return lift_profile(values, self.c, self.grid)
 
     def proxies(self, profile: ComplexField) -> tuple:
         """(||phi||_inf, ||grad phi||_inf) of the lifted wave, read off its
@@ -103,16 +105,17 @@ class PlaneWaveSpec:
         return (profile.linf(),
                 float(np.sqrt(1.0 + self.speed_sq) * fz.linf()))
 
-    def regime(self, grid: Grid) -> tuple:
+    def regime(self) -> tuple:
         """(in_regime, note) of the certified windows, all on hnls: planar
         quintic waves (d=2, sigma=4) and cubic waves with two transverse
         speeds (d=3, sigma=2), both with (|c| - 1) lam > 0."""
+        alpha = self.grid.alpha
         gap = (np.sqrt(self.speed_sq) - 1.0) * self.lam
-        if grid.alpha == hnls_alpha(2) and self.sigma == 4.0 and gap > 0:
+        if alpha == hnls_alpha(2) and self.sigma == 4.0 and gap > 0:
             return True, "planar quintic plane-wave window"
-        if grid.alpha == hnls_alpha(3) and self.sigma == 2.0 and gap > 0:
+        if alpha == hnls_alpha(3) and self.sigma == 2.0 and gap > 0:
             return True, "cubic plane-wave window, two transverse speeds"
-        return False, (f"outside certified windows: alpha={grid.alpha}, "
+        return False, (f"outside certified windows: alpha={alpha}, "
                        f"sigma={self.sigma}, (|c|-1)lam={gap:.3g}")
 
 
@@ -186,13 +189,13 @@ def _gather(out, rows, idx, twice, shift) -> None:
     np.take(twice, idx, out=out, mode="clip")   # clip: unbuffered, a no-op
 
 
-def _march_profile(problem: EvolutionProblem, field: ComplexField, t: float,
-                   dt: float, what: str) -> np.ndarray:
-    """Values of `field` marched by `run` to t (a copy at t = 0); a run
-    that does not end Done raises RuntimeError naming `what`."""
+def _march_profile(spec, t: float, dt: float, what: str) -> np.ndarray:
+    """The wave spec's profile f0 marched by `run` under its `problem` to
+    t (a copy at t = 0); a run that does not end Done raises RuntimeError
+    naming `what`."""
     if t == 0.0:
-        return field.values.copy()
-    state, _ = run(field, problem,
+        return spec.f0.copy()
+    state, _ = run(ComplexField(spec.problem.grid, spec.f0), spec.problem,
                    RunConfig(t_end=t, dt0=dt, sample_stride=10 ** 9))
     if state.status != STATUS_DONE:
         raise RuntimeError(f"{what} evolution ended {state.status} "
@@ -200,12 +203,10 @@ def _march_profile(problem: EvolutionProblem, field: ComplexField, t: float,
     return state.field.values
 
 
-def wave_field(spec, t: float, grid: Grid, *,
-               dt: float = 1e-3) -> ComplexField:
-    """The plane or standing wave `spec` at time t on `grid`: its profile
+def wave_field(spec, t: float, *, dt: float = 1e-3) -> ComplexField:
+    """The plane or standing wave `spec` at time t on its box: its profile
     carried to t (`profile_at`, marching with step dt) and lifted."""
-    return ComplexField(grid, spec.lift(spec.profile_at(t, grid, dt), grid, t),
-                        t=t)
+    return ComplexField(spec.grid, spec.lift(spec.profile_at(t, dt), t), t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +214,23 @@ def wave_field(spec, t: float, grid: Grid, *,
 
 @dataclass
 class StandingWaveSpec:
-    """Transverse profile f0 and an on-grid carrier frequency omega.
+    """Transverse profile f0 and a carrier frequency omega, on the box
+    `grid`.
 
     The field is u(t, x, y) = e^{i(omega x - alpha_0 omega^2 t)} g(t, y)
     where g solves i g_t + sum_{j>0} alpha_j d_j^2 g + lam |g|^sigma g = 0
-    from g(0) = f0, with alpha that of the grid it is lifted onto.
+    from g(0) = f0, with alpha that of the grid; `problem` is that
+    equation on the transverse axes of the grid.  Construction raises
+    GridError when omega is not an x-harmonic of the box or f0 does not
+    span its transverse axes.
     """
 
     f0: np.ndarray
     omega: float
     lam: float
     sigma: float
+    grid: Grid
+    problem: EvolutionProblem = dc_field(init=False)
 
     def __post_init__(self):
         self.f0 = np.ascontiguousarray(self.f0, dtype=np.complex128)
@@ -233,11 +240,7 @@ class StandingWaveSpec:
         if not math.isfinite(self.omega):
             raise ValueError(f"omega must be finite, got {self.omega}")
         _check_nonlinearity(self.lam, self.sigma)
-
-    def profile(self, grid: Grid) -> tuple:
-        """Transverse evolution problem and initial field for g; GridError
-        when omega is not an x-harmonic of `grid` or f0 does not span its
-        transverse axes."""
+        grid = self.grid
         _carrier_index(self.omega, grid.length[0])
         if grid.d < 2:
             raise GridError("standing waves need at least one transverse "
@@ -246,17 +249,17 @@ class StandingWaveSpec:
             raise GridError(f"transverse profile shape {self.f0.shape} does "
                             f"not match the transverse grid size "
                             f"{grid.n[1:]}")
-        gT = Grid(grid.n[1:], grid.length[1:], grid.alpha[1:])
-        return (EvolutionProblem(grid=gT, lam=self.lam, sigma=self.sigma),
-                ComplexField(gT, self.f0))
+        self.problem = EvolutionProblem(
+            Grid(grid.n[1:], grid.length[1:], grid.alpha[1:]),
+            self.lam, self.sigma)
 
-    def profile_at(self, t: float, grid: Grid, dt: float) -> np.ndarray:
+    def profile_at(self, t: float, dt: float) -> np.ndarray:
         """Transverse samples g(t, .), marched by the split-step solver."""
-        return _march_profile(*self.profile(grid), t, dt, "transverse")
+        return _march_profile(self, t, dt, "transverse")
 
-    def lift(self, values: np.ndarray, grid: Grid, t: float) -> np.ndarray:
-        """u = e^{i(omega x - alpha_0 omega^2 t)} g(t, y) on `grid`."""
-        return standing_wave_lift(values, self.omega, grid, t)
+    def lift(self, values: np.ndarray, t: float) -> np.ndarray:
+        """u = e^{i(omega x - alpha_0 omega^2 t)} g(t, y) on the box."""
+        return standing_wave_lift(values, self.omega, self.grid, t)
 
     def proxies(self, profile: ComplexField) -> tuple:
         """(||phi||_inf, ||grad phi||_inf) of the lifted wave, read off its
@@ -267,12 +270,13 @@ class StandingWaveSpec:
                 spectral_derivative(profile, j, 1).values) ** 2
         return profile.linf(), float(np.sqrt(np.max(amp2)))
 
-    def regime(self, grid: Grid) -> tuple:
+    def regime(self) -> tuple:
         """(in_regime, note) of the certified stability window: planar
         quintic waves (d=2, sigma=4) with lam > 0, on hnls."""
-        if grid.alpha == hnls_alpha(2) and self.sigma == 4.0 and self.lam > 0:
+        alpha = self.grid.alpha
+        if alpha == hnls_alpha(2) and self.sigma == 4.0 and self.lam > 0:
             return True, "planar quintic standing-wave window"
-        return False, (f"outside certified windows: alpha={grid.alpha}, "
+        return False, (f"outside certified windows: alpha={alpha}, "
                        f"sigma={self.sigma}, lam={self.lam}")
 
 

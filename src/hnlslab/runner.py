@@ -382,10 +382,13 @@ def _too_narrow(errors, where, block, axes) -> bool:
 
 
 def _radial_rules(errors, where, block):
-    """The hole lies inside the box, the Gaussian's (r / width)^2 is finite
-    on its nodes, and a concentration scan has grid points inside each
-    radius and the samples it needs."""
-    from .radial import _SCAN_SAMPLES
+    """The hole lies inside the box, the Gaussian's (r / width)^2 and the
+    Crank-Nicolson entries (dt/4 times those of the radial Laplacian, whose
+    1 / (r h^2) underflows on too fine a box) are finite on its nodes, and
+    a concentration scan has grid points inside each radius and the
+    samples it needs."""
+    from .radial import (_SCAN_SAMPLES, BC_DIRICHLET, BC_REGULARITY,
+                         _laplacian_triplets)
     if block["eps"] >= block["r_max"]:
         _fail(errors, f"{where}.eps", f"must be < r_max = {block['r_max']}, "
                                       f"got {block['eps']}")
@@ -393,8 +396,19 @@ def _radial_rules(errors, where, block):
         if e <= block["eps"]:
             _fail(errors, f"{where}.concentration_eps[{i}]",
                   f"must be > eps = {block['eps']}, got {e}")
-    _too_narrow(errors, where, block, (np.linspace(
-        block["eps"], block["r_max"], block["n"]),))
+    r = np.linspace(block["eps"], block["r_max"], block["n"])
+    _too_narrow(errors, where, block, (r,))
+    if block["eps"] < block["r_max"]:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            entries = _laplacian_triplets(r, BC_DIRICHLET if block["eps"]
+                                          else BC_REGULARITY)
+            finite = all(np.isfinite(0.25 * block["dt"] * e).all()
+                         for e in entries)
+        if not finite:
+            _fail(errors, f"{where}.r_max",
+                  f"{block['r_max']!r} over n = {block['n']} nodes gives "
+                  f"Crank-Nicolson entries at dt = {block['dt']!r} that "
+                  f"are not finite")
     samples = _fixed_dt_samples(RunConfig(
         t_end=block["t_end"], dt0=block["dt"],
         sample_stride=block["sample_stride"]))
@@ -420,12 +434,27 @@ def _two_wave_block(grid):
                  **_MARCH})
 
 
+def _ode_start(errors, where, block):
+    """The rule of a block whose a0 and k start the coefficient ODEs
+    (`integrate_transform_odes`): their initial data a0 and 4k - a0^2 must
+    be finite, or the integration overflows before its first step."""
+    a0, k = block["a0"], block["k"]
+    if not math.isfinite(a0 * a0):
+        _fail(errors, f"{where}.a0", f"{a0!r} squares out of double range: "
+                                     f"the coefficient ODEs start at "
+                                     f"4k - a0^2")
+    elif not math.isfinite(4.0 * k - a0 * a0):
+        _fail(errors, f"{where}.k", f"{k!r} gives 4k - a0^2 out of double "
+                                    f"range: the coefficient ODEs start "
+                                    f"there")
+
+
 def _transform_check_block(grid):
     from .transforms import _RESIDUAL_SAMPLES
     return _sub({"a0": (_FINITE, _REQUIRED), "k": (_FINITE, _REQUIRED),
                  "d": (_integer(1, 3), 2), "t_end": (_POSITIVE, 1.0),
                  "nodes": (_integer(_RESIDUAL_SAMPLES), 201),
-                 "max_step": (_POSITIVE, 1e-3)})
+                 "max_step": (_POSITIVE, 1e-3)}, _ode_start)
 
 
 def _distinct_speeds(errors, block):
@@ -437,12 +466,12 @@ def _distinct_speeds(errors, block):
 
 def _wave_specs(cfg, errors) -> dict:
     """{block path: plane or standing wave spec} of every wave the kind
-    declares that fits `cfg.grid`.  Its profile is sampled on the grid
-    that `profile(cfg.grid)` gives the spec with a zero profile (the n_x
-    samples of a plane wave, the transverse shape of the grid for a
-    standing wave); a misfit, or a Gaussian profile too narrow for that
-    grid, is reported in `errors` at the block path and the wave left
-    out.  A Gaussian's centre is the same on every axis of the profile."""
+    declares that fits `cfg.grid`.  Its profile is sampled on the grid of
+    the `problem` of the spec with a zero profile (the n_x samples of a
+    plane wave, the transverse shape of the grid for a standing wave); a
+    misfit, or a Gaussian profile too narrow for that grid, is reported
+    in `errors` at the block path and the wave left out.  A Gaussian's
+    centre is the same on every axis of the profile."""
     from .families import PlaneWaveSpec, StandingWaveSpec
     b, grid, specs = cfg.block, cfg.grid, {}
     for where in _DECLARATIONS[cfg.kind].waves:
@@ -451,22 +480,21 @@ def _wave_specs(cfg, errors) -> dict:
             if "omega" in b:
                 spec = StandingWaveSpec(f0=np.zeros(grid.n[1:]),
                                         omega=b["omega"], lam=cfg.lam,
-                                        sigma=cfg.sigma)
+                                        sigma=cfg.sigma, grid=grid)
             else:
                 spec = PlaneWaveSpec(f0=np.zeros(grid.n[0]),
                                      c=tuple(side["c"]), lam=cfg.lam,
-                                     sigma=cfg.sigma)
-            _, profile = spec.profile(grid)
+                                     sigma=cfg.sigma, grid=grid)
         except GridError as exc:
             _fail(errors, where, str(exc))
             continue
-        p = side["profile"]
+        p, profile = side["profile"], spec.problem.grid
         if p["shape"] == "gaussian" and _too_narrow(
-                errors, f"{where}.profile", p, profile.grid.coords):
+                errors, f"{where}.profile", p, profile.coords):
             continue
         specs[where] = spec if p["shape"] == "zero" else replace(
-            spec, f0=gaussian_field(profile.grid, p["amplitude"], p["width"],
-                                    (p["center"],) * profile.grid.d).values)
+            spec, f0=gaussian_field(profile, p["amplitude"], p["width"],
+                                    (p["center"],) * profile.d).values)
     return specs
 
 
@@ -503,6 +531,31 @@ def _h1_norm(cfg, grid, recipe):
             "H1 norm")
 
 
+def _defect(cfg, grid, recipe):
+    """The candidate's bound-state defect (`bound_state_defect`), which a
+    semiclassical run measures and must be finite.  On N points of modulus
+    at most a, its terms are bounded by N^2 a S for box A0 (S the largest
+    |symbol|, N^2 the unscaled inverse FFT sum), |lam| a^(1 + 4/d) for the
+    nonlinearity and (|k| Q + |gamma0|) a for the potential (Q the largest
+    |q(x)| on the box), and each norm by N times the square of their sum."""
+    from .families import bound_state_defect
+    b, points, p = cfg.block, math.prod(grid.n), 4.0 / grid.d
+    reach = sum(abs(a) * float(np.max(xi ** 2))
+                for a, xi in zip(grid.alpha, grid.xi))
+    q = sum(abs(w) * (0.5 * side) ** 2
+            for w, side in zip(grid.signature_weights, grid.length))
+
+    def bound(a):
+        term = (points * points * a * reach + a ** p
+                + abs(cfg.lam) * a ** (1.0 + p)
+                + (abs(b["k"]) * q + abs(b["gamma0"])) * a)
+        return points * term * term
+
+    return bound, lambda: [bound_state_defect(
+        _field_from_block(recipe, grid, cfg.seed), b["k"], b["gamma0"],
+        cfg.lam)], "bound-state defect with k, gamma0 and lam"
+
+
 def _radial_sums(cfg, grid, block):
     """`_power_sums` of the radial block's Gaussian on its nodes."""
     return _power_sums(cfg, block["n"], lambda: _radial_profile(cfg).values)
@@ -518,16 +571,17 @@ def _at(cfg, where):
 
 def _amplitude_rules(errors, cfg) -> None:
     """The one rule on an amplitude: the sums that a run takes of the
-    field it gives (|u|^2 and |u|^(sigma+2) over the box, or the H1 norm)
-    must be finite, or the run would write inf or nan.  It holds for each
-    amplitude the kind declares, once the section it sits in is valid,
-    and for the profile of each wave in `cfg.waves`; the grid and the
-    nonlinearity are valid.  No recipe's modulus exceeds its amplitude,
-    so `bound(|amplitude|)` bounds those sums, and `sums()` builds the
-    field only when the bound is within _AMPLITUDE_MARGIN of overflow.  A
-    refusal is reported at the amplitude key of the block.  A Gaussian on
-    the grid too narrow for it (`_too_narrow`) is refused at its width
-    key instead, and its amplitude is not checked."""
+    field it gives (|u|^2 and |u|^(sigma+2) over the box, the H1 norm, or
+    the bound-state defect) must be finite, or the run would write inf or
+    nan.  It holds for each amplitude the kind declares, once the section
+    it sits in is valid, and for the profile of each wave in `cfg.waves`;
+    the grid and the nonlinearity are valid.  No recipe's modulus exceeds
+    its amplitude, so `bound(|amplitude|)` bounds those sums, and
+    `sums()` builds the field only when the bound is within
+    _AMPLITUDE_MARGIN of overflow.  A refusal is reported once at the
+    amplitude key of the block, by the first of its rules that fails.  A
+    Gaussian on the grid too narrow for it (`_too_narrow`) is refused at
+    its width key instead, and its amplitude is not checked."""
     grid, found = cfg.grid, []
     for where, bound_and_sums in _DECLARATIONS[cfg.kind].amplitudes:
         block = _at(cfg, where)
@@ -545,12 +599,16 @@ def _amplitude_rules(errors, cfg) -> None:
             found.append((f"{where}.profile", profile["amplitude"],
                           _power_sums(cfg, points, lambda f0=spec.f0: f0,
                                       points / spec.f0.size)))
+    refused = set()
     for where, amplitude, (bound, sums, what) in found:
+        if where in refused:
+            continue
         with np.errstate(over="ignore", invalid="ignore"):
             a = np.float64(abs(amplitude))
             if math.isfinite(_AMPLITUDE_MARGIN * bound(a)) or all(
                     math.isfinite(x) for x in sums()):
                 continue
+        refused.add(where)
         _fail(errors, f"{where}.amplitude", f"{amplitude!r} gives a field "
                                             f"whose {what} is not finite")
 
@@ -664,14 +722,14 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(errors)
     for where, spec in cfg.waves.items():  # advisory lint: profile hypotheses
         from .families import profile_hypothesis_warnings
-        _, profile = spec.profile(grid)
-        if profile.grid.d > 1:    # the certified windows have 1-D profiles
+        profile = spec.problem.grid
+        if profile.d > 1:    # the certified windows have 1-D profiles
             continue
         label = f"{where}.profile".removeprefix(f"{kind}.")
         cfg.warnings += [f"{label}: {w}" for w in profile_hypothesis_warnings(
-            spec.f0, profile.grid.length[0])]
+            spec.f0, profile.length[0])]
     if decl.regime:                       # and regime certification
-        in_regime, note = cfg.waves[kind].regime(grid)
+        in_regime, note = cfg.waves[kind].regime()
         if not in_regime:
             cfg.warnings.append(f"out-of-regime: {note}")
     return cfg
@@ -748,13 +806,12 @@ class _RunDir:
 
 def _run_full(cfg, out, make_u0=None):
     """Shared full-grid march: series CSV, optional stride snapshots, and
-    a final snapshot.  `make_u0(grid)` (by default the recipe `initial`)
+    a final snapshot.  `make_u0()` (by default the recipe `initial`)
     forms the initial field inside the call to `run`, so no frame here
     keeps it and `run` frees it at the first step."""
-    grid = cfg.grid
-    make_u0 = make_u0 or (lambda grid: _field_from_block(cfg.initial, grid,
-                                                         cfg.seed))
-    problem = EvolutionProblem(grid, lam=cfg.lam, sigma=cfg.sigma)
+    make_u0 = make_u0 or (lambda: _field_from_block(cfg.initial, cfg.grid,
+                                                    cfg.seed))
+    problem = EvolutionProblem(cfg.grid, lam=cfg.lam, sigma=cfg.sigma)
     rc = cfg.run
     stride = rc["snapshot_stride"]
     emitted = [0]
@@ -764,7 +821,7 @@ def _run_full(cfg, out, make_u0=None):
             out.snapshot(f"snap_{emitted[0]:05d}.snap", st.field)
         emitted[0] += 1
 
-    state, series = run(make_u0(grid), problem, _run_config(rc), observer)
+    state, series = run(make_u0(), problem, _run_config(rc), observer)
     out.series("observables.csv", _series_columns(series))
     out.snapshot("final.snap", state.field)
     return state, series
@@ -791,10 +848,10 @@ def _exp_structured_wave(cfg, out) -> str:
     profile flow; writes <kind>.json."""
     from .families import wave_field
     spec = cfg.waves[cfg.kind]
-    state, _ = _run_full(cfg, out, lambda grid: wave_field(spec, 0.0, grid))
+    state, _ = _run_full(cfg, out, lambda: wave_field(spec, 0.0))
     mismatch = None
     if state.status == STATUS_DONE:
-        ref = wave_field(spec, state.t, state.field.grid, dt=cfg.run["dt0"])
+        ref = wave_field(spec, state.t, dt=cfg.run["dt0"])
         scale = max(l2_norm(ref), 1e-300)
         # the difference is formed in the reference's own buffer, which
         # nothing else reads, so only the run's field stands beside it
@@ -946,7 +1003,7 @@ def _exp_two_wave(cfg, out) -> str:
     from .coupled import two_wave_run
     b = cfg.block
     first, second = cfg.waves.values()
-    series = two_wave_run(first, second, b["t_end"], cfg.grid, dt=b["dt"],
+    series = two_wave_run(first, second, b["t_end"], dt=b["dt"],
                           sample_stride=b["sample_stride"])
     out.series("two_wave.csv", {"t": series.t,
                                 "remainder": series.remainder})
@@ -995,9 +1052,11 @@ _DECLARATIONS = {
             "k": (_FINITE, _REQUIRED), "a0": (_FINITE, 0.0),
             "gamma0": (_FINITE, 1.0),
             "candidate": (_initial(grid and grid.d), _REQUIRED),
-            "t_end": (_POSITIVE, _REQUIRED), "samples": (_integer(2), 33)}),
+            "t_end": (_POSITIVE, _REQUIRED), "samples": (_integer(2), 33)},
+            _ode_start),
         nonlinearity=_critical_nonlinearity,
-        amplitudes=(("semiclassical.candidate", _recipe_sums),)),
+        amplitudes=(("semiclassical.candidate", _recipe_sums),
+                    ("semiclassical.candidate", _defect))),
     # a radial run may end where it starts (t_end = 0)
     "radial": _Kind(
         _exp_radial,

@@ -68,7 +68,8 @@ def _quintic_sweep(spec):
 def plane_quintic_sweep():
     """Plane wave at |c| = 2 (test_09, test_stability_sweep_plane_quintic)."""
     f0 = gaussian_field(PROFILE_GRID, amplitude=0.4, width=4.0).values
-    return _quintic_sweep(PlaneWaveSpec(f0=f0, c=(2.0,), lam=1.0, sigma=4.0))
+    return _quintic_sweep(PlaneWaveSpec(f0=f0, c=(2.0,), lam=1.0, sigma=4.0,
+                                        grid=hnls_grid()))
 
 
 @pytest.fixture(scope="session")
@@ -77,4 +78,5 @@ def standing_quintic_sweep():
     test_stability_sweep_standing_quintic)."""
     f0 = gaussian_field(PROFILE_GRID, amplitude=0.5, width=2.0).values
     return _quintic_sweep(StandingWaveSpec(f0=f0, omega=2.0 * np.pi / 40.0,
-                                           lam=1.0, sigma=4.0))
+                                           lam=1.0, sigma=4.0,
+                                           grid=hnls_grid()))

@@ -253,9 +253,9 @@ def test_07_unit_speed_plane_wave_is_phase_flow():
     grid = hnls_grid()
     f0 = gaussian_field(PROFILE_GRID, amplitude=0.7,
                         width=4.0).values * (1.0 + 0.25j)
-    spec = PlaneWaveSpec(f0=f0, c=(1.0,), lam=1.0, sigma=2.0)
+    spec = PlaneWaveSpec(f0=f0, c=(1.0,), lam=1.0, sigma=2.0, grid=grid)
     problem = EvolutionProblem(grid, lam=1.0, sigma=2.0)
-    u0 = wave_field(spec, 0.0, grid)
+    u0 = wave_field(spec, 0.0)
     base = np.abs(u0.values)
     drift = 0.0
 
@@ -268,8 +268,7 @@ def test_07_unit_speed_plane_wave_is_phase_flow():
         RunConfig(t_end=10.0, dt0=1e-2, sample_stride=10), observer=watch)
     state, _ = run(u0, problem,
                    RunConfig(t_end=1.0, dt0=1e-3, sample_stride=10 ** 9))
-    formula = _rel(state.field.values,
-                   wave_field(spec, 1.0, grid).values)
+    formula = _rel(state.field.values, wave_field(spec, 1.0).values)
     _check("07 |c|=1 plane wave: modulus frozen, formula reproduced",
            drift < 1e-12 and formula < 1e-6,
            f"max modulus drift {drift:.1e} over t in [0,10], formula "
@@ -278,13 +277,13 @@ def test_07_unit_speed_plane_wave_is_phase_flow():
 
 def _plane_spec(c=(1.0,), lam=1.0, sigma=2.0, width=3.0, amplitude=0.7):
     f0 = gaussian_field(PROFILE_GRID, amplitude=amplitude, width=width).values
-    return PlaneWaveSpec(f0=f0, c=c, lam=lam, sigma=sigma)
+    return PlaneWaveSpec(f0=f0, c=c, lam=lam, sigma=sigma, grid=hnls_grid())
 
 
 def _standing_spec():
     f0 = gaussian_field(PROFILE_GRID, amplitude=0.5, width=2.0).values
     return StandingWaveSpec(f0=f0, omega=2.0 * np.pi / 40.0, lam=1.0,
-                            sigma=4.0)
+                            sigma=4.0, grid=hnls_grid())
 
 
 def _seed(grid, amplitude):
@@ -300,11 +299,11 @@ def test_08_decomposed_flow_dual_path_and_fixed_point():
     grid = hnls_grid()
     spec = _plane_spec()
     v0 = _seed(grid, amplitude=0.05)
-    a, _ = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.2)
-    b, _ = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.2,
+    a, _ = run_decomposed(make_decomposed((spec,), v0=v0), 0.2)
+    b, _ = run_decomposed(make_decomposed((spec,), v0=v0), 0.2,
                           stepper=step_perturbation)
     agree = _diff_h1(a.v, b.v)
-    _, series = run_decomposed(make_decomposed((spec,), grid), 2.0)
+    _, series = run_decomposed(make_decomposed((spec,)), 2.0)
     quiet = float(np.max(series.h))
     _check("08 subtraction vs perturbation steppers, zero seed inert",
            norms(a.v).h1 > 1e-3 and agree < 1e-5 and quiet < 1e-9,
@@ -341,8 +340,8 @@ def test_10_standing_wave_counterpart(standing_quintic_sweep):
     grid = hnls_grid()
     spec = _standing_spec()
     v0 = _seed(grid, amplitude=0.05)
-    a, _ = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.2)
-    b, _ = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.2,
+    a, _ = run_decomposed(make_decomposed((spec,), v0=v0), 0.2)
+    b, _ = run_decomposed(make_decomposed((spec,), v0=v0), 0.2,
                           stepper=step_perturbation)
     agree = _diff_h1(a.v, b.v)
     eps, reports = standing_quintic_sweep.eps, standing_quintic_sweep.reports

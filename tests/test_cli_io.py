@@ -449,14 +449,19 @@ def _stability_cfg(**block):
         "stability": stab})
 
 
-def _semiclassical_cfg(d=2, **nonlinearity):
+def _semiclassical_cfg(d=2, block=None, **nonlinearity):
     return json.dumps({
         "kind": "semiclassical",
         "grid": {"preset": "hnls", "d": d, "n": 16, "length": 20.0},
         "nonlinearity": nonlinearity,
         "semiclassical": {"k": 0.25, "a0": 0.5,
                           "candidate": {"shape": "gaussian", "width": 2.0},
-                          "t_end": 0.1, "samples": 3}})
+                          "t_end": 0.1, "samples": 3, **(block or {})}})
+
+
+def _transform_cfg(**block):
+    return json.dumps({"kind": "transform-check", "transform-check": {
+        "a0": 0.5, "k": 0.25, "t_end": 0.1, **block}})
 
 
 def _standing_cfg(kind="standing", n=32, block=None):
@@ -600,6 +605,31 @@ def _standing_cfg(kind="standing", n=32, block=None):
                           "t_end": 0.1}}),
      "semiclassical.candidate.width"),
     ("radial", _radial_cfg(width=1e-300), "radial.width"),
+    # 1 / (r h^2) in the radial Laplacian overflows on too fine a box: the
+    # run failed with "profile values must be finite"
+    ("radial", _radial_cfg(n=64, r_max=1e-110, width=1e-111),
+     "radial.r_max"),
+    ("radial", _radial_cfg(n=64, r_max=1e-160, width=1e-161),
+     "radial.r_max"),
+    ("radial", _radial_cfg(n=64, r_max=1e-110, eps=1e-112, width=1e-111),
+     "radial.r_max"),
+    # the coefficient ODEs start at 4k - a0^2: a0^2 raised OverflowError,
+    # and 4k = inf truncated the trajectory at t = 0
+    ("transform-check", _transform_cfg(a0=1e200), "transform-check.a0"),
+    ("transform-check", _transform_cfg(k=1e308), "transform-check.k"),
+    ("transform-check", _transform_cfg(a0=-1e200, k=-1e308),
+     "transform-check.a0"),
+    ("semiclassical", _semiclassical_cfg(block={"a0": 1e200}),
+     "semiclassical.a0"),
+    ("semiclassical", _semiclassical_cfg(block={"k": 1e308}),
+     "semiclassical.k"),
+    # a bound-state defect that is not finite failed the run
+    ("semiclassical", _semiclassical_cfg(lam=1e300),
+     "semiclassical.candidate.amplitude"),
+    ("semiclassical", _semiclassical_cfg(block={"k": 1e300}),
+     "semiclassical.candidate.amplitude"),
+    ("semiclassical", _semiclassical_cfg(block={"gamma0": 1e308}),
+     "semiclassical.candidate.amplitude"),
 ])
 def test_bad_numbers_exit_2_before_any_run(kind, text, key, tmp_path,
                                           capsys):
@@ -980,8 +1010,8 @@ def test_blowup_is_exit_zero(tmp_path):
 
 
 def test_operational_failure_is_nonzero_with_manifest(tmp_path):
-    # the schema rejects a lift incompatible with a square box, so the
-    # parsed wave's speed is changed to make the run itself fail
+    # the schema rejects a wave that does not fit its box, so the parsed
+    # wave is moved to another box to make the run itself fail
     cfg = parse_config(json.dumps({
         "kind": "planewave",
         "grid": {"preset": "hnls", "d": 2, "n": 32, "length": 40.0},
@@ -990,7 +1020,8 @@ def test_operational_failure_is_nonzero_with_manifest(tmp_path):
                       "c": [1.0]},
         "run": {"t_end": 0.1},
     }))
-    cfg.waves["planewave"] = replace(cfg.waves["planewave"], c=(0.5,))
+    cfg.waves["planewave"] = replace(cfg.waves["planewave"], grid=Grid(
+        (32, 32), (80.0, 80.0), (1.0, -1.0)))
     assert run_experiment(cfg, out_dir=tmp_path) == 1
     man = _manifest(tmp_path)
     assert man["status"].startswith("Failed:")
@@ -1007,9 +1038,9 @@ def test_runs_lift_the_waves_the_parse_fitted(tmp_path, monkeypatch):
             made.append(self)
             original(self)
 
-        def lift(self, values, grid, t, original=cls.lift):
+        def lift(self, values, t, original=cls.lift):
             lifted.append(self)
-            return original(self, values, grid, t)
+            return original(self, values, t)
 
         monkeypatch.setattr(cls, "__post_init__", post_init)
         monkeypatch.setattr(cls, "lift", lift)

@@ -38,19 +38,23 @@ from hnlslab import (
 from hnlslab import coupled, spectral
 
 PROFILE_GRID = Grid((64,), (40.0,), (1.0,))
+BOX = hnls_grid()
 
 
 def _bump(width, amplitude=0.7):
     return gaussian_field(PROFILE_GRID, amplitude=amplitude, width=width).values
 
 
-def _plane_spec(c=(1.0,), lam=1.0, sigma=2.0, width=3.0, amplitude=0.7):
-    return PlaneWaveSpec(f0=_bump(width, amplitude), c=c, lam=lam, sigma=sigma)
+def _plane_spec(c=(1.0,), lam=1.0, sigma=2.0, width=3.0, amplitude=0.7,
+                grid=BOX):
+    return PlaneWaveSpec(f0=_bump(width, amplitude), c=c, lam=lam,
+                         sigma=sigma, grid=grid)
 
 
-def _standing_spec(lam=1.0, sigma=4.0):
+def _standing_spec(lam=1.0, sigma=4.0, grid=BOX):
     return StandingWaveSpec(f0=_bump(2.0, amplitude=0.5),
-                            omega=2.0 * np.pi / 40.0, lam=lam, sigma=sigma)
+                            omega=2.0 * np.pi / 40.0, lam=lam, sigma=sigma,
+                            grid=grid)
 
 
 def _seed(grid, amplitude=0.05):
@@ -66,13 +70,12 @@ def _diff_h1(a, b):
 # construction and guards
 
 def test_make_decomposed_initial_state():
-    grid = hnls_grid()
     spec = _plane_spec()
-    state = make_decomposed((spec,), grid)
+    state = make_decomposed((spec,))
     assert state.t == 0.0
     assert state.status == STATUS_RUNNING
     assert state.v.linf() == 0.0
-    expect = lift_structured(spec, spec.f0, grid, 0.0)
+    expect = lift_structured(spec, spec.f0, 0.0)
     assert np.array_equal(state.full_field().values, expect)
 
 
@@ -80,24 +83,40 @@ def test_make_decomposed_rejects_bad_inputs():
     grid = hnls_grid()
     spec = _plane_spec()
     with pytest.raises(GridError):
-        make_decomposed((spec,), grid, v0=constant_field(hnls_grid(n=32), 0.0))
+        make_decomposed((spec,), v0=constant_field(hnls_grid(n=32), 0.0))
     late = ComplexField(grid, np.zeros(grid.n, dtype=complex), t=0.5)
     with pytest.raises(ValueError):
-        make_decomposed((spec,), grid, v0=late)
+        make_decomposed((spec,), v0=late)
     with pytest.raises(AttributeError):
-        make_decomposed(("gaussian",), grid)
+        make_decomposed(("gaussian",))
     # the waves of one state share (lam, sigma), and there is at least one
     for specs in ((), (spec, _plane_spec(c=(-1.0,), lam=-1.0)),
                   (spec, _plane_spec(c=(-1.0,), sigma=4.0))):
         with pytest.raises(ValueError, match="share"):
-            make_decomposed(specs, grid)
+            make_decomposed(specs)
     with pytest.raises(AttributeError):
-        lift_structured(3.5, _bump(3.0), grid, 0.0)
+        lift_structured(3.5, _bump(3.0), 0.0)
+
+
+def test_decomposed_state_takes_one_box():
+    # v and every wave lie on one box: a wave or a v on another is refused
+    # by the state itself, whoever builds it
+    plane = _plane_spec()
+    other = _plane_spec(c=(-1.0,), grid=Grid((64, 64), (40.0, 80.0),
+                                               (1.0, -1.0)))
+    with pytest.raises(GridError):
+        make_decomposed((plane, other))
+    state = make_decomposed((plane,))
+    with pytest.raises(GridError):
+        DecomposedState(v=constant_field(other.grid, 0.0), specs=state.specs,
+                        profiles=state.profiles)
+    with pytest.raises(GridError):
+        DecomposedState(v=state.v, specs=(plane, other),
+                        profiles=state.profiles * 2)
 
 
 def test_components_must_stay_synchronized():
-    grid = hnls_grid()
-    state = make_decomposed((_plane_spec(),), grid)
+    state = make_decomposed((_plane_spec(),))
     profile, = state.profiles
     drifted = ComplexField(profile.grid, profile.values, t=1.0)
     with pytest.raises(ValueError):
@@ -106,20 +125,19 @@ def test_components_must_stay_synchronized():
 
 def test_state_derives_both_problems():
     grid = hnls_grid()
-    plane = make_decomposed((_plane_spec(sigma=2.0),), grid)
+    plane = make_decomposed((_plane_spec(sigma=2.0),))
     assert plane.problem.grid.same_box(grid)
     assert (plane.problem.lam, plane.problem.sigma) == (1.0, 2.0)
     assert plane.problem.potential is None
-    assert plane.profile_problems[0].grid.same_box(plane.profiles[0].grid)
-    standing = make_decomposed((_standing_spec(lam=-1.0),), grid)
-    assert standing.profile_problems[0].grid.same_box(
+    assert plane.specs[0].problem.grid.same_box(plane.profiles[0].grid)
+    standing = make_decomposed((_standing_spec(lam=-1.0),))
+    assert standing.specs[0].problem.grid.same_box(
         standing.profiles[0].grid)
     assert (standing.problem.lam, standing.problem.sigma) == (-1.0, 4.0)
 
 
 def test_finished_state_is_inert():
-    grid = hnls_grid()
-    base = make_decomposed((_plane_spec(),), grid)
+    base = make_decomposed((_plane_spec(),))
     dead = replace(base, status=STATUS_BLOWNUP)
     assert step_decomposed(dead, 1e-3) is dead
     assert step_perturbation(dead, 1e-3) is dead
@@ -135,13 +153,13 @@ def test_finished_state_is_inert():
     # v = u - phi_1 - phi_2 obeys the perturbation equation with each
     # wave's own nonlinearity subtracted
     (_plane_spec(), PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
-                                  lam=1.0, sigma=2.0)),
+                                  lam=1.0, sigma=2.0, grid=BOX)),
 ], ids=["one", "two"])
 def test_dual_path_agreement_plane_wave(specs):
     grid = hnls_grid()
     v0 = _seed(grid)
-    a, _ = run_decomposed(make_decomposed(specs, grid, v0=v0), 0.2)
-    b, _ = run_decomposed(make_decomposed(specs, grid, v0=v0), 0.2,
+    a, _ = run_decomposed(make_decomposed(specs, v0=v0), 0.2)
+    b, _ = run_decomposed(make_decomposed(specs, v0=v0), 0.2,
                           stepper=step_perturbation)
     assert norms(a.v).h1 > 1e-3          # the perturbation is alive
     assert _diff_h1(a.v, b.v) < 1e-5     # measured 1.0e-12 and 1.4e-12
@@ -151,8 +169,8 @@ def test_dual_path_agreement_standing_wave():
     grid = hnls_grid()
     spec = _standing_spec()
     v0 = _seed(grid)
-    a, _ = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.2)
-    b, _ = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.2,
+    a, _ = run_decomposed(make_decomposed((spec,), v0=v0), 0.2)
+    b, _ = run_decomposed(make_decomposed((spec,), v0=v0), 0.2,
                           stepper=step_perturbation)
     assert _diff_h1(a.v, b.v) < 1e-5     # measured 9e-10
 
@@ -161,17 +179,14 @@ def test_zero_perturbation_is_fixed_point_plane():
     # v0 = 0 must stay 0: the full field and the lifted profile march in
     # lockstep.  |c| = 1 keeps the lift an exact index gather, so the only
     # debris is the (identical) time-stepping of both paths.
-    grid = hnls_grid()
-    state, series = run_decomposed(make_decomposed((_plane_spec(),), grid),
-                                   2.0)
+    state, series = run_decomposed(make_decomposed((_plane_spec(),)), 2.0)
     assert state.status == STATUS_RUNNING
     assert abs(state.t - 2.0) < 1e-9
     assert float(np.max(series.h)) < 1e-9    # measured 2e-11
 
 
 def test_zero_perturbation_is_fixed_point_standing():
-    grid = hnls_grid()
-    _, series = run_decomposed(make_decomposed((_standing_spec(),), grid), 2.0)
+    _, series = run_decomposed(make_decomposed((_standing_spec(),)), 2.0)
     assert float(np.max(series.h)) < 1e-9    # measured 3e-12
 
 
@@ -180,10 +195,10 @@ def test_perturbation_stepper_reduces_to_plain_solver():
     # nonlinearity and the stepper must reproduce the production solver.
     grid = hnls_grid()
     spec = PlaneWaveSpec(f0=np.zeros(64, dtype=complex),
-                         c=(1.0,), lam=1.0, sigma=2.0)
+                         c=(1.0,), lam=1.0, sigma=2.0, grid=BOX)
     v0 = gaussian_field(grid, amplitude=0.5, width=3.0)
     problem = EvolutionProblem(grid, lam=1.0, sigma=2.0)
-    state, _ = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.1,
+    state, _ = run_decomposed(make_decomposed((spec,), v0=v0), 0.1,
                               stepper=step_perturbation)
     su = StepperState(field=v0, dt=1e-3)
     for _ in range(100):
@@ -195,11 +210,11 @@ def test_perturbation_stepper_is_second_order():
     grid = hnls_grid()
     spec = _plane_spec()
     v0 = _seed(grid, amplitude=0.2)
-    ref, _ = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.2,
+    ref, _ = run_decomposed(make_decomposed((spec,), v0=v0), 0.2,
                             dt=1e-4)
     errs = []
     for dt in (2e-3, 1e-3, 5e-4):
-        s, _ = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.2,
+        s, _ = run_decomposed(make_decomposed((spec,), v0=v0), 0.2,
                               dt=dt, stepper=step_perturbation)
         errs.append(_diff_h1(s.v, ref.v))
     assert all(e > 1e-12 for e in errs)      # above the reference floor
@@ -213,26 +228,28 @@ def test_perturbation_stepper_is_second_order():
 def test_certify_regime_windows():
     g2 = hnls_grid()
     g3 = Grid((16, 16, 16), (40.0, 40.0, 40.0), (1.0, -1.0, -1.0))
+    wide = Grid((64, 64), (40.0, 80.0), (1.0, -1.0))   # 0.5 * 80 / 40 = 1
 
-    ok, note = _plane_spec(c=(2.0,), sigma=4.0).regime(g2)
+    ok, note = _plane_spec(c=(2.0,), sigma=4.0, grid=g2).regime()
     assert ok and "quintic" in note
-    ok, _ = _plane_spec(c=(2.0,), sigma=4.0, lam=-1.0).regime(g2)
+    ok, _ = _plane_spec(c=(2.0,), sigma=4.0, lam=-1.0, grid=g2).regime()
     assert not ok
-    ok, _ = _plane_spec(c=(0.5,), sigma=4.0).regime(g2)
+    ok, _ = _plane_spec(c=(0.5,), sigma=4.0, grid=wide).regime()
     assert not ok                      # below the speed threshold
-    ok, _ = _plane_spec(c=(2.0,), sigma=2.0).regime(g2)
+    ok, _ = _plane_spec(c=(2.0,), sigma=2.0, grid=g2).regime()
     assert not ok                      # planar cubic is not certified
-    ok, note = _plane_spec(c=(1.0, 2.0), sigma=2.0).regime(g3)
+    ok, note = _plane_spec(c=(1.0, 2.0), sigma=2.0, grid=g3).regime()
     assert ok and "transverse" in note
 
-    ok, note = _standing_spec().regime(g2)
+    ok, note = _standing_spec(grid=g2).regime()
     assert ok and "standing" in note
-    ok, _ = _standing_spec(lam=-1.0).regime(g2)
+    ok, _ = _standing_spec(lam=-1.0, grid=g2).regime()
     assert not ok
     # the windows are the paper's theorem's, on the hnls signature only
     off = Grid((64, 64), (40.0, 40.0), (1.7, -0.6))
-    for spec in (_plane_spec(c=(2.0,), sigma=4.0), _standing_spec()):
-        ok, note = spec.regime(off)
+    for spec in (_plane_spec(c=(2.0,), sigma=4.0, grid=off),
+                 _standing_spec(grid=off)):
+        ok, note = spec.regime()
         assert not ok and "alpha=(1.7, -0.6)" in note
 
 
@@ -269,7 +286,7 @@ def test_stability_zero_eps_measures_grid_debris():
     # with the wrong symbol, so the debris is small but not zero.
     grid = hnls_grid()
     spec = PlaneWaveSpec(f0=_bump(4.0, amplitude=0.4),
-                         c=(2.0,), lam=1.0, sigma=4.0)
+                         c=(2.0,), lam=1.0, sigma=4.0, grid=BOX)
     reports = stability_run(spec, _seed(grid, amplitude=1.0), (0.0,), 5.0)
     assert reports[0].status == "Bounded"
     assert reports[0].h_series[0] == 0.0
@@ -296,8 +313,8 @@ def test_stability_detects_blowup():
     # compatible because 0.5 * 80 / 40 is an integer.)
     fine = Grid((512,), (40.0,), (1.0,))
     f0 = gaussian_field(fine, amplitude=2.2, width=1.2).values
-    spec = PlaneWaveSpec(f0=f0, c=(0.5,), lam=1.0, sigma=4.0)
     grid = Grid((64, 64), (40.0, 80.0), (1.0, -1.0))
+    spec = PlaneWaveSpec(f0=f0, c=(0.5,), lam=1.0, sigma=4.0, grid=grid)
     reports = stability_run(spec, _seed(grid, amplitude=1.0), (1e-3,), 0.5,
                             linf_ceiling=5.0)
     r = reports[0]
@@ -325,7 +342,7 @@ def test_stability_reports_growth_past_the_factor():
     # that does not blow up Grew, with the measured h_sup / eps
     grid = hnls_grid()
     spec = PlaneWaveSpec(f0=_bump(4.0, amplitude=0.4),
-                         c=(2.0,), lam=1.0, sigma=4.0)
+                         c=(2.0,), lam=1.0, sigma=4.0, grid=BOX)
     rep, = stability_run(spec, _seed(grid, amplitude=1.0), (1e-3,), 0.5,
                          dt=1e-2, grow_factor=0.5)
     ratio = rep.h_sup / 1e-3
@@ -372,11 +389,10 @@ def test_profile_lint_degenerate_inputs():
 # two-wave interaction
 
 def test_two_wave_interaction_stays_localized():
-    grid = hnls_grid()
     s1 = _plane_spec(c=(1.0,))
     s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
-                       lam=1.0, sigma=2.0)
-    out = two_wave_run(s1, s2, 1.0, grid)
+                       lam=1.0, sigma=2.0, grid=BOX)
+    out = two_wave_run(s1, s2, 1.0)
     assert out.status == "Done"
     assert out.remainder[0] < 1e-12          # u0 is exactly the two lifts
     assert 1e-3 < float(np.max(out.remainder)) < out.product_scale
@@ -389,8 +405,8 @@ def test_two_wave_run_frees_its_lifts_before_the_march(monkeypatch):
     lifts, alive = [], []
     lift, march = coupled.lift_structured, coupled.march
 
-    def traced_lift(spec, values, grid, t):
-        out = lift(spec, values, grid, t)
+    def traced_lift(spec, values, t):
+        out = lift(spec, values, t)
         if t == 0.0:
             lifts.append(weakref.ref(out))
         return out
@@ -402,9 +418,9 @@ def test_two_wave_run_frees_its_lifts_before_the_march(monkeypatch):
     monkeypatch.setattr(coupled, "lift_structured", traced_lift)
     monkeypatch.setattr(coupled, "march", traced_march)
     s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
-                       lam=1.0, sigma=2.0)
-    out = two_wave_run(_plane_spec(c=(1.0,)), s2, 0.05, hnls_grid(),
-                       dt=1e-2, sample_stride=1)
+                       lam=1.0, sigma=2.0, grid=BOX)
+    out = two_wave_run(_plane_spec(c=(1.0,)), s2, 0.05, dt=1e-2,
+                       sample_stride=1)
     assert out.status == "Done"
     # product_scale's two lifts and u0's two, each freed before the march
     assert len(alive) == 1 and len(alive[0]) >= 2
@@ -466,11 +482,11 @@ def test_two_wave_band_step_stays_within_the_march_peak(monkeypatch):
 
     monkeypatch.setattr(coupled, "march", traced_march)
     s1, s2 = (PlaneWaveSpec(f0=_bump(3.0, amplitude=0.5), c=c,
-                            lam=1.0, sigma=2.0)
+                            lam=1.0, sigma=2.0, grid=grid)
               for c in ((1.0, 0.0), (0.0, -1.0)))
     tracemalloc.start()
     try:
-        out = two_wave_run(s1, s2, 5e-3, grid, dt=1e-3, sample_stride=5)
+        out = two_wave_run(s1, s2, 5e-3, dt=1e-3, sample_stride=5)
         peaks["band"] = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -479,32 +495,30 @@ def test_two_wave_band_step_stays_within_the_march_peak(monkeypatch):
 
 
 def test_two_wave_symmetry_and_degenerate_cases():
-    grid = hnls_grid()
     s1 = _plane_spec(c=(1.0,))
     s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
-                       lam=1.0, sigma=2.0)
-    a = two_wave_run(s1, s2, 0.5, grid)
-    b = two_wave_run(s2, s1, 0.5, grid)
+                       lam=1.0, sigma=2.0, grid=BOX)
+    a = two_wave_run(s1, s2, 0.5)
+    b = two_wave_run(s2, s1, 0.5)
     assert np.allclose(a.remainder, b.remainder, rtol=0.0, atol=1e-10)
     assert abs(a.product_scale - b.product_scale) < 1e-9
 
     # a vanishing partner reduces the run to single-wave debris
     s2z = PlaneWaveSpec(f0=np.zeros(64, dtype=complex),
-                        c=(-1.0,), lam=1.0, sigma=2.0)
-    out = two_wave_run(s1, s2z, 0.5, grid)
-    _, series = run_decomposed(make_decomposed((s1,), grid), 0.5)
+                        c=(-1.0,), lam=1.0, sigma=2.0, grid=BOX)
+    out = two_wave_run(s1, s2z, 0.5)
+    _, series = run_decomposed(make_decomposed((s1,)), 0.5)
     assert np.allclose(out.remainder, series.h, rtol=0.0, atol=1e-10)
 
 
 def test_two_wave_rejects_bad_pairs():
-    grid = hnls_grid()
     s1 = _plane_spec(c=(1.0,))
     with pytest.raises(ValueError):
-        two_wave_run(s1, _plane_spec(c=(1.0,), width=2.0), 0.1, grid)
+        two_wave_run(s1, _plane_spec(c=(1.0,), width=2.0), 0.1)
     with pytest.raises(ValueError):
-        two_wave_run(s1, _plane_spec(c=(-1.0,), lam=-1.0), 0.1, grid)
+        two_wave_run(s1, _plane_spec(c=(-1.0,), lam=-1.0), 0.1)
     with pytest.raises(TypeError):
-        two_wave_run(s1, _standing_spec(), 0.1, grid)
+        two_wave_run(s1, _standing_spec(), 0.1)
 
 
 def test_two_wave_remainder_at_t0_is_v0():
@@ -513,10 +527,10 @@ def test_two_wave_remainder_at_t0_is_v0():
     grid = hnls_grid()
     s1 = _plane_spec(c=(1.0,))
     s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
-                       lam=1.0, sigma=2.0)
-    assert two_wave_run(s1, s2, 0.02, grid).remainder[0] == 0.0
+                       lam=1.0, sigma=2.0, grid=BOX)
+    assert two_wave_run(s1, s2, 0.02).remainder[0] == 0.0
     v0 = _seed(grid)
-    _, series = run_decomposed(make_decomposed((s1, s2), grid, v0), 0.02)
+    _, series = run_decomposed(make_decomposed((s1, s2), v0), 0.02)
     assert series.h[0] == norms(v0).h1
 
 
@@ -525,18 +539,17 @@ def test_two_wave_remainder_at_t0_is_v0():
 
 def test_decomposed_and_two_wave_reject_non_finite_times():
     # a NaN end time used to return Running (decomposed) or Done at t=0
-    grid = hnls_grid()
     s1 = _plane_spec(c=(1.0,))
     s2 = _plane_spec(c=(-1.0,), width=2.5)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
-            run_decomposed(make_decomposed((s1,), grid), bad)
+            run_decomposed(make_decomposed((s1,)), bad)
         with pytest.raises(ValueError):
-            two_wave_run(s1, s2, bad, grid)
+            two_wave_run(s1, s2, bad)
     with pytest.raises(ValueError):
-        run_decomposed(make_decomposed((s1,), grid), 0.1, dt=np.nan)
+        run_decomposed(make_decomposed((s1,)), 0.1, dt=np.nan)
     with pytest.raises(ValueError):
-        two_wave_run(s1, s2, 0.1, grid, dt=0.0)
+        two_wave_run(s1, s2, 0.1, dt=0.0)
 
 
 def test_non_finite_perturbation_step_is_recorded_blowup():
@@ -549,7 +562,7 @@ def test_non_finite_perturbation_step_is_recorded_blowup():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         state, series = run_decomposed(
-            make_decomposed((spec,), grid, v0=v0), 1.0, dt=5e-2,
+            make_decomposed((spec,), v0=v0), 1.0, dt=5e-2,
             stepper=step_perturbation, linf_ceiling=1e300)
     assert state.status == STATUS_BLOWNUP
     assert len(series.t) >= 1
@@ -558,8 +571,7 @@ def test_non_finite_perturbation_step_is_recorded_blowup():
 
 
 def test_completed_decomposed_run_stays_running():
-    grid = hnls_grid()
-    state, series = run_decomposed(make_decomposed((_plane_spec(),), grid),
+    state, series = run_decomposed(make_decomposed((_plane_spec(),)),
                                    0.05, sample_stride=4)
     assert state.status == STATUS_RUNNING
     assert abs(state.t - 0.05) < 1e-12
@@ -576,15 +588,16 @@ def test_completed_decomposed_run_stays_running():
     (_plane_spec(c=(2.0,), sigma=4.0, amplitude=0.4, width=4.0),),
     (_standing_spec(),),
     (_plane_spec(c=(1.0,)), PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5),
-                                          c=(-1.0,), lam=1.0, sigma=2.0)),
+                                          c=(-1.0,), lam=1.0, sigma=2.0,
+                                          grid=BOX)),
 ], ids=["plane", "plane-quintic", "standing", "two-waves"])
 def test_carried_run_matches_step_decomposed_loop(specs):
     grid = hnls_grid()
     v0 = _seed(grid)
     # 0.0537 / 4e-3 leaves a clipped last step
     kw = dict(dt=4e-3, sample_stride=5)
-    a, sa = run_decomposed(make_decomposed(specs, grid, v0=v0), 0.0537, **kw)
-    b, sb = run_decomposed(make_decomposed(specs, grid, v0=v0), 0.0537,
+    a, sa = run_decomposed(make_decomposed(specs, v0=v0), 0.0537, **kw)
+    b, sb = run_decomposed(make_decomposed(specs, v0=v0), 0.0537,
                            stepper=step_decomposed, **kw)
     assert a.status == b.status == STATUS_RUNNING
     assert a.t == b.t
@@ -601,16 +614,16 @@ def test_two_wave_run_matches_step_strang_loop():
     grid = hnls_grid()
     s1 = _plane_spec(c=(1.0,))
     s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
-                       lam=1.0, sigma=2.0)
+                       lam=1.0, sigma=2.0, grid=BOX)
     T, dt, stride = 0.0537, 4e-3, 5
-    out = two_wave_run(s1, s2, T, grid, dt=dt, sample_stride=stride)
+    out = two_wave_run(s1, s2, T, dt=dt, sample_stride=stride)
 
     problem = EvolutionProblem(grid, lam=1.0, sigma=2.0)
     u = StepperState(field=ComplexField(
-        grid, lift_structured(s1, s1.f0, grid, 0.0)
-        + lift_structured(s2, s2.f0, grid, 0.0)), dt=dt)
-    profiles = [(StepperState(field=ComplexField(PROFILE_GRID, s.f0),
-                              dt=dt), s.profile(grid)[0]) for s in (s1, s2)]
+        grid, lift_structured(s1, s1.f0, 0.0)
+        + lift_structured(s2, s2.f0, 0.0)), dt=dt)
+    profiles = [(StepperState(field=ComplexField(s.problem.grid, s.f0),
+                              dt=dt), s.problem) for s in (s1, s2)]
     ts, rem = [0.0], [0.0]
     t, steps = 0.0, 0
     while T - t > 1e-12:
@@ -621,7 +634,7 @@ def test_two_wave_run_matches_step_strang_loop():
         t, steps = t + h, steps + 1
         if steps % stride == 0 or T - t <= 1e-12:
             r = u.field.values - sum(
-                lift_structured(s, p.field.values, grid, t)
+                lift_structured(s, p.field.values, t)
                 for s, (p, _) in zip((s1, s2), profiles))
             ts.append(t)
             rem.append(norms(ComplexField(grid, r)).h1)
@@ -650,8 +663,9 @@ def test_carried_run_fft_and_lift_counts(monkeypatch):
     # forward FFT of u0 = v0 + lift(phi0)
     import hnlslab.coupled as coupled
     grid = hnls_grid(n=32)
-    spec = PlaneWaveSpec(f0=_bump(3.0)[::2], c=(1.0,), lam=1.0, sigma=2.0)
-    state = make_decomposed((spec,), grid, v0=_seed(grid))
+    spec = PlaneWaveSpec(f0=_bump(3.0)[::2], c=(1.0,), lam=1.0, sigma=2.0,
+                         grid=grid)
+    state = make_decomposed((spec,), v0=_seed(grid))
     ffts, lifts = _Counter(), _Counter()
     for name in ("fftn", "ifftn"):
         monkeypatch.setattr(spectral, name, ffts.wrap(
@@ -667,7 +681,7 @@ def test_carried_run_fft_and_lift_counts(monkeypatch):
 
 def test_carried_run_leaves_a_blown_up_state_alone():
     grid = hnls_grid()
-    base = make_decomposed((_plane_spec(),), grid, v0=_seed(grid))
+    base = make_decomposed((_plane_spec(),), v0=_seed(grid))
     dead = replace(base, status=STATUS_BLOWNUP)
     out, series = run_decomposed(dead, 0.1)
     assert out is dead
@@ -683,8 +697,8 @@ def test_carried_run_under_a_ceiling_its_loose_bound_passes():
     spec = _plane_spec()
     v0 = _seed(grid)
     kw = dict(dt=4e-3, sample_stride=5, linf_ceiling=1.5)
-    a, sa = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.0537, **kw)
-    b, sb = run_decomposed(make_decomposed((spec,), grid, v0=v0), 0.0537,
+    a, sa = run_decomposed(make_decomposed((spec,), v0=v0), 0.0537, **kw)
+    b, sb = run_decomposed(make_decomposed((spec,), v0=v0), 0.0537,
                            stepper=step_decomposed, **kw)
     assert a.status == b.status == STATUS_RUNNING
     assert a.t == b.t == 0.0537
@@ -699,16 +713,16 @@ def test_carried_run_detects_blowup_where_the_stepper_does(partner):
     # loose first-step bound (about 6.6 > 5 for the one wave)
     fine = Grid((512,), (40.0,), (1.0,))
     f0 = gaussian_field(fine, amplitude=2.2, width=1.2).values
-    specs = (PlaneWaveSpec(f0=f0, c=(0.5,), lam=1.0, sigma=4.0),)
+    grid = Grid((64, 64), (40.0, 80.0), (1.0, -1.0))
+    specs = (PlaneWaveSpec(f0=f0, c=(0.5,), lam=1.0, sigma=4.0, grid=grid),)
     if partner is not None:
         specs += (PlaneWaveSpec(
             f0=gaussian_field(fine, amplitude=partner, width=2.0).values,
-            c=(-0.5,), lam=1.0, sigma=4.0),)
-    grid = Grid((64, 64), (40.0, 80.0), (1.0, -1.0))
+            c=(-0.5,), lam=1.0, sigma=4.0, grid=grid),)
     v0 = _seed(grid, amplitude=1e-3)
-    a, sa = run_decomposed(make_decomposed(specs, grid, v0=v0), 0.5,
+    a, sa = run_decomposed(make_decomposed(specs, v0=v0), 0.5,
                            linf_ceiling=5.0)
-    b, sb = run_decomposed(make_decomposed(specs, grid, v0=v0), 0.5,
+    b, sb = run_decomposed(make_decomposed(specs, v0=v0), 0.5,
                            linf_ceiling=5.0, stepper=step_decomposed)
     assert a.status == b.status == STATUS_BLOWNUP
     assert np.array_equal(sa.t, sb.t)

@@ -16,7 +16,8 @@ from hnlslab.evolution import (
 )
 from hnlslab import spectral
 from hnlslab.observables import sample
-from conftest import BAD_NONLINEARITY, hnls_grid, needs_owned_arguments
+from conftest import (BAD_NONLINEARITY, hnls_grid, needs_owned_arguments,
+                      nls_grid)
 
 
 def _run_field(f, problem, **kw):
@@ -262,6 +263,18 @@ def test_step_strang_stamps_time():
     assert st.step_count == 1
     st = step_strang(st, problem, direction=-1.0)
     assert np.isclose(st.t, 0.0, atol=1e-15)
+
+
+def test_step_strang_refuses_a_field_on_another_box():
+    # a step is one SpectralMarch step, so it takes SpectralMarch's box
+    # check: another alpha, size or length is refused, not stepped
+    g = hnls_grid(n=16)
+    problem = EvolutionProblem(g, lam=1.0, sigma=2.0)
+    for other in (nls_grid(n=16), hnls_grid(n=32),
+                  hnls_grid(n=16, length=20.0), Grid((16,), (40.0,), (1.0,))):
+        st = StepperState(field=constant_field(other, 0.5), dt=0.01)
+        with pytest.raises(GridError):
+            step_strang(st, problem)
 
 
 # ------------------------------------------------------------- fused march

@@ -38,6 +38,7 @@ from hnlslab.evolution import harmonic_saddle_potential
 from hnlslab.fields import _abs2, evaluate_at_axes, l2_norm
 
 PROFILE_GRID = Grid((64,), (40.0,), (1.0,))
+BOX = hnls_grid()
 
 
 def _rel(a, b):
@@ -54,24 +55,25 @@ def _bump(width, amplitude=0.7):
 def test_plane_wave_spec_validation():
     f0 = _bump(3.0)
     with pytest.raises(FieldDataError):
-        PlaneWaveSpec(f0=f0.reshape(8, 8), c=(1.0,), lam=1.0, sigma=2.0)
+        PlaneWaveSpec(f0=f0.reshape(8, 8), c=(1.0,), lam=1.0,
+                      sigma=2.0, grid=BOX)
     with pytest.raises(FieldDataError):
-        PlaneWaveSpec(f0=f0[:60], c=(1.0,), lam=1.0, sigma=2.0)
+        PlaneWaveSpec(f0=f0[:60], c=(1.0,), lam=1.0, sigma=2.0, grid=BOX)
     with pytest.raises(FieldDataError):
-        PlaneWaveSpec(f0=f0 * np.nan, c=(1.0,), lam=1.0, sigma=2.0)
+        PlaneWaveSpec(f0=f0 * np.nan, c=(1.0,), lam=1.0, sigma=2.0, grid=BOX)
     with pytest.raises(ValueError):
-        PlaneWaveSpec(f0=f0, c=(), lam=1.0, sigma=2.0)
+        PlaneWaveSpec(f0=f0, c=(), lam=1.0, sigma=2.0, grid=BOX)
     with pytest.raises(ValueError):
-        PlaneWaveSpec(f0=f0, c=(1.0,), lam=1.0, sigma=-1.0)
+        PlaneWaveSpec(f0=f0, c=(1.0,), lam=1.0, sigma=-1.0, grid=BOX)
 
 
 @pytest.mark.parametrize("lam, sigma", BAD_NONLINEARITY)
 def test_wave_specs_reject_non_finite_nonlinearity(lam, sigma):
     with pytest.raises(ValueError):
-        PlaneWaveSpec(f0=_bump(3.0), c=(1.0,), lam=lam, sigma=sigma)
+        PlaneWaveSpec(f0=_bump(3.0), c=(1.0,), lam=lam, sigma=sigma, grid=BOX)
     with pytest.raises(ValueError):
         StandingWaveSpec(f0=_bump(2.0), omega=2.0 * np.pi / 40.0, lam=lam,
-                         sigma=sigma)
+                         sigma=sigma, grid=BOX)
 
 
 _NON_FINITE = (np.nan, np.inf, -np.inf)
@@ -83,7 +85,7 @@ _NON_FINITE = (np.nan, np.inf, -np.inf)
 ])
 def test_wave_specs_reject_non_finite_wave_parameters(spec, params):
     with pytest.raises(ValueError, match="finite"):
-        spec(f0=_bump(3.0), lam=1.0, sigma=2.0, **params)
+        spec(f0=_bump(3.0), lam=1.0, sigma=2.0, grid=BOX, **params)
 
 
 def test_plane_wave_spec_follows_the_grid_size_rule():
@@ -91,8 +93,9 @@ def test_plane_wave_spec_follows_the_grid_size_rule():
     # >= 8 samples), not later by the profile grid
     with pytest.raises(FieldDataError):
         PlaneWaveSpec(f0=np.ones(4, dtype=complex), c=(1.0,), lam=1.0,
-                      sigma=2.0)
-    PlaneWaveSpec(f0=np.ones(8, dtype=complex), c=(1.0,), lam=1.0, sigma=2.0)
+                      sigma=2.0, grid=BOX)
+    PlaneWaveSpec(f0=np.ones(8, dtype=complex), c=(1.0,), lam=1.0,
+                  sigma=2.0, grid=BOX)
 
 
 def test_lift_rejects_incompatible_boxes():
@@ -102,6 +105,19 @@ def test_lift_rejects_incompatible_boxes():
         lift_profile(f0, (1.0, 1.0), grid)  # too many speeds for d=2
     with pytest.raises(GridError):
         lift_profile(f0, (0.7,), grid)  # 0.7 * 40 / 40 not an integer
+
+
+def test_plane_wave_spec_must_fit_its_box():
+    # the fit to the box is checked once, when the spec is built
+    f0 = _bump(3.0)
+    with pytest.raises(GridError):
+        PlaneWaveSpec(f0=f0, c=(1.0, 1.0), lam=1.0, sigma=2.0, grid=BOX)
+    with pytest.raises(GridError):
+        PlaneWaveSpec(f0=f0, c=(0.7,), lam=1.0, sigma=2.0, grid=BOX)
+    spec = PlaneWaveSpec(f0=f0, c=(2.0,), lam=1.0, sigma=2.0,
+                         grid=Grid((64, 64), (40.0, 40.0), (1.7, -0.6)))
+    assert spec.problem.grid.same_box(
+        Grid((64,), (40.0,), (1.7 - 0.6 * 4.0,)))
 
 
 def test_lift_gather_matches_trig_series():
@@ -169,11 +185,11 @@ def test_exact_lift_and_l2_norm_add_their_result_and_one_chunk(monkeypatch):
 def test_unit_speed_flow_preserves_modulus_and_norms():
     grid = hnls_grid()
     f0 = _bump(4.0) * (1.0 + 0.25j)
-    spec = PlaneWaveSpec(f0=f0, c=(1.0,), lam=1.0, sigma=2.0)
-    u0 = wave_field(spec, 0.0, grid)
+    spec = PlaneWaveSpec(f0=f0, c=(1.0,), lam=1.0, sigma=2.0, grid=grid)
+    u0 = wave_field(spec, 0.0)
     n0 = norms(u0, ps=(4, 6))
     for t in (2.5, 10.0):
-        ut = wave_field(spec, t, grid)
+        ut = wave_field(spec, t)
         assert np.max(np.abs(np.abs(ut.values) - np.abs(u0.values))) < 1e-12
         nt = norms(ut, ps=(4, 6))
         assert nt.l2 == pytest.approx(n0.l2, rel=1e-12)
@@ -184,20 +200,21 @@ def test_unit_speed_flow_preserves_modulus_and_norms():
 def test_unit_speed_formula_matches_full_evolution():
     grid = hnls_grid()
     f0 = _bump(4.0, amplitude=0.8) * (1.0 + 0.25j)
-    spec = PlaneWaveSpec(f0=f0, c=(1.0,), lam=1.0, sigma=2.0)
+    spec = PlaneWaveSpec(f0=f0, c=(1.0,), lam=1.0, sigma=2.0, grid=grid)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=2.0)
-    state, _ = run(wave_field(spec, 0.0, grid),
+    state, _ = run(wave_field(spec, 0.0),
                    problem, RunConfig(t_end=1.0, dt0=1e-3,
                                       sample_stride=10 ** 9))
-    expect = wave_field(spec, 1.0, grid)
+    expect = wave_field(spec, 1.0)
     assert _rel(state.field.values, expect.values) < 1e-6
 
 
 def test_profile_free_flow_matches_propagator():
     grid = hnls_grid()
-    spec = PlaneWaveSpec(f0=_bump(3.0), c=(2.0,), lam=0.0, sigma=2.0)
-    direct = wave_field(spec, 0.35, grid)
-    lifted = apply_linear_propagator(wave_field(spec, 0.0, grid), 0.35)
+    spec = PlaneWaveSpec(f0=_bump(3.0), c=(2.0,), lam=0.0,
+                         sigma=2.0, grid=grid)
+    direct = wave_field(spec, 0.35)
+    lifted = apply_linear_propagator(wave_field(spec, 0.0), 0.35)
     assert _rel(direct.values, lifted.values) < 1e-9
 
 
@@ -206,12 +223,13 @@ def test_lift_commute_on_wrap_free_grid():
     # product) is representable in y: the 2-D stepper then reproduces the
     # lifted 1-D evolution to rounding.
     grid = Grid((64, 128), (40.0, 40.0), (1.0, -1.0))
-    spec = PlaneWaveSpec(f0=_bump(3.0), c=(2.0,), lam=1.0, sigma=2.0)
+    spec = PlaneWaveSpec(f0=_bump(3.0), c=(2.0,), lam=1.0,
+                         sigma=2.0, grid=grid)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=2.0)
-    state, _ = run(wave_field(spec, 0.0, grid),
+    state, _ = run(wave_field(spec, 0.0),
                    problem, RunConfig(t_end=0.3, dt0=1e-3,
                                       sample_stride=10 ** 9))
-    expect = wave_field(spec, 0.3, grid)
+    expect = wave_field(spec, 0.3)
     assert _rel(state.field.values, expect.values) < 1e-6
 
 
@@ -220,21 +238,23 @@ def test_lift_commute_square_grid_alias_floor():
     # Gaussian's periodization tail (edge value ~e^-12.5) wraps with the
     # wrong symbol; that floor sits near 5e-7 and is data, not solver.
     grid = hnls_grid()
-    spec = PlaneWaveSpec(f0=_bump(4.0), c=(2.0,), lam=1.0, sigma=2.0)
+    spec = PlaneWaveSpec(f0=_bump(4.0), c=(2.0,), lam=1.0,
+                         sigma=2.0, grid=grid)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=2.0)
-    state, _ = run(wave_field(spec, 0.0, grid),
+    state, _ = run(wave_field(spec, 0.0),
                    problem, RunConfig(t_end=0.3, dt0=1e-3,
                                       sample_stride=10 ** 9))
-    expect = wave_field(spec, 0.3, grid)
+    expect = wave_field(spec, 0.3)
     assert _rel(state.field.values, expect.values) < 5e-6
 
 
 def test_plane_wave_residual_small():
     grid = hnls_grid()
-    spec = PlaneWaveSpec(f0=_bump(3.0), c=(2.0,), lam=1.0, sigma=2.0)
+    spec = PlaneWaveSpec(f0=_bump(3.0), c=(2.0,), lam=1.0,
+                         sigma=2.0, grid=grid)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=2.0)
     h = 1e-3
-    triple = [wave_field(spec, t, grid) for t in (0.5 - h, 0.5, 0.5 + h)]
+    triple = [wave_field(spec, t) for t in (0.5 - h, 0.5, 0.5 + h)]
     assert residual_hnls(*triple, problem) < 5e-3
 
 
@@ -242,8 +262,8 @@ def test_three_dimensional_lift_point_values():
     grid = Grid((32, 32, 64), (40.0, 40.0, 40.0), (1.0, -1.0, -1.0))
     g1 = Grid((32,), (40.0,), (1.0,))
     f0 = gaussian_field(g1, amplitude=0.5, width=3.0).values
-    spec = PlaneWaveSpec(f0=f0, c=(1.0, 2.0), lam=1.0, sigma=2.0)
-    u = wave_field(spec, 0.0, grid)
+    spec = PlaneWaveSpec(f0=f0, c=(1.0, 2.0), lam=1.0, sigma=2.0, grid=grid)
+    u = wave_field(spec, 0.0)
     xi = 2.0 * np.pi * np.fft.fftfreq(32, d=40.0 / 32)
     coef = np.fft.fft(f0) * np.exp(1j * xi * 20.0) / 32
     X, Y1, Y2 = grid.meshgrid()
@@ -257,16 +277,15 @@ def test_three_dimensional_lift_point_values():
 # standing waves
 
 def test_standing_wave_carrier_must_sit_on_grid():
+    # the fit to the box is checked once, when the spec is built
     grid = hnls_grid()
     f0 = gaussian_field(Grid((64,), (40.0,), (-1.0,)), amplitude=0.5,
                         width=2.0).values
-    bad = StandingWaveSpec(f0=f0, omega=0.3, lam=1.0, sigma=4.0)
     with pytest.raises(GridError):
-        wave_field(bad, 0.1, grid)
+        StandingWaveSpec(f0=f0, omega=0.3, lam=1.0, sigma=4.0, grid=grid)
     with pytest.raises(GridError):
-        wave_field(
-            StandingWaveSpec(f0=f0[:32], omega=2.0 * np.pi / 40.0, lam=1.0,
-                             sigma=4.0), 0.1, grid)
+        StandingWaveSpec(f0=f0[:32], omega=2.0 * np.pi / 40.0, lam=1.0,
+                         sigma=4.0, grid=grid)
 
 
 def test_standing_constant_profile_is_phase_flow():
@@ -274,9 +293,9 @@ def test_standing_constant_profile_is_phase_flow():
     amp = 0.8
     om = 2.0 * np.pi * 2 / 40.0
     spec = StandingWaveSpec(f0=np.full(64, amp, dtype=complex), omega=om,
-                            lam=1.0, sigma=4.0)
+                            lam=1.0, sigma=4.0, grid=grid)
     t = 0.7
-    got = wave_field(spec, t, grid)
+    got = wave_field(spec, t)
     x = grid.coord_along(0)
     expect = amp * np.exp(1j * (om * x - om * om * t + amp ** 4 * t)) \
         * np.ones(grid.n)
@@ -288,10 +307,9 @@ def test_standing_free_flow_matches_propagator():
     f0 = gaussian_field(Grid((64,), (40.0,), (-1.0,)), amplitude=0.5,
                         width=2.0).values
     spec = StandingWaveSpec(f0=f0, omega=2.0 * np.pi / 40.0, lam=0.0,
-                            sigma=4.0)
-    direct = wave_field(spec, 0.4, grid)
-    lifted = apply_linear_propagator(wave_field(spec, 0.0, grid),
-                                     0.4)
+                            sigma=4.0, grid=grid)
+    direct = wave_field(spec, 0.4)
+    lifted = apply_linear_propagator(wave_field(spec, 0.0), 0.4)
     assert _rel(direct.values, lifted.values) < 1e-10
 
 
@@ -300,11 +318,10 @@ def test_standing_wave_residual_small():
     f0 = gaussian_field(Grid((64,), (40.0,), (-1.0,)), amplitude=0.5,
                         width=2.0).values
     spec = StandingWaveSpec(f0=f0, omega=2.0 * np.pi / 40.0, lam=1.0,
-                            sigma=4.0)
+                            sigma=4.0, grid=grid)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=4.0)
     h = 1e-3
-    triple = [wave_field(spec, t, grid)
-              for t in (0.3 - h, 0.3, 0.3 + h)]
+    triple = [wave_field(spec, t) for t in (0.3 - h, 0.3, 0.3 + h)]
     assert residual_hnls(*triple, problem) < 5e-3
 
 
@@ -314,12 +331,12 @@ def test_standing_lift_commute():
     f0 = gaussian_field(Grid((64,), (40.0,), (-1.0,)), amplitude=0.5,
                         width=2.0).values
     spec = StandingWaveSpec(f0=f0, omega=2.0 * np.pi / 40.0, lam=1.0,
-                            sigma=4.0)
+                            sigma=4.0, grid=grid)
     problem = EvolutionProblem(grid=grid, lam=1.0, sigma=4.0)
-    state, _ = run(wave_field(spec, 0.0, grid),
+    state, _ = run(wave_field(spec, 0.0),
                    problem, RunConfig(t_end=0.25, dt0=1e-3,
                                       sample_stride=10 ** 9))
-    expect = wave_field(spec, 0.25, grid)
+    expect = wave_field(spec, 0.25)
     assert _rel(state.field.values, expect.values) < 1e-6
 
 
