@@ -244,11 +244,11 @@ def _carried(state: DecomposedState):
     return step, now, exact
 
 
-def run_decomposed(state: DecomposedState, t_end: float, *,
-                   dt: float = 1e-3, stepper=None, sample_stride: int = 10,
-                   linf_ceiling: float | None = None) -> tuple:
-    """March to t_end, sampling ||v||_H1 and the profile decay proxies
-    (summed over the waves) every stride.
+def run_decomposed(state: DecomposedState, config: RunConfig, *,
+                   stepper=None) -> tuple:
+    """March under `config`, sampling ||v||_H1 and the profile decay
+    proxies (summed over the waves) every stride; the step is fixed, and
+    an adaptive config is refused (ValueError).
 
     By default this is the subtraction method with carried spectra: u =
     v0 + phi0 and each profile march as a `SpectralMarch` (two FFTs a
@@ -263,15 +263,15 @@ def run_decomposed(state: DecomposedState, t_end: float, *,
     Both split substeps are pointwise unitary, so a collapsing component
     never turns non-finite by itself; blow-up is detected by `march`, as
     in the full solver, from ||v||_inf + sum ||profile_i||_inf passing
-    `linf_ceiling` (default: 1e6 times its initial value) or turning
+    config.linf_ceiling (default: 1e6 times its initial value) or turning
     non-finite.  With carried spectra a step's bound is sup|u| + 2 sum
     sup|profile_i| over the half-step fields, since |v| <= |u| + |phi|;
     when that passes the ceiling, v is formed and the exact sum decides,
     as it does after every step of a stepper.
     """
-    config = RunConfig(t_end=t_end, dt0=dt, linf_ceiling=linf_ceiling,
-                       sample_stride=sample_stride)
-    if t_end < state.t:
+    if config.adapt:
+        raise ValueError("decomposed runs take a fixed step")
+    if config.t_end < state.t:
         raise ValueError("decomposed runs only go forward")
     if stepper is not None:
         step, now, exact = _stepped(state, stepper)
@@ -327,13 +327,11 @@ class StabilityReport:
         }
 
 
-def stability_run(spec, v0_shape: ComplexField, eps_list, T: float, *,
-                  dt: float = 1e-3, sample_stride: int = 10,
-                  grow_factor: float = 10.0,
-                  linf_ceiling: float | None = None) -> list:
-    """One decomposed run per eps on v0_shape's grid, with v0 = eps *
-    shape / ||shape||_H1.  Every eps must be finite and >= 0; the whole
-    list is checked before the first run.
+def stability_run(spec, v0_shape: ComplexField, eps_list,
+                  config: RunConfig, *, grow_factor: float = 10.0) -> list:
+    """One decomposed run under `config` per eps on v0_shape's grid, with
+    v0 = eps * shape / ||shape||_H1.  Every eps must be finite and >= 0;
+    the whole list is checked before the first run.
 
     Blow-up is a recorded outcome.  `Grew` is declared when h_sup exceeds
     grow_factor * eps — the certified windows promise existence of bounds,
@@ -353,12 +351,10 @@ def stability_run(spec, v0_shape: ComplexField, eps_list, T: float, *,
         else:
             v0 = ComplexField(grid, v0_shape.values * (eps / shape_h1))
         state = make_decomposed((spec,), v0=v0)
-        state, series = run_decomposed(state, T, dt=dt,
-                                       sample_stride=sample_stride,
-                                       linf_ceiling=linf_ceiling)
+        state, series = run_decomposed(state, config)
         h_sup = float(np.max(series.h))
         if state.status == STATUS_BLOWNUP:
-            status = "BlownUp"
+            status = STATUS_BLOWNUP
         elif eps > 0.0 and h_sup > grow_factor * eps:
             status = f"Grew(ratio={h_sup / eps:.4g})"
         else:
@@ -387,14 +383,14 @@ class TwoWaveSeries:
     product_scale: float      # ||lift f1||_H1 * ||lift f2||_H1 at t=0
 
 
-def two_wave_run(spec1: PlaneWaveSpec, spec2: PlaneWaveSpec, T: float, *,
-                 dt: float = 1e-3, sample_stride: int = 10) -> TwoWaveSeries:
+def two_wave_run(spec1: PlaneWaveSpec, spec2: PlaneWaveSpec,
+                 config: RunConfig) -> TwoWaveSeries:
     """Evolve u = lift(f1) + lift(f2) fully, the profiles independently,
     and report the interaction remainder in H1.
 
-    This is `run_decomposed` of the state with both waves: the remainder
-    is its v, and the run's blow-up rule is that of every decomposed run.
-    The initial lifts are read only to form `product_scale` and u, and
+    This is `run_decomposed` of the state with both waves under `config`:
+    the remainder is its v, and the run's blow-up rule is that of every
+    decomposed run.  The initial lifts are read only to form `product_scale` and u, and
     are freed before the march."""
     for s in (spec1, spec2):
         if not isinstance(s, PlaneWaveSpec):
@@ -403,8 +399,7 @@ def two_wave_run(spec1: PlaneWaveSpec, spec2: PlaneWaveSpec, T: float, *,
         raise ValueError("profiles must travel at distinct speeds")
     h1, h2 = (norms(ComplexField(spec.grid, lift_structured(
         spec, spec.f0, 0.0))).h1 for spec in (spec1, spec2))
-    state, series = run_decomposed(make_decomposed((spec1, spec2)),
-                                   T, dt=dt, sample_stride=sample_stride)
+    state, series = run_decomposed(make_decomposed((spec1, spec2)), config)
     return TwoWaveSeries(
         t=series.t, remainder=series.h,
         status=STATUS_BLOWNUP if state.status == STATUS_BLOWNUP

@@ -82,6 +82,7 @@ def harmonic_saddle_potential(grid: Grid, k: float) -> np.ndarray:
 
 @dataclass
 class RunConfig:
+    """The one owner of the march settings, which every solver takes."""
     t_end: float
     dt0: float = 1e-3
     adapt: bool = False

@@ -227,7 +227,6 @@ class RadialTrajectory:
 @dataclass
 class RadialRunResult:
     profile: RadialProfile
-    trajectory: RadialTrajectory | None     # None when samples were handed on
     status: str
     t_detect: float | None
     steps: int
@@ -355,28 +354,24 @@ class _CrankNicolsonHalf:
         return b
 
 
-def solve_radial(profile: RadialProfile, dt: float, t_end: float, *,
-                 adapt: bool = False, linf_ceiling: float | None = None,
-                 sample_stride: int = 10,
+def solve_radial(profile: RadialProfile, config: RunConfig, *,
                  on_sample: Callable[[float, np.ndarray], None] | None = None,
                  ) -> RadialRunResult:
-    """March a radial profile to t_end with Strang splitting: half a
-    Crank-Nicolson linear step, the exact pointwise nonlinear phase (the
+    """March a radial profile to config.t_end with Strang splitting: half
+    a Crank-Nicolson linear step, the exact pointwise nonlinear phase (the
     phase map of the evolution module), and another linear half step.
 
     Both signs run the same step: sign=-1 only flips the sign of the
     Laplacian in the Crank-Nicolson map.  Blow-up is a recorded outcome,
     as in the full-dimensional solver.
 
-    Each sample (see `march`) goes to `on_sample(t, values)`, values being
-    the solver's own array, which a hook that keeps it must copy; the
-    result then has no trajectory, and the run holds the profile, the
-    Crank-Nicolson factors and what the hook keeps (a `ConcentrationScan`
-    keeps one sup per radius per sample).  Without a hook every sample is
-    copied into `result.trajectory`, n complex values each.
+    Each sample (see `march`) goes to `on_sample(t, values)` when a hook
+    is given, values being the solver's own array, which a hook that
+    keeps it must copy (`RadialTrajectory(profile.r).append` does).  The
+    run holds the profile, the Crank-Nicolson factors and what the hook
+    keeps (a `ConcentrationScan` keeps one sup per radius per sample).
     """
-    config = RunConfig(t_end=t_end, dt0=dt, adapt=adapt,
-                       linf_ceiling=linf_ceiling, sample_stride=sample_stride)
+    t_end = config.t_end
     if t_end < profile.t:
         raise ValueError("radial runs only march forward in time")
 
@@ -385,10 +380,6 @@ def solve_radial(profile: RadialProfile, dt: float, t_end: float, *,
     s, lam, sigma = profile.sign, profile.lam, profile.sigma
     vals = profile.values.copy()
     sup = float(np.max(np.abs(vals)))
-    traj = None
-    if on_sample is None:
-        traj = RadialTrajectory(profile.r)
-        on_sample = traj.append
     cn, built_dt = None, None
     mag = np.empty(len(vals[act]))
 
@@ -406,14 +397,15 @@ def solve_radial(profile: RadialProfile, dt: float, t_end: float, *,
         return sup
 
     def record(m: MarchState) -> float:
-        on_sample(t_end if m.status == STATUS_DONE else m.t, vals)
+        if on_sample is not None:
+            on_sample(t_end if m.status == STATUS_DONE else m.t, vals)
         return sup
 
     m = march(profile.t, config, sigma, step, record)
     t = t_end if m.status == STATUS_DONE else m.t
     return RadialRunResult(profile=profile.with_values(vals, t=t),
-                           trajectory=traj, status=m.status,
-                           t_detect=m.t_detect, steps=m.steps)
+                           status=m.status, t_detect=m.t_detect,
+                           steps=m.steps)
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,8 @@ from .fields import (ComplexField, Grid, GridError, _field_sums, _is_pow2,
                      gaussian_field, harmonic_field, hnls_alpha, l2_norm,
                      norms, random_smooth_field)
 from .observables import _AUDIT_SAMPLES, verify_conservation
-from .evolution import (STATUS_DONE, EvolutionProblem, RunConfig,
-                        _fixed_dt_samples, run)
+from .evolution import (STATUS_BLOWNUP, STATUS_DONE, EvolutionProblem,
+                        RunConfig, _fixed_dt_samples, run)
 from .artifacts import (RunManifest, save_series_csv, write_json,
                         write_snapshot)
 
@@ -341,6 +341,14 @@ def _run_config(run: dict) -> RunConfig:
                      sample_stride=run["sample_stride"])
 
 
+def _march_config(block: dict) -> RunConfig:
+    """The `RunConfig` of a block's march keys: t_end, dt, sample_stride
+    and, where the block has it, linf_ceiling."""
+    return RunConfig(t_end=block["t_end"], dt0=block["dt"],
+                     linf_ceiling=block.get("linf_ceiling"),
+                     sample_stride=block["sample_stride"])
+
+
 def _runnable(errors, where, run):
     """The run section's `RunConfig`, or None with its problem reported."""
     try:
@@ -409,9 +417,7 @@ def _radial_rules(errors, where, block):
                   f"{block['r_max']!r} over n = {block['n']} nodes gives "
                   f"Crank-Nicolson entries at dt = {block['dt']!r} that "
                   f"are not finite")
-    samples = _fixed_dt_samples(RunConfig(
-        t_end=block["t_end"], dt0=block["dt"],
-        sample_stride=block["sample_stride"]))
+    samples = _fixed_dt_samples(_march_config(block))
     if block["concentration_eps"] and samples < _SCAN_SAMPLES:
         _fail(errors, f"{where}.concentration_eps",
               f"the concentration scan needs at least {_SCAN_SAMPLES} "
@@ -886,11 +892,12 @@ def _exp_semiclassical(cfg, out) -> str:
                                      "a": state.a, "b": state.b,
                                      "f": state.f, "g": state.g})
     out.snapshot("final.snap", psi)
-    out.json("semiclassical.json", {"status": "Done", "defect": spec.defect,
+    out.json("semiclassical.json", {"status": STATUS_DONE,
+                                    "defect": spec.defect,
                                     "truncated": state.truncated,
                                     "singular_time": state.singular_time,
                                     "reached_t": float(state.t[-1])})
-    return "Done"
+    return STATUS_DONE
 
 
 def _radial_profile(cfg):
@@ -917,11 +924,8 @@ def _exp_radial(cfg, out) -> str:
     prof = _radial_profile(cfg)
     eps = b["concentration_eps"]
     scan = ConcentrationScan(prof.r, eps) if eps else None
-    result = solve_radial(prof, b["dt"], b["t_end"],
-                          sample_stride=b["sample_stride"],
-                          linf_ceiling=b["linf_ceiling"],
-                          on_sample=_ignore_sample if scan is None
-                          else scan.add)
+    result = solve_radial(prof, _march_config(b),
+                          on_sample=None if scan is None else scan.add)
     out.radial("radial_final.csv", result.profile)
     payload = {"status": result.status, "t_detect": result.t_detect,
                "steps": result.steps,
@@ -938,10 +942,6 @@ def _exp_radial(cfg, out) -> str:
                                     "increasing": list(report.increasing)}
     out.json("radial.json", payload)
     return result.status
-
-
-def _ignore_sample(t, values) -> None:
-    """`solve_radial`'s sample hook of a run that scans nothing."""
 
 
 def _exp_transform_check(cfg, out) -> str:
@@ -964,13 +964,13 @@ def _exp_transform_check(cfg, out) -> str:
     g_dev = (None if g_ref is None
              else float(np.max(np.abs(state.g - g_ref))))
     out.json("transform_check.json", {
-        "status": "Done", "a0": a0, "k": k, "d": b["d"],
+        "status": STATUS_DONE, "a0": a0, "k": k, "d": b["d"],
         "truncated": state.truncated, "singular_time": state.singular_time,
         "b_closed_form_dev": b_dev, "g_closed_form_dev": g_dev,
         # a collapse can leave too few samples to difference
         "constraints": (constraint_residuals(state)
                         if len(t) >= _RESIDUAL_SAMPLES else None)})
-    return "Done"
+    return STATUS_DONE
 
 
 def _exp_stability(cfg, out) -> str:
@@ -984,10 +984,7 @@ def _exp_stability(cfg, out) -> str:
     b = cfg.block
     shape = _field_from_block(b["shape"], cfg.grid, cfg.seed)
     reports = stability_run(cfg.waves["stability"], shape, b["eps"],
-                            b["t_end"], dt=b["dt"],
-                            sample_stride=b["sample_stride"],
-                            grow_factor=b["grow_factor"],
-                            linf_ceiling=b["linf_ceiling"])
+                            _march_config(b), grow_factor=b["grow_factor"])
     for i, rep in enumerate(reports):
         series = f"stability_eps{i}.csv"
         out.series(series, {"t": rep.t, "h": rep.h_series,
@@ -995,16 +992,14 @@ def _exp_stability(cfg, out) -> str:
                             "grad_phi_sup": rep.grad_phi_sup})
         out.json(f"stability_eps{i}.json",
                  {**rep.payload(), "series": series})
-    return "Done"
+    return STATUS_DONE
 
 
 def _exp_two_wave(cfg, out) -> str:
     """Interaction remainder of two plane waves at distinct speeds."""
     from .coupled import two_wave_run
-    b = cfg.block
     first, second = cfg.waves.values()
-    series = two_wave_run(first, second, b["t_end"], dt=b["dt"],
-                          sample_stride=b["sample_stride"])
+    series = two_wave_run(first, second, _march_config(cfg.block))
     out.series("two_wave.csv", {"t": series.t,
                                 "remainder": series.remainder})
     out.json("two_wave.json", {
@@ -1113,4 +1108,4 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> int:
     for path in out.paths:
         manifest.add_output(outdir, path)
     manifest.write(os.path.join(outdir, "manifest.json"))
-    return 0 if status in ("Done", "BlownUp") else 1
+    return 0 if status in (STATUS_DONE, STATUS_BLOWNUP) else 1

@@ -122,14 +122,17 @@ def integrate_transform_odes(a0: float, k: float, d: int,
         raise TransformError(f"max_step must be finite and > 0, "
                              f"got {max_step}")
 
-    a, q, lb, g = float(a0), 4.0 * k - a0 ** 2, 0.0, 0.0
+    # Python floats throughout, so an overflow raises OverflowError here
+    # instead of turning into numpy warnings
+    a0, k = float(a0), float(k)
+    a, q, lb, g = a0, 4.0 * k - a0 ** 2, 0.0, 0.0
     ta, tb, tlb, tg = [a], [1.0], [0.0], [0.0]
     truncated = False
     n_done = 1
     for i in range(len(t_grid) - 1):
         dt = t_grid[i + 1] - t_grid[i]
         nsub = max(1, int(math.ceil(dt / max_step)))
-        h = dt / nsub
+        h = float(dt) / nsub
         ok = True
         for _ in range(nsub):
             try:
@@ -171,7 +174,7 @@ def integrate_transform_odes(a0: float, k: float, d: int,
     if np.any(np.diff(g_arr) <= 0):
         raise TransformError("integration produced a non-increasing g")
     singular = _estimate_singular_time(t_arr, b_arr) if truncated else None
-    return TransformState(a0=float(a0), k=float(k), d=d, t=t_arr,
+    return TransformState(a0=a0, k=k, d=d, t=t_arr,
                           a=np.array(ta), b=b_arr, f=f_arr, g=g_arr,
                           truncated=truncated, singular_time=singular)
 

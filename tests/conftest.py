@@ -5,8 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hnlslab import (PlaneWaveSpec, StandingWaveSpec, gaussian_field,
-                     shoot_ground_state, stability_run)
+from hnlslab import (PlaneWaveSpec, RunConfig, StandingWaveSpec,
+                     gaussian_field, shoot_ground_state, stability_run)
 from hnlslab.fields import Grid
 
 
@@ -59,7 +59,7 @@ def _quintic_sweep(spec):
                            center=(3.0, -2.0))
     eps = (1e-3, 5e-4, 2.5e-4)
     start = time.monotonic()
-    reports = stability_run(spec, shape, eps, 5.0)
+    reports = stability_run(spec, shape, eps, RunConfig(5.0))
     return SimpleNamespace(spec=spec, eps=eps, reports=reports,
                            elapsed=time.monotonic() - start)
 

@@ -20,6 +20,7 @@ from hnlslab import (
     FieldTrajectory,
     Grid,
     PlaneWaveSpec,
+    RadialTrajectory,
     RunConfig,
     STATUS_BLOWNUP,
     STATUS_DONE,
@@ -299,11 +300,11 @@ def test_08_decomposed_flow_dual_path_and_fixed_point():
     grid = hnls_grid()
     spec = _plane_spec()
     v0 = _seed(grid, amplitude=0.05)
-    a, _ = run_decomposed(make_decomposed((spec,), v0=v0), 0.2)
-    b, _ = run_decomposed(make_decomposed((spec,), v0=v0), 0.2,
+    a, _ = run_decomposed(make_decomposed((spec,), v0=v0), RunConfig(0.2))
+    b, _ = run_decomposed(make_decomposed((spec,), v0=v0), RunConfig(0.2),
                           stepper=step_perturbation)
     agree = _diff_h1(a.v, b.v)
-    _, series = run_decomposed(make_decomposed((spec,)), 2.0)
+    _, series = run_decomposed(make_decomposed((spec,)), RunConfig(2.0))
     quiet = float(np.max(series.h))
     _check("08 subtraction vs perturbation steppers, zero seed inert",
            norms(a.v).h1 > 1e-3 and agree < 1e-5 and quiet < 1e-9,
@@ -340,8 +341,8 @@ def test_10_standing_wave_counterpart(standing_quintic_sweep):
     grid = hnls_grid()
     spec = _standing_spec()
     v0 = _seed(grid, amplitude=0.05)
-    a, _ = run_decomposed(make_decomposed((spec,), v0=v0), 0.2)
-    b, _ = run_decomposed(make_decomposed((spec,), v0=v0), 0.2,
+    a, _ = run_decomposed(make_decomposed((spec,), v0=v0), RunConfig(0.2))
+    b, _ = run_decomposed(make_decomposed((spec,), v0=v0), RunConfig(0.2),
                           stepper=step_perturbation)
     agree = _diff_h1(a.v, b.v)
     eps, reports = standing_quintic_sweep.eps, standing_quintic_sweep.reports
@@ -361,13 +362,14 @@ def test_10_standing_wave_counterpart(standing_quintic_sweep):
 def test_11_radial_collapse_concentration_and_trace_jump(ground_state):
     focus = make_radial_profile(1024, 15.0, lambda r: 3.5 * np.exp(-r * r),
                                 lam=1.0, sigma=2.0)
-    res = solve_radial(focus, 2e-3, 1.0, adapt=True, linf_ceiling=60.0,
-                       sample_stride=5)
-    scan = concentration_scan(res.trajectory, [0.1, 0.2, 0.4])
+    collapse = RunConfig(1.0, dt0=2e-3, adapt=True, linf_ceiling=60.0,
+                         sample_stride=5)
+    traj = RadialTrajectory(focus.r)
+    res = solve_radial(focus, collapse, on_sample=traj.append)
+    scan = concentration_scan(traj, [0.1, 0.2, 0.4])
     defocus = make_radial_profile(1024, 15.0, lambda r: 3.5 * np.exp(-r * r),
                                   lam=-1.0, sigma=2.0)
-    res_d = solve_radial(defocus, 2e-3, 1.0, adapt=True, linf_ceiling=60.0,
-                         sample_stride=5)
+    res_d = solve_radial(defocus, collapse)
 
     def chirped(r):
         return 1.5 * np.exp(-r * r) * np.exp(-0.25j * r * r)
@@ -376,8 +378,8 @@ def test_11_radial_collapse_concentration_and_trace_jump(ground_state):
                                sign=-1)
     mirror = make_radial_profile(1024, 20.0, lambda r: np.conj(chirped(r)),
                                  lam=-1.0, sigma=2.0, sign=1)
-    res_c = solve_radial(conj, 1e-3, 0.5)
-    res_m = solve_radial(mirror, 1e-3, 0.5)
+    res_c = solve_radial(conj, RunConfig(0.5))
+    res_m = solve_radial(mirror, RunConfig(0.5))
     conj_dev = float(np.max(np.abs(res_c.profile.values
                                    - np.conj(res_m.profile.values))))
 
@@ -386,7 +388,6 @@ def test_11_radial_collapse_concentration_and_trace_jump(ground_state):
     gs = ground_state
     Q = CubicSpline(gs.r, gs.values)
     rgrid = np.linspace(0.0, 25.0, 2048)
-    from hnlslab import RadialTrajectory
 
     def w_at(t):
         arg = rgrid / (1 - t)

@@ -904,6 +904,20 @@ def test_transform_check_records_a_collapse_before_three_samples(tmp_path):
     assert report["constraints"] is None
 
 
+def test_transform_check_overflow_is_a_truncation_not_a_warning(tmp_path):
+    # k = 1e300 overflows the first RK4 step: the run truncates at t = 0
+    # and raises no RuntimeWarning, which this suite makes an error
+    cfg_path = tmp_path / "overflow.json"
+    cfg_path.write_text(_transform_cfg(k=1e300, t_end=1.0))
+    out = tmp_path / "out"
+    assert cli_main(["transform-check", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+    assert _manifest(out)["status"] == "Done"
+    report = json.loads((out / "transform_check.json").read_text())
+    assert report["truncated"]
+    assert report["constraints"] is None
+
+
 def test_radial_blowup_before_the_scan_records_why(tmp_path):
     # the sup starts at 1 above the ceiling: BlownUp after 1 step, with 2
     # of the 5 samples the concentration scan needs

@@ -17,6 +17,7 @@ from hnlslab import (
     Grid,
     GridError,
     PlaneWaveSpec,
+    RunConfig,
     STATUS_BLOWNUP,
     STATUS_RUNNING,
     StabilityReport,
@@ -142,7 +143,7 @@ def test_finished_state_is_inert():
     assert step_decomposed(dead, 1e-3) is dead
     assert step_perturbation(dead, 1e-3) is dead
     with pytest.raises(ValueError):
-        run_decomposed(base, -1.0)
+        run_decomposed(base, RunConfig(-1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +159,8 @@ def test_finished_state_is_inert():
 def test_dual_path_agreement_plane_wave(specs):
     grid = hnls_grid()
     v0 = _seed(grid)
-    a, _ = run_decomposed(make_decomposed(specs, v0=v0), 0.2)
-    b, _ = run_decomposed(make_decomposed(specs, v0=v0), 0.2,
+    a, _ = run_decomposed(make_decomposed(specs, v0=v0), RunConfig(0.2))
+    b, _ = run_decomposed(make_decomposed(specs, v0=v0), RunConfig(0.2),
                           stepper=step_perturbation)
     assert norms(a.v).h1 > 1e-3          # the perturbation is alive
     assert _diff_h1(a.v, b.v) < 1e-5     # measured 1.0e-12 and 1.4e-12
@@ -169,8 +170,8 @@ def test_dual_path_agreement_standing_wave():
     grid = hnls_grid()
     spec = _standing_spec()
     v0 = _seed(grid)
-    a, _ = run_decomposed(make_decomposed((spec,), v0=v0), 0.2)
-    b, _ = run_decomposed(make_decomposed((spec,), v0=v0), 0.2,
+    a, _ = run_decomposed(make_decomposed((spec,), v0=v0), RunConfig(0.2))
+    b, _ = run_decomposed(make_decomposed((spec,), v0=v0), RunConfig(0.2),
                           stepper=step_perturbation)
     assert _diff_h1(a.v, b.v) < 1e-5     # measured 9e-10
 
@@ -179,14 +180,16 @@ def test_zero_perturbation_is_fixed_point_plane():
     # v0 = 0 must stay 0: the full field and the lifted profile march in
     # lockstep.  |c| = 1 keeps the lift an exact index gather, so the only
     # debris is the (identical) time-stepping of both paths.
-    state, series = run_decomposed(make_decomposed((_plane_spec(),)), 2.0)
+    state, series = run_decomposed(make_decomposed((_plane_spec(),)),
+                                   RunConfig(2.0))
     assert state.status == STATUS_RUNNING
     assert abs(state.t - 2.0) < 1e-9
     assert float(np.max(series.h)) < 1e-9    # measured 2e-11
 
 
 def test_zero_perturbation_is_fixed_point_standing():
-    _, series = run_decomposed(make_decomposed((_standing_spec(),)), 2.0)
+    _, series = run_decomposed(make_decomposed((_standing_spec(),)),
+                               RunConfig(2.0))
     assert float(np.max(series.h)) < 1e-9    # measured 3e-12
 
 
@@ -198,8 +201,8 @@ def test_perturbation_stepper_reduces_to_plain_solver():
                          c=(1.0,), lam=1.0, sigma=2.0, grid=BOX)
     v0 = gaussian_field(grid, amplitude=0.5, width=3.0)
     problem = EvolutionProblem(grid, lam=1.0, sigma=2.0)
-    state, _ = run_decomposed(make_decomposed((spec,), v0=v0), 0.1,
-                              stepper=step_perturbation)
+    state, _ = run_decomposed(make_decomposed((spec,), v0=v0),
+                              RunConfig(0.1), stepper=step_perturbation)
     su = StepperState(field=v0, dt=1e-3)
     for _ in range(100):
         su = step_strang(su, problem)
@@ -210,12 +213,13 @@ def test_perturbation_stepper_is_second_order():
     grid = hnls_grid()
     spec = _plane_spec()
     v0 = _seed(grid, amplitude=0.2)
-    ref, _ = run_decomposed(make_decomposed((spec,), v0=v0), 0.2,
-                            dt=1e-4)
+    ref, _ = run_decomposed(make_decomposed((spec,), v0=v0),
+                            RunConfig(0.2, dt0=1e-4))
     errs = []
     for dt in (2e-3, 1e-3, 5e-4):
-        s, _ = run_decomposed(make_decomposed((spec,), v0=v0), 0.2,
-                              dt=dt, stepper=step_perturbation)
+        s, _ = run_decomposed(make_decomposed((spec,), v0=v0),
+                              RunConfig(0.2, dt0=dt),
+                              stepper=step_perturbation)
         errs.append(_diff_h1(s.v, ref.v))
     assert all(e > 1e-12 for e in errs)      # above the reference floor
     assert np.log2(errs[0] / errs[1]) > 1.9
@@ -287,7 +291,8 @@ def test_stability_zero_eps_measures_grid_debris():
     grid = hnls_grid()
     spec = PlaneWaveSpec(f0=_bump(4.0, amplitude=0.4),
                          c=(2.0,), lam=1.0, sigma=4.0, grid=BOX)
-    reports = stability_run(spec, _seed(grid, amplitude=1.0), (0.0,), 5.0)
+    reports = stability_run(spec, _seed(grid, amplitude=1.0), (0.0,),
+                            RunConfig(5.0))
     assert reports[0].status == "Bounded"
     assert reports[0].h_series[0] == 0.0
     assert reports[0].h_sup < 1e-4           # measured 1.8e-5
@@ -315,8 +320,8 @@ def test_stability_detects_blowup():
     f0 = gaussian_field(fine, amplitude=2.2, width=1.2).values
     grid = Grid((64, 64), (40.0, 80.0), (1.0, -1.0))
     spec = PlaneWaveSpec(f0=f0, c=(0.5,), lam=1.0, sigma=4.0, grid=grid)
-    reports = stability_run(spec, _seed(grid, amplitude=1.0), (1e-3,), 0.5,
-                            linf_ceiling=5.0)
+    reports = stability_run(spec, _seed(grid, amplitude=1.0), (1e-3,),
+                            RunConfig(0.5, linf_ceiling=5.0))
     r = reports[0]
     assert r.status == "BlownUp"
     assert not r.in_regime
@@ -333,7 +338,7 @@ def test_stability_negative_eps_rejected(monkeypatch):
     grid = hnls_grid()
     for eps in ((-1e-3,), (1e-3, -1e-3), (np.nan,), (np.inf,), (-np.inf,)):
         with pytest.raises(ValueError, match="eps"):
-            stability_run(_plane_spec(), _seed(grid), eps, 0.1)
+            stability_run(_plane_spec(), _seed(grid), eps, RunConfig(0.1))
     assert runs == []
 
 
@@ -343,8 +348,8 @@ def test_stability_reports_growth_past_the_factor():
     grid = hnls_grid()
     spec = PlaneWaveSpec(f0=_bump(4.0, amplitude=0.4),
                          c=(2.0,), lam=1.0, sigma=4.0, grid=BOX)
-    rep, = stability_run(spec, _seed(grid, amplitude=1.0), (1e-3,), 0.5,
-                         dt=1e-2, grow_factor=0.5)
+    rep, = stability_run(spec, _seed(grid, amplitude=1.0), (1e-3,),
+                         RunConfig(0.5, dt0=1e-2), grow_factor=0.5)
     ratio = rep.h_sup / 1e-3
     assert ratio >= 1.0 - 1e-12
     assert rep.status == f"Grew(ratio={ratio:.4g})"
@@ -392,7 +397,7 @@ def test_two_wave_interaction_stays_localized():
     s1 = _plane_spec(c=(1.0,))
     s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
                        lam=1.0, sigma=2.0, grid=BOX)
-    out = two_wave_run(s1, s2, 1.0)
+    out = two_wave_run(s1, s2, RunConfig(1.0))
     assert out.status == "Done"
     assert out.remainder[0] < 1e-12          # u0 is exactly the two lifts
     assert 1e-3 < float(np.max(out.remainder)) < out.product_scale
@@ -419,8 +424,8 @@ def test_two_wave_run_frees_its_lifts_before_the_march(monkeypatch):
     monkeypatch.setattr(coupled, "march", traced_march)
     s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
                        lam=1.0, sigma=2.0, grid=BOX)
-    out = two_wave_run(_plane_spec(c=(1.0,)), s2, 0.05, dt=1e-2,
-                       sample_stride=1)
+    out = two_wave_run(_plane_spec(c=(1.0,)), s2,
+                       RunConfig(0.05, dt0=1e-2, sample_stride=1))
     assert out.status == "Done"
     # product_scale's two lifts and u0's two, each freed before the march
     assert len(alive) == 1 and len(alive[0]) >= 2
@@ -486,7 +491,7 @@ def test_two_wave_band_step_stays_within_the_march_peak(monkeypatch):
               for c in ((1.0, 0.0), (0.0, -1.0)))
     tracemalloc.start()
     try:
-        out = two_wave_run(s1, s2, 5e-3, dt=1e-3, sample_stride=5)
+        out = two_wave_run(s1, s2, RunConfig(5e-3, sample_stride=5))
         peaks["band"] = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -498,27 +503,27 @@ def test_two_wave_symmetry_and_degenerate_cases():
     s1 = _plane_spec(c=(1.0,))
     s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
                        lam=1.0, sigma=2.0, grid=BOX)
-    a = two_wave_run(s1, s2, 0.5)
-    b = two_wave_run(s2, s1, 0.5)
+    a = two_wave_run(s1, s2, RunConfig(0.5))
+    b = two_wave_run(s2, s1, RunConfig(0.5))
     assert np.allclose(a.remainder, b.remainder, rtol=0.0, atol=1e-10)
     assert abs(a.product_scale - b.product_scale) < 1e-9
 
     # a vanishing partner reduces the run to single-wave debris
     s2z = PlaneWaveSpec(f0=np.zeros(64, dtype=complex),
                         c=(-1.0,), lam=1.0, sigma=2.0, grid=BOX)
-    out = two_wave_run(s1, s2z, 0.5)
-    _, series = run_decomposed(make_decomposed((s1,)), 0.5)
+    out = two_wave_run(s1, s2z, RunConfig(0.5))
+    _, series = run_decomposed(make_decomposed((s1,)), RunConfig(0.5))
     assert np.allclose(out.remainder, series.h, rtol=0.0, atol=1e-10)
 
 
 def test_two_wave_rejects_bad_pairs():
     s1 = _plane_spec(c=(1.0,))
     with pytest.raises(ValueError):
-        two_wave_run(s1, _plane_spec(c=(1.0,), width=2.0), 0.1)
+        two_wave_run(s1, _plane_spec(c=(1.0,), width=2.0), RunConfig(0.1))
     with pytest.raises(ValueError):
-        two_wave_run(s1, _plane_spec(c=(-1.0,), lam=-1.0), 0.1)
+        two_wave_run(s1, _plane_spec(c=(-1.0,), lam=-1.0), RunConfig(0.1))
     with pytest.raises(TypeError):
-        two_wave_run(s1, _standing_spec(), 0.1)
+        two_wave_run(s1, _standing_spec(), RunConfig(0.1))
 
 
 def test_two_wave_remainder_at_t0_is_v0():
@@ -528,9 +533,10 @@ def test_two_wave_remainder_at_t0_is_v0():
     s1 = _plane_spec(c=(1.0,))
     s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
                        lam=1.0, sigma=2.0, grid=BOX)
-    assert two_wave_run(s1, s2, 0.02).remainder[0] == 0.0
+    assert two_wave_run(s1, s2, RunConfig(0.02)).remainder[0] == 0.0
     v0 = _seed(grid)
-    _, series = run_decomposed(make_decomposed((s1, s2), v0), 0.02)
+    _, series = run_decomposed(make_decomposed((s1, s2), v0),
+                               RunConfig(0.02))
     assert series.h[0] == norms(v0).h1
 
 
@@ -538,18 +544,37 @@ def test_two_wave_remainder_at_t0_is_v0():
 # the march policy shared with the full solver
 
 def test_decomposed_and_two_wave_reject_non_finite_times():
-    # a NaN end time used to return Running (decomposed) or Done at t=0
+    # a NaN end time used to return Running (decomposed) or Done at t=0;
+    # the run's RunConfig refuses it
     s1 = _plane_spec(c=(1.0,))
     s2 = _plane_spec(c=(-1.0,), width=2.5)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
-            run_decomposed(make_decomposed((s1,)), bad)
+            run_decomposed(make_decomposed((s1,)), RunConfig(bad))
         with pytest.raises(ValueError):
-            two_wave_run(s1, s2, bad)
+            two_wave_run(s1, s2, RunConfig(bad))
     with pytest.raises(ValueError):
-        run_decomposed(make_decomposed((s1,)), 0.1, dt=np.nan)
+        run_decomposed(make_decomposed((s1,)), RunConfig(0.1, dt0=np.nan))
     with pytest.raises(ValueError):
-        two_wave_run(s1, s2, 0.1, dt=0.0)
+        two_wave_run(s1, s2, RunConfig(0.1, dt0=0.0))
+
+
+def test_decomposed_runs_refuse_an_adaptive_config(monkeypatch):
+    # the carried march has no test with a changing step, so every
+    # decomposed run takes a fixed one; the refusal comes before the march
+    s1 = _plane_spec(c=(1.0,))
+    s2 = _plane_spec(c=(-1.0,), width=2.5)
+    monkeypatch.setattr(coupled, "march", None)
+    adaptive = RunConfig(0.1, adapt=True)
+    with pytest.raises(ValueError, match="fixed step"):
+        run_decomposed(make_decomposed((s1,)), adaptive)
+    with pytest.raises(ValueError, match="fixed step"):
+        run_decomposed(make_decomposed((s1,)), adaptive,
+                       stepper=step_decomposed)
+    with pytest.raises(ValueError, match="fixed step"):
+        stability_run(s1, _seed(hnls_grid()), (1e-3,), adaptive)
+    with pytest.raises(ValueError, match="fixed step"):
+        two_wave_run(s1, s2, adaptive)
 
 
 def test_non_finite_perturbation_step_is_recorded_blowup():
@@ -562,8 +587,9 @@ def test_non_finite_perturbation_step_is_recorded_blowup():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         state, series = run_decomposed(
-            make_decomposed((spec,), v0=v0), 1.0, dt=5e-2,
-            stepper=step_perturbation, linf_ceiling=1e300)
+            make_decomposed((spec,), v0=v0),
+            RunConfig(1.0, dt0=5e-2, linf_ceiling=1e300),
+            stepper=step_perturbation)
     assert state.status == STATUS_BLOWNUP
     assert len(series.t) >= 1
     for col in (series.t, series.h, series.phi_sup, series.grad_phi_sup):
@@ -572,7 +598,7 @@ def test_non_finite_perturbation_step_is_recorded_blowup():
 
 def test_completed_decomposed_run_stays_running():
     state, series = run_decomposed(make_decomposed((_plane_spec(),)),
-                                   0.05, sample_stride=4)
+                                   RunConfig(0.05, sample_stride=4))
     assert state.status == STATUS_RUNNING
     assert abs(state.t - 0.05) < 1e-12
     # first sample, every 4th step, and the last
@@ -595,10 +621,10 @@ def test_carried_run_matches_step_decomposed_loop(specs):
     grid = hnls_grid()
     v0 = _seed(grid)
     # 0.0537 / 4e-3 leaves a clipped last step
-    kw = dict(dt=4e-3, sample_stride=5)
-    a, sa = run_decomposed(make_decomposed(specs, v0=v0), 0.0537, **kw)
-    b, sb = run_decomposed(make_decomposed(specs, v0=v0), 0.0537,
-                           stepper=step_decomposed, **kw)
+    config = RunConfig(0.0537, dt0=4e-3, sample_stride=5)
+    a, sa = run_decomposed(make_decomposed(specs, v0=v0), config)
+    b, sb = run_decomposed(make_decomposed(specs, v0=v0), config,
+                           stepper=step_decomposed)
     assert a.status == b.status == STATUS_RUNNING
     assert a.t == b.t
     assert np.array_equal(sa.t, sb.t) and len(sa.t) == 1 + 13 // 5 + 1
@@ -616,7 +642,7 @@ def test_two_wave_run_matches_step_strang_loop():
     s2 = PlaneWaveSpec(f0=_bump(2.5, amplitude=0.5), c=(-1.0,),
                        lam=1.0, sigma=2.0, grid=BOX)
     T, dt, stride = 0.0537, 4e-3, 5
-    out = two_wave_run(s1, s2, T, dt=dt, sample_stride=stride)
+    out = two_wave_run(s1, s2, RunConfig(T, dt0=dt, sample_stride=stride))
 
     problem = EvolutionProblem(grid, lam=1.0, sigma=2.0)
     u = StepperState(field=ComplexField(
@@ -672,7 +698,7 @@ def test_carried_run_fft_and_lift_counts(monkeypatch):
             getattr(spectral, name), lambda a, *rest: a.shape == grid.n))
     monkeypatch.setattr(coupled, "lift_structured",
                         lifts.wrap(coupled.lift_structured))
-    _, series = run_decomposed(state, 0.025, dt=1e-3, sample_stride=10)
+    _, series = run_decomposed(state, RunConfig(0.025))
     n_steps, k = 25, len(series.t)
     assert k == 4                         # samples at steps 0, 10, 20, 25
     assert ffts.calls == 2 * n_steps + 2 * k
@@ -683,10 +709,11 @@ def test_carried_run_leaves_a_blown_up_state_alone():
     grid = hnls_grid()
     base = make_decomposed((_plane_spec(),), v0=_seed(grid))
     dead = replace(base, status=STATUS_BLOWNUP)
-    out, series = run_decomposed(dead, 0.1)
+    out, series = run_decomposed(dead, RunConfig(0.1))
     assert out is dead
     assert list(series.t) == [0.0]
-    ref, ref_series = run_decomposed(dead, 0.1, stepper=step_decomposed)
+    ref, ref_series = run_decomposed(dead, RunConfig(0.1),
+                                     stepper=step_decomposed)
     assert ref is dead and np.array_equal(series.h, ref_series.h)
 
 
@@ -696,10 +723,10 @@ def test_carried_run_under_a_ceiling_its_loose_bound_passes():
     grid = hnls_grid()
     spec = _plane_spec()
     v0 = _seed(grid)
-    kw = dict(dt=4e-3, sample_stride=5, linf_ceiling=1.5)
-    a, sa = run_decomposed(make_decomposed((spec,), v0=v0), 0.0537, **kw)
-    b, sb = run_decomposed(make_decomposed((spec,), v0=v0), 0.0537,
-                           stepper=step_decomposed, **kw)
+    config = RunConfig(0.0537, dt0=4e-3, sample_stride=5, linf_ceiling=1.5)
+    a, sa = run_decomposed(make_decomposed((spec,), v0=v0), config)
+    b, sb = run_decomposed(make_decomposed((spec,), v0=v0), config,
+                           stepper=step_decomposed)
     assert a.status == b.status == STATUS_RUNNING
     assert a.t == b.t == 0.0537
     assert np.array_equal(sa.t, sb.t)
@@ -720,10 +747,10 @@ def test_carried_run_detects_blowup_where_the_stepper_does(partner):
             f0=gaussian_field(fine, amplitude=partner, width=2.0).values,
             c=(-0.5,), lam=1.0, sigma=4.0, grid=grid),)
     v0 = _seed(grid, amplitude=1e-3)
-    a, sa = run_decomposed(make_decomposed(specs, v0=v0), 0.5,
-                           linf_ceiling=5.0)
-    b, sb = run_decomposed(make_decomposed(specs, v0=v0), 0.5,
-                           linf_ceiling=5.0, stepper=step_decomposed)
+    config = RunConfig(0.5, linf_ceiling=5.0)
+    a, sa = run_decomposed(make_decomposed(specs, v0=v0), config)
+    b, sb = run_decomposed(make_decomposed(specs, v0=v0), config,
+                           stepper=step_decomposed)
     assert a.status == b.status == STATUS_BLOWNUP
     assert np.array_equal(sa.t, sb.t)
     assert 0.02 < a.t == b.t < 0.2              # detected at t ~ 0.08

@@ -36,7 +36,7 @@ from hnlslab.radial import (
 )
 from hnlslab import radial
 from hnlslab.artifacts import load_series_csv
-from hnlslab.evolution import STATUS_BLOWNUP, STATUS_DONE
+from hnlslab.evolution import STATUS_BLOWNUP, STATUS_DONE, RunConfig
 from conftest import BAD_NONLINEARITY
 
 # frozen from the shooting oracle (DOP853 classifier, bracket bisection);
@@ -45,12 +45,18 @@ from conftest import BAD_NONLINEARITY
 Q0_CUBIC = 2.2062008646
 
 
+# the adaptive collapse run of the blow-up tests: 2e-3 / (1 + sup^2)
+COLLAPSE = RunConfig(1.0, dt0=2e-3, adapt=True, linf_ceiling=60.0,
+                     sample_stride=5)
+
+
 @pytest.fixture(scope="module")
 def focusing_blowup():
+    """The profile, the run and the run's stored samples."""
     prof = make_radial_profile(1024, 15.0, lambda r: 3.5 * np.exp(-r * r),
                                lam=1.0, sigma=2.0)
-    return prof, solve_radial(prof, 2e-3, 1.0, adapt=True,
-                              linf_ceiling=60.0, sample_stride=5)
+    traj = RadialTrajectory(prof.r)
+    return prof, solve_radial(prof, COLLAPSE, on_sample=traj.append), traj
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +122,8 @@ def test_eigenmode_rotates_at_discrete_rate():
     v = evecs[:, -1] / d
     vals = np.zeros(512, dtype=complex)
     vals[act] = v
-    res = solve_radial(prof.with_values(vals), 1e-3, 1.0, sample_stride=1000)
+    res = solve_radial(prof.with_values(vals),
+                       RunConfig(1.0, sample_stride=1000))
     assert res.steps == 1000
     out = res.profile.values
     assert np.max(np.abs(np.abs(out) - np.abs(vals))) < 1e-8
@@ -137,7 +144,7 @@ def test_constant_interior_follows_the_phase_ode():
         return 1.3 * out
 
     prof = make_radial_profile(1024, 20.0, taper, lam=1.0, sigma=2.0)
-    res = solve_radial(prof, 1e-3, 0.05, sample_stride=50)
+    res = solve_radial(prof, RunConfig(0.05, sample_stride=50))
     inner = prof.r < 6.0
     exact = 1.3 * np.exp(1j * 1.0 * 1.3 ** 2 * 0.05)
     assert np.max(np.abs(res.profile.values[inner] - exact)) < 1e-10
@@ -149,7 +156,7 @@ def test_mass_conserved_to_roundoff():
                                    lambda r: 1.5 * np.exp(-r * r), eps=eps,
                                    lam=1.0, sigma=2.0)
         m0 = radial_mass(prof)
-        res = solve_radial(prof, 1e-3, 1.0, sample_stride=100)
+        res = solve_radial(prof, RunConfig(1.0, sample_stride=100))
         assert res.steps == 1000
         assert abs(radial_mass(res.profile) - m0) / m0 < 1e-10
 
@@ -163,7 +170,7 @@ def test_mass_conserved_for_other_powers(sigma, sign, eps):
         512, 20.0, lambda r: 1.2 * np.exp(-r * r) * np.exp(-0.3j * r * r),
         eps=eps, lam=1.0, sigma=sigma, sign=sign)
     m0 = radial_mass(prof)
-    res = solve_radial(prof, 1e-3, 0.3, sample_stride=100)
+    res = solve_radial(prof, RunConfig(0.3, sample_stride=100))
     assert res.status == STATUS_DONE and res.steps == 300
     assert abs(radial_mass(res.profile) - m0) / m0 < 1e-10
 
@@ -178,8 +185,8 @@ def test_conjugation_identity():
                                sign=-1)
     mirror = make_radial_profile(1024, 20.0, lambda r: np.conj(data(r)),
                                  lam=-1.0, sigma=2.0, sign=1)
-    res = solve_radial(prof, 1e-3, 0.5)
-    res_mirror = solve_radial(mirror, 1e-3, 0.5)
+    res = solve_radial(prof, RunConfig(0.5))
+    res_mirror = solve_radial(mirror, RunConfig(0.5))
     diff = np.max(np.abs(res.profile.values
                          - np.conj(res_mirror.profile.values)))
     assert diff < 1e-10
@@ -188,7 +195,7 @@ def test_conjugation_identity():
 
 
 def test_focusing_negative_energy_blows_up(focusing_blowup):
-    prof, res = focusing_blowup
+    prof, res, _ = focusing_blowup
     assert radial_energy(prof) < 0
     assert res.status == STATUS_BLOWNUP
     # detection must precede the variance-vanishing bound sqrt(V0 / -8E)
@@ -200,38 +207,36 @@ def test_focusing_negative_energy_blows_up(focusing_blowup):
 def test_defocusing_twin_is_global():
     prof = make_radial_profile(1024, 15.0, lambda r: 3.5 * np.exp(-r * r),
                                lam=-1.0, sigma=2.0)
-    res = solve_radial(prof, 2e-3, 1.0, adapt=True, linf_ceiling=60.0,
-                       sample_stride=5)
+    traj = RadialTrajectory(prof.r)
+    res = solve_radial(prof, COLLAPSE, on_sample=traj.append)
     assert res.status == STATUS_DONE
     assert res.profile.t == pytest.approx(1.0)
-    rep = concentration_scan(res.trajectory, [0.1, 0.2, 0.4])
+    rep = concentration_scan(traj, [0.1, 0.2, 0.4])
     assert np.max(rep.series) <= 3.5 * 1.05
     assert not any(rep.increasing)
 
 
 def test_concentration_scan_increases_toward_blowup(focusing_blowup):
-    _, res = focusing_blowup
-    rep = concentration_scan(res.trajectory, [0.1, 0.2, 0.4])
+    _, _, traj = focusing_blowup
+    rep = concentration_scan(traj, [0.1, 0.2, 0.4])
     assert rep.increasing == (True, True, True)
-    assert rep.series.shape == (3, len(res.trajectory))
+    assert rep.series.shape == (3, len(traj))
     assert np.all(rep.series[:, -1] >= 60.0)
 
 
 def test_streamed_scan_matches_the_stored_trajectory_scan(focusing_blowup):
     # the same run scanned as it goes: the report's bits, and the run's,
     # equal those of the stored trajectory's scan
-    prof, res = focusing_blowup
+    prof, res, traj = focusing_blowup
     eps = [0.1, 0.2, 0.4]
     scan = ConcentrationScan(prof.r, eps)
-    streamed = solve_radial(prof, 2e-3, 1.0, adapt=True, linf_ceiling=60.0,
-                            sample_stride=5, on_sample=scan.add)
-    assert streamed.trajectory is None
+    streamed = solve_radial(prof, COLLAPSE, on_sample=scan.add)
     assert (streamed.status, streamed.t_detect, streamed.steps) == (
         res.status, res.t_detect, res.steps)
     assert streamed.profile.values.tobytes() == res.profile.values.tobytes()
-    stored = concentration_scan(res.trajectory, eps)
+    stored = concentration_scan(traj, eps)
     report = scan.report()
-    assert len(scan) == len(res.trajectory)
+    assert len(scan) == len(traj)
     assert report.eps == stored.eps
     assert report.t.tobytes() == stored.t.tobytes()
     assert report.series.tobytes() == stored.series.tobytes()
@@ -239,7 +244,7 @@ def test_streamed_scan_matches_the_stored_trajectory_scan(focusing_blowup):
     assert report.increasing == stored.increasing
     # the rule itself: sup |F| over r < eps of each stored snapshot
     rule = np.array([[np.max(np.abs(v[prof.r < e]))
-                      for v in res.trajectory.values] for e in eps])
+                      for v in traj.values] for e in eps])
     assert report.series.tobytes() == rule.tobytes()
 
 
@@ -263,11 +268,11 @@ def test_concentration_scan_zero_data_and_validation():
 def test_solver_validation():
     prof = make_radial_profile(64, 10.0, lambda r: np.exp(-r * r))
     with pytest.raises(ValueError):
-        solve_radial(prof, -1e-3, 1.0)
+        solve_radial(prof, RunConfig(1.0, dt0=-1e-3))
     with pytest.raises(ValueError):
-        solve_radial(prof, 1e-3, -1.0)
+        solve_radial(prof, RunConfig(-1.0))
     with pytest.raises(ValueError):
-        solve_radial(prof, 1e-3, 1.0, sample_stride=0)
+        solve_radial(prof, RunConfig(1.0, sample_stride=0))
 
 
 def _lapack_path(name, monkeypatch):
@@ -334,11 +339,11 @@ def test_solver_rejects_non_finite_times():
     for dt, t_end in ((1e-3, np.nan), (1e-3, np.inf), (np.nan, 1.0),
                       (np.inf, 1.0)):
         with pytest.raises(ValueError):
-            solve_radial(prof, dt, t_end)
+            solve_radial(prof, RunConfig(t_end, dt0=dt))
     mirrored = make_radial_profile(64, 10.0, lambda r: np.exp(-r * r),
                                    sign=-1)
     with pytest.raises(ValueError):
-        solve_radial(mirrored, 1e-3, np.nan)
+        solve_radial(mirrored, RunConfig(np.nan))
 
 
 def test_trajectory_interface():
