@@ -438,12 +438,12 @@ def semiclassical_field(spec: SemiclassicalSpec, t: float, *,
     The result is formed in one buffer.  At b = 1 that is f A0; otherwise
     A0(x / b) is read off the spec's kept spectrum with one
     `_axis_eval_matrix` per distinct axis (equal axes share it), and f
-    times it is written into the buffer.  The chirp is then taken chunk by
-    chunk (`spectral.streamed`), in place: q as `signature_quadratic` sums
-    it, the phase, its `exp` and the product, the operations of the
-    whole-array formula in its order, so the bits are that formula's.
+    times it is written into the buffer.  The buffer is then multiplied in
+    place by the chirp's factor along each axis in turn
+    (`transforms._chirp_factors`, the shift gamma0 g riding on axis 0), so
+    no complex exp is taken over the whole box.
     """
-    from .transforms import (TransformError, _signature_terms,
+    from .transforms import (TransformError, _chirp_factors,
                              integrate_transform_odes)
     grid = spec.A0.grid
     if state is not None and state.d != grid.d:
@@ -462,9 +462,8 @@ def semiclassical_field(spec: SemiclassicalSpec, t: float, *,
         a_t, b_t, f_t, g_t = state.at(t)
     out = np.multiply(f_t, spec.A0.values if b_t == 1.0
                       else _dilated(spec, b_t), order="C")
-    terms = _signature_terms(grid)
-    spectral.streamed(_chirp, (out, terms[0]), (float, complex), terms[1:],
-                      0.25 * a_t, spec.gamma0 * g_t)
+    for factor in _chirp_factors(grid, a_t, spec.gamma0 * g_t):
+        out *= factor
     return ComplexField(grid, out, t=t)
 
 
@@ -480,19 +479,3 @@ def _dilated(spec: SemiclassicalSpec, b: float) -> np.ndarray:
         if axis not in matrices:
             matrices[axis] = _axis_eval_matrix(grid, j, grid.coords[j] / b)
     return _evaluate_spectrum(spec.spectrum, [matrices[a] for a in axes])
-
-
-def _chirp(u, lead, q, z, rest, scale, shift) -> None:
-    """u *= exp(1j * (scale * q + shift)) on one chunk of rows, through the
-    scratch q and z: q is `signature_quadratic`, summed from zero as it
-    sums it, the axis-0 term `lead` and then the `rest`
-    (`_signature_terms`)."""
-    q.fill(0.0)
-    q += lead
-    for term in rest:
-        q += term
-    np.multiply(scale, q, out=q)
-    q += shift
-    np.multiply(1j, q, out=z)
-    np.exp(z, out=z)
-    u *= z

@@ -10,6 +10,12 @@ trace-jump diagnostic at the cone |x| = |y|, the ground-state shooting
 machinery, and the concentration scan used to localize blow-up at the
 cone.
 
+The solver splits a step as N(h/2) C(h) N(h/2), the exact nonlinear
+phase around a Crank-Nicolson linear step.  The half phases that meet
+between steps are taken as one, so a step makes one phase map and one
+tridiagonal solve, and the half phase a step leaves owed is paid before
+each sample is taken.
+
 The Crank-Nicolson step factors and solves its tridiagonal matrix with
 LAPACK's zgttrf/zgttrs from the library numpy's own linear algebra links,
 reached through ctypes, so a radial run loads nothing new; scipy's
@@ -313,53 +319,66 @@ def _tridiagonal_lapack():
     return _numpy_lapack() or _scipy_lapack()
 
 
-class _CrankNicolsonHalf:
-    """Cayley map approximating exp(i * sign * A * dt/2) on active nodes.
+def _cayley_lhs(triplets, sign: int, dt: float) -> tuple:
+    """(sub, diag, sup) of I - tau A, tau = i sign dt / 2, from A's
+    `_laplacian_triplets`: the matrix the Crank-Nicolson step of size dt
+    factors.  A box whose entries here are not finite cannot be stepped at
+    dt; `runner._radial_rules` refuses it by this same expression."""
+    sub, diag, sup = triplets
+    tau = 0.5j * sign * dt
+    return -tau * sub[1:], 1.0 - tau * diag, -tau * sup[:-1]
 
-    The tridiagonal left-hand matrix is LU-factored once per dt (LAPACK
-    zgttrf, partial pivoting, from `_tridiagonal_lapack`), and each
-    `apply` forms its right-hand side in a buffer kept with the factors
-    and makes one zgttrs solve there, in place.
+
+class _CrankNicolson:
+    """Cayley map C(dt) = (I - tau A)^-1 (I + tau A), tau = i sign dt / 2,
+    approximating exp(i sign A dt) on the active nodes.
+
+    Since I + tau A = 2 I - (I - tau A), C(dt) v = 2 (I - tau A)^-1 v - v:
+    the right-hand side of the solve is v itself.  The matrix
+    (`_cayley_lhs`) is LU-factored once per dt (LAPACK zgttrf, partial
+    pivoting, from `_tridiagonal_lapack`), and each `apply` copies v into a
+    buffer kept with the factors, makes one zgttrs solve there in place,
+    and writes 2 x - v back into v.
     """
 
     def __init__(self, triplets, sign: int, dt: float):
-        sub, diag, sup = triplets
-        th = 0.25j * sign * dt  # (dt/2)/2 enters each side of the Cayley map
         factor, bind = _tridiagonal_lapack()
-        self._lu, info = factor(-th * sub[1:], 1.0 - th * diag,
-                                -th * sup[:-1])
+        self._lu, info = factor(*_cayley_lhs(triplets, sign, dt))
         if info != 0:
             raise ValueError(f"Crank-Nicolson matrix at dt={dt} is "
                              f"singular (zgttrf info={info})")
-        self._rd = 1.0 + th * diag
-        self._ru = th * sup[:-1]
-        self._rs = th * sub[1:]
-        self._b = np.empty_like(self._rd)
-        self._lo, self._hi = self._b[:-1], self._b[1:]
-        self._off = np.empty_like(self._ru)
-        self._solve = bind(self._lu, self._b)
+        self._x = np.empty_like(self._lu[1])
+        self._solve = bind(self._lu, self._x)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """The map of v, in this solver's own buffer, which the next call
-        overwrites; v must not share memory with that buffer."""
-        b, lo, hi, off = self._b, self._lo, self._hi, self._off
-        np.multiply(self._rd, v, b)
-        np.multiply(self._ru, v[1:], off)
-        np.add(lo, off, lo)
-        np.multiply(self._rs, v[:-1], off)
-        np.add(hi, off, hi)
+    def apply(self, v: np.ndarray) -> None:
+        """Map v in place; v must not share memory with the solver's
+        buffer."""
+        x = self._x
+        np.copyto(x, v)
         info = self._solve()
         if info != 0:
             raise ValueError(f"zgttrs refused its arguments (info={info})")
-        return b
+        x += x
+        np.subtract(x, v, out=v)
 
 
 def solve_radial(profile: RadialProfile, config: RunConfig, *,
                  on_sample: Callable[[float, np.ndarray], None] | None = None,
                  ) -> RadialRunResult:
-    """March a radial profile to config.t_end with Strang splitting: half
-    a Crank-Nicolson linear step, the exact pointwise nonlinear phase (the
-    phase map of the evolution module), and another linear half step.
+    """March a radial profile to config.t_end with Strang splitting
+    N(h/2) C(h) N(h/2): half the exact pointwise nonlinear phase (the
+    phase map of the evolution module), a Crank-Nicolson linear step, and
+    another half phase.
+
+    The half phases that meet between two steps are one phase map of the
+    summed angle, so a step is one phase map and one tridiagonal solve:
+    it pays the half phase the step before it left owed, with its own
+    first half, and leaves its second half owed.  The owed phase is paid
+    before each sample is taken, and so before the final or blow-up
+    record; a change of h owes half of the old step plus half of the new
+    one.  The step's sup bound is read after C(h): N keeps |F| pointwise,
+    so that is the sup at the sample.  The scheme is second order,
+    symmetric, and unitary in the weighted norm of `radial_weights`.
 
     Both signs run the same step: sign=-1 only flips the sign of the
     Laplacian in the Crank-Nicolson map.  Blow-up is a recorded outcome,
@@ -375,28 +394,31 @@ def solve_radial(profile: RadialProfile, config: RunConfig, *,
     if t_end < profile.t:
         raise ValueError("radial runs only march forward in time")
 
-    act = _active_slice(len(profile.r), profile.bc_inner)
     trip = _laplacian_triplets(profile.r, profile.bc_inner)
     s, lam, sigma = profile.sign, profile.lam, profile.sigma
     vals = profile.values.copy()
+    # the active nodes, a view: each stage maps them in place, and the
+    # pinned wall nodes stay zero
+    act = vals[_active_slice(len(vals), profile.bc_inner)]
     sup = float(np.max(np.abs(vals)))
-    cn, built_dt = None, None
-    mag = np.empty(len(vals[act]))
+    cn, built_dt, owed = None, None, 0.0
+    mag = np.empty(len(act))
 
     def step(h: float) -> float:
-        # each step writes into the carried vals, whose pinned wall nodes
-        # stay zero; each half step lands in the solver's own buffer
-        nonlocal sup, cn, built_dt
+        nonlocal sup, cn, built_dt, owed
         if h != built_dt:
-            cn, built_dt = _CrankNicolsonHalf(trip, s, h), h
-        a = cn.apply(vals[act])
-        _nonlinear_stage(a, h, lam, sigma)
-        vals[act] = a
-        vals[act] = cn.apply(vals[act])
-        sup = float(np.abs(vals[act], out=mag).max())
+            cn, built_dt = _CrankNicolson(trip, s, h), h
+        _nonlinear_stage(act, owed + 0.5 * h, lam, sigma)
+        cn.apply(act)
+        owed = 0.5 * h
+        sup = float(np.abs(act, out=mag).max())
         return sup
 
     def record(m: MarchState) -> float:
+        nonlocal owed
+        if owed:
+            _nonlinear_stage(act, owed, lam, sigma)
+            owed = 0.0
         if on_sample is not None:
             on_sample(t_end if m.status == STATUS_DONE else m.t, vals)
         return sup

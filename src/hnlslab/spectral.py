@@ -2,12 +2,13 @@
 large transforms and pointwise maps.
 
 `fftn` and `ifftn` transform every axis of an array, and `freq` gives the
-angular wavenumbers of one axis.  An array of fewer than 2 * SPLIT_POINTS
-points, or a process with one CPU, takes numpy's own `fftn`/`ifftn` in one
-call.  A larger array is transformed the way numpy's `fftn` does it, one
-in-place 1-D pass per axis, last axis first, but each pass is cut into
-blocks of rows that run on a thread pool; numpy's pocketfft releases the
-GIL, so the blocks run at once.  Every line goes through the same 1-D call
+angular wavenumbers of one axis.  A 1-D array takes numpy's `fft`/`ifft`,
+and any other array of fewer than 2 * SPLIT_POINTS points, or on a process
+with one CPU, numpy's own `fftn`/`ifftn`, in one call.  A larger array is
+transformed the way numpy's `fftn` does it, one in-place 1-D pass per
+axis, last axis first, but each pass is cut into blocks of rows that run
+on a thread pool; numpy's pocketfft releases the GIL, so the blocks run
+at once.  Every line goes through the same 1-D call
 either way, so the output is bit for bit numpy's whatever the number of
 workers.  `ifft_along` is one such pass on its own, the partial inverse
 transform along one axis.  `pointwise` cuts an in-place elementwise map
@@ -80,17 +81,24 @@ def blocks(size: int) -> int:
 
 
 def fftn(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """numpy.fft.fftn(a, out=out) over every axis of a."""
+    """numpy.fft.fftn(a, out=out) over every axis of a; a 1-D array goes
+    straight to numpy.fft.fft, the same pocketfft call without fftn's
+    axis handling."""
+    if a.ndim == 1:
+        return np.fft.fft(a, out=out)
     nb = blocks(a.size)
-    if nb == 1 or a.ndim == 1:
+    if nb == 1:
         return np.fft.fftn(a, out=out)
     return _split_passes(np.fft.fft, a, out, nb)
 
 
 def ifftn(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """numpy.fft.ifftn(a, out=out) over every axis of a."""
+    """numpy.fft.ifftn(a, out=out) over every axis of a; a 1-D array goes
+    straight to numpy.fft.ifft."""
+    if a.ndim == 1:
+        return np.fft.ifft(a, out=out)
     nb = blocks(a.size)
-    if nb == 1 or a.ndim == 1:
+    if nb == 1:
         return np.fft.ifftn(a, out=out)
     return _split_passes(np.fft.ifft, a, out, nb)
 

@@ -252,6 +252,19 @@ def _signature_terms(grid: Grid) -> list:
             for j, w in enumerate(grid.signature_weights)]
 
 
+def _chirp_factors(grid: Grid, a: float, shift: float = 0.0) -> list:
+    """exp(i (a q(x) / 4 + shift)) as one factor along each axis, whose
+    product over the box is the chirp: exp(i (a/4 w_0 x_0^2 + shift))
+    along axis 0 and exp(i a/4 w_j x_j^2) along each other axis, the
+    terms w_j x_j^2 being `_signature_terms`.  Multiplying a field by them
+    in turn costs one complex exp per node of each axis, not per point of
+    the box."""
+    scale = 0.25 * a
+    first, *rest = _signature_terms(grid)
+    return ([np.exp(1j * (scale * first + shift))]
+            + [np.exp(1j * (scale * term)) for term in rest])
+
+
 def apply_pct(u_sampler, state: TransformState, t: float,
               grid: Grid) -> ComplexField:
     """Evaluate the pseudo-conformal image v(t, .) on `grid`.
@@ -276,7 +289,9 @@ def apply_pct(u_sampler, state: TransformState, t: float,
                 f"sampler returned shape {vals.shape}, expected {grid.n}")
     else:
         raise TypeError("u_sampler must be a FieldTrajectory or a callable")
-    vals = vals * np.exp(0.25j * a_t * signature_quadratic(grid)) * f_t
+    vals = f_t * vals
+    for factor in _chirp_factors(grid, a_t):
+        vals *= factor
     return ComplexField(grid, vals, t=t)
 
 

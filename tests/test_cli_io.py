@@ -26,6 +26,7 @@ from hnlslab import (
     RunManifest,
     SnapshotError,
     file_digest,
+    gaussian_field,
     load_series_csv,
     parse_config,
     random_smooth_field,
@@ -613,6 +614,10 @@ def _standing_cfg(kind="standing", n=32, block=None):
      "radial.r_max"),
     ("radial", _radial_cfg(n=64, r_max=1e-110, eps=1e-112, width=1e-111),
      "radial.r_max"),
+    # the step's matrix is I - i dt/2 A: this box's largest entry, 4 / h^2
+    # = 4e200, is finite times dt/4 and overflows only times dt/2
+    ("radial", _radial_cfg(n=64, r_max=63e-100, dt=1.5e108, t_end=1.5e108),
+     "radial.r_max"),
     # the coefficient ODEs start at 4k - a0^2: a0^2 raised OverflowError,
     # and 4k = inf truncated the trajectory at t = 0
     ("transform-check", _transform_cfg(a0=1e200), "transform-check.a0"),
@@ -1077,6 +1082,40 @@ def test_runs_lift_the_waves_the_parse_fitted(tmp_path, monkeypatch):
         assert len(cfg.waves) == (2 if cfg.kind == "two-wave" else 1)
         assert {id(spec) for spec in lifted} == {
             id(spec) for spec in cfg.waves.values()}, cfg.kind
+
+
+def test_the_parse_fits_each_wave_once(monkeypatch):
+    # each wave spec is built once, with its profile, which is the Gaussian
+    # sampled on the grid of the spec's problem
+    from hnlslab import families
+    fits = []
+    for name in ("_alignment_ints", "_carrier_index"):
+        def counted(*args, original=getattr(families, name)):
+            fits.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(families, name, counted)
+    profile = {"shape": "gaussian", "amplitude": 0.5, "width": 2.0,
+               "center": 1.0}
+    texts = [json.dumps({"kind": "planewave", "grid": _BOX16,
+                         "planewave": {"profile": profile, "c": [1.0]},
+                         "run": {"t_end": 0.01}}),
+             json.dumps({"kind": "standing", "grid": _BOX16,
+                         "standing": {"profile": profile,
+                                      "omega": 2.0 * math.pi / 20.0},
+                         "run": {"t_end": 0.01}}),
+             _stability_cfg(), _two_wave_cfg(1.0, -1.0)]
+    for text in texts:
+        fits.clear()
+        cfg = parse_config(text)
+        assert len(fits) == len(cfg.waves) == (
+            2 if cfg.kind == "two-wave" else 1), cfg.kind
+        for where, spec in cfg.waves.items():
+            p = runner._at(cfg, where)["profile"]
+            box = spec.problem.grid
+            expect = gaussian_field(box, p["amplitude"], p["width"],
+                                    (p["center"],) * box.d).values
+            assert spec.f0.tobytes() == expect.tobytes(), where
 
 
 def test_identical_config_and_seed_reproduce_digests(tmp_path):

@@ -29,7 +29,7 @@ from hnlslab.radial import (
     shoot_ground_state,
     solve_radial,
     _active_slice,
-    _CrankNicolsonHalf,
+    _CrankNicolson,
     _laplacian_triplets,
     _series_start,
     _shoot_rhs,
@@ -276,7 +276,7 @@ def test_solver_validation():
 
 
 def _lapack_path(name, monkeypatch):
-    """Point `_CrankNicolsonHalf` at numpy's LAPACK or scipy's binding."""
+    """Point `_CrankNicolson` at numpy's LAPACK or scipy's binding."""
     lapack = {"numpy": radial._numpy_lapack,
               "scipy": radial._scipy_lapack}[name]()
     if lapack is None:
@@ -289,48 +289,124 @@ def _lapack_path(name, monkeypatch):
 @pytest.mark.parametrize("dt", [1e-4, 4e-4, 1e-2])
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("eps", [0.0, 0.5])       # regularity, Dirichlet
-def test_crank_nicolson_half_matches_scipy_lapack_bit_for_bit(
+def test_crank_nicolson_matches_scipy_lapack_bit_for_bit(
         path, n, dt, sign, eps, monkeypatch):
+    # C(dt) v = (I - tau A)^-1 (I + tau A) v is formed as 2 x - v, x the
+    # zgttrs solve of (I - tau A) x = v, tau = i sign dt / 2
     from scipy.linalg.lapack import zgttrf, zgttrs
     _lapack_path(path, monkeypatch)
-    sub, diag, sup = trip = _laplacian_triplets(
-        np.linspace(eps, 15.0, n), BC_REGULARITY if eps == 0 else BC_DIRICHLET)
-    th = 0.25j * sign * dt
-    *lu, info = zgttrf(-th * sub[1:], 1.0 - th * diag, -th * sup[:-1])
+    prof = make_radial_profile(n, 15.0, np.zeros(n), eps=eps)
+    sub, diag, sup = trip = _laplacian_triplets(prof.r, prof.bc_inner)
+    tau = 0.5j * sign * dt
+    *lu, info = zgttrf(-tau * sub[1:], 1.0 - tau * diag, -tau * sup[:-1])
     assert info == 0
-    cn = _CrankNicolsonHalf(trip, sign, dt)
+    cn = _CrankNicolson(trip, sign, dt)
     for mine, ref in zip(cn._lu[:4], lu[:4]):
         assert mine.tobytes() == ref.tobytes()
     assert np.array_equal(cn._lu[4], lu[4])           # pivots
+    if n == 64:    # the map itself, from the dense Laplacian
+        A = radial_laplacian_dense(prof)
+        eye = np.eye(len(diag))
+        dense = np.linalg.solve(eye - tau * A, eye + tau * A)
     rng = np.random.default_rng(n)
     v = rng.standard_normal(len(diag)) + 1j * rng.standard_normal(len(diag))
-    for _ in range(2):       # the second call reuses the solver's buffers
-        rhs = (1.0 + th * diag) * v
-        rhs[:-1] += (th * sup)[:-1] * v[1:]
-        rhs[1:] += (th * sub)[1:] * v[:-1]
-        x, info = zgttrs(*lu, rhs)
+    for _ in range(2):       # the second call reuses the solver's buffer
+        x, info = zgttrs(*lu, v)
         assert info == 0
-        got = cn.apply(v)
-        assert got.tobytes() == x.tobytes()
-        v = got.copy()
+        got = v.copy()
+        cn.apply(got)
+        assert got.tobytes() == (2 * x - v).tobytes()
+        if n == 64:
+            ref = dense @ v
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        v = got
 
 
 @pytest.mark.parametrize("path", ["numpy", "scipy"])
-def test_crank_nicolson_half_refuses_a_singular_matrix(path, monkeypatch):
-    # a diagonal of 1/th zeroes the left-hand matrix 1 - th * diag
+def test_crank_nicolson_refuses_a_singular_matrix(path, monkeypatch):
+    # a diagonal of 1/tau zeroes the left-hand matrix 1 - tau * diag
     from scipy.linalg.lapack import zgttrf
     _lapack_path(path, monkeypatch)
     dt = 1e-3
-    th = 0.25j * dt
-    ok = _CrankNicolsonHalf((np.zeros(4), np.ones(4), np.zeros(4)), 1, dt)
+    tau = 0.5j * dt
+    ok = _CrankNicolson((np.zeros(4), np.ones(4), np.zeros(4)), 1, dt)
     v = np.arange(4.0) + 1j
-    assert np.allclose(ok.apply(v), (1 + th) / (1 - th) * v, rtol=1e-15)
-    diag = np.full(4, 1 / th)
-    info = zgttrf(np.zeros(3, complex), 1.0 - th * diag,
+    got = v.copy()
+    ok.apply(got)
+    assert np.allclose(got, (1 + tau) / (1 - tau) * v, rtol=1e-15)
+    diag = np.full(4, 1 / tau)
+    info = zgttrf(np.zeros(3, complex), 1.0 - tau * diag,
                   np.zeros(3, complex))[-1]
     assert info > 0
     with pytest.raises(ValueError, match=rf"singular \(zgttrf info={info}\)"):
-        _CrankNicolsonHalf((np.zeros(4), diag, np.zeros(4)), 1, dt)
+        _CrankNicolson((np.zeros(4), diag, np.zeros(4)), 1, dt)
+
+
+def _bench_profile(n):
+    # the collapse profile of the benchmark's radial-collapse run
+    return make_radial_profile(n, 15.0, lambda r: 3.5 * np.exp(-r * r),
+                               lam=1.0, sigma=2.0)
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(1.0, dt0=4e-4, linf_ceiling=60.0), COLLAPSE])
+def test_each_step_makes_one_tridiagonal_solve(config, monkeypatch):
+    # N(h/2) C(h) N(h/2) with the meeting half phases taken as one: one
+    # zgttrs solve per step, at a fixed dt and across adaptive changes
+    factor, bind = radial._tridiagonal_lapack()
+    solves = []
+
+    def counted_bind(lu, b):
+        solve = bind(lu, b)
+
+        def counted():
+            solves.append(len(b))
+            return solve()
+        return counted
+
+    monkeypatch.setattr(radial, "_tridiagonal_lapack",
+                        lambda: (factor, counted_bind))
+    res = solve_radial(_bench_profile(512), config)
+    assert res.status == STATUS_BLOWNUP and res.steps > 100
+    assert len(solves) == res.steps
+
+
+def test_splitting_is_second_order_against_a_fine_reference():
+    # the collapse profile to T = 0.15, well before its blow-up at 0.21,
+    # against one common run at dt = 1.25e-5, in the weighted norm
+    prof = _bench_profile(512)
+    w = radial_weights(prof)
+
+    def at(dt):
+        return solve_radial(prof, RunConfig(0.15, dt0=dt,
+                                            sample_stride=10 ** 9)
+                            ).profile.values
+
+    ref = at(1.25e-5)
+    errs = [np.sqrt(np.sum(w * np.abs(at(dt) - ref) ** 2))
+            for dt in (4e-4, 2e-4, 1e-4)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert np.log2(coarse / fine) == pytest.approx(2.0, abs=0.1)
+
+
+def test_samples_pay_the_owed_half_phase_exactly():
+    # sampled every step, each step's trailing half phase is paid at its
+    # sample; sampled only at the end, the meeting halves are one map
+    prof = _bench_profile(2048)
+    every, once = (solve_radial(prof, RunConfig(0.15, dt0=1e-4,
+                                                sample_stride=stride))
+                   for stride in (1, 10 ** 9))
+    assert every.steps == once.steps == 1500
+    a, b = every.profile.values, once.profile.values
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    assert not np.array_equal(a, b)     # the two runs took other maps
+
+
+def test_collapse_profile_keeps_its_mass():
+    prof = _bench_profile(2048)
+    m0 = radial_mass(prof)
+    res = solve_radial(prof, RunConfig(0.15, dt0=1e-4, sample_stride=10))
+    assert abs(radial_mass(res.profile) - m0) <= 1e-13 * m0
 
 
 def test_solver_rejects_non_finite_times():

@@ -65,6 +65,19 @@ def test_split_transforms_equal_numpy_bit_for_bit(shape, nb, split, rng):
     assert split.calls == ([] if d == 1 else [nb] * (4 * 2 * d))
 
 
+@pytest.mark.parametrize("n", [8, 64, 2048])
+def test_one_dimensional_transforms_are_numpys_fftn_bit_for_bit(n, rng):
+    # a 1-D array skips fftn's axis handling for the same pocketfft call
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for ours, numpys in ((spectral.fftn, np.fft.fftn),
+                         (spectral.ifftn, np.fft.ifftn)):
+        ref = numpys(a)
+        assert ours(a).tobytes() == ref.tobytes()
+        b = a.copy()
+        assert ours(b, out=b) is b
+        assert b.tobytes() == ref.tobytes()
+
+
 def _rows_of(samples) -> np.ndarray:
     return np.array([[s.t, s.mass, s.energy, s.linf, s.virial,
                       s.virial_rate, *s.momentum, *s.com] for s in samples])
