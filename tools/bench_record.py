@@ -42,13 +42,13 @@ def summary(values) -> dict:
             "n": len(values), "values": values}
 
 
-def run_once(checkout, workload, seed, seconds) -> tuple:
+def run_once(checkout, workload, seed) -> tuple:
     """(context, metrics) of one `bench/run.py --trace 0` run in
     `checkout`; RuntimeError when it fails or its checks do."""
     proc = subprocess.run(
         [sys.executable, os.path.join("bench", "run.py"), "--workload",
-         workload, "--trace", "0", "--seed", str(seed), "--seconds",
-         repr(seconds)], cwd=checkout, capture_output=True, text=True)
+         workload, "--trace", "0", "--seed", str(seed)], cwd=checkout,
+        capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: bench/run.py exited "
@@ -63,7 +63,7 @@ def run_once(checkout, workload, seed, seconds) -> tuple:
     return context, {m: result["metrics"][m]["value"] for m in METRICS}
 
 
-def record(checkouts, workloads, pairs, seed, seconds, runner=run_once):
+def record(checkouts, workloads, pairs, seed, runner=run_once):
     """{label: BENCH record} from `pairs` runs of every workload in every
     checkout ({label: path}), alternated as the module docstring says."""
     values = {label: {w: {m: [] for m in METRICS} for w in workloads}
@@ -74,8 +74,7 @@ def record(checkouts, workloads, pairs, seed, seconds, runner=run_once):
         for j, workload in enumerate(workloads):
             sides = order if (i + j) % 2 == 0 else order[::-1]
             for label in sides:
-                context, metrics = runner(checkouts[label], workload, seed,
-                                          seconds)
+                context, metrics = runner(checkouts[label], workload, seed)
                 contexts.setdefault(label, context)
                 for m in METRICS:
                     values[label][workload][m].append(metrics[m])
@@ -83,8 +82,7 @@ def record(checkouts, workloads, pairs, seed, seconds, runner=run_once):
                       + " ".join(f"{m}={metrics[m]:.4g}" for m in METRICS),
                       flush=True)
     return {label: {
-        "label": label, "checkout": os.path.abspath(checkouts[label]),
-        "context": contexts[label], "seed": seed, "seconds": seconds,
+        "label": label, "context": contexts[label], "seed": seed,
         "workloads": {w: {m: summary(v) for m, v in metrics.items()}
                       for w, metrics in values[label].items()}}
         for label in checkouts}
@@ -131,7 +129,6 @@ def main(argv=None) -> int:
                         help="a workload of bench/run.py (repeatable)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", default=".",
                         help="directory of the BENCH files")
     parser.add_argument("--compare", nargs=2, metavar=("BASE", "OTHER"),
@@ -146,8 +143,7 @@ def main(argv=None) -> int:
         parser.error("give --checkout LABEL=PATH, --workload and "
                      "--pairs >= 1")
     try:
-        records = record(checkouts, args.workload, args.pairs, args.seed,
-                         args.seconds)
+        records = record(checkouts, args.workload, args.pairs, args.seed)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
