@@ -14,7 +14,7 @@ The solver splits a step as N(h/2) C(h) N(h/2), the exact nonlinear
 phase around a Crank-Nicolson linear step.  The half phases that meet
 between steps are taken as one, so a step makes one phase map and one
 tridiagonal solve, and the half phase a step leaves owed is paid before
-each sample is taken.
+each sample is taken and before the run returns.
 
 The Crank-Nicolson step factors and solves its tridiagonal matrix with
 LAPACK's zgttrf/zgttrs from the library numpy's own linear algebra links,
@@ -374,9 +374,10 @@ def solve_radial(profile: RadialProfile, config: RunConfig, *,
     summed angle, so a step is one phase map and one tridiagonal solve:
     it pays the half phase the step before it left owed, with its own
     first half, and leaves its second half owed.  The owed phase is paid
-    before each sample is taken, and so before the final or blow-up
-    record; a change of h owes half of the old step plus half of the new
-    one.  The step's sup bound is read after C(h): N keeps |F| pointwise,
+    before each sample is taken and before the profile is returned, so a
+    run that `march` stops without a sample (at the dt floor, or on a
+    non-finite step) returns it whole; a change of h owes half of the old step
+    plus half of the new one.  The step's sup bound is read after C(h): N keeps |F| pointwise,
     so that is the sup at the sample.  The scheme is second order,
     symmetric, and unitary in the weighted norm of `radial_weights`.
 
@@ -424,6 +425,8 @@ def solve_radial(profile: RadialProfile, config: RunConfig, *,
         return sup
 
     m = march(profile.t, config, sigma, step, record)
+    if owed:    # a march that stops between samples leaves a half owed
+        _nonlinear_stage(act, owed, lam, sigma)
     t = t_end if m.status == STATUS_DONE else m.t
     return RadialRunResult(profile=profile.with_values(vals, t=t),
                            status=m.status, t_detect=m.t_detect,

@@ -391,10 +391,11 @@ def _too_narrow(errors, where, block, axes) -> bool:
 
 def _radial_rules(errors, where, block):
     """The hole lies inside the box, the Gaussian's (r / width)^2 and the
-    entries of the Crank-Nicolson matrix at dt (`radial._cayley_lhs`, dt/2
-    times those of the radial Laplacian, whose 1 / (r h^2) underflows on
-    too fine a box) are finite on its nodes, and a concentration scan has
-    grid points inside each radius and the samples it needs."""
+    entries of the Crank-Nicolson matrix at the run's longest step
+    (`radial._cayley_lhs`, half the step times those of the radial
+    Laplacian, whose 1 / (r h^2) overflows on too fine a box) are finite
+    on its nodes, and a concentration scan has grid points inside each
+    radius and the samples it needs."""
     from .radial import (_SCAN_SAMPLES, BC_DIRICHLET, BC_REGULARITY,
                          _cayley_lhs, _laplacian_triplets)
     if block["eps"] >= block["r_max"]:
@@ -406,18 +407,20 @@ def _radial_rules(errors, where, block):
                   f"must be > eps = {block['eps']}, got {e}")
     r = np.linspace(block["eps"], block["r_max"], block["n"])
     _too_narrow(errors, where, block, (r,))
-    if block["eps"] < block["r_max"]:
+    config = _march_config(block)
+    # the longest step `march` takes: the first, clipped to t_end
+    h = min(config.dt0, config.t_end)
+    if block["eps"] < block["r_max"] and h > 0:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             entries = _cayley_lhs(_laplacian_triplets(
-                r, BC_DIRICHLET if block["eps"] else BC_REGULARITY),
-                1, block["dt"])
+                r, BC_DIRICHLET if block["eps"] else BC_REGULARITY), 1, h)
             finite = all(np.isfinite(e).all() for e in entries)
         if not finite:
             _fail(errors, f"{where}.r_max",
                   f"{block['r_max']!r} over n = {block['n']} nodes gives "
-                  f"Crank-Nicolson entries at dt = {block['dt']!r} that "
-                  f"are not finite")
-    samples = _fixed_dt_samples(_march_config(block))
+                  f"Crank-Nicolson entries at a step of {h!r} that are "
+                  f"not finite")
+    samples = _fixed_dt_samples(config)
     if block["concentration_eps"] and samples < _SCAN_SAMPLES:
         _fail(errors, f"{where}.concentration_eps",
               f"the concentration scan needs at least {_SCAN_SAMPLES} "
@@ -472,39 +475,37 @@ def _distinct_speeds(errors, block):
 
 def _wave_specs(cfg, errors) -> dict:
     """{block path: plane or standing wave spec} of every wave the kind
-    declares that fits `cfg.grid`, each built once with its profile:
-    zeros, or the Gaussian that `gaussian_field` samples on the axes of the
-    box the profile spans (x for a plane wave, the transverse axes for a
-    standing wave; the grid of the spec's `problem` has their nodes).  A
-    misfit, or a Gaussian profile too narrow for those axes, is reported
-    in `errors` at the block path and the wave left out.  A Gaussian's
-    centre is the same on every axis of the profile."""
+    declares that fits `cfg.grid`.  Each spec is built once, with a zero
+    profile (the n_x samples of a plane wave, the transverse shape of the
+    grid for a standing wave); a Gaussian profile is then sampled on the
+    grid of the spec's `problem` and set as its f0.  A misfit, or a
+    Gaussian profile too narrow for that grid, is reported in `errors` at
+    the block path and the wave left out.  A Gaussian's centre is the
+    same on every axis of the profile."""
     from .families import PlaneWaveSpec, StandingWaveSpec
     b, grid, specs = cfg.block, cfg.grid, {}
-    axes = slice(1, None) if "omega" in b else slice(0, 1)
-    n = grid.n[axes]
     for where in _DECLARATIONS[cfg.kind].waves:
         side = _at(cfg, where)
-        p, narrow = side["profile"], []
-        f0 = np.zeros(n)
         try:
-            if p["shape"] == "gaussian" and n and not _too_narrow(
-                    narrow, f"{where}.profile", p, grid.coords[axes]):
-                f0 = gaussian_field(
-                    Grid(n, grid.length[axes], grid.alpha[axes]),
-                    p["amplitude"], p["width"], (p["center"],) * len(n)).values
             if "omega" in b:
-                spec = StandingWaveSpec(f0=f0, omega=b["omega"], lam=cfg.lam,
+                spec = StandingWaveSpec(f0=np.zeros(grid.n[1:]),
+                                        omega=b["omega"], lam=cfg.lam,
                                         sigma=cfg.sigma, grid=grid)
             else:
-                spec = PlaneWaveSpec(f0=f0, c=tuple(side["c"]), lam=cfg.lam,
+                spec = PlaneWaveSpec(f0=np.zeros(grid.n[0]),
+                                     c=tuple(side["c"]), lam=cfg.lam,
                                      sigma=cfg.sigma, grid=grid)
         except GridError as exc:
             _fail(errors, where, str(exc))
             continue
-        if narrow:      # reported only for a wave that fits its box
-            errors.extend(narrow)
-            continue
+        p, profile = side["profile"], spec.problem.grid
+        if p["shape"] == "gaussian":
+            if _too_narrow(errors, f"{where}.profile", p, profile.coords):
+                continue
+            # the shape the fit checked, finite where the squares are:
+            # set in place, so the spec is not fitted again
+            spec.f0 = gaussian_field(profile, p["amplitude"], p["width"],
+                                     (p["center"],) * profile.d).values
         specs[where] = spec
     return specs
 

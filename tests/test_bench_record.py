@@ -66,14 +66,14 @@ def test_a_difference_inside_the_baseline_spread_is_unresolved(
 def test_recording_alternates_which_checkout_runs_first(tool):
     calls = []
 
-    def fake(checkout, workload, seed):
+    def fake(checkout, workload):
         calls.append((checkout, workload))
         k = len(calls)
         return {"sha": checkout}, {"setup_s": 0.1 * k, "run_s": 1.0 * k,
                                    "peak_rss_mb": 40.0}
 
     recs = tool.record({"31": "old", "32": "new"}, ["structured", "march"],
-                       2, 0, runner=fake)
+                       2, runner=fake)
     assert calls == [("old", "structured"), ("new", "structured"),
                      ("new", "march"), ("old", "march"),
                      ("new", "structured"), ("old", "structured"),

@@ -649,6 +649,15 @@ def test_bad_numbers_exit_2_before_any_run(kind, text, key, tmp_path,
     assert not out.exists()
 
 
+def test_the_radial_box_rule_checks_the_step_the_run_takes(tmp_path):
+    # the box refused above at dt = t_end = 1.5e108 takes one step of
+    # t_end = 0.01 here, whose matrix is finite: it parses and runs
+    cfg = parse_config(_radial_cfg(n=64, r_max=63e-100, dt=1.5e108,
+                                   t_end=0.01))
+    assert run_experiment(cfg, out_dir=tmp_path) == 0
+    assert _manifest(tmp_path)["status"] == "Done"
+
+
 def test_semiclassical_sigma_is_four_over_d(tmp_path):
     # the run never reads sigma: the chirp-dilation map fixes it at 4/d,
     # so an omitted sigma means 4/d and any other is refused

@@ -402,6 +402,26 @@ def test_samples_pay_the_owed_half_phase_exactly():
     assert not np.array_equal(a, b)     # the two runs took other maps
 
 
+@pytest.mark.parametrize("stride", [1, 5, 7])
+def test_a_run_stopped_at_the_dt_floor_returns_its_profile_whole(stride):
+    # the default ceiling (1e6 sup) is far off: the run stops because
+    # 2e-3 / (1 + sup^2) passes the floor 2e-5 at sup ~ 10 while the sup
+    # still grows, and `march` takes no sample there; the profile it
+    # returns is the last sample's, whose owed half phase was paid
+    last = {}
+
+    def keep(t, values):
+        last.update(t=t, values=values.copy())
+
+    res = solve_radial(_bench_profile(512),
+                       RunConfig(1.0, dt0=2e-3, adapt=True, dt_floor=2e-5,
+                                 sample_stride=stride), on_sample=keep)
+    assert res.status == STATUS_BLOWNUP and res.steps > 2000
+    assert 8.0 < res.profile.linf() < 60.0
+    assert res.profile.t == res.t_detect == last["t"]
+    assert np.array_equal(res.profile.values, last["values"])
+
+
 def test_collapse_profile_keeps_its_mass():
     prof = _bench_profile(2048)
     m0 = radial_mass(prof)

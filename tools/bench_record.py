@@ -1,14 +1,15 @@
 """Record and compare end-to-end benchmark runs of several checkouts.
 
     python3 tools/bench_record.py --checkout 31=../parent --checkout 32=. \
-        --workload structured --pairs 10
+        --workload structured
     python3 tools/bench_record.py --compare BENCH_31.json BENCH_32.json
 
 Recording runs `bench/run.py --workload W --trace 0` in each checkout, one
-fresh process per run, `--pairs` times per workload.  The runs alternate
-between checkouts and between workloads, and the checkout that runs first
-alternates from one pair to the next, so drift in the machine's speed falls
-on every side alike.  One `BENCH_<label>.json` per checkout is written to
+fresh process per run, PAIRS (10) times per workload at run.py's default
+seed (0, written into the file).  The runs alternate between checkouts and
+between workloads, and the checkout that runs first alternates from one
+pair to the next, so drift in the machine's speed falls on every side
+alike.  One `BENCH_<label>.json` per checkout is written to
 `--out`: for each workload the median, the quartiles and the run count of
 `setup_s`, `run_s` and `peak_rss_mb`, the values in run order, and the
 context line (CPU, library versions, git SHA) that `run.py` printed.  A run
@@ -28,6 +29,8 @@ import subprocess
 import sys
 
 METRICS = ("setup_s", "run_s", "peak_rss_mb")
+PAIRS = 10          # the fewest alternated pairs that can show a 9/10 win
+RUN_SEED = 0        # bench/run.py's default --seed, which every run takes
 
 
 def summary(values) -> dict:
@@ -42,12 +45,12 @@ def summary(values) -> dict:
             "n": len(values), "values": values}
 
 
-def run_once(checkout, workload, seed) -> tuple:
+def run_once(checkout, workload) -> tuple:
     """(context, metrics) of one `bench/run.py --trace 0` run in
     `checkout`; RuntimeError when it fails or its checks do."""
     proc = subprocess.run(
         [sys.executable, os.path.join("bench", "run.py"), "--workload",
-         workload, "--trace", "0", "--seed", str(seed)], cwd=checkout,
+         workload, "--trace", "0"], cwd=checkout,
         capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -63,7 +66,7 @@ def run_once(checkout, workload, seed) -> tuple:
     return context, {m: result["metrics"][m]["value"] for m in METRICS}
 
 
-def record(checkouts, workloads, pairs, seed, runner=run_once):
+def record(checkouts, workloads, pairs, runner=run_once):
     """{label: BENCH record} from `pairs` runs of every workload in every
     checkout ({label: path}), alternated as the module docstring says."""
     values = {label: {w: {m: [] for m in METRICS} for w in workloads}
@@ -74,7 +77,7 @@ def record(checkouts, workloads, pairs, seed, runner=run_once):
         for j, workload in enumerate(workloads):
             sides = order if (i + j) % 2 == 0 else order[::-1]
             for label in sides:
-                context, metrics = runner(checkouts[label], workload, seed)
+                context, metrics = runner(checkouts[label], workload)
                 contexts.setdefault(label, context)
                 for m in METRICS:
                     values[label][workload][m].append(metrics[m])
@@ -82,7 +85,7 @@ def record(checkouts, workloads, pairs, seed, runner=run_once):
                       + " ".join(f"{m}={metrics[m]:.4g}" for m in METRICS),
                       flush=True)
     return {label: {
-        "label": label, "context": contexts[label], "seed": seed,
+        "label": label, "context": contexts[label], "seed": RUN_SEED,
         "workloads": {w: {m: summary(v) for m, v in metrics.items()}
                       for w, metrics in values[label].items()}}
         for label in checkouts}
@@ -127,8 +130,6 @@ def main(argv=None) -> int:
                              "BENCH_<LABEL>.json (repeatable)")
     parser.add_argument("--workload", action="append", default=[],
                         help="a workload of bench/run.py (repeatable)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=".",
                         help="directory of the BENCH files")
     parser.add_argument("--compare", nargs=2, metavar=("BASE", "OTHER"),
@@ -139,11 +140,10 @@ def main(argv=None) -> int:
             print(line)
         return 0
     checkouts = dict(item.split("=", 1) for item in args.checkout)
-    if len(checkouts) < 1 or not args.workload or args.pairs < 1:
-        parser.error("give --checkout LABEL=PATH, --workload and "
-                     "--pairs >= 1")
+    if not checkouts or not args.workload:
+        parser.error("give --checkout LABEL=PATH and --workload")
     try:
-        records = record(checkouts, args.workload, args.pairs, args.seed)
+        records = record(checkouts, args.workload, PAIRS)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
